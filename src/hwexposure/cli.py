@@ -73,15 +73,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
                 continue
             rows = ingest.read_block_csv(str(config.path(template, year)), role)
             table = ingest.aggregate_to_tracts(rows, role, year)
-            violations = ingest.validate_table(table)
-            logger.info("%s %d: %d blocks -> %d tracts, %d workers, %d violations",
-                        role, year, len(rows), len(table.rows), table.grand_total(),
-                        len(violations))
-            for v in violations[:10]:
-                logger.error("%s %d: row %s: %s: %s", role, year, v.row_key,
-                             v.characteristic, v.message)
-            if violations:
-                return 1
+            logger.info("%s %d: %d blocks -> %d tracts, %d workers",
+                        role, year, len(rows), len(table.rows), table.grand_total())
         if config.od:
             rows = ingest.read_od_csv(str(config.path(config.od, year)))
             od = ingest.aggregate_od(rows, year)

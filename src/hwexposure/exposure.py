@@ -89,12 +89,14 @@ def format_group(characteristic: str, group: str) -> str:
     return "all" if (characteristic, group) == ALL_GROUP else f"{characteristic}:{group}"
 
 
-def hw_blend(h: float, w: float, weights: HWWeights = DEFAULT_HW_WEIGHTS) -> float:
-    """Time-weighted blend of home and work concentrations.
+def hw_blend(h, w, weights: HWWeights = DEFAULT_HW_WEIGHTS):
+    """Time-weighted blend of home and work concentrations (scalars or arrays).
 
     Computed as h + work_fraction * (w - h), which equals
     home_fraction * h + work_fraction * w because the fractions sum to 1,
-    and keeps hw_blend(h, h) == h exact in floating point.
+    and keeps hw_blend(h, h) == h exact in floating point. On numpy arrays it
+    is the same expression element-wise, so per-pair blends match the scalar
+    op bit for bit.
     """
     return h + weights.work_fraction * (w - h)
 
@@ -159,6 +161,8 @@ def weighted_percentile(values: Sequence[float], weights: Sequence[float], p: fl
 class AlignedTable:
     """Worker table joined against a tract surface, geoid-ascending."""
 
+    year: int
+    locus: str
     geoids: tuple[str, ...]
     concentrations: np.ndarray
     totals: np.ndarray
@@ -167,7 +171,12 @@ class AlignedTable:
 
 
 def align_table(surface: TractSurface, table: WorkerTable) -> AlignedTable:
-    """Join table rows to surface concentrations, dropping unresolvable tracts."""
+    """Join table rows to surface concentrations, dropping unresolvable tracts.
+
+    The locus is H for residence tables and W for workplace tables.
+    """
+    if surface.year != table.year:
+        raise ValueError(f"surface year {surface.year} != table year {table.year}")
     geoids = []
     dropped = 0
     for geoid, row in table.rows.items():
@@ -188,13 +197,15 @@ def align_table(surface: TractSurface, table: WorkerTable) -> AlignedTable:
             "%s table %d: dropped %d workers on tracts without concentrations",
             table.role, table.year, dropped,
         )
-    return AlignedTable(tuple(geoids), conc, totals, cats, dropped)
+    locus = LOCUS_HOME if table.role == RESIDENCE else LOCUS_WORK
+    return AlignedTable(table.year, locus, tuple(geoids), conc, totals, cats, dropped)
 
 
 @dataclass(frozen=True)
 class ResolvedPairs:
     """OD matrix joined against a tract surface, (home, work)-ascending."""
 
+    year: int
     home_geoids: tuple[str, ...]
     home_values: np.ndarray
     work_values: np.ndarray
@@ -205,6 +216,8 @@ class ResolvedPairs:
 
 def resolve_pairs(surface: TractSurface, od: ODMatrix) -> ResolvedPairs:
     """Join OD pairs to surface concentrations, dropping unresolvable pairs."""
+    if surface.year != od.year:
+        raise ValueError(f"surface year {surface.year} != OD year {od.year}")
     keys = []
     dropped = 0
     for (home, work), entry in od.entries.items():
@@ -226,11 +239,14 @@ def resolve_pairs(surface: TractSurface, od: ODMatrix) -> ResolvedPairs:
             "OD %d: dropped %d workers on pairs touching tracts without concentrations",
             od.year, dropped,
         )
-    return ResolvedPairs(tuple(h for h, _ in keys), home_vals, work_vals, totals, cats, dropped)
+    return ResolvedPairs(od.year, tuple(h for h, _ in keys), home_vals, work_vals, totals,
+                         cats, dropped)
 
 
-def _stratum_masks(geoids: Sequence[str], classification: Mapping[str, str] | None,
-                   strata: Sequence[str]) -> dict[str, np.ndarray]:
+def stratum_masks(geoids: Sequence[str], classification: Mapping[str, str] | None,
+                  strata: Sequence[str]) -> dict[str, np.ndarray]:
+    """Boolean row mask per stratum; classified strata are skipped without a
+    classification."""
     masks = {}
     n = len(geoids)
     for stratum in strata:
@@ -245,8 +261,10 @@ def _stratum_masks(geoids: Sequence[str], classification: Mapping[str, str] | No
     return masks
 
 
-def _iter_groups(schemas: Sequence[GroupSchema], totals: np.ndarray,
-                 category_counts: Mapping[str, np.ndarray]):
+def iter_groups(schemas: Sequence[GroupSchema], totals: np.ndarray,
+                category_counts: Mapping[str, np.ndarray]):
+    """(characteristic, label, counts) for the total population, then each
+    schema category present in ``category_counts``, in schema order."""
     yield ALL_GROUP[0], ALL_GROUP[1], totals
     for schema in schemas:
         for code, label in schema.categories:
@@ -255,26 +273,21 @@ def _iter_groups(schemas: Sequence[GroupSchema], totals: np.ndarray,
 
 
 def compute_group_exposures(
-    surface: TractSurface,
-    table: WorkerTable,
+    aligned: AlignedTable,
     schemas: Sequence[GroupSchema],
     classification: Mapping[str, str] | None = None,
     strata: Sequence[str] = (ALL_STRATUM,),
 ) -> list[ExposureRecord]:
     """One ExposureRecord per (group, stratum) at the table's locus.
 
-    The locus is H for residence tables and W for workplace tables. Groups
-    with zero weight in a stratum are omitted with a log entry.
+    Groups with zero weight in a stratum are omitted with a log entry.
     """
-    if surface.year != table.year:
-        raise ValueError(f"surface year {surface.year} != table year {table.year}")
-    aligned = align_table(surface, table)
-    locus = LOCUS_HOME if table.role == RESIDENCE else LOCUS_WORK
-    masks = _stratum_masks(aligned.geoids, classification, strata)
+    locus = aligned.locus
+    masks = stratum_masks(aligned.geoids, classification, strata)
     records = []
     for stratum, mask in masks.items():
         conc = aligned.concentrations[mask]
-        for characteristic, label, weights in _iter_groups(
+        for characteristic, label, weights in iter_groups(
             schemas, aligned.totals, aligned.category_counts
         ):
             w = weights[mask]
@@ -285,7 +298,7 @@ def compute_group_exposures(
                 )
                 continue
             records.append(ExposureRecord(
-                year=table.year,
+                year=aligned.year,
                 characteristic=characteristic,
                 group=label,
                 locus=locus,
@@ -299,8 +312,7 @@ def compute_group_exposures(
 
 
 def compute_hw_exposures(
-    surface: TractSurface,
-    od: ODMatrix,
+    pairs: ResolvedPairs,
     schemas: Sequence[GroupSchema],
     weights: HWWeights = DEFAULT_HW_WEIGHTS,
     classification: Mapping[str, str] | None = None,
@@ -313,21 +325,17 @@ def compute_hw_exposures(
     identity error = work_fraction * (H - W) holds to float precision. Strata
     are assigned by residential (home-tract) location.
     """
-    if surface.year != od.year:
-        raise ValueError(f"surface year {surface.year} != OD year {od.year}")
-    pairs = resolve_pairs(surface, od)
     if len(pairs.totals) == 0 or int(pairs.totals.sum()) == 0:
         raise EmptyPopulationError("no resolvable OD pairs with workers")
-    # Same form as hw_blend so per-pair blends match the scalar op bit for bit.
-    blended = pairs.home_values + weights.work_fraction * (pairs.work_values - pairs.home_values)
-    masks = _stratum_masks(pairs.home_geoids, classification, strata)
+    blended = hw_blend(pairs.home_values, pairs.work_values, weights)
+    masks = stratum_masks(pairs.home_geoids, classification, strata)
     records: list[ExposureRecord] = []
     errors: list[ErrorRecord] = []
     for stratum, mask in masks.items():
         vh = pairs.home_values[mask]
         vw = pairs.work_values[mask]
         vb = blended[mask]
-        for characteristic, label, group_counts in _iter_groups(
+        for characteristic, label, group_counts in iter_groups(
             schemas, pairs.totals, pairs.category_counts
         ):
             w = group_counts[mask]
@@ -347,7 +355,7 @@ def compute_hw_exposures(
                 (LOCUS_BLEND, vb, hw_mean),
             ):
                 records.append(ExposureRecord(
-                    year=od.year,
+                    year=pairs.year,
                     characteristic=characteristic,
                     group=label,
                     locus=locus,
@@ -364,7 +372,7 @@ def compute_hw_exposures(
                 percent = math.nan
                 logger.warning("H mean is zero; percent error undefined")
             errors.append(ErrorRecord(
-                year=od.year,
+                year=pairs.year,
                 characteristic=characteristic,
                 group=label,
                 stratum=stratum,

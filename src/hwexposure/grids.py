@@ -6,7 +6,9 @@ ESRI ASCII files list the top row first, so the reader flips them.
 """
 from __future__ import annotations
 
+import bisect
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,9 +69,12 @@ def read_asc(path: str) -> ConcentrationGrid:
 
     Recognized header keywords: ncols, nrows, xllcorner, yllcorner, cellsize,
     NODATA_value (optional, default -9999). Data rows follow, top row first.
+    Cell values other than NODATA_value must be finite.
     """
     header: dict[str, float] = {}
     data: list[float] = []
+    line_starts: list[int] = []  # index in ``data`` of each data line's first value
+    line_numbers: list[int] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             tokens = line.split()
@@ -81,6 +86,8 @@ def read_asc(path: str) -> ConcentrationGrid:
                     raise FormatError(f"{path}:{lineno}: malformed header line {line!r}")
                 header[key] = float(tokens[1])
             else:
+                line_starts.append(len(data))
+                line_numbers.append(lineno)
                 try:
                     data.extend(float(t) for t in tokens)
                 except ValueError as exc:
@@ -94,7 +101,13 @@ def read_asc(path: str) -> ConcentrationGrid:
             f"{path}: expected {n_rows * n_cols} cell values, got {len(data)}"
         )
     nodata_value = header.get("nodata_value", -9999.0)
-    values = np.array(data, dtype=np.float64).reshape(n_rows, n_cols)
+    flat = np.array(data, dtype=np.float64)
+    bad = ~np.isfinite(flat) & (flat != nodata_value)
+    if bad.any():
+        first = int(np.argmax(bad))
+        lineno = line_numbers[bisect.bisect_right(line_starts, first) - 1]
+        raise FormatError(f"{path}:{lineno}: non-finite cell value {float(flat[first])!r}")
+    values = flat.reshape(n_rows, n_cols)
     values = values[::-1].copy()  # file is top-down; store bottom-up
     nodata = values == nodata_value
     values = np.where(nodata, 0.0, values)
@@ -115,6 +128,7 @@ def read_xyz_csv(path: str) -> ConcentrationGrid:
 
     Points are cell centers on a regular lattice; spacing is inferred from the
     distinct coordinates. Lattice positions absent from the file become nodata.
+    Values must be finite.
     """
     xs: list[float] = []
     ys: list[float] = []
@@ -124,9 +138,15 @@ def read_xyz_csv(path: str) -> ConcentrationGrid:
         if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != ["x", "y", "value"]:
             raise FormatError(f"{path}: expected header 'x,y,value'")
         for row in reader:
-            xs.append(float(row["x"]))
-            ys.append(float(row["y"]))
-            vs.append(float(row["value"]))
+            try:
+                x, y, value = float(row["x"]), float(row["y"]), float(row["value"])
+            except (TypeError, ValueError) as exc:
+                raise FormatError(f"{path}:{reader.line_num}: non-numeric x, y or value") from exc
+            if not math.isfinite(value):
+                raise FormatError(f"{path}:{reader.line_num}: non-finite value {row['value']!r}")
+            xs.append(x)
+            ys.append(y)
+            vs.append(value)
     if not xs:
         raise FormatError(f"{path}: no data rows")
     ux = np.unique(np.array(xs))

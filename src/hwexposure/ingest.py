@@ -170,13 +170,6 @@ class ODMatrix:
         return sum(e.total for e in self.entries.values())
 
 
-@dataclass(frozen=True)
-class Violation:
-    row_key: str
-    characteristic: str
-    message: str
-
-
 def block_to_tract(geocode: str) -> str:
     """First 11 digits of a 15-digit block geocode."""
     if len(geocode) != 15 or not geocode.isdigit():
@@ -184,30 +177,8 @@ def block_to_tract(geocode: str) -> str:
     return geocode[:11]
 
 
-def _check_counts(key: str, total: int, counts: dict[str, int],
-                  schemas: Sequence[GroupSchema]) -> list[Violation]:
-    found = []
-    if total < 0:
-        found.append(Violation(key, "total", f"negative total {total}"))
-    for code, count in counts.items():
-        if count < 0:
-            found.append(Violation(key, code, f"negative count {count}"))
-    for schema in schemas:
-        if not schema.partitions_total:
-            continue
-        if not all(code in counts for code in schema.codes):
-            continue
-        subtotal = sum(counts[code] for code in schema.codes)
-        if subtotal != total:
-            found.append(Violation(
-                key, schema.characteristic,
-                f"category sum {subtotal} != total {total}",
-            ))
-    return found
-
-
 class _RowValidator:
-    """Raising fast path for per-row checks during rollup.
+    """Per-row checks during rollup; raises on the first offending row.
 
     The partition-sum plan depends only on which category columns a row
     carries, so it is computed once per distinct key set, not per row.
@@ -295,18 +266,6 @@ def aggregate_od(rows: Iterable[ODBlockRow], year: int,
         for key in sorted(totals)
     }
     return ODMatrix(year=year, entries=entries)
-
-
-def validate_table(table: WorkerTable,
-                   schemas: Sequence[GroupSchema] = RAC_WAC_SCHEMAS) -> list[Violation]:
-    """Report rows violating non-negativity or category-sum identities.
-
-    Returns an empty list iff the table is valid.
-    """
-    violations: list[Violation] = []
-    for geoid, row in table.rows.items():
-        violations.extend(_check_counts(geoid, row.total, row.counts, schemas))
-    return violations
 
 
 def _open_text(path: str) -> io.TextIOBase:

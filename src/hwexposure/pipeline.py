@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from . import biasstats, disparity, exposure, ingest, zonal
 from .errors import (
     ConfigError,
@@ -187,17 +189,20 @@ def load_config(path: str, out_dir: str | None = None,
 
 @dataclass
 class YearData:
-    """Everything computed for one year, passed between stages."""
+    """Everything computed for one year, passed between stages.
+
+    Each worker table is joined to the surface once: ``homes``/``works`` are
+    the RAC/WAC tables and ``pairs`` the OD matrix, as the stages read them.
+    """
 
     year: int
     surface: zonal.TractSurface | None = None
-    rac: ingest.WorkerTable | None = None
-    wac: ingest.WorkerTable | None = None
-    od: ingest.ODMatrix | None = None
+    homes: exposure.AlignedTable | None = None
+    works: exposure.AlignedTable | None = None
+    pairs: exposure.ResolvedPairs | None = None
     records: list[ExposureRecord] = field(default_factory=list)
     hw_records: list[ExposureRecord] = field(default_factory=list)
     error_records: list[exposure.ErrorRecord] = field(default_factory=list)
-    dropped_weight: dict[str, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -281,6 +286,34 @@ def _stage_surface(state: RunState, write: bool) -> None:
     state.manifest_stages["surface"] = manifest
 
 
+def _join_table(config: RunConfig, surface: zonal.TractSurface, role: str,
+                template: str) -> tuple[exposure.AlignedTable, int]:
+    """Read one year's RAC/WAC table and join it to the surface; also returns
+    the table's tract count."""
+    table = ingest.aggregate_to_tracts(
+        ingest.read_block_csv(str(config.path(template, surface.year)), role),
+        role, surface.year,
+    )
+    return exposure.align_table(surface, table), len(table.rows)
+
+
+def _join_od(config: RunConfig,
+             surface: zonal.TractSurface) -> tuple[exposure.ResolvedPairs, int]:
+    """Read one year's OD table and join it to the surface; also returns the
+    table's tract-pair count."""
+    od = ingest.aggregate_od(
+        ingest.read_od_csv(str(config.path(config.od, surface.year))), surface.year
+    )
+    return exposure.resolve_pairs(surface, od), len(od.entries)
+
+
+def _warn_drops(year: int, drops: dict[str, int]) -> None:
+    total_dropped = sum(drops.values())
+    if total_dropped:
+        logger.warning("year %d: dropped %d workers on unresolvable tracts/pairs: %s",
+                       year, total_dropped, drops)
+
+
 def _stage_exposure(state: RunState, write: bool) -> None:
     config = state.config
     strata = _strata(config)
@@ -289,46 +322,28 @@ def _stage_exposure(state: RunState, write: bool) -> None:
     error_rows = []
     for year in config.years:
         data = state.years[year]
-        data.rac = ingest.aggregate_to_tracts(
-            ingest.read_block_csv(str(config.path(config.rac, year)), ingest.RESIDENCE),
-            ingest.RESIDENCE, year,
-        )
-        data.wac = ingest.aggregate_to_tracts(
-            ingest.read_block_csv(str(config.path(config.wac, year)), ingest.WORKPLACE),
-            ingest.WORKPLACE, year,
-        )
+        data.homes, rac_tracts = _join_table(config, data.surface, ingest.RESIDENCE, config.rac)
+        data.works, wac_tracts = _join_table(config, data.surface, ingest.WORKPLACE, config.wac)
         records = []
-        records += exposure.compute_group_exposures(
-            data.surface, data.rac, ingest.RAC_WAC_SCHEMAS, state.classification, strata
-        )
-        records += exposure.compute_group_exposures(
-            data.surface, data.wac, ingest.RAC_WAC_SCHEMAS, state.classification, strata
-        )
-        data.records = records
-        drops = {
-            "rac": exposure.align_table(data.surface, data.rac).dropped_weight,
-            "wac": exposure.align_table(data.surface, data.wac).dropped_weight,
-        }
-        if config.od:
-            data.od = ingest.aggregate_od(
-                ingest.read_od_csv(str(config.path(config.od, year))), year
+        for aligned in (data.homes, data.works):
+            records += exposure.compute_group_exposures(
+                aligned, ingest.RAC_WAC_SCHEMAS, state.classification, strata
             )
-            hw_records, error_records = exposure.compute_hw_exposures(
-                data.surface, data.od, ingest.OD_SCHEMAS, config.hw_weights,
+        data.records = records
+        drops = {"rac": data.homes.dropped_weight, "wac": data.works.dropped_weight}
+        od_pairs = 0
+        if config.od:
+            data.pairs, od_pairs = _join_od(config, data.surface)
+            data.hw_records, data.error_records = exposure.compute_hw_exposures(
+                data.pairs, ingest.OD_SCHEMAS, config.hw_weights,
                 state.classification, strata,
             )
-            data.hw_records = hw_records
-            data.error_records = error_records
-            drops["od"] = exposure.resolve_pairs(data.surface, data.od).dropped_weight
-        data.dropped_weight = drops
-        total_dropped = sum(drops.values())
-        if total_dropped:
-            logger.warning("year %d: dropped %d workers on unresolvable tracts/pairs: %s",
-                           year, total_dropped, drops)
+            drops["od"] = data.pairs.dropped_weight
+        _warn_drops(year, drops)
         manifest["years"][str(year)] = {
-            "rac_tracts": len(data.rac.rows),
-            "wac_tracts": len(data.wac.rows),
-            "od_pairs": len(data.od.entries) if data.od else 0,
+            "rac_tracts": rac_tracts,
+            "wac_tracts": wac_tracts,
+            "od_pairs": od_pairs,
             "dropped_weight": drops,
             "records": len(records) + len(data.hw_records),
         }
@@ -398,11 +413,10 @@ def _stage_disparity(state: RunState, write: bool) -> None:
             for r in disparity.atkinson_pipeline(list(data.records), config.epsilons)
         ]
 
-        for locus, table in ((exposure.LOCUS_HOME, data.rac), (exposure.LOCUS_WORK, data.wac)):
-            aligned = exposure.align_table(data.surface, table)
-            bin_rows += _composition_rows(state, year, locus, aligned, strata, skips)
-            threshold_rows += _threshold_rows(config, year, locus, aligned, skips)
-            state_rows += _state_rows(year, locus, aligned)
+        for aligned in (data.homes, data.works):
+            bin_rows += _composition_rows(state, aligned, strata, skips)
+            threshold_rows += _threshold_rows(config, aligned, skips)
+            state_rows += _state_rows(aligned)
     for kind, count in sorted(skips.items()):
         logger.warning("disparity: skipped %d %s computation(s) on degenerate slices "
                        "(details at debug level)", count, kind)
@@ -439,24 +453,14 @@ def _skip(skips: dict[str, int], kind: str, detail: str) -> None:
     logger.debug("%s skipped: %s", kind, detail)
 
 
-def _stratum_geoid_mask(state: RunState, geoids: Sequence[str], stratum: str) -> list[bool]:
-    if stratum == ALL_STRATUM:
-        return [True] * len(geoids)
-    classification = state.classification or {}
-    return [classification.get(g) == stratum for g in geoids]
-
-
-def _composition_rows(state: RunState, year: int, locus: str,
-                      aligned: exposure.AlignedTable, strata: Sequence[str],
-                      skips: dict[str, int]) -> list[list]:
+def _composition_rows(state: RunState, aligned: exposure.AlignedTable,
+                      strata: Sequence[str], skips: dict[str, int]) -> list[list]:
     config = state.config
+    year, locus = aligned.year, aligned.locus
     rows: list[list] = []
-    for stratum in strata:
-        mask = _stratum_geoid_mask(state, aligned.geoids, stratum)
-        tract_idx = [
-            i for i, keep in enumerate(mask)
-            if keep and aligned.totals[i] > 0
-        ]
+    masks = exposure.stratum_masks(aligned.geoids, state.classification, strata)
+    for stratum, mask in masks.items():
+        tract_idx = np.flatnonzero(mask & (aligned.totals > 0))
         for schema in ingest.RAC_WAC_SCHEMAS:
             for code, label in schema.categories:
                 if code not in aligned.category_counts:
@@ -504,8 +508,9 @@ def _composition_rows(state: RunState, year: int, locus: str,
     return rows
 
 
-def _threshold_rows(config: RunConfig, year: int, locus: str,
-                    aligned: exposure.AlignedTable, skips: dict[str, int]) -> list[list]:
+def _threshold_rows(config: RunConfig, aligned: exposure.AlignedTable,
+                    skips: dict[str, int]) -> list[list]:
+    year, locus = aligned.year, aligned.locus
     rows: list[list] = []
     conc = aligned.concentrations
     for threshold in config.thresholds:
@@ -537,7 +542,8 @@ def _threshold_rows(config: RunConfig, year: int, locus: str,
     return rows
 
 
-def _state_rows(year: int, locus: str, aligned: exposure.AlignedTable) -> list[list]:
+def _state_rows(aligned: exposure.AlignedTable) -> list[list]:
+    year, locus = aligned.year, aligned.locus
     rows: list[list] = []
     if len(aligned.geoids) == 0:
         return rows
@@ -573,29 +579,22 @@ def _stage_bias(state: RunState, write: bool) -> None:
     wilcoxon_rows = []
     for year in config.years:
         data = state.years[year]
-        if data.od is None:
-            data.od = ingest.aggregate_od(
-                ingest.read_od_csv(str(config.path(config.od, year))), year
-            )
-        pairs = exposure.resolve_pairs(data.surface, data.od)
-        wf = config.hw_weights.work_fraction
-        blended = pairs.home_values + wf * (pairs.work_values - pairs.home_values)
-        groups = [("all", pairs.totals)]
-        groups += [
-            (f"{schema.characteristic}:{label}", pairs.category_counts[code])
-            for schema in ingest.OD_SCHEMAS
-            for code, label in schema.categories
-            if code in pairs.category_counts
-        ]
-        for stratum in strata:
-            mask = _stratum_geoid_mask(state, pairs.home_geoids, stratum)
-            idx = [i for i, keep in enumerate(mask) if keep]
-            if not idx:
+        if data.pairs is None:
+            data.pairs, _ = _join_od(config, data.surface)
+            _warn_drops(year, {"od": data.pairs.dropped_weight})
+        pairs = data.pairs
+        blended = exposure.hw_blend(pairs.home_values, pairs.work_values, config.hw_weights)
+        masks = exposure.stratum_masks(pairs.home_geoids, state.classification, strata)
+        for stratum, mask in masks.items():
+            if not mask.any():
                 continue
-            vh = pairs.home_values[idx]
-            vb = blended[idx]
-            for group_key, counts in groups:
-                w = counts[idx]
+            vh = pairs.home_values[mask]
+            vb = blended[mask]
+            for characteristic, label, counts in exposure.iter_groups(
+                ingest.OD_SCHEMAS, pairs.totals, pairs.category_counts
+            ):
+                group_key = exposure.format_group(characteristic, label)
+                w = counts[mask]
                 if int(w.sum()) == 0:
                     continue
                 try:
@@ -693,7 +692,9 @@ def run(config: RunConfig, only_stage: str | None = None) -> dict:
         },
         "stages": state.manifest_stages,
         "dropped_weight_total": sum(
-            sum(data.dropped_weight.values()) for data in state.years.values()
+            frame.dropped_weight
+            for data in state.years.values()
+            for frame in (data.homes, data.works, data.pairs) if frame is not None
         ),
         "timings_seconds": {k: round(v, 6) for k, v in state.timings.items()},
     }

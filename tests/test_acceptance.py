@@ -29,6 +29,7 @@ from hwexposure.exposure import (
     compute_hw_exposures,
     hw_blend,
     population_weighted_mean,
+    resolve_pairs,
     weighted_percentile,
 )
 from hwexposure.geometry import PolygonPart, TractGeometry
@@ -146,7 +147,7 @@ def test_c3_blend_and_error_identity(tmp_path):
     surface = state.years[2011].surface
     od = aggregate_od(read_od_csv(str(world / "od_2011.csv")), 2011)
     records, errors = compute_hw_exposures(
-        surface, od, OD_SCHEMAS,
+        resolve_pairs(surface, od), OD_SCHEMAS,
         classification=state.classification, strata=("all", "urban", "rural"),
     )
     means = {(r.group_key, r.stratum, r.locus): r.mean for r in records}

@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -64,6 +65,15 @@ def test_hw_weights_validation():
 @settings(max_examples=200)
 def test_hw_blend_identity_property(h):
     assert hw_blend(h, h) == h
+
+
+def test_hw_blend_arrays_match_scalar():
+    rng = random.Random(5)
+    h = [rng.uniform(0.0, 40.0) for _ in range(200)]
+    w = [rng.uniform(0.0, 40.0) for _ in range(200)]
+    weights = HWWeights(home_fraction=0.75, work_fraction=0.25)
+    blended = hw_blend(np.array(h), np.array(w), weights)
+    assert blended.tolist() == [hw_blend(a, b, weights) for a, b in zip(h, w)]
 
 
 # ----------------------------------------------------------------------------
@@ -192,7 +202,7 @@ def test_group_exposures_point_mass():
     table = WorkerTable(role="residence", year=2011, rows={
         geoid(1): TractCounts(total=4, counts={"CA01": 4, "CA02": 0, "CA03": 0}),
     })
-    records = compute_group_exposures(surface, table, AGE)
+    records = compute_group_exposures(align_table(surface, table), AGE)
     by_group = {r.group_key: r for r in records}
     assert by_group["all"].mean == 9.5
     assert by_group["all"].p10 == 9.5
@@ -204,7 +214,7 @@ def test_group_exposures_point_mass():
 
 def test_group_exposures_match_expansion_oracle_exactly():
     surface, table = small_world()
-    records = compute_group_exposures(surface, table, AGE)
+    records = compute_group_exposures(align_table(surface, table), AGE)
     for record in records:
         if record.group_key == "all":
             pick = lambda row: row.total  # noqa: E731
@@ -227,17 +237,18 @@ def test_group_exposures_match_expansion_oracle_exactly():
 
 
 def test_group_exposures_year_mismatch():
+    # the join refuses a table from another year, before any statistic runs
     surface, table = small_world()
     bad = WorkerTable(role="residence", year=2012, rows=table.rows)
     with pytest.raises(ValueError):
-        compute_group_exposures(surface, bad, AGE)
+        compute_group_exposures(align_table(surface, bad), AGE)
 
 
 def test_group_exposures_strata_split():
     surface, table = small_world()
     classification = {geoid(i): ("urban" if i < 4 else "rural") for i in range(9)}
     records = compute_group_exposures(
-        surface, table, AGE, classification, strata=("all", "urban", "rural")
+        align_table(surface, table), AGE, classification, strata=("all", "urban", "rural")
     )
     strata = {r.stratum for r in records}
     assert strata == {"all", "urban", "rural"}
@@ -249,13 +260,13 @@ def test_group_exposures_strata_split():
 
 def test_group_exposures_weight_scaling_invariance():
     surface, table = small_world()
-    base = compute_group_exposures(surface, table, AGE)
+    base = compute_group_exposures(align_table(surface, table), AGE)
     scaled_rows = {
         g: TractCounts(total=row.total * 7, counts={c: v * 7 for c, v in row.counts.items()})
         for g, row in table.rows.items()
     }
     scaled = compute_group_exposures(
-        surface, WorkerTable("residence", 2011, scaled_rows), AGE
+        align_table(surface, WorkerTable("residence", 2011, scaled_rows)), AGE
     )
     for a, b in zip(base, scaled):
         assert b.mean == pytest.approx(a.mean, rel=1e-12)
@@ -289,7 +300,7 @@ def test_hw_degenerate_commute():
         (geoid(0), geoid(0)): TractCounts(total=3, counts={"SA01": 3, "SA02": 0, "SA03": 0}),
         (geoid(1), geoid(1)): TractCounts(total=2, counts={"SA01": 0, "SA02": 2, "SA03": 0}),
     })
-    records, errors = compute_hw_exposures(surface, od, OD_AGE)
+    records, errors = compute_hw_exposures(resolve_pairs(surface, od), OD_AGE)
     by = {(r.group_key, r.locus): r for r in records}
     assert by[("all", "H")].mean == by[("all", "W")].mean == by[("all", "HW")].mean
     for err in errors:
@@ -300,17 +311,23 @@ def test_hw_degenerate_commute():
 def test_hw_single_pair_arithmetic():
     surface = TractSurface(year=2011, entries={geoid(0): 10.0, geoid(1): 20.0})
     od = od_matrix({(geoid(0), geoid(1)): TractCounts(total=1, counts={})})
-    records, errors = compute_hw_exposures(surface, od, ())
+    records, errors = compute_hw_exposures(resolve_pairs(surface, od), ())
     by = {(r.group_key, r.locus): r for r in records}
     assert by[("all", "HW")].mean == pytest.approx(12.06, abs=1e-12)
     assert errors[0].error == pytest.approx(-2.06, abs=1e-9)
     assert errors[0].percent_error == pytest.approx(-20.6, abs=1e-9)
 
 
+def test_hw_year_mismatch():
+    surface = TractSurface(year=2011, entries={geoid(0): 10.0})
+    with pytest.raises(ValueError):
+        compute_hw_exposures(resolve_pairs(surface, od_matrix({}, year=2012)), ())
+
+
 def test_hw_empty_od():
     surface = TractSurface(year=2011, entries={geoid(0): 10.0})
     with pytest.raises(EmptyPopulationError):
-        compute_hw_exposures(surface, od_matrix({}), ())
+        compute_hw_exposures(resolve_pairs(surface, od_matrix({})), ())
 
 
 def test_hw_unresolvable_pairs_dropped():
@@ -321,7 +338,7 @@ def test_hw_unresolvable_pairs_dropped():
     })
     pairs = resolve_pairs(surface, od)
     assert pairs.dropped_weight == 5
-    records, _ = compute_hw_exposures(surface, od, ())
+    records, _ = compute_hw_exposures(resolve_pairs(surface, od), ())
     assert next(r for r in records if r.locus == "HW").weight == 2.0
 
 
@@ -346,7 +363,8 @@ def test_hw_error_identity(seed):
     surface, od = random_od_world(seed)
     classification = {g: ("urban" if i % 3 else "rural") for i, g in enumerate(surface.entries)}
     records, errors = compute_hw_exposures(
-        surface, od, OD_AGE, classification=classification, strata=("all", "urban", "rural")
+        resolve_pairs(surface, od), OD_AGE,
+        classification=classification, strata=("all", "urban", "rural"),
     )
     by = {(r.group_key, r.stratum, r.locus): r.mean for r in records}
     for err in errors:
@@ -363,7 +381,7 @@ def test_hw_stratum_assigned_by_home_tract():
         (geoid(0), geoid(1)): TractCounts(total=1, counts={}),  # lives urban, works rural
     })
     records, _ = compute_hw_exposures(
-        surface, od, (), classification=classification, strata=("urban", "rural")
+        resolve_pairs(surface, od), (), classification=classification, strata=("urban", "rural")
     )
     assert {r.stratum for r in records} == {"urban"}
 

@@ -15,14 +15,11 @@ from hwexposure.ingest import (
     BlockRow,
     GroupSchema,
     ODBlockRow,
-    WorkerTable,
-    TractCounts,
     aggregate_od,
     aggregate_to_tracts,
     block_to_tract,
     read_block_csv,
     read_od_csv,
-    validate_table,
 )
 
 AGE_INCOME = tuple(s for s in RAC_WAC_SCHEMAS if s.characteristic in ("age", "income"))
@@ -196,47 +193,51 @@ def test_od_matches_naive_oracle():
 
 
 # ----------------------------------------------------------------------------
-# validate_table
+# block-level validation during rollup
 # ----------------------------------------------------------------------------
 
 def test_validate_table_clean():
+    # A consistent block table rolls up, and every tract's category counts
+    # sum to its total for each fully-covered characteristic.
     table = aggregate_to_tracts(random_rows(random.Random(5), 100), "residence", 2011, AGE_INCOME)
-    assert validate_table(table, AGE_INCOME) == []
+    assert table.rows
+    for tract in table.rows.values():
+        for schema in AGE_INCOME:
+            assert sum(tract.counts[c] for c in schema.codes) == tract.total
 
 
 def test_validate_table_flags_age_mismatch():
-    table = WorkerTable(role="residence", year=2011, rows={
-        "06037000100": TractCounts(total=10, counts={"CA01": 3, "CA02": 3, "CA03": 3}),
-    })
-    report = validate_table(table, AGE_INCOME)
-    assert len(report) == 1
-    assert report[0].characteristic == "age"
-    assert report[0].row_key == "06037000100"
+    rows = [age_row("060372653011011", 1, 1, 1),
+            BlockRow("060372653012022", 10, {"CA01": 3, "CA02": 3, "CA03": 3})]
+    with pytest.raises(ValidationError) as err:
+        aggregate_to_tracts(rows, "residence", 2011, AGE_INCOME)
+    assert str(err.value).startswith("row 060372653012022: age: ")
 
 
-def test_validate_table_flags_negative():
-    table = WorkerTable(role="residence", year=2011, rows={
-        "06037000100": TractCounts(total=3, counts={"CA01": -1, "CA02": 2, "CA03": 2}),
-    })
-    report = validate_table(table, AGE_INCOME)
-    assert any("negative" in v.message for v in report)
+def test_rollup_rejects_negative_count():
+    rows = [age_row("060372653011011", 1, 1, 1), age_row("060372653012022", -1, 2, 2)]
+    with pytest.raises(ValidationError) as err:
+        aggregate_to_tracts(rows, "residence", 2011, AGE_INCOME)
+    assert "060372653012022" in str(err.value)
+    assert "negative" in str(err.value)
+    rows = [BlockRow("060372653011011", -3, {})]
+    with pytest.raises(ValidationError, match="negative total"):
+        aggregate_to_tracts(rows, "residence", 2011, AGE_INCOME)
 
 
 def test_fault_injection_single_corruption():
-    # Corrupt exactly one category field in an otherwise-consistent table;
-    # the report must contain exactly one violation.
+    # Corrupt exactly one category field in an otherwise-consistent block
+    # table; the clean table rolls up, the corrupted one names that block.
     rng = random.Random(99)
     rows = random_rows(rng, 1_000, n_tracts=1_000)
-    table = aggregate_to_tracts(rows, "residence", 2011, AGE_INCOME)
-    geoid = rng.choice(sorted(table.rows))
-    counts = dict(table.rows[geoid].counts)
+    aggregate_to_tracts(rows, "residence", 2011, AGE_INCOME)
+    k = rng.randrange(len(rows))
+    counts = dict(rows[k].counts)
     counts["CA02"] += 1
-    corrupted = dict(table.rows)
-    corrupted[geoid] = TractCounts(total=table.rows[geoid].total, counts=counts)
-    report = validate_table(WorkerTable("residence", 2011, corrupted), AGE_INCOME)
-    assert len(report) == 1
-    assert report[0].row_key == geoid
-    assert report[0].characteristic == "age"
+    corrupted = rows[:k] + [BlockRow(rows[k].geocode, rows[k].total, counts)] + rows[k + 1:]
+    with pytest.raises(ValidationError) as err:
+        aggregate_to_tracts(corrupted, "residence", 2011, AGE_INCOME)
+    assert str(err.value).startswith(f"row {rows[k].geocode}: age: ")
 
 
 # ----------------------------------------------------------------------------

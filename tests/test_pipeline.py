@@ -52,8 +52,7 @@ def test_synth_tables_satisfy_ingest_invariants(tmp_path):
     from hwexposure import ingest
 
     rac_rows = ingest.read_block_csv(str(world / "rac_2011.csv"), ingest.RESIDENCE)
-    table = ingest.aggregate_to_tracts(rac_rows, ingest.RESIDENCE, 2011)
-    assert ingest.validate_table(table) == []
+    table = ingest.aggregate_to_tracts(rac_rows, ingest.RESIDENCE, 2011)  # raises if invalid
     od_rows = ingest.read_od_csv(str(world / "od_2011.csv"))
     od = ingest.aggregate_od(od_rows, 2011)
     assert od.grand_total() == table.grand_total()  # RAC derives from OD home marginals
@@ -148,6 +147,20 @@ def test_run_bias_stage_requires_od(tmp_path):
         pipeline.load_config(str(world / "config.json"))
 
 
+def test_run_bias_stage_matches_full_run(tmp_path):
+    # run --stage bias joins the OD table itself; its reports must match the
+    # full run, where the exposure stage built the same frame
+    world = make_world(tmp_path, seed=17, n_tracts=16, n_groups=3)
+    full, alone = tmp_path / "full", tmp_path / "alone"
+    pipeline.run(pipeline.load_config(str(world / "config.json"), out_dir=str(full)))
+    pipeline.run(pipeline.load_config(str(world / "config.json"), out_dir=str(alone)),
+                 only_stage="bias")
+    assert set(read_out_files(alone)) == {"bias.csv", "wilcoxon.csv"}
+    for name in ("bias.csv", "wilcoxon.csv"):
+        assert (alone / name).read_bytes() == (full / name).read_bytes(), name
+    assert len(csv_rows(full / "bias.csv")) > 0
+
+
 def test_run_single_group_degrades_gracefully(tmp_path):
     world = make_world(tmp_path, seed=9, n_tracts=9, n_groups=1)
     out_dir = tmp_path / "out"
@@ -199,10 +212,17 @@ def test_manifest_contents(tmp_path):
     assert all(len(h) == 64 for h in manifest["inputs"].values())
 
 
-def test_manifest_dropped_weight_accounting(tmp_path):
+@pytest.mark.parametrize("stages", [
+    pytest.param(["surface", "exposure", "disparity", "bias"], id="full"),
+    pytest.param(["surface", "bias"], id="bias_only"),
+])
+def test_manifest_dropped_weight_accounting(tmp_path, stages):
     # Punch nodata into one tract's cells: its workers must be dropped and the
     # manifest total must equal the weight referencing the excluded tract.
     world = make_world(tmp_path, seed=23, n_tracts=9, n_groups=3)
+    config_doc = json.loads((world / "config.json").read_text())
+    config_doc["stages"] = stages
+    (world / "config.json").write_text(json.dumps(config_doc))
     grid_path = world / "grid_2011.asc"
     lines = grid_path.read_text().splitlines()
     # tract 0 covers the bottom-left 2x2 cells; data rows are listed top-down,
@@ -234,10 +254,14 @@ def test_manifest_dropped_weight_accounting(tmp_path):
         int(r["S000"]) for r in csv_rows(world / "od_2011.csv")
         if r["h_geocode"][:11] == gone or r["w_geocode"][:11] == gone
     )
-    expected = rac_drop + wac_drop + od_drop
+    assert od_drop > 0
+    if "exposure" in stages:
+        expected = rac_drop + wac_drop + od_drop
+        drops = manifest["stages"]["exposure"]["years"]["2011"]["dropped_weight"]
+        assert drops == {"rac": rac_drop, "wac": wac_drop, "od": od_drop}
+    else:
+        expected = od_drop  # a bias-only run reads only the OD table
     assert manifest["dropped_weight_total"] == expected
-    drops = manifest["stages"]["exposure"]["years"]["2011"]["dropped_weight"]
-    assert drops == {"rac": rac_drop, "wac": wac_drop, "od": od_drop}
 
 
 def test_stage_error_names_stage(tmp_path):
@@ -319,6 +343,19 @@ def test_cli_validate_and_ingest(tmp_path):
     cli.main(["synth", "--out", str(world), "--seed", "3", "--tracts", "4"])
     assert cli.main(["validate", "--config", str(world / "config.json")]) == 0
     assert cli.main(["ingest", "--config", str(world / "config.json")]) == 0
+
+
+def test_cli_ingest_rejects_bad_block(tmp_path, caplog):
+    world = tmp_path / "w"
+    cli.main(["synth", "--out", str(world), "--seed", "3", "--tracts", "4"])
+    rac = world / "rac_2011.csv"
+    lines = rac.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[1] = str(int(cells[1]) + 1)  # C000 no longer equals the category sums
+    lines[2] = ",".join(cells)
+    rac.write_text("\n".join(lines) + "\n")
+    assert cli.main(["ingest", "--config", str(world / "config.json")]) == 1
+    assert f"row {cells[0]}: " in caplog.text
 
 
 def test_cli_stage_subcommand(tmp_path):

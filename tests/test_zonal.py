@@ -83,6 +83,14 @@ def test_read_asc_wrong_cell_count(tmp_path):
         read_asc(str(path))
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_read_asc_rejects_non_finite(tmp_path, token):
+    path = tmp_path / "bad.asc"
+    path.write_text(ASC_TEXT.replace("5.0", token))
+    with pytest.raises(FormatError, match=rf"bad\.asc:8: non-finite cell value"):
+        read_asc(str(path))
+
+
 def test_read_xyz_csv(tmp_path):
     path = tmp_path / "grid.csv"
     # centers of a 2x2 unit grid, one cell missing -> nodata
@@ -98,6 +106,19 @@ def test_read_xyz_csv_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("lon,lat,val\n0,0,1\n")
     with pytest.raises(FormatError):
+        read_xyz_csv(str(path))
+
+
+@pytest.mark.parametrize("token, message", [
+    ("nan", "non-finite value"),
+    ("inf", "non-finite value"),
+    ("-inf", "non-finite value"),
+    ("abc", "non-numeric"),
+])
+def test_read_xyz_csv_rejects_bad_value(tmp_path, token, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"x,y,value\n0.5,0.5,1.0\n1.5,0.5,{token}\n")
+    with pytest.raises(FormatError, match=rf"bad\.csv:3: {message}"):
         read_xyz_csv(str(path))
 
 
