@@ -19,7 +19,8 @@ logger = logging.getLogger("hwexposure")
 def _add_config_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="path to the JSON run configuration")
     parser.add_argument("--out", help="output directory (overrides the config)")
-    parser.add_argument("--threads", type=int, help="worker threads (overrides the config)")
+    parser.add_argument("--threads", type=int,
+                        help="accepted and validated (>= 1) for older configs; no effect")
 
 
 def build_parser() -> argparse.ArgumentParser:

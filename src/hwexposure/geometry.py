@@ -1,5 +1,5 @@
-"""Planar polygon primitives: shoelace areas, half-plane clipping, coverage
-fractions, and a GeoJSON-subset reader for tract and mask geometries.
+"""Planar polygon primitives: shoelace areas, half-plane clipping for exact
+polygon-set overlap, and a GeoJSON-subset reader for tract and mask geometries.
 
 Coordinates are assumed to be in a planar CRS already; nothing here reprojects.
 All clipping is successive half-plane clipping (Sutherland-Hodgman); ties on a
@@ -151,27 +151,11 @@ def _clipped_area(ring: Ring, halfplanes: Sequence[HalfPlane]) -> float:
     return abs(0.5 * acc)
 
 
-def _rect_halfplanes(rect: Rect) -> tuple[HalfPlane, ...]:
-    x0, y0, x1, y1 = rect
-    return ((-1.0, 0.0, -x0), (1.0, 0.0, x1), (0.0, -1.0, -y0), (0.0, 1.0, y1))
-
-
 def _part_area_in(part: PolygonPart, halfplanes: Sequence[HalfPlane]) -> float:
     area = _clipped_area(part.exterior, halfplanes)
     for hole in part.holes:
         area -= _clipped_area(hole, halfplanes)
     return area
-
-
-def cell_coverage(parts: Sequence[PolygonPart], cell: Rect) -> float:
-    """Fraction of a rectangular cell covered by the polygon, in [0, 1]."""
-    x0, y0, x1, y1 = cell
-    if x1 <= x0 or y1 <= y0:
-        raise DegenerateGeometryError(f"cell must have positive extent: {cell}")
-    hps = _rect_halfplanes(cell)
-    covered = sum(_part_area_in(p, hps) for p in parts)
-    frac = covered / ((x1 - x0) * (y1 - y0))
-    return min(max(frac, 0.0), 1.0)
 
 
 def _triangle_halfplanes(p: Vertex, q: Vertex, r: Vertex) -> tuple[HalfPlane, ...]:
@@ -184,16 +168,28 @@ def _triangle_halfplanes(p: Vertex, q: Vertex, r: Vertex) -> tuple[HalfPlane, ..
     return tuple(hps)
 
 
-def _ring_overlap(subject: Sequence[PolygonPart], clip_ring: Ring) -> float:
+def _disjoint(a: Rect, b: Rect) -> bool:
+    return a[2] < b[0] or b[2] < a[0] or a[3] < b[1] or b[3] < a[1]
+
+
+def _ring_overlap(subject: Sequence[PolygonPart], subject_box: Rect, clip_ring: Ring) -> float:
     # Signed fan decomposition: the ring's indicator equals the signed sum of
     # fan-triangle indicators, so intersection areas add with the fan signs.
+    # A ring or triangle whose bbox misses the subject's bbox adds nothing.
     verts = _open(clip_ring)
+    xs = [x for x, _ in verts]
+    ys = [y for _, y in verts]
+    if _disjoint((min(xs), min(ys), max(xs), max(ys)), subject_box):
+        return 0.0
     b0 = verts[0]
     acc = 0.0
     for i in range(1, len(verts) - 1):
         b1, b2 = verts[i], verts[i + 1]
         cross = (b1[0] - b0[0]) * (b2[1] - b0[1]) - (b1[1] - b0[1]) * (b2[0] - b0[0])
         if cross == 0.0:
+            continue
+        tx, ty = (b0[0], b1[0], b2[0]), (b0[1], b1[1], b2[1])
+        if _disjoint((min(tx), min(ty), max(tx), max(ty)), subject_box):
             continue
         tri = (b0, b1, b2) if cross > 0.0 else (b0, b2, b1)
         hps = _triangle_halfplanes(*tri)
@@ -208,11 +204,12 @@ def overlap_area(subject: Sequence[PolygonPart], clip: Sequence[PolygonPart]) ->
     The clip set's parts must be mutually disjoint (true for Census urban-area
     polygons); overlapping clip parts would be double counted.
     """
+    box = parts_bbox(subject)
     total = 0.0
     for part in clip:
-        total += _ring_overlap(subject, part.exterior)
+        total += _ring_overlap(subject, box, part.exterior)
         for hole in part.holes:
-            total -= _ring_overlap(subject, hole)
+            total -= _ring_overlap(subject, box, hole)
     return max(total, 0.0)
 
 

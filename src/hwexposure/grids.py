@@ -55,6 +55,13 @@ class ConcentrationGrid:
         return (x0, y0, x0 + self.cell_width, y0 + self.cell_height)
 
     @property
+    def lattice(self) -> tuple[float, float, float, float, int, int]:
+        """(origin_x, origin_y, cell_width, cell_height, n_rows, n_cols): what
+        tract coverage depends on, as opposed to the cell values."""
+        return (self.origin_x, self.origin_y, self.cell_width, self.cell_height,
+                self.n_rows, self.n_cols)
+
+    @property
     def extent(self) -> tuple[float, float, float, float]:
         return (
             self.origin_x,
@@ -84,7 +91,13 @@ def read_asc(path: str) -> ConcentrationGrid:
             if not data and key in _ASC_KEYWORDS:
                 if len(tokens) != 2:
                     raise FormatError(f"{path}:{lineno}: malformed header line {line!r}")
-                header[key] = float(tokens[1])
+                try:
+                    header[key] = float(tokens[1])
+                except ValueError as exc:
+                    raise FormatError(f"{path}:{lineno}: non-numeric {key} {tokens[1]!r}") from exc
+                if key in ("ncols", "nrows") and not (header[key].is_integer() and header[key] > 0):
+                    raise FormatError(
+                        f"{path}:{lineno}: {key} must be a positive integer, got {tokens[1]!r}")
             else:
                 line_starts.append(len(data))
                 line_numbers.append(lineno)

@@ -298,11 +298,13 @@ def _resolve_columns(fieldnames: Sequence[str], required: Sequence[str],
     return category_cols
 
 
-def _parse_count(raw: str, path: str, lineno: int, column: str) -> int:
+def _parse_count(raw: str, path: str, reader: csv.DictReader, column: str) -> int:
     try:
         return int(raw)
     except (TypeError, ValueError) as exc:
-        raise FormatError(f"{path}:{lineno}: column {column!r}: bad count {raw!r}") from exc
+        # line_num, not a row count: DictReader skips blank lines
+        raise FormatError(
+            f"{path}:{reader.line_num}: column {column!r}: bad count {raw!r}") from exc
 
 
 def read_block_csv(path: str, role: str,
@@ -319,11 +321,11 @@ def read_block_csv(path: str, role: str,
         if reader.fieldnames is None:
             raise FormatError(f"{path}: empty file")
         category_cols = _resolve_columns(reader.fieldnames, [key, "C000"], schemas, path)
-        for lineno, rec in enumerate(reader, start=2):
+        for rec in reader:
             rows.append(BlockRow(
                 geocode=rec[key],
-                total=_parse_count(rec["C000"], path, lineno, "C000"),
-                counts={c: _parse_count(rec[c], path, lineno, c) for c in category_cols},
+                total=_parse_count(rec["C000"], path, reader, "C000"),
+                counts={c: _parse_count(rec[c], path, reader, c) for c in category_cols},
             ))
     return rows
 
@@ -339,11 +341,11 @@ def read_od_csv(path: str,
         category_cols = _resolve_columns(
             reader.fieldnames, ["w_geocode", "h_geocode", "S000"], schemas, path
         )
-        for lineno, rec in enumerate(reader, start=2):
+        for rec in reader:
             rows.append(ODBlockRow(
                 home_geocode=rec["h_geocode"],
                 work_geocode=rec["w_geocode"],
-                total=_parse_count(rec["S000"], path, lineno, "S000"),
-                counts={c: _parse_count(rec[c], path, lineno, c) for c in category_cols},
+                total=_parse_count(rec["S000"], path, reader, "S000"),
+                counts={c: _parse_count(rec[c], path, reader, c) for c in category_cols},
             ))
     return rows

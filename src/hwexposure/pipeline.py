@@ -4,7 +4,8 @@ Stages run in a fixed order (surface -> exposure -> disparity -> bias); a
 requested stage always gets its prerequisites computed in memory, but only the
 requested stages write files. All report CSVs are emitted in deterministic
 order with full-precision floats, so identical inputs produce byte-identical
-reports regardless of the thread count.
+reports. Tract coverage is computed once per grid lattice and reused by every
+year on that lattice. The ``threads`` setting is validated but changes nothing.
 """
 from __future__ import annotations
 
@@ -264,16 +265,20 @@ def _stage_surface(state: RunState, write: bool) -> None:
     tracts = read_tracts_geojson(str(config.path(config.tracts)))
     if config.urban_mask:
         polygons = read_mask_geojson(str(config.path(config.urban_mask)))
-        mask = zonal.build_urban_mask(polygons, tracts, threads=config.threads)
+        mask = zonal.build_urban_mask(polygons, tracts)
         state.classification = mask.classification
     manifest: dict = {"tracts": len(tracts), "years": {}}
+    coverage = None
     for year in config.years:
         grid = _read_grid(config.path(config.grid, year))
-        surface = zonal.build_tract_surface(grid, tracts, year, threads=config.threads)
+        if coverage is None or coverage.lattice != grid.lattice:
+            coverage = zonal.tract_coverage(tracts, grid)
+        surface = zonal.build_tract_surface(grid, coverage, year)
         state.years[year] = YearData(year=year, surface=surface)
         manifest["years"][str(year)] = {
             "tracts_with_coverage": len(surface.entries),
             "excluded": list(surface.excluded),
+            "completeness": surface.completeness,
         }
         if write:
             zonal.write_surface_csv(surface, str(config.out_dir / f"surface_{year}.csv"))

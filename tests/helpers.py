@@ -1,13 +1,20 @@
-"""Shared test utilities: polygon generators and point-in-polygon oracle.
+"""Shared test utilities: polygon generators and oracles.
 
 points_in_ring implements an even-odd crossing test, deliberately independent
 of the package's half-plane clipping kernel so it can serve as an oracle.
+cell_coverage and oracle_zonal_mean clip the tract against one grid cell at
+a time, independently of the accumulation rasterizer in zonal.tract_coverage,
+which they pin in differential tests.
 """
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
+
+from hwexposure.errors import DegenerateGeometryError
+from hwexposure.geometry import _clipped_area, _part_area_in, parts_bbox, signed_ring_area
 
 
 def random_star_polygon(rng, cx, cy, r_lo, r_hi, n_verts):
@@ -44,3 +51,81 @@ def points_in_parts(px: np.ndarray, py: np.ndarray, parts) -> np.ndarray:
             member &= ~points_in_ring(px, py, hole)
         inside |= member
     return inside
+
+
+def _rect_halfplanes(rect):
+    x0, y0, x1, y1 = rect
+    return ((-1.0, 0.0, -x0), (1.0, 0.0, x1), (0.0, -1.0, -y0), (0.0, 1.0, y1))
+
+
+def cell_coverage(parts, cell) -> float:
+    """Fraction of a rectangular cell covered by the polygon, in [0, 1]."""
+    x0, y0, x1, y1 = cell
+    if x1 <= x0 or y1 <= y0:
+        raise DegenerateGeometryError(f"cell must have positive extent: {cell}")
+    hps = _rect_halfplanes(cell)
+    covered = sum(_part_area_in(p, hps) for p in parts)
+    frac = covered / ((x1 - x0) * (y1 - y0))
+    return min(max(frac, 0.0), 1.0)
+
+
+def _exact_ring(ring):
+    return tuple((Fraction(x), Fraction(y)) for x, y in ring)
+
+
+def exact_area(parts) -> float:
+    """Polygon area from the shoelace formula in rational arithmetic, each
+    ring's area rounded to float once; parts add, holes subtract."""
+    return float(sum(
+        abs(Fraction(signed_ring_area(_exact_ring(p.exterior))))
+        - sum(abs(Fraction(signed_ring_area(_exact_ring(h)))) for h in p.holes)
+        for p in parts
+    ))
+
+
+def oracle_zonal_mean(grid, tract, exact=False):
+    """Clip the tract against every grid cell of its bounding box, one at a
+    time; the coverage-weighted mean over valid cells, or None without any.
+
+    With ``exact``, the same clipping runs in rational arithmetic on the exact
+    lattice cell ``origin + index * size``, and each ring's clipped area is
+    rounded to float once. The float kernel loses ~1e-16 of the coordinates' magnitude per
+    operation, which is more than 1e-12 of a sliver's covered area.
+    """
+    minx, miny, maxx, maxy = parts_bbox(tract.parts)
+    col0 = max(int(math.floor((minx - grid.origin_x) / grid.cell_width)), 0)
+    col1 = min(int(math.ceil((maxx - grid.origin_x) / grid.cell_width)), grid.n_cols)
+    row0 = max(int(math.floor((miny - grid.origin_y) / grid.cell_height)), 0)
+    row1 = min(int(math.ceil((maxy - grid.origin_y) / grid.cell_height)), grid.n_rows)
+    cell_area = grid.cell_width * grid.cell_height
+    if exact:
+        rings = [(_exact_ring(p.exterior), [_exact_ring(h) for h in p.holes]) for p in tract.parts]
+        ox, oy = Fraction(grid.origin_x), Fraction(grid.origin_y)
+        cw, ch = Fraction(grid.cell_width), Fraction(grid.cell_height)
+    num = 0.0
+    den = 0.0
+    vmin = math.inf
+    vmax = -math.inf
+    for row in range(row0, row1):
+        for col in range(col0, col1):
+            if grid.nodata[row, col]:
+                continue
+            if exact:
+                hps = tuple((Fraction(a), Fraction(b), c) for a, b, c in _rect_halfplanes(
+                    (ox + col * cw, oy + row * ch, ox + (col + 1) * cw, oy + (row + 1) * ch)))
+                covered = sum(_clipped_area(ext, hps) - sum(_clipped_area(h, hps) for h in holes)
+                              for ext, holes in rings)
+                frac = min(max(float(covered / (cw * ch)), 0.0), 1.0)
+            else:
+                frac = cell_coverage(tract.parts, grid.cell_rect(row, col))
+            if frac == 0.0:
+                continue
+            value = float(grid.values[row, col])
+            area = frac * cell_area
+            num += value * area
+            den += area
+            vmin = min(vmin, value)
+            vmax = max(vmax, value)
+    if den == 0.0:
+        return None
+    return min(max(num / den, vmin), vmax)

@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import points_in_ring, random_star_polygon
+from helpers import cell_coverage, points_in_ring, random_star_polygon
 
 from hwexposure.errors import DegenerateGeometryError, FormatError, SchemaError
 from hwexposure.geometry import (
     PolygonPart,
     TractGeometry,
-    cell_coverage,
     normalize_ring,
     overlap_area,
     parts_bbox,
@@ -71,7 +70,7 @@ def test_normalize_ring_closes():
 
 
 # ----------------------------------------------------------------------------
-# cell_coverage
+# cell_coverage (the clipping oracle in tests/helpers.py)
 # ----------------------------------------------------------------------------
 
 def test_coverage_identical_cell():
@@ -189,6 +188,29 @@ def test_overlap_monte_carlo_oracle():
         inside = points_in_ring(pts_x, pts_y, a) & points_in_ring(pts_x, pts_y, b)
         approx = inside.mean() * 144.0
         assert exact == pytest.approx(approx, abs=0.25)
+
+
+def test_overlap_ignores_far_mask_rings():
+    # A mask part (with its hole) whose bbox misses the subject's adds exactly
+    # nothing; fan triangles whose bbox misses it are skipped without changing
+    # the area.
+    rng = np.random.default_rng(43)
+    subject = [PolygonPart(exterior=tuple(random_star_polygon(rng, 5.0, 5.0, 1.0, 4.0, 9)))]
+    near = PolygonPart(exterior=tuple(random_star_polygon(rng, 6.0, 5.5, 1.0, 4.0, 12)))
+    far = PolygonPart(
+        exterior=tuple(random_star_polygon(rng, 40.0, 5.0, 2.0, 5.0, 12)),
+        holes=(tuple(random_star_polygon(rng, 40.0, 5.0, 0.5, 1.0, 6)),),
+    )
+    alone = overlap_area(subject, [near])
+    assert alone > 0.0
+    assert overlap_area(subject, [far, near]) == alone
+    assert overlap_area(subject, [far]) == 0.0
+    # L-shaped mask fanned from (-30, -20): its last triangle lies below the
+    # subject; the vertical bar x in [1, 3] covers 1x1 of the subject
+    l_shape = PolygonPart(
+        exterior=((-30.0, -20.0), (3.0, -20.0), (3.0, 1.0), (1.0, 1.0), (1.0, -19.0), (-30.0, -19.0))
+    )
+    assert overlap_area([rect_part(0.0, 0.0, 2.0, 2.0)], [l_shape]) == pytest.approx(1.0)
 
 
 # ----------------------------------------------------------------------------

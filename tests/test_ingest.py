@@ -314,6 +314,19 @@ def test_read_block_csv_bad_count(tmp_path):
         read_block_csv(str(path), "residence", ())
 
 
+def test_read_csv_line_numbers_count_blank_lines(tmp_path):
+    # csv.DictReader skips the blank line 3; the bad count is on line 4
+    block = tmp_path / "r.csv"
+    block.write_text("h_geocode,C000\n060372653011011,5\n\n060372653011012,x\n")
+    with pytest.raises(FormatError, match=r"r\.csv:4: column 'C000': bad count 'x'"):
+        read_block_csv(str(block), "residence", ())
+    od = tmp_path / "od.csv"
+    od.write_text("w_geocode,h_geocode,S000\n060372653021011,060372653011011,3\n\n"
+                  "060372653021011,060372653012022,y\n")
+    with pytest.raises(FormatError, match=r"od\.csv:4: column 'S000': bad count 'y'"):
+        read_od_csv(str(od), ())
+
+
 def test_group_schema_rejects_duplicates():
     with pytest.raises(SchemaError):
         GroupSchema("x", (("A", "a"), ("A", "b")))

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from hwexposure import cli, pipeline, synth
+from hwexposure import cli, pipeline, synth, zonal
 from hwexposure.errors import ConfigError
 
 
@@ -195,6 +195,35 @@ def test_run_multi_year(tmp_path):
     assert years == {"2011", "2012"}
     assert (out_dir / "surface_2011.csv").exists()
     assert (out_dir / "surface_2012.csv").exists()
+
+
+def test_run_coverage_once_per_lattice(tmp_path, monkeypatch):
+    # 2012 repeats 2011's grid; 2013's grid is shifted half a cell right, so
+    # coverage is rebuilt and the tracts of the first column lose a quarter of
+    # their area off the grid.
+    world = make_world(tmp_path, seed=14, n_tracts=9, n_groups=3)
+    for year in ("2012", "2013"):
+        for name in ("grid_2011.asc", "rac_2011.csv", "wac_2011.csv", "od_2011.csv"):
+            shutil.copy(world / name, world / name.replace("2011", year))
+    grid_2013 = world / "grid_2013.asc"
+    grid_2013.write_text(grid_2013.read_text().replace("xllcorner 0.0", "xllcorner 0.5"))
+    config_doc = json.loads((world / "config.json").read_text())
+    config_doc["years"] = [2011, 2012, 2013]
+    (world / "config.json").write_text(json.dumps(config_doc))
+    built = []
+    real = zonal.tract_coverage
+    monkeypatch.setattr(zonal, "tract_coverage",
+                        lambda tracts, grid: built.append(grid.lattice) or real(tracts, grid))
+    out_dir = tmp_path / "out"
+    manifest = pipeline.run(pipeline.load_config(str(world / "config.json"), out_dir=str(out_dir)))
+    assert [lattice[:2] for lattice in built] == [(0.0, 0.0), (0.5, 0.0)]
+    surface_2011 = (out_dir / "surface_2011.csv").read_text()
+    assert (out_dir / "surface_2012.csv").read_text() == surface_2011.replace(",2011,", ",2012,")
+    years = manifest["stages"]["surface"]["years"]
+    assert years["2011"]["completeness"] == {"below_0.99": 0, "below_0.5": 0, "worst": []}
+    shifted = years["2013"]["completeness"]
+    assert shifted["below_0.99"] == 3 and shifted["below_0.5"] == 0
+    assert [ratio for _, ratio in shifted["worst"]] == [0.75, 0.75, 0.75]
 
 
 def test_manifest_contents(tmp_path):

@@ -1,11 +1,16 @@
 """Grid readers and zonal aggregation, checked against point-sampling oracles."""
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import points_in_parts, random_star_polygon
+from helpers import exact_area, oracle_zonal_mean, points_in_parts, random_star_polygon
 
+from hwexposure import zonal
 from hwexposure.errors import FormatError, SchemaError
 from hwexposure.geometry import PolygonPart, TractGeometry
 from hwexposure.grids import ConcentrationGrid, read_asc, read_xyz_csv
@@ -14,19 +19,20 @@ from hwexposure.zonal import (
     classify_tracts,
     classify_urban,
     read_surface_csv,
+    tract_coverage,
     write_surface_csv,
     zonal_weighted_mean,
 )
 
 
-def make_grid(values, origin=(0.0, 0.0), cell=1.0, nodata=None):
+def make_grid(values, origin=(0.0, 0.0), cell=1.0, nodata=None, cell_height=None):
     arr = np.asarray(values, dtype=np.float64)
     mask = np.zeros(arr.shape, dtype=bool) if nodata is None else np.asarray(nodata, dtype=bool)
     return ConcentrationGrid(
         origin_x=origin[0],
         origin_y=origin[1],
         cell_width=cell,
-        cell_height=cell,
+        cell_height=cell if cell_height is None else cell_height,
         n_rows=arr.shape[0],
         n_cols=arr.shape[1],
         values=np.where(mask, 0.0, arr),
@@ -40,6 +46,10 @@ def square(x0, y0, x1, y1):
 
 def rect_tract(geoid, x0, y0, x1, y1):
     return TractGeometry(geoid=geoid, parts=(PolygonPart(exterior=square(x0, y0, x1, y1)),))
+
+
+def surface_of(grid, tracts, year=2011):
+    return build_tract_surface(grid, tract_coverage(tracts, grid), year)
 
 
 # ----------------------------------------------------------------------------
@@ -80,6 +90,20 @@ def test_read_asc_wrong_cell_count(tmp_path):
     path = tmp_path / "bad.asc"
     path.write_text("ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\n1 2 3\n")
     with pytest.raises(FormatError):
+        read_asc(str(path))
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("ncols 3", "ncols abc", r"1: non-numeric ncols 'abc'"),
+    ("ncols 3", "ncols 3.5", r"1: ncols must be a positive integer, got '3\.5'"),
+    ("nrows 2", "nrows 2.5", r"2: nrows must be a positive integer, got '2\.5'"),
+    ("nrows 2", "nrows -2", r"2: nrows must be a positive integer, got '-2'"),
+    ("cellsize 2.0", "cellsize x", r"5: non-numeric cellsize 'x'"),
+])
+def test_read_asc_rejects_bad_header_value(tmp_path, old, new, message):
+    path = tmp_path / "bad.asc"
+    path.write_text(ASC_TEXT.replace(old, new))
+    with pytest.raises(FormatError, match=rf"bad\.asc:{message}"):
         read_asc(str(path))
 
 
@@ -256,7 +280,7 @@ def test_zonal_holed_multipart_tract_vs_oracle():
 def test_surface_uniform_field():
     grid = make_grid(np.full((4, 4), 7.8))
     tract = rect_tract("06037000100", 0.5, 0.5, 3.5, 3.5)
-    surface = build_tract_surface(grid, [tract], year=2011)
+    surface = surface_of(grid, [tract])
     assert surface.entries == {"06037000100": 7.8}
     assert surface.excluded == ()
 
@@ -270,7 +294,7 @@ def test_surface_excludes_nodata_tract():
         rect_tract("06037000100", 0.0, 0.0, 2.0, 2.0),  # all nodata
         rect_tract("06037000200", 2.0, 2.0, 4.0, 4.0),
     ]
-    surface = build_tract_surface(grid, tracts, year=2011)
+    surface = surface_of(grid, tracts)
     assert surface.excluded == ("06037000100",)
     assert surface.entries == {"06037000200": 7.8}
 
@@ -278,14 +302,14 @@ def test_surface_excludes_nodata_tract():
 def test_surface_duplicate_geoid():
     grid = make_grid([[1.0]])
     tracts = [rect_tract("06037000100", 0, 0, 1, 1), rect_tract("06037000100", 0, 0, 1, 1)]
-    with pytest.raises(SchemaError):
-        build_tract_surface(grid, tracts, year=2011)
+    with pytest.raises(SchemaError, match="duplicate tract geoids"):
+        tract_coverage(tracts, grid)
 
 
 def test_surface_empty_tract_list():
     grid = make_grid([[1.0]])
-    with pytest.raises(SchemaError):
-        build_tract_surface(grid, [], year=2011)
+    with pytest.raises(SchemaError, match="tract list is empty"):
+        tract_coverage([], grid)
 
 
 def test_surface_matches_per_tract_oracle_and_threads():
@@ -295,12 +319,145 @@ def test_surface_matches_per_tract_oracle_and_threads():
         rect_tract(f"060370001{i:02d}", col * 2.0, row * 2.0, col * 2.0 + 2.0, row * 2.0 + 2.0)
         for i, (row, col) in enumerate((r, c) for r in range(3) for c in range(3))
     ]
-    surface = build_tract_surface(grid, tracts, year=2011)
+    surface = surface_of(grid, tracts)
     for tract in tracts:
         assert surface.entries[tract.geoid] == zonal_weighted_mean(grid, tract)
-    for threads in (2, 4):
-        threaded = build_tract_surface(grid, tracts, year=2011, threads=threads)
-        assert threaded == surface
+        assert surface.entries[tract.geoid] == pytest.approx(oracle_zonal_mean(grid, tract),
+                                                             rel=1e-12)
+    # input order does not matter; a rebuild is identical
+    assert surface_of(grid, tracts[::-1]) == surface
+
+
+def test_surface_rejects_coverage_of_another_lattice():
+    tracts = [rect_tract("06037000100", 0.0, 0.0, 1.0, 1.0)]
+    coverage = tract_coverage(tracts, make_grid([[1.0, 2.0]]))
+    with pytest.raises(SchemaError, match="lattice"):
+        build_tract_surface(make_grid([[1.0, 2.0]], origin=(0.5, 0.0)), coverage, 2011)
+
+
+def test_coverage_reused_across_years():
+    tracts = [rect_tract("06037000100", 0.0, 0.0, 1.5, 1.0)]
+    coverage = tract_coverage(tracts, make_grid([[8.0, 10.0]]))
+    assert build_tract_surface(make_grid([[8.0, 10.0]]), coverage, 2011).entries == \
+        {"06037000100": pytest.approx(13.0 / 1.5)}
+    assert build_tract_surface(make_grid([[4.0, 1.0]]), coverage, 2012).entries == \
+        {"06037000100": 3.0}
+
+
+def _star_part(rng, cx, cy, r_lo, r_hi, hole_scale=0.0):
+    """A jittered star of random orientation, with a star hole when hole_scale > 0.
+
+    With 8+ vertices the exterior's edges stay beyond 0.75 * r_lo of the
+    center, so a hole of radius up to 0.48 * r_lo lies inside it.
+    """
+    def ring(lo, hi, n_min):
+        verts = random_star_polygon(rng, cx, cy, lo, hi, int(rng.integers(n_min, 11)))
+        return tuple(verts[::-1] if rng.random() < 0.5 else verts)
+    exterior = ring(r_lo, r_hi, 8 if hole_scale else 4)
+    holes = (ring(hole_scale * r_lo, 1.2 * hole_scale * r_lo, 4),) if hole_scale else ()
+    return PolygonPart(exterior=exterior, holes=holes)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    origin=st.tuples(st.floats(-60.0, 60.0), st.floats(-60.0, 60.0)),
+    cell=st.tuples(st.floats(0.3, 3.0), st.floats(0.3, 3.0)),
+)
+@settings(max_examples=60, deadline=None)
+def test_coverage_matches_clipping_oracle(seed, origin, cell):
+    # Stars of both orientations, a holed part, a two-part tract, tracts
+    # partly and wholly off the grid, non-unit cells, a shifted origin and
+    # nodata cells, against the clipping oracle in exact arithmetic.
+    rng = np.random.default_rng(seed)
+    n_rows, n_cols = (int(n) for n in rng.integers(3, 7, size=2))
+    cw, ch = cell
+    grid = make_grid(rng.uniform(1.0, 20.0, size=(n_rows, n_cols)), origin=origin, cell=cw,
+                     cell_height=ch, nodata=rng.random((n_rows, n_cols)) < 0.2)
+
+    def at(fx, fy):  # a point at fractions of the grid extent
+        return origin[0] + fx * n_cols * cw, origin[1] + fy * n_rows * ch
+
+    size = min(cw, ch)
+    parts = [
+        (_star_part(rng, *at(*rng.uniform(-0.3, 1.3, size=2)), 0.5 * size, 2.5 * size),)
+        for _ in range(4)
+    ]
+    parts.append((_star_part(rng, *at(0.5, 0.5), 1.5 * size, 2.5 * size, hole_scale=0.4),))
+    parts.append((_star_part(rng, *at(0.0, 0.5), 0.5 * size, size),
+                  _star_part(rng, *at(1.0, 0.5), 0.5 * size, size)))
+    parts.append((_star_part(rng, *at(-1.0, 2.0), 0.5 * size, size),))  # off the grid
+    tracts = [TractGeometry(geoid=f"06037{k:06d}", parts=p) for k, p in enumerate(parts)]
+
+    coverage = tract_coverage(tracts, grid)
+    surface = build_tract_surface(grid, coverage, 2011)
+    x1, y1 = at(1.0, 1.0)
+    for i, tract in enumerate(tracts):
+        want = oracle_zonal_mean(grid, tract, exact=True)
+        if want is None:
+            assert tract.geoid in surface.excluded
+        else:
+            assert surface.entries[tract.geoid] == pytest.approx(want, rel=1e-12)
+        minx = min(x for p in tract.parts for x, _ in p.exterior)
+        maxx = max(x for p in tract.parts for x, _ in p.exterior)
+        miny = min(y for p in tract.parts for _, y in p.exterior)
+        maxy = max(y for p in tract.parts for _, y in p.exterior)
+        if origin[0] <= minx and maxx <= x1 and origin[1] <= miny and maxy <= y1:
+            covered = coverage.area[coverage.tract_ptr[i]:coverage.tract_ptr[i + 1]].sum()
+            assert covered == pytest.approx(exact_area(tract.parts), rel=1e-12)
+    assert surface.excluded[-1] == tracts[-1].geoid
+
+
+def test_coverage_chunks_match_one_pass(monkeypatch):
+    rng = np.random.default_rng(31)
+    grid = make_grid(rng.uniform(1.0, 9.0, size=(30, 30)), origin=(-3.0, 2.0), cell=0.75)
+    tracts = [
+        TractGeometry(geoid=f"06037{k:06d}",
+                      parts=(_star_part(rng, *rng.uniform(0.0, 22.0, size=2), 0.5, 4.0),))
+        for k in range(40)
+    ]
+    whole = tract_coverage(tracts, grid)
+    for cells, vertices in ((50, 1 << 17), (1 << 20, 30), (80, 40)):
+        monkeypatch.setattr(zonal, "_CHUNK_CELLS", cells)
+        monkeypatch.setattr(zonal, "_CHUNK_VERTICES", vertices)
+        chunked = tract_coverage(tracts, grid)
+        for name in ("tract_ptr", "cell_idx", "area", "polygon_area"):
+            assert np.array_equal(getattr(chunked, name), getattr(whole, name)), name
+
+
+def test_coverage_excludes_tract_on_nodata_with_valid_gap():
+    # Both parts lie on nodata columns; the valid columns between them are in
+    # the bbox but uncovered. The row prefix sums there cancel only to float
+    # residue, which must not count as coverage.
+    nodata = np.zeros((6, 7), dtype=bool)
+    nodata[:, :2] = nodata[:, 5:] = True
+    grid = make_grid(np.full((6, 7), 5.0), nodata=nodata)
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        parts = tuple(PolygonPart(exterior=tuple(random_star_polygon(rng, cx, 3.0, 0.5, 0.95, 9)))
+                      for cx in (1.0, 6.0))
+        surface = surface_of(grid, [TractGeometry(geoid="06037000100", parts=parts)])
+        assert surface.excluded == ("06037000100",), seed
+
+
+def test_completeness_of_half_outside_tract(caplog):
+    # tract 1 spans x in [-2, 2] and the grid starts at x = 0: half its area
+    # is on the grid; tract 3 has 1 of its 2.2 area units on the grid
+    grid = make_grid(np.full((2, 4), 6.0))
+    tracts = [rect_tract("06037000100", -2.0, 0.0, 2.0, 2.0),
+              rect_tract("06037000200", 2.0, 0.0, 4.0, 2.0),
+              rect_tract("06037000300", -1.2, 0.0, 1.0, 1.0)]
+    with caplog.at_level(logging.WARNING, logger="hwexposure.zonal"):
+        surface = surface_of(grid, tracts)
+    assert surface.entries == {g: 6.0 for g in ("06037000100", "06037000200", "06037000300")}
+    assert surface.completeness["below_0.99"] == 2
+    assert surface.completeness["below_0.5"] == 1
+    (worst_geoid, worst_ratio), second = surface.completeness["worst"]
+    assert worst_geoid == "06037000300" and worst_ratio == pytest.approx(1.0 / 2.2, rel=1e-12)
+    assert second == ["06037000100", 0.5]
+    warnings = [r for r in caplog.records if "under 99%" in r.getMessage()]
+    assert len(warnings) == 1 and "2011" in warnings[0].getMessage()
+    complete = surface_of(grid, tracts[1:2])
+    assert complete.completeness == {"below_0.99": 0, "below_0.5": 0, "worst": []}
 
 
 # ----------------------------------------------------------------------------
@@ -356,7 +513,7 @@ def test_classify_tracts_sorted_and_threaded():
     got = classify_tracts(tracts, urban_mask_parts())
     assert got == {"06037000100": "urban", "06037000200": "rural"}
     assert list(got) == ["06037000100", "06037000200"]
-    assert classify_tracts(tracts, urban_mask_parts(), threads=3) == got
+    assert classify_tracts(tracts[::-1], urban_mask_parts()) == got
 
 
 def test_build_urban_mask_bundles_classification():
@@ -373,7 +530,7 @@ def test_build_urban_mask_bundles_classification():
 # ----------------------------------------------------------------------------
 
 def test_surface_csv_roundtrip(tmp_path):
-    surface = build_tract_surface(
+    surface = surface_of(
         make_grid([[9.5, 10.25], [7.75, 8.0]]),
         [rect_tract("06037000100", 0, 0, 1, 1), rect_tract("06037000200", 1, 1, 2, 2)],
         year=2013,
