@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -19,12 +19,6 @@ from .errors import (
     InsufficientTractsError,
 )
 from .exposure import ExposureRecord
-
-# (geoid, group fraction, group count, concentration) for composition curves;
-# (geoid, group count, total count, concentration) for concentration deciles.
-CompositionTract = tuple[str, float, float, float]
-CountTract = tuple[str, float, float, float]
-
 
 @dataclass(frozen=True)
 class GapResult:
@@ -38,26 +32,26 @@ class GapResult:
     ratio: float
 
 
-@dataclass(frozen=True)
-class PercentileBin:
-    index: int  # 1-based bin position
-    n_tracts: int
-    exposure: float  # NaN when the bin holds no group population
+class PercentileBinCurves(NamedTuple):
+    """Composition-ranked bin curves of several groups over one tract set."""
+
+    n_tracts: tuple[int, ...]  # per bin, the same for every group
+    exposure: np.ndarray  # (groups, bins); NaN where a bin holds no group population
 
 
-@dataclass(frozen=True)
-class PercentileBinCurve:
-    group: str
-    locus: str
-    bins: tuple[PercentileBin, ...]
+class CompositionRanking(NamedTuple):
+    """Each group's tracts sorted by its population fraction, as C-contiguous
+    (groups, tracts) rows."""
+
+    counts: np.ndarray  # group counts
+    weighted: np.ndarray  # group counts times tract concentration
 
 
-@dataclass(frozen=True)
-class DecileShares:
-    group: str
-    locus: str
-    bin_means: tuple[float, ...]
-    difference: float  # top decile mean fraction minus bottom decile
+class DecileShares(NamedTuple):
+    """Concentration-decile population shares of several groups."""
+
+    means: np.ndarray  # (groups, 10) mean group fraction per decile
+    difference: np.ndarray  # per group, top decile minus bottom decile
 
 
 def extreme_group_gap(records: Sequence[ExposureRecord], national_mean: float) -> GapResult:
@@ -95,75 +89,91 @@ def _bin_sizes(n_items: int, n_bins: int) -> list[int]:
     return [base + 1 if i < extra else base for i in range(n_bins)]
 
 
-def percentile_bin_curve(
-    tracts: Sequence[CompositionTract],
-    n_bins: int,
-    group: str = "all",
-    locus: str = "H",
-) -> PercentileBinCurve:
-    """Group-weighted exposure per composition-ranked tract bin.
+def rank_by_composition(
+    fractions: np.ndarray,
+    counts: np.ndarray,
+    concentrations: np.ndarray,
+) -> CompositionRanking:
+    """Sort each group's tracts by its population fraction, ties by geoid.
 
-    Tracts are sorted by the group's population fraction (ties by geoid) and
-    split into ``n_bins`` contiguous bins; each bin's exposure is the
-    group-count-weighted mean concentration over its tracts.
+    ``fractions`` and ``counts`` are (groups, tracts) with tracts in geoid-
+    ascending order; ``concentrations`` is per tract.
+    """
+    # A stable sort keeps the geoid order among equal fractions. The gathered
+    # rows are C-contiguous, so every bin sum over a row slice is numpy's
+    # pairwise sum of the same values in the same order as a 1-D sum over
+    # that bin's tracts.
+    order = np.argsort(np.asarray(fractions, dtype=np.float64), axis=1, kind="stable")
+    ranked = np.ascontiguousarray(
+        np.take_along_axis(np.asarray(counts, dtype=np.float64), order, axis=1)
+    )
+    weighted = np.asarray(concentrations, dtype=np.float64)[order]
+    del order
+    weighted *= ranked
+    return CompositionRanking(counts=ranked, weighted=weighted)
+
+
+def percentile_bin_curve(ranking: CompositionRanking, n_bins: int) -> PercentileBinCurves:
+    """Group-weighted exposure per composition-ranked tract bin, for every
+    group at once.
+
+    The ranked tracts are split into ``n_bins`` contiguous bins; each bin's
+    exposure is the group-count-weighted mean concentration over its tracts.
     """
     if n_bins < 2:
         raise ContractError(f"n_bins must be >= 2, got {n_bins}")
-    if len(tracts) < n_bins:
+    n_groups, n_tracts = ranking.counts.shape
+    if n_tracts < n_bins:
         raise InsufficientTractsError(
-            f"need >= {n_bins} tracts for {n_bins} bins, got {len(tracts)}"
+            f"need >= {n_bins} tracts for {n_bins} bins, got {n_tracts}"
         )
-    ordered = sorted(tracts, key=lambda t: (t[1], t[0]))
-    bins = []
+    sizes = _bin_sizes(n_tracts, n_bins)
+    totals = np.empty((n_groups, n_bins))
+    sums = np.empty((n_groups, n_bins))
     start = 0
-    for index, size in enumerate(_bin_sizes(len(ordered), n_bins), start=1):
-        chunk = ordered[start:start + size]
+    for index, size in enumerate(sizes):
+        totals[:, index] = ranking.counts[:, start:start + size].sum(axis=1)
+        sums[:, index] = ranking.weighted[:, start:start + size].sum(axis=1)
         start += size
-        counts = np.array([t[2] for t in chunk], dtype=np.float64)
-        concs = np.array([t[3] for t in chunk], dtype=np.float64)
-        total = float(np.sum(counts))
-        exposure = float(np.sum(concs * counts)) / total if total > 0.0 else math.nan
-        bins.append(PercentileBin(index=index, n_tracts=size, exposure=exposure))
-    return PercentileBinCurve(group=group, locus=locus, bins=tuple(bins))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        exposure = np.where(totals > 0.0, sums / totals, math.nan)
+    return PercentileBinCurves(n_tracts=tuple(sizes), exposure=exposure)
 
 
-def decile_contrast(curve: PercentileBinCurve) -> float:
-    """Top-decile exposure minus bottom-decile exposure; needs exactly 10 bins."""
-    if len(curve.bins) != 10:
-        raise ContractError(f"decile contrast needs 10 bins, got {len(curve.bins)}")
-    return curve.bins[-1].exposure - curve.bins[0].exposure
+def decile_contrast(curves: PercentileBinCurves) -> np.ndarray:
+    """Top-decile exposure minus bottom-decile exposure per group; needs
+    exactly 10 bins."""
+    if len(curves.n_tracts) != 10:
+        raise ContractError(f"decile contrast needs 10 bins, got {len(curves.n_tracts)}")
+    return curves.exposure[:, -1] - curves.exposure[:, 0]
 
 
 def population_share_by_concentration_decile(
-    tracts: Sequence[CountTract],
-    group: str = "all",
-    locus: str = "H",
+    fractions: np.ndarray,
+    concentrations: np.ndarray,
 ) -> DecileShares:
-    """Mean group fraction per concentration-ranked tract decile.
+    """Mean group fraction per concentration-ranked tract decile, and each
+    group's top-minus-bottom decile difference.
 
-    Tracts are ranked by concentration (ties by geoid) into 10 bins; each
-    bin's value is the unweighted mean of per-tract group fractions. Also
-    returns the top-minus-bottom decile difference.
+    ``fractions`` is (groups, tracts) with tracts in geoid-ascending order;
+    ``concentrations`` is per tract. Tracts are ranked by concentration (ties
+    by geoid) into 10 bins; each bin's value is the unweighted mean of the
+    per-tract group fractions.
     """
-    if len(tracts) < 10:
-        raise InsufficientTractsError(f"need >= 10 tracts, got {len(tracts)}")
-    for geoid, _, total, _ in tracts:
-        if total <= 0:
-            raise ValueError(f"tract {geoid}: total count must be positive")
-    ordered = sorted(tracts, key=lambda t: (t[3], t[0]))
-    means = []
+    fractions = np.asarray(fractions, dtype=np.float64)
+    n_tracts = fractions.shape[1]
+    if n_tracts < 10:
+        raise InsufficientTractsError(f"need >= 10 tracts, got {n_tracts}")
+    if not np.isfinite(fractions).all():
+        raise ValueError("group fractions must be finite: every tract needs a positive total")
+    order = np.argsort(concentrations, kind="stable")
+    ranked = np.ascontiguousarray(fractions[:, order])
+    means = np.empty((len(ranked), 10))
     start = 0
-    for size in _bin_sizes(len(ordered), 10):
-        chunk = ordered[start:start + size]
+    for index, size in enumerate(_bin_sizes(n_tracts, 10)):
+        means[:, index] = ranked[:, start:start + size].mean(axis=1)
         start += size
-        fracs = np.array([t[1] / t[2] for t in chunk], dtype=np.float64)
-        means.append(float(np.mean(fracs)))
-    return DecileShares(
-        group=group,
-        locus=locus,
-        bin_means=tuple(means),
-        difference=means[-1] - means[0],
-    )
+    return DecileShares(means=means, difference=means[:, -1] - means[:, 0])
 
 
 def atkinson(shares: Sequence[float], values: Sequence[float], epsilon: float) -> float:
@@ -246,8 +256,10 @@ def atkinson_pipeline(records: Iterable[ExposureRecord],
     return results
 
 
-def state_disparity(group_mean: float, state_mean: float, national_mean: float) -> float:
-    """Group-minus-state exposure gap, normalized by the national mean."""
+def state_disparity(group_mean: float | np.ndarray, state_mean: float,
+                    national_mean: float) -> float | np.ndarray:
+    """Group-minus-state exposure gap, normalized by the national mean;
+    ``group_mean`` may be an array of group means."""
     if national_mean <= 0.0:
         raise DomainError(f"national mean must be positive, got {national_mean}")
     return (group_mean - state_mean) / national_mean

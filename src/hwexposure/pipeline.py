@@ -413,18 +413,29 @@ def _stage_disparity(state: RunState, write: bool) -> None:
                 _float_text(gap.ratio),
             ])
 
-        atkinson_rows += [
-            [r.year, r.characteristic, r.locus, r.stratum, _float_text(r.epsilon), _float_text(r.value)]
-            for r in disparity.atkinson_pipeline(list(data.records), config.epsilons)
-        ]
+        # atkinson.csv is ordered by (characteristic, locus, stratum).
+        for key in sorted(by_key, key=lambda k: (k[2], k[0], k[1])):
+            try:
+                results = disparity.atkinson_pipeline(by_key[key], config.epsilons)
+            except _METRIC_DEGENERACIES as exc:
+                _skip(skips, "atkinson", "%s %s/%s/%s: %s" % (year, *key, exc))
+                continue
+            atkinson_rows += [
+                [r.year, r.characteristic, r.locus, r.stratum,
+                 _float_text(r.epsilon), _float_text(r.value)]
+                for r in results
+            ]
 
         for aligned in (data.homes, data.works):
-            bin_rows += _composition_rows(state, aligned, strata, skips)
+            groups, counts = _group_matrix(aligned)
+            bin_rows += _composition_rows(state, aligned, groups, counts, strata, skips)
             threshold_rows += _threshold_rows(config, aligned, skips)
-            state_rows += _state_rows(aligned)
-    for kind, count in sorted(skips.items()):
-        logger.warning("disparity: skipped %d %s computation(s) on degenerate slices "
-                       "(details at debug level)", count, kind)
+            try:
+                state_rows += _state_rows(aligned, groups, counts)
+            except _METRIC_DEGENERACIES as exc:
+                _skip(skips, "state-disparity", "%s %s: %s" % (year, aligned.locus, exc))
+            del counts
+    _warn_skips("disparity", skips)
     if write:
         _write_csv(config.out_dir / "gaps.csv",
                    ["year", "locus", "stratum", "characteristic", "most_exposed",
@@ -450,6 +461,7 @@ def _stage_disparity(state: RunState, write: bool) -> None:
         "atkinson_rows": len(atkinson_rows),
         "state_rows": len(state_rows),
         "threshold_rows": len(threshold_rows),
+        "skipped": dict(sorted(skips.items())),
     }
 
 
@@ -458,57 +470,84 @@ def _skip(skips: dict[str, int], kind: str, detail: str) -> None:
     logger.debug("%s skipped: %s", kind, detail)
 
 
+def _skip_groups(skips: dict[str, int], kind: str, groups: Sequence[tuple[str, str]],
+                 where: str, exc: Exception) -> None:
+    """One skip per group, for a computation that covers every group at once."""
+    for characteristic, label in groups:
+        _skip(skips, kind, "%s/%s:%s: %s" % (where, characteristic, label, exc))
+
+
+def _warn_skips(stage: str, skips: dict[str, int]) -> None:
+    for kind, count in sorted(skips.items()):
+        logger.warning("%s: skipped %d %s computation(s) on degenerate slices "
+                       "(details at debug level)", stage, count, kind)
+
+
+def _group_matrix(aligned: exposure.AlignedTable) -> tuple[list[tuple[str, str]], np.ndarray]:
+    """(characteristic, label) of each RAC/WAC category present in the table,
+    in schema order, and their worker counts as a C-contiguous float64
+    (groups x tracts) matrix."""
+    groups = []
+    rows = []
+    for schema in ingest.RAC_WAC_SCHEMAS:
+        for code, label in schema.categories:
+            if code in aligned.category_counts:
+                groups.append((schema.characteristic, label))
+                rows.append(aligned.category_counts[code])
+    counts = np.array(rows, dtype=np.float64).reshape(len(rows), len(aligned.geoids))
+    return groups, counts
+
+
 def _composition_rows(state: RunState, aligned: exposure.AlignedTable,
+                      groups: Sequence[tuple[str, str]], counts: np.ndarray,
                       strata: Sequence[str], skips: dict[str, int]) -> list[list]:
+    """bins.csv rows of one table: per stratum and group, a composition curve
+    per configured bin count, then the concentration-decile shares."""
     config = state.config
     year, locus = aligned.year, aligned.locus
     rows: list[list] = []
     masks = exposure.stratum_masks(aligned.geoids, state.classification, strata)
     for stratum, mask in masks.items():
-        tract_idx = np.flatnonzero(mask & (aligned.totals > 0))
-        for schema in ingest.RAC_WAC_SCHEMAS:
-            for code, label in schema.categories:
-                if code not in aligned.category_counts:
-                    continue
-                counts = aligned.category_counts[code]
-                comp = [
-                    (aligned.geoids[i],
-                     counts[i] / aligned.totals[i],
-                     float(counts[i]),
-                     aligned.concentrations[i])
-                    for i in tract_idx
-                ]
-                group_key = f"{schema.characteristic}:{label}"
-                for n_bins in config.bin_counts:
-                    try:
-                        curve = disparity.percentile_bin_curve(comp, n_bins, group_key, locus)
-                    except _METRIC_DEGENERACIES as exc:
-                        _skip(skips, "composition-curve",
-                              "%s %s/%s/%s: %s" % (year, locus, stratum, group_key, exc))
-                        continue
-                    contrast = _float_text(disparity.decile_contrast(curve)) if n_bins == 10 else ""
-                    rows += [
-                        [year, "composition", locus, stratum, schema.characteristic,
-                         label, n_bins, b.index, b.n_tracts, _float_text(b.exposure), contrast]
-                        for b in curve.bins
-                    ]
-                share_tracts = [
-                    (aligned.geoids[i], float(counts[i]), float(aligned.totals[i]),
-                     aligned.concentrations[i])
-                    for i in tract_idx
-                ]
-                try:
-                    shares = disparity.population_share_by_concentration_decile(
-                        share_tracts, group_key, locus
-                    )
-                except _METRIC_DEGENERACIES as exc:
-                    _skip(skips, "decile-share",
-                          "%s %s/%s/%s: %s" % (year, locus, stratum, group_key, exc))
-                    continue
+        cols = np.flatnonzero(mask & (aligned.totals > 0))
+        group_counts = np.ascontiguousarray(counts[:, cols])
+        fractions = group_counts / aligned.totals[cols]
+        conc = aligned.concentrations[cols]
+
+        ranking = disparity.rank_by_composition(fractions, group_counts, conc)
+        curves = []
+        for n_bins in config.bin_counts:
+            try:
+                curve = disparity.percentile_bin_curve(ranking, n_bins)
+            except _METRIC_DEGENERACIES as exc:
+                _skip_groups(skips, "composition-curve", groups,
+                             "%s %s/%s" % (year, locus, stratum), exc)
+                continue
+            contrast = disparity.decile_contrast(curve) if n_bins == 10 else None
+            curves.append((n_bins, curve, contrast))
+        del ranking, group_counts
+        try:
+            shares = disparity.population_share_by_concentration_decile(fractions, conc)
+        except _METRIC_DEGENERACIES as exc:
+            _skip_groups(skips, "decile-share", groups,
+                         "%s %s/%s" % (year, locus, stratum), exc)
+            shares = None
+        del fractions
+
+        for g, (characteristic, label) in enumerate(groups):
+            for n_bins, curve, contrast in curves:
+                contrast_text = "" if contrast is None else _float_text(contrast[g])
                 rows += [
-                    [year, "concentration", locus, stratum, schema.characteristic,
-                     label, 10, i + 1, "", _float_text(value), _float_text(shares.difference)]
-                    for i, value in enumerate(shares.bin_means)
+                    [year, "composition", locus, stratum, characteristic, label,
+                     n_bins, b + 1, size, _float_text(value), contrast_text]
+                    for b, (size, value) in enumerate(
+                        zip(curve.n_tracts, curve.exposure[g].tolist()))
+                ]
+            if shares is not None:
+                difference = _float_text(shares.difference[g])
+                rows += [
+                    [year, "concentration", locus, stratum, characteristic, label,
+                     10, d + 1, "", _float_text(value), difference]
+                    for d, value in enumerate(shares.means[g].tolist())
                 ]
     return rows
 
@@ -547,7 +586,10 @@ def _threshold_rows(config: RunConfig, aligned: exposure.AlignedTable,
     return rows
 
 
-def _state_rows(aligned: exposure.AlignedTable) -> list[list]:
+def _state_rows(aligned: exposure.AlignedTable, groups: Sequence[tuple[str, str]],
+                counts: np.ndarray) -> list[list]:
+    """state_disparity.csv rows of one table. The state is a geoid's first two
+    digits, so each state is a contiguous run of the geoid-sorted tracts."""
     year, locus = aligned.year, aligned.locus
     rows: list[list] = []
     if len(aligned.geoids) == 0:
@@ -555,24 +597,23 @@ def _state_rows(aligned: exposure.AlignedTable) -> list[list]:
     totals = aligned.totals.astype(float)
     conc = aligned.concentrations
     national_mean = float((conc * totals).sum()) / float(totals.sum())
-    states = sorted({g[:2] for g in aligned.geoids})
-    for st in states:
-        idx = [i for i, g in enumerate(aligned.geoids) if g[:2] == st]
-        st_totals = totals[idx]
+    states = np.array(aligned.geoids, dtype="U2")
+    bounds = [0, *(np.flatnonzero(states[1:] != states[:-1]) + 1).tolist(), len(states)]
+    weighted = counts * conc
+    for start, end in zip(bounds, bounds[1:]):
+        st_totals = totals[start:end]
         if st_totals.sum() == 0:
             continue
-        st_conc = conc[idx]
-        state_mean = float((st_conc * st_totals).sum()) / float(st_totals.sum())
-        for schema in ingest.RAC_WAC_SCHEMAS:
-            for code, label in schema.categories:
-                if code not in aligned.category_counts:
-                    continue
-                weights = aligned.category_counts[code][idx].astype(float)
-                if weights.sum() == 0:
-                    continue
-                group_mean = float((st_conc * weights).sum()) / float(weights.sum())
-                value = disparity.state_disparity(group_mean, state_mean, national_mean)
-                rows.append([year, st, locus, schema.characteristic, label, _float_text(value)])
+        state_mean = float((conc[start:end] * st_totals).sum()) / float(st_totals.sum())
+        group_totals = counts[:, start:end].sum(axis=1)
+        present = np.flatnonzero(group_totals != 0)
+        group_means = weighted[:, start:end].sum(axis=1)[present] / group_totals[present]
+        values = disparity.state_disparity(group_means, state_mean, national_mean)
+        st = str(states[start])
+        rows += [
+            [year, st, locus, *groups[g], _float_text(value)]
+            for g, value in zip(present.tolist(), values)
+        ]
     return rows
 
 
@@ -622,9 +663,7 @@ def _stage_bias(state: RunState, write: bool) -> None:
                     year, group_key, stratum, n, n,
                     _float_text(result.u), _float_text(result.z), _float_text(result.p_value),
                 ])
-    for kind, count in sorted(skips.items()):
-        logger.warning("bias: skipped %d %s computation(s) on degenerate slices "
-                       "(details at debug level)", count, kind)
+    _warn_skips("bias", skips)
     if write:
         _write_csv(config.out_dir / "bias.csv",
                    ["year", "group", "stratum", "sigma2", "phi", "omega2", "bias"],
@@ -635,6 +674,7 @@ def _stage_bias(state: RunState, write: bool) -> None:
     state.manifest_stages["bias"] = {
         "bias_rows": len(bias_rows),
         "wilcoxon_rows": len(wilcoxon_rows),
+        "skipped": dict(sorted(skips.items())),
     }
 
 

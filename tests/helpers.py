@@ -4,7 +4,11 @@ points_in_ring implements an even-odd crossing test, deliberately independent
 of the package's half-plane clipping kernel so it can serve as an oracle.
 cell_coverage and oracle_zonal_mean clip the tract against one grid cell at
 a time, independently of the accumulation rasterizer in zonal.tract_coverage,
-which they pin in differential tests.
+which they pin in differential tests. oracle_bin_curve, oracle_decile_shares
+and oracle_state_rows are the per-group tuple-list sorts and the per-state
+tract scan that the (groups x tracts) matrix kernels in disparity and
+pipeline replaced; the differential tests hold the kernels bit-identical to
+them.
 """
 from __future__ import annotations
 
@@ -13,6 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from hwexposure import disparity, ingest
 from hwexposure.errors import DegenerateGeometryError
 from hwexposure.geometry import _clipped_area, _part_area_in, parts_bbox, signed_ring_area
 
@@ -129,3 +134,74 @@ def oracle_zonal_mean(grid, tract, exact=False):
     if den == 0.0:
         return None
     return min(max(num / den, vmin), vmax)
+
+
+def oracle_bin_curve(tracts, n_bins: int) -> list[tuple[int, float]]:
+    """(n_tracts, exposure) per bin of one group's composition curve.
+
+    ``tracts`` are (geoid, group fraction, group count, concentration); they
+    are sorted by (fraction, geoid), and each bin's exposure is
+    sum(concentration * count) / sum(count) over its tracts, NaN when the
+    count sum is 0.
+    """
+    ordered = sorted(tracts, key=lambda t: (t[1], t[0]))
+    bins = []
+    start = 0
+    for size in disparity._bin_sizes(len(ordered), n_bins):
+        chunk = ordered[start:start + size]
+        start += size
+        counts = np.array([t[2] for t in chunk], dtype=np.float64)
+        concs = np.array([t[3] for t in chunk], dtype=np.float64)
+        total = float(np.sum(counts))
+        exposure = float(np.sum(concs * counts)) / total if total > 0.0 else math.nan
+        bins.append((size, exposure))
+    return bins
+
+
+def oracle_decile_shares(tracts) -> tuple[list[float], float]:
+    """Mean group fraction per concentration-ranked decile of one group, and
+    the top-minus-bottom decile difference.
+
+    ``tracts`` are (geoid, group count, total count, concentration), ranked by
+    (concentration, geoid).
+    """
+    ordered = sorted(tracts, key=lambda t: (t[3], t[0]))
+    means = []
+    start = 0
+    for size in disparity._bin_sizes(len(ordered), 10):
+        chunk = ordered[start:start + size]
+        start += size
+        fracs = np.array([t[1] / t[2] for t in chunk], dtype=np.float64)
+        means.append(float(np.mean(fracs)))
+    return means, means[-1] - means[0]
+
+
+def oracle_state_rows(aligned) -> list[list]:
+    """state_disparity.csv rows of one aligned table, scanning every tract for
+    each state (the geoid's first two digits)."""
+    year, locus = aligned.year, aligned.locus
+    rows: list[list] = []
+    if len(aligned.geoids) == 0:
+        return rows
+    totals = aligned.totals.astype(float)
+    conc = aligned.concentrations
+    national_mean = float((conc * totals).sum()) / float(totals.sum())
+    states = sorted({g[:2] for g in aligned.geoids})
+    for st in states:
+        idx = [i for i, g in enumerate(aligned.geoids) if g[:2] == st]
+        st_totals = totals[idx]
+        if st_totals.sum() == 0:
+            continue
+        st_conc = conc[idx]
+        state_mean = float((st_conc * st_totals).sum()) / float(st_totals.sum())
+        for schema in ingest.RAC_WAC_SCHEMAS:
+            for code, label in schema.categories:
+                if code not in aligned.category_counts:
+                    continue
+                weights = aligned.category_counts[code][idx].astype(float)
+                if weights.sum() == 0:
+                    continue
+                group_mean = float((st_conc * weights).sum()) / float(weights.sum())
+                value = disparity.state_disparity(group_mean, state_mean, national_mean)
+                rows.append([year, st, locus, schema.characteristic, label, repr(float(value))])
+    return rows

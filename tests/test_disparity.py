@@ -1,13 +1,17 @@
-"""Disparity metric tests: gaps, bin curves, Atkinson, thresholds, CoV."""
+"""Disparity metric tests: gaps, bin curves, decile shares, Atkinson, state
+rows, thresholds, CoV."""
 from __future__ import annotations
 
 import math
 import random
 
+import numpy as np
 import pytest
+from helpers import oracle_bin_curve, oracle_decile_shares, oracle_state_rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hwexposure import pipeline
 from hwexposure.disparity import (
     atkinson,
     atkinson_pipeline,
@@ -16,6 +20,7 @@ from hwexposure.disparity import (
     extreme_group_gap,
     percentile_bin_curve,
     population_share_by_concentration_decile,
+    rank_by_composition,
     state_disparity,
     threshold_share,
 )
@@ -26,7 +31,7 @@ from hwexposure.errors import (
     InsufficientGroupsError,
     InsufficientTractsError,
 )
-from hwexposure.exposure import ExposureRecord
+from hwexposure.exposure import AlignedTable, ExposureRecord
 
 ATKINSON_REFERENCE = 0.10079283984242682  # direct evaluation of the two-group case
 PAPER_EPSILONS = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0)
@@ -98,26 +103,36 @@ def comp_tract(i, fraction, count, conc):
     return (f"06037{i:06d}", fraction, count, conc)
 
 
+def one_group_curve(tracts, n_bins):
+    """percentile_bin_curve over one group's (geoid, fraction, count, conc)
+    tuples, with the tracts as columns in geoid order."""
+    ordered = sorted(tracts)
+    fractions = np.array([[t[1] for t in ordered]])
+    counts = np.array([[t[2] for t in ordered]])
+    conc = np.array([t[3] for t in ordered])
+    return percentile_bin_curve(rank_by_composition(fractions, counts, conc), n_bins)
+
+
 def test_bin_curve_one_tract_per_bin():
     tracts = [comp_tract(i, i / 10.0, 5.0, 6.0 + i) for i in range(10)]
-    curve = percentile_bin_curve(tracts, n_bins=10)
-    assert [b.n_tracts for b in curve.bins] == [1] * 10
-    assert [b.exposure for b in curve.bins] == [6.0 + i for i in range(10)]
-    assert [b.index for b in curve.bins] == list(range(1, 11))
+    curve = one_group_curve(tracts, n_bins=10)
+    assert list(curve.n_tracts) == [1] * 10
+    assert curve.exposure[0].tolist() == [6.0 + i for i in range(10)]
+    assert curve.exposure.shape == (1, 10)
 
 
 def test_bin_curve_tie_break_by_geoid():
     tracts = [comp_tract(i, 0.5, 1.0, float(i)) for i in (3, 1, 2, 0)]
-    curve = percentile_bin_curve(tracts, n_bins=2)
+    curve = one_group_curve(tracts, n_bins=2)
     # equal fractions -> geoid order -> bins are {0,1} and {2,3}
-    assert curve.bins[0].exposure == pytest.approx(0.5)
-    assert curve.bins[1].exposure == pytest.approx(2.5)
+    assert curve.exposure[0, 0] == pytest.approx(0.5)
+    assert curve.exposure[0, 1] == pytest.approx(2.5)
 
 
 def test_bin_curve_remainder_spread_leading():
     tracts = [comp_tract(i, i / 11.0, 1.0, 1.0) for i in range(11)]
-    curve = percentile_bin_curve(tracts, n_bins=3)
-    assert [b.n_tracts for b in curve.bins] == [4, 4, 3]
+    curve = one_group_curve(tracts, n_bins=3)
+    assert list(curve.n_tracts) == [4, 4, 3]
 
 
 def test_bin_curve_matches_direct_formula():
@@ -127,81 +142,187 @@ def test_bin_curve_matches_direct_formula():
         for i in range(57)
     ]
     n_bins = 10
-    curve = percentile_bin_curve(tracts, n_bins=n_bins)
+    curve = one_group_curve(tracts, n_bins=n_bins)
     ordered = sorted(tracts, key=lambda t: (t[1], t[0]))
     start = 0
     sizes = [6, 6, 6, 6, 6, 6, 6, 5, 5, 5]
-    assert [b.n_tracts for b in curve.bins] == sizes
-    for b, size in zip(curve.bins, sizes):
+    assert list(curve.n_tracts) == sizes
+    for exposure, size in zip(curve.exposure[0], sizes):
         chunk = ordered[start:start + size]
         start += size
         num = math.fsum(t[3] * t[2] for t in chunk)
         den = math.fsum(t[2] for t in chunk)
         if den == 0:
-            assert math.isnan(b.exposure)
+            assert math.isnan(exposure)
         else:
-            assert b.exposure == pytest.approx(num / den, rel=1e-12)
+            assert exposure == pytest.approx(num / den, rel=1e-12)
 
 
 def test_bin_curve_empty_bin_is_nan():
     tracts = [comp_tract(i, i / 4.0, 0.0 if i < 2 else 3.0, 5.0 + i) for i in range(4)]
-    curve = percentile_bin_curve(tracts, n_bins=2)
-    assert math.isnan(curve.bins[0].exposure)
-    assert not math.isnan(curve.bins[1].exposure)
+    curve = one_group_curve(tracts, n_bins=2)
+    assert math.isnan(curve.exposure[0, 0])
+    assert not math.isnan(curve.exposure[0, 1])
 
 
 def test_bin_curve_insufficient_tracts():
     with pytest.raises(InsufficientTractsError):
-        percentile_bin_curve([comp_tract(0, 0.1, 1.0, 5.0)], n_bins=2)
+        one_group_curve([comp_tract(0, 0.1, 1.0, 5.0)], n_bins=2)
     with pytest.raises(ContractError):
-        percentile_bin_curve([comp_tract(0, 0.1, 1.0, 5.0)], n_bins=1)
+        one_group_curve([comp_tract(0, 0.1, 1.0, 5.0)], n_bins=1)
 
 
 def test_decile_contrast():
     tracts = [comp_tract(i, i / 10.0, 2.0, 6.0 + i) for i in range(10)]
-    curve = percentile_bin_curve(tracts, n_bins=10)
-    assert decile_contrast(curve) == pytest.approx(9.0)
+    curve = one_group_curve(tracts, n_bins=10)
+    assert decile_contrast(curve)[0] == pytest.approx(9.0)
 
 
 def test_decile_contrast_identical_bins_zero():
     tracts = [comp_tract(i, i / 10.0, 2.0, 7.5) for i in range(10)]
-    assert decile_contrast(percentile_bin_curve(tracts, n_bins=10)) == 0.0
+    assert decile_contrast(one_group_curve(tracts, n_bins=10))[0] == 0.0
 
 
 def test_decile_contrast_wrong_bin_count():
     tracts = [comp_tract(i, i / 10.0, 2.0, 7.5) for i in range(10)]
     with pytest.raises(ContractError):
-        decile_contrast(percentile_bin_curve(tracts, n_bins=5))
+        decile_contrast(one_group_curve(tracts, n_bins=5))
 
 
 # ----------------------------------------------------------------------------
 # population_share_by_concentration_decile
 # ----------------------------------------------------------------------------
 
+def one_group_shares(tracts):
+    """population_share_by_concentration_decile over one group's (geoid,
+    count, total, conc) tuples, with the tracts as columns in geoid order."""
+    ordered = sorted(tracts)
+    counts = np.array([[t[1] for t in ordered]])
+    totals = np.array([t[2] for t in ordered])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fractions = counts / totals
+    return population_share_by_concentration_decile(
+        fractions, np.array([t[3] for t in ordered])
+    )
+
+
 def test_decile_shares_uniform_composition():
     tracts = [(f"06037{i:06d}", 3.0, 10.0, 5.0 + i) for i in range(20)]
-    shares = population_share_by_concentration_decile(tracts)
-    assert shares.difference == 0.0
-    assert all(m == pytest.approx(0.3) for m in shares.bin_means)
+    shares = one_group_shares(tracts)
+    assert shares.difference[0] == 0.0
+    assert all(m == pytest.approx(0.3) for m in shares.means[0])
 
 
 def test_decile_shares_group_in_most_polluted_only():
     tracts = [(f"06037{i:06d}", 5.0 if i == 19 else 0.0, 10.0, 5.0 + i) for i in range(20)]
-    shares = population_share_by_concentration_decile(tracts)
-    assert shares.bin_means[0] == 0.0
-    assert shares.bin_means[-1] == pytest.approx(0.25)
-    assert shares.difference == pytest.approx(0.25)
+    shares = one_group_shares(tracts)
+    assert shares.means[0, 0] == 0.0
+    assert shares.means[0, -1] == pytest.approx(0.25)
+    assert shares.difference[0] == pytest.approx(0.25)
 
 
 def test_decile_shares_insufficient_tracts():
     with pytest.raises(InsufficientTractsError):
-        population_share_by_concentration_decile([("06037000100", 1.0, 2.0, 5.0)] * 9)
+        one_group_shares([("06037000100", 1.0, 2.0, 5.0)] * 9)
 
 
 def test_decile_shares_zero_total_rejected():
     tracts = [(f"06037{i:06d}", 1.0, 0.0 if i == 0 else 2.0, 5.0 + i) for i in range(10)]
     with pytest.raises(ValueError):
-        population_share_by_concentration_decile(tracts)
+        one_group_shares(tracts)
+
+
+# ----------------------------------------------------------------------------
+# matrix kernels against the per-group tuple-list oracle
+# ----------------------------------------------------------------------------
+
+def _same(a, b) -> bool:
+    """Bit-for-bit float equality, with NaN equal to NaN."""
+    return [repr(float(x)) for x in a] == [repr(float(x)) for x in b]
+
+
+def _non_contiguous(matrix: np.ndarray, how: str) -> np.ndarray:
+    if how == "fortran":
+        return np.asfortranarray(matrix)
+    if how == "strided":
+        wide = np.zeros((matrix.shape[0], 2 * matrix.shape[1]))
+        wide[:, ::2] = matrix
+        return wide[:, ::2]
+    return matrix
+
+
+def _check_kernels(counts, totals, conc, n_bins, layout):
+    """Both kernels, on every group, against the oracles; the counts and
+    fractions are passed in the given memory layout."""
+    geoids = [f"06037{j:06d}" for j in range(counts.shape[1])]
+    fractions = counts / totals
+    n_tracts = counts.shape[1]
+    ranking = rank_by_composition(_non_contiguous(fractions, layout),
+                                  _non_contiguous(counts, layout), conc)
+    if n_tracts < n_bins:
+        with pytest.raises(InsufficientTractsError):
+            percentile_bin_curve(ranking, n_bins)
+    else:
+        curve = percentile_bin_curve(ranking, n_bins)
+        for g in range(counts.shape[0]):
+            expected = oracle_bin_curve(
+                list(zip(geoids, fractions[g].tolist(), counts[g].tolist(), conc.tolist())),
+                n_bins,
+            )
+            assert list(curve.n_tracts) == [size for size, _ in expected]
+            assert _same(curve.exposure[g], [value for _, value in expected])
+    if n_tracts < 10:
+        with pytest.raises(InsufficientTractsError):
+            population_share_by_concentration_decile(fractions, conc)
+        return
+    shares = population_share_by_concentration_decile(_non_contiguous(fractions, layout), conc)
+    for g in range(counts.shape[0]):
+        means, difference = oracle_decile_shares(
+            list(zip(geoids, counts[g].tolist(), totals.tolist(), conc.tolist()))
+        )
+        assert _same(shares.means[g], means)
+        assert _same([shares.difference[g]], [difference])
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_groups=st.integers(0, 4),
+    n_tracts=st.integers(0, 90),
+    n_bins=st.sampled_from([2, 3, 7, 10, 100]),
+    tied_fractions=st.booleans(),
+    tied_concentrations=st.booleans(),
+    zero_group=st.booleans(),
+    layout=st.sampled_from(["c", "fortran", "strided"]),
+)
+@settings(max_examples=200, deadline=None)
+def test_kernels_match_oracle(seed, n_groups, n_tracts, n_bins, tied_fractions,
+                              tied_concentrations, zero_group, layout):
+    rng = np.random.default_rng(seed)
+    if tied_fractions:
+        # few distinct count/total ratios: long runs of equal fractions
+        counts = rng.integers(0, 3, (n_groups, n_tracts)).astype(float)
+        totals = np.full(n_tracts, 4.0)
+    else:
+        counts = rng.integers(0, 10**6, (n_groups, n_tracts)).astype(float)
+        totals = counts.sum(axis=0) + rng.integers(1, 10**6, n_tracts)
+    if zero_group and n_groups:
+        counts[rng.integers(n_groups)] = 0.0
+    if tied_concentrations:
+        conc = rng.choice([5.25, 7.3, 11.1], n_tracts)
+    else:
+        # not quarter units: sums round, so their order shows in the bits
+        conc = rng.uniform(0.0, 40.0, n_tracts)
+    _check_kernels(counts, totals, conc, n_bins, layout)
+
+
+def test_kernels_match_oracle_on_long_bins():
+    """Bins and deciles of thousands of tracts, where pairwise and sequential
+    summation round differently."""
+    rng = np.random.default_rng(2024)
+    counts = rng.integers(0, 10**6, (3, 20_000)).astype(float)
+    totals = counts.sum(axis=0) + 1.0
+    conc = rng.uniform(0.0, 40.0, 20_000)
+    _check_kernels(counts, totals, conc, 2, "strided")
 
 
 # ----------------------------------------------------------------------------
@@ -340,6 +461,69 @@ def test_state_disparity_direct():
 def test_state_disparity_zero_national():
     with pytest.raises(DomainError):
         state_disparity(8.4, 8.0, 0.0)
+
+
+def aligned_table(geoids, totals, conc, category_counts):
+    return AlignedTable(
+        year=2011, locus="H", geoids=tuple(geoids),
+        concentrations=np.asarray(conc, dtype=np.float64),
+        totals=np.asarray(totals, dtype=np.int64),
+        category_counts={c: np.asarray(v, dtype=np.int64) for c, v in category_counts.items()},
+        dropped_weight=0,
+    )
+
+
+def state_rows(aligned):
+    groups, counts = pipeline._group_matrix(aligned)
+    return pipeline._state_rows(aligned, groups, counts)
+
+
+def test_state_rows_one_tract_states_and_zero_group_weight():
+    # state 01: one tract; 02: two tracts, no black workers; 03: one tract,
+    # no workers at all; 04: one tract, only white workers
+    aligned = aligned_table(
+        ["01001000100", "02001000100", "02001000200", "03001000100", "04001000100"],
+        totals=[4, 3, 5, 0, 2],
+        conc=[8.0, 6.0, 10.0, 7.0, 9.0],
+        category_counts={"CR01": [1, 3, 1, 0, 2], "CR02": [3, 0, 0, 0, 0]},
+    )
+    rows = state_rows(aligned)
+    assert rows == oracle_state_rows(aligned)
+    assert [(r[1], r[4]) for r in rows] == [
+        ("01", "white"), ("01", "black"), ("02", "white"), ("04", "white"),
+    ]
+    national = (8.0 * 4 + 6.0 * 3 + 10.0 * 5 + 9.0 * 2) / 14
+    # in a one-tract state every group mean equals the state mean
+    assert [float(r[5]) for r in rows if r[1] in ("01", "04")] == [0.0, 0.0, 0.0]
+    state_02 = (6.0 * 3 + 10.0 * 5) / 8
+    white_02 = (6.0 * 3 + 10.0 * 1) / 4
+    assert float(rows[2][5]) == pytest.approx((white_02 - state_02) / national, rel=1e-12)
+
+
+def test_state_rows_empty_table():
+    assert state_rows(aligned_table([], [], [], {"CR01": []})) == []
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_tracts=st.integers(1, 120),
+    n_states=st.integers(1, 8),
+    n_codes=st.integers(0, 5),
+)
+@settings(max_examples=100, deadline=None)
+def test_state_rows_match_oracle(seed, n_tracts, n_states, n_codes):
+    rng = np.random.default_rng(seed)
+    states = np.sort(rng.integers(1, n_states + 1, n_tracts))
+    geoids = [f"{s:02d}001{j:06d}" for j, s in enumerate(states.tolist())]
+    codes = ["CR01", "CR02", "CT01", "CA03", "CNS20"][:n_codes]
+    counts = rng.integers(0, 10**5, (n_codes, n_tracts))
+    counts[:, rng.random(n_tracts) < 0.2] = 0  # tracts and whole states without workers
+    totals = counts.sum(axis=0) + rng.integers(0, 2, n_tracts) * (rng.random(n_tracts) < 0.8)
+    conc = rng.uniform(0.5, 40.0, n_tracts)
+    aligned = aligned_table(geoids, totals, conc, dict(zip(codes, counts)))
+    if aligned.totals.sum() == 0:
+        return
+    assert state_rows(aligned) == oracle_state_rows(aligned)
 
 
 # ----------------------------------------------------------------------------

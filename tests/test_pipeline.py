@@ -241,6 +241,66 @@ def test_manifest_contents(tmp_path):
     assert all(len(h) == 64 for h in manifest["inputs"].values())
 
 
+def test_manifest_reports_skip_counts(tmp_path, caplog):
+    # 9 tracts: too few for 10- and 100-bin composition curves and deciles
+    world = make_world(tmp_path, seed=7, n_tracts=9, n_groups=3)
+    manifest = pipeline.run(pipeline.load_config(str(world / "config.json"),
+                                                 out_dir=str(tmp_path / "out")))
+    assert manifest["stages"]["disparity"]["skipped"] == {
+        "composition-curve": 80, "decile-share": 240,
+    }
+    assert manifest["stages"]["bias"]["skipped"] == {"bias-factor": 10}
+    assert "skipped 80 composition-curve computation(s)" in caplog.text
+    world = make_world(tmp_path, "w25", seed=7, n_tracts=25, n_groups=3)
+    manifest = pipeline.run(pipeline.load_config(str(world / "config.json"),
+                                                 out_dir=str(tmp_path / "out25")))
+    assert manifest["stages"]["disparity"]["skipped"] == {"decile-share": 80}
+    assert manifest["stages"]["bias"]["skipped"] == {}
+
+
+def test_bins_top_minus_bottom_is_last_bin_minus_first(tmp_path):
+    world = make_world(tmp_path, seed=7, n_tracts=25, n_groups=3)
+    config = json.loads((world / "config.json").read_text())
+    config["bin_counts"] = [10, 3]
+    (world / "config.json").write_text(json.dumps(config))
+    out_dir = tmp_path / "out"
+    assert cli.main(["run", "--config", str(world / "config.json"), "--out", str(out_dir)]) == 0
+    curves: dict[tuple, dict[int, str]] = {}
+    contrasts: dict[tuple, set[str]] = {}
+    for row in csv_rows(out_dir / "bins.csv"):
+        if row["n_bins"] != "10":
+            assert row["top_minus_bottom"] == ""
+            continue
+        key = (row["year"], row["kind"], row["locus"], row["stratum"],
+               row["characteristic"], row["group"])
+        curves.setdefault(key, {})[int(row["bin"])] = row["value"]
+        contrasts.setdefault(key, set()).add(row["top_minus_bottom"])
+    kinds = {key[1] for key in curves}
+    assert kinds == {"composition", "concentration"}
+    nonzero = 0
+    for key, values in curves.items():
+        assert sorted(values) == list(range(1, 11))
+        expected = repr(float(values[10]) - float(values[1]))
+        assert contrasts[key] == {expected}, key
+        nonzero += expected not in ("0.0", "-0.0", "nan")
+    assert nonzero > 0
+
+
+def test_run_survives_zero_concentrations(tmp_path):
+    # every group mean is 0: the Atkinson index on inverse means, the gaps,
+    # the state disparities and the CoVs are undefined and skipped
+    world = make_world(tmp_path, seed=7, n_tracts=25, n_groups=3,
+                       gradient=synth.GradientSpec(kind="uniform", base=0.0, amplitude=0.0))
+    out_dir = tmp_path / "out"
+    assert cli.main(["run", "--config", str(world / "config.json"), "--out", str(out_dir)]) == 0
+    skipped = json.loads((out_dir / "manifest.json").read_text())["stages"]["disparity"]["skipped"]
+    # 7 characteristics x 2 loci x 3 strata; one state table per locus
+    assert skipped["atkinson"] == 42
+    assert skipped["state-disparity"] == 2
+    assert csv_rows(out_dir / "atkinson.csv") == []
+    assert len(csv_rows(out_dir / "bins.csv")) > 0
+
+
 @pytest.mark.parametrize("stages", [
     pytest.param(["surface", "exposure", "disparity", "bias"], id="full"),
     pytest.param(["surface", "bias"], id="bias_only"),
