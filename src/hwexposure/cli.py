@@ -69,18 +69,16 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_ingest(args: argparse.Namespace) -> int:
     config = pipeline.load_config(args.config, args.out, args.threads)
     for year in config.years:
-        for role, template in ((ingest.RESIDENCE, config.rac), (ingest.WORKPLACE, config.wac)):
+        for role, template, units in (
+            (ingest.RESIDENCE, config.rac, ("blocks", "tracts")),
+            (ingest.WORKPLACE, config.wac, ("blocks", "tracts")),
+            (ingest.ORIGIN_DESTINATION, config.od, ("block pairs", "tract pairs")),
+        ):
             if not template:
                 continue
-            rows = ingest.read_block_csv(str(config.path(template, year)), role)
-            table = ingest.aggregate_to_tracts(rows, role, year)
-            logger.info("%s %d: %d blocks -> %d tracts, %d workers",
-                        role, year, len(rows), len(table.rows), table.grand_total())
-        if config.od:
-            rows = ingest.read_od_csv(str(config.path(config.od, year)))
-            od = ingest.aggregate_od(rows, year)
-            logger.info("od %d: %d block pairs -> %d tract pairs, %d workers",
-                        year, len(rows), len(od.entries), od.grand_total())
+            n_blocks, table = ingest.read_tracts(str(config.path(template, year)), role)
+            logger.info("%s %d: %d %s -> %d %s, %d workers", role, year, n_blocks, units[0],
+                        len(table.totals), units[1], int(table.totals.sum()))
     return 0
 
 

@@ -10,12 +10,12 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import EmptyPopulationError
-from .ingest import ODMatrix, WorkerTable, GroupSchema, RESIDENCE
+from .ingest import RESIDENCE, GroupSchema, WorkerTable
 from .zonal import TractSurface
 
 logger = logging.getLogger(__name__)
@@ -157,90 +157,95 @@ def weighted_percentile(values: Sequence[float], weights: Sequence[float], p: fl
     return float(vals[min(idx, vals.size - 1)])
 
 
-@dataclass(frozen=True)
-class AlignedTable:
-    """Worker table joined against a tract surface, geoid-ascending."""
+class AlignedTable(NamedTuple):
+    """RAC/WAC tract table joined against a tract surface, geoid-ascending.
+
+    ``geoids`` is a ``U11`` array; ``codes`` (category columns in schema
+    order) and the int64 (codes x tracts) ``counts`` are empty when no tract
+    resolved.
+    """
 
     year: int
     locus: str
-    geoids: tuple[str, ...]
+    geoids: np.ndarray
     concentrations: np.ndarray
     totals: np.ndarray
-    category_counts: dict[str, np.ndarray]
+    codes: tuple[str, ...]
+    counts: np.ndarray
     dropped_weight: int
 
 
-def align_table(surface: TractSurface, table: WorkerTable) -> AlignedTable:
-    """Join table rows to surface concentrations, dropping unresolvable tracts.
-
-    The locus is H for residence tables and W for workplace tables.
-    """
-    if surface.year != table.year:
-        raise ValueError(f"surface year {surface.year} != table year {table.year}")
-    geoids = []
-    dropped = 0
-    for geoid, row in table.rows.items():
-        if geoid in surface.entries:
-            geoids.append(geoid)
-        else:
-            dropped += row.total
-    geoids.sort()
-    conc = np.array([surface.entries[g] for g in geoids], dtype=np.float64)
-    totals = np.array([table.rows[g].total for g in geoids], dtype=np.int64)
-    codes = sorted({code for g in geoids for code in table.rows[g].counts})
-    cats = {
-        code: np.array([table.rows[g].counts.get(code, 0) for g in geoids], dtype=np.int64)
-        for code in codes
-    }
-    if dropped:
-        logger.debug(
-            "%s table %d: dropped %d workers on tracts without concentrations",
-            table.role, table.year, dropped,
-        )
-    locus = LOCUS_HOME if table.role == RESIDENCE else LOCUS_WORK
-    return AlignedTable(table.year, locus, tuple(geoids), conc, totals, cats, dropped)
-
-
-@dataclass(frozen=True)
-class ResolvedPairs:
-    """OD matrix joined against a tract surface, (home, work)-ascending."""
+class ResolvedPairs(NamedTuple):
+    """OD tract pairs joined against a tract surface, (home, work)-ascending,
+    with ``codes``/``counts`` as in AlignedTable."""
 
     year: int
-    home_geoids: tuple[str, ...]
+    home_geoids: np.ndarray
     home_values: np.ndarray
     work_values: np.ndarray
     totals: np.ndarray
-    category_counts: dict[str, np.ndarray]
+    codes: tuple[str, ...]
+    counts: np.ndarray
     dropped_weight: int
 
 
-def resolve_pairs(surface: TractSurface, od: ODMatrix) -> ResolvedPairs:
-    """Join OD pairs to surface concentrations, dropping unresolvable pairs."""
-    if surface.year != od.year:
-        raise ValueError(f"surface year {surface.year} != OD year {od.year}")
-    keys = []
-    dropped = 0
-    for (home, work), entry in od.entries.items():
-        if home in surface.entries and work in surface.entries:
-            keys.append((home, work))
-        else:
-            dropped += entry.total
-    keys.sort()
-    home_vals = np.array([surface.entries[h] for h, _ in keys], dtype=np.float64)
-    work_vals = np.array([surface.entries[w] for _, w in keys], dtype=np.float64)
-    totals = np.array([od.entries[k].total for k in keys], dtype=np.int64)
-    codes = sorted({code for k in keys for code in od.entries[k].counts})
-    cats = {
-        code: np.array([od.entries[k].counts.get(code, 0) for k in keys], dtype=np.int64)
-        for code in codes
-    }
+def _join(surface: TractSurface,
+          table: WorkerTable) -> tuple[list[np.ndarray], WorkerTable, int]:
+    """Surface concentrations at each key array of ``table``, the rows whose
+    every tract has one (without codes when there are none), and the worker
+    total of the other rows."""
+    geoids = sorted(surface.entries)
+    sorted_ids = np.array(geoids, dtype=str)
+    values = np.array([surface.entries[g] for g in geoids], dtype=np.float64)
+    found = np.ones(len(table.totals), dtype=bool)
+    positions = []
+    for keys in table.keys:
+        pos = np.searchsorted(sorted_ids, keys)
+        hit = pos < len(geoids)
+        hit[hit] = sorted_ids[pos[hit]] == keys[hit]
+        found &= hit
+        positions.append(pos)
+    codes = table.codes if found.any() else ()
+    # compress, unlike a boolean index, keeps the matrix C-contiguous, so the
+    # disparity row sums stay pairwise and byte-identical
+    resolved = WorkerTable(
+        keys=tuple(keys[found] for keys in table.keys),
+        totals=table.totals[found],
+        codes=codes,
+        counts=table.counts[:len(codes)].compress(found, axis=1),
+    )
+    dropped = int(table.totals[~found].sum())
+    return [values[pos[found]] for pos in positions], resolved, dropped
+
+
+def align_table(surface: TractSurface, table: WorkerTable, role: str) -> AlignedTable:
+    """Join a RAC/WAC tract table to surface concentrations, dropping
+    unresolvable tracts.
+
+    The locus is H for residence tables and W for workplace tables.
+    """
+    (conc,), rows, dropped = _join(surface, table)
+    if dropped:
+        logger.debug(
+            "%s table %d: dropped %d workers on tracts without concentrations",
+            role, surface.year, dropped,
+        )
+    locus = LOCUS_HOME if role == RESIDENCE else LOCUS_WORK
+    return AlignedTable(surface.year, locus, rows.keys[0], conc, rows.totals, rows.codes,
+                        rows.counts, dropped)
+
+
+def resolve_pairs(surface: TractSurface, od: WorkerTable) -> ResolvedPairs:
+    """Join OD tract pairs to surface concentrations, dropping unresolvable
+    pairs."""
+    (home_vals, work_vals), rows, dropped = _join(surface, od)
     if dropped:
         logger.debug(
             "OD %d: dropped %d workers on pairs touching tracts without concentrations",
-            od.year, dropped,
+            surface.year, dropped,
         )
-    return ResolvedPairs(od.year, tuple(h for h, _ in keys), home_vals, work_vals, totals,
-                         cats, dropped)
+    return ResolvedPairs(surface.year, rows.keys[0], home_vals, work_vals, rows.totals,
+                         rows.codes, rows.counts, dropped)
 
 
 def stratum_masks(geoids: Sequence[str], classification: Mapping[str, str] | None,
@@ -261,15 +266,15 @@ def stratum_masks(geoids: Sequence[str], classification: Mapping[str, str] | Non
     return masks
 
 
-def iter_groups(schemas: Sequence[GroupSchema], totals: np.ndarray,
-                category_counts: Mapping[str, np.ndarray]):
+def iter_groups(schemas: Sequence[GroupSchema], table: AlignedTable | ResolvedPairs):
     """(characteristic, label, counts) for the total population, then each
-    schema category present in ``category_counts``, in schema order."""
-    yield ALL_GROUP[0], ALL_GROUP[1], totals
+    schema category among the table's codes, in schema order."""
+    yield ALL_GROUP[0], ALL_GROUP[1], table.totals
+    row = {code: i for i, code in enumerate(table.codes)}
     for schema in schemas:
         for code, label in schema.categories:
-            if code in category_counts:
-                yield schema.characteristic, label, category_counts[code]
+            if code in row:
+                yield schema.characteristic, label, table.counts[row[code]]
 
 
 def compute_group_exposures(
@@ -287,9 +292,7 @@ def compute_group_exposures(
     records = []
     for stratum, mask in masks.items():
         conc = aligned.concentrations[mask]
-        for characteristic, label, weights in iter_groups(
-            schemas, aligned.totals, aligned.category_counts
-        ):
+        for characteristic, label, weights in iter_groups(schemas, aligned):
             w = weights[mask]
             if int(w.sum()) == 0:
                 logger.debug(
@@ -331,13 +334,12 @@ def compute_hw_exposures(
     masks = stratum_masks(pairs.home_geoids, classification, strata)
     records: list[ExposureRecord] = []
     errors: list[ErrorRecord] = []
+    undefined = 0
     for stratum, mask in masks.items():
         vh = pairs.home_values[mask]
         vw = pairs.work_values[mask]
         vb = blended[mask]
-        for characteristic, label, group_counts in iter_groups(
-            schemas, pairs.totals, pairs.category_counts
-        ):
+        for characteristic, label, group_counts in iter_groups(schemas, pairs):
             w = group_counts[mask]
             if int(w.sum()) == 0:
                 logger.debug(
@@ -370,7 +372,9 @@ def compute_hw_exposures(
                 percent = 100.0 * error / h_mean
             else:
                 percent = math.nan
-                logger.warning("H mean is zero; percent error undefined")
+                undefined += 1
+                logger.debug("H mean is zero for OD group %s (%s); percent error undefined",
+                             format_group(characteristic, label), stratum)
             errors.append(ErrorRecord(
                 year=pairs.year,
                 characteristic=characteristic,
@@ -379,4 +383,7 @@ def compute_hw_exposures(
                 error=error,
                 percent_error=percent,
             ))
+    if undefined:
+        logger.warning("year %d: H mean is zero in %d OD group/stratum slice(s); "
+                       "their percent error is NaN", pairs.year, undefined)
     return records, errors

@@ -1,8 +1,10 @@
 """Block-level worker-table ingestion: CSV parsing, schema validation, and
 block-to-tract rollup for residence, workplace, and origin-destination tables.
 
-Counts stay 64-bit integers end to end, so every rollup identity is exact.
-Rows with a zero total are retained; they legitimately encode empty blocks.
+Every table, as read and after its rollup, is one WorkerTable of column
+arrays. Counts stay 64-bit integers end to end, so every rollup identity is
+exact. Rows with a zero total are retained; they legitimately encode empty
+blocks.
 """
 from __future__ import annotations
 
@@ -10,8 +12,12 @@ import csv
 import gzip
 import io
 import logging
+import warnings
+import zlib
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import FormatError, MalformedGeocodeError, SchemaError, ValidationError
 
@@ -19,6 +25,7 @@ logger = logging.getLogger(__name__)
 
 RESIDENCE = "residence"
 WORKPLACE = "workplace"
+ORIGIN_DESTINATION = "od"
 
 
 @dataclass(frozen=True)
@@ -122,150 +129,125 @@ OD_SCHEMAS: tuple[GroupSchema, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class BlockRow:
-    """One census-block row: 15-digit geocode, total, per-category counts."""
+class WorkerTable(NamedTuple):
+    """Worker counts of one LODES table, one row per block, tract or pair.
 
-    geocode: str
-    total: int
-    counts: dict[str, int]
+    ``keys`` holds one geocode array for RAC/WAC tables and the (home, work)
+    arrays for OD tables: block geocodes as read (``U16``, so an over-long
+    geocode is kept over-long), tract geoids (``U11``) after a rollup, which
+    also leaves the rows key-ascending and unique. ``codes`` are the category
+    columns in schema order, ``counts`` their C-contiguous int64
+    (codes x rows) matrix, and ``totals`` the int64 total column.
+    """
 
-
-@dataclass(frozen=True)
-class ODBlockRow:
-    """One origin-destination block pair row."""
-
-    home_geocode: str
-    work_geocode: str
-    total: int
-    counts: dict[str, int]
-
-
-@dataclass(frozen=True)
-class TractCounts:
-    total: int
-    counts: dict[str, int]
-
-
-@dataclass(frozen=True)
-class WorkerTable:
-    """Tract-level worker counts for one role (residence or workplace)."""
-
-    role: str
-    year: int
-    rows: dict[str, TractCounts]
-
-    def grand_total(self) -> int:
-        return sum(r.total for r in self.rows.values())
-
-
-@dataclass(frozen=True)
-class ODMatrix:
-    """Tract-level home-work worker counts."""
-
-    year: int
-    entries: dict[tuple[str, str], TractCounts]
-
-    def grand_total(self) -> int:
-        return sum(e.total for e in self.entries.values())
+    keys: tuple[np.ndarray, ...]
+    totals: np.ndarray
+    codes: tuple[str, ...]
+    counts: np.ndarray
 
 
 def block_to_tract(geocode: str) -> str:
     """First 11 digits of a 15-digit block geocode."""
-    if len(geocode) != 15 or not geocode.isdigit():
+    if len(geocode) != 15 or not (geocode.isascii() and geocode.isdigit()):
         raise MalformedGeocodeError(f"block geocode must be 15 digits, got {geocode!r}")
     return geocode[:11]
 
 
-class _RowValidator:
-    """Per-row checks during rollup; raises on the first offending row.
+def _is_geocode(keys: np.ndarray) -> np.ndarray:
+    """Whether each string of a ``U`` array is 15 ASCII digits (block_to_tract's
+    test), read from the array's code points."""
+    chars = keys.view(np.uint32).reshape(len(keys), keys.dtype.itemsize // 4)
+    digits = (chars[:, :15] >= ord("0")) & (chars[:, :15] <= ord("9"))
+    return (digits.sum(axis=1) == 15) & (chars[:, 15:] == 0).all(axis=1)
 
-    The partition-sum plan depends only on which category columns a row
-    carries, so it is computed once per distinct key set, not per row.
+
+def _validate(rows: WorkerTable, schemas: Sequence[GroupSchema]) -> None:
+    """Raise on the first row, in input order, that has a malformed geocode,
+    a negative count, or a category sum other than its total.
+
+    Within that row the checks run in the order home geocode, work geocode,
+    total, category counts in column order, then the sums of the
+    characteristics that partition the total, in schema order.
     """
-
-    def __init__(self, schemas: Sequence[GroupSchema]):
-        self._schemas = schemas
-        self._plans: dict[tuple[str, ...], tuple[tuple[str, tuple[str, ...]], ...]] = {}
-
-    def check(self, key: str, total: int, counts: dict[str, int]) -> None:
-        if total < 0:
-            raise ValidationError(f"row {key}: total: negative total {total}")
-        plan_key = tuple(counts)
-        plan = self._plans.get(plan_key)
-        if plan is None:
-            plan = tuple(
-                (s.characteristic, s.codes)
-                for s in self._schemas
-                if s.partitions_total and all(code in counts for code in s.codes)
+    index = {code: i for i, code in enumerate(rows.codes)}
+    plan = [
+        (s.characteristic, [index[code] for code in s.codes])
+        for s in schemas
+        if s.partitions_total and all(code in index for code in s.codes)
+    ]
+    subtotals = [sum(rows.counts[i] for i in codes) for _, codes in plan]
+    bad = (rows.totals < 0) | (rows.counts < 0).any(axis=0)
+    for keys in rows.keys:
+        bad |= ~_is_geocode(keys)
+    for sums in subtotals:
+        bad |= sums != rows.totals
+    if not bad.any():
+        return
+    r = int(np.argmax(bad))
+    keys = [str(k[r]) for k in rows.keys]
+    for key in keys:
+        block_to_tract(key)
+    label = "->".join(keys)
+    total = int(rows.totals[r])
+    if total < 0:
+        raise ValidationError(f"row {label}: total: negative total {total}")
+    for count in rows.counts[:, r].tolist():
+        if count < 0:
+            raise ValidationError(f"row {label}: negative count {count}")
+    for (characteristic, _), sums in zip(plan, subtotals):
+        if sums[r] != total:
+            raise ValidationError(
+                f"row {label}: {characteristic}: category sum {int(sums[r])} != total {total}"
             )
-            self._plans[plan_key] = plan
-        for count in counts.values():
-            if count < 0:
-                raise ValidationError(f"row {key}: negative count {count}")
-        for characteristic, codes in plan:
-            subtotal = 0
-            for code in codes:
-                subtotal += counts[code]
-            if subtotal != total:
-                raise ValidationError(
-                    f"row {key}: {characteristic}: category sum {subtotal} != total {total}"
-                )
 
 
-def aggregate_to_tracts(rows: Iterable[BlockRow], role: str, year: int,
+def _rollup(rows: WorkerTable, schemas: Sequence[GroupSchema]) -> WorkerTable:
+    """Validate block rows, then sum them per tract key (exact in int64)."""
+    _validate(rows, schemas)
+    tracts = [keys.astype("U11") for keys in rows.keys]
+    order = np.lexsort(tracts[::-1])
+    tracts = [t[order] for t in tracts]
+    first = np.zeros(len(order), dtype=bool)
+    first[:1] = True
+    for t in tracts:
+        first[1:] |= t[1:] != t[:-1]
+    starts = np.flatnonzero(first)
+    return WorkerTable(
+        keys=tuple(t[starts] for t in tracts),
+        totals=np.add.reduceat(rows.totals[order], starts),
+        codes=rows.codes,
+        counts=np.add.reduceat(rows.counts.take(order, axis=1), starts, axis=1),  # C order
+    )
+
+
+def aggregate_to_tracts(rows: WorkerTable,
                         schemas: Sequence[GroupSchema] = RAC_WAC_SCHEMAS) -> WorkerTable:
-    """Roll block rows up to tracts, preserving all totals exactly.
+    """Roll RAC/WAC block rows up to tracts, preserving all totals exactly.
 
-    Raises ValidationError naming the offending row and characteristic when a
-    row breaks non-negativity or a category-sum identity. Output rows are in
-    ascending geoid order regardless of input order.
+    Raises MalformedGeocodeError or ValidationError naming the first
+    offending row. Output rows are in ascending geoid order regardless of
+    input order; rows with a zero total are kept.
     """
-    if role not in (RESIDENCE, WORKPLACE):
-        raise SchemaError(f"role must be {RESIDENCE!r} or {WORKPLACE!r}, got {role!r}")
-    validator = _RowValidator(schemas)
-    totals: dict[str, int] = {}
-    counts: dict[str, dict[str, int]] = {}
-    for row in rows:
-        tract = block_to_tract(row.geocode)
-        validator.check(row.geocode, row.total, row.counts)
-        if tract in totals:
-            totals[tract] += row.total
-            acc = counts[tract]
-            for code, c in row.counts.items():
-                acc[code] = acc.get(code, 0) + c
-        else:
-            totals[tract] = row.total
-            counts[tract] = dict(row.counts)
-    table_rows = {
-        tract: TractCounts(total=totals[tract], counts=counts[tract])
-        for tract in sorted(totals)
-    }
-    return WorkerTable(role=role, year=year, rows=table_rows)
+    return _rollup(rows, schemas)
 
 
-def aggregate_od(rows: Iterable[ODBlockRow], year: int,
-                 schemas: Sequence[GroupSchema] = OD_SCHEMAS) -> ODMatrix:
+def aggregate_od(rows: WorkerTable, schemas: Sequence[GroupSchema] = OD_SCHEMAS) -> WorkerTable:
     """Roll OD block pairs up to (home tract, work tract) pairs."""
-    validator = _RowValidator(schemas)
-    totals: dict[tuple[str, str], int] = {}
-    counts: dict[tuple[str, str], dict[str, int]] = {}
-    for row in rows:
-        key = (block_to_tract(row.home_geocode), block_to_tract(row.work_geocode))
-        validator.check(f"{row.home_geocode}->{row.work_geocode}", row.total, row.counts)
-        if key in totals:
-            totals[key] += row.total
-            acc = counts[key]
-            for code, c in row.counts.items():
-                acc[code] = acc.get(code, 0) + c
-        else:
-            totals[key] = row.total
-            counts[key] = dict(row.counts)
-    entries = {
-        key: TractCounts(total=totals[key], counts=counts[key])
-        for key in sorted(totals)
-    }
-    return ODMatrix(year=year, entries=entries)
+    return _rollup(rows, schemas)
+
+
+def read_tracts(path: str, role: str) -> tuple[int, WorkerTable]:
+    """Read one RAC, WAC or OD table (role RESIDENCE, WORKPLACE or
+    ORIGIN_DESTINATION) and roll it up to tracts; also returns its block row
+    count. Every error names the file."""
+    if role == ORIGIN_DESTINATION:
+        rows, rollup = read_od_csv(path), aggregate_od
+    else:
+        rows, rollup = read_block_csv(path, role), aggregate_to_tracts
+    try:
+        return len(rows.totals), rollup(rows)
+    except (MalformedGeocodeError, ValidationError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def _open_text(path: str) -> io.TextIOBase:
@@ -298,54 +280,78 @@ def _resolve_columns(fieldnames: Sequence[str], required: Sequence[str],
     return category_cols
 
 
-def _parse_count(raw: str, path: str, reader: csv.DictReader, column: str) -> int:
+def _first_bad_count(path: str, header: list[str],
+                     columns: Sequence[str]) -> FormatError | None:
+    """The first count cell, in file order, that is not an integer, named by
+    its file line (blank lines count, unlike in np.loadtxt's row numbers)."""
+    with _open_text(path) as fh:
+        reader = csv.DictReader(fh, fieldnames=header)
+        next(reader)  # the header line
+        for rec in reader:
+            for column in columns:
+                raw = rec[column]
+                try:
+                    int(raw)
+                except (TypeError, ValueError):
+                    return FormatError(
+                        f"{path}:{reader.line_num}: column {column!r}: bad count {raw!r}")
+    return None
+
+
+def _read_table(path: str, required: Sequence[str], keys: Sequence[str],
+                schemas: Sequence[GroupSchema]) -> WorkerTable:
+    """Parse a worker table's key, total (the last required column) and
+    category columns, whole columns at a time."""
+    total = required[-1]
     try:
-        return int(raw)
-    except (TypeError, ValueError) as exc:
-        # line_num, not a row count: DictReader skips blank lines
-        raise FormatError(
-            f"{path}:{reader.line_num}: column {column!r}: bad count {raw!r}") from exc
+        with _open_text(path) as fh:
+            header = next(csv.reader(fh), None)
+            if header is None:
+                raise FormatError(f"{path}: empty file")
+            if header:
+                header[0] = header[0].removeprefix("\ufeff")  # a UTF-8 byte-order mark
+            codes = _resolve_columns(header, required, schemas, path)
+            position = {name: i for i, name in enumerate(header)}  # last of a repeated name
+            dtype = np.dtype([*((key, "U16") for key in keys),
+                              ("counts", np.int64, (len(codes) + 1,))])
+            try:
+                with warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    data = np.loadtxt(
+                        fh, dtype=dtype, delimiter=",", comments=None, quotechar='"',
+                        usecols=[position[c] for c in (*keys, total, *codes)], ndmin=1,
+                    )
+            except UnicodeDecodeError:  # a ValueError, but not a bad cell
+                raise
+            except ValueError as exc:
+                raise (_first_bad_count(path, header, [total, *codes])
+                       or FormatError(f"{path}: {exc}")) from exc
+    except (EOFError, gzip.BadGzipFile, zlib.error, UnicodeDecodeError) as exc:
+        raise FormatError(f"{path}: cannot read: {exc}") from exc
+    counts = data["counts"]
+    return WorkerTable(
+        keys=tuple(data[key].copy() for key in keys),
+        totals=counts[:, 0].copy(),
+        codes=tuple(codes),
+        counts=np.ascontiguousarray(counts[:, 1:].T),
+    )
 
 
 def read_block_csv(path: str, role: str,
-                   schemas: Sequence[GroupSchema] = RAC_WAC_SCHEMAS) -> list[BlockRow]:
+                   schemas: Sequence[GroupSchema] = RAC_WAC_SCHEMAS) -> WorkerTable:
     """Read a RAC or WAC style CSV (optionally .gz).
 
     The geocode key column is ``h_geocode`` for residence tables and
     ``w_geocode`` for workplace tables; the total column is ``C000``.
     """
+    if role not in (RESIDENCE, WORKPLACE):
+        raise SchemaError(f"role must be {RESIDENCE!r} or {WORKPLACE!r}, got {role!r}")
     key = "h_geocode" if role == RESIDENCE else "w_geocode"
-    rows: list[BlockRow] = []
-    with _open_text(path) as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise FormatError(f"{path}: empty file")
-        category_cols = _resolve_columns(reader.fieldnames, [key, "C000"], schemas, path)
-        for rec in reader:
-            rows.append(BlockRow(
-                geocode=rec[key],
-                total=_parse_count(rec["C000"], path, reader, "C000"),
-                counts={c: _parse_count(rec[c], path, reader, c) for c in category_cols},
-            ))
-    return rows
+    return _read_table(path, [key, "C000"], [key], schemas)
 
 
-def read_od_csv(path: str,
-                schemas: Sequence[GroupSchema] = OD_SCHEMAS) -> list[ODBlockRow]:
-    """Read an OD style CSV (optionally .gz) keyed by ``w_geocode,h_geocode``."""
-    rows: list[ODBlockRow] = []
-    with _open_text(path) as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise FormatError(f"{path}: empty file")
-        category_cols = _resolve_columns(
-            reader.fieldnames, ["w_geocode", "h_geocode", "S000"], schemas, path
-        )
-        for rec in reader:
-            rows.append(ODBlockRow(
-                home_geocode=rec["h_geocode"],
-                work_geocode=rec["w_geocode"],
-                total=_parse_count(rec["S000"], path, reader, "S000"),
-                counts={c: _parse_count(rec[c], path, reader, c) for c in category_cols},
-            ))
-    return rows
+def read_od_csv(path: str, schemas: Sequence[GroupSchema] = OD_SCHEMAS) -> WorkerTable:
+    """Read an OD style CSV (optionally .gz) keyed by ``w_geocode,h_geocode``;
+    the table's keys are (home, work)."""
+    return _read_table(path, ["w_geocode", "h_geocode", "S000"], ["h_geocode", "w_geocode"],
+                       schemas)

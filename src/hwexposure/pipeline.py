@@ -295,21 +295,17 @@ def _join_table(config: RunConfig, surface: zonal.TractSurface, role: str,
                 template: str) -> tuple[exposure.AlignedTable, int]:
     """Read one year's RAC/WAC table and join it to the surface; also returns
     the table's tract count."""
-    table = ingest.aggregate_to_tracts(
-        ingest.read_block_csv(str(config.path(template, surface.year)), role),
-        role, surface.year,
-    )
-    return exposure.align_table(surface, table), len(table.rows)
+    _, table = ingest.read_tracts(str(config.path(template, surface.year)), role)
+    return exposure.align_table(surface, table, role), len(table.totals)
 
 
 def _join_od(config: RunConfig,
              surface: zonal.TractSurface) -> tuple[exposure.ResolvedPairs, int]:
     """Read one year's OD table and join it to the surface; also returns the
     table's tract-pair count."""
-    od = ingest.aggregate_od(
-        ingest.read_od_csv(str(config.path(config.od, surface.year))), surface.year
-    )
-    return exposure.resolve_pairs(surface, od), len(od.entries)
+    _, od = ingest.read_tracts(str(config.path(config.od, surface.year)),
+                               ingest.ORIGIN_DESTINATION)
+    return exposure.resolve_pairs(surface, od), len(od.totals)
 
 
 def _warn_drops(year: int, drops: dict[str, int]) -> None:
@@ -427,7 +423,10 @@ def _stage_disparity(state: RunState, write: bool) -> None:
             ]
 
         for aligned in (data.homes, data.works):
-            groups, counts = _group_matrix(aligned)
+            # one group per row of aligned.counts, both in schema order
+            groups = [(characteristic, label) for characteristic, label, _ in
+                      exposure.iter_groups(ingest.RAC_WAC_SCHEMAS, aligned)][1:]
+            counts = aligned.counts.astype(np.float64)
             bin_rows += _composition_rows(state, aligned, groups, counts, strata, skips)
             threshold_rows += _threshold_rows(config, aligned, skips)
             try:
@@ -481,21 +480,6 @@ def _warn_skips(stage: str, skips: dict[str, int]) -> None:
     for kind, count in sorted(skips.items()):
         logger.warning("%s: skipped %d %s computation(s) on degenerate slices "
                        "(details at debug level)", stage, count, kind)
-
-
-def _group_matrix(aligned: exposure.AlignedTable) -> tuple[list[tuple[str, str]], np.ndarray]:
-    """(characteristic, label) of each RAC/WAC category present in the table,
-    in schema order, and their worker counts as a C-contiguous float64
-    (groups x tracts) matrix."""
-    groups = []
-    rows = []
-    for schema in ingest.RAC_WAC_SCHEMAS:
-        for code, label in schema.categories:
-            if code in aligned.category_counts:
-                groups.append((schema.characteristic, label))
-                rows.append(aligned.category_counts[code])
-    counts = np.array(rows, dtype=np.float64).reshape(len(rows), len(aligned.geoids))
-    return groups, counts
 
 
 def _composition_rows(state: RunState, aligned: exposure.AlignedTable,
@@ -557,6 +541,7 @@ def _threshold_rows(config: RunConfig, aligned: exposure.AlignedTable,
     year, locus = aligned.year, aligned.locus
     rows: list[list] = []
     conc = aligned.concentrations
+    row = {code: i for i, code in enumerate(aligned.codes)}
     for threshold in config.thresholds:
         all_q = disparity.threshold_share(conc, aligned.totals, threshold)
         rows.append([year, locus, _float_text(threshold), "all", "all",
@@ -564,9 +549,9 @@ def _threshold_rows(config: RunConfig, aligned: exposure.AlignedTable,
         for schema in ingest.RAC_WAC_SCHEMAS:
             shares = []
             for code, label in schema.categories:
-                if code not in aligned.category_counts:
+                if code not in row:
                     continue
-                weights = aligned.category_counts[code]
+                weights = aligned.counts[row[code]]
                 if int(weights.sum()) == 0:
                     continue
                 shares.append((label, disparity.threshold_share(conc, weights, threshold)))
@@ -636,9 +621,7 @@ def _stage_bias(state: RunState, write: bool) -> None:
                 continue
             vh = pairs.home_values[mask]
             vb = blended[mask]
-            for characteristic, label, counts in exposure.iter_groups(
-                ingest.OD_SCHEMAS, pairs.totals, pairs.category_counts
-            ):
+            for characteristic, label, counts in exposure.iter_groups(ingest.OD_SCHEMAS, pairs):
                 group_key = exposure.format_group(characteristic, label)
                 w = counts[mask]
                 if int(w.sum()) == 0:

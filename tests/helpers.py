@@ -8,7 +8,9 @@ which they pin in differential tests. oracle_bin_curve, oracle_decile_shares
 and oracle_state_rows are the per-group tuple-list sorts and the per-state
 tract scan that the (groups x tracts) matrix kernels in disparity and
 pipeline replaced; the differential tests hold the kernels bit-identical to
-them.
+them. worker_table and table_rows convert between row literals and the
+columnar ingest.WorkerTable; oracle_rollup and oracle_join are the per-row
+dict rollup, validation and joins that the columnar ones replaced.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from hwexposure import disparity, ingest
-from hwexposure.errors import DegenerateGeometryError
+from hwexposure.errors import DegenerateGeometryError, ValidationError
 from hwexposure.geometry import _clipped_area, _part_area_in, parts_bbox, signed_ring_area
 
 
@@ -196,12 +198,109 @@ def oracle_state_rows(aligned) -> list[list]:
         state_mean = float((st_conc * st_totals).sum()) / float(st_totals.sum())
         for schema in ingest.RAC_WAC_SCHEMAS:
             for code, label in schema.categories:
-                if code not in aligned.category_counts:
+                if code not in aligned.codes:
                     continue
-                weights = aligned.category_counts[code][idx].astype(float)
+                weights = aligned.counts[aligned.codes.index(code)][idx].astype(float)
                 if weights.sum() == 0:
                     continue
                 group_mean = float((st_conc * weights).sum()) / float(weights.sum())
                 value = disparity.state_disparity(group_mean, state_mean, national_mean)
                 rows.append([year, st, locus, schema.characteristic, label, repr(float(value))])
     return rows
+
+
+def worker_table(rows, codes=None, n_keys=None) -> ingest.WorkerTable:
+    """WorkerTable of (*keys, total, {code: count}) rows, as the readers
+    build it; the columns are ``codes``, by default the first row's."""
+    if codes is None:
+        codes = tuple(rows[0][-1]) if rows else ()
+    if n_keys is None:
+        n_keys = len(rows[0]) - 2 if rows else 1
+    return ingest.WorkerTable(
+        keys=tuple(np.array([row[i] for row in rows], dtype=str) for i in range(n_keys)),
+        totals=np.array([row[-2] for row in rows], dtype=np.int64),
+        codes=tuple(codes),
+        counts=np.array([[row[-1][code] for row in rows] for code in codes],
+                        dtype=np.int64).reshape(len(codes), len(rows)),
+    )
+
+
+def table_rows(table: ingest.WorkerTable) -> list[tuple]:
+    """(*keys, total, {code: count}) per row of a WorkerTable, keys as str."""
+    keys = [k.tolist() for k in table.keys]
+    counts = table.counts.tolist()
+    return [
+        (*(k[i] for k in keys), total,
+         {code: counts[c][i] for c, code in enumerate(table.codes)})
+        for i, total in enumerate(table.totals.tolist())
+    ]
+
+
+class _OracleValidator:
+    """Per-row checks of the dict rollup; raises on the first offending row."""
+
+    def __init__(self, schemas):
+        self._schemas = schemas
+
+    def check(self, key: str, total: int, counts: dict[str, int]) -> None:
+        if total < 0:
+            raise ValidationError(f"row {key}: total: negative total {total}")
+        for count in counts.values():
+            if count < 0:
+                raise ValidationError(f"row {key}: negative count {count}")
+        for schema in self._schemas:
+            if not schema.partitions_total or not all(c in counts for c in schema.codes):
+                continue
+            subtotal = sum(counts[code] for code in schema.codes)
+            if subtotal != total:
+                raise ValidationError(
+                    f"row {key}: {schema.characteristic}: category sum {subtotal} != total {total}"
+                )
+
+
+def oracle_rollup(rows, schemas) -> dict[tuple[str, ...], tuple[int, dict[str, int]]]:
+    """Validate (*keys, total, {code: count}) block rows one at a time and sum
+    them per tract key in Python ints: {tract key tuple: (total, counts)},
+    key-ascending."""
+    validator = _OracleValidator(schemas)
+    totals: dict[tuple[str, ...], int] = {}
+    counts: dict[tuple[str, ...], dict[str, int]] = {}
+    for *blocks, total, row_counts in rows:
+        key = tuple(ingest.block_to_tract(block) for block in blocks)
+        validator.check("->".join(blocks), total, row_counts)
+        if key in totals:
+            totals[key] += total
+            acc = counts[key]
+            for code, c in row_counts.items():
+                acc[code] = acc.get(code, 0) + c
+        else:
+            totals[key] = total
+            counts[key] = dict(row_counts)
+    return {key: (totals[key], counts[key]) for key in sorted(totals)}
+
+
+def oracle_join(entries: dict[str, float], tracts, schemas):
+    """Join an oracle_rollup result to surface concentrations by dict lookup.
+
+    Returns the resolved keys (ascending), their tracts' concentrations as
+    one tuple per key, the int64 totals, the ((characteristic, label), int64 counts)
+    groups in schema order among the codes of the resolved tracts, and the
+    dropped worker total.
+    """
+    keys = []
+    dropped = 0
+    for key, (total, _) in tracts.items():
+        if all(k in entries for k in key):
+            keys.append(key)
+        else:
+            dropped += total
+    keys.sort()
+    concentrations = [tuple(entries[k] for k in key) for key in keys]
+    totals = np.array([tracts[k][0] for k in keys], dtype=np.int64)
+    present = {code for k in keys for code in tracts[k][1]}
+    groups = [
+        ((schema.characteristic, label),
+         np.array([tracts[k][1].get(code, 0) for k in keys], dtype=np.int64))
+        for schema in schemas for code, label in schema.categories if code in present
+    ]
+    return keys, concentrations, totals, groups, dropped

@@ -34,7 +34,7 @@ from hwexposure.exposure import (
 )
 from hwexposure.geometry import PolygonPart, TractGeometry
 from hwexposure.grids import ConcentrationGrid
-from hwexposure.ingest import OD_SCHEMAS, BlockRow, aggregate_od, aggregate_to_tracts, read_od_csv
+from hwexposure.ingest import OD_SCHEMAS, WorkerTable, aggregate_od, aggregate_to_tracts, read_od_csv
 from hwexposure.zonal import zonal_weighted_mean
 
 
@@ -145,7 +145,7 @@ def test_c3_blend_and_error_identity(tmp_path):
     state = pipeline.RunState(config=config)
     pipeline._stage_surface(state, write=False)
     surface = state.years[2011].surface
-    od = aggregate_od(read_od_csv(str(world / "od_2011.csv")), 2011)
+    od = aggregate_od(read_od_csv(str(world / "od_2011.csv")))
     records, errors = compute_hw_exposures(
         resolve_pairs(surface, od), OD_SCHEMAS,
         classification=state.classification, strata=("all", "urban", "rural"),
@@ -573,7 +573,7 @@ def test_c8_hotspot_shape(tmp_path):
 def test_c9_ingest_million_rows():
     rng = random.Random(909)
     codes = ("CA01", "CA02", "CA03", "CE01", "CE02", "CE03")
-    rows = []
+    blocks, totals, columns = [], [], [[] for _ in codes]
     expected_totals = {code: 0 for code in codes}
     grand = 0
     for _ in range(1_000_000):
@@ -587,20 +587,26 @@ def test_c9_ingest_million_rows():
             "CA01": a[0], "CA02": a[1], "CA03": a[2],
             "CE01": e2[0], "CE02": e2[1] - e2[0], "CE03": total - e2[1],
         }
-        for code in codes:
+        for code, column in zip(codes, columns):
             expected_totals[code] += counts[code]
+            column.append(counts[code])
         grand += total
-        rows.append(BlockRow(geocode=block, total=total, counts=counts))
+        blocks.append(block)
+        totals.append(total)
+    rows = WorkerTable(keys=(np.array(blocks, dtype="U16"),),
+                       totals=np.array(totals, dtype=np.int64), codes=codes,
+                       counts=np.array(columns, dtype=np.int64))
+    del blocks, totals, columns
 
     started = time.perf_counter()
-    table = aggregate_to_tracts(rows, "residence", 2011)
+    table = aggregate_to_tracts(rows)
     elapsed = time.perf_counter() - started
 
-    assert table.grand_total() == grand
+    assert int(table.totals.sum()) == grand
     got_totals = {code: 0 for code in codes}
-    for row in table.rows.values():
-        for code in codes:
-            got_totals[code] += row.counts[code]
+    for code, column in zip(table.codes, table.counts.tolist()):
+        for count in column:
+            got_totals[code] += count
     assert got_totals == expected_totals
     assert elapsed < 20.0, f"rollup took {elapsed:.1f}s"
     report(9, f"1e6-row rollup preserved the grand total ({grand}) and all six "

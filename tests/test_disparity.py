@@ -31,7 +31,8 @@ from hwexposure.errors import (
     InsufficientGroupsError,
     InsufficientTractsError,
 )
-from hwexposure.exposure import AlignedTable, ExposureRecord
+from hwexposure.exposure import AlignedTable, ExposureRecord, iter_groups
+from hwexposure.ingest import RAC_WAC_SCHEMAS
 
 ATKINSON_REFERENCE = 0.10079283984242682  # direct evaluation of the two-group case
 PAPER_EPSILONS = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0)
@@ -465,17 +466,20 @@ def test_state_disparity_zero_national():
 
 def aligned_table(geoids, totals, conc, category_counts):
     return AlignedTable(
-        year=2011, locus="H", geoids=tuple(geoids),
+        year=2011, locus="H", geoids=np.array(geoids, dtype="U11"),
         concentrations=np.asarray(conc, dtype=np.float64),
         totals=np.asarray(totals, dtype=np.int64),
-        category_counts={c: np.asarray(v, dtype=np.int64) for c, v in category_counts.items()},
+        codes=tuple(category_counts),
+        counts=np.array(list(category_counts.values()), dtype=np.int64).reshape(
+            len(category_counts), len(geoids)),
         dropped_weight=0,
     )
 
 
 def state_rows(aligned):
-    groups, counts = pipeline._group_matrix(aligned)
-    return pipeline._state_rows(aligned, groups, counts)
+    groups = [(characteristic, label) for characteristic, label, _ in
+              iter_groups(RAC_WAC_SCHEMAS, aligned)][1:]
+    return pipeline._state_rows(aligned, groups, aligned.counts.astype(np.float64))
 
 
 def test_state_rows_one_tract_states_and_zero_group_weight():

@@ -1,6 +1,7 @@
 """Exposure statistics vs per-worker expansion oracles and blend identities."""
 from __future__ import annotations
 
+import logging
 import math
 import random
 
@@ -22,8 +23,10 @@ from hwexposure.exposure import (
     resolve_pairs,
     weighted_percentile,
 )
-from hwexposure.ingest import OD_SCHEMAS, RAC_WAC_SCHEMAS, ODMatrix, TractCounts, WorkerTable
+from hwexposure.ingest import OD_SCHEMAS, RAC_WAC_SCHEMAS
 from hwexposure.zonal import TractSurface
+
+from helpers import worker_table
 
 AGE = tuple(s for s in RAC_WAC_SCHEMAS if s.characteristic == "age")
 OD_AGE = tuple(s for s in OD_SCHEMAS if s.characteristic == "od_age")
@@ -31,6 +34,16 @@ OD_AGE = tuple(s for s in OD_SCHEMAS if s.characteristic == "od_age")
 
 def geoid(i: int, state: str = "06") -> str:
     return f"{state}037{i:06d}"
+
+
+def tract_table(rows, n_keys=1):
+    """Rolled-up WorkerTable of {geoid or (home, work): (total, {code: count})}."""
+    return worker_table([(*(key if isinstance(key, tuple) else (key,)), total, counts)
+                         for key, (total, counts) in sorted(rows.items())], n_keys=n_keys)
+
+
+def aligned_home(surface, rows):
+    return align_table(surface, tract_table(rows), "residence")
 
 
 # ----------------------------------------------------------------------------
@@ -190,19 +203,14 @@ def small_world():
     rng = random.Random(7)
     for i in range(9):
         a1, a2, a3 = rng.randrange(0, 9), rng.randrange(0, 9), rng.randrange(0, 9)
-        rows[geoid(i)] = TractCounts(
-            total=a1 + a2 + a3, counts={"CA01": a1, "CA02": a2, "CA03": a3}
-        )
-    table = WorkerTable(role="residence", year=2011, rows=rows)
-    return surface, table
+        rows[geoid(i)] = (a1 + a2 + a3, {"CA01": a1, "CA02": a2, "CA03": a3})
+    return surface, rows
 
 
 def test_group_exposures_point_mass():
     surface = TractSurface(year=2011, entries={geoid(1): 9.5})
-    table = WorkerTable(role="residence", year=2011, rows={
-        geoid(1): TractCounts(total=4, counts={"CA01": 4, "CA02": 0, "CA03": 0}),
-    })
-    records = compute_group_exposures(align_table(surface, table), AGE)
+    table = {geoid(1): (4, {"CA01": 4, "CA02": 0, "CA03": 0})}
+    records = compute_group_exposures(aligned_home(surface, table), AGE)
     by_group = {r.group_key: r for r in records}
     assert by_group["all"].mean == 9.5
     assert by_group["all"].p10 == 9.5
@@ -214,41 +222,33 @@ def test_group_exposures_point_mass():
 
 def test_group_exposures_match_expansion_oracle_exactly():
     surface, table = small_world()
-    records = compute_group_exposures(align_table(surface, table), AGE)
+    records = compute_group_exposures(aligned_home(surface, table), AGE)
     for record in records:
         if record.group_key == "all":
-            pick = lambda row: row.total  # noqa: E731
+            pick = lambda row: row[0]  # noqa: E731
         else:
             code = {"29_or_less": "CA01", "30_54": "CA02", "55_plus": "CA03"}[record.group]
-            pick = lambda row, c=code: row.counts[c]  # noqa: E731
+            pick = lambda row, c=code: row[1][c]  # noqa: E731
         expanded = [
             surface.entries[g]
-            for g, row in table.rows.items()
+            for g, row in table.items()
             for _ in range(pick(row))
         ]
         assert record.mean == math.fsum(expanded) / len(expanded)
         assert record.p10 == expansion_percentile(
             list(surface.entries.values()),
-            [pick(table.rows[g]) for g in surface.entries],
+            [pick(table[g]) for g in surface.entries],
             0.10,
         )
         assert record.weight == len(expanded)
         assert record.p10 <= record.p90
 
 
-def test_group_exposures_year_mismatch():
-    # the join refuses a table from another year, before any statistic runs
-    surface, table = small_world()
-    bad = WorkerTable(role="residence", year=2012, rows=table.rows)
-    with pytest.raises(ValueError):
-        compute_group_exposures(align_table(surface, bad), AGE)
-
-
 def test_group_exposures_strata_split():
     surface, table = small_world()
     classification = {geoid(i): ("urban" if i < 4 else "rural") for i in range(9)}
     records = compute_group_exposures(
-        align_table(surface, table), AGE, classification, strata=("all", "urban", "rural")
+        aligned_home(surface, table), AGE, classification, strata=("all", "urban", "rural")
     )
     strata = {r.stratum for r in records}
     assert strata == {"all", "urban", "rural"}
@@ -260,14 +260,12 @@ def test_group_exposures_strata_split():
 
 def test_group_exposures_weight_scaling_invariance():
     surface, table = small_world()
-    base = compute_group_exposures(align_table(surface, table), AGE)
+    base = compute_group_exposures(aligned_home(surface, table), AGE)
     scaled_rows = {
-        g: TractCounts(total=row.total * 7, counts={c: v * 7 for c, v in row.counts.items()})
-        for g, row in table.rows.items()
+        g: (total * 7, {c: v * 7 for c, v in counts.items()})
+        for g, (total, counts) in table.items()
     }
-    scaled = compute_group_exposures(
-        align_table(surface, WorkerTable("residence", 2011, scaled_rows)), AGE
-    )
+    scaled = compute_group_exposures(aligned_home(surface, scaled_rows), AGE)
     for a, b in zip(base, scaled):
         assert b.mean == pytest.approx(a.mean, rel=1e-12)
         assert b.p10 == a.p10
@@ -277,28 +275,24 @@ def test_group_exposures_weight_scaling_invariance():
 
 def test_align_table_dropped_weight():
     surface = TractSurface(year=2011, entries={geoid(0): 8.0}, excluded=(geoid(1),))
-    table = WorkerTable(role="residence", year=2011, rows={
-        geoid(0): TractCounts(total=3, counts={}),
-        geoid(1): TractCounts(total=11, counts={}),
-    })
-    aligned = align_table(surface, table)
+    aligned = aligned_home(surface, {geoid(0): (3, {}), geoid(1): (11, {})})
     assert aligned.dropped_weight == 11
-    assert aligned.geoids == (geoid(0),)
+    assert aligned.geoids.tolist() == [geoid(0)]
 
 
 # ----------------------------------------------------------------------------
 # compute_hw_exposures
 # ----------------------------------------------------------------------------
 
-def od_matrix(entries, year=2011):
-    return ODMatrix(year=year, entries=entries)
+def od_matrix(entries):
+    return tract_table(entries, n_keys=2)
 
 
 def test_hw_degenerate_commute():
     surface = TractSurface(year=2011, entries={geoid(0): 8.5, geoid(1): 11.0})
     od = od_matrix({
-        (geoid(0), geoid(0)): TractCounts(total=3, counts={"SA01": 3, "SA02": 0, "SA03": 0}),
-        (geoid(1), geoid(1)): TractCounts(total=2, counts={"SA01": 0, "SA02": 2, "SA03": 0}),
+        (geoid(0), geoid(0)): (3, {"SA01": 3, "SA02": 0, "SA03": 0}),
+        (geoid(1), geoid(1)): (2, {"SA01": 0, "SA02": 2, "SA03": 0}),
     })
     records, errors = compute_hw_exposures(resolve_pairs(surface, od), OD_AGE)
     by = {(r.group_key, r.locus): r for r in records}
@@ -310,18 +304,12 @@ def test_hw_degenerate_commute():
 
 def test_hw_single_pair_arithmetic():
     surface = TractSurface(year=2011, entries={geoid(0): 10.0, geoid(1): 20.0})
-    od = od_matrix({(geoid(0), geoid(1)): TractCounts(total=1, counts={})})
+    od = od_matrix({(geoid(0), geoid(1)): (1, {})})
     records, errors = compute_hw_exposures(resolve_pairs(surface, od), ())
     by = {(r.group_key, r.locus): r for r in records}
     assert by[("all", "HW")].mean == pytest.approx(12.06, abs=1e-12)
     assert errors[0].error == pytest.approx(-2.06, abs=1e-9)
     assert errors[0].percent_error == pytest.approx(-20.6, abs=1e-9)
-
-
-def test_hw_year_mismatch():
-    surface = TractSurface(year=2011, entries={geoid(0): 10.0})
-    with pytest.raises(ValueError):
-        compute_hw_exposures(resolve_pairs(surface, od_matrix({}, year=2012)), ())
 
 
 def test_hw_empty_od():
@@ -333,8 +321,8 @@ def test_hw_empty_od():
 def test_hw_unresolvable_pairs_dropped():
     surface = TractSurface(year=2011, entries={geoid(0): 10.0})
     od = od_matrix({
-        (geoid(0), geoid(0)): TractCounts(total=2, counts={}),
-        (geoid(0), geoid(9)): TractCounts(total=5, counts={}),
+        (geoid(0), geoid(0)): (2, {}),
+        (geoid(0), geoid(9)): (5, {}),
     })
     pairs = resolve_pairs(surface, od)
     assert pairs.dropped_weight == 5
@@ -353,9 +341,8 @@ def random_od_world(seed, n_tracts=40, n_pairs=300):
         if key in entries:
             continue
         s1, s2, s3 = (rng.randrange(0, 8) for _ in range(3))
-        entries[key] = TractCounts(total=s1 + s2 + s3,
-                                   counts={"SA01": s1, "SA02": s2, "SA03": s3})
-    return surface, od_matrix(dict(sorted(entries.items())))
+        entries[key] = (s1 + s2 + s3, {"SA01": s1, "SA02": s2, "SA03": s3})
+    return surface, od_matrix(entries)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -374,11 +361,30 @@ def test_hw_error_identity(seed):
         assert err.percent_error == pytest.approx(100.0 * err.error / h)
 
 
+def test_hw_zero_home_mean_warns_once_per_year(caplog):
+    surface = TractSurface(year=2011, entries={geoid(0): 0.0, geoid(1): 0.0})
+    classification = {geoid(0): "urban", geoid(1): "rural"}
+    od = od_matrix({(geoid(0), geoid(1)): (3, {"SA01": 1, "SA02": 2, "SA03": 0})})
+    with caplog.at_level(logging.DEBUG, logger="hwexposure.exposure"):
+        _, errors = compute_hw_exposures(
+            resolve_pairs(surface, od), OD_AGE,
+            classification=classification, strata=("all", "urban", "rural"),
+        )
+    undefined = sum(math.isnan(e.percent_error) for e in errors)
+    assert undefined == len(errors) == 6  # all, SA01, SA02 in strata all and urban
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert warnings == [f"year 2011: H mean is zero in {undefined} OD group/stratum "
+                        "slice(s); their percent error is NaN"]
+    details = [r for r in caplog.records
+               if r.levelno == logging.DEBUG and "H mean is zero" in r.getMessage()]
+    assert len(details) == undefined
+
+
 def test_hw_stratum_assigned_by_home_tract():
     surface = TractSurface(year=2011, entries={geoid(0): 4.0, geoid(1): 10.0})
     classification = {geoid(0): "urban", geoid(1): "rural"}
     od = od_matrix({
-        (geoid(0), geoid(1)): TractCounts(total=1, counts={}),  # lives urban, works rural
+        (geoid(0), geoid(1)): (1, {}),  # lives urban, works rural
     })
     records, _ = compute_hw_exposures(
         resolve_pairs(surface, od), (), classification=classification, strata=("urban", "rural")

@@ -1,0 +1,163 @@
+"""Fault injection through the CLI: each worker-table defect ends in the
+documented exit code and one diagnostic that names the file, and the line
+where the reader knows it."""
+from __future__ import annotations
+
+import gzip
+import json
+from pathlib import Path
+
+import pytest
+
+from hwexposure import cli, synth
+
+
+def make_world(tmp_path: Path) -> Path:
+    world = tmp_path / "w"
+    synth.synth(str(world), seed=7, n_tracts=9, n_groups=3)
+    return world
+
+
+def run(world: Path, out: Path) -> int:
+    return cli.main(["run", "--config", str(world / "config.json"), "--out", str(out)])
+
+
+def edit_lines(path: Path, edit) -> None:
+    lines = path.read_text(encoding="utf-8").splitlines()
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def set_cell(path: Path, line: int, column: str, value: str) -> str:
+    """Set one cell (1-based file line); returns the row's first cell."""
+    def edit(lines):
+        header = lines[0].split(",")
+        cells = lines[line - 1].split(",")
+        cells[header.index(column)] = value
+        lines[line - 1] = ",".join(cells)
+    edit_lines(path, edit)
+    return path.read_text(encoding="utf-8").splitlines()[line - 1].split(",")[0]
+
+
+def point_config(world: Path, key: str, template: str) -> None:
+    config_path = world / "config.json"
+    config = json.loads(config_path.read_text())
+    config[key] = template
+    config_path.write_text(json.dumps(config))
+
+
+def test_crlf_tables_give_the_same_outputs(tmp_path):
+    world = make_world(tmp_path)
+    assert run(world, tmp_path / "lf") == 0
+    for name in ("rac_2011.csv", "wac_2011.csv", "od_2011.csv"):
+        path = world / name
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert run(world, tmp_path / "crlf") == 0
+    for name in ("exposure.csv", "error.csv", "bins.csv", "bias.csv", "wilcoxon.csv"):
+        assert (tmp_path / "crlf" / name).read_bytes() == (tmp_path / "lf" / name).read_bytes()
+
+
+def test_bom_before_the_header_is_ignored(tmp_path):
+    world = make_world(tmp_path)
+    assert run(world, tmp_path / "plain") == 0
+    rac = world / "rac_2011.csv"
+    rac.write_bytes(b"\xef\xbb\xbf" + rac.read_bytes())
+    assert run(world, tmp_path / "bom") == 0
+    assert ((tmp_path / "bom" / "exposure.csv").read_bytes()
+            == (tmp_path / "plain" / "exposure.csv").read_bytes())
+
+
+def test_ragged_row(tmp_path, caplog):
+    world = make_world(tmp_path)
+    edit_lines(world / "rac_2011.csv", lambda lines: lines.__setitem__(
+        2, lines[2].rsplit(",", 1)[0]))
+    assert run(world, tmp_path / "out") == 1
+    assert "rac_2011.csv:3: column 'CNS20': bad count None" in caplog.text
+
+
+@pytest.mark.parametrize("value", ["nan", "1.0", "x"])
+def test_non_integer_count(tmp_path, caplog, value):
+    world = make_world(tmp_path)
+    set_cell(world / "wac_2011.csv", 4, "CA02", value)
+    assert run(world, tmp_path / "out") == 1
+    assert f"wac_2011.csv:4: column 'CA02': bad count '{value}'" in caplog.text
+
+
+def test_blank_line_before_a_bad_row(tmp_path, caplog):
+    world = make_world(tmp_path)
+    od = world / "od_2011.csv"
+    set_cell(od, 3, "S000", "y")
+    edit_lines(od, lambda lines: lines.insert(2, ""))
+    assert run(world, tmp_path / "out") == 1
+    assert "od_2011.csv:4: column 'S000': bad count 'y'" in caplog.text
+
+
+@pytest.mark.parametrize("change", [lambda g: g[1:], lambda g: g + "7"],
+                         ids=["stripped_leading_zero", "sixteen_digits"])
+def test_bad_geocode_names_the_file(tmp_path, caplog, change):
+    world = make_world(tmp_path)
+    rac = world / "rac_2011.csv"
+    geocode = rac.read_text().splitlines()[2].split(",")[0]
+    set_cell(rac, 3, "h_geocode", change(geocode))
+    assert run(world, tmp_path / "out") == 1
+    assert (f"stage exposure: {rac}: block geocode must be 15 digits, "
+            f"got {change(geocode)!r}") in caplog.text
+
+
+def test_truncated_gzip(tmp_path, caplog):
+    world = make_world(tmp_path)
+    data = gzip.compress((world / "od_2011.csv").read_bytes())
+    (world / "od_2011.csv.gz").write_bytes(data[: len(data) // 2])
+    point_config(world, "od", "od_{year}.csv.gz")
+    assert run(world, tmp_path / "out") == 1
+    assert f"{world / 'od_2011.csv.gz'}: cannot read: " in caplog.text
+
+
+def flip_deflate_bytes(data: bytes) -> bytes:
+    return data[:20] + bytes(b ^ 0xFF for b in data[20:60]) + data[60:]
+
+
+@pytest.mark.parametrize("corrupt", [lambda data: b"not a gzip stream\n", flip_deflate_bytes],
+                         ids=["not_gzip", "bad_deflate_data"])
+def test_corrupt_gzip(tmp_path, caplog, corrupt):
+    world = make_world(tmp_path)
+    data = gzip.compress((world / "od_2011.csv").read_bytes())
+    (world / "od_2011.csv.gz").write_bytes(corrupt(data))
+    point_config(world, "od", "od_{year}.csv.gz")
+    assert run(world, tmp_path / "out") == 1
+    assert f"{world / 'od_2011.csv.gz'}: cannot read: " in caplog.text
+
+
+def test_invalid_utf8(tmp_path, caplog):
+    world = make_world(tmp_path)
+    wac = world / "wac_2011.csv"
+    wac.write_bytes(wac.read_bytes().replace(b"\n", b"\n\xff", 3))
+    assert run(world, tmp_path / "out") == 1
+    assert f"{wac}: cannot read: " in caplog.text
+
+
+def test_header_only_table(tmp_path, caplog):
+    world = make_world(tmp_path)
+    edit_lines(world / "od_2011.csv", lambda lines: lines.__delitem__(slice(1, None)))
+    assert run(world, tmp_path / "out") == 1
+    assert "stage exposure: no resolvable OD pairs with workers" in caplog.text
+
+
+def test_negative_count(tmp_path, caplog):
+    world = make_world(tmp_path)
+    rac = world / "rac_2011.csv"
+    geocode = set_cell(rac, 5, "CT02", "-1")
+    assert run(world, tmp_path / "out") == 1
+    assert f"stage exposure: {rac}: row {geocode}: negative count -1" in caplog.text
+
+
+def test_partition_mismatch(tmp_path, caplog):
+    world = make_world(tmp_path)
+    od = world / "od_2011.csv"
+    lines = od.read_text().splitlines()
+    header, cells = lines[0].split(","), lines[6].split(",")
+    total = int(cells[header.index("S000")])
+    set_cell(od, 7, "S000", str(total + 1))
+    assert run(world, tmp_path / "out") == 1
+    assert (f"stage exposure: {od}: row {cells[1]}->{cells[0]}: od_age: "
+            f"category sum {total} != total {total + 1}") in caplog.text

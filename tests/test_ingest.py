@@ -4,17 +4,23 @@ from __future__ import annotations
 import gzip
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hwexposure.errors import FormatError, MalformedGeocodeError, SchemaError, ValidationError
+from hwexposure.errors import (
+    EngineError,
+    FormatError,
+    MalformedGeocodeError,
+    SchemaError,
+    ValidationError,
+)
+from hwexposure.exposure import align_table, iter_groups, resolve_pairs
 from hwexposure.ingest import (
     OD_SCHEMAS,
     RAC_WAC_SCHEMAS,
-    BlockRow,
     GroupSchema,
-    ODBlockRow,
     aggregate_od,
     aggregate_to_tracts,
     block_to_tract,
@@ -22,13 +28,19 @@ from hwexposure.ingest import (
     read_od_csv,
 )
 
+from hwexposure.zonal import TractSurface
+
+from helpers import oracle_join, oracle_rollup, table_rows, worker_table
+
 AGE_INCOME = tuple(s for s in RAC_WAC_SCHEMAS if s.characteristic in ("age", "income"))
 
 
 def age_row(geocode, a1, a2, a3):
-    total = a1 + a2 + a3
-    return BlockRow(geocode=geocode, total=total,
-                    counts={"CA01": a1, "CA02": a2, "CA03": a3})
+    return (geocode, a1 + a2 + a3, {"CA01": a1, "CA02": a2, "CA03": a3})
+
+
+def rollup(rows, schemas=AGE_INCOME):
+    return aggregate_to_tracts(worker_table(rows), schemas)
 
 
 # ----------------------------------------------------------------------------
@@ -51,52 +63,50 @@ def test_block_to_tract_malformed(bad):
 
 def test_rollup_additivity():
     rows = [age_row("060372653011011", 1, 1, 1), age_row("060372653012022", 2, 1, 1)]
-    table = aggregate_to_tracts(rows, "residence", 2011, AGE_INCOME)
-    assert list(table.rows) == ["06037265301"]
-    assert table.rows["06037265301"].total == 7
-    assert table.rows["06037265301"].counts == {"CA01": 3, "CA02": 2, "CA03": 2}
+    table = rollup(rows)
+    assert table_rows(table) == [("06037265301", 7, {"CA01": 3, "CA02": 2, "CA03": 2})]
 
 
 def test_rollup_empty_input():
-    table = aggregate_to_tracts([], "residence", 2011, AGE_INCOME)
-    assert table.rows == {}
-    assert table.grand_total() == 0
+    table = rollup([])
+    assert table_rows(table) == []
+    assert int(table.totals.sum()) == 0
 
 
-def test_rollup_rejects_bad_role():
+def test_rollup_rejects_bad_role(tmp_path):
+    # the role picks the key column, so the reader checks it
     with pytest.raises(SchemaError):
-        aggregate_to_tracts([], "commuter", 2011, AGE_INCOME)
+        read_block_csv(str(tmp_path / "rac.csv"), "commuter", AGE_INCOME)
 
 
 def test_rollup_category_sum_error_names_row_and_characteristic():
-    rows = [BlockRow("060372653011011", 5, {"CA01": 1, "CA02": 1, "CA03": 1})]
+    rows = [("060372653011011", 5, {"CA01": 1, "CA02": 1, "CA03": 1})]
     with pytest.raises(ValidationError) as err:
-        aggregate_to_tracts(rows, "residence", 2011, AGE_INCOME)
+        rollup(rows)
     assert "060372653011011" in str(err.value)
     assert "age" in str(err.value)
 
 
 def test_rollup_keeps_zero_total_rows():
-    table = aggregate_to_tracts([age_row("060372653011011", 0, 0, 0)], "residence", 2011, AGE_INCOME)
-    assert table.rows["06037265301"].total == 0
+    table = rollup([age_row("060372653011011", 0, 0, 0)])
+    assert table_rows(table)[0][:2] == ("06037265301", 0)
 
 
 def test_education_partial_characteristic_not_sum_checked():
     # education is only tabulated for workers aged 30+, so CD sums < C000 are fine
-    row = BlockRow("060372653011011", 10,
-                   {"CD01": 1, "CD02": 2, "CD03": 1, "CD04": 2})
-    table = aggregate_to_tracts([row], "residence", 2011, RAC_WAC_SCHEMAS)
-    assert table.rows["06037265301"].counts["CD01"] == 1
+    row = ("060372653011011", 10, {"CD01": 1, "CD02": 2, "CD03": 1, "CD04": 2})
+    table = rollup([row], RAC_WAC_SCHEMAS)
+    assert table_rows(table)[0][2]["CD01"] == 1
 
 
 def naive_rollup(rows):
     """Independent accumulation oracle: per-tract dict-of-dicts, no shortcuts."""
     out = {}
-    for row in rows:
-        tract = row.geocode[:11]
+    for geocode, total, row_counts in rows:
+        tract = geocode[:11]
         slot = out.setdefault(tract, {"total": 0, "counts": {}})
-        slot["total"] += row.total
-        for code, c in row.counts.items():
+        slot["total"] += total
+        for code, c in row_counts.items():
             slot["counts"][code] = slot["counts"].get(code, 0) + c
     return out
 
@@ -111,7 +121,7 @@ def random_rows(rng, n, n_tracts=50):
         e3 = a1 + a2 + a3 - e1 - e2
         if e3 < 0:
             e1, e2, e3 = a1, a2, a3
-        rows.append(BlockRow(block, a1 + a2 + a3, {
+        rows.append((block, a1 + a2 + a3, {
             "CA01": a1, "CA02": a2, "CA03": a3,
             "CE01": e1, "CE02": e2, "CE03": e3,
         }))
@@ -121,13 +131,13 @@ def random_rows(rng, n, n_tracts=50):
 def test_rollup_matches_naive_oracle():
     rng = random.Random(17)
     rows = random_rows(rng, 10_000)
-    table = aggregate_to_tracts(rows, "residence", 2011, AGE_INCOME)
+    table = rollup(rows)
     oracle = naive_rollup(rows)
-    assert table.grand_total() == sum(r.total for r in rows)
-    assert set(table.rows) == set(oracle)
-    for tract, row in table.rows.items():
-        assert row.total == oracle[tract]["total"]
-        assert row.counts == oracle[tract]["counts"]
+    assert int(table.totals.sum()) == sum(r[1] for r in rows)
+    assert set(table.keys[0].tolist()) == set(oracle)
+    for tract, total, counts in table_rows(table):
+        assert total == oracle[tract]["total"]
+        assert counts == oracle[tract]["counts"]
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -135,12 +145,13 @@ def test_rollup_matches_naive_oracle():
 def test_rollup_order_independent(seed):
     rng = random.Random(seed)
     rows = random_rows(rng, 200, n_tracts=12)
-    table_a = aggregate_to_tracts(rows, "residence", 2011, AGE_INCOME)
+    table_a = rollup(rows)
     shuffled = rows[:]
     rng.shuffle(shuffled)
-    table_b = aggregate_to_tracts(shuffled, "residence", 2011, AGE_INCOME)
-    assert table_a == table_b
-    assert list(table_a.rows) == sorted(table_a.rows)
+    table_b = rollup(shuffled)
+    assert table_rows(table_a) == table_rows(table_b)
+    geoids = table_a.keys[0].tolist()
+    assert geoids == sorted(geoids)
 
 
 # ----------------------------------------------------------------------------
@@ -148,8 +159,11 @@ def test_rollup_order_independent(seed):
 # ----------------------------------------------------------------------------
 
 def od_row(home, work, s1, s2, s3):
-    return ODBlockRow(home_geocode=home, work_geocode=work, total=s1 + s2 + s3,
-                      counts={"SA01": s1, "SA02": s2, "SA03": s3})
+    return (home, work, s1 + s2 + s3, {"SA01": s1, "SA02": s2, "SA03": s3})
+
+
+def od_rollup(rows):
+    return aggregate_od(worker_table(rows), (OD_SCHEMAS[0],))
 
 
 def test_od_additivity():
@@ -157,17 +171,15 @@ def test_od_additivity():
         od_row("060372653011011", "060372653021011", 1, 1, 0),
         od_row("060372653011022", "060372653021033", 3, 1, 1),
     ]
-    od = aggregate_od(rows, 2011, (OD_SCHEMAS[0],))
-    key = ("06037265301", "06037265302")
-    assert list(od.entries) == [key]
-    assert od.entries[key].total == 7
-    assert od.entries[key].counts == {"SA01": 4, "SA02": 2, "SA03": 1}
+    od = od_rollup(rows)
+    assert table_rows(od) == [("06037265301", "06037265302", 7,
+                               {"SA01": 4, "SA02": 2, "SA03": 1})]
 
 
 def test_od_same_tract_pair_retained():
     rows = [od_row("060372653011011", "060372653011099", 2, 0, 0)]
-    od = aggregate_od(rows, 2011, (OD_SCHEMAS[0],))
-    assert ("06037265301", "06037265301") in od.entries
+    od = od_rollup(rows)
+    assert [row[:2] for row in table_rows(od)] == [("06037265301", "06037265301")]
 
 
 def test_od_matches_naive_oracle():
@@ -177,19 +189,19 @@ def test_od_matches_naive_oracle():
         home = f"06037{rng.randrange(20):06d}{rng.randrange(100):04d}"
         work = f"06059{rng.randrange(20):06d}{rng.randrange(100):04d}"
         rows.append(od_row(home, work, rng.randrange(50), rng.randrange(50), rng.randrange(50)))
-    od = aggregate_od(rows, 2011, (OD_SCHEMAS[0],))
+    od = od_rollup(rows)
     oracle: dict = {}
-    for row in rows:
-        key = (row.home_geocode[:11], row.work_geocode[:11])
+    for home, work, total, row_counts in rows:
+        key = (home[:11], work[:11])
         slot = oracle.setdefault(key, {"total": 0, "counts": {}})
-        slot["total"] += row.total
-        for code, c in row.counts.items():
+        slot["total"] += total
+        for code, c in row_counts.items():
             slot["counts"][code] = slot["counts"].get(code, 0) + c
-    assert set(od.entries) == set(oracle)
-    for key, entry in od.entries.items():
-        assert entry.total == oracle[key]["total"]
-        assert entry.counts == oracle[key]["counts"]
-    assert od.grand_total() == sum(r.total for r in rows)
+    assert {row[:2] for row in table_rows(od)} == set(oracle)
+    for home, work, total, counts in table_rows(od):
+        assert total == oracle[(home, work)]["total"]
+        assert counts == oracle[(home, work)]["counts"]
+    assert int(od.totals.sum()) == sum(r[2] for r in rows)
 
 
 # ----------------------------------------------------------------------------
@@ -199,30 +211,30 @@ def test_od_matches_naive_oracle():
 def test_validate_table_clean():
     # A consistent block table rolls up, and every tract's category counts
     # sum to its total for each fully-covered characteristic.
-    table = aggregate_to_tracts(random_rows(random.Random(5), 100), "residence", 2011, AGE_INCOME)
-    assert table.rows
-    for tract in table.rows.values():
+    table = rollup(random_rows(random.Random(5), 100))
+    assert table_rows(table)
+    for _, total, counts in table_rows(table):
         for schema in AGE_INCOME:
-            assert sum(tract.counts[c] for c in schema.codes) == tract.total
+            assert sum(counts[c] for c in schema.codes) == total
 
 
 def test_validate_table_flags_age_mismatch():
     rows = [age_row("060372653011011", 1, 1, 1),
-            BlockRow("060372653012022", 10, {"CA01": 3, "CA02": 3, "CA03": 3})]
+            ("060372653012022", 10, {"CA01": 3, "CA02": 3, "CA03": 3})]
     with pytest.raises(ValidationError) as err:
-        aggregate_to_tracts(rows, "residence", 2011, AGE_INCOME)
+        rollup(rows)
     assert str(err.value).startswith("row 060372653012022: age: ")
 
 
 def test_rollup_rejects_negative_count():
     rows = [age_row("060372653011011", 1, 1, 1), age_row("060372653012022", -1, 2, 2)]
     with pytest.raises(ValidationError) as err:
-        aggregate_to_tracts(rows, "residence", 2011, AGE_INCOME)
+        rollup(rows)
     assert "060372653012022" in str(err.value)
     assert "negative" in str(err.value)
-    rows = [BlockRow("060372653011011", -3, {})]
+    rows = [("060372653011011", -3, {})]
     with pytest.raises(ValidationError, match="negative total"):
-        aggregate_to_tracts(rows, "residence", 2011, AGE_INCOME)
+        rollup(rows)
 
 
 def test_fault_injection_single_corruption():
@@ -230,14 +242,112 @@ def test_fault_injection_single_corruption():
     # table; the clean table rolls up, the corrupted one names that block.
     rng = random.Random(99)
     rows = random_rows(rng, 1_000, n_tracts=1_000)
-    aggregate_to_tracts(rows, "residence", 2011, AGE_INCOME)
+    rollup(rows)
     k = rng.randrange(len(rows))
-    counts = dict(rows[k].counts)
+    geocode, total, counts = rows[k]
+    counts = dict(counts)
     counts["CA02"] += 1
-    corrupted = rows[:k] + [BlockRow(rows[k].geocode, rows[k].total, counts)] + rows[k + 1:]
+    corrupted = rows[:k] + [(geocode, total, counts)] + rows[k + 1:]
     with pytest.raises(ValidationError) as err:
-        aggregate_to_tracts(corrupted, "residence", 2011, AGE_INCOME)
-    assert str(err.value).startswith(f"row {rows[k].geocode}: age: ")
+        rollup(corrupted)
+    assert str(err.value).startswith(f"row {geocode}: age: ")
+
+
+# ----------------------------------------------------------------------------
+# columnar rollup and joins against the per-row dict oracle
+# ----------------------------------------------------------------------------
+
+AGE_EDUCATION = tuple(s for s in RAC_WAC_SCHEMAS if s.characteristic in ("age", "education"))
+POOL = [f"06037{i:06d}" for i in range(5)]  # few tracts and blocks: repeats and same-tract pairs
+
+
+def schemas_for(n_keys):
+    return AGE_EDUCATION if n_keys == 1 else (OD_SCHEMAS[0],)
+
+
+@st.composite
+def block_rows(draw, n_keys, corrupt=False):
+    """(*block geocodes, total, counts) rows in random order; zero totals are
+    common. With ``corrupt``, some rows get a bad geocode, a negative count
+    or a total off its category sum."""
+    schemas = schemas_for(n_keys)
+    rows = []
+    for _ in range(draw(st.integers(0, 20))):
+        blocks = [draw(st.sampled_from(POOL)) + draw(st.sampled_from(["1001", "1002", "2001"]))
+                  for _ in range(n_keys)]
+        counts = {code: draw(st.integers(0, 4)) for s in schemas for code in s.codes}
+        total = sum(counts[code] for code in schemas[0].codes)
+        if corrupt:
+            kind = draw(st.sampled_from(["none"] * 6 + ["short", "long", "letter", "count", "total"]))
+            k = draw(st.integers(0, n_keys - 1))
+            if kind == "short":
+                blocks[k] = blocks[k][1:]
+            elif kind == "long":
+                blocks[k] += "7"
+            elif kind == "letter":
+                blocks[k] = blocks[k][:-1] + "x"
+            elif kind == "count":
+                counts[draw(st.sampled_from(sorted(counts)))] = -1
+            elif kind == "total":
+                total += draw(st.sampled_from([-9, -1, 1]))
+        rows.append((*blocks, total, counts))
+    return rows
+
+
+def surface_entries():
+    return st.dictionaries(st.sampled_from(POOL), st.sampled_from([0.0, 2.5, 7.25, 12.0]))
+
+
+@given(data=st.data(), n_keys=st.sampled_from([1, 2]))
+@settings(max_examples=300, deadline=None)
+def test_columnar_rollup_and_join_match_dict_oracle(data, n_keys):
+    schemas = schemas_for(n_keys)
+    rows = data.draw(block_rows(n_keys))
+    entries = data.draw(surface_entries())  # may resolve no tract at all
+    codes = [code for s in schemas for code in s.codes]
+    rollup_columns = aggregate_to_tracts if n_keys == 1 else aggregate_od
+    tracts = rollup_columns(worker_table(rows, codes, n_keys), schemas)
+    oracle = oracle_rollup(rows, schemas)
+    assert [tuple(row[:n_keys]) for row in table_rows(tracts)] == list(oracle)
+    assert [(row[n_keys], row[-1]) for row in table_rows(tracts)] == list(oracle.values())
+    assert all(keys.dtype == np.dtype("U11") for keys in tracts.keys)
+
+    surface = TractSurface(year=2011, entries=entries)
+    keys, concentrations, totals, groups, dropped = oracle_join(entries, oracle, schemas)
+    if n_keys == 1:
+        joined = align_table(surface, tracts, "residence")
+        assert joined.geoids.tolist() == [key[0] for key in keys]
+        values = [joined.concentrations]
+    else:
+        joined = resolve_pairs(surface, tracts)
+        assert joined.home_geoids.tolist() == [key[0] for key in keys]
+        values = [joined.home_values, joined.work_values]
+    assert list(zip(*(v.tolist() for v in values))) == concentrations
+    assert joined.totals.tolist() == totals.tolist()
+    assert joined.dropped_weight == dropped
+    got = [((characteristic, label), counts.tolist())
+           for characteristic, label, counts in iter_groups(schemas, joined)][1:]
+    assert got == [(group, counts.tolist()) for group, counts in groups]
+
+
+@given(data=st.data(), n_keys=st.sampled_from([1, 2]))
+@settings(max_examples=300, deadline=None)
+def test_columnar_validation_matches_dict_oracle(data, n_keys):
+    schemas = schemas_for(n_keys)
+    rows = data.draw(block_rows(n_keys, corrupt=True))
+    codes = [code for s in schemas for code in s.codes]
+    rollup_columns = aggregate_to_tracts if n_keys == 1 else aggregate_od
+    outcomes = []
+    for rollup_rows in (
+        lambda: oracle_rollup(rows, schemas),
+        lambda: rollup_columns(worker_table(rows, codes, n_keys), schemas),
+    ):
+        try:
+            rollup_rows()
+            outcomes.append(None)
+        except EngineError as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[1] == outcomes[0]
 
 
 # ----------------------------------------------------------------------------
@@ -254,11 +364,9 @@ RAC_CSV = """h_geocode,C000,CA01,CA02,CA03,weird_extra
 def test_read_block_csv(tmp_path, caplog):
     path = tmp_path / "rac.csv"
     path.write_text(RAC_CSV)
-    rows = read_block_csv(str(path), "residence", AGE_INCOME)
+    rows = table_rows(read_block_csv(str(path), "residence", AGE_INCOME))
     assert len(rows) == 3
-    assert rows[0].geocode == "060372653011011"
-    assert rows[0].total == 6
-    assert rows[0].counts == {"CA01": 1, "CA02": 2, "CA03": 3}
+    assert rows[0] == ("060372653011011", 6, {"CA01": 1, "CA02": 2, "CA03": 3})
     assert any("weird_extra" in r.message for r in caplog.records)
 
 
@@ -266,7 +374,7 @@ def test_read_block_csv_gzip(tmp_path):
     path = tmp_path / "rac.csv.gz"
     with gzip.open(path, "wt") as fh:
         fh.write(RAC_CSV)
-    rows = read_block_csv(str(path), "residence", AGE_INCOME)
+    rows = table_rows(read_block_csv(str(path), "residence", AGE_INCOME))
     assert len(rows) == 3
 
 
@@ -287,8 +395,8 @@ def test_read_block_csv_partial_characteristic(tmp_path):
 def test_read_block_csv_wac_key(tmp_path):
     path = tmp_path / "wac.csv"
     path.write_text("w_geocode,C000\n060372653011011,4\n")
-    rows = read_block_csv(str(path), "workplace", ())
-    assert rows[0].total == 4
+    rows = table_rows(read_block_csv(str(path), "workplace", ()))
+    assert rows[0][1] == 4
 
 
 OD_CSV = """w_geocode,h_geocode,S000,SA01,SA02,SA03
@@ -300,11 +408,11 @@ OD_CSV = """w_geocode,h_geocode,S000,SA01,SA02,SA03
 def test_read_od_csv(tmp_path):
     path = tmp_path / "od.csv"
     path.write_text(OD_CSV)
-    rows = read_od_csv(str(path), (OD_SCHEMAS[0],))
+    rows = table_rows(read_od_csv(str(path), (OD_SCHEMAS[0],)))
     assert len(rows) == 2
-    assert rows[0].home_geocode == "060372653011011"
-    assert rows[0].work_geocode == "060372653021011"
-    assert rows[0].counts["SA01"] == 1
+    assert rows[0][0] == "060372653011011"  # home
+    assert rows[0][1] == "060372653021011"  # work
+    assert rows[0][3]["SA01"] == 1
 
 
 def test_read_block_csv_bad_count(tmp_path):
