@@ -106,51 +106,89 @@ def wilcoxon_rank_sum_grouped(
     Equivalent to expanding each value ``count`` times; rank sums use exact
     integer arithmetic, so U_a + U_b = n_a * n_b holds exactly.
     """
-    if method not in ("auto", "normal", "exact"):
-        raise ContractError(f"unknown method {method!r}")
-    tally: dict[float, list[int]] = {}
-    for values, counts, side in ((values_a, counts_a, 0), (values_b, counts_b, 1)):
-        for value, count in zip(values, counts):
-            count = int(count)
-            if count < 0:
-                raise ContractError(f"negative count {count}")
-            if count == 0:
-                continue
-            tally.setdefault(float(value), [0, 0])[side] += count
-    n_a = sum(ca for ca, _ in tally.values())
-    n_b = sum(cb for _, cb in tally.values())
-    if n_a == 0 or n_b == 0:
-        raise ContractError("both samples must be non-empty")
-    cum = 0
-    two_rank_sum_a = 0  # 2 * rank sum of sample a, exact integer
-    tie_cubes = 0
-    for value in sorted(tally):
-        ca, cb = tally[value]
-        t = ca + cb
-        two_rank_sum_a += ca * (2 * cum + t + 1)
-        tie_cubes += t * t * t - t
-        cum += t
-    n = n_a + n_b
-    u = (two_rank_sum_a - n_a * (n_a + 1)) / 2.0
-    mean_u = n_a * n_b / 2.0
-    var_u = (n_a * n_b / 12.0) * ((n + 1) - tie_cubes / (n * (n - 1)))
-    if var_u <= 0.0:
-        return RankSumResult(u=u, z=0.0, p_value=1.0)
-    deviation = u - mean_u
-    if deviation > 0.0:
-        z = (deviation - 0.5) / math.sqrt(var_u)
-    elif deviation < 0.0:
-        z = (deviation + 0.5) / math.sqrt(var_u)
-    else:
-        z = 0.0
-    untied = all(ca + cb == 1 for ca, cb in tally.values())
-    if method == "exact" or (method == "auto" and untied and n <= _EXACT_MAX_N):
-        if not untied:
-            raise ContractError("exact method requires untied samples")
-        p = _exact_two_sided_p(n_a, n_b, u)
-    else:
-        p = min(math.erfc(abs(z) / math.sqrt(2.0)), 1.0)
-    return RankSumResult(u=u, z=z, p_value=p)
+    return PooledSamples(values_a, values_b).test(counts_a, counts_b, method)
+
+
+_INT64_LIMIT = 2 ** 63
+
+
+class PooledSamples:
+    """Two value arrays pooled and sorted once, so that every weighting of
+    them by a pair of count rows is a rank-sum test over vectorized tallies.
+
+    Equal values form one tie run (0.0 and -0.0 included). Per test, each
+    run's count on either side comes from one ``np.add.reduceat`` in the
+    shared order, and the rank sum and tie term from int64 sums when their
+    bounds allow it, Python ints otherwise, so every count stays exact.
+    """
+
+    def __init__(self, values_a: Sequence[float], values_b: Sequence[float]):
+        a = np.asarray(values_a, dtype=np.float64)
+        b = np.asarray(values_b, dtype=np.float64)
+        self._sizes = (len(a), len(b))
+        pooled = np.concatenate((a, b))
+        self._order = np.argsort(pooled, kind="stable")
+        ordered = pooled.take(self._order)
+        run_start = np.ones(len(ordered), dtype=bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=run_start[1:])
+        self._starts = np.flatnonzero(run_start)
+        self._from_a = self._order < len(a)
+
+    def test(self, counts_a: Sequence[int], counts_b: Sequence[int],
+             method: str = "auto") -> RankSumResult:
+        """Rank-sum test of the first values weighted by ``counts_a`` against
+        the second weighted by ``counts_b`` (counts truncated to integers)."""
+        if method not in ("auto", "normal", "exact"):
+            raise ContractError(f"unknown method {method!r}")
+        ca = np.asarray(counts_a, dtype=np.int64)
+        cb = np.asarray(counts_b, dtype=np.int64)
+        if (len(ca), len(cb)) != self._sizes:
+            raise ContractError("values and counts must align")
+        counts = np.concatenate((ca, cb))
+        negative = np.flatnonzero(counts < 0)
+        if negative.size:
+            raise ContractError(f"negative count {int(counts[negative[0]])}")
+        if int(counts.max(initial=0)) * len(counts) >= _INT64_LIMIT:
+            counts = counts.astype(object)
+        n_a = int(counts[:len(ca)].sum())
+        n_b = int(counts[len(ca):].sum())
+        if n_a == 0 or n_b == 0:
+            raise ContractError("both samples must be non-empty")
+        n = n_a + n_b
+        ordered = counts.take(self._order)
+        if n * (2 * n + 1) >= _INT64_LIMIT:  # bounds 2 * rank sum of a
+            ordered = ordered.astype(object)
+        t = np.add.reduceat(ordered, self._starts)
+        t_a = np.add.reduceat(np.where(self._from_a, ordered, 0), self._starts)
+        below = np.cumsum(t) - t  # workers ranked below each run
+        two_rank_sum_a = int((t_a * (2 * below + t + 1)).sum())
+        max_t = int(t.max())
+        tied = t.compress(t > 1)
+        # sum(t^3 - t) <= max_t^2 * n, and max_t <= n, so under this bound
+        # every cube also fits int64 (max_t <= 2,097,151)
+        if max_t * max_t * n >= _INT64_LIMIT:
+            tied = tied.astype(object)
+        tie_cubes = int((tied * tied * tied - tied).sum())
+        u = (two_rank_sum_a - n_a * (n_a + 1)) / 2.0
+        mean_u = n_a * n_b / 2.0
+        var_u = (n_a * n_b / 12.0) * ((n + 1) - tie_cubes / (n * (n - 1)))
+        if var_u <= 0.0:
+            return RankSumResult(u=u, z=0.0, p_value=1.0)
+        deviation = u - mean_u
+        if deviation > 0.0:
+            z = (deviation - 0.5) / math.sqrt(var_u)
+        elif deviation < 0.0:
+            z = (deviation + 0.5) / math.sqrt(var_u)
+        else:
+            z = 0.0
+        untied = max_t == 1
+        if method == "exact" or (method == "auto" and untied and n <= _EXACT_MAX_N):
+            if not untied:
+                raise ContractError("exact method requires untied samples")
+            p = _exact_two_sided_p(n_a, n_b, u)
+        else:
+            p = min(math.erfc(abs(z) / math.sqrt(2.0)), 1.0)
+        return RankSumResult(u=u, z=z, p_value=p)
 
 
 def _exact_two_sided_p(n_a: int, n_b: int, u: float) -> float:

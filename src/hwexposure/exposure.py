@@ -121,17 +121,7 @@ def population_weighted_mean(values: Mapping[str, float],
             dropped += w
     if dropped:
         logger.warning("dropped %s worker-weight on tracts without concentrations", dropped)
-    return _weighted_mean(np.asarray(vals, dtype=np.float64),
-                          np.asarray(wts, dtype=np.float64))
-
-
-def _weighted_mean(values: np.ndarray, weights: np.ndarray) -> float:
-    total = float(np.sum(weights))
-    if len(values) == 0 or total <= 0.0:
-        raise EmptyPopulationError("total weight is zero")
-    mean = float(np.sum(values * weights)) / total
-    # Mathematically mean lies in [min, max]; clamp away float drift.
-    return min(max(mean, float(values.min())), float(values.max()))
+    return ValueSlice(np.asarray(vals, dtype=np.float64)).mean(np.asarray(wts, dtype=np.float64))
 
 
 def weighted_percentile(values: Sequence[float], weights: Sequence[float], p: float) -> float:
@@ -141,46 +131,90 @@ def weighted_percentile(values: Sequence[float], weights: Sequence[float], p: fl
     total weight. Ties in value are irrelevant to the result; the stable sort
     keeps the caller's (geoid-ascending) order deterministic.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
     vals = np.asarray(values, dtype=np.float64)
     wts = np.asarray(weights, dtype=np.float64)
     keep = wts > 0
-    vals, wts = vals[keep], wts[keep]
-    total = float(np.sum(wts))
-    if vals.size == 0 or total <= 0.0:
-        raise EmptyPopulationError("total weight is zero")
-    order = np.argsort(vals, kind="stable")
-    vals, wts = vals[order], wts[order]
-    cum = np.cumsum(wts)
-    idx = int(np.searchsorted(cum, p * total, side="left"))
-    return float(vals[min(idx, vals.size - 1)])
+    return ValueSlice(vals[keep]).percentiles(wts[keep], (p,))[0]
+
+
+class ValueSlice:
+    """The values of one (locus, stratum) slice, shared by every group's
+    weighted mean and percentiles over it.
+
+    Each group passes its float64 weights over the whole slice, zeros
+    included. The values are argsorted once for all groups (stable, so ties
+    keep the caller's geoid-ascending order).
+    """
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
+        self._order = np.argsort(values, kind="stable")
+
+    def _total(self, weights: np.ndarray) -> float:
+        total = float(np.sum(weights))
+        if len(self.values) == 0 or total <= 0.0:
+            raise EmptyPopulationError("total weight is zero")
+        return total
+
+    def mean(self, weights: np.ndarray) -> float:
+        """sum(value * weight) / sum(weight)."""
+        total = self._total(weights)
+        mean = float(np.sum(self.values * weights)) / total
+        # Mathematically mean lies in [min, max]; clamp away float drift.
+        return min(max(mean, float(self.values.min())), float(self.values.max()))
+
+    def percentiles(self, weights: np.ndarray, ps: Sequence[float]) -> list[float]:
+        """Per p, the smallest value with positive weight whose cumulative
+        weight reaches p times the total (see ``weighted_percentile``)."""
+        for p in ps:
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"p must be in [0, 1], got {p}")
+        total = self._total(weights)
+        ranked = weights.take(self._order)
+        cum = np.cumsum(ranked)
+        picks = []
+        for p in ps:
+            target = p * total
+            # at p = 0, side="right" steps over the zero weights ranked first
+            idx = int(np.searchsorted(cum, target, side="left" if target > 0.0 else "right"))
+            if idx == len(cum):  # float drift: the largest value with weight
+                idx = int(np.flatnonzero(ranked)[-1])
+            picks.append(float(self.values[self._order[idx]]))
+        return picks
 
 
 class AlignedTable(NamedTuple):
     """RAC/WAC tract table joined against a tract surface, geoid-ascending.
 
-    ``geoids`` is a ``U11`` array; ``codes`` (category columns in schema
-    order) and the int64 (codes x tracts) ``counts`` are empty when no tract
-    resolved.
+    ``surface_geoids`` are the surface's geoids (``U11``, ascending) and
+    ``tract_index`` each row's position among them; ``codes`` (category
+    columns in schema order) and the int64 (codes x tracts) ``counts`` are
+    empty when no tract resolved.
     """
 
     year: int
     locus: str
-    geoids: np.ndarray
+    surface_geoids: np.ndarray
+    tract_index: np.ndarray
     concentrations: np.ndarray
     totals: np.ndarray
     codes: tuple[str, ...]
     counts: np.ndarray
     dropped_weight: int
 
+    @property
+    def geoids(self) -> np.ndarray:
+        return self.surface_geoids.take(self.tract_index)
+
 
 class ResolvedPairs(NamedTuple):
     """OD tract pairs joined against a tract surface, (home, work)-ascending,
-    with ``codes``/``counts`` as in AlignedTable."""
+    with ``tract_index`` the position of each pair's home tract among
+    ``surface_geoids`` and ``codes``/``counts`` as in AlignedTable."""
 
     year: int
-    home_geoids: np.ndarray
+    surface_geoids: np.ndarray
+    tract_index: np.ndarray
     home_values: np.ndarray
     work_values: np.ndarray
     totals: np.ndarray
@@ -188,12 +222,19 @@ class ResolvedPairs(NamedTuple):
     counts: np.ndarray
     dropped_weight: int
 
+    @property
+    def home_geoids(self) -> np.ndarray:
+        return self.surface_geoids.take(self.tract_index)
 
-def _join(surface: TractSurface,
-          table: WorkerTable) -> tuple[list[np.ndarray], WorkerTable, int]:
-    """Surface concentrations at each key array of ``table``, the rows whose
-    every tract has one (without codes when there are none), and the worker
-    total of the other rows."""
+
+def _join(surface: TractSurface, table: WorkerTable):
+    """Resolve each row of ``table`` against the surface's geoids (ascending).
+
+    Returns the geoids and their concentrations; per key array, the
+    positions among the geoids of the rows whose every tract resolved; those
+    rows' (totals, codes, counts), without codes when there are none; and
+    the worker total of the other rows.
+    """
     geoids = sorted(surface.entries)
     sorted_ids = np.array(geoids, dtype=str)
     values = np.array([surface.entries[g] for g in geoids], dtype=np.float64)
@@ -208,14 +249,9 @@ def _join(surface: TractSurface,
     codes = table.codes if found.any() else ()
     # compress, unlike a boolean index, keeps the matrix C-contiguous, so the
     # disparity row sums stay pairwise and byte-identical
-    resolved = WorkerTable(
-        keys=tuple(keys[found] for keys in table.keys),
-        totals=table.totals[found],
-        codes=codes,
-        counts=table.counts[:len(codes)].compress(found, axis=1),
-    )
+    rows = (table.totals[found], codes, table.counts[:len(codes)].compress(found, axis=1))
     dropped = int(table.totals[~found].sum())
-    return [values[pos[found]] for pos in positions], resolved, dropped
+    return sorted_ids, values, [pos[found] for pos in positions], rows, dropped
 
 
 def align_table(surface: TractSurface, table: WorkerTable, role: str) -> AlignedTable:
@@ -224,46 +260,76 @@ def align_table(surface: TractSurface, table: WorkerTable, role: str) -> Aligned
 
     The locus is H for residence tables and W for workplace tables.
     """
-    (conc,), rows, dropped = _join(surface, table)
+    geoids, values, (index,), rows, dropped = _join(surface, table)
     if dropped:
         logger.debug(
             "%s table %d: dropped %d workers on tracts without concentrations",
             role, surface.year, dropped,
         )
     locus = LOCUS_HOME if role == RESIDENCE else LOCUS_WORK
-    return AlignedTable(surface.year, locus, rows.keys[0], conc, rows.totals, rows.codes,
-                        rows.counts, dropped)
+    return AlignedTable(surface.year, locus, geoids, index, values.take(index), *rows, dropped)
 
 
 def resolve_pairs(surface: TractSurface, od: WorkerTable) -> ResolvedPairs:
     """Join OD tract pairs to surface concentrations, dropping unresolvable
     pairs."""
-    (home_vals, work_vals), rows, dropped = _join(surface, od)
+    geoids, values, (home, work), rows, dropped = _join(surface, od)
     if dropped:
         logger.debug(
             "OD %d: dropped %d workers on pairs touching tracts without concentrations",
             surface.year, dropped,
         )
-    return ResolvedPairs(surface.year, rows.keys[0], home_vals, work_vals, rows.totals,
-                         rows.codes, rows.counts, dropped)
+    return ResolvedPairs(surface.year, geoids, home, values.take(home), values.take(work),
+                         *rows, dropped)
 
 
-def stratum_masks(geoids: Sequence[str], classification: Mapping[str, str] | None,
+class TractStrata(NamedTuple):
+    """The stratum of each classified tract, built once per run: ``geoids``
+    ascending and an int8 ``codes`` index into ``names`` per geoid."""
+
+    geoids: np.ndarray
+    codes: np.ndarray
+    names: tuple[str, ...]
+
+
+def tract_strata(classification: Mapping[str, str]) -> TractStrata:
+    """Encode a {geoid: stratum} classification as a TractStrata."""
+    geoids = sorted(classification)
+    names = tuple(sorted(set(classification.values())))
+    index = {name: k for k, name in enumerate(names)}
+    codes = np.array([index[classification[g]] for g in geoids], dtype=np.int8)
+    return TractStrata(np.array(geoids, dtype=str), codes, names)
+
+
+def stratum_masks(table: AlignedTable | ResolvedPairs, classification: TractStrata | None,
                   strata: Sequence[str]) -> dict[str, np.ndarray]:
-    """Boolean row mask per stratum; classified strata are skipped without a
-    classification."""
+    """Boolean row mask per stratum, by each row's (home) tract. Classified
+    strata are skipped without a classification; tracts it does not list are
+    in no classified stratum. The surface's tracts are looked up once and
+    carried to the rows through the join positions."""
     masks = {}
-    n = len(geoids)
+    codes = None
+    n = len(table.tract_index)
     for stratum in strata:
         if stratum == ALL_STRATUM:
             masks[stratum] = np.ones(n, dtype=bool)
-        else:
-            if classification is None:
-                continue
-            masks[stratum] = np.array(
-                [classification.get(g) == stratum for g in geoids], dtype=bool
-            )
+        elif classification is not None:
+            if codes is None:
+                codes = _codes(table.surface_geoids, classification).take(table.tract_index)
+            if stratum in classification.names:
+                masks[stratum] = codes == classification.names.index(stratum)
+            else:
+                masks[stratum] = np.zeros(n, dtype=bool)
     return masks
+
+
+def _codes(geoids: np.ndarray, classification: TractStrata) -> np.ndarray:
+    """The stratum code of each geoid, -1 for those without one."""
+    known = classification.geoids
+    if len(known) == 0:
+        return np.full(len(geoids), -1, dtype=np.int8)
+    pos = np.minimum(np.searchsorted(known, geoids), len(known) - 1)
+    return np.where(known.take(pos) == geoids, classification.codes.take(pos), -1)
 
 
 def iter_groups(schemas: Sequence[GroupSchema], table: AlignedTable | ResolvedPairs):
@@ -280,7 +346,7 @@ def iter_groups(schemas: Sequence[GroupSchema], table: AlignedTable | ResolvedPa
 def compute_group_exposures(
     aligned: AlignedTable,
     schemas: Sequence[GroupSchema],
-    classification: Mapping[str, str] | None = None,
+    classification: TractStrata | None = None,
     strata: Sequence[str] = (ALL_STRATUM,),
 ) -> list[ExposureRecord]:
     """One ExposureRecord per (group, stratum) at the table's locus.
@@ -288,28 +354,31 @@ def compute_group_exposures(
     Groups with zero weight in a stratum are omitted with a log entry.
     """
     locus = aligned.locus
-    masks = stratum_masks(aligned.geoids, classification, strata)
+    masks = stratum_masks(aligned, classification, strata)
     records = []
     for stratum, mask in masks.items():
-        conc = aligned.concentrations[mask]
+        values = ValueSlice(aligned.concentrations[mask])
         for characteristic, label, weights in iter_groups(schemas, aligned):
             w = weights[mask]
-            if int(w.sum()) == 0:
+            weight = int(w.sum())
+            if weight == 0:
                 logger.debug(
                     "skipping zero-weight group %s (%s, %s)",
                     format_group(characteristic, label), locus, stratum,
                 )
                 continue
+            wf = w.astype(np.float64)
+            p10, p90 = values.percentiles(wf, (0.10, 0.90))
             records.append(ExposureRecord(
                 year=aligned.year,
                 characteristic=characteristic,
                 group=label,
                 locus=locus,
                 stratum=stratum,
-                mean=_weighted_mean(conc, w.astype(np.float64)),
-                p10=weighted_percentile(conc, w, 0.10),
-                p90=weighted_percentile(conc, w, 0.90),
-                weight=float(w.sum()),
+                mean=values.mean(wf),
+                p10=p10,
+                p90=p90,
+                weight=float(weight),
             ))
     return records
 
@@ -318,7 +387,7 @@ def compute_hw_exposures(
     pairs: ResolvedPairs,
     schemas: Sequence[GroupSchema],
     weights: HWWeights = DEFAULT_HW_WEIGHTS,
-    classification: Mapping[str, str] | None = None,
+    classification: TractStrata | None = None,
     strata: Sequence[str] = (ALL_STRATUM,),
 ) -> tuple[list[ExposureRecord], list[ErrorRecord]]:
     """Exposure records at loci H, W, and HW over the OD population, plus the
@@ -331,42 +400,42 @@ def compute_hw_exposures(
     if len(pairs.totals) == 0 or int(pairs.totals.sum()) == 0:
         raise EmptyPopulationError("no resolvable OD pairs with workers")
     blended = hw_blend(pairs.home_values, pairs.work_values, weights)
-    masks = stratum_masks(pairs.home_geoids, classification, strata)
+    masks = stratum_masks(pairs, classification, strata)
     records: list[ExposureRecord] = []
     errors: list[ErrorRecord] = []
     undefined = 0
     for stratum, mask in masks.items():
-        vh = pairs.home_values[mask]
-        vw = pairs.work_values[mask]
-        vb = blended[mask]
+        slices = [(locus, ValueSlice(values[mask])) for locus, values in (
+            (LOCUS_HOME, pairs.home_values),
+            (LOCUS_WORK, pairs.work_values),
+            (LOCUS_BLEND, blended),
+        )]
         for characteristic, label, group_counts in iter_groups(schemas, pairs):
             w = group_counts[mask]
-            if int(w.sum()) == 0:
+            weight = int(w.sum())
+            if weight == 0:
                 logger.debug(
                     "skipping zero-weight OD group %s (%s)",
                     format_group(characteristic, label), stratum,
                 )
                 continue
             wf = w.astype(np.float64)
-            h_mean = _weighted_mean(vh, wf)
-            w_mean = _weighted_mean(vw, wf)
-            hw_mean = _weighted_mean(vb, wf)
-            for locus, vals, mean in (
-                (LOCUS_HOME, vh, h_mean),
-                (LOCUS_WORK, vw, w_mean),
-                (LOCUS_BLEND, vb, hw_mean),
-            ):
+            means = {}
+            for locus, values in slices:
+                means[locus] = values.mean(wf)
+                p10, p90 = values.percentiles(wf, (0.10, 0.90))
                 records.append(ExposureRecord(
                     year=pairs.year,
                     characteristic=characteristic,
                     group=label,
                     locus=locus,
                     stratum=stratum,
-                    mean=mean,
-                    p10=weighted_percentile(vals, w, 0.10),
-                    p90=weighted_percentile(vals, w, 0.90),
-                    weight=float(w.sum()),
+                    mean=means[locus],
+                    p10=p10,
+                    p90=p90,
+                    weight=float(weight),
                 ))
+            h_mean, hw_mean = means[LOCUS_HOME], means[LOCUS_BLEND]
             error = h_mean - hw_mean
             if h_mean != 0.0:
                 percent = 100.0 * error / h_mean

@@ -91,6 +91,11 @@ class PolygonPart:
         return polygon_area(self.exterior, self.holes)
 
 
+def is_tract_geoid(geoid: object) -> bool:
+    """A tract GEOID is a string of exactly 11 ASCII digits."""
+    return isinstance(geoid, str) and len(geoid) == 11 and geoid.isascii() and geoid.isdigit()
+
+
 @dataclass(frozen=True)
 class TractGeometry:
     """A census tract: an 11-digit GEOID and one or more polygon parts."""
@@ -99,8 +104,8 @@ class TractGeometry:
     parts: tuple[PolygonPart, ...]
 
     def __post_init__(self) -> None:
-        if len(self.geoid) != 11 or not self.geoid.isdigit():
-            raise SchemaError(f"tract geoid must be 11 digits, got {self.geoid!r}")
+        if not is_tract_geoid(self.geoid):
+            raise SchemaError(f"tract geoid must be 11 ASCII digits, got {self.geoid!r}")
         if not self.parts:
             raise DegenerateGeometryError(f"tract {self.geoid} has no polygons")
 
@@ -247,7 +252,8 @@ def read_tracts_geojson(path: str) -> list[TractGeometry]:
     """Read tract polygons from a GeoJSON FeatureCollection.
 
     Each feature must be a Polygon or MultiPolygon with a ``GEOID`` property
-    holding the 11-digit tract identifier. Coordinates are taken as planar.
+    holding the tract identifier as a string of 11 ASCII digits. Coordinates
+    are taken as planar.
     """
     tracts = []
     for i, feat in enumerate(_features(path)):
@@ -255,7 +261,10 @@ def read_tracts_geojson(path: str) -> list[TractGeometry]:
         geoid = props.get("GEOID")
         if geoid is None:
             raise FormatError(f"{path}: feature {i} is missing the GEOID property")
-        tracts.append(TractGeometry(geoid=str(geoid), parts=_parts_from_geometry(feat.get("geometry") or {})))
+        if not is_tract_geoid(geoid):
+            raise FormatError(f"{path}: feature {i}: GEOID must be a string of 11 ASCII "
+                              f"digits, got {geoid!r}")
+        tracts.append(TractGeometry(geoid=geoid, parts=_parts_from_geometry(feat.get("geometry") or {})))
     return tracts
 
 

@@ -239,11 +239,14 @@ def aggregate_od(rows: WorkerTable, schemas: Sequence[GroupSchema] = OD_SCHEMAS)
 def read_tracts(path: str, role: str) -> tuple[int, WorkerTable]:
     """Read one RAC, WAC or OD table (role RESIDENCE, WORKPLACE or
     ORIGIN_DESTINATION) and roll it up to tracts; also returns its block row
-    count. Every error names the file."""
+    count. A table without data rows is an error. Every error names the
+    file."""
     if role == ORIGIN_DESTINATION:
         rows, rollup = read_od_csv(path), aggregate_od
     else:
         rows, rollup = read_block_csv(path, role), aggregate_to_tracts
+    if len(rows.totals) == 0:
+        raise FormatError(f"{path}: no data rows")
     try:
         return len(rows.totals), rollup(rows)
     except (MalformedGeocodeError, ValidationError) as exc:

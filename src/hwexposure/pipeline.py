@@ -209,7 +209,7 @@ class YearData:
 @dataclass
 class RunState:
     config: RunConfig
-    classification: dict[str, str] | None = None
+    classification: exposure.TractStrata | None = None
     years: dict[int, YearData] = field(default_factory=dict)
     manifest_stages: dict[str, dict] = field(default_factory=dict)
     timings: dict[str, float] = field(default_factory=dict)
@@ -265,8 +265,11 @@ def _stage_surface(state: RunState, write: bool) -> None:
     tracts = read_tracts_geojson(str(config.path(config.tracts)))
     if config.urban_mask:
         polygons = read_mask_geojson(str(config.path(config.urban_mask)))
-        mask = zonal.build_urban_mask(polygons, tracts)
-        state.classification = mask.classification
+        classification = zonal.build_urban_mask(polygons, tracts).classification
+        state.classification = exposure.tract_strata(classification)
+        if write:
+            _write_csv(config.out_dir / "urban.csv", ["geoid", "stratum"],
+                       sorted(classification.items()))
     manifest: dict = {"tracts": len(tracts), "years": {}}
     coverage = None
     for year in config.years:
@@ -282,12 +285,6 @@ def _stage_surface(state: RunState, write: bool) -> None:
         }
         if write:
             zonal.write_surface_csv(surface, str(config.out_dir / f"surface_{year}.csv"))
-    if write and state.classification is not None:
-        _write_csv(
-            config.out_dir / "urban.csv",
-            ["geoid", "stratum"],
-            sorted(state.classification.items()),
-        )
     state.manifest_stages["surface"] = manifest
 
 
@@ -490,7 +487,7 @@ def _composition_rows(state: RunState, aligned: exposure.AlignedTable,
     config = state.config
     year, locus = aligned.year, aligned.locus
     rows: list[list] = []
-    masks = exposure.stratum_masks(aligned.geoids, state.classification, strata)
+    masks = exposure.stratum_masks(aligned, state.classification, strata)
     for stratum, mask in masks.items():
         cols = np.flatnonzero(mask & (aligned.totals > 0))
         group_counts = np.ascontiguousarray(counts[:, cols])
@@ -615,16 +612,18 @@ def _stage_bias(state: RunState, write: bool) -> None:
             _warn_drops(year, {"od": data.pairs.dropped_weight})
         pairs = data.pairs
         blended = exposure.hw_blend(pairs.home_values, pairs.work_values, config.hw_weights)
-        masks = exposure.stratum_masks(pairs.home_geoids, state.classification, strata)
+        masks = exposure.stratum_masks(pairs, state.classification, strata)
         for stratum, mask in masks.items():
             if not mask.any():
                 continue
             vh = pairs.home_values[mask]
             vb = blended[mask]
+            pooled = biasstats.PooledSamples(vh, vb)
             for characteristic, label, counts in exposure.iter_groups(ingest.OD_SCHEMAS, pairs):
                 group_key = exposure.format_group(characteristic, label)
                 w = counts[mask]
-                if int(w.sum()) == 0:
+                n = int(w.sum())
+                if n == 0:
                     continue
                 try:
                     moments = biasstats.error_moments(vh, vb, w)
@@ -637,11 +636,7 @@ def _stage_bias(state: RunState, write: bool) -> None:
                         _float_text(moments.sigma2), _float_text(moments.phi),
                         _float_text(moments.omega2), _float_text(bias),
                     ])
-                keep = w > 0
-                result = biasstats.wilcoxon_rank_sum_grouped(
-                    vh[keep], w[keep], vb[keep], w[keep]
-                )
-                n = int(w.sum())
+                result = pooled.test(w, w)
                 wilcoxon_rows.append([
                     year, group_key, stratum, n, n,
                     _float_text(result.u), _float_text(result.z), _float_text(result.p_value),

@@ -11,6 +11,13 @@ pipeline replaced; the differential tests hold the kernels bit-identical to
 them. worker_table and table_rows convert between row literals and the
 columnar ingest.WorkerTable; oracle_rollup and oracle_join are the per-row
 dict rollup, validation and joins that the columnar ones replaced.
+oracle_weighted_mean, oracle_weighted_percentile, oracle_stratum_masks,
+oracle_group_exposures, oracle_hw_exposures and oracle_rank_sum_grouped are
+the per-group bodies that the one-sort-per-slice kernels
+(exposure.ValueSlice, biasstats.PooledSamples, exposure.TractStrata)
+replaced: one argsort per group and percentile, a per-row dict lookup per
+stratum mask, and a Python dict tally per rank-sum test. with_layout gives a
+count matrix C-ordered, Fortran-ordered or strided.
 """
 from __future__ import annotations
 
@@ -19,8 +26,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from hwexposure import disparity, ingest
-from hwexposure.errors import DegenerateGeometryError, ValidationError
+from hwexposure import biasstats, disparity, exposure, ingest
+from hwexposure.errors import (
+    ContractError,
+    DegenerateGeometryError,
+    EmptyPopulationError,
+    ValidationError,
+)
 from hwexposure.geometry import _clipped_area, _part_area_in, parts_bbox, signed_ring_area
 
 
@@ -304,3 +316,158 @@ def oracle_join(entries: dict[str, float], tracts, schemas):
         for schema in schemas for code, label in schema.categories if code in present
     ]
     return keys, concentrations, totals, groups, dropped
+
+
+def oracle_weighted_mean(values: np.ndarray, weights: np.ndarray) -> float:
+    total = float(np.sum(weights))
+    if len(values) == 0 or total <= 0.0:
+        raise EmptyPopulationError("total weight is zero")
+    mean = float(np.sum(values * weights)) / total
+    return min(max(mean, float(values.min())), float(values.max()))
+
+
+def oracle_weighted_percentile(values, weights, p: float) -> float:
+    """Drop zero weights, argsort the rest (stable) and take the first value
+    whose cumulative weight reaches p times the total."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must be in [0, 1], got {p}")
+    vals = np.asarray(values, dtype=np.float64)
+    wts = np.asarray(weights, dtype=np.float64)
+    keep = wts > 0
+    vals, wts = vals[keep], wts[keep]
+    total = float(np.sum(wts))
+    if vals.size == 0 or total <= 0.0:
+        raise EmptyPopulationError("total weight is zero")
+    order = np.argsort(vals, kind="stable")
+    vals, wts = vals[order], wts[order]
+    cum = np.cumsum(wts)
+    idx = int(np.searchsorted(cum, p * total, side="left"))
+    return float(vals[min(idx, vals.size - 1)])
+
+
+def oracle_stratum_masks(geoids, classification, strata) -> dict[str, np.ndarray]:
+    """Per-row dict lookups in a {geoid: stratum} classification."""
+    masks = {}
+    for stratum in strata:
+        if stratum == exposure.ALL_STRATUM:
+            masks[stratum] = np.ones(len(geoids), dtype=bool)
+        elif classification is not None:
+            masks[stratum] = np.array([classification.get(g) == stratum for g in geoids],
+                                      dtype=bool)
+    return masks
+
+
+def oracle_group_exposures(aligned, schemas, classification=None,
+                           strata=(exposure.ALL_STRATUM,)) -> list:
+    records = []
+    for stratum, mask in oracle_stratum_masks(aligned.geoids, classification, strata).items():
+        conc = aligned.concentrations[mask]
+        for characteristic, label, weights in exposure.iter_groups(schemas, aligned):
+            w = weights[mask]
+            if int(w.sum()) == 0:
+                continue
+            records.append(exposure.ExposureRecord(
+                year=aligned.year, characteristic=characteristic, group=label,
+                locus=aligned.locus, stratum=stratum,
+                mean=oracle_weighted_mean(conc, w.astype(np.float64)),
+                p10=oracle_weighted_percentile(conc, w, 0.10),
+                p90=oracle_weighted_percentile(conc, w, 0.90),
+                weight=float(w.sum()),
+            ))
+    return records
+
+
+def oracle_hw_exposures(pairs, schemas, weights=exposure.DEFAULT_HW_WEIGHTS,
+                        classification=None, strata=(exposure.ALL_STRATUM,)):
+    if len(pairs.totals) == 0 or int(pairs.totals.sum()) == 0:
+        raise EmptyPopulationError("no resolvable OD pairs with workers")
+    blended = exposure.hw_blend(pairs.home_values, pairs.work_values, weights)
+    records, errors = [], []
+    for stratum, mask in oracle_stratum_masks(pairs.home_geoids, classification,
+                                              strata).items():
+        vh, vw, vb = pairs.home_values[mask], pairs.work_values[mask], blended[mask]
+        for characteristic, label, group_counts in exposure.iter_groups(schemas, pairs):
+            w = group_counts[mask]
+            if int(w.sum()) == 0:
+                continue
+            wf = w.astype(np.float64)
+            h_mean = oracle_weighted_mean(vh, wf)
+            w_mean = oracle_weighted_mean(vw, wf)
+            hw_mean = oracle_weighted_mean(vb, wf)
+            for locus, vals, mean in (("H", vh, h_mean), ("W", vw, w_mean), ("HW", vb, hw_mean)):
+                records.append(exposure.ExposureRecord(
+                    year=pairs.year, characteristic=characteristic, group=label,
+                    locus=locus, stratum=stratum, mean=mean,
+                    p10=oracle_weighted_percentile(vals, w, 0.10),
+                    p90=oracle_weighted_percentile(vals, w, 0.90),
+                    weight=float(w.sum()),
+                ))
+            error = h_mean - hw_mean
+            percent = 100.0 * error / h_mean if h_mean != 0.0 else math.nan
+            errors.append(exposure.ErrorRecord(
+                year=pairs.year, characteristic=characteristic, group=label,
+                stratum=stratum, error=error, percent_error=percent,
+            ))
+    return records, errors
+
+
+def oracle_rank_sum_grouped(values_a, counts_a, values_b, counts_b, method="auto"):
+    """Rank-sum test from a {value: [count a, count b]} tally in Python ints."""
+    if method not in ("auto", "normal", "exact"):
+        raise ContractError(f"unknown method {method!r}")
+    tally: dict[float, list[int]] = {}
+    for values, counts, side in ((values_a, counts_a, 0), (values_b, counts_b, 1)):
+        for value, count in zip(values, counts):
+            count = int(count)
+            if count < 0:
+                raise ContractError(f"negative count {count}")
+            if count == 0:
+                continue
+            tally.setdefault(float(value), [0, 0])[side] += count
+    n_a = sum(ca for ca, _ in tally.values())
+    n_b = sum(cb for _, cb in tally.values())
+    if n_a == 0 or n_b == 0:
+        raise ContractError("both samples must be non-empty")
+    cum = 0
+    two_rank_sum_a = 0
+    tie_cubes = 0
+    for value in sorted(tally):
+        ca, cb = tally[value]
+        t = ca + cb
+        two_rank_sum_a += ca * (2 * cum + t + 1)
+        tie_cubes += t * t * t - t
+        cum += t
+    n = n_a + n_b
+    u = (two_rank_sum_a - n_a * (n_a + 1)) / 2.0
+    mean_u = n_a * n_b / 2.0
+    var_u = (n_a * n_b / 12.0) * ((n + 1) - tie_cubes / (n * (n - 1)))
+    if var_u <= 0.0:
+        return biasstats.RankSumResult(u=u, z=0.0, p_value=1.0)
+    deviation = u - mean_u
+    if deviation > 0.0:
+        z = (deviation - 0.5) / math.sqrt(var_u)
+    elif deviation < 0.0:
+        z = (deviation + 0.5) / math.sqrt(var_u)
+    else:
+        z = 0.0
+    untied = all(ca + cb == 1 for ca, cb in tally.values())
+    if method == "exact" or (method == "auto" and untied and n <= biasstats._EXACT_MAX_N):
+        if not untied:
+            raise ContractError("exact method requires untied samples")
+        p = biasstats._exact_two_sided_p(n_a, n_b, u)
+    else:
+        p = min(math.erfc(abs(z) / math.sqrt(2.0)), 1.0)
+    return biasstats.RankSumResult(u=u, z=z, p_value=p)
+
+
+def with_layout(matrix: np.ndarray, layout: str) -> np.ndarray:
+    """The same int64 matrix C-ordered ("C"), Fortran-ordered ("F") or as a
+    view of every other column of a wider matrix ("strided")."""
+    matrix = np.asarray(matrix, dtype=np.int64)
+    if layout == "C":
+        return np.ascontiguousarray(matrix)
+    if layout == "F":
+        return np.asfortranarray(matrix)
+    wide = np.zeros((matrix.shape[0], 2 * matrix.shape[1]), dtype=np.int64)
+    wide[:, ::2] = matrix
+    return wide[:, ::2]

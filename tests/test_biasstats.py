@@ -13,12 +13,15 @@ from hypothesis import strategies as st
 
 from hwexposure.biasstats import (
     ErrorMoments,
+    PooledSamples,
     bias_factor,
     error_moments,
     wilcoxon_rank_sum,
     wilcoxon_rank_sum_grouped,
 )
 from hwexposure.errors import ContractError, DegenerateVarianceError, DomainError
+
+from helpers import oracle_rank_sum_grouped, with_layout
 
 
 # ----------------------------------------------------------------------------
@@ -289,3 +292,89 @@ def test_wilcoxon_grouped_matches_expanded():
         [v for v, c in zip(values_b, counts_b) for _ in range(c)],
     )
     assert grouped == expanded
+
+
+# ----------------------------------------------------------------------------
+# PooledSamples: one sort per slice, against the per-test dict tally
+# ----------------------------------------------------------------------------
+
+def outcome(test, *args):
+    """repr of a rank-sum result, or the class and text of its error."""
+    try:
+        result = test(*args)
+    except ContractError as exc:
+        return f"ContractError({exc})"
+    return repr((result.u, result.z, result.p_value))
+
+
+TIED_VALUES = (0.0, -0.0, 0.25, 1.5, 2.0, 7.75)
+
+
+@st.composite
+def pooled_slices(draw):
+    """Two value arrays and count matrices with one row per group: tied
+    values shared within and across sides with counts 0-5, or distinct
+    values with 0/1 counts (the untied exact path when n <= 25); rows may be
+    all-zero or one worker, the second side may reuse the first's counts as
+    the bias stage does, and one count may be negative."""
+    untied = draw(st.booleans())
+    n_a = draw(st.integers(0, 14))
+    same = draw(st.booleans())
+    n_b = n_a if same else draw(st.integers(0, 14))
+    if untied:
+        quarters = draw(st.permutations(range(40)))[:n_a + n_b]
+        values = [q / 4.0 for q in quarters]
+    else:
+        values = draw(st.lists(st.sampled_from(TIED_VALUES), min_size=n_a + n_b,
+                               max_size=n_a + n_b))
+    groups = draw(st.integers(1, 4))
+
+    def row(n):
+        kind = draw(st.sampled_from(["counts", "counts", "zero", "single"]))
+        if kind == "zero" or n == 0:
+            return [0] * n
+        if kind == "single":
+            one = [0] * n
+            one[draw(st.integers(0, n - 1))] = 1
+            return one
+        return draw(st.lists(st.integers(0, 1 if untied else 5), min_size=n, max_size=n))
+
+    counts_a = np.array([row(n_a) for _ in range(groups)], dtype=np.int64).reshape(groups, n_a)
+    counts_b = counts_a if same else np.array(
+        [row(n_b) for _ in range(groups)], dtype=np.int64).reshape(groups, n_b)
+    if n_a and draw(st.integers(0, 9)) == 0:
+        counts_a = counts_a.copy()
+        counts_a[draw(st.integers(0, groups - 1)), draw(st.integers(0, n_a - 1))] = -2
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    method = draw(st.sampled_from(["auto", "auto", "normal", "exact"]))
+    return (values[:n_a], values[n_a:], with_layout(counts_a, layout),
+            with_layout(counts_b, layout), method)
+
+
+@given(pooled_slices())
+@settings(max_examples=400, deadline=None)
+def test_pooled_rank_sums_match_dict_oracle(case):
+    values_a, values_b, counts_a, counts_b, method = case
+    pooled = PooledSamples(values_a, values_b)
+    for row_a, row_b in zip(counts_a, counts_b):
+        want = outcome(oracle_rank_sum_grouped, values_a, row_a, values_b, row_b, method)
+        assert outcome(pooled.test, row_a, row_b, method) == want
+        assert outcome(wilcoxon_rank_sum_grouped, values_a, row_a, values_b, row_b,
+                       method) == want
+
+
+@pytest.mark.parametrize("tie", [1_000_000, 2_097_151, 2_097_152, 3_000_000])
+def test_pooled_rank_sum_tie_term_past_int64(tie):
+    # One value carries `tie` workers. Its cube fits int64 up to 2,097,151;
+    # the tie term is summed in int64 only while tie**2 * n < 2**63, which
+    # holds at 1,000,000 here and fails from 2,097,151 on.
+    values_a, counts_a = [1.0, 2.0, 3.0], [tie - 5, 7, 11]
+    values_b, counts_b = [1.0, 0.5, 3.0], [5, 13, 2]
+    assert (tie ** 3 >= 2 ** 63) == (tie > 2_097_151)
+    want = outcome(oracle_rank_sum_grouped, values_a, counts_a, values_b, counts_b)
+    assert outcome(PooledSamples(values_a, values_b).test, counts_a, counts_b) == want
+
+
+def test_pooled_rank_sum_rejects_misaligned_counts():
+    with pytest.raises(ContractError, match="align"):
+        PooledSamples([1.0, 2.0], [3.0]).test([1], [1])

@@ -466,7 +466,8 @@ def test_state_disparity_zero_national():
 
 def aligned_table(geoids, totals, conc, category_counts):
     return AlignedTable(
-        year=2011, locus="H", geoids=np.array(geoids, dtype="U11"),
+        year=2011, locus="H", surface_geoids=np.array(geoids, dtype="U11"),
+        tract_index=np.arange(len(geoids)),
         concentrations=np.asarray(conc, dtype=np.float64),
         totals=np.asarray(totals, dtype=np.int64),
         codes=tuple(category_counts),

@@ -13,20 +13,30 @@ from hypothesis import strategies as st
 from hwexposure.errors import EmptyPopulationError
 from hwexposure.exposure import (
     DEFAULT_HW_WEIGHTS,
+    AlignedTable,
     ExposureRecord,
     HWWeights,
+    ResolvedPairs,
+    ValueSlice,
     align_table,
     compute_group_exposures,
     compute_hw_exposures,
     hw_blend,
     population_weighted_mean,
     resolve_pairs,
+    tract_strata,
     weighted_percentile,
 )
 from hwexposure.ingest import OD_SCHEMAS, RAC_WAC_SCHEMAS
 from hwexposure.zonal import TractSurface
 
-from helpers import worker_table
+from helpers import (
+    oracle_group_exposures,
+    oracle_hw_exposures,
+    oracle_weighted_percentile,
+    with_layout,
+    worker_table,
+)
 
 AGE = tuple(s for s in RAC_WAC_SCHEMAS if s.characteristic == "age")
 OD_AGE = tuple(s for s in OD_SCHEMAS if s.characteristic == "od_age")
@@ -246,7 +256,7 @@ def test_group_exposures_match_expansion_oracle_exactly():
 
 def test_group_exposures_strata_split():
     surface, table = small_world()
-    classification = {geoid(i): ("urban" if i < 4 else "rural") for i in range(9)}
+    classification = tract_strata({geoid(i): ("urban" if i < 4 else "rural") for i in range(9)})
     records = compute_group_exposures(
         aligned_home(surface, table), AGE, classification, strata=("all", "urban", "rural")
     )
@@ -348,7 +358,8 @@ def random_od_world(seed, n_tracts=40, n_pairs=300):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_hw_error_identity(seed):
     surface, od = random_od_world(seed)
-    classification = {g: ("urban" if i % 3 else "rural") for i, g in enumerate(surface.entries)}
+    classification = tract_strata(
+        {g: ("urban" if i % 3 else "rural") for i, g in enumerate(surface.entries)})
     records, errors = compute_hw_exposures(
         resolve_pairs(surface, od), OD_AGE,
         classification=classification, strata=("all", "urban", "rural"),
@@ -363,7 +374,7 @@ def test_hw_error_identity(seed):
 
 def test_hw_zero_home_mean_warns_once_per_year(caplog):
     surface = TractSurface(year=2011, entries={geoid(0): 0.0, geoid(1): 0.0})
-    classification = {geoid(0): "urban", geoid(1): "rural"}
+    classification = tract_strata({geoid(0): "urban", geoid(1): "rural"})
     od = od_matrix({(geoid(0), geoid(1)): (3, {"SA01": 1, "SA02": 2, "SA03": 0})})
     with caplog.at_level(logging.DEBUG, logger="hwexposure.exposure"):
         _, errors = compute_hw_exposures(
@@ -382,7 +393,7 @@ def test_hw_zero_home_mean_warns_once_per_year(caplog):
 
 def test_hw_stratum_assigned_by_home_tract():
     surface = TractSurface(year=2011, entries={geoid(0): 4.0, geoid(1): 10.0})
-    classification = {geoid(0): "urban", geoid(1): "rural"}
+    classification = tract_strata({geoid(0): "urban", geoid(1): "rural"})
     od = od_matrix({
         (geoid(0), geoid(1)): (1, {}),  # lives urban, works rural
     })
@@ -397,3 +408,99 @@ def test_exposure_record_validates():
         ExposureRecord(2011, "all", "all", "H", "all", mean=5.0, p10=6.0, p90=5.0, weight=1.0)
     with pytest.raises(ValueError):
         ExposureRecord(2011, "all", "all", "H", "all", mean=5.0, p10=5.0, p90=5.0, weight=-1.0)
+
+
+# ----------------------------------------------------------------------------
+# ValueSlice: one sort per (locus, stratum) slice, against per-group oracles
+# ----------------------------------------------------------------------------
+
+SLICE_VALUES = (0.0, 0.25, 3.5, 7.75, 12.0)
+STRATA = ("all", "urban", "rural")
+
+
+@st.composite
+def count_matrices(draw, n_rows, n):
+    """(n_rows x n) int64 counts with all-zero and one-worker rows among
+    them, in a drawn memory layout."""
+    rows = []
+    for _ in range(n_rows):
+        kind = draw(st.sampled_from(["counts", "counts", "zero", "single"]))
+        if kind == "zero" or n == 0:
+            rows.append([0] * n)
+        elif kind == "single":
+            rows.append([0] * n)
+            rows[-1][draw(st.integers(0, n - 1))] = 1
+        else:
+            rows.append(draw(st.lists(st.integers(0, 6), min_size=n, max_size=n)))
+    matrix = np.array(rows, dtype=np.int64).reshape(n_rows, n)
+    return with_layout(matrix, draw(st.sampled_from(["C", "F", "strided"])))
+
+
+@st.composite
+def classified_slices(draw):
+    """Tract positions (ascending, repeats for OD homes) among 13 surface
+    geoids, tied values, a count matrix whose first row is the totals, and a
+    classification that may leave a stratum empty."""
+    n = draw(st.integers(0, 24))
+    index = np.array(sorted(draw(st.lists(st.integers(0, 12), min_size=n, max_size=n))),
+                     dtype=np.int64)
+    values = np.array(draw(st.lists(st.sampled_from(SLICE_VALUES), min_size=n, max_size=n)))
+    others = np.array(draw(st.lists(st.sampled_from(SLICE_VALUES), min_size=n, max_size=n)))
+    counts = draw(count_matrices(4, n))
+    labels = draw(st.lists(st.sampled_from(["urban", "rural", None]), min_size=13,
+                           max_size=13))
+    classification = {geoid(i): s for i, s in enumerate(labels) if s is not None}
+    return index, values, others, counts, classification
+
+
+def records_text(compute, *args, **kwargs):
+    try:
+        return repr(compute(*args, **kwargs))
+    except EmptyPopulationError as exc:
+        return f"EmptyPopulationError({exc})"
+
+
+@given(classified_slices())
+@settings(max_examples=300, deadline=None)
+def test_group_and_hw_exposures_match_per_group_oracle(case):
+    index, values, others, counts, classification = case
+    geoids = np.array([geoid(i) for i in range(13)], dtype="U11")
+    codes = ("CA01", "CA02", "CA03")
+    aligned = AlignedTable(2011, "H", geoids, index, values, counts[0], codes, counts[1:], 0)
+    assert records_text(
+        compute_group_exposures, aligned, AGE, tract_strata(classification), STRATA
+    ) == records_text(oracle_group_exposures, aligned, AGE, classification, STRATA)
+    pairs = ResolvedPairs(2011, geoids, index, values, others, counts[0],
+                          ("SA01", "SA02", "SA03"), counts[1:], 0)
+    assert records_text(
+        compute_hw_exposures, pairs, OD_AGE, classification=tract_strata(classification),
+        strata=STRATA,
+    ) == records_text(oracle_hw_exposures, pairs, OD_AGE, classification=classification,
+                      strata=STRATA)
+
+
+@given(classified_slices())
+@settings(max_examples=200, deadline=None)
+def test_value_slice_percentiles_match_oracle_at_every_p(case):
+    _, values, _, counts, _ = case
+    ps = (0.0, 0.1, 0.5, 0.9, 1.0)
+    value_slice = ValueSlice(values)
+    for row in counts:
+        weights = row.astype(np.float64)
+        if int(row.sum()) == 0:
+            with pytest.raises(EmptyPopulationError):
+                value_slice.percentiles(weights, ps)
+            continue
+        got = value_slice.percentiles(weights, ps)
+        assert repr(got) == repr([oracle_weighted_percentile(values, row, p) for p in ps])
+
+
+def test_value_slice_percentile_past_float_drift():
+    # ten weights of 0.1 cumsum to 0.9999999999999999 but sum pairwise to
+    # 1.0, so p = 1 runs past the end: the answer is the largest value with
+    # weight, not the zero-weight value ranked last
+    values = np.array([float(v) for v in range(10)] + [100.0])
+    weights = np.array([0.1] * 10 + [0.0])
+    assert np.cumsum(weights)[-1] < np.sum(weights)
+    assert ValueSlice(values).percentiles(weights, (1.0,)) == [9.0]
+    assert weighted_percentile(values, weights, 1.0) == 9.0

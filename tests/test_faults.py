@@ -137,10 +137,24 @@ def test_invalid_utf8(tmp_path, caplog):
 
 
 def test_header_only_table(tmp_path, caplog):
+    for name in ("od_2011.csv", "rac_2011.csv"):
+        world = make_world(tmp_path / name)
+        edit_lines(world / name, lambda lines: lines.__delitem__(slice(1, None)))
+        assert run(world, tmp_path / name / "out") == 1
+        assert f"stage exposure: {world / name}: no data rows" in caplog.text
+
+
+@pytest.mark.parametrize("change", [lambda g: g[1:], int], ids=["stripped_leading_zero", "number"])
+def test_bad_tract_geoid_names_the_file_and_feature(tmp_path, caplog, change):
     world = make_world(tmp_path)
-    edit_lines(world / "od_2011.csv", lambda lines: lines.__delitem__(slice(1, None)))
+    path = world / "tracts.geojson"
+    collection = json.loads(path.read_text())
+    geoid = collection["features"][3]["properties"]["GEOID"]
+    collection["features"][3]["properties"]["GEOID"] = change(geoid)
+    path.write_text(json.dumps(collection))
     assert run(world, tmp_path / "out") == 1
-    assert "stage exposure: no resolvable OD pairs with workers" in caplog.text
+    assert (f"stage surface: {path}: feature 3: GEOID must be a string of 11 ASCII digits, "
+            f"got {change(geoid)!r}") in caplog.text
 
 
 def test_negative_count(tmp_path, caplog):

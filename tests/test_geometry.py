@@ -222,6 +222,11 @@ def test_tract_geoid_validation():
         TractGeometry(geoid="123", parts=(rect_part(0, 0, 1, 1),))
     with pytest.raises(SchemaError):
         TractGeometry(geoid="1234567890A", parts=(rect_part(0, 0, 1, 1),))
+    # str.isdigit accepts non-ASCII digits, which no GEOID contains
+    arabic_indic = "".join(chr(0x0660 + int(d)) for d in "06037000100")
+    assert arabic_indic.isdigit()
+    with pytest.raises(SchemaError, match="11 ASCII digits"):
+        TractGeometry(geoid=arabic_indic, parts=(rect_part(0, 0, 1, 1),))
 
 
 def test_parts_bbox():

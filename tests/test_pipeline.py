@@ -3,11 +3,15 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import hwexposure
 from hwexposure import cli, pipeline, synth, zonal
 from hwexposure.errors import ConfigError
 
@@ -470,3 +474,24 @@ def test_cli_run_stage_flag(tmp_path):
     assert (out / "exposure.csv").exists()
     assert not (out / "gaps.csv").exists()
     assert not (out / "manifest.json").exists()
+
+
+# A run imports only what it uses: a lazily imported module adds set-up cost
+# to every run without showing in any stage's time.
+_IMPORT_CHECK = """
+import sys
+from hwexposure import cli, synth
+synth.synth(sys.argv[1], seed=7, n_tracts=9, n_groups=3)
+rc = cli.main(["run", "--config", sys.argv[1] + "/config.json", "--out", sys.argv[2]])
+print(rc, sorted(name for name in ("numpy.ma",) if name in sys.modules))
+"""
+
+
+def test_run_does_not_import_numpy_ma(tmp_path):
+    # a fresh interpreter: this test session may have imported numpy.ma itself
+    env = dict(os.environ, PYTHONPATH=str(Path(hwexposure.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", _IMPORT_CHECK, str(tmp_path / "world"), str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert result.stdout.split("\n")[-2] == "0 []"
