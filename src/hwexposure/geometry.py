@@ -1,94 +1,46 @@
-"""Planar polygon primitives: shoelace areas, half-plane clipping for exact
-polygon-set overlap, and a GeoJSON-subset reader for tract and mask geometries.
+"""Planar polygon sets as flat vertex arrays, and a GeoJSON-subset reader for
+tract and mask geometries.
 
 Coordinates are assumed to be in a planar CRS already; nothing here reprojects.
-All clipping is successive half-plane clipping (Sutherland-Hodgman); ties on a
-clip boundary are resolved by the arithmetic itself, with no epsilon snapping.
+A file is parsed once into a ``PolygonSet``: every ring closed and stored
+back to back, with its owner (a tract, or a mask polygon) and hole flag. Every
+ring is checked here, so the kernels in ``zonal`` can rely on >= 3 distinct
+vertices and a nonzero shoelace area per ring.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+import math
+from itertools import chain
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import DegenerateGeometryError, FormatError, SchemaError
 
-Vertex = tuple[float, float]
-Ring = tuple[Vertex, ...]
-Rect = tuple[float, float, float, float]  # x0, y0, x1, y1
-HalfPlane = tuple[float, float, float]  # keep a*x + b*y <= c
 
+class PolygonSet(NamedTuple):
+    """Polygons as flat arrays of closed rings.
 
-def normalize_ring(vertices: Iterable[Sequence[float]]) -> Ring:
-    """Return a closed ring (first vertex repeated last) with >= 3 distinct vertices.
-
-    Accepts open or closed input; raises DegenerateGeometryError when fewer
-    than three distinct vertices remain.
+    Ring ``r`` is ``xy[ring_ptr[r]:ring_ptr[r + 1]]``, first vertex repeated
+    last. Its owner ``ring_owner[r]`` is a tract (``geoids`` ascending) or, in
+    a mask, one polygon; an owner's rings are contiguous, each polygon's
+    exterior first and then its holes. ``ring_area`` is the signed shoelace
+    area (positive counter-clockwise); ``bbox`` is each owner's
+    (min x, min y, max x, max y) over all its rings.
     """
-    pts = [(float(v[0]), float(v[1])) for v in vertices]
-    if len(pts) >= 2 and pts[0] == pts[-1]:
-        pts = pts[:-1]
-    if len(set(pts)) < 3:
-        raise DegenerateGeometryError(
-            f"ring needs >= 3 distinct vertices, got {len(set(pts))}"
-        )
-    return tuple(pts) + (pts[0],)
 
+    geoids: tuple[str, ...]  # () for a mask
+    xy: np.ndarray           # float64 (V, 2)
+    ring_ptr: np.ndarray     # int64 (R + 1,)
+    ring_owner: np.ndarray   # int64 (R,)
+    ring_hole: np.ndarray    # bool (R,)
+    ring_area: np.ndarray    # float64 (R,)
+    bbox: np.ndarray         # float64 (owners, 4)
 
-def _open(ring: Ring) -> list[Vertex]:
-    # Drop the closing duplicate for edge-walking algorithms.
-    return list(ring[:-1]) if ring[0] == ring[-1] else list(ring)
-
-
-def signed_ring_area(ring: Ring) -> float:
-    """Signed shoelace area; positive for counter-clockwise rings."""
-    pts = _open(ring)
-    acc = 0.0
-    n = len(pts)
-    for i in range(n):
-        x0, y0 = pts[i]
-        x1, y1 = pts[(i + 1) % n]
-        acc += x0 * y1 - x1 * y0
-    return 0.5 * acc
-
-
-def polygon_area(exterior: Iterable[Sequence[float]],
-                 holes: Iterable[Iterable[Sequence[float]]] = ()) -> float:
-    """Area of a polygon with optional holes: |exterior| minus hole areas.
-
-    Raises DegenerateGeometryError for rings with fewer than 3 distinct
-    vertices or zero area (collinear rings).
-    """
-    ext = normalize_ring(exterior)
-    area = abs(signed_ring_area(ext))
-    if area == 0.0:
-        raise DegenerateGeometryError("ring has zero area")
-    for hole in holes:
-        h = normalize_ring(hole)
-        h_area = abs(signed_ring_area(h))
-        if h_area == 0.0:
-            raise DegenerateGeometryError("hole ring has zero area")
-        area -= h_area
-    return max(area, 0.0)
-
-
-@dataclass(frozen=True)
-class PolygonPart:
-    """One exterior ring plus the holes nested inside it. Rings are stored closed."""
-
-    exterior: Ring
-    holes: tuple[Ring, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "exterior", normalize_ring(self.exterior))
-        object.__setattr__(
-            self, "holes", tuple(normalize_ring(h) for h in self.holes)
-        )
-        if abs(signed_ring_area(self.exterior)) == 0.0:
-            raise DegenerateGeometryError("exterior ring has zero area")
-
-    def area(self) -> float:
-        return polygon_area(self.exterior, self.holes)
+    @property
+    def n_owners(self) -> int:
+        return len(self.bbox)
 
 
 def is_tract_geoid(geoid: object) -> bool:
@@ -96,145 +48,157 @@ def is_tract_geoid(geoid: object) -> bool:
     return isinstance(geoid, str) and len(geoid) == 11 and geoid.isascii() and geoid.isdigit()
 
 
-@dataclass(frozen=True)
-class TractGeometry:
-    """A census tract: an 11-digit GEOID and one or more polygon parts."""
-
-    geoid: str
-    parts: tuple[PolygonPart, ...]
-
-    def __post_init__(self) -> None:
-        if not is_tract_geoid(self.geoid):
-            raise SchemaError(f"tract geoid must be 11 ASCII digits, got {self.geoid!r}")
-        if not self.parts:
-            raise DegenerateGeometryError(f"tract {self.geoid} has no polygons")
-
-    def area(self) -> float:
-        return sum(p.area() for p in self.parts)
-
-
-def parts_bbox(parts: Sequence[PolygonPart]) -> Rect:
-    """Axis-aligned bounding box over the exterior rings."""
-    xs = [x for p in parts for x, _ in p.exterior]
-    ys = [y for p in parts for _, y in p.exterior]
-    return (min(xs), min(ys), max(xs), max(ys))
+def _bad_coordinates(rings) -> str | None:
+    """Why a polygon's rings are not lists of [x, y, ...] finite JSON numbers."""
+    for ring in rings:
+        if type(ring) is not list:
+            return f"ring must be a list of positions, got {ring!r}"
+        for position in ring:
+            if type(position) is not list or len(position) < 2:
+                return f"position must be a list of 2 or more numbers, got {position!r}"
+            for value in position[:2]:
+                try:
+                    finite = type(value) in (int, float) and math.isfinite(value)
+                except OverflowError:  # an int beyond float range
+                    finite = False
+                if not finite:
+                    return f"coordinate must be a finite number, got {value!r}"
+    return None
 
 
-def _clip_halfplane(points: list[Vertex], a: float, b: float, c: float) -> list[Vertex]:
-    # One Sutherland-Hodgman pass: keep the region a*x + b*y <= c.
-    if not points:
-        return []
-    out: list[Vertex] = []
-    px, py = points[-1]
-    fp = a * px + b * py - c
-    for qx, qy in points:
-        fq = a * qx + b * qy - c
-        if fq <= 0.0:
-            if fp > 0.0:
-                t = fp / (fp - fq)
-                out.append((px + t * (qx - px), py + t * (qy - py)))
-            out.append((qx, qy))
-        elif fp <= 0.0:
-            t = fp / (fp - fq)
-            out.append((px + t * (qx - px), py + t * (qy - py)))
-        px, py, fp = qx, qy, fq
-    return out
+def polygon_set(source: str, features: Sequence[Sequence],
+                geoids: Sequence[str] | None = None) -> PolygonSet:
+    """Build a PolygonSet from each feature's polygons, given as GeoJSON
+    MultiPolygon coordinates (a list of polygons, each a list of rings).
 
-
-def _clipped_area(ring: Ring, halfplanes: Sequence[HalfPlane]) -> float:
-    pts = _open(ring)
-    for a, b, c in halfplanes:
-        pts = _clip_halfplane(pts, a, b, c)
-        if len(pts) < 3:
-            return 0.0
-    acc = 0.0
-    n = len(pts)
-    for i in range(n):
-        x0, y0 = pts[i]
-        x1, y1 = pts[(i + 1) % n]
-        acc += x0 * y1 - x1 * y0
-    return abs(0.5 * acc)
-
-
-def _part_area_in(part: PolygonPart, halfplanes: Sequence[HalfPlane]) -> float:
-    area = _clipped_area(part.exterior, halfplanes)
-    for hole in part.holes:
-        area -= _clipped_area(hole, halfplanes)
-    return area
-
-
-def _triangle_halfplanes(p: Vertex, q: Vertex, r: Vertex) -> tuple[HalfPlane, ...]:
-    # Vertices must be counter-clockwise; inside is left of each directed edge.
-    hps = []
-    for (ux, uy), (vx, vy) in ((p, q), (q, r), (r, p)):
-        a = vy - uy
-        b = ux - vx
-        hps.append((a, b, a * ux + b * uy))
-    return tuple(hps)
-
-
-def _disjoint(a: Rect, b: Rect) -> bool:
-    return a[2] < b[0] or b[2] < a[0] or a[3] < b[1] or b[3] < a[1]
-
-
-def _ring_overlap(subject: Sequence[PolygonPart], subject_box: Rect, clip_ring: Ring) -> float:
-    # Signed fan decomposition: the ring's indicator equals the signed sum of
-    # fan-triangle indicators, so intersection areas add with the fan signs.
-    # A ring or triangle whose bbox misses the subject's bbox adds nothing.
-    verts = _open(clip_ring)
-    xs = [x for x, _ in verts]
-    ys = [y for _, y in verts]
-    if _disjoint((min(xs), min(ys), max(xs), max(ys)), subject_box):
-        return 0.0
-    b0 = verts[0]
-    acc = 0.0
-    for i in range(1, len(verts) - 1):
-        b1, b2 = verts[i], verts[i + 1]
-        cross = (b1[0] - b0[0]) * (b2[1] - b0[1]) - (b1[1] - b0[1]) * (b2[0] - b0[0])
-        if cross == 0.0:
-            continue
-        tx, ty = (b0[0], b1[0], b2[0]), (b0[1], b1[1], b2[1])
-        if _disjoint((min(tx), min(ty), max(tx), max(ty)), subject_box):
-            continue
-        tri = (b0, b1, b2) if cross > 0.0 else (b0, b2, b1)
-        hps = _triangle_halfplanes(*tri)
-        area = sum(_part_area_in(p, hps) for p in subject)
-        acc += area if cross > 0.0 else -area
-    return acc
-
-
-def overlap_area(subject: Sequence[PolygonPart], clip: Sequence[PolygonPart]) -> float:
-    """Exact intersection area between two polygon sets.
-
-    The clip set's parts must be mutually disjoint (true for Census urban-area
-    polygons); overlapping clip parts would be double counted.
+    With ``geoids`` the features are tracts, ordered by geoid, and each must
+    have a polygon; without, every polygon is one owner, in file order.
+    Rings may be given open or closed. Errors name ``source`` and the feature
+    index.
     """
-    box = parts_bbox(subject)
-    total = 0.0
-    for part in clip:
-        total += _ring_overlap(subject, box, part.exterior)
-        for hole in part.holes:
-            total -= _ring_overlap(subject, box, hole)
-    return max(total, 0.0)
+    n = len(features)
+    if geoids is not None:
+        if not all(map(is_tract_geoid, geoids)):
+            i = next(i for i, geoid in enumerate(geoids) if not is_tract_geoid(geoid))
+            raise FormatError(f"{source}: feature {i}: GEOID must be a string of 11 ASCII "
+                              f"digits, got {geoids[i]!r}")
+        order = sorted(range(n), key=geoids.__getitem__)
+        ordered = [geoids[i] for i in order]
+        dupes = sorted({a for a, b in zip(ordered, ordered[1:]) if a == b})
+        if dupes:
+            raise SchemaError(f"{source}: duplicate tract geoids: {dupes[:5]}")
+    else:
+        order = list(range(n))
+    by_owner = [features[i] for i in order]
+    n_polygons = np.fromiter(map(len, by_owner), dtype=np.int64, count=n)
+    if geoids is not None and not n_polygons.all():
+        i = min(order[k] for k in np.flatnonzero(n_polygons == 0).tolist())
+        raise DegenerateGeometryError(f"{source}: feature {i}: tract {geoids[i]} has no polygons")
+    polygons = list(chain.from_iterable(by_owner))
+    if set(map(type, polygons)) - {list} or not all(polygons):
+        i = min(i for i in order if any(type(p) is not list or not p for p in features[i]))
+        raise FormatError(f"{source}: feature {i}: polygon has no rings")
+    n_rings = np.fromiter(map(len, polygons), dtype=np.int64, count=len(polygons))
+    rings = list(chain.from_iterable(polygons))
+    ring_polygon = np.repeat(np.arange(len(polygons)), n_rings)
+    ring_feature = np.repeat(np.array(order, dtype=np.int64), n_polygons)[ring_polygon]
+    if geoids is not None:
+        n_owners = n
+        ring_owner = np.repeat(np.arange(n), n_polygons)[ring_polygon]
+    else:
+        n_owners = len(polygons)
+        ring_owner = ring_polygon
+    ring_hole = np.ones(len(rings), dtype=bool)
+    ring_hole[np.cumsum(n_rings) - n_rings] = False
+    xy, ring_len = _coordinates(source, features, order, rings)
 
+    def fail(bad: np.ndarray, message) -> None:
+        if bad.any():
+            feature = int(ring_feature[bad].min())
+            r = int(np.flatnonzero(bad & (ring_feature == feature))[0])
+            raise DegenerateGeometryError(f"{source}: feature {feature}: {message(r)}")
 
-def _rings_from_coords(coords: Sequence) -> PolygonPart:
-    if not coords:
-        raise FormatError("polygon has no rings")
-    return PolygonPart(
-        exterior=normalize_ring(coords[0]),
-        holes=tuple(normalize_ring(r) for r in coords[1:]),
+    # close every ring: its open vertices, then the first again
+    fail(ring_len == 0, lambda r: "ring needs >= 3 distinct vertices, got 0")
+    ring_start = np.cumsum(ring_len) - ring_len
+    open_len = ring_len - ((xy[ring_start] == xy[ring_start + ring_len - 1]).all(axis=1)
+                           & (ring_len >= 2))
+    closed_len = open_len + 1
+    ring_of = np.repeat(np.arange(len(ring_len)), closed_len)
+    index = np.arange(len(ring_of)) - np.repeat(np.cumsum(closed_len) - closed_len, closed_len)
+    xy = xy[ring_start[ring_of] + np.where(index < open_len[ring_of], index, 0)]
+    ring_ptr = np.concatenate(([0], np.cumsum(closed_len))).astype(np.int64)
+
+    # >= 3 distinct vertices per ring
+    x, y = xy[:, 0], xy[:, 1]
+    order = np.lexsort((y, x, ring_of))
+    sx, sy, sr = x[order], y[order], ring_of[order]
+    new = np.ones(len(sr), dtype=bool)
+    new[1:] = (sr[1:] != sr[:-1]) | (sx[1:] != sx[:-1]) | (sy[1:] != sy[:-1])
+    distinct = np.bincount(sr[new], minlength=len(ring_len))
+    fail(distinct < 3, lambda r: f"ring needs >= 3 distinct vertices, got {distinct[r]}")
+
+    # nonzero shoelace area per ring
+    cross = x[:-1] * y[1:] - x[1:] * y[:-1]
+    cross[ring_ptr[1:-1] - 1] = 0.0  # from one ring's last vertex to the next ring's first
+    ring_area = 0.5 * np.add.reduceat(cross, ring_ptr[:-1]) if len(cross) else np.zeros(0)
+    fail((ring_area == 0.0) & ~ring_hole, lambda r: "exterior ring has zero area")
+    fail((ring_area == 0.0) & ring_hole, lambda r: "hole ring has zero area")
+
+    first_vertex = ring_ptr[:-1][np.searchsorted(ring_owner, np.arange(n_owners))]
+    bbox = np.column_stack([np.minimum.reduceat(x, first_vertex),
+                            np.minimum.reduceat(y, first_vertex),
+                            np.maximum.reduceat(x, first_vertex),
+                            np.maximum.reduceat(y, first_vertex)]) if n_owners else \
+        np.zeros((0, 4))
+    return PolygonSet(
+        geoids=tuple(ordered) if geoids is not None else (),
+        xy=xy, ring_ptr=ring_ptr, ring_owner=ring_owner, ring_hole=ring_hole,
+        ring_area=ring_area, bbox=bbox,
     )
 
 
-def _parts_from_geometry(geom: dict) -> tuple[PolygonPart, ...]:
-    gtype = geom.get("type")
-    coords = geom.get("coordinates")
+def _coordinates(source: str, features, order, rings) -> tuple[np.ndarray, np.ndarray]:
+    """The rings' positions as float64 (V, 2) and each ring's length; names
+    the first feature (in file order) holding a bad coordinate."""
+    try:
+        if set(map(type, rings)) - {list}:
+            raise TypeError
+        positions = list(chain.from_iterable(rings))
+        if set(map(type, positions)) - {list}:
+            raise TypeError
+        if set(map(len, positions)) - {2}:
+            if min(map(len, positions)) < 2:
+                raise TypeError
+            positions = [p[:2] for p in positions]
+        values = list(chain.from_iterable(positions))
+        if set(map(type, values)) - {int, float}:
+            raise TypeError
+        xy = np.fromiter(values, dtype=np.float64, count=len(values)).reshape(-1, 2)
+        if not np.isfinite(xy).all():
+            raise TypeError
+    except (TypeError, OverflowError):
+        for i in sorted(order):
+            for polygon in features[i]:
+                message = _bad_coordinates(polygon)
+                if message:
+                    raise FormatError(f"{source}: feature {i}: {message}") from None
+        raise
+    return xy, np.fromiter(map(len, rings), dtype=np.int64, count=len(rings))
+
+
+def _polygons(source: str, i: int, geometry: dict) -> list:
+    gtype = geometry.get("type")
+    coords = geometry.get("coordinates")
     if gtype == "Polygon":
-        return (_rings_from_coords(coords),)
+        return [coords]
     if gtype == "MultiPolygon":
-        return tuple(_rings_from_coords(poly) for poly in coords)
-    raise FormatError(f"unsupported geometry type {gtype!r} (need Polygon/MultiPolygon)")
+        if type(coords) is not list:
+            raise FormatError(f"{source}: feature {i}: MultiPolygon coordinates must be a list "
+                              f"of polygons, got {coords!r}")
+        return coords
+    raise FormatError(f"{source}: feature {i}: unsupported geometry type {gtype!r} "
+                      f"(need Polygon/MultiPolygon)")
 
 
 def _features(path: str) -> list[dict]:
@@ -248,29 +212,27 @@ def _features(path: str) -> list[dict]:
     return doc["features"]
 
 
-def read_tracts_geojson(path: str) -> list[TractGeometry]:
-    """Read tract polygons from a GeoJSON FeatureCollection.
+def read_tracts_geojson(path: str) -> PolygonSet:
+    """Read tract polygons from a GeoJSON FeatureCollection, ordered by geoid.
 
     Each feature must be a Polygon or MultiPolygon with a ``GEOID`` property
     holding the tract identifier as a string of 11 ASCII digits. Coordinates
-    are taken as planar.
+    are taken as planar and must be finite JSON numbers.
     """
-    tracts = []
+    geoids, features = [], []
     for i, feat in enumerate(_features(path)):
         props = feat.get("properties") or {}
         geoid = props.get("GEOID")
         if geoid is None:
             raise FormatError(f"{path}: feature {i} is missing the GEOID property")
-        if not is_tract_geoid(geoid):
-            raise FormatError(f"{path}: feature {i}: GEOID must be a string of 11 ASCII "
-                              f"digits, got {geoid!r}")
-        tracts.append(TractGeometry(geoid=geoid, parts=_parts_from_geometry(feat.get("geometry") or {})))
-    return tracts
+        geoids.append(geoid)
+        features.append(_polygons(path, i, feat.get("geometry") or {}))
+    return polygon_set(path, features, geoids)
 
 
-def read_mask_geojson(path: str) -> list[PolygonPart]:
-    """Read mask polygons (e.g. urban areas) from a GeoJSON FeatureCollection."""
-    parts: list[PolygonPart] = []
-    for feat in _features(path):
-        parts.extend(_parts_from_geometry(feat.get("geometry") or {}))
-    return parts
+def read_mask_geojson(path: str) -> PolygonSet:
+    """Read mask polygons (e.g. urban areas) from a GeoJSON FeatureCollection;
+    each polygon is one owner."""
+    features = [_polygons(path, i, feat.get("geometry") or {})
+                for i, feat in enumerate(_features(path))]
+    return polygon_set(path, features)

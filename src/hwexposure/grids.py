@@ -162,8 +162,7 @@ def read_xyz_csv(path: str) -> ConcentrationGrid:
             vs.append(value)
     if not xs:
         raise FormatError(f"{path}: no data rows")
-    ux = np.unique(np.array(xs))
-    uy = np.unique(np.array(ys))
+    ux, uy = _distinct(xs), _distinct(ys)
     cell_w = _uniform_spacing(ux, path, "x")
     cell_h = _uniform_spacing(uy, path, "y")
     n_cols = int(round((ux[-1] - ux[0]) / cell_w)) + 1
@@ -185,6 +184,12 @@ def read_xyz_csv(path: str) -> ConcentrationGrid:
         values=values,
         nodata=nodata,
     )
+
+
+def _distinct(values: list[float]) -> np.ndarray:
+    """Distinct values, ascending (np.unique would import numpy.ma)."""
+    v = np.sort(np.array(values))
+    return v[np.concatenate(([True], v[1:] != v[:-1]))]
 
 
 def _uniform_spacing(coords: np.ndarray, path: str, axis: str) -> float:

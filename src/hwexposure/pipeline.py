@@ -263,14 +263,16 @@ def _display_path(path: Path, base_dir: Path) -> str:
 def _stage_surface(state: RunState, write: bool) -> None:
     config = state.config
     tracts = read_tracts_geojson(str(config.path(config.tracts)))
+    manifest: dict = {"tracts": len(tracts.geoids), "years": {}}
     if config.urban_mask:
-        polygons = read_mask_geojson(str(config.path(config.urban_mask)))
-        classification = zonal.build_urban_mask(polygons, tracts).classification
-        state.classification = exposure.tract_strata(classification)
+        mask = read_mask_geojson(str(config.path(config.urban_mask)))
+        fraction = zonal.build_urban_mask(mask, tracts)
+        labels = np.where(fraction >= zonal.URBAN_SHARE, zonal.URBAN, zonal.RURAL).tolist()
+        state.classification = exposure.tract_strata(dict(zip(tracts.geoids, labels)))
+        manifest["urban"] = zonal.urban_counts(fraction)
         if write:
             _write_csv(config.out_dir / "urban.csv", ["geoid", "stratum"],
-                       sorted(classification.items()))
-    manifest: dict = {"tracts": len(tracts), "years": {}}
+                       zip(tracts.geoids, labels))
     coverage = None
     for year in config.years:
         grid = _read_grid(config.path(config.grid, year))

@@ -10,6 +10,16 @@ those into the covered fraction of every cell. ``build_tract_surface`` then
 reduces one year's grid over that coverage: the zonal value is
 sum(value * covered_area) / sum(covered_area) over non-nodata cells. Tracts
 with zero valid coverage are excluded rather than failing the run.
+
+``build_urban_mask`` measures each tract's overlap with the mask by Green's
+theorem: area(T ∩ M) is the integral of x dy over the pieces of T's boundary
+inside M plus the pieces of M's boundary inside T, with exterior rings
+counter-clockwise and holes clockwise. Every tract edge is split where it
+meets a mask edge and every mask edge where it meets a tract edge; each
+piece's midpoint is classified by a winding-number (signed crossing) test. A
+piece of T's boundary lying on M's boundary counts when the two run the same
+way; a piece of M's boundary lying on T's boundary never counts. Candidate
+pairs come from a grid index of boxes, so no step is quadratic in the edges.
 """
 from __future__ import annotations
 
@@ -17,13 +27,12 @@ import csv
 import logging
 import math
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateGeometryError, FormatError, SchemaError
-from .geometry import PolygonPart, TractGeometry, overlap_area
+from .geometry import PolygonSet
 from .grids import ConcentrationGrid
 
 logger = logging.getLogger(__name__)
@@ -31,10 +40,17 @@ logger = logging.getLogger(__name__)
 URBAN = "urban"
 RURAL = "rural"
 
+# A tract is urban when at least this share of its area lies in the mask; a
+# share within _NEAR_THRESHOLD of it could flip under float drift.
+URBAN_SHARE = 0.5
+_NEAR_THRESHOLD = 1e-9
+
 # Tracts are processed in runs of about this many dense bounding-box cells
 # (8 MiB of float64) and ring vertices, so memory stays bounded.
 _CHUNK_CELLS = 1 << 20
 _CHUNK_VERTICES = 1 << 17
+# Boxes per cell of a _BoxIndex, on average.
+_CELL_BOXES = 1
 # Covered fractions at or below this are float residue, not coverage: in an
 # uncovered cell beside a ring the row's prefix sum cancels to ~1e-16, not 0.
 _MIN_FRACTION = 1e-12
@@ -64,14 +80,6 @@ class TractSurface:
             raise SchemaError(f"negative/NaN concentrations for {bad[:5]}")
 
 
-@dataclass(frozen=True)
-class UrbanMask:
-    """Urban-area polygons plus the tract classification derived from them."""
-
-    polygons: tuple[PolygonPart, ...]
-    classification: dict[str, str] = field(default_factory=dict)
-
-
 class TractCoverage(NamedTuple):
     """Exact tract x cell coverage on one grid lattice, as CSR arrays.
 
@@ -90,23 +98,19 @@ class TractCoverage(NamedTuple):
     polygon_area: np.ndarray  # float64, one per tract
 
 
-def _ring_arrays(tracts: Sequence[TractGeometry]):
-    """Every ring's closed vertex list flattened: coordinates (V, 2), ring
-    lengths, the owning tract of each ring and whether it is a hole."""
-    rings: list = []
-    ring_tract: list[int] = []
-    ring_hole: list[bool] = []
-    for t, tract in enumerate(tracts):
-        for part in tract.parts:
-            rings.append(part.exterior)
-            rings.extend(part.holes)
-            ring_tract.extend([t] * (1 + len(part.holes)))
-            ring_hole.append(False)
-            ring_hole.extend([True] * len(part.holes))
-    ring_len = np.fromiter(map(len, rings), dtype=np.int64, count=len(rings))
-    flat = chain.from_iterable(chain.from_iterable(rings))
-    xy = np.fromiter(flat, dtype=np.float64, count=2 * int(ring_len.sum())).reshape(-1, 2)
-    return xy, ring_len, np.array(ring_tract, dtype=np.int64), np.array(ring_hole, dtype=bool)
+def _runs(n: int, *budgets) -> list[int]:
+    """Bounds of consecutive runs of ``n`` items; each (sizes, limit) budget
+    starts a new run where its running size total passes a multiple of limit."""
+    new = np.zeros(max(n - 1, 0), dtype=bool)
+    for sizes, limit in budgets:
+        new |= np.diff((np.cumsum(sizes) - sizes) // limit) != 0
+    return np.concatenate(([0], np.flatnonzero(new) + 1, [n])).astype(np.int64).tolist()
+
+
+def _expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For runs of the given lengths: each element's run and its rank in it."""
+    run = np.repeat(np.arange(len(counts)), counts)
+    return run, np.arange(len(run)) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
 def _line_crossings(a0: np.ndarray, a1: np.ndarray):
@@ -114,8 +118,7 @@ def _line_crossings(a0: np.ndarray, a1: np.ndarray):
     between its ends: (edge index, line, parameter t in (0, 1)) per crossing."""
     lo = np.floor(np.minimum(a0, a1))
     count = np.maximum(np.ceil(np.maximum(a0, a1)) - lo - 1.0, 0.0).astype(np.int64)
-    edge = np.repeat(np.arange(len(a0)), count)
-    rank = np.arange(len(edge)) - np.repeat(np.cumsum(count) - count, count)
+    edge, rank = _expand(count)
     line = lo[edge] + 1.0 + rank
     return edge, line, (line - a0[edge]) / (a1[edge] - a0[edge])
 
@@ -192,29 +195,24 @@ def _chunk_coverage(gx, gy, ring_len, ring_tract, ring_hole, col0, row0, width, 
     return tract[in_bbox], r[in_bbox], c[in_bbox], np.minimum(buf[pos[in_bbox]], 1.0)
 
 
-def tract_coverage(tracts: Sequence[TractGeometry], grid: ConcentrationGrid) -> TractCoverage:
+def tract_coverage(tracts: PolygonSet, grid: ConcentrationGrid) -> TractCoverage:
     """Exact coverage of every grid cell by every tract, for the grid's lattice.
 
     Only the lattice (origin, cell size, shape) is read, so the result serves
     every year whose grid has the same lattice. Ring orientation is taken from
     each ring's shoelace sign; holes subtract. Raises SchemaError for an empty
-    tract list or duplicate geoids.
+    tract set.
     """
-    if not tracts:
+    n_tracts = len(tracts.geoids)
+    if not n_tracts:
         raise SchemaError("tract list is empty")
-    tracts = sorted(tracts, key=lambda t: t.geoid)
-    geoids = tuple(t.geoid for t in tracts)
-    dupes = sorted({a for a, b in zip(geoids, geoids[1:]) if a == b})
-    if dupes:
-        raise SchemaError(f"duplicate tract geoids: {dupes[:5]}")
-    n_tracts = len(tracts)
-
-    xy, ring_len, ring_tract, ring_hole = _ring_arrays(tracts)
-    gx = (xy[:, 0] - grid.origin_x) / grid.cell_width
-    gy = (xy[:, 1] - grid.origin_y) / grid.cell_height
+    ring_len = np.diff(tracts.ring_ptr)
+    ring_tract, ring_hole = tracts.ring_owner, tracts.ring_hole
+    gx = (tracts.xy[:, 0] - grid.origin_x) / grid.cell_width
+    gy = (tracts.xy[:, 1] - grid.origin_y) / grid.cell_height
     # first ring and first vertex of each tract, plus the ends
     tract_ring = np.searchsorted(ring_tract, np.arange(n_tracts + 1))
-    tract_vertex = np.concatenate(([0], np.cumsum(ring_len)))[tract_ring]
+    tract_vertex = tracts.ring_ptr[tract_ring]
     first = tract_vertex[:-1]
     col0 = np.floor(np.minimum.reduceat(gx, first))
     row0 = np.floor(np.minimum.reduceat(gy, first))
@@ -222,12 +220,8 @@ def tract_coverage(tracts: Sequence[TractGeometry], grid: ConcentrationGrid) -> 
     height = (np.ceil(np.maximum.reduceat(gy, first)) - row0).astype(np.int64)
 
     # runs of tracts holding about _CHUNK_CELLS bbox cells and _CHUNK_VERTICES vertices
-    cells = height * (width + 1)
-    verts = np.diff(tract_vertex)
-    by_cells = (np.cumsum(cells) - cells) // _CHUNK_CELLS
-    by_verts = (np.cumsum(verts) - verts) // _CHUNK_VERTICES
-    new_run = (np.diff(by_cells) != 0) | (np.diff(by_verts) != 0)
-    bounds = np.concatenate(([0], np.flatnonzero(new_run) + 1, [n_tracts])).tolist()
+    bounds = _runs(n_tracts, (height * (width + 1), _CHUNK_CELLS),
+                   (np.diff(tract_vertex), _CHUNK_VERTICES))
 
     cell_area = grid.cell_width * grid.cell_height
     polygon_area = np.zeros(n_tracts)
@@ -248,7 +242,7 @@ def tract_coverage(tracts: Sequence[TractGeometry], grid: ConcentrationGrid) -> 
     counts = np.bincount(np.concatenate(out_tract), minlength=n_tracts)
     return TractCoverage(
         lattice=grid.lattice,
-        geoids=geoids,
+        geoids=tracts.geoids,
         tract_ptr=np.concatenate(([0], np.cumsum(counts))).astype(np.int64),
         cell_idx=np.concatenate(out_cell).astype(np.int64),
         area=np.concatenate(out_frac) * cell_area,
@@ -283,16 +277,6 @@ def _zonal_means(grid: ConcentrationGrid,
     return np.where(den > 0.0, mean, np.nan), den
 
 
-def zonal_weighted_mean(grid: ConcentrationGrid, tract: TractGeometry) -> float | None:
-    """Coverage-weighted mean of grid values under one tract polygon.
-
-    Nodata cells contribute neither value nor weight. Returns None when no
-    valid coverage exists (the no-coverage signal).
-    """
-    mean, den = _zonal_means(grid, tract_coverage([tract], grid))
-    return float(mean[0]) if den[0] > 0.0 else None
-
-
 def build_tract_surface(grid: ConcentrationGrid, coverage: TractCoverage,
                         year: int) -> TractSurface:
     """Reduce one year's grid over precomputed coverage, in ascending geoid
@@ -321,32 +305,303 @@ def build_tract_surface(grid: ConcentrationGrid, coverage: TractCoverage,
     return TractSurface(year=year, entries=entries, excluded=excluded, completeness=completeness)
 
 
-def classify_urban(tract: TractGeometry, mask_polygons: Sequence[PolygonPart]) -> str:
-    """'urban' when at least half the tract area overlaps the mask polygons."""
-    area = tract.area()
-    if area <= 0.0:
-        raise DegenerateGeometryError(f"tract {tract.geoid} has zero area")
-    frac = overlap_area(tract.parts, mask_polygons) / area
-    return URBAN if frac >= 0.5 else RURAL
+class _BoxIndex(NamedTuple):
+    """Closed boxes (x0, y0, x1, y1) bucketed on a grid whose column and row
+    lines are quantiles of the boxes' lower x and y: cell ``(c, r)``, number
+    ``r * len(xs) + c``, lists the boxes meeting it in
+    ``members[ptr[cell]:ptr[cell + 1]]``; ``col``/``row`` are each box's
+    lowest column and row."""
+
+    boxes: np.ndarray
+    extent: np.ndarray  # the boxes' greatest x1 and y1
+    xs: np.ndarray
+    ys: np.ndarray
+    col: np.ndarray
+    row: np.ndarray
+    ptr: np.ndarray
+    members: np.ndarray
 
 
-def classify_tracts(
-    tracts: Sequence[TractGeometry],
-    mask_polygons: Sequence[PolygonPart],
-) -> dict[str, str]:
-    """Classify every tract against the mask; keyed by geoid, ascending."""
-    return dict(sorted((t.geoid, classify_urban(t, mask_polygons)) for t in tracts))
+def _lines(lo: np.ndarray, n: int) -> np.ndarray:
+    """About ``n`` ascending distinct values of ``lo``, its minimum first."""
+    v = np.sort(lo)
+    v = v[np.concatenate((v[:1] == v[:1], v[1:] != v[:-1]))]
+    return v[::max(1, len(v) // n)]
 
 
-def build_urban_mask(
-    mask_polygons: Sequence[PolygonPart],
-    tracts: Sequence[TractGeometry],
-) -> UrbanMask:
-    """Bundle the mask polygons with the classification of the given tracts."""
-    return UrbanMask(
-        polygons=tuple(mask_polygons),
-        classification=classify_tracts(tracts, mask_polygons),
-    )
+def _cells(lines: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """First and last grid line index of each interval [lo, hi]; last < first
+    when the interval ends below the first line."""
+    return (np.maximum(np.searchsorted(lines, lo, side="right") - 1, 0),
+            np.searchsorted(lines, hi, side="right") - 1)
+
+
+def _cover(col0, col1, row0, row1, n_cols):
+    """(item, cell) for every cell of each item's block of columns and rows."""
+    width = np.maximum(col1 - col0 + 1, 0)
+    item, rank = _expand(width * np.maximum(row1 - row0 + 1, 0))
+    dr, dc = np.divmod(rank, width[item])
+    return item, (row0[item] + dr) * n_cols + col0[item] + dc
+
+
+def _box_index(boxes: np.ndarray) -> _BoxIndex:
+    side = max(1, math.isqrt(len(boxes) // _CELL_BOXES))
+    xs, ys = _lines(boxes[:, 0], side), _lines(boxes[:, 1], side)
+    col, last_col = _cells(xs, boxes[:, 0], boxes[:, 2])
+    row, last_row = _cells(ys, boxes[:, 1], boxes[:, 3])
+    box, cell = _cover(col, last_col, row, last_row, len(xs))
+    ptr = np.concatenate(([0], np.cumsum(np.bincount(cell, minlength=len(xs) * len(ys)))))
+    return _BoxIndex(boxes, boxes[:, 2:].max(axis=0, initial=-np.inf), xs, ys, col, row, ptr,
+                     box[np.argsort(cell, kind="stable")])
+
+
+def _meeting(index: _BoxIndex, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(query, box) index pairs of the closed query boxes and indexed boxes
+    that meet, each pair once: in the cell holding the corner (max x0, max y0)."""
+    if not len(index.boxes) or not len(queries):
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    near = np.flatnonzero((queries[:, 2] >= index.xs[0]) & (queries[:, 3] >= index.ys[0])
+                          & (queries[:, 0] <= index.extent[0])
+                          & (queries[:, 1] <= index.extent[1]))
+    col, last_col = _cells(index.xs, queries[near, 0], queries[near, 2])
+    row, last_row = _cells(index.ys, queries[near, 1], queries[near, 3])
+    q, cell = _cover(col, last_col, row, last_row, len(index.xs))
+    k, rank = _expand(index.ptr[cell + 1] - index.ptr[cell])
+    q, cell = q[k], cell[k]
+    b = index.members[index.ptr[cell] + rank]
+    corner = (np.maximum(index.row[b], row[q]) * len(index.xs)
+              + np.maximum(index.col[b], col[q]))
+    at = np.flatnonzero(cell == corner)
+    q, b = near[q[at]], b[at]
+    qb, bb = queries[q], index.boxes[b]
+    keep = ((qb[:, 0] <= bb[:, 2]) & (bb[:, 0] <= qb[:, 2])
+            & (qb[:, 1] <= bb[:, 3]) & (bb[:, 1] <= qb[:, 3]))
+    return q[keep], b[keep]
+
+
+class _Edges(NamedTuple):
+    """Directed edges of nonzero length, with the owner of each, in owner order."""
+
+    x0: np.ndarray
+    y0: np.ndarray
+    x1: np.ndarray
+    y1: np.ndarray
+    owner: np.ndarray
+
+    def take(self, idx) -> "_Edges":
+        return _Edges(*(a[idx] for a in self))
+
+    def boxes(self) -> np.ndarray:
+        return np.column_stack((np.minimum(self.x0, self.x1), np.minimum(self.y0, self.y1),
+                                np.maximum(self.x0, self.x1), np.maximum(self.y0, self.y1)))
+
+
+def _oriented_edges(polygons: PolygonSet) -> _Edges:
+    """Every ring edge, exteriors turned counter-clockwise and holes clockwise."""
+    ring_len = np.diff(polygons.ring_ptr)
+    start = np.ones(len(polygons.xy), dtype=bool)
+    start[polygons.ring_ptr[1:] - 1] = False
+    e0 = np.flatnonzero(start)
+    edge_ring = np.repeat(np.arange(len(ring_len)), ring_len - 1)
+    flip = ((polygons.ring_area < 0.0) != polygons.ring_hole)[edge_ring]
+    a, b = polygons.xy[np.where(flip, e0 + 1, e0)], polygons.xy[np.where(flip, e0, e0 + 1)]
+    keep = (a != b).any(axis=1)
+    return _Edges(a[keep, 0], a[keep, 1], b[keep, 0], b[keep, 1],
+                  polygons.ring_owner[edge_ring[keep]])
+
+
+def _winding(px, py, owner, x_end, edges: _Edges, index: _BoxIndex) -> np.ndarray:
+    """Winding number of each point about the rings of its owner: the signed
+    crossings of the ray from the point to ``x_end``, which lies at or beyond
+    the owner's rightmost vertex. Half-open in y, so a ray through a vertex
+    crosses once."""
+    q, e = _meeting(index, np.column_stack((px, py, x_end, py)))
+    mine = edges.owner[e] == owner[q]
+    q, e = q[mine], e[mine]
+    x, y = px[q], py[q]
+    x0, y0, x1, y1 = edges.x0[e], edges.y0[e], edges.x1[e], edges.y1[e]
+    side = (x1 - x0) * (y - y0) - (y1 - y0) * (x - x0)  # > 0: the point is left of the edge
+    up = (y0 <= y) & (y < y1) & (side > 0.0)
+    down = (y1 <= y) & (y < y0) & (side < 0.0)
+    return np.bincount(q, weights=up.astype(np.float64) - down, minlength=len(px))
+
+
+def _boundary_area(x0, y0, x1, y1, owner, ref, cut_seg, cut_t, on_seg, on_lo, on_hi,
+                   on_weight, winding) -> np.ndarray:
+    """Per owner, the integral of (x - ref) dy along segments ``k`` running
+    (x0, y0) -> (x1, y1), each weighted piecewise. Segment ``k`` is split at
+    the parameters ``cut_t`` of its cuts (``cut_seg == k``). A piece lying on
+    an overlap record (``on_seg == k``, over (on_lo, on_hi)) weighs the sum of
+    those records' ``on_weight``; any other piece weighs
+    ``winding(mid x, mid y, owner)`` at its midpoint."""
+    n = len(x0)
+    seg = np.concatenate((np.arange(n), np.arange(n), cut_seg))
+    t = np.concatenate((np.zeros(n), np.ones(n), cut_t))
+    order = np.lexsort((t, seg))
+    seg, t = seg[order], t[order]
+    at = np.flatnonzero(seg[1:] == seg[:-1])
+    seg, t0, t1 = seg[at], t[at], t[at + 1]
+
+    def point(a0, a1, t):  # the segment's own end point at t == 1
+        return np.where(t == 1.0, a1[seg], a0[seg] + t * (a1[seg] - a0[seg]))
+
+    xa, ya, xb, yb = point(x0, x1, t0), point(y0, y1, t0), point(x0, x1, t1), point(y0, y1, t1)
+    # the overlap records covering each piece
+    order = np.argsort(on_seg, kind="stable")
+    on_seg, on_lo, on_hi, on_weight = on_seg[order], on_lo[order], on_hi[order], on_weight[order]
+    first = np.searchsorted(on_seg, seg, side="left")
+    p, rank = _expand(np.searchsorted(on_seg, seg, side="right") - first)
+    r = first[p] + rank
+    mid = 0.5 * (t0[p] + t1[p])
+    covers = (on_lo[r] < mid) & (mid < on_hi[r])
+    weight = np.bincount(p[covers], weights=on_weight[r[covers]], minlength=len(seg))
+    off = np.flatnonzero((np.bincount(p[covers], minlength=len(seg)) == 0) & (ya != yb))
+    weight[off] = winding(0.5 * (xa[off] + xb[off]), 0.5 * (ya[off] + yb[off]), owner[seg[off]])
+    o = owner[seg]
+    return np.bincount(o, weights=0.5 * (xa + xb - 2.0 * ref[o]) * (yb - ya) * weight,
+                       minlength=len(ref))
+
+
+class _Mask(NamedTuple):
+    """A mask's oriented edges, indexed, and its polygons' boxes, indexed."""
+
+    edges: _Edges
+    index: _BoxIndex
+    polygons: _BoxIndex
+
+    @classmethod
+    def of(cls, mask: PolygonSet) -> "_Mask":
+        edges = _oriented_edges(mask)
+        return cls(edges, _box_index(edges.boxes()), _box_index(mask.bbox))
+
+    def winding(self, px: np.ndarray, py: np.ndarray) -> np.ndarray:
+        """Each point's winding number about the mask, summed over the mask
+        polygons whose box holds it."""
+        pt, polygon = _meeting(self.polygons, np.column_stack((px, py, px, py)))
+        return np.bincount(pt, weights=_winding(px[pt], py[pt], polygon,
+                                                self.polygons.boxes[polygon, 2], self.edges,
+                                                self.index), minlength=len(px))
+
+
+def _chunk_overlap(tract_edges: _Edges, tract_bbox: np.ndarray, mask: _Mask) -> np.ndarray:
+    """The area of each tract of a run inside the mask; ``tract_edges.owner``
+    indexes the run's tracts, the rows of ``tract_bbox``."""
+    n_tracts = len(tract_bbox)
+    te, me = tract_edges, mask.edges
+    # x is taken relative to each tract's left edge, so the terms stay small
+    ref = tract_bbox[:, 0]
+
+    # every (tract edge, mask edge) pair whose boxes meet
+    i, j = _meeting(mask.index, te.boxes())
+    px0, py0, px1, py1 = te.x0[i], te.y0[i], te.x1[i], te.y1[i]
+    qx0, qy0, qx1, qy1 = me.x0[j], me.y0[j], me.x1[j], me.y1[j]
+    dx, dy, ex, ey = px1 - px0, py1 - py0, qx1 - qx0, qy1 - qy0
+    # each end point's side of the other edge's line: one expression per
+    # (edge, vertex), so edges sharing a vertex agree on where it lies
+    oq0 = dx * (qy0 - py0) - dy * (qx0 - px0)
+    oq1 = dx * (qy1 - py0) - dy * (qx1 - px0)
+    op0 = ex * (py0 - qy0) - ey * (px0 - qx0)
+    op1 = ex * (py1 - qy0) - ey * (px1 - qx0)
+    # parameters of the other edge's end points projected on each edge
+    dd, ee = dx * dx + dy * dy, ex * ex + ey * ey
+    sq0 = ((qx0 - px0) * dx + (qy0 - py0) * dy) / dd
+    sq1 = ((qx1 - px0) * dx + (qy1 - py0) * dy) / dd
+    rp0 = ((px0 - qx0) * ex + (py0 - qy0) * ey) / ee
+    rp1 = ((px1 - qx0) * ex + (py1 - qy0) * ey) / ee
+    collinear = (oq0 == 0.0) & (oq1 == 0.0)
+    proper = (((oq0 < 0.0) & (oq1 > 0.0)) | ((oq0 > 0.0) & (oq1 < 0.0))) & \
+             (((op0 < 0.0) & (op1 > 0.0)) | ((op0 > 0.0) & (op1 < 0.0)))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        t = op0 / (op0 - op1)
+        u = oq0 / (oq0 - oq1)
+
+    def inside(s):
+        return (s > 0.0) & (s < 1.0)
+
+    on_q0, on_q1 = (oq0 == 0.0) & inside(sq0), (oq1 == 0.0) & inside(sq1)
+    on_p0 = ((op0 == 0.0) | collinear) & inside(rp0)
+    on_p1 = ((op1 == 0.0) | collinear) & inside(rp1)
+    # tract boundary pieces on a mask edge count when both run the same way
+    lo, hi = np.clip(np.minimum(sq0, sq1), 0.0, 1.0), np.clip(np.maximum(sq0, sq1), 0.0, 1.0)
+    on = collinear & (hi > lo)
+    area = _boundary_area(
+        te.x0, te.y0, te.x1, te.y1, te.owner, ref,
+        np.concatenate((i[proper], i[on_q0], i[on_q1])),
+        np.concatenate((t[proper], sq0[on_q0], sq1[on_q1])),
+        i[on], lo[on], hi[on], (dx * ex + dy * ey > 0.0)[on].astype(np.float64),
+        lambda x, y, _: mask.winding(x, y))
+
+    # each mask edge meeting a tract's box, split by that tract's edges; its
+    # pieces on the tract's boundary never count
+    tt, jm = _meeting(mask.index, tract_bbox)
+    order = np.argsort(jm * n_tracts + tt, kind="stable")
+    tt, jm = tt[order], jm[order]
+    key = (jm * n_tracts + tt, j * n_tracts + te.owner[i])  # (mask edge, tract) pairs
+    lo, hi = np.clip(np.minimum(rp0, rp1), 0.0, 1.0), np.clip(np.maximum(rp0, rp1), 0.0, 1.0)
+    on = collinear & (hi > lo)
+    tract_index = _box_index(te.boxes())
+    return area + _boundary_area(
+        me.x0[jm], me.y0[jm], me.x1[jm], me.y1[jm], tt, ref,
+        np.searchsorted(key[0], np.concatenate((key[1][proper], key[1][on_p0], key[1][on_p1]))),
+        np.concatenate((u[proper], rp0[on_p0], rp1[on_p1])),
+        np.searchsorted(key[0], key[1][on]), lo[on], hi[on], np.zeros(int(on.sum())),
+        lambda x, y, tract: _winding(x, y, tract, tract_bbox[tract, 2], te, tract_index))
+
+
+def tract_areas(tracts: PolygonSet) -> np.ndarray:
+    """Each tract's area: over its polygons, the exterior's area less its
+    holes', at least 0."""
+    hole = tracts.ring_hole
+    polygon = np.cumsum(~hole) - 1
+    polygon_area = np.maximum(
+        np.bincount(polygon, weights=np.where(hole, -1.0, 1.0) * np.abs(tracts.ring_area)), 0.0)
+    return np.bincount(tracts.ring_owner[~hole], weights=polygon_area,
+                       minlength=tracts.n_owners)
+
+
+def build_urban_mask(mask: PolygonSet, tracts: PolygonSet) -> np.ndarray:
+    """Each tract's share of its area inside the mask polygons, in the
+    tracts' geoid order; the tract is urban when it is at least URBAN_SHARE.
+
+    The mask's polygons must be mutually disjoint (true for Census urban-area
+    polygons); overlapping ones would be double counted. Raises
+    DegenerateGeometryError for a tract of zero area.
+    """
+    area = tract_areas(tracts)
+    if (area <= 0.0).any():
+        raise DegenerateGeometryError(
+            f"tract {tracts.geoids[int(np.argmax(area <= 0.0))]} has zero area")
+    overlap = np.zeros(tracts.n_owners)
+    if not mask.n_owners:
+        return overlap
+    mask = _Mask.of(mask)
+    is_near = np.zeros(tracts.n_owners, dtype=bool)
+    is_near[_meeting(mask.index, tracts.bbox)[0]] = True
+    # the mask's boundary misses the box of a tract not near it, so such a
+    # tract lies wholly inside or outside each mask polygon
+    far = np.flatnonzero(~is_near)
+    corner = tracts.xy[tracts.ring_ptr[np.searchsorted(tracts.ring_owner, far)]]
+    overlap[far] = area[far] * mask.winding(corner[:, 0], corner[:, 1])
+
+    near = np.flatnonzero(is_near)
+    edges = _oriented_edges(tracts)
+    edges = edges.take(np.flatnonzero(is_near[edges.owner]))
+    edges = edges._replace(owner=(np.cumsum(is_near) - 1)[edges.owner])
+    edge_bounds = np.searchsorted(edges.owner, np.arange(len(near) + 1))
+    bounds = _runs(len(near), (np.diff(edge_bounds), _CHUNK_VERTICES))
+    for ta, tb in zip(bounds[:-1], bounds[1:]):
+        chunk = edges.take(slice(edge_bounds[ta], edge_bounds[tb]))
+        overlap[near[ta:tb]] = _chunk_overlap(chunk._replace(owner=chunk.owner - ta),
+                                              tracts.bbox[near[ta:tb]], mask)
+    return np.maximum(overlap, 0.0) / area
+
+
+def urban_counts(fraction: np.ndarray) -> dict[str, int]:
+    """Urban and rural tract counts, and how many tracts lie within
+    _NEAR_THRESHOLD of URBAN_SHARE, where float drift could flip the label."""
+    urban = int((fraction >= URBAN_SHARE).sum())
+    return {"urban": urban, "rural": len(fraction) - urban,
+            "near_threshold": int((np.abs(fraction - URBAN_SHARE) <= _NEAR_THRESHOLD).sum())}
 
 
 def write_surface_csv(surface: TractSurface, path: str) -> None:

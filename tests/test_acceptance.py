@@ -20,7 +20,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import points_in_parts, random_star_polygon
+from helpers import (
+    PolygonPart,
+    TractGeometry,
+    points_in_parts,
+    random_star_polygon,
+    zonal_weighted_mean,
+)
 
 from hwexposure import pipeline, synth
 from hwexposure.biasstats import ErrorMoments, bias_factor, error_moments, wilcoxon_rank_sum
@@ -32,10 +38,8 @@ from hwexposure.exposure import (
     resolve_pairs,
     weighted_percentile,
 )
-from hwexposure.geometry import PolygonPart, TractGeometry
 from hwexposure.grids import ConcentrationGrid
 from hwexposure.ingest import OD_SCHEMAS, WorkerTable, aggregate_od, aggregate_to_tracts, read_od_csv
-from hwexposure.zonal import zonal_weighted_mean
 
 
 def report(number: int, text: str) -> None:

@@ -175,3 +175,39 @@ def test_partition_mismatch(tmp_path, caplog):
     assert run(world, tmp_path / "out") == 1
     assert (f"stage exposure: {od}: row {cells[1]}->{cells[0]}: od_age: "
             f"category sum {total} != total {total + 1}") in caplog.text
+
+
+def _set_ring(ring):
+    def edit(feature):
+        feature["geometry"] = {"type": "Polygon", "coordinates": [ring]}
+    return edit
+
+
+def _set_coordinate(value):
+    def edit(feature):
+        feature["geometry"]["coordinates"][0][1][0] = value
+    return edit
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("tracts.geojson", _set_ring([[0, 0], [1, 0], [0, 0], [1, 0]]),
+     "ring needs >= 3 distinct vertices, got 2"),
+    ("tracts.geojson", _set_ring([[0, 0], [1, 1], [2, 2], [0, 0]]), "exterior ring has zero area"),
+    ("tracts.geojson", _set_coordinate("abc"), "coordinate must be a finite number, got 'abc'"),
+    ("tracts.geojson", _set_coordinate(None), "coordinate must be a finite number, got None"),
+    ("tracts.geojson", _set_coordinate("1.5"), "coordinate must be a finite number, got '1.5'"),
+    ("tracts.geojson", _set_coordinate(True), "coordinate must be a finite number, got True"),
+    ("tracts.geojson", _set_coordinate(float("nan")), "coordinate must be a finite number, got nan"),
+    ("urban.geojson", _set_coordinate(float("inf")), "coordinate must be a finite number, got inf"),
+    ("urban.geojson", _set_ring([[0, 0], [1, 0]]), "ring needs >= 3 distinct vertices, got 2"),
+], ids=["two_distinct_vertices", "collinear", "string", "null", "numeric_string", "boolean",
+        "nan", "mask_infinity", "mask_two_vertices"])
+def test_bad_geometry_names_the_file_and_feature(tmp_path, caplog, name, edit, message):
+    world = make_world(tmp_path)
+    path = world / name
+    collection = json.loads(path.read_text())
+    feature = len(collection["features"]) - 1
+    edit(collection["features"][feature])
+    path.write_text(json.dumps(collection))
+    assert run(world, tmp_path / "out") == 1
+    assert f"stage surface: {path}: feature {feature}: {message}" in caplog.text

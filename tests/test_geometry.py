@@ -1,24 +1,34 @@
-"""Polygon kernel tests: shoelace areas, rectangle clipping, mask overlap."""
+"""Polygon kernel tests: shoelace areas, rectangle clipping, mask overlap,
+and the columnar GeoJSON reader against the tuple reader it replaced."""
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import cell_coverage, points_in_ring, random_star_polygon
-
-from hwexposure.errors import DegenerateGeometryError, FormatError, SchemaError
-from hwexposure.geometry import (
+from helpers import (
     PolygonPart,
     TractGeometry,
+    cell_coverage,
+    mask_set,
     normalize_ring,
-    overlap_area,
+    oracle_read_mask_geojson,
+    oracle_read_tracts_geojson,
     parts_bbox,
+    points_in_ring,
     polygon_area,
-    read_mask_geojson,
-    read_tracts_geojson,
+    random_star_polygon,
+    signed_ring_area,
+    tract_set,
 )
+from helpers import overlap_area as clipped_overlap
+
+from hwexposure import zonal
+from hwexposure.errors import DegenerateGeometryError, FormatError
+from hwexposure.geometry import polygon_set, read_mask_geojson, read_tracts_geojson
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
@@ -142,6 +152,15 @@ def rect_part(x0, y0, x1, y1):
     return PolygonPart(exterior=tuple(square(x0, y0, x1, y1)))
 
 
+def overlap_area(subject, mask):
+    """The clipper's overlap, checked against the Green's-theorem kernel."""
+    want = clipped_overlap(subject, mask)
+    tracts = tract_set([TractGeometry(geoid="06037000100", parts=tuple(subject))])
+    got = zonal.build_urban_mask(mask_set(mask), tracts)[0] * zonal.tract_areas(tracts)[0]
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+    return want
+
+
 def test_overlap_full_containment():
     tract = [rect_part(1.0, 1.0, 2.0, 2.0)]
     mask = [rect_part(0.0, 0.0, 5.0, 5.0)]
@@ -218,101 +237,142 @@ def test_overlap_ignores_far_mask_rings():
 # ----------------------------------------------------------------------------
 
 def test_tract_geoid_validation():
-    with pytest.raises(SchemaError):
-        TractGeometry(geoid="123", parts=(rect_part(0, 0, 1, 1),))
-    with pytest.raises(SchemaError):
-        TractGeometry(geoid="1234567890A", parts=(rect_part(0, 0, 1, 1),))
+    ring = [[[[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]]]
+    for geoid in ("123", "1234567890A", 6037000100):
+        with pytest.raises(FormatError, match="feature 0: GEOID must be a string of 11 ASCII"):
+            polygon_set("t.json", [ring], [geoid])
     # str.isdigit accepts non-ASCII digits, which no GEOID contains
     arabic_indic = "".join(chr(0x0660 + int(d)) for d in "06037000100")
     assert arabic_indic.isdigit()
-    with pytest.raises(SchemaError, match="11 ASCII digits"):
-        TractGeometry(geoid=arabic_indic, parts=(rect_part(0, 0, 1, 1),))
+    with pytest.raises(FormatError, match="feature 1: GEOID must be a string of 11 ASCII"):
+        polygon_set("t.json", [ring, ring], ["06037000100", arabic_indic])
 
 
 def test_parts_bbox():
     parts = (rect_part(0, 0, 1, 1), rect_part(3, 2, 5, 4))
     assert parts_bbox(parts) == (0.0, 0.0, 5.0, 4.0)
+    tracts = tract_set([TractGeometry(geoid="06037000200", parts=parts),
+                        TractGeometry(geoid="06037000100", parts=(rect_part(-1, 2, 0, 3),))])
+    assert tracts.bbox.tolist() == [[-1.0, 2.0, 0.0, 3.0], [0.0, 0.0, 5.0, 4.0]]
+
+
+def write_collection(path, features):
+    path.write_text(json.dumps({"type": "FeatureCollection", "features": features}))
+    return str(path)
 
 
 def test_read_tracts_geojson_roundtrip(tmp_path):
-    doc = {
-        "type": "FeatureCollection",
-        "features": [
-            {
-                "type": "Feature",
-                "properties": {"GEOID": "06037000100"},
-                "geometry": {
-                    "type": "Polygon",
-                    "coordinates": [[[0, 0], [2, 0], [2, 2], [0, 2], [0, 0]]],
-                },
+    path = write_collection(tmp_path / "tracts.geojson", [
+        {
+            "type": "Feature",
+            "properties": {"GEOID": "06037000200"},
+            "geometry": {
+                "type": "MultiPolygon",
+                "coordinates": [
+                    [[[3, 0], [4, 0], [4, 1], [3, 1], [3, 0]]],
+                    [[[5, 0], [6, 0], [6, 1], [5, 1]]],
+                ],
             },
-            {
-                "type": "Feature",
-                "properties": {"GEOID": "06037000200"},
-                "geometry": {
-                    "type": "MultiPolygon",
-                    "coordinates": [
-                        [[[3, 0], [4, 0], [4, 1], [3, 1], [3, 0]]],
-                        [[[5, 0], [6, 0], [6, 1], [5, 1], [5, 0]]],
-                    ],
-                },
+        },
+        {
+            "type": "Feature",
+            "properties": {"GEOID": "06037000100"},
+            "geometry": {
+                "type": "Polygon",
+                "coordinates": [[[0, 0], [2, 0], [2, 2], [0, 2], [0, 0]]],
             },
-        ],
-    }
-    path = tmp_path / "tracts.geojson"
-    path.write_text(__import__("json").dumps(doc))
-    tracts = read_tracts_geojson(str(path))
-    assert [t.geoid for t in tracts] == ["06037000100", "06037000200"]
-    assert tracts[0].area() == 4.0
-    assert len(tracts[1].parts) == 2
+        },
+    ])
+    tracts = read_tracts_geojson(path)
+    assert tracts.geoids == ("06037000100", "06037000200")
+    assert zonal.tract_areas(tracts).tolist() == [4.0, 2.0]
+    assert tracts.ring_owner.tolist() == [0, 1, 1]
+    # the open ring is closed
+    assert tracts.xy[tracts.ring_ptr[2]:].tolist() == [[5, 0], [6, 0], [6, 1], [5, 1], [5, 0]]
 
 
 def test_read_tracts_geojson_missing_geoid(tmp_path):
-    doc = {
-        "type": "FeatureCollection",
-        "features": [
-            {
-                "type": "Feature",
-                "properties": {},
-                "geometry": {"type": "Polygon", "coordinates": [[[0, 0], [1, 0], [1, 1], [0, 0]]]},
-            }
-        ],
-    }
-    path = tmp_path / "bad.geojson"
-    path.write_text(__import__("json").dumps(doc))
-    with pytest.raises(FormatError):
-        read_tracts_geojson(str(path))
+    path = write_collection(tmp_path / "bad.geojson", [{
+        "type": "Feature",
+        "properties": {},
+        "geometry": {"type": "Polygon", "coordinates": [[[0, 0], [1, 0], [1, 1], [0, 0]]]},
+    }])
+    with pytest.raises(FormatError, match="feature 0 is missing the GEOID property"):
+        read_tracts_geojson(path)
 
 
 def test_read_mask_geojson(tmp_path):
-    doc = {
-        "type": "FeatureCollection",
-        "features": [
-            {
-                "type": "Feature",
-                "properties": {"NAME": "somewhere"},
-                "geometry": {
-                    "type": "Polygon",
-                    "coordinates": [[[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]]],
-                },
-            }
-        ],
-    }
-    path = tmp_path / "mask.geojson"
-    path.write_text(__import__("json").dumps(doc))
-    parts = read_mask_geojson(str(path))
-    assert len(parts) == 1
-    assert parts[0].area() == 1.0
+    path = write_collection(tmp_path / "mask.geojson", [{
+        "type": "Feature",
+        "properties": {"NAME": "somewhere"},
+        "geometry": {
+            "type": "Polygon",
+            "coordinates": [[[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]]],
+        },
+    }])
+    mask = read_mask_geojson(path)
+    assert mask.geoids == () and mask.n_owners == 1
+    assert mask.ring_area.tolist() == [1.0]
 
 
 def test_read_geojson_rejects_points(tmp_path):
-    doc = {
-        "type": "FeatureCollection",
-        "features": [
-            {"type": "Feature", "properties": {}, "geometry": {"type": "Point", "coordinates": [0, 0]}}
-        ],
-    }
-    path = tmp_path / "pt.geojson"
-    path.write_text(__import__("json").dumps(doc))
-    with pytest.raises(FormatError):
-        read_mask_geojson(str(path))
+    path = write_collection(tmp_path / "pt.geojson", [
+        {"type": "Feature", "properties": {}, "geometry": {"type": "Point", "coordinates": [0, 0]}}
+    ])
+    with pytest.raises(FormatError, match="feature 0: unsupported geometry type 'Point'"):
+        read_mask_geojson(path)
+
+
+def _ring(rng, cx, cy, r_lo, r_hi, closed, clockwise):
+    verts = [[float(x), float(y)] for x, y in random_star_polygon(
+        rng, cx, cy, r_lo, r_hi, int(rng.integers(3, 9)))]
+    if clockwise:
+        verts = verts[::-1]
+    return verts + verts[:1] if closed else verts
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6))
+@settings(max_examples=40, deadline=None)
+def test_reader_matches_tuple_reader(tmp_path_factory, seed, n):
+    # Polygons and multipolygons with holes, open and closed rings of both
+    # orientations, integer and float coordinates and features out of geoid
+    # order, read by both readers.
+    rng = np.random.default_rng(seed)
+    features = []
+    for k in rng.permutation(n).tolist():
+        polygons = []
+        for p in range(int(rng.integers(1, 3))):
+            cx, cy = 20.0 * k + 8.0 * p, float(rng.integers(-5, 5))
+            rings = [_ring(rng, cx, cy, 2.0, 3.0, rng.random() < 0.5, rng.random() < 0.5)]
+            if rng.random() < 0.5:
+                rings.append(_ring(rng, cx, cy, 0.5, 0.9, rng.random() < 0.5, rng.random() < 0.5))
+            polygons.append(rings)
+        if rng.random() < 0.3:
+            polygons[0][0] = [[int(round(x)), int(round(y))] for x, y in
+                              ([cx - 3, cy - 3], [cx + 3, cy - 3], [cx, cy + 3])]
+            del polygons[0][1:]
+        geometry = ({"type": "Polygon", "coordinates": polygons[0]} if len(polygons) == 1
+                    else {"type": "MultiPolygon", "coordinates": polygons})
+        features.append({"type": "Feature", "properties": {"GEOID": f"06037{k:06d}"},
+                         "geometry": geometry})
+    path = write_collection(tmp_path_factory.mktemp("reader") / "t.geojson", features)
+
+    want = sorted(oracle_read_tracts_geojson(path), key=lambda t: t.geoid)
+    got = read_tracts_geojson(path)
+    assert got.geoids == tuple(t.geoid for t in want)
+    rings = [(t, ring, h > 0) for t, tract in enumerate(want) for part in tract.parts
+             for h, ring in enumerate((part.exterior, *part.holes))]
+    assert got.ring_owner.tolist() == [t for t, _, _ in rings]
+    assert got.ring_hole.tolist() == [hole for _, _, hole in rings]
+    for r, (_, ring, _) in enumerate(rings):
+        assert got.xy[got.ring_ptr[r]:got.ring_ptr[r + 1]].tolist() == [list(v) for v in ring]
+        assert got.ring_area[r] == pytest.approx(signed_ring_area(ring), rel=1e-12)
+    for t, tract in enumerate(want):
+        xs = [x for p in tract.parts for ring in (p.exterior, *p.holes) for x, _ in ring]
+        ys = [y for p in tract.parts for ring in (p.exterior, *p.holes) for _, y in ring]
+        assert got.bbox[t].tolist() == [min(xs), min(ys), max(xs), max(ys)]
+    assert zonal.tract_areas(got) == pytest.approx([t.area() for t in want], rel=1e-12)
+    mask = read_mask_geojson(path)
+    assert np.array_equal(mask.xy, np.concatenate(
+        [np.array(ring) for part in oracle_read_mask_geojson(path)
+         for ring in (part.exterior, *part.holes)]))

@@ -479,10 +479,24 @@ def test_cli_run_stage_flag(tmp_path):
 # A run imports only what it uses: a lazily imported module adds set-up cost
 # to every run without showing in any stage's time.
 _IMPORT_CHECK = """
-import sys
+import json, sys
 from hwexposure import cli, synth
-synth.synth(sys.argv[1], seed=7, n_tracts=9, n_groups=3)
-rc = cli.main(["run", "--config", sys.argv[1] + "/config.json", "--out", sys.argv[2]])
+from hwexposure.grids import read_asc
+world = sys.argv[1]
+synth.synth(world, seed=7, n_tracts=9, n_groups=3)
+if sys.argv[3] == "csv":  # the same grid as cell-center points
+    grid = read_asc(world + "/grid_2011.asc")
+    with open(world + "/grid_2011.csv", "w") as fh:
+        fh.write("x,y,value\\n")
+        for row in range(grid.n_rows):
+            for col in range(grid.n_cols):
+                fh.write(f"{col + 0.5},{row + 0.5},{float(grid.values[row, col])!r}\\n")
+    with open(world + "/config.json") as fh:
+        config = json.load(fh)
+    config["grid"] = "grid_{year}.csv"
+    with open(world + "/config.json", "w") as fh:
+        json.dump(config, fh)
+rc = cli.main(["run", "--config", world + "/config.json", "--out", sys.argv[2]])
 print(rc, sorted(name for name in ("numpy.ma",) if name in sys.modules))
 """
 
@@ -490,8 +504,12 @@ print(rc, sorted(name for name in ("numpy.ma",) if name in sys.modules))
 def test_run_does_not_import_numpy_ma(tmp_path):
     # a fresh interpreter: this test session may have imported numpy.ma itself
     env = dict(os.environ, PYTHONPATH=str(Path(hwexposure.__file__).parents[1]))
-    result = subprocess.run(
-        [sys.executable, "-c", _IMPORT_CHECK, str(tmp_path / "world"), str(tmp_path / "out")],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    assert result.stdout.split("\n")[-2] == "0 []"
+    for grid_format in ("asc", "csv"):
+        result = subprocess.run(
+            [sys.executable, "-c", _IMPORT_CHECK, str(tmp_path / grid_format / "world"),
+             str(tmp_path / grid_format / "out"), grid_format],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert result.stdout.split("\n")[-2] == "0 []", grid_format
+    csv_out, asc_out = tmp_path / "csv" / "out", tmp_path / "asc" / "out"
+    assert (csv_out / "exposure.csv").read_bytes() == (asc_out / "exposure.csv").read_bytes()

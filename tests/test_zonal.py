@@ -8,20 +8,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import exact_area, oracle_zonal_mean, points_in_parts, random_star_polygon
+from helpers import (
+    PolygonPart,
+    TractGeometry,
+    counter_clockwise,
+    exact_area,
+    mask_set,
+    oracle_zonal_mean,
+    overlap_area,
+    points_in_parts,
+    random_star_polygon,
+    tract_set,
+    zonal_weighted_mean,
+)
 
 from hwexposure import zonal
 from hwexposure.errors import FormatError, SchemaError
-from hwexposure.geometry import PolygonPart, TractGeometry
 from hwexposure.grids import ConcentrationGrid, read_asc, read_xyz_csv
 from hwexposure.zonal import (
     build_tract_surface,
-    classify_tracts,
-    classify_urban,
+    build_urban_mask,
     read_surface_csv,
-    tract_coverage,
     write_surface_csv,
-    zonal_weighted_mean,
 )
 
 
@@ -46,6 +54,10 @@ def square(x0, y0, x1, y1):
 
 def rect_tract(geoid, x0, y0, x1, y1):
     return TractGeometry(geoid=geoid, parts=(PolygonPart(exterior=square(x0, y0, x1, y1)),))
+
+
+def tract_coverage(tracts, grid):
+    return zonal.tract_coverage(tract_set(tracts), grid)
 
 
 def surface_of(grid, tracts, year=2011):
@@ -468,6 +480,11 @@ def urban_mask_parts():
     return [PolygonPart(exterior=((0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (0.0, 10.0), (0.0, 0.0)))]
 
 
+def classify_urban(tract, mask_parts):
+    (fraction,) = build_urban_mask(mask_set(mask_parts), tract_set([tract]))
+    return "urban" if fraction >= zonal.URBAN_SHARE else "rural"
+
+
 def test_classify_fully_inside():
     tract = rect_tract("06037000100", 2.0, 2.0, 4.0, 4.0)
     assert classify_urban(tract, urban_mask_parts()) == "urban"
@@ -498,11 +515,9 @@ def test_classify_sixty_percent_monte_carlo_oracle():
     in_tract = points_in_parts(px, py, tract.parts)
     in_both = in_tract & points_in_parts(px, py, mask)
     sampled_frac = in_both.sum() / in_tract.sum()
-    from hwexposure.geometry import overlap_area
-
-    exact_frac = overlap_area(tract.parts, mask) / tract.area()
+    (exact_frac,) = build_urban_mask(mask_set(mask), tract_set([tract]))
     assert exact_frac == pytest.approx(sampled_frac, abs=0.01)
-    assert classify_urban(tract, mask) == ("urban" if exact_frac >= 0.5 else "rural")
+    assert exact_frac == pytest.approx(overlap_area(tract.parts, mask) / tract.area(), abs=1e-12)
 
 
 def test_classify_tracts_sorted_and_threaded():
@@ -510,19 +525,170 @@ def test_classify_tracts_sorted_and_threaded():
         rect_tract("06037000200", 20.0, 20.0, 22.0, 22.0),
         rect_tract("06037000100", 2.0, 2.0, 4.0, 4.0),
     ]
-    got = classify_tracts(tracts, urban_mask_parts())
-    assert got == {"06037000100": "urban", "06037000200": "rural"}
-    assert list(got) == ["06037000100", "06037000200"]
-    assert classify_tracts(tracts[::-1], urban_mask_parts()) == got
+    mask = mask_set(urban_mask_parts())
+    got = build_urban_mask(mask, tract_set(tracts))
+    assert got.tolist() == [1.0, 0.0]  # in geoid order
+    assert np.array_equal(build_urban_mask(mask, tract_set(tracts[::-1])), got)
 
 
 def test_build_urban_mask_bundles_classification():
-    from hwexposure.zonal import build_urban_mask
+    # no mask polygons: every tract is rural
+    tracts = tract_set([rect_tract("06037000100", 2.0, 2.0, 4.0, 4.0)])
+    assert build_urban_mask(mask_set(urban_mask_parts()), tracts).tolist() == [1.0]
+    assert build_urban_mask(mask_set([]), tracts).tolist() == [0.0]
 
-    tracts = [rect_tract("06037000100", 2.0, 2.0, 4.0, 4.0)]
-    mask = build_urban_mask(urban_mask_parts(), tracts)
-    assert mask.classification == {"06037000100": "urban"}
-    assert len(mask.polygons) == 1
+
+def polygon(*rings):
+    return PolygonPart(exterior=tuple(rings[0]), holes=tuple(tuple(r) for r in rings[1:]))
+
+
+def lattice_rect(x0, y0, x1, y1, clockwise=False):
+    ring = square(x0, y0, x1, y1)[:-1]
+    return ring[::-1] if clockwise else ring
+
+
+@pytest.mark.parametrize("tract, mask, share", [
+    # a shared edge running the same way: the tract lies in the mask
+    pytest.param([polygon(lattice_rect(0, 0, 1, 1))], [polygon(lattice_rect(0, 0, 2, 1))], 1.0,
+                 id="shared_edge_same_way"),
+    # running opposite ways: the two only touch
+    pytest.param([polygon(lattice_rect(0, 0, 1, 1))], [polygon(lattice_rect(1, 0, 2, 1))], 0.0,
+                 id="shared_edge_opposite_ways"),
+    # the tract equals the mask, given clockwise
+    pytest.param([polygon(lattice_rect(0, 0, 2, 2, clockwise=True))],
+                 [polygon(lattice_rect(0, 0, 2, 2))], 1.0, id="identical"),
+    # mask vertices on tract edges and a mask edge along half a tract edge
+    pytest.param([polygon(lattice_rect(0, 0, 4, 4))],
+                 [polygon(((2, 0), (4, 2), (2, 4), (0, 2)))], 0.5, id="vertices_on_edges"),
+    pytest.param([polygon(lattice_rect(0, 0, 4, 4))], [polygon(lattice_rect(2, -1, 5, 2))], 0.25,
+                 id="t_junctions"),
+    # touching at one corner only
+    pytest.param([polygon(lattice_rect(0, 0, 1, 1))], [polygon(lattice_rect(1, 1, 2, 2))], 0.0,
+                 id="corner_touch"),
+    # the tract is the mask's hole, and the mask is the tract's hole
+    pytest.param([polygon(lattice_rect(1, 1, 2, 2))],
+                 [polygon(lattice_rect(0, 0, 3, 3), lattice_rect(1, 1, 2, 2))], 0.0,
+                 id="tract_is_mask_hole"),
+    pytest.param([polygon(lattice_rect(0, 0, 3, 3), lattice_rect(1, 1, 2, 2, clockwise=True))],
+                 [polygon(lattice_rect(1, 1, 2, 2))], 0.0, id="mask_is_tract_hole"),
+    pytest.param([polygon(lattice_rect(0, 0, 3, 3), lattice_rect(1, 1, 2, 2))],
+                 [polygon(lattice_rect(0, 0, 3, 3), lattice_rect(1, 1, 2, 2))], 1.0,
+                 id="same_holed_polygon"),
+    # two mask polygons sharing the edge that halves the tract
+    pytest.param([polygon(lattice_rect(0, 0, 2, 2))],
+                 [polygon(lattice_rect(0, 0, 1, 2)), polygon(lattice_rect(1, 0, 2, 2))], 1.0,
+                 id="mask_polygons_share_an_edge"),
+    # a two-part tract, one part in the mask
+    pytest.param([polygon(lattice_rect(0, 0, 1, 1)), polygon(lattice_rect(5, 5, 6, 6))],
+                 [polygon(lattice_rect(-1, -1, 1, 1))], 0.5, id="multipart"),
+])
+def test_overlap_shared_edges_and_touches(tract, mask, share):
+    tract = TractGeometry(geoid="06037000100", parts=tuple(tract))
+    assert overlap_area(tract.parts, mask) / tract.area() == share
+    assert build_urban_mask(mask_set(mask), tract_set([tract])).tolist() == [share]
+
+
+def _lattice_part(rng, x0, y0, w, h, hole):
+    """A rectangle of either orientation on the half-unit lattice, with a
+    rectangular hole when ``hole`` and there is room, else an L-shape half
+    the time."""
+    x1, y1 = x0 + w, y0 + h
+    hole = hole and w >= 2 and h >= 2
+    if not hole and rng.random() < 0.5:
+        cx, cy = x0 + 0.5 * rng.integers(1, 2 * w), y0 + 0.5 * rng.integers(1, 2 * h)
+        ring = [(x0, y0), (x1, y0), (x1, cy), (cx, cy), (cx, y1), (x0, y1)]
+    else:
+        ring = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+    rings = [ring[::-1] if rng.random() < 0.5 else ring]
+    if hole:
+        rings.append(lattice_rect(x0 + 0.5, y0 + 0.5, x0 + 1.0, y0 + 1.0,
+                                  clockwise=rng.random() < 0.5))
+    return polygon(*rings)
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_overlap_kernel_matches_clipper_on_a_lattice(seed):
+    # Rectilinear tracts and masks on a half-unit lattice: edges shared both
+    # ways, vertices on edges, corner touches, holes and multi-part tracts,
+    # all in exact arithmetic. A piece of a mask edge along one tract part's
+    # edge never counts, so tract parts may touch but not overlap.
+    rng = np.random.default_rng(seed)
+
+    def span(lo, hi):
+        a, b = sorted(rng.integers(lo, hi, size=2).tolist())
+        return a, max(b - a, 1)
+
+    mask = []
+    for k in range(int(rng.integers(1, 4))):  # disjoint polygons, in bands 3 units wide
+        y0, h = span(0, 8)
+        mask.append(_lattice_part(rng, 3.0 * k, y0, int(rng.integers(1, 4)), h, hole=True))
+    tracts = []
+    for k in range(12):
+        parts = []
+        for band in range(int(rng.integers(1, 3))):  # parts in y bands 6 units high
+            (x0, w), (y0, h) = span(-1, 10), span(0, 6)
+            parts.append(_lattice_part(rng, x0, y0 + 6 * band - 1, w, h, hole=rng.random() < 0.3))
+        tracts.append(TractGeometry(geoid=f"06037{k:06d}", parts=tuple(parts)))
+    got = build_urban_mask(mask_set(mask), tract_set(tracts))
+    want = [overlap_area(t.parts, counter_clockwise(mask)) / t.area() for t in tracts]
+    assert got.tolist() == pytest.approx(want, rel=0.0, abs=1e-12)
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_overlap_kernel_matches_clipper(seed):
+    # Non-convex stars of both orientations, holed and multi-part, at
+    # general positions and scales, against the clipping oracle; labels
+    # agree wherever the oracle's share is clear of the threshold. Both
+    # round crossing points to the coordinates' precision, so the shares
+    # part by ~1e-16 times the offset over the polygons' size.
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-2, 3)
+    offset = scale * rng.uniform(-100.0, 100.0, size=2)
+
+    def part(r_lo, r_hi, hole):
+        cx, cy = offset + scale * rng.uniform(0.0, 10.0, size=2)
+        return _star_part(rng, cx, cy, scale * r_lo, scale * r_hi,
+                          hole_scale=0.4 if hole else 0.0)
+
+    mask = [part(1.0, 4.0, rng.random() < 0.5) for _ in range(int(rng.integers(1, 4)))]
+    tracts = [TractGeometry(geoid=f"06037{k:06d}",
+                            parts=tuple(part(0.5, 3.0, rng.random() < 0.3)
+                                        for _ in range(int(rng.integers(1, 3)))))
+              for k in range(10)]
+    got = build_urban_mask(mask_set(mask), tract_set(tracts))
+    want = np.array([overlap_area(t.parts, counter_clockwise(mask)) / t.area() for t in tracts])
+    assert np.abs(got - want).max() <= 1e-12
+    clear = np.abs(want - zonal.URBAN_SHARE) > 1e-9
+    assert np.array_equal(got[clear] >= zonal.URBAN_SHARE, want[clear] >= zonal.URBAN_SHARE)
+
+
+def test_overlap_ignores_ring_orientation():
+    # Rings are oriented by their shoelace sign: a clockwise mask exterior
+    # (the shapefile convention) or a counter-clockwise hole changes nothing.
+    # The clipper's fan signs assume counter-clockwise clip rings.
+    tract = tract_set([rect_tract("06037000100", 0.0, 0.0, 4.0, 2.0)])
+    ccw = polygon(lattice_rect(2, 0, 6, 4), lattice_rect(3, 1, 4, 2, clockwise=True))
+    cw = polygon(lattice_rect(2, 0, 6, 4, clockwise=True), lattice_rect(3, 1, 4, 2))
+    assert build_urban_mask(mask_set([ccw]), tract).tolist() == [0.375]
+    assert build_urban_mask(mask_set([cw]), tract).tolist() == [0.375]
+    assert overlap_area(rect_tract("06037000100", 0.0, 0.0, 4.0, 2.0).parts, [cw]) == 0.0
+
+
+def test_overlap_chunks_match_one_pass(monkeypatch):
+    rng = np.random.default_rng(41)
+    mask = mask_set([_star_part(rng, 10.0, 10.0, 3.0, 9.0, hole_scale=0.4)])
+    tracts = tract_set([TractGeometry(geoid=f"06037{k:06d}", parts=(
+        _star_part(rng, *rng.uniform(0.0, 20.0, size=2), 0.5, 3.0),)) for k in range(40)])
+    whole = build_urban_mask(mask, tracts)
+    monkeypatch.setattr(zonal, "_CHUNK_VERTICES", 30)
+    assert np.array_equal(build_urban_mask(mask, tracts), whole)
+
+
+def test_urban_counts_flag_tracts_near_the_threshold():
+    fraction = np.array([0.0, 0.5, 0.5 - 1e-10, 0.5 + 2e-9, 1.0])
+    assert zonal.urban_counts(fraction) == {"urban": 3, "rural": 2, "near_threshold": 2}
 
 
 # ----------------------------------------------------------------------------
