@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from itertools import chain
 from typing import NamedTuple, Sequence
 
@@ -48,22 +49,23 @@ def is_tract_geoid(geoid: object) -> bool:
     return isinstance(geoid, str) and len(geoid) == 11 and geoid.isascii() and geoid.isdigit()
 
 
-def _bad_coordinates(rings) -> str | None:
-    """Why a polygon's rings are not lists of [x, y, ...] finite JSON numbers."""
-    for ring in rings:
-        if type(ring) is not list:
-            return f"ring must be a list of positions, got {ring!r}"
-        for position in ring:
-            if type(position) is not list or len(position) < 2:
-                return f"position must be a list of 2 or more numbers, got {position!r}"
-            for value in position[:2]:
-                try:
-                    finite = type(value) in (int, float) and math.isfinite(value)
-                except OverflowError:  # an int beyond float range
-                    finite = False
-                if not finite:
-                    return f"coordinate must be a finite number, got {value!r}"
-    return None
+def _lengths(items: list) -> np.ndarray:
+    """Each item's length when it is a list, else -1."""
+    if set(map(type, items)) <= {list}:
+        return np.fromiter(map(len, items), dtype=np.int64, count=len(items))
+    return np.array([len(i) if type(i) is list else -1 for i in items], dtype=np.int64)
+
+
+def _numbers(values: list) -> np.ndarray:
+    """The values as float64, NaN for any that is not a JSON number (a bool
+    is not) or that float64 cannot hold."""
+    if set(map(type, values)) <= {int, float}:
+        try:
+            return np.fromiter(values, dtype=np.float64, count=len(values))
+        except OverflowError:  # an int beyond float range
+            pass
+    return np.array([float(v) if type(v) in (int, float) and abs(v) <= sys.float_info.max
+                     else math.nan for v in values], dtype=np.float64)
 
 
 def polygon_set(source: str, features: Sequence[Sequence],
@@ -73,8 +75,9 @@ def polygon_set(source: str, features: Sequence[Sequence],
 
     With ``geoids`` the features are tracts, ordered by geoid, and each must
     have a polygon; without, every polygon is one owner, in file order.
-    Rings may be given open or closed. Errors name ``source`` and the feature
-    index.
+    Rings may be given open or closed. The checks run one kind at a time, in
+    the order below; the first kind that fails names ``source``, the first
+    feature (in file order) failing it, and that feature's first bad item.
     """
     n = len(features)
     if geoids is not None:
@@ -89,19 +92,44 @@ def polygon_set(source: str, features: Sequence[Sequence],
             raise SchemaError(f"{source}: duplicate tract geoids: {dupes[:5]}")
     else:
         order = list(range(n))
+
+    def fail(bad: np.ndarray, feature: np.ndarray, error, message) -> None:
+        """Raise ``error`` when any item is bad; ``feature`` is each item's
+        feature and ``message(k)`` describes item ``k``."""
+        if bad.any():
+            f = int(feature[bad].min())
+            k = int(np.flatnonzero(bad & (feature == f))[0])
+            raise error(f"{source}: feature {f}: {message(k)}")
+
     by_owner = [features[i] for i in order]
     n_polygons = np.fromiter(map(len, by_owner), dtype=np.int64, count=n)
-    if geoids is not None and not n_polygons.all():
-        i = min(order[k] for k in np.flatnonzero(n_polygons == 0).tolist())
-        raise DegenerateGeometryError(f"{source}: feature {i}: tract {geoids[i]} has no polygons")
+    owner_feature = np.array(order, dtype=np.int64)
+    if geoids is not None:
+        fail(n_polygons == 0, owner_feature, DegenerateGeometryError,
+             lambda k: f"tract {ordered[k]} has no polygons")
     polygons = list(chain.from_iterable(by_owner))
-    if set(map(type, polygons)) - {list} or not all(polygons):
-        i = min(i for i in order if any(type(p) is not list or not p for p in features[i]))
-        raise FormatError(f"{source}: feature {i}: polygon has no rings")
-    n_rings = np.fromiter(map(len, polygons), dtype=np.int64, count=len(polygons))
+    polygon_feature = np.repeat(owner_feature, n_polygons)
+    n_rings = _lengths(polygons)
+    fail(n_rings <= 0, polygon_feature, FormatError, lambda k: "polygon has no rings")
     rings = list(chain.from_iterable(polygons))
     ring_polygon = np.repeat(np.arange(len(polygons)), n_rings)
-    ring_feature = np.repeat(np.array(order, dtype=np.int64), n_polygons)[ring_polygon]
+    ring_feature = polygon_feature[ring_polygon]
+    ring_len = _lengths(rings)
+    fail(ring_len < 0, ring_feature, FormatError,
+         lambda k: f"ring must be a list of positions, got {rings[k]!r}")
+    positions = list(chain.from_iterable(rings))
+    position_feature = np.repeat(ring_feature, ring_len)
+    n_values = _lengths(positions)
+    fail(n_values < 2, position_feature, FormatError,
+         lambda k: f"position must be a list of 2 or more numbers, got {positions[k]!r}")
+    if (n_values != 2).any():
+        positions = [p[:2] for p in positions]
+    values = list(chain.from_iterable(positions))
+    xy = _numbers(values)
+    fail(~np.isfinite(xy), np.repeat(position_feature, 2), FormatError,
+         lambda k: f"coordinate must be a finite number, got {values[k]!r}")
+    xy = xy.reshape(-1, 2)
+
     if geoids is not None:
         n_owners = n
         ring_owner = np.repeat(np.arange(n), n_polygons)[ring_polygon]
@@ -110,16 +138,10 @@ def polygon_set(source: str, features: Sequence[Sequence],
         ring_owner = ring_polygon
     ring_hole = np.ones(len(rings), dtype=bool)
     ring_hole[np.cumsum(n_rings) - n_rings] = False
-    xy, ring_len = _coordinates(source, features, order, rings)
-
-    def fail(bad: np.ndarray, message) -> None:
-        if bad.any():
-            feature = int(ring_feature[bad].min())
-            r = int(np.flatnonzero(bad & (ring_feature == feature))[0])
-            raise DegenerateGeometryError(f"{source}: feature {feature}: {message(r)}")
 
     # close every ring: its open vertices, then the first again
-    fail(ring_len == 0, lambda r: "ring needs >= 3 distinct vertices, got 0")
+    fail(ring_len == 0, ring_feature, DegenerateGeometryError,
+         lambda r: "ring needs >= 3 distinct vertices, got 0")
     ring_start = np.cumsum(ring_len) - ring_len
     open_len = ring_len - ((xy[ring_start] == xy[ring_start + ring_len - 1]).all(axis=1)
                            & (ring_len >= 2))
@@ -136,14 +158,18 @@ def polygon_set(source: str, features: Sequence[Sequence],
     new = np.ones(len(sr), dtype=bool)
     new[1:] = (sr[1:] != sr[:-1]) | (sx[1:] != sx[:-1]) | (sy[1:] != sy[:-1])
     distinct = np.bincount(sr[new], minlength=len(ring_len))
-    fail(distinct < 3, lambda r: f"ring needs >= 3 distinct vertices, got {distinct[r]}")
+    fail(distinct < 3, ring_feature, DegenerateGeometryError,
+         lambda r: f"ring needs >= 3 distinct vertices, got {distinct[r]}")
 
-    # nonzero shoelace area per ring
-    cross = x[:-1] * y[1:] - x[1:] * y[:-1]
+    # nonzero shoelace area per ring, about its first vertex so the terms stay small
+    u, v = x - x[ring_ptr[ring_of]], y - y[ring_ptr[ring_of]]
+    cross = u[:-1] * v[1:] - u[1:] * v[:-1]
     cross[ring_ptr[1:-1] - 1] = 0.0  # from one ring's last vertex to the next ring's first
     ring_area = 0.5 * np.add.reduceat(cross, ring_ptr[:-1]) if len(cross) else np.zeros(0)
-    fail((ring_area == 0.0) & ~ring_hole, lambda r: "exterior ring has zero area")
-    fail((ring_area == 0.0) & ring_hole, lambda r: "hole ring has zero area")
+    fail((ring_area == 0.0) & ~ring_hole, ring_feature, DegenerateGeometryError,
+         lambda r: "exterior ring has zero area")
+    fail((ring_area == 0.0) & ring_hole, ring_feature, DegenerateGeometryError,
+         lambda r: "hole ring has zero area")
 
     first_vertex = ring_ptr[:-1][np.searchsorted(ring_owner, np.arange(n_owners))]
     bbox = np.column_stack([np.minimum.reduceat(x, first_vertex),
@@ -156,35 +182,6 @@ def polygon_set(source: str, features: Sequence[Sequence],
         xy=xy, ring_ptr=ring_ptr, ring_owner=ring_owner, ring_hole=ring_hole,
         ring_area=ring_area, bbox=bbox,
     )
-
-
-def _coordinates(source: str, features, order, rings) -> tuple[np.ndarray, np.ndarray]:
-    """The rings' positions as float64 (V, 2) and each ring's length; names
-    the first feature (in file order) holding a bad coordinate."""
-    try:
-        if set(map(type, rings)) - {list}:
-            raise TypeError
-        positions = list(chain.from_iterable(rings))
-        if set(map(type, positions)) - {list}:
-            raise TypeError
-        if set(map(len, positions)) - {2}:
-            if min(map(len, positions)) < 2:
-                raise TypeError
-            positions = [p[:2] for p in positions]
-        values = list(chain.from_iterable(positions))
-        if set(map(type, values)) - {int, float}:
-            raise TypeError
-        xy = np.fromiter(values, dtype=np.float64, count=len(values)).reshape(-1, 2)
-        if not np.isfinite(xy).all():
-            raise TypeError
-    except (TypeError, OverflowError):
-        for i in sorted(order):
-            for polygon in features[i]:
-                message = _bad_coordinates(polygon)
-                if message:
-                    raise FormatError(f"{source}: feature {i}: {message}") from None
-        raise
-    return xy, np.fromiter(map(len, rings), dtype=np.int64, count=len(rings))
 
 
 def _polygons(source: str, i: int, geometry: dict) -> list:

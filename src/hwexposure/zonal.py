@@ -19,7 +19,7 @@ meets a mask edge and every mask edge where it meets a tract edge; each
 piece's midpoint is classified by a winding-number (signed crossing) test. A
 piece of T's boundary lying on M's boundary counts when the two run the same
 way; a piece of M's boundary lying on T's boundary never counts. Candidate
-pairs come from a grid index of boxes, so no step is quadratic in the edges.
+pairs come from sorted windows of boxes, so no step is quadratic in the edges.
 """
 from __future__ import annotations
 
@@ -49,8 +49,9 @@ _NEAR_THRESHOLD = 1e-9
 # (8 MiB of float64) and ring vertices, so memory stays bounded.
 _CHUNK_CELLS = 1 << 20
 _CHUNK_VERTICES = 1 << 17
-# Boxes per cell of a _BoxIndex, on average.
-_CELL_BOXES = 1
+# A vertex within this factor times (edge length) x (coordinate size) of an
+# edge's line counts as lying on it: a few units of float64 rounding.
+_ON_LINE = 64 * np.finfo(np.float64).eps
 # Covered fractions at or below this are float residue, not coverage: in an
 # uncovered cell beside a ring the row's prefix sum cancels to ~1e-16, not 0.
 _MIN_FRACTION = 1e-12
@@ -305,78 +306,34 @@ def build_tract_surface(grid: ConcentrationGrid, coverage: TractCoverage,
     return TractSurface(year=year, entries=entries, excluded=excluded, completeness=completeness)
 
 
-class _BoxIndex(NamedTuple):
-    """Closed boxes (x0, y0, x1, y1) bucketed on a grid whose column and row
-    lines are quantiles of the boxes' lower x and y: cell ``(c, r)``, number
-    ``r * len(xs) + c``, lists the boxes meeting it in
-    ``members[ptr[cell]:ptr[cell + 1]]``; ``col``/``row`` are each box's
-    lowest column and row."""
+class _Sweep(NamedTuple):
+    """Closed boxes (x0, y0, x1, y1) sorted by their low end on one axis, with
+    the running maximum of their high ends on it, so that the boxes able to
+    meet a query box lie in one window of that order."""
 
     boxes: np.ndarray
-    extent: np.ndarray  # the boxes' greatest x1 and y1
-    xs: np.ndarray
-    ys: np.ndarray
-    col: np.ndarray
-    row: np.ndarray
-    ptr: np.ndarray
-    members: np.ndarray
+    axis: int
+    order: np.ndarray
+    lo: np.ndarray     # the low ends, ascending
+    reach: np.ndarray  # the running maximum of the high ends, in that order
 
+    @classmethod
+    def of(cls, boxes: np.ndarray, axis: int) -> "_Sweep":
+        order = np.argsort(boxes[:, axis], kind="stable")
+        return cls(boxes, axis, order, boxes[order, axis],
+                   np.maximum.accumulate(boxes[order, axis + 2]))
 
-def _lines(lo: np.ndarray, n: int) -> np.ndarray:
-    """About ``n`` ascending distinct values of ``lo``, its minimum first."""
-    v = np.sort(lo)
-    v = v[np.concatenate((v[:1] == v[:1], v[1:] != v[:-1]))]
-    return v[::max(1, len(v) // n)]
-
-
-def _cells(lines: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """First and last grid line index of each interval [lo, hi]; last < first
-    when the interval ends below the first line."""
-    return (np.maximum(np.searchsorted(lines, lo, side="right") - 1, 0),
-            np.searchsorted(lines, hi, side="right") - 1)
-
-
-def _cover(col0, col1, row0, row1, n_cols):
-    """(item, cell) for every cell of each item's block of columns and rows."""
-    width = np.maximum(col1 - col0 + 1, 0)
-    item, rank = _expand(width * np.maximum(row1 - row0 + 1, 0))
-    dr, dc = np.divmod(rank, width[item])
-    return item, (row0[item] + dr) * n_cols + col0[item] + dc
-
-
-def _box_index(boxes: np.ndarray) -> _BoxIndex:
-    side = max(1, math.isqrt(len(boxes) // _CELL_BOXES))
-    xs, ys = _lines(boxes[:, 0], side), _lines(boxes[:, 1], side)
-    col, last_col = _cells(xs, boxes[:, 0], boxes[:, 2])
-    row, last_row = _cells(ys, boxes[:, 1], boxes[:, 3])
-    box, cell = _cover(col, last_col, row, last_row, len(xs))
-    ptr = np.concatenate(([0], np.cumsum(np.bincount(cell, minlength=len(xs) * len(ys)))))
-    return _BoxIndex(boxes, boxes[:, 2:].max(axis=0, initial=-np.inf), xs, ys, col, row, ptr,
-                     box[np.argsort(cell, kind="stable")])
-
-
-def _meeting(index: _BoxIndex, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(query, box) index pairs of the closed query boxes and indexed boxes
-    that meet, each pair once: in the cell holding the corner (max x0, max y0)."""
-    if not len(index.boxes) or not len(queries):
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    near = np.flatnonzero((queries[:, 2] >= index.xs[0]) & (queries[:, 3] >= index.ys[0])
-                          & (queries[:, 0] <= index.extent[0])
-                          & (queries[:, 1] <= index.extent[1]))
-    col, last_col = _cells(index.xs, queries[near, 0], queries[near, 2])
-    row, last_row = _cells(index.ys, queries[near, 1], queries[near, 3])
-    q, cell = _cover(col, last_col, row, last_row, len(index.xs))
-    k, rank = _expand(index.ptr[cell + 1] - index.ptr[cell])
-    q, cell = q[k], cell[k]
-    b = index.members[index.ptr[cell] + rank]
-    corner = (np.maximum(index.row[b], row[q]) * len(index.xs)
-              + np.maximum(index.col[b], col[q]))
-    at = np.flatnonzero(cell == corner)
-    q, b = near[q[at]], b[at]
-    qb, bb = queries[q], index.boxes[b]
-    keep = ((qb[:, 0] <= bb[:, 2]) & (bb[:, 0] <= qb[:, 2])
-            & (qb[:, 1] <= bb[:, 3]) & (bb[:, 1] <= qb[:, 3]))
-    return q[keep], b[keep]
+    def pairs(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(query, box) index pairs of the closed query boxes and boxes that meet."""
+        a = self.axis
+        start = np.searchsorted(self.reach, queries[:, a], side="left")
+        stop = np.searchsorted(self.lo, queries[:, a + 2], side="right")
+        q, rank = _expand(np.maximum(stop - start, 0))
+        b = self.order[start[q] + rank]
+        qb, bb = queries[q], self.boxes[b]
+        keep = ((qb[:, 0] <= bb[:, 2]) & (bb[:, 0] <= qb[:, 2])
+                & (qb[:, 1] <= bb[:, 3]) & (bb[:, 1] <= qb[:, 3]))
+        return q[keep], b[keep]
 
 
 class _Edges(NamedTuple):
@@ -410,14 +367,16 @@ def _oriented_edges(polygons: PolygonSet) -> _Edges:
                   polygons.ring_owner[edge_ring[keep]])
 
 
-def _winding(px, py, owner, x_end, edges: _Edges, index: _BoxIndex) -> np.ndarray:
-    """Winding number of each point about the rings of its owner: the signed
-    crossings of the ray from the point to ``x_end``, which lies at or beyond
-    the owner's rightmost vertex. Half-open in y, so a ray through a vertex
-    crosses once."""
-    q, e = _meeting(index, np.column_stack((px, py, x_end, py)))
-    mine = edges.owner[e] == owner[q]
-    q, e = q[mine], e[mine]
+def _winding(px, py, x_end, edges: _Edges, rays: _Sweep, owner=None) -> np.ndarray:
+    """Winding number of each point about the rings of ``edges``, or of the
+    point's ``owner`` only: the signed crossings of the ray from the point to
+    ``x_end``, at or beyond those rings' rightmost vertex. ``rays`` sweeps the
+    edges' boxes along y. Half-open in y, so a ray through a vertex crosses
+    once."""
+    q, e = rays.pairs(np.column_stack((px, py, np.broadcast_to(x_end, np.shape(px)), py)))
+    if owner is not None:
+        mine = edges.owner[e] == owner[q]
+        q, e = q[mine], e[mine]
     x, y = px[q], py[q]
     x0, y0, x1, y1 = edges.x0[e], edges.y0[e], edges.x1[e], edges.y1[e]
     side = (x1 - x0) * (y - y0) - (y1 - y0) * (x - x0)  # > 0: the point is left of the edge
@@ -463,54 +422,71 @@ def _boundary_area(x0, y0, x1, y1, owner, ref, cut_seg, cut_t, on_seg, on_lo, on
 
 
 class _Mask(NamedTuple):
-    """A mask's oriented edges, indexed, and its polygons' boxes, indexed."""
+    """A mask's oriented edges, swept along x for pairs and along y for rays."""
 
     edges: _Edges
-    index: _BoxIndex
-    polygons: _BoxIndex
+    by_x: _Sweep
+    by_y: _Sweep
 
     @classmethod
     def of(cls, mask: PolygonSet) -> "_Mask":
         edges = _oriented_edges(mask)
-        return cls(edges, _box_index(edges.boxes()), _box_index(mask.bbox))
+        boxes = edges.boxes()
+        return cls(edges, _Sweep.of(boxes, 0), _Sweep.of(boxes, 1))
 
     def winding(self, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-        """Each point's winding number about the mask, summed over the mask
-        polygons whose box holds it."""
-        pt, polygon = _meeting(self.polygons, np.column_stack((px, py, px, py)))
-        return np.bincount(pt, weights=_winding(px[pt], py[pt], polygon,
-                                                self.polygons.boxes[polygon, 2], self.edges,
-                                                self.index), minlength=len(px))
+        """Each point's winding number about the mask."""
+        return _winding(px, py, self.by_x.reach[-1], self.edges, self.by_y)
 
 
-def _chunk_overlap(tract_edges: _Edges, tract_bbox: np.ndarray, mask: _Mask) -> np.ndarray:
+def _side(ax, ay, bx, by, px, py):
+    """(b - a) x (p - a), positive when p lies left of the line a -> b, and
+    whether it is within rounding of 0, so that p counts as on the line."""
+    side = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+    scale = (np.abs(bx - ax) + np.abs(by - ay)) * (np.abs(px) + np.abs(py)
+                                                   + np.abs(ax) + np.abs(ay))
+    return side, np.abs(side) <= _ON_LINE * scale
+
+
+def _chunk_overlap(tract_edges: _Edges, tract_bbox: np.ndarray, tract_area: np.ndarray,
+                   corner: np.ndarray, mask: _Mask) -> np.ndarray:
     """The area of each tract of a run inside the mask; ``tract_edges.owner``
-    indexes the run's tracts, the rows of ``tract_bbox``."""
+    indexes the run's tracts, the rows of ``tract_bbox``, ``tract_area`` and
+    ``corner`` (one vertex of each tract)."""
     n_tracts = len(tract_bbox)
-    te, me = tract_edges, mask.edges
+    # each mask edge meeting a tract's box
+    tt, jm = mask.by_x.pairs(tract_bbox)
+    order = np.argsort(jm * n_tracts + tt, kind="stable")
+    tt, jm = tt[order], jm[order]
+    # The mask's boundary misses the box of any other tract, so such a tract
+    # lies wholly inside or outside each mask polygon.
+    far = np.bincount(tt, minlength=n_tracts) == 0
+    area = np.where(far, tract_area * mask.winding(corner[:, 0], corner[:, 1]), 0.0)
+    te, me = tract_edges.take(np.flatnonzero(~far[tract_edges.owner])), mask.edges
+    te_boxes = te.boxes()
     # x is taken relative to each tract's left edge, so the terms stay small
     ref = tract_bbox[:, 0]
 
     # every (tract edge, mask edge) pair whose boxes meet
-    i, j = _meeting(mask.index, te.boxes())
+    i, j = mask.by_x.pairs(te_boxes)
     px0, py0, px1, py1 = te.x0[i], te.y0[i], te.x1[i], te.y1[i]
     qx0, qy0, qx1, qy1 = me.x0[j], me.y0[j], me.x1[j], me.y1[j]
-    dx, dy, ex, ey = px1 - px0, py1 - py0, qx1 - qx0, qy1 - qy0
     # each end point's side of the other edge's line: one expression per
     # (edge, vertex), so edges sharing a vertex agree on where it lies
-    oq0 = dx * (qy0 - py0) - dy * (qx0 - px0)
-    oq1 = dx * (qy1 - py0) - dy * (qx1 - px0)
-    op0 = ex * (py0 - qy0) - ey * (px0 - qx0)
-    op1 = ex * (py1 - qy0) - ey * (px1 - qx0)
+    oq0, zq0 = _side(px0, py0, px1, py1, qx0, qy0)
+    oq1, zq1 = _side(px0, py0, px1, py1, qx1, qy1)
+    op0, zp0 = _side(qx0, qy0, qx1, qy1, px0, py0)
+    op1, zp1 = _side(qx0, qy0, qx1, qy1, px1, py1)
     # parameters of the other edge's end points projected on each edge
+    dx, dy, ex, ey = px1 - px0, py1 - py0, qx1 - qx0, qy1 - qy0
     dd, ee = dx * dx + dy * dy, ex * ex + ey * ey
     sq0 = ((qx0 - px0) * dx + (qy0 - py0) * dy) / dd
     sq1 = ((qx1 - px0) * dx + (qy1 - py0) * dy) / dd
     rp0 = ((px0 - qx0) * ex + (py0 - qy0) * ey) / ee
     rp1 = ((px1 - qx0) * ex + (py1 - qy0) * ey) / ee
-    collinear = (oq0 == 0.0) & (oq1 == 0.0)
-    proper = (((oq0 < 0.0) & (oq1 > 0.0)) | ((oq0 > 0.0) & (oq1 < 0.0))) & \
-             (((op0 < 0.0) & (op1 > 0.0)) | ((op0 > 0.0) & (op1 < 0.0)))
+    collinear = (zq0 & zq1) | (zp0 & zp1)
+    proper = ((oq0 < 0.0) != (oq1 < 0.0)) & ((op0 < 0.0) != (op1 < 0.0)) & \
+        ~(zq0 | zq1 | zp0 | zp1)
     with np.errstate(invalid="ignore", divide="ignore"):
         t = op0 / (op0 - op1)
         u = oq0 / (oq0 - oq1)
@@ -518,13 +494,12 @@ def _chunk_overlap(tract_edges: _Edges, tract_bbox: np.ndarray, mask: _Mask) -> 
     def inside(s):
         return (s > 0.0) & (s < 1.0)
 
-    on_q0, on_q1 = (oq0 == 0.0) & inside(sq0), (oq1 == 0.0) & inside(sq1)
-    on_p0 = ((op0 == 0.0) | collinear) & inside(rp0)
-    on_p1 = ((op1 == 0.0) | collinear) & inside(rp1)
+    on_q0, on_q1 = (zq0 | collinear) & inside(sq0), (zq1 | collinear) & inside(sq1)
+    on_p0, on_p1 = (zp0 | collinear) & inside(rp0), (zp1 | collinear) & inside(rp1)
     # tract boundary pieces on a mask edge count when both run the same way
     lo, hi = np.clip(np.minimum(sq0, sq1), 0.0, 1.0), np.clip(np.maximum(sq0, sq1), 0.0, 1.0)
     on = collinear & (hi > lo)
-    area = _boundary_area(
+    area += _boundary_area(
         te.x0, te.y0, te.x1, te.y1, te.owner, ref,
         np.concatenate((i[proper], i[on_q0], i[on_q1])),
         np.concatenate((t[proper], sq0[on_q0], sq1[on_q1])),
@@ -533,19 +508,16 @@ def _chunk_overlap(tract_edges: _Edges, tract_bbox: np.ndarray, mask: _Mask) -> 
 
     # each mask edge meeting a tract's box, split by that tract's edges; its
     # pieces on the tract's boundary never count
-    tt, jm = _meeting(mask.index, tract_bbox)
-    order = np.argsort(jm * n_tracts + tt, kind="stable")
-    tt, jm = tt[order], jm[order]
     key = (jm * n_tracts + tt, j * n_tracts + te.owner[i])  # (mask edge, tract) pairs
     lo, hi = np.clip(np.minimum(rp0, rp1), 0.0, 1.0), np.clip(np.maximum(rp0, rp1), 0.0, 1.0)
     on = collinear & (hi > lo)
-    tract_index = _box_index(te.boxes())
+    rays = _Sweep.of(te_boxes, 1)
     return area + _boundary_area(
         me.x0[jm], me.y0[jm], me.x1[jm], me.y1[jm], tt, ref,
         np.searchsorted(key[0], np.concatenate((key[1][proper], key[1][on_p0], key[1][on_p1]))),
         np.concatenate((u[proper], rp0[on_p0], rp1[on_p1])),
         np.searchsorted(key[0], key[1][on]), lo[on], hi[on], np.zeros(int(on.sum())),
-        lambda x, y, tract: _winding(x, y, tract, tract_bbox[tract, 2], te, tract_index))
+        lambda x, y, tract: _winding(x, y, tract_bbox[tract, 2], te, rays, owner=tract))
 
 
 def tract_areas(tracts: PolygonSet) -> np.ndarray:
@@ -575,24 +547,15 @@ def build_urban_mask(mask: PolygonSet, tracts: PolygonSet) -> np.ndarray:
     if not mask.n_owners:
         return overlap
     mask = _Mask.of(mask)
-    is_near = np.zeros(tracts.n_owners, dtype=bool)
-    is_near[_meeting(mask.index, tracts.bbox)[0]] = True
-    # the mask's boundary misses the box of a tract not near it, so such a
-    # tract lies wholly inside or outside each mask polygon
-    far = np.flatnonzero(~is_near)
-    corner = tracts.xy[tracts.ring_ptr[np.searchsorted(tracts.ring_owner, far)]]
-    overlap[far] = area[far] * mask.winding(corner[:, 0], corner[:, 1])
-
-    near = np.flatnonzero(is_near)
     edges = _oriented_edges(tracts)
-    edges = edges.take(np.flatnonzero(is_near[edges.owner]))
-    edges = edges._replace(owner=(np.cumsum(is_near) - 1)[edges.owner])
-    edge_bounds = np.searchsorted(edges.owner, np.arange(len(near) + 1))
-    bounds = _runs(len(near), (np.diff(edge_bounds), _CHUNK_VERTICES))
+    edge_bounds = np.searchsorted(edges.owner, np.arange(tracts.n_owners + 1))
+    corner = tracts.xy[tracts.ring_ptr[np.searchsorted(tracts.ring_owner,
+                                                       np.arange(tracts.n_owners))]]
+    bounds = _runs(tracts.n_owners, (np.diff(edge_bounds), _CHUNK_VERTICES))
     for ta, tb in zip(bounds[:-1], bounds[1:]):
         chunk = edges.take(slice(edge_bounds[ta], edge_bounds[tb]))
-        overlap[near[ta:tb]] = _chunk_overlap(chunk._replace(owner=chunk.owner - ta),
-                                              tracts.bbox[near[ta:tb]], mask)
+        overlap[ta:tb] = _chunk_overlap(chunk._replace(owner=chunk.owner - ta),
+                                        tracts.bbox[ta:tb], area[ta:tb], corner[ta:tb], mask)
     return np.maximum(overlap, 0.0) / area
 
 

@@ -189,6 +189,18 @@ def _set_coordinate(value):
     return edit
 
 
+def _set_geometry(gtype, coordinates):
+    def edit(feature):
+        feature["geometry"] = {"type": gtype, "coordinates": coordinates}
+    return edit
+
+
+def _set_position(position):
+    def edit(feature):
+        feature["geometry"]["coordinates"][0][1] = position
+    return edit
+
+
 @pytest.mark.parametrize("name, edit, message", [
     ("tracts.geojson", _set_ring([[0, 0], [1, 0], [0, 0], [1, 0]]),
      "ring needs >= 3 distinct vertices, got 2"),
@@ -200,8 +212,26 @@ def _set_coordinate(value):
     ("tracts.geojson", _set_coordinate(float("nan")), "coordinate must be a finite number, got nan"),
     ("urban.geojson", _set_coordinate(float("inf")), "coordinate must be a finite number, got inf"),
     ("urban.geojson", _set_ring([[0, 0], [1, 0]]), "ring needs >= 3 distinct vertices, got 2"),
+    ("tracts.geojson", _set_geometry("Polygon", [[[0, 0], [4, 0], [4, 4], [0, 4]],
+                                                 [[1, 1], [2, 2], [3, 3]]]),
+     "hole ring has zero area"),
+    ("tracts.geojson", _set_geometry("MultiPolygon", []), "tract {geoid} has no polygons"),
+    ("tracts.geojson", _set_geometry("Polygon", []), "polygon has no rings"),
+    ("urban.geojson", _set_geometry("MultiPolygon", [[[[0, 0], [1, 0], [1, 1]]], None]),
+     "polygon has no rings"),
+    ("tracts.geojson", _set_geometry("Polygon", [5]), "ring must be a list of positions, got 5"),
+    ("tracts.geojson", _set_position([1.5]),
+     "position must be a list of 2 or more numbers, got [1.5]"),
+    ("urban.geojson", _set_position("1, 2"),
+     "position must be a list of 2 or more numbers, got '1, 2'"),
+    ("tracts.geojson", _set_coordinate(10 ** 400),
+     f"coordinate must be a finite number, got {10 ** 400}"),
+    ("urban.geojson", _set_geometry("MultiPolygon", 5),
+     "MultiPolygon coordinates must be a list of polygons, got 5"),
 ], ids=["two_distinct_vertices", "collinear", "string", "null", "numeric_string", "boolean",
-        "nan", "mask_infinity", "mask_two_vertices"])
+        "nan", "mask_infinity", "mask_two_vertices", "zero_area_hole", "no_polygons",
+        "no_rings", "mask_polygon_not_a_list", "ring_not_a_list", "one_number_position",
+        "mask_position_not_a_list", "int_beyond_float", "mask_multipolygon_not_a_list"])
 def test_bad_geometry_names_the_file_and_feature(tmp_path, caplog, name, edit, message):
     world = make_world(tmp_path)
     path = world / name
@@ -209,5 +239,18 @@ def test_bad_geometry_names_the_file_and_feature(tmp_path, caplog, name, edit, m
     feature = len(collection["features"]) - 1
     edit(collection["features"][feature])
     path.write_text(json.dumps(collection))
+    geoid = collection["features"][feature]["properties"].get("GEOID")
     assert run(world, tmp_path / "out") == 1
-    assert f"stage surface: {path}: feature {feature}: {message}" in caplog.text
+    assert f"stage surface: {path}: feature {feature}: {message.format(geoid=geoid)}" \
+        in caplog.text
+
+
+def test_duplicate_tract_geoid_names_the_file(tmp_path, caplog):
+    world = make_world(tmp_path)
+    path = world / "tracts.geojson"
+    collection = json.loads(path.read_text())
+    geoid = collection["features"][0]["properties"]["GEOID"]
+    collection["features"][-1]["properties"]["GEOID"] = geoid
+    path.write_text(json.dumps(collection))
+    assert run(world, tmp_path / "out") == 1
+    assert f"stage surface: {path}: duplicate tract geoids: [{geoid!r}]" in caplog.text

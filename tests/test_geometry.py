@@ -41,42 +41,62 @@ def square(x0, y0, x1, y1):
 # polygon_area
 # ----------------------------------------------------------------------------
 
+def package_area(exterior, holes=()):
+    """A one-polygon tract's area as the package computes it, from rings
+    given like the oracle's."""
+    rings = [[list(v) for v in ring] for ring in (exterior, *holes)]
+    return zonal.tract_areas(polygon_set("t.json", [[rings]], ["06037000100"]))[0]
+
+
 def test_area_unit_square():
-    assert polygon_area(UNIT_SQUARE) == 1.0
+    assert polygon_area(UNIT_SQUARE) == package_area(UNIT_SQUARE) == 1.0
 
 
 def test_area_triangle():
-    assert polygon_area([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]) == 0.5
+    triangle = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+    assert polygon_area(triangle) == package_area(triangle) == 0.5
 
 
 def test_area_collinear_is_degenerate():
-    with pytest.raises(DegenerateGeometryError):
-        polygon_area([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)])
+    for area in (polygon_area, package_area):
+        with pytest.raises(DegenerateGeometryError):
+            area([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)])
 
 
 def test_area_too_few_vertices():
-    with pytest.raises(DegenerateGeometryError):
-        polygon_area([(0.0, 0.0), (1.0, 0.0)])
+    for area in (polygon_area, package_area):
+        with pytest.raises(DegenerateGeometryError):
+            area([(0.0, 0.0), (1.0, 0.0)])
 
 
 def test_area_orientation_independent():
-    assert polygon_area(list(reversed(UNIT_SQUARE))) == 1.0
+    clockwise = list(reversed(UNIT_SQUARE))
+    assert polygon_area(clockwise) == package_area(clockwise) == 1.0
 
 
 def test_area_with_hole():
-    hole = square(0.25, 0.25, 0.75, 0.75)
-    assert polygon_area(square(0.0, 0.0, 2.0, 2.0), [hole]) == 4.0 - 0.25
+    outer, hole = square(0.0, 0.0, 2.0, 2.0), square(0.25, 0.25, 0.75, 0.75)
+    assert polygon_area(outer, [hole]) == package_area(outer, [hole]) == 4.0 - 0.25
 
 
 def test_closed_ring_input_accepted():
     closed = UNIT_SQUARE + [UNIT_SQUARE[0]]
-    assert polygon_area(closed) == 1.0
+    assert polygon_area(closed) == package_area(closed) == 1.0
+
+
+def test_area_is_exact_far_from_the_origin():
+    # the shoelace runs about each ring's first vertex, so a unit square at
+    # 1e8 keeps its area exactly
+    far = [(x + 1e8, y + 1e8) for x, y in UNIT_SQUARE]
+    assert package_area(far) == 1.0
 
 
 def test_normalize_ring_closes():
     ring = normalize_ring(UNIT_SQUARE)
     assert ring[0] == ring[-1]
     assert len(ring) == 5
+    tracts = polygon_set("t.json", [[[[list(v) for v in UNIT_SQUARE]]]], ["06037000100"])
+    assert tracts.xy.tolist() == [list(v) for v in ring]
 
 
 # ----------------------------------------------------------------------------
@@ -246,6 +266,22 @@ def test_tract_geoid_validation():
     assert arabic_indic.isdigit()
     with pytest.raises(FormatError, match="feature 1: GEOID must be a string of 11 ASCII"):
         polygon_set("t.json", [ring, ring], ["06037000100", arabic_indic])
+
+
+def test_geometry_checks_run_kind_by_kind():
+    # The first kind of check that fails names the first feature failing it,
+    # even when an earlier feature fails a later kind.
+    good = [[[0, 0], [1, 0], [1, 1]]]
+    flat = [[[0, 0], [1, 1], [2, 2]]]
+    two = [[[0, 0], [1, 0], [0, 0]]]
+    text = [[[0, 0], [1, "x"], [1, 1]]]
+    with pytest.raises(DegenerateGeometryError, match="feature 3: ring needs >= 3 distinct"):
+        polygon_set("m.json", [[good], [flat], [good], [two], [two]])
+    with pytest.raises(FormatError, match="feature 4: coordinate must be a finite number"):
+        polygon_set("m.json", [[good], [flat], [two], [good], [text]])
+    geoids = ["06037000300", "06037000200", "06037000100"]
+    with pytest.raises(DegenerateGeometryError, match="feature 1: exterior ring has zero"):
+        polygon_set("t.json", [[good], [flat], [flat]], geoids)
 
 
 def test_parts_bbox():

@@ -547,7 +547,7 @@ def lattice_rect(x0, y0, x1, y1, clockwise=False):
     return ring[::-1] if clockwise else ring
 
 
-@pytest.mark.parametrize("tract, mask, share", [
+SHARED_EDGE_CASES = [
     # a shared edge running the same way: the tract lies in the mask
     pytest.param([polygon(lattice_rect(0, 0, 1, 1))], [polygon(lattice_rect(0, 0, 2, 1))], 1.0,
                  id="shared_edge_same_way"),
@@ -581,7 +581,10 @@ def lattice_rect(x0, y0, x1, y1, clockwise=False):
     # a two-part tract, one part in the mask
     pytest.param([polygon(lattice_rect(0, 0, 1, 1)), polygon(lattice_rect(5, 5, 6, 6))],
                  [polygon(lattice_rect(-1, -1, 1, 1))], 0.5, id="multipart"),
-])
+]
+
+
+@pytest.mark.parametrize("tract, mask, share", SHARED_EDGE_CASES)
 def test_overlap_shared_edges_and_touches(tract, mask, share):
     tract = TractGeometry(geoid="06037000100", parts=tuple(tract))
     assert overlap_area(tract.parts, mask) / tract.area() == share
@@ -606,15 +609,11 @@ def _lattice_part(rng, x0, y0, w, h, hole):
     return polygon(*rings)
 
 
-@given(seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=80, deadline=None)
-def test_overlap_kernel_matches_clipper_on_a_lattice(seed):
-    # Rectilinear tracts and masks on a half-unit lattice: edges shared both
-    # ways, vertices on edges, corner touches, holes and multi-part tracts,
-    # all in exact arithmetic. A piece of a mask edge along one tract part's
-    # edge never counts, so tract parts may touch but not overlap.
-    rng = np.random.default_rng(seed)
-
+def _lattice_world(rng):
+    """Rectilinear mask polygons and tracts on a half-unit lattice: edges
+    shared both ways, vertices on edges, corner touches, holes and multi-part
+    tracts. A piece of a mask edge along one tract part's edge never counts,
+    so tract parts may touch but not overlap."""
     def span(lo, hi):
         a, b = sorted(rng.integers(lo, hi, size=2).tolist())
         return a, max(b - a, 1)
@@ -630,7 +629,43 @@ def test_overlap_kernel_matches_clipper_on_a_lattice(seed):
             (x0, w), (y0, h) = span(-1, 10), span(0, 6)
             parts.append(_lattice_part(rng, x0, y0 + 6 * band - 1, w, h, hole=rng.random() < 0.3))
         tracts.append(TractGeometry(geoid=f"06037{k:06d}", parts=tuple(parts)))
+    return mask, tracts
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_overlap_kernel_matches_clipper_on_a_lattice(seed):
+    # exact arithmetic: every shared stretch and T-junction is exact in floats
+    mask, tracts = _lattice_world(np.random.default_rng(seed))
     got = build_urban_mask(mask_set(mask), tract_set(tracts))
+    want = [overlap_area(t.parts, counter_clockwise(mask)) / t.area() for t in tracts]
+    assert got.tolist() == pytest.approx(want, rel=0.0, abs=1e-12)
+
+
+def _mapped(parts, matrix, offset):
+    def ring(r):
+        return tuple(map(tuple, (np.array(r) @ matrix.T + offset).tolist()))
+    return tuple(PolygonPart(exterior=ring(p.exterior), holes=tuple(map(ring, p.holes)))
+                 for p in parts)
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_overlap_kernel_matches_clipper_on_a_slanted_lattice(seed):
+    # The lattice world under a random rotation, stretch, scale and offset:
+    # shared stretches run slanted and vertices lie on edges only up to
+    # rounding, at coordinates floats cannot hold exactly. Shares do not
+    # change under an affine map, so the clipper's shares on the exact
+    # lattice are the reference.
+    rng = np.random.default_rng(seed)
+    mask, tracts = _lattice_world(rng)
+    angle, scale = rng.uniform(0.0, 2.0 * np.pi), 10.0 ** rng.uniform(-2, 3)
+    rotation = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    matrix = scale * rotation @ np.diag([1.0, rng.uniform(0.5, 2.0)])
+    offset = scale * rng.uniform(-100.0, 100.0, size=2)
+    slanted = [TractGeometry(geoid=t.geoid, parts=_mapped(t.parts, matrix, offset))
+               for t in tracts]
+    got = build_urban_mask(mask_set(list(_mapped(mask, matrix, offset))), tract_set(slanted))
     want = [overlap_area(t.parts, counter_clockwise(mask)) / t.area() for t in tracts]
     assert got.tolist() == pytest.approx(want, rel=0.0, abs=1e-12)
 
@@ -640,15 +675,17 @@ def test_overlap_kernel_matches_clipper_on_a_lattice(seed):
 def test_overlap_kernel_matches_clipper(seed):
     # Non-convex stars of both orientations, holed and multi-part, at
     # general positions and scales, against the clipping oracle; labels
-    # agree wherever the oracle's share is clear of the threshold. Both
-    # round crossing points to the coordinates' precision, so the shares
-    # part by ~1e-16 times the offset over the polygons' size.
+    # agree wherever the oracle's share is clear of the threshold. The
+    # kernel gets the polygons moved by an offset, which rounds them to the
+    # coordinates' precision (~1e-16 times the offset over the polygons'
+    # size); the oracle gets them unmoved, where its shoelace sums of
+    # coordinate products do not cancel.
     rng = np.random.default_rng(seed)
     scale = 10.0 ** rng.uniform(-2, 3)
     offset = scale * rng.uniform(-100.0, 100.0, size=2)
 
     def part(r_lo, r_hi, hole):
-        cx, cy = offset + scale * rng.uniform(0.0, 10.0, size=2)
+        cx, cy = scale * rng.uniform(0.0, 10.0, size=2)
         return _star_part(rng, cx, cy, scale * r_lo, scale * r_hi,
                           hole_scale=0.4 if hole else 0.0)
 
@@ -657,11 +694,24 @@ def test_overlap_kernel_matches_clipper(seed):
                             parts=tuple(part(0.5, 3.0, rng.random() < 0.3)
                                         for _ in range(int(rng.integers(1, 3)))))
               for k in range(10)]
-    got = build_urban_mask(mask_set(mask), tract_set(tracts))
+    moved = [TractGeometry(geoid=t.geoid, parts=_mapped(t.parts, np.eye(2), offset))
+             for t in tracts]
+    got = build_urban_mask(mask_set(list(_mapped(mask, np.eye(2), offset))), tract_set(moved))
     want = np.array([overlap_area(t.parts, counter_clockwise(mask)) / t.area() for t in tracts])
     assert np.abs(got - want).max() <= 1e-12
     clear = np.abs(want - zonal.URBAN_SHARE) > 1e-9
     assert np.array_equal(got[clear] >= zonal.URBAN_SHARE, want[clear] >= zonal.URBAN_SHARE)
+
+
+@pytest.mark.parametrize("tract, mask, share", SHARED_EDGE_CASES)
+def test_overlap_shared_edges_and_touches_slanted(tract, mask, share):
+    # the same cases turned by 0.5 rad and moved: shared stretches and
+    # T-junctions hold only up to rounding
+    matrix = np.array([[np.cos(0.5), -np.sin(0.5)], [np.sin(0.5), np.cos(0.5)]])
+    offset = np.array([0.1, 0.3])
+    tract = TractGeometry(geoid="06037000100", parts=_mapped(tract, matrix, offset))
+    got = build_urban_mask(mask_set(list(_mapped(mask, matrix, offset))), tract_set([tract]))
+    assert got.tolist() == pytest.approx([share], rel=0.0, abs=1e-12)
 
 
 def test_overlap_ignores_ring_orientation():
