@@ -9,8 +9,8 @@ year on that lattice. The ``threads`` setting is validated but changes nothing.
 """
 from __future__ import annotations
 
-import csv
 import hashlib
+import itertools
 import json
 import logging
 import time
@@ -229,16 +229,57 @@ def _read_grid(path: Path):
     raise ConfigError(f"grid file must be .asc or .csv, got {path.name}")
 
 
-def _float_text(x: float) -> str:
-    return repr(float(x))
+# A text cell holding one of these would need quoting, which _write_csv does
+# not do: geoids are ASCII digits and labels and strata are schema constants.
+_QUOTED = (",", '"', "\r", "\n")
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+def _n_rows(block: Sequence) -> int:
+    """A block's row count: the length of its first column that is not a scalar."""
+    return next(len(column) for column in block if not isinstance(column, (str, int)))
+
+
+def _cells(path: Path, name: str, column, n_rows: int) -> Iterable[str]:
+    """One column of a block as text cells. A float array gives repr texts and
+    an int array str texts; a str or int repeats on every row; any other
+    sequence holds text cells, checked once per distinct value."""
+    if isinstance(column, np.ndarray):
+        return map(repr if column.dtype.kind == "f" else str, column.tolist())
+    if isinstance(column, (str, int)):
+        distinct, column = {str(column)}, itertools.repeat(str(column), n_rows)
+    else:
+        distinct = set(column)
+    text = "".join(distinct)
+    if any(c in text for c in _QUOTED):
+        bad = min(v for v in distinct if any(c in v for c in _QUOTED))
+        raise ValueError(f"{path}: column {name!r}: {bad!r} would need CSV quoting")
+    return column
+
+
+def _csv_lines(path: Path, header: Sequence[str], block: Sequence) -> str:
+    """The rows of one block, one column per header field, as CSV lines."""
+    if len(block) != len(header):
+        raise ValueError(f"{path}: {len(block)} columns for a {len(header)}-field header")
+    n_rows = _n_rows(block)
+    columns = [_cells(path, name, column, n_rows) for name, column in zip(header, block)]
+    lines = "\n".join(map(",".join, zip(*columns)))
+    return lines + "\n" if lines else ""
+
+
+def _write_csv(path: Path, header: Sequence[str], blocks: Iterable[Sequence]) -> None:
+    """Write the header, then each block's rows with one write per block."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        fh.write(",".join(header) + "\n")
+        for block in blocks:
+            fh.write(_csv_lines(path, header, block))
+
+
+def _columns(items: Sequence, text: Sequence[str] = (), floats: Sequence[str] = ()) -> list:
+    """One text list per attribute in ``text``, then one float array per
+    attribute in ``floats``, over ``items``."""
+    values = np.array([[getattr(i, a) for i in items] for a in floats], dtype=np.float64)
+    return [*([getattr(i, a) for i in items] for a in text),
+            *values.reshape(len(floats), len(items))]
 
 
 def _sha256_file(path: Path) -> str:
@@ -272,7 +313,7 @@ def _stage_surface(state: RunState, write: bool) -> None:
         manifest["urban"] = zonal.urban_counts(fraction)
         if write:
             _write_csv(config.out_dir / "urban.csv", ["geoid", "stratum"],
-                       zip(tracts.geoids, labels))
+                       [[tracts.geoids, labels]])
     coverage = None
     for year in config.years:
         grid = _read_grid(config.path(config.grid, year))
@@ -286,7 +327,10 @@ def _stage_surface(state: RunState, write: bool) -> None:
             "completeness": surface.completeness,
         }
         if write:
-            zonal.write_surface_csv(surface, str(config.out_dir / f"surface_{year}.csv"))
+            geoids = sorted(surface.entries)
+            values = np.array([surface.entries[g] for g in geoids], dtype=np.float64)
+            _write_csv(config.out_dir / f"surface_{year}.csv", ["geoid", "year", "pm25"],
+                       [[geoids, year, values]])
     state.manifest_stages["surface"] = manifest
 
 
@@ -318,8 +362,7 @@ def _stage_exposure(state: RunState, write: bool) -> None:
     config = state.config
     strata = _strata(config)
     manifest: dict = {"years": {}}
-    exposure_rows = []
-    error_rows = []
+    exposure_blocks, error_blocks = [], []
     for year in config.years:
         data = state.years[year]
         data.homes, rac_tracts = _join_table(config, data.surface, ingest.RESIDENCE, config.rac)
@@ -347,25 +390,19 @@ def _stage_exposure(state: RunState, write: bool) -> None:
             "dropped_weight": drops,
             "records": len(records) + len(data.hw_records),
         }
-        for r in records + [h for h in data.hw_records if h.locus == exposure.LOCUS_BLEND]:
-            exposure_rows.append([
-                r.year, r.group_key, r.locus, r.stratum,
-                _float_text(r.mean), _float_text(r.p10), _float_text(r.p90),
-                _float_text(r.weight),
-            ])
-        for e in data.error_records:
-            error_rows.append([
-                e.year, e.group_key, e.stratum,
-                _float_text(e.error), _float_text(e.percent_error),
-            ])
+        blend = [h for h in data.hw_records if h.locus == exposure.LOCUS_BLEND]
+        exposure_blocks.append([year, *_columns(records + blend, ("group_key", "locus", "stratum"),
+                                                ("mean", "p10", "p90", "weight"))])
+        error_blocks.append([year, *_columns(data.error_records, ("group_key", "stratum"),
+                                             ("error", "percent_error"))])
     if write:
         _write_csv(config.out_dir / "exposure.csv",
                    ["year", "group", "locus", "stratum", "mean", "p10", "p90", "weight"],
-                   exposure_rows)
+                   exposure_blocks)
         if any(data.error_records for data in state.years.values()):
             _write_csv(config.out_dir / "error.csv",
                        ["year", "group", "stratum", "error", "percent_error"],
-                       error_rows)
+                       error_blocks)
     state.manifest_stages["exposure"] = manifest
 
 
@@ -382,83 +419,71 @@ def _group_records(records: Iterable[ExposureRecord]):
     return by_key, all_means
 
 
+# The disparity stage's reports: manifest row count -> file name and header.
+_DISPARITY_REPORTS = {
+    "gap_rows": ("gaps.csv", ("year", "locus", "stratum", "characteristic", "most_exposed",
+                              "least_exposed", "absolute_diff", "percent_diff", "ratio")),
+    "bin_rows": ("bins.csv", ("year", "kind", "locus", "stratum", "characteristic", "group",
+                              "n_bins", "bin", "n_tracts", "value", "top_minus_bottom")),
+    "atkinson_rows": ("atkinson.csv",
+                      ("year", "characteristic", "locus", "stratum", "epsilon", "value")),
+    "state_rows": ("state_disparity.csv",
+                   ("year", "state", "locus", "characteristic", "group", "value")),
+    "threshold_rows": ("threshold.csv", ("year", "locus", "threshold", "characteristic",
+                                         "group", "q_percent", "group_cov")),
+}
+
+
 def _stage_disparity(state: RunState, write: bool) -> None:
     config = state.config
     strata = _strata(config)
     skips: dict[str, int] = {}
-    gap_rows = []
-    bin_rows = []
-    atkinson_rows = []
-    state_rows = []
-    threshold_rows = []
+    reports = gap_blocks, bin_blocks, atkinson_blocks, state_blocks, threshold_blocks = (
+        [], [], [], [], [])
     for year in config.years:
         data = state.years[year]
         by_key, all_means = _group_records(data.records)
 
+        keys, gaps = [], []
         for (locus, stratum, characteristic), members in sorted(by_key.items()):
             try:
-                gap = disparity.extreme_group_gap(members, all_means[(locus, stratum)])
+                gaps.append(disparity.extreme_group_gap(members, all_means[(locus, stratum)]))
             except _METRIC_DEGENERACIES as exc:
                 _skip(skips, "gap", "%s %s/%s/%s: %s" % (year, locus, stratum, characteristic, exc))
                 continue
-            gap_rows.append([
-                year, locus, stratum, characteristic,
-                gap.most_exposed, gap.least_exposed,
-                _float_text(gap.absolute_diff), _float_text(gap.percent_diff),
-                _float_text(gap.ratio),
-            ])
+            keys.append((locus, stratum))
+        gap_blocks.append([year, [k[0] for k in keys], [k[1] for k in keys], *_columns(
+            gaps, ("characteristic", "most_exposed", "least_exposed"),
+            ("absolute_diff", "percent_diff", "ratio"))])
 
         # atkinson.csv is ordered by (characteristic, locus, stratum).
+        results = []
         for key in sorted(by_key, key=lambda k: (k[2], k[0], k[1])):
             try:
-                results = disparity.atkinson_pipeline(by_key[key], config.epsilons)
+                results += disparity.atkinson_pipeline(by_key[key], config.epsilons)
             except _METRIC_DEGENERACIES as exc:
                 _skip(skips, "atkinson", "%s %s/%s/%s: %s" % (year, *key, exc))
-                continue
-            atkinson_rows += [
-                [r.year, r.characteristic, r.locus, r.stratum,
-                 _float_text(r.epsilon), _float_text(r.value)]
-                for r in results
-            ]
+        atkinson_blocks.append([year, *_columns(results, ("characteristic", "locus", "stratum"),
+                                                ("epsilon", "value"))])
 
         for aligned in (data.homes, data.works):
             # one group per row of aligned.counts, both in schema order
             groups = [(characteristic, label) for characteristic, label, _ in
                       exposure.iter_groups(ingest.RAC_WAC_SCHEMAS, aligned)][1:]
             counts = aligned.counts.astype(np.float64)
-            bin_rows += _composition_rows(state, aligned, groups, counts, strata, skips)
-            threshold_rows += _threshold_rows(config, aligned, skips)
+            bin_blocks += _composition_blocks(state, aligned, groups, counts, strata, skips)
+            threshold_blocks += _threshold_rows(config, aligned, skips)
             try:
-                state_rows += _state_rows(aligned, groups, counts)
+                state_blocks.append(_state_rows(aligned, groups, counts))
             except _METRIC_DEGENERACIES as exc:
                 _skip(skips, "state-disparity", "%s %s: %s" % (year, aligned.locus, exc))
             del counts
     _warn_skips("disparity", skips)
     if write:
-        _write_csv(config.out_dir / "gaps.csv",
-                   ["year", "locus", "stratum", "characteristic", "most_exposed",
-                    "least_exposed", "absolute_diff", "percent_diff", "ratio"],
-                   gap_rows)
-        _write_csv(config.out_dir / "bins.csv",
-                   ["year", "kind", "locus", "stratum", "characteristic", "group",
-                    "n_bins", "bin", "n_tracts", "value", "top_minus_bottom"],
-                   bin_rows)
-        _write_csv(config.out_dir / "atkinson.csv",
-                   ["year", "characteristic", "locus", "stratum", "epsilon", "value"],
-                   atkinson_rows)
-        _write_csv(config.out_dir / "state_disparity.csv",
-                   ["year", "state", "locus", "characteristic", "group", "value"],
-                   state_rows)
-        _write_csv(config.out_dir / "threshold.csv",
-                   ["year", "locus", "threshold", "characteristic", "group",
-                    "q_percent", "group_cov"],
-                   threshold_rows)
+        for (name, header), blocks in zip(_DISPARITY_REPORTS.values(), reports):
+            _write_csv(config.out_dir / name, header, blocks)
     state.manifest_stages["disparity"] = {
-        "gap_rows": len(gap_rows),
-        "bin_rows": len(bin_rows),
-        "atkinson_rows": len(atkinson_rows),
-        "state_rows": len(state_rows),
-        "threshold_rows": len(threshold_rows),
+        **{key: sum(map(_n_rows, blocks)) for key, blocks in zip(_DISPARITY_REPORTS, reports)},
         "skipped": dict(sorted(skips.items())),
     }
 
@@ -481,14 +506,13 @@ def _warn_skips(stage: str, skips: dict[str, int]) -> None:
                        "(details at debug level)", stage, count, kind)
 
 
-def _composition_rows(state: RunState, aligned: exposure.AlignedTable,
-                      groups: Sequence[tuple[str, str]], counts: np.ndarray,
-                      strata: Sequence[str], skips: dict[str, int]) -> list[list]:
-    """bins.csv rows of one table: per stratum and group, a composition curve
-    per configured bin count, then the concentration-decile shares."""
+def _composition_blocks(state: RunState, aligned: exposure.AlignedTable,
+                        groups: Sequence[tuple[str, str]], counts: np.ndarray,
+                        strata: Sequence[str], skips: dict[str, int]) -> list[list]:
+    """bins.csv blocks of one table, one per stratum."""
     config = state.config
     year, locus = aligned.year, aligned.locus
-    rows: list[list] = []
+    blocks: list[list] = []
     masks = exposure.stratum_masks(aligned, state.classification, strata)
     for stratum, mask in masks.items():
         cols = np.flatnonzero(mask & (aligned.totals > 0))
@@ -500,13 +524,10 @@ def _composition_rows(state: RunState, aligned: exposure.AlignedTable,
         curves = []
         for n_bins in config.bin_counts:
             try:
-                curve = disparity.percentile_bin_curve(ranking, n_bins)
+                curves.append((n_bins, disparity.percentile_bin_curve(ranking, n_bins)))
             except _METRIC_DEGENERACIES as exc:
                 _skip_groups(skips, "composition-curve", groups,
                              "%s %s/%s" % (year, locus, stratum), exc)
-                continue
-            contrast = disparity.decile_contrast(curve) if n_bins == 10 else None
-            curves.append((n_bins, curve, contrast))
         del ranking, group_counts
         try:
             shares = disparity.population_share_by_concentration_decile(fractions, conc)
@@ -515,36 +536,45 @@ def _composition_rows(state: RunState, aligned: exposure.AlignedTable,
                          "%s %s/%s" % (year, locus, stratum), exc)
             shares = None
         del fractions
+        blocks.append(_bin_block(year, locus, stratum, groups, curves, shares))
+    return blocks
 
-        for g, (characteristic, label) in enumerate(groups):
-            for n_bins, curve, contrast in curves:
-                contrast_text = "" if contrast is None else _float_text(contrast[g])
-                rows += [
-                    [year, "composition", locus, stratum, characteristic, label,
-                     n_bins, b + 1, size, _float_text(value), contrast_text]
-                    for b, (size, value) in enumerate(
-                        zip(curve.n_tracts, curve.exposure[g].tolist()))
-                ]
-            if shares is not None:
-                difference = _float_text(shares.difference[g])
-                rows += [
-                    [year, "concentration", locus, stratum, characteristic, label,
-                     10, d + 1, "", _float_text(value), difference]
-                    for d, value in enumerate(shares.means[g].tolist())
-                ]
-    return rows
+
+def _bin_block(year: int, locus: str, stratum: str, groups: Sequence[tuple[str, str]],
+               curves: Sequence[tuple[int, disparity.PercentileBinCurves]],
+               shares: disparity.DecileShares | None) -> list:
+    """bins.csv block of one (locus, stratum). Each group has the same K rows: a
+    curve per kept bin count (the 10-bin one with its decile contrast), then the
+    decile shares; so the values are a (groups x K) matrix, the rest templates."""
+    parts = [(curve.exposure, "composition", curve.n_tracts,
+              disparity.decile_contrast(curve) if count == 10 else None)
+             for count, curve in curves]
+    if shares is not None:
+        parts.append((shares.means, "concentration", ("",) * 10, shares.difference))
+    n, widths = len(groups), [len(sizes) for _, _, sizes, _ in parts]
+    kind = [name for (_, name, _, _), width in zip(parts, widths) for _ in range(width)]
+    n_bins = [str(width) for width in widths for _ in range(width)]
+    bin_no = [str(b) for width in widths for b in range(1, width + 1)]
+    n_tracts = [str(size) for _, _, sizes, _ in parts for size in sizes]
+    contrast = [[""] * n if d is None else list(map(repr, d.tolist())) for *_, d in parts]
+    names = np.array(groups, dtype=object).reshape(n, 2).repeat(len(kind), axis=0)
+    values = np.hstack([np.empty((n, 0)), *(matrix for matrix, *_ in parts)])
+    contrast = np.array(contrast, dtype=object).reshape(len(parts), n).repeat(widths, axis=0)
+    return [year, kind * n, locus, stratum, names[:, 0].tolist(), names[:, 1].tolist(),
+            n_bins * n, bin_no * n, n_tracts * n, values.ravel(), contrast.T.ravel().tolist()]
 
 
 def _threshold_rows(config: RunConfig, aligned: exposure.AlignedTable,
                     skips: dict[str, int]) -> list[list]:
+    """threshold.csv blocks of one table, one per threshold: the whole
+    population, then each characteristic's groups with the CoV of their shares."""
     year, locus = aligned.year, aligned.locus
-    rows: list[list] = []
+    blocks: list[list] = []
     conc = aligned.concentrations
     row = {code: i for i, code in enumerate(aligned.codes)}
     for threshold in config.thresholds:
-        all_q = disparity.threshold_share(conc, aligned.totals, threshold)
-        rows.append([year, locus, _float_text(threshold), "all", "all",
-                     _float_text(all_q), ""])
+        characteristics, labels, covs = ["all"], ["all"], [""]
+        qs = [disparity.threshold_share(conc, aligned.totals, threshold)]
         for schema in ingest.RAC_WAC_SCHEMAS:
             shares = []
             for code, label in schema.categories:
@@ -553,60 +583,56 @@ def _threshold_rows(config: RunConfig, aligned: exposure.AlignedTable,
                 weights = aligned.counts[row[code]]
                 if int(weights.sum()) == 0:
                     continue
-                shares.append((label, disparity.threshold_share(conc, weights, threshold)))
+                labels.append(label)
+                shares.append(disparity.threshold_share(conc, weights, threshold))
             if not shares:
                 continue
             try:
-                cov_text = _float_text(disparity.cov_of_shares([q for _, q in shares]))
+                cov_text = repr(disparity.cov_of_shares(shares))
             except _METRIC_DEGENERACIES as exc:
                 _skip(skips, "threshold-cov",
                       "%s %s T=%s %s: %s" % (year, locus, threshold, schema.characteristic, exc))
                 cov_text = ""
-            rows += [
-                [year, locus, _float_text(threshold), schema.characteristic, label,
-                 _float_text(q), cov_text]
-                for label, q in shares
-            ]
-    return rows
+            characteristics += [schema.characteristic] * len(shares)
+            qs += shares
+            covs += [cov_text] * len(shares)
+        blocks.append([year, locus, repr(threshold), characteristics, labels, np.array(qs), covs])
+    return blocks
 
 
 def _state_rows(aligned: exposure.AlignedTable, groups: Sequence[tuple[str, str]],
-                counts: np.ndarray) -> list[list]:
-    """state_disparity.csv rows of one table. The state is a geoid's first two
+                counts: np.ndarray) -> list:
+    """state_disparity.csv block of one table. The state is a geoid's first two
     digits, so each state is a contiguous run of the geoid-sorted tracts."""
-    year, locus = aligned.year, aligned.locus
-    rows: list[list] = []
-    if len(aligned.geoids) == 0:
-        return rows
-    totals = aligned.totals.astype(float)
-    conc = aligned.concentrations
-    national_mean = float((conc * totals).sum()) / float(totals.sum())
-    states = np.array(aligned.geoids, dtype="U2")
-    bounds = [0, *(np.flatnonzero(states[1:] != states[:-1]) + 1).tolist(), len(states)]
-    weighted = counts * conc
-    for start, end in zip(bounds, bounds[1:]):
-        st_totals = totals[start:end]
-        if st_totals.sum() == 0:
-            continue
-        state_mean = float((conc[start:end] * st_totals).sum()) / float(st_totals.sum())
-        group_totals = counts[:, start:end].sum(axis=1)
-        present = np.flatnonzero(group_totals != 0)
-        group_means = weighted[:, start:end].sum(axis=1)[present] / group_totals[present]
-        values = disparity.state_disparity(group_means, state_mean, national_mean)
-        st = str(states[start])
-        rows += [
-            [year, st, locus, *groups[g], _float_text(value)]
-            for g, value in zip(present.tolist(), values)
-        ]
-    return rows
+    states, present, values = [], [np.empty(0, np.intp)], [np.empty(0)]
+    if len(aligned.geoids):
+        totals = aligned.totals.astype(float)
+        conc = aligned.concentrations
+        national_mean = float((conc * totals).sum()) / float(totals.sum())
+        codes = np.array(aligned.geoids, dtype="U2")
+        bounds = [0, *(np.flatnonzero(codes[1:] != codes[:-1]) + 1).tolist(), len(codes)]
+        weighted = counts * conc
+        for start, end in zip(bounds, bounds[1:]):
+            st_totals = totals[start:end]
+            if st_totals.sum() == 0:
+                continue
+            state_mean = float((conc[start:end] * st_totals).sum()) / float(st_totals.sum())
+            group_totals = counts[:, start:end].sum(axis=1)
+            kept = np.flatnonzero(group_totals != 0)
+            group_means = weighted[:, start:end].sum(axis=1)[kept] / group_totals[kept]
+            values.append(disparity.state_disparity(group_means, state_mean, national_mean))
+            present.append(kept)
+            states += [str(codes[start])] * len(kept)
+    names = np.array(groups, dtype=object).reshape(len(groups), 2)[np.concatenate(present)]
+    return [aligned.year, states, aligned.locus, names[:, 0].tolist(), names[:, 1].tolist(),
+            np.concatenate(values)]
 
 
 def _stage_bias(state: RunState, write: bool) -> None:
     config = state.config
     strata = _strata(config)
     skips: dict[str, int] = {}
-    bias_rows = []
-    wilcoxon_rows = []
+    bias_blocks, wilcoxon_blocks = [], []
     for year in config.years:
         data = state.years[year]
         if data.pairs is None:
@@ -621,6 +647,7 @@ def _stage_bias(state: RunState, write: bool) -> None:
             vh = pairs.home_values[mask]
             vb = blended[mask]
             pooled = biasstats.PooledSamples(vh, vb)
+            bias_keys, moment_list, biases, test_keys, ns, tests = [], [], [], [], [], []
             for characteristic, label, counts in exposure.iter_groups(ingest.OD_SCHEMAS, pairs):
                 group_key = exposure.format_group(characteristic, label)
                 w = counts[mask]
@@ -633,27 +660,28 @@ def _stage_bias(state: RunState, write: bool) -> None:
                 except _METRIC_DEGENERACIES as exc:
                     _skip(skips, "bias-factor", "%s %s/%s: %s" % (year, stratum, group_key, exc))
                 else:
-                    bias_rows.append([
-                        year, group_key, stratum,
-                        _float_text(moments.sigma2), _float_text(moments.phi),
-                        _float_text(moments.omega2), _float_text(bias),
-                    ])
-                result = pooled.test(w, w)
-                wilcoxon_rows.append([
-                    year, group_key, stratum, n, n,
-                    _float_text(result.u), _float_text(result.z), _float_text(result.p_value),
-                ])
+                    bias_keys.append(group_key)
+                    moment_list.append(moments)
+                    biases.append(bias)
+                test_keys.append(group_key)
+                ns.append(n)
+                tests.append(pooled.test(w, w))
+            bias_blocks.append([year, bias_keys, stratum,
+                                *_columns(moment_list, (), ("sigma2", "phi", "omega2")),
+                                np.array(biases, dtype=np.float64)])
+            wilcoxon_blocks.append([year, test_keys, stratum, np.array(ns), np.array(ns),
+                                    *_columns(tests, (), ("u", "z", "p_value"))])
     _warn_skips("bias", skips)
     if write:
         _write_csv(config.out_dir / "bias.csv",
                    ["year", "group", "stratum", "sigma2", "phi", "omega2", "bias"],
-                   bias_rows)
+                   bias_blocks)
         _write_csv(config.out_dir / "wilcoxon.csv",
                    ["year", "group", "stratum", "n_surrogate", "n_reference", "u", "z", "p_value"],
-                   wilcoxon_rows)
+                   wilcoxon_blocks)
     state.manifest_stages["bias"] = {
-        "bias_rows": len(bias_rows),
-        "wilcoxon_rows": len(wilcoxon_rows),
+        "bias_rows": sum(map(_n_rows, bias_blocks)),
+        "wilcoxon_rows": sum(map(_n_rows, wilcoxon_blocks)),
         "skipped": dict(sorted(skips.items())),
     }
 

@@ -14,7 +14,6 @@ unique and every group has peripheral homes).
 """
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -236,11 +235,7 @@ def _generate_od_rows(rng: np.random.Generator, geoids: list[str], center: int,
 def _write_od_csv(path: Path, rows: list[dict]) -> None:
     od_codes = [code for schema in OD_SCHEMAS for code in schema.codes]
     header = ["w_geocode", "h_geocode", "S000", *od_codes]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([row[c] for c in header])
+    _write_rows(path, header, rows)
 
 
 def _write_rac_wac(rng: np.random.Generator, out: Path, od_rows: list[dict],
@@ -282,8 +277,11 @@ def _write_rac_wac(rng: np.random.Generator, out: Path, od_rows: list[dict],
                 row[code] = int(split[c]) if c < populated else 0
             out_rows.append(row)
         header = [key, "C000", *rac_codes]
-        with open(out / filename, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in out_rows:
-                writer.writerow([row[c] for c in header])
+        _write_rows(out / filename, header, out_rows)
+
+
+def _write_rows(path: Path, header: list[str], rows: list[dict]) -> None:
+    """CSV with CRLF line ends; geocodes and counts never need quoting."""
+    lines = [header, *([str(row[c]) for c in header] for row in rows)]
+    text = "".join(",".join(line) + "\r\n" for line in lines)
+    path.write_text(text, encoding="utf-8", newline="")

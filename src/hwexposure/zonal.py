@@ -23,7 +23,6 @@ pairs come from sorted windows of boxes, so no step is quadratic in the edges.
 """
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass, field
@@ -31,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, FormatError, SchemaError
+from .errors import DegenerateGeometryError, SchemaError
 from .geometry import PolygonSet
 from .grids import ConcentrationGrid
 
@@ -63,8 +62,8 @@ class TractSurface:
 
     ``completeness`` summarizes valued tracts by valid covered area over
     polygon area: how many are under 0.99 and under 0.5, and the worst five
-    of those under 0.99 as [geoid, ratio], lowest first. It is empty for
-    surfaces read back from CSV.
+    of those under 0.99 as [geoid, ratio], lowest first. It is empty for a
+    surface not built by build_tract_surface.
     """
 
     year: int
@@ -565,28 +564,3 @@ def urban_counts(fraction: np.ndarray) -> dict[str, int]:
     urban = int((fraction >= URBAN_SHARE).sum())
     return {"urban": urban, "rural": len(fraction) - urban,
             "near_threshold": int((np.abs(fraction - URBAN_SHARE) <= _NEAR_THRESHOLD).sum())}
-
-
-def write_surface_csv(surface: TractSurface, path: str) -> None:
-    """Emit the surface as CSV with header ``geoid,year,pm25``."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["geoid", "year", "pm25"])
-        for geoid in sorted(surface.entries):
-            writer.writerow([geoid, surface.year, repr(float(surface.entries[geoid]))])
-
-
-def read_surface_csv(path: str) -> TractSurface:
-    """Read a surface emitted by write_surface_csv."""
-    entries: dict[str, float] = {}
-    year: int | None = None
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["geoid", "year", "pm25"]:
-            raise FormatError(f"{path}: expected header 'geoid,year,pm25'")
-        for row in reader:
-            year = int(row["year"])
-            entries[row["geoid"]] = float(row["pm25"])
-    if year is None:
-        raise FormatError(f"{path}: no data rows")
-    return TractSurface(year=year, entries=entries)

@@ -16,7 +16,10 @@ which they pin in differential tests. oracle_bin_curve, oracle_decile_shares
 and oracle_state_rows are the per-group tuple-list sorts and the per-state
 tract scan that the (groups x tracts) matrix kernels in disparity and
 pipeline replaced; the differential tests hold the kernels bit-identical to
-them. worker_table and table_rows convert between row literals and the
+them. reference_csv is the csv.writer emission with repr floats that the
+columnar report writer replaced, oracle_composition_rows the bins.csv rows
+built one list per row, and read_surface_csv reads a surface_<year>.csv
+back. worker_table and table_rows convert between row literals and the
 columnar ingest.WorkerTable; oracle_rollup and oracle_join are the per-row
 dict rollup, validation and joins that the columnar ones replaced.
 oracle_weighted_mean, oracle_weighted_percentile, oracle_stratum_masks,
@@ -29,6 +32,8 @@ count matrix C-ordered, Fortran-ordered or strided.
 """
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -494,6 +499,58 @@ def oracle_state_rows(aligned) -> list[list]:
                 value = disparity.state_disparity(group_mean, state_mean, national_mean)
                 rows.append([year, st, locus, schema.characteristic, label, repr(float(value))])
     return rows
+
+
+def reference_csv(rows) -> str:
+    """CSV text of ``rows`` from csv.writer with "\\n" line ends, each float
+    cell as its repr."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    for row in rows:
+        writer.writerow([repr(float(c)) if isinstance(c, (float, np.floating)) else c
+                         for c in row])
+    return out.getvalue()
+
+
+def oracle_composition_rows(year, locus, stratum, groups, curves, shares) -> list[list]:
+    """bins.csv rows of one (locus, stratum), one list per row: per group, a
+    composition curve per (n_bins, curve) in ``curves``, the 10-bin one with
+    its decile contrast, then the decile ``shares`` unless they are None."""
+    rows: list[list] = []
+    for g, (characteristic, label) in enumerate(groups):
+        for n_bins, curve in curves:
+            contrast = disparity.decile_contrast(curve) if n_bins == 10 else None
+            contrast_text = "" if contrast is None else repr(float(contrast[g]))
+            rows += [
+                [year, "composition", locus, stratum, characteristic, label,
+                 n_bins, b + 1, size, repr(float(value)), contrast_text]
+                for b, (size, value) in enumerate(
+                    zip(curve.n_tracts, curve.exposure[g].tolist()))
+            ]
+        if shares is not None:
+            difference = repr(float(shares.difference[g]))
+            rows += [
+                [year, "concentration", locus, stratum, characteristic, label,
+                 10, d + 1, "", repr(float(value)), difference]
+                for d, value in enumerate(shares.means[g].tolist())
+            ]
+    return rows
+
+
+def read_surface_csv(path: str) -> zonal.TractSurface:
+    """Read back a surface_<year>.csv report."""
+    entries: dict[str, float] = {}
+    year: int | None = None
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames != ["geoid", "year", "pm25"]:
+            raise FormatError(f"{path}: expected header 'geoid,year,pm25'")
+        for row in reader:
+            year = int(row["year"])
+            entries[row["geoid"]] = float(row["pm25"])
+    if year is None:
+        raise FormatError(f"{path}: no data rows")
+    return zonal.TractSurface(year=year, entries=entries)
 
 
 def worker_table(rows, codes=None, n_keys=None) -> ingest.WorkerTable:

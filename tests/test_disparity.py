@@ -7,12 +7,20 @@ import random
 
 import numpy as np
 import pytest
-from helpers import oracle_bin_curve, oracle_decile_shares, oracle_state_rows
+from helpers import (
+    oracle_bin_curve,
+    oracle_composition_rows,
+    oracle_decile_shares,
+    oracle_state_rows,
+    reference_csv,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hwexposure import pipeline
 from hwexposure.disparity import (
+    DecileShares,
+    PercentileBinCurves,
     atkinson,
     atkinson_pipeline,
     cov_of_shares,
@@ -477,10 +485,24 @@ def aligned_table(geoids, totals, conc, category_counts):
     )
 
 
+HEADERS = dict(pipeline._DISPARITY_REPORTS.values())
+
+
+def csv_cells(text: str) -> list[list[str]]:
+    return [line.split(",") for line in text.splitlines()]
+
+
 def state_rows(aligned):
+    """The cells of the state_disparity.csv lines that _state_rows' block gives."""
     groups = [(characteristic, label) for characteristic, label, _ in
               iter_groups(RAC_WAC_SCHEMAS, aligned)][1:]
-    return pipeline._state_rows(aligned, groups, aligned.counts.astype(np.float64))
+    block = pipeline._state_rows(aligned, groups, aligned.counts.astype(np.float64))
+    return csv_cells(pipeline._csv_lines("state_disparity.csv",
+                                         HEADERS["state_disparity.csv"], block))
+
+
+def oracle_state_cells(aligned):
+    return csv_cells(reference_csv(oracle_state_rows(aligned)))
 
 
 def test_state_rows_one_tract_states_and_zero_group_weight():
@@ -493,7 +515,7 @@ def test_state_rows_one_tract_states_and_zero_group_weight():
         category_counts={"CR01": [1, 3, 1, 0, 2], "CR02": [3, 0, 0, 0, 0]},
     )
     rows = state_rows(aligned)
-    assert rows == oracle_state_rows(aligned)
+    assert rows == oracle_state_cells(aligned)
     assert [(r[1], r[4]) for r in rows] == [
         ("01", "white"), ("01", "black"), ("02", "white"), ("04", "white"),
     ]
@@ -528,7 +550,46 @@ def test_state_rows_match_oracle(seed, n_tracts, n_states, n_codes):
     aligned = aligned_table(geoids, totals, conc, dict(zip(codes, counts)))
     if aligned.totals.sum() == 0:
         return
-    assert state_rows(aligned) == oracle_state_rows(aligned)
+    assert state_rows(aligned) == oracle_state_cells(aligned)
+
+
+# edge values a curve or a decile mean can hold, with ordinary ones
+EDGE_VALUES = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-05, 1e16, 0.1 + 0.2]
+
+
+def edge_matrix(rng, shape):
+    values = rng.uniform(-50.0, 50.0, shape)
+    picks = rng.random(shape) < 0.3
+    values[picks] = rng.choice(EDGE_VALUES, int(picks.sum()))
+    return values
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_groups=st.integers(0, 6),
+    kept=st.lists(st.sampled_from([2, 3, 10, 12, 100]), max_size=4),
+    with_shares=st.booleans(),
+)
+@settings(max_examples=100, deadline=None)
+def test_bin_block_matches_oracle(seed, n_groups, kept, with_shares):
+    # ``kept`` are the bin counts whose curves survived; any other configured
+    # count was skipped, as were the decile shares when with_shares is False
+    rng = np.random.default_rng(seed)
+    groups = [(schema.characteristic, label) for schema in RAC_WAC_SCHEMAS
+              for _, label in schema.categories][:n_groups]
+    curves = [(n_bins, PercentileBinCurves(n_tracts=tuple(rng.integers(1, 9, n_bins).tolist()),
+                                           exposure=edge_matrix(rng, (n_groups, n_bins))))
+              for n_bins in kept]
+    shares = None
+    with np.errstate(invalid="ignore"):  # inf - inf in the contrasts is NaN
+        if with_shares:
+            means = edge_matrix(rng, (n_groups, 10))
+            shares = DecileShares(means=means, difference=means[:, -1] - means[:, 0])
+        block = pipeline._bin_block(2013, "W", "urban", groups, curves, shares)
+        oracle = oracle_composition_rows(2013, "W", "urban", groups, curves, shares)
+    lines = pipeline._csv_lines("bins.csv", HEADERS["bins.csv"], block).splitlines()
+    assert lines == reference_csv(oracle).splitlines()
+    assert pipeline._n_rows(block) == len(oracle)
 
 
 # ----------------------------------------------------------------------------

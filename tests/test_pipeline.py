@@ -3,13 +3,16 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from helpers import reference_csv
 
 import hwexposure
 from hwexposure import cli, pipeline, synth, zonal
@@ -367,6 +370,42 @@ def test_stage_error_names_stage(tmp_path):
         pipeline.run(config)
     assert err.value.stage == "exposure"
     assert "exposure" in str(err.value)
+
+
+# ----------------------------------------------------------------------------
+# report writer
+# ----------------------------------------------------------------------------
+
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-05, 1e16, 0.1 + 0.2]
+
+
+def test_write_csv_matches_csv_module(tmp_path):
+    n = len(EDGE_FLOATS)
+    counts = np.arange(n, dtype=np.int64) * 10**15
+    labels = ["", "white", "", "black", "x:y", "", "1", "all"]
+    rows = [["year", "stratum", "value", "count", "label"]]
+    rows += [[2013, "urban", value, count, label]
+             for value, count, label in zip(EDGE_FLOATS, counts, labels)]
+    rows += [[2014, "rural", value, count, label]
+             for value, count, label in zip(EDGE_FLOATS[::-1], counts, labels)]
+    blocks = [[2013, "urban", np.array(EDGE_FLOATS), counts, labels],
+              [2014, "rural", np.array([]), np.array([], dtype=np.int64), []],
+              [2014, "rural", np.array(EDGE_FLOATS[::-1]), counts, labels]]
+    path = tmp_path / "table.csv"
+    pipeline._write_csv(path, rows[0], blocks)
+    assert path.read_bytes() == reference_csv(rows).encode("utf-8")
+
+
+@pytest.mark.parametrize("bad", [",", '"', "\r", "\n"])
+def test_write_csv_rejects_what_it_cannot_write(tmp_path, bad):
+    path = tmp_path / "table.csv"
+    header = ["year", "stratum", "group", "value"]
+    with pytest.raises(ValueError, match=r"table\.csv: column 'group': .* would need CSV quoting"):
+        pipeline._write_csv(path, header, [[2013, "all", ["white", f"a{bad}b"], np.ones(2)]])
+    with pytest.raises(ValueError, match=r"table\.csv: column 'stratum'"):
+        pipeline._write_csv(path, header, [[2013, f"x{bad}", ["white"], np.ones(1)]])
+    with pytest.raises(ValueError, match="3 columns for a 4-field header"):
+        pipeline._write_csv(path, header, [[2013, "all", ["white"]]])
 
 
 # ----------------------------------------------------------------------------

@@ -18,19 +18,16 @@ from helpers import (
     overlap_area,
     points_in_parts,
     random_star_polygon,
+    read_surface_csv,
     tract_set,
     zonal_weighted_mean,
 )
 
-from hwexposure import zonal
+from hwexposure import pipeline, synth, zonal
 from hwexposure.errors import FormatError, SchemaError
+from hwexposure.geometry import read_tracts_geojson
 from hwexposure.grids import ConcentrationGrid, read_asc, read_xyz_csv
-from hwexposure.zonal import (
-    build_tract_surface,
-    build_urban_mask,
-    read_surface_csv,
-    write_surface_csv,
-)
+from hwexposure.zonal import build_tract_surface, build_urban_mask
 
 
 def make_grid(values, origin=(0.0, 0.0), cell=1.0, nodata=None, cell_height=None):
@@ -746,13 +743,19 @@ def test_urban_counts_flag_tracts_near_the_threshold():
 # ----------------------------------------------------------------------------
 
 def test_surface_csv_roundtrip(tmp_path):
-    surface = surface_of(
-        make_grid([[9.5, 10.25], [7.75, 8.0]]),
-        [rect_tract("06037000100", 0, 0, 1, 1), rect_tract("06037000200", 1, 1, 2, 2)],
-        year=2013,
-    )
-    path = tmp_path / "surface.csv"
-    write_surface_csv(surface, str(path))
-    back = read_surface_csv(str(path))
-    assert back.year == 2013
+    world = tmp_path / "world"
+    synth.synth(str(world), seed=4, n_tracts=9, n_groups=3)
+    grid_path = world / "grid_2011.asc"
+    lines = grid_path.read_text().splitlines()
+    rng = np.random.default_rng(4)  # values with no short decimal form
+    lines[6:] = [" ".join(map(repr, rng.uniform(0.1, 40.0, len(line.split())).tolist()))
+                 for line in lines[6:]]
+    grid_path.write_text("\n".join(lines) + "\n")
+    config = pipeline.load_config(str(world / "config.json"), out_dir=str(tmp_path / "out"))
+    pipeline.run(config, only_stage="surface")
+    back = read_surface_csv(str(tmp_path / "out" / "surface_2011.csv"))
+    tracts = read_tracts_geojson(str(world / "tracts.geojson"))
+    grid = read_asc(str(grid_path))
+    surface = build_tract_surface(grid, zonal.tract_coverage(tracts, grid), 2011)
+    assert back.year == 2011
     assert back.entries == surface.entries
