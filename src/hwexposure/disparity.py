@@ -6,8 +6,7 @@ and policy-threshold exceedance shares with their coefficient of variation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -18,18 +17,7 @@ from .errors import (
     InsufficientGroupsError,
     InsufficientTractsError,
 )
-from .exposure import ExposureRecord
-
-@dataclass(frozen=True)
-class GapResult:
-    """Most- vs least-exposed group within one characteristic."""
-
-    characteristic: str
-    most_exposed: str
-    least_exposed: str
-    absolute_diff: float
-    percent_diff: float
-    ratio: float
+from .exposure import format_group
 
 
 class PercentileBinCurves(NamedTuple):
@@ -54,33 +42,29 @@ class DecileShares(NamedTuple):
     difference: np.ndarray  # per group, top decile minus bottom decile
 
 
-def extreme_group_gap(records: Sequence[ExposureRecord], national_mean: float) -> GapResult:
-    """Gap between the highest- and lowest-mean groups of one characteristic.
+def extreme_group_gap(characteristics: Sequence[str], groups: Sequence[str],
+                      means: np.ndarray,
+                      national_mean: float) -> tuple[str, str, float, float, float]:
+    """Gap between the highest- and lowest-mean groups of one characteristic:
+    the most and least exposed group, the absolute and percent difference,
+    and the ratio of their means.
 
     Ties are broken by ascending group label. percent_diff is expressed as a
     percentage of the supplied national mean.
     """
-    if len(records) < 2:
-        raise InsufficientGroupsError(
-            f"need >= 2 groups, got {len(records)}"
-        )
-    characteristics = {r.characteristic for r in records}
-    if len(characteristics) != 1:
-        raise ContractError(f"records span multiple characteristics: {sorted(characteristics)}")
+    if len(groups) < 2:
+        raise InsufficientGroupsError(f"need >= 2 groups, got {len(groups)}")
+    if len(set(characteristics)) != 1:
+        raise ContractError(f"groups span characteristics {sorted(set(characteristics))}")
     if national_mean <= 0.0:
         raise DomainError(f"national mean must be positive, got {national_mean}")
-    ordered = sorted(records, key=lambda r: r.group)
-    most = max(ordered, key=lambda r: r.mean)
-    least = min(ordered, key=lambda r: r.mean)
-    diff = most.mean - least.mean
-    return GapResult(
-        characteristic=characteristics.pop(),
-        most_exposed=most.group,
-        least_exposed=least.group,
-        absolute_diff=diff,
-        percent_diff=100.0 * diff / national_mean,
-        ratio=most.mean / least.mean if least.mean > 0.0 else math.inf,
-    )
+    order = sorted(range(len(groups)), key=groups.__getitem__)
+    ranked = np.asarray(means, dtype=np.float64).take(order)
+    most, least = order[int(np.argmax(ranked))], order[int(np.argmin(ranked))]
+    high, low = float(means[most]), float(means[least])
+    diff = high - low
+    return (groups[most], groups[least], diff, 100.0 * diff / national_mean,
+            high / low if low > 0.0 else math.inf)
 
 
 def _bin_sizes(n_items: int, n_bins: int) -> list[int]:
@@ -182,6 +166,12 @@ def atkinson(shares: Sequence[float], values: Sequence[float], epsilon: float) -
     ``shares`` are population fractions (positive, summing to 1); ``values``
     are positive group means. epsilon = 1 uses the geometric-mean limit.
     """
+    return _atkinson_curve(shares, values, (epsilon,))[0]
+
+
+def _atkinson_curve(shares: Sequence[float], values: Sequence[float],
+                    epsilons: Sequence[float]) -> list[float]:
+    """``atkinson`` at each epsilon, with the shares and values checked once."""
     f = np.asarray(shares, dtype=np.float64)
     y = np.asarray(values, dtype=np.float64)
     if f.size == 0 or f.size != y.size:
@@ -192,68 +182,46 @@ def atkinson(shares: Sequence[float], values: Sequence[float], epsilon: float) -
         raise DomainError(f"population shares must sum to 1, got {float(np.sum(f))}")
     if (y <= 0.0).any():
         raise DomainError("group values must be positive")
-    if epsilon < 0.0:
-        raise DomainError(f"aversion parameter must be >= 0, got {epsilon}")
-    if epsilon == 0.0:
-        return 0.0  # reduces to 1 - sum(f*y)/ybar, identically zero
     f = f / float(np.sum(f))
-    ybar = float(np.sum(f * y))
-    ratio = y / ybar
-    if epsilon == 1.0:
-        ai = 1.0 - math.exp(float(np.sum(f * np.log(ratio))))
-    else:
-        power = 1.0 - epsilon
-        ai = 1.0 - float(np.sum(f * ratio ** power)) ** (1.0 / power)
-    return max(ai, 0.0)
-
-
-@dataclass(frozen=True)
-class AtkinsonResult:
-    year: int
-    characteristic: str
-    locus: str
-    stratum: str
-    epsilon: float
-    value: float
-
-
-def atkinson_pipeline(records: Iterable[ExposureRecord],
-                      epsilons: Sequence[float]) -> list[AtkinsonResult]:
-    """Atkinson index on inverse group-mean concentrations per aversion value.
-
-    Records are grouped by (year, characteristic, locus, stratum); the total-
-    population group is ignored. Inverting the concentrations makes larger
-    index values mean worse inequality, matching the income-style convention.
-    """
-    grouped: dict[tuple[int, str, str, str], list[ExposureRecord]] = {}
-    for record in records:
-        if record.characteristic == "all":
+    ratio = y / float(np.sum(f * y))
+    curve = []
+    for epsilon in epsilons:
+        if epsilon < 0.0:
+            raise DomainError(f"aversion parameter must be >= 0, got {epsilon}")
+        if epsilon == 0.0:
+            curve.append(0.0)  # reduces to 1 - sum(f*y)/ybar, identically zero
             continue
-        key = (record.year, record.characteristic, record.locus, record.stratum)
-        grouped.setdefault(key, []).append(record)
-    results = []
-    for key in sorted(grouped):
-        members = sorted(grouped[key], key=lambda r: r.group)
-        total = sum(r.weight for r in members)
-        shares = [r.weight / total for r in members]
-        for r in members:
-            if r.mean <= 0.0:
-                raise DomainError(
-                    f"group {r.group_key} has non-positive mean {r.mean}; "
-                    "cannot invert concentrations"
-                )
-        inverse = [1.0 / r.mean for r in members]
-        year, characteristic, locus, stratum = key
-        for eps in epsilons:
-            results.append(AtkinsonResult(
-                year=year,
-                characteristic=characteristic,
-                locus=locus,
-                stratum=stratum,
-                epsilon=eps,
-                value=atkinson(shares, inverse, eps),
-            ))
-    return results
+        if epsilon == 1.0:
+            ai = 1.0 - math.exp(float(np.sum(f * np.log(ratio))))
+        else:
+            power = 1.0 - epsilon
+            ai = 1.0 - float(np.sum(f * ratio ** power)) ** (1.0 / power)
+        curve.append(max(ai, 0.0))
+    return curve
+
+
+def atkinson_pipeline(characteristics: Sequence[str], groups: Sequence[str],
+                      weights: np.ndarray, means: np.ndarray,
+                      epsilons: Sequence[float]) -> list[float]:
+    """Atkinson index on inverse group-mean concentrations per aversion
+    value, over the groups of one (year, characteristic, locus, stratum).
+
+    Groups are taken in label order, each weighted by its share of the
+    slice's workers. Inverting the concentrations makes larger index values
+    mean worse inequality, matching the income-style convention.
+    """
+    order = sorted(range(len(groups)), key=groups.__getitem__)
+    means = np.asarray(means, dtype=np.float64).take(order)
+    bad = np.flatnonzero(means <= 0.0)
+    if bad.size:
+        g = order[bad[0]]
+        raise DomainError(
+            f"group {format_group(characteristics[g], groups[g])} has "
+            f"non-positive mean {float(means[bad[0]])}; cannot invert concentrations"
+        )
+    weights = np.asarray(weights, dtype=np.float64).take(order)
+    total = sum(weights.tolist())
+    return _atkinson_curve(weights / total, 1.0 / means, epsilons)
 
 
 def state_disparity(group_mean: float | np.ndarray, state_mean: float,
@@ -265,15 +233,21 @@ def state_disparity(group_mean: float | np.ndarray, state_mean: float,
     return (group_mean - state_mean) / national_mean
 
 
-def threshold_share(values: Sequence[float], weights: Sequence[float],
-                    threshold: float) -> float:
-    """Percent of the weighted population with value strictly above threshold."""
+def threshold_share(values: Sequence[float], weights: Sequence[float] | np.ndarray,
+                    threshold: float) -> float | np.ndarray:
+    """Percent of the weighted population with value strictly above threshold.
+
+    ``weights`` may be a (groups x values) matrix, one group per row: then
+    each row's percent, from one compress and one row sum of the matrix.
+    """
     vals = np.asarray(values, dtype=np.float64)
-    wts = np.asarray(weights, dtype=np.float64)
-    total = float(np.sum(wts))
-    if vals.size == 0 or total <= 0.0:
+    # each row of a C-contiguous matrix is summed pairwise, as a 1-D sum would be
+    wts = np.ascontiguousarray(weights, dtype=np.float64)
+    total = wts.sum(axis=-1)
+    if vals.size == 0 or (total <= 0.0).any():
         raise EmptyPopulationError("total weight is zero")
-    return 100.0 * float(np.sum(wts[vals > threshold])) / total
+    shares = 100.0 * wts.compress(vals > threshold, axis=-1).sum(axis=-1) / total
+    return shares if wts.ndim > 1 else float(shares)
 
 
 def cov_of_shares(qs: Sequence[float]) -> float:

@@ -2,8 +2,12 @@
 time-weighted home-work blend (HW), plus the H-minus-HW misclassification
 error, for the total population and demographic subgroups.
 
-Reductions run over geoid-sorted numpy arrays with numpy's pairwise
-summation, so results are deterministic for any thread count upstream.
+Each (locus, stratum) slice is one kernel call (``ValueSlice.stats``): every
+group's weights are a row of one C-contiguous (groups x values) matrix, the
+values are argsorted once, and each row is summed pairwise and accumulated in
+order, exactly as a 1-D reduction of that group alone. A table's results are
+one columnar ``GroupExposures`` frame, deterministic for any thread count
+upstream.
 """
 from __future__ import annotations
 
@@ -42,47 +46,6 @@ class HWWeights:
 
 
 DEFAULT_HW_WEIGHTS = HWWeights()
-
-
-@dataclass(frozen=True)
-class ExposureRecord:
-    """Weighted exposure summary for one (group, locus, stratum)."""
-
-    year: int
-    characteristic: str
-    group: str
-    locus: str
-    stratum: str
-    mean: float
-    p10: float
-    p90: float
-    weight: float
-
-    def __post_init__(self) -> None:
-        if self.p10 > self.p90:
-            raise ValueError(f"p10 {self.p10} > p90 {self.p90}")
-        if self.weight < 0:
-            raise ValueError(f"negative weight {self.weight}")
-
-    @property
-    def group_key(self) -> str:
-        return format_group(self.characteristic, self.group)
-
-
-@dataclass(frozen=True)
-class ErrorRecord:
-    """Misclassification error H - HW for one (group, stratum)."""
-
-    year: int
-    characteristic: str
-    group: str
-    stratum: str
-    error: float
-    percent_error: float
-
-    @property
-    def group_key(self) -> str:
-        return format_group(self.characteristic, self.group)
 
 
 def format_group(characteristic: str, group: str) -> str:
@@ -141,46 +104,65 @@ class ValueSlice:
     """The values of one (locus, stratum) slice, shared by every group's
     weighted mean and percentiles over it.
 
-    Each group passes its float64 weights over the whole slice, zeros
-    included. The values are argsorted once for all groups (stable, so ties
-    keep the caller's geoid-ascending order).
+    The groups' float64 weights over the whole slice, zeros included, are the
+    rows of one (groups x values) matrix. The values are argsorted once for
+    all groups (stable, so ties keep the caller's geoid-ascending order).
     """
 
     def __init__(self, values: np.ndarray):
         self.values = values
         self._order = np.argsort(values, kind="stable")
 
-    def _total(self, weights: np.ndarray) -> float:
-        total = float(np.sum(weights))
-        if len(self.values) == 0 or total <= 0.0:
-            raise EmptyPopulationError("total weight is zero")
-        return total
-
-    def mean(self, weights: np.ndarray) -> float:
-        """sum(value * weight) / sum(weight)."""
-        total = self._total(weights)
-        mean = float(np.sum(self.values * weights)) / total
-        # Mathematically mean lies in [min, max]; clamp away float drift.
-        return min(max(mean, float(self.values.min())), float(self.values.max()))
-
-    def percentiles(self, weights: np.ndarray, ps: Sequence[float]) -> list[float]:
-        """Per p, the smallest value with positive weight whose cumulative
-        weight reaches p times the total (see ``weighted_percentile``)."""
+    def stats(self, weights: np.ndarray, ps: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+        """Per row of ``weights``, sum(value * weight) / sum(weight), and per p
+        the smallest value with positive weight whose cumulative weight
+        reaches p times the row's total (see ``weighted_percentile``): the
+        means and a (len(ps) x groups) matrix of picks."""
         for p in ps:
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"p must be in [0, 1], got {p}")
-        total = self._total(weights)
-        ranked = weights.take(self._order)
-        cum = np.cumsum(ranked)
-        picks = []
-        for p in ps:
-            target = p * total
-            # at p = 0, side="right" steps over the zero weights ranked first
-            idx = int(np.searchsorted(cum, target, side="left" if target > 0.0 else "right"))
-            if idx == len(cum):  # float drift: the largest value with weight
-                idx = int(np.flatnonzero(ranked)[-1])
-            picks.append(float(self.values[self._order[idx]]))
-        return picks
+        # every row of a C-contiguous matrix is summed pairwise, as a 1-D
+        # np.sum of that row alone would be, and accumulated in order
+        weights = np.ascontiguousarray(weights, dtype=np.float64)
+        totals = weights.sum(axis=1)
+        if len(self.values) == 0 or (totals <= 0.0).any():
+            raise EmptyPopulationError("total weight is zero")
+        # one scratch matrix holds the products, then the ranked cumsum: each
+        # large fresh array costs a page fault per 4 kB
+        scratch = np.multiply(weights, self.values, out=np.empty_like(weights))
+        means = scratch.sum(axis=1) / totals
+        # Mathematically a mean lies in [min, max]; clamp away float drift,
+        # as Python's max and min would (np.maximum may return -0.0 for 0.0)
+        low, high = self.values.min(), self.values.max()
+        means = np.where(low > means, low, means)
+        means = np.where(high < means, high, means)
+        # mode="clip" writes straight into out; "raise" would buffer it
+        ranked = weights.take(self._order, axis=1, out=scratch, mode="clip")
+        cum = np.cumsum(ranked, axis=1, out=scratch)
+        picks = np.empty((len(ps), len(totals)))
+        for k, p in enumerate(ps):
+            target = (p * totals)[:, None]
+            # cum never decreases, so the count of entries below the target is
+            # searchsorted(side="left"); a zero target counts those at or
+            # below it (side="right"), stepping over zero weights ranked first
+            hit = cum < target
+            zero = target[:, 0] <= 0.0
+            if zero.any():
+                hit[zero] = cum[zero] <= target[zero]
+            idx = np.count_nonzero(hit, axis=1)
+            for row in np.flatnonzero(idx == cum.shape[1]):
+                # float drift: the largest value with weight
+                idx[row] = np.flatnonzero(weights[row].take(self._order))[-1]
+            picks[k] = self.values.take(self._order.take(idx))
+        return means, picks
+
+    def mean(self, weights: np.ndarray) -> float:
+        """sum(value * weight) / sum(weight) of one group."""
+        return float(self.stats(np.reshape(weights, (1, -1)), ())[0][0])
+
+    def percentiles(self, weights: np.ndarray, ps: Sequence[float]) -> list[float]:
+        """Per p, the percentile pick of one group (see ``stats``)."""
+        return self.stats(np.reshape(weights, (1, -1)), ps)[1][:, 0].tolist()
 
 
 class AlignedTable(NamedTuple):
@@ -343,44 +325,88 @@ def iter_groups(schemas: Sequence[GroupSchema], table: AlignedTable | ResolvedPa
                 yield schema.characteristic, label, table.counts[row[code]]
 
 
+class GroupExposures(NamedTuple):
+    """The exposures of one table's groups: a row per (stratum, group) with
+    positive weight, in stratum then schema order, the total population
+    first. ``mean``, ``p10`` and ``p90`` are (loci x rows) float64 matrices,
+    one row per entry of ``loci``; ``weight`` is each row's worker count.
+    Tables of tract pairs also carry ``error``, the H-minus-HW mean, and
+    ``percent_error``, NaN where the H mean is zero."""
+
+    year: int
+    characteristic: list[str]
+    label: list[str]
+    stratum: list[str]
+    loci: tuple[str, ...]
+    mean: np.ndarray
+    p10: np.ndarray
+    p90: np.ndarray
+    weight: np.ndarray
+    error: np.ndarray | None = None
+    percent_error: np.ndarray | None = None
+
+    @property
+    def group_keys(self) -> list[str]:
+        return list(map(format_group, self.characteristic, self.label))
+
+    def checked(self) -> GroupExposures:
+        """This frame, once every row has p10 <= p90 at each locus and a
+        non-negative weight; the first failing row (and locus) is named."""
+        bad = (self.p10 > self.p90) | (self.weight < 0)
+        if bad.any():
+            row, k = np.argwhere(bad.T)[0]
+            if self.p10[k, row] > self.p90[k, row]:
+                raise ValueError(f"p10 {float(self.p10[k, row])} > p90 {float(self.p90[k, row])}")
+            raise ValueError(f"negative weight {float(self.weight[row])}")
+        return self
+
+
+def _group_exposures(table: AlignedTable | ResolvedPairs, schemas: Sequence[GroupSchema],
+                     loci: dict[str, np.ndarray], classification: TractStrata | None,
+                     strata: Sequence[str], skipped: str) -> GroupExposures:
+    """Every group's weight and, per locus, its mean, p10 and p90 over that
+    locus's row values: one weight matrix and one kernel call per (locus,
+    stratum). Groups with zero weight in a stratum are left out with a log
+    entry, ``skipped`` % (group key, stratum)."""
+    groups = list(iter_groups(schemas, table))
+    # float64 sums of worker counts are exact below 2**53
+    counts = np.vstack([group_counts for *_, group_counts in groups]).astype(np.float64)
+    characteristics, labels, strata_column = [], [], []
+    weights = [np.empty(0)]
+    means, picks = [np.empty((len(loci), 0))], [np.empty((len(loci), 2, 0))]
+    for stratum, mask in stratum_masks(table, classification, strata).items():
+        w = counts.compress(mask, axis=1)
+        weight = w.sum(axis=1)
+        for g in np.flatnonzero(weight == 0):
+            logger.debug("skipping zero-weight " + skipped, format_group(*groups[g][:2]), stratum)
+        kept = np.flatnonzero(weight)
+        if not kept.size:
+            continue
+        if kept.size < len(w):
+            w = w.take(kept, axis=0)
+        slices = [ValueSlice(values.compress(mask)).stats(w, (0.10, 0.90))
+                  for values in loci.values()]
+        means.append(np.array([m for m, _ in slices]))
+        picks.append(np.array([p for _, p in slices]))
+        weights.append(weight.take(kept))
+        characteristics += [groups[g][0] for g in kept]
+        labels += [groups[g][1] for g in kept]
+        strata_column += [stratum] * kept.size
+    picks = np.concatenate(picks, axis=2)
+    return GroupExposures(table.year, characteristics, labels, strata_column, tuple(loci),
+                          np.concatenate(means, axis=1), picks[:, 0], picks[:, 1],
+                          np.concatenate(weights)).checked()
+
+
 def compute_group_exposures(
     aligned: AlignedTable,
     schemas: Sequence[GroupSchema],
     classification: TractStrata | None = None,
     strata: Sequence[str] = (ALL_STRATUM,),
-) -> list[ExposureRecord]:
-    """One ExposureRecord per (group, stratum) at the table's locus.
-
-    Groups with zero weight in a stratum are omitted with a log entry.
-    """
-    locus = aligned.locus
-    masks = stratum_masks(aligned, classification, strata)
-    records = []
-    for stratum, mask in masks.items():
-        values = ValueSlice(aligned.concentrations[mask])
-        for characteristic, label, weights in iter_groups(schemas, aligned):
-            w = weights[mask]
-            weight = int(w.sum())
-            if weight == 0:
-                logger.debug(
-                    "skipping zero-weight group %s (%s, %s)",
-                    format_group(characteristic, label), locus, stratum,
-                )
-                continue
-            wf = w.astype(np.float64)
-            p10, p90 = values.percentiles(wf, (0.10, 0.90))
-            records.append(ExposureRecord(
-                year=aligned.year,
-                characteristic=characteristic,
-                group=label,
-                locus=locus,
-                stratum=stratum,
-                mean=values.mean(wf),
-                p10=p10,
-                p90=p90,
-                weight=float(weight),
-            ))
-    return records
+) -> GroupExposures:
+    """Every (group, stratum)'s exposure at the table's locus."""
+    return _group_exposures(aligned, schemas, {aligned.locus: aligned.concentrations},
+                            classification, strata, f"group %s ({aligned.locus}, %s)")
 
 
 def compute_hw_exposures(
@@ -389,9 +415,9 @@ def compute_hw_exposures(
     weights: HWWeights = DEFAULT_HW_WEIGHTS,
     classification: TractStrata | None = None,
     strata: Sequence[str] = (ALL_STRATUM,),
-) -> tuple[list[ExposureRecord], list[ErrorRecord]]:
-    """Exposure records at loci H, W, and HW over the OD population, plus the
-    H-minus-HW error per (group, stratum).
+) -> GroupExposures:
+    """Every (group, stratum)'s exposure at loci H, W, and HW over the OD
+    population, with the H-minus-HW error.
 
     H, W, and HW are aggregated over the same resolvable pairs, so the error
     identity error = work_fraction * (H - W) holds to float precision. Strata
@@ -399,60 +425,22 @@ def compute_hw_exposures(
     """
     if len(pairs.totals) == 0 or int(pairs.totals.sum()) == 0:
         raise EmptyPopulationError("no resolvable OD pairs with workers")
-    blended = hw_blend(pairs.home_values, pairs.work_values, weights)
-    masks = stratum_masks(pairs, classification, strata)
-    records: list[ExposureRecord] = []
-    errors: list[ErrorRecord] = []
-    undefined = 0
-    for stratum, mask in masks.items():
-        slices = [(locus, ValueSlice(values[mask])) for locus, values in (
-            (LOCUS_HOME, pairs.home_values),
-            (LOCUS_WORK, pairs.work_values),
-            (LOCUS_BLEND, blended),
-        )]
-        for characteristic, label, group_counts in iter_groups(schemas, pairs):
-            w = group_counts[mask]
-            weight = int(w.sum())
-            if weight == 0:
-                logger.debug(
-                    "skipping zero-weight OD group %s (%s)",
-                    format_group(characteristic, label), stratum,
-                )
-                continue
-            wf = w.astype(np.float64)
-            means = {}
-            for locus, values in slices:
-                means[locus] = values.mean(wf)
-                p10, p90 = values.percentiles(wf, (0.10, 0.90))
-                records.append(ExposureRecord(
-                    year=pairs.year,
-                    characteristic=characteristic,
-                    group=label,
-                    locus=locus,
-                    stratum=stratum,
-                    mean=means[locus],
-                    p10=p10,
-                    p90=p90,
-                    weight=float(weight),
-                ))
-            h_mean, hw_mean = means[LOCUS_HOME], means[LOCUS_BLEND]
-            error = h_mean - hw_mean
-            if h_mean != 0.0:
-                percent = 100.0 * error / h_mean
-            else:
-                percent = math.nan
-                undefined += 1
-                logger.debug("H mean is zero for OD group %s (%s); percent error undefined",
-                             format_group(characteristic, label), stratum)
-            errors.append(ErrorRecord(
-                year=pairs.year,
-                characteristic=characteristic,
-                group=label,
-                stratum=stratum,
-                error=error,
-                percent_error=percent,
-            ))
-    if undefined:
+    loci = {
+        LOCUS_HOME: pairs.home_values,
+        LOCUS_WORK: pairs.work_values,
+        LOCUS_BLEND: hw_blend(pairs.home_values, pairs.work_values, weights),
+    }
+    frame = _group_exposures(pairs, schemas, loci, classification, strata, "OD group %s (%s)")
+    h_mean, hw_mean = frame.mean[0], frame.mean[2]
+    error = h_mean - hw_mean
+    undefined = np.flatnonzero(h_mean == 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        percent = np.where(h_mean != 0.0, 100.0 * error / h_mean, math.nan)
+    for row in undefined:
+        logger.debug("H mean is zero for OD group %s (%s); percent error undefined",
+                     format_group(frame.characteristic[row], frame.label[row]),
+                     frame.stratum[row])
+    if undefined.size:
         logger.warning("year %d: H mean is zero in %d OD group/stratum slice(s); "
-                       "their percent error is NaN", pairs.year, undefined)
-    return records, errors
+                       "their percent error is NaN", pairs.year, undefined.size)
+    return frame._replace(error=error, percent_error=percent)

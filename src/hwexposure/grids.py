@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import bisect
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -75,11 +76,37 @@ def read_asc(path: str) -> ConcentrationGrid:
     """Read an ESRI ASCII Grid.
 
     Recognized header keywords: ncols, nrows, xllcorner, yllcorner, cellsize,
-    NODATA_value (optional, default -9999). Data rows follow, top row first.
-    Cell values other than NODATA_value must be finite.
+    NODATA_value (optional, default -9999). Data rows follow, top row first,
+    and may wrap across lines. Cell values other than NODATA_value must be
+    finite.
+    """
+    header, values = _read_asc(path, fast=True)
+    if values is None:
+        header, values = _read_asc(path, fast=False)
+    values = values[::-1].copy()  # file is top-down; store bottom-up
+    nodata = values == header.get("nodata_value", -9999.0)
+    values = np.where(nodata, 0.0, values)
+    return ConcentrationGrid(
+        origin_x=header["xllcorner"],
+        origin_y=header["yllcorner"],
+        cell_width=header["cellsize"],
+        cell_height=header["cellsize"],
+        n_rows=values.shape[0],
+        n_cols=values.shape[1],
+        values=values,
+        nodata=nodata,
+    )
+
+
+def _read_asc(path: str, fast: bool) -> tuple[dict[str, float], np.ndarray | None]:
+    """The header and the top-down (nrows x ncols) cells of an ESRI ASCII Grid.
+
+    The fast pass reads every data line with one ``np.loadtxt`` and gives no
+    cells where that fails or a cell is bad; the token pass reads one Python
+    float per token and names the line of a bad cell.
     """
     header: dict[str, float] = {}
-    data: list[float] = []
+    data: list[float] | np.ndarray = []
     line_starts: list[int] = []  # index in ``data`` of each data line's first value
     line_numbers: list[int] = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -98,6 +125,13 @@ def read_asc(path: str) -> ConcentrationGrid:
                 if key in ("ncols", "nrows") and not (header[key].is_integer() and header[key] > 0):
                     raise FormatError(
                         f"{path}:{lineno}: {key} must be a positive integer, got {tokens[1]!r}")
+            elif fast:
+                try:  # ragged lines, or a token only Python's float() takes
+                    data = np.loadtxt(itertools.chain([line], fh), dtype=np.float64,
+                                      comments=None, ndmin=2)
+                except ValueError:
+                    return header, None
+                break
             else:
                 line_starts.append(len(data))
                 line_numbers.append(lineno)
@@ -109,31 +143,17 @@ def read_asc(path: str) -> ConcentrationGrid:
         if key not in header:
             raise FormatError(f"{path}: missing required header keyword {key!r}")
     n_cols, n_rows = int(header["ncols"]), int(header["nrows"])
-    if len(data) != n_rows * n_cols:
-        raise FormatError(
-            f"{path}: expected {n_rows * n_cols} cell values, got {len(data)}"
-        )
-    nodata_value = header.get("nodata_value", -9999.0)
-    flat = np.array(data, dtype=np.float64)
-    bad = ~np.isfinite(flat) & (flat != nodata_value)
+    flat = np.asarray(data, dtype=np.float64)
+    if flat.size != n_rows * n_cols:
+        raise FormatError(f"{path}: expected {n_rows * n_cols} cell values, got {flat.size}")
+    bad = ~np.isfinite(flat) & (flat != header.get("nodata_value", -9999.0))
     if bad.any():
+        if fast:
+            return header, None
         first = int(np.argmax(bad))
         lineno = line_numbers[bisect.bisect_right(line_starts, first) - 1]
         raise FormatError(f"{path}:{lineno}: non-finite cell value {float(flat[first])!r}")
-    values = flat.reshape(n_rows, n_cols)
-    values = values[::-1].copy()  # file is top-down; store bottom-up
-    nodata = values == nodata_value
-    values = np.where(nodata, 0.0, values)
-    return ConcentrationGrid(
-        origin_x=header["xllcorner"],
-        origin_y=header["yllcorner"],
-        cell_width=header["cellsize"],
-        cell_height=header["cellsize"],
-        n_rows=n_rows,
-        n_cols=n_cols,
-        values=values,
-        nodata=nodata,
-    )
+    return header, flat.reshape(n_rows, n_cols)
 
 
 def read_xyz_csv(path: str) -> ConcentrationGrid:

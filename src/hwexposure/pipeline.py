@@ -30,7 +30,7 @@ from .errors import (
     InsufficientGroupsError,
     InsufficientTractsError,
 )
-from .exposure import ALL_STRATUM, ExposureRecord, HWWeights
+from .exposure import ALL_STRATUM, HWWeights
 from .geometry import read_mask_geojson, read_tracts_geojson
 from .grids import read_asc, read_xyz_csv
 
@@ -193,7 +193,9 @@ class YearData:
     """Everything computed for one year, passed between stages.
 
     Each worker table is joined to the surface once: ``homes``/``works`` are
-    the RAC/WAC tables and ``pairs`` the OD matrix, as the stages read them.
+    the RAC/WAC tables and ``pairs`` the OD matrix, as the stages read them;
+    ``exposures`` holds the frames of the RAC and WAC tables and
+    ``od_exposures`` that of the OD matrix.
     """
 
     year: int
@@ -201,9 +203,8 @@ class YearData:
     homes: exposure.AlignedTable | None = None
     works: exposure.AlignedTable | None = None
     pairs: exposure.ResolvedPairs | None = None
-    records: list[ExposureRecord] = field(default_factory=list)
-    hw_records: list[ExposureRecord] = field(default_factory=list)
-    error_records: list[exposure.ErrorRecord] = field(default_factory=list)
+    exposures: list[exposure.GroupExposures] = field(default_factory=list)
+    od_exposures: exposure.GroupExposures | None = None
 
 
 @dataclass
@@ -272,14 +273,6 @@ def _write_csv(path: Path, header: Sequence[str], blocks: Iterable[Sequence]) ->
         fh.write(",".join(header) + "\n")
         for block in blocks:
             fh.write(_csv_lines(path, header, block))
-
-
-def _columns(items: Sequence, text: Sequence[str] = (), floats: Sequence[str] = ()) -> list:
-    """One text list per attribute in ``text``, then one float array per
-    attribute in ``floats``, over ``items``."""
-    values = np.array([[getattr(i, a) for i in items] for a in floats], dtype=np.float64)
-    return [*([getattr(i, a) for i in items] for a in text),
-            *values.reshape(len(floats), len(items))]
 
 
 def _sha256_file(path: Path) -> str:
@@ -358,6 +351,13 @@ def _warn_drops(year: int, drops: dict[str, int]) -> None:
                        year, total_dropped, drops)
 
 
+def _exposure_block(frame: exposure.GroupExposures, locus: str) -> list:
+    """exposure.csv block of one frame at one of its loci."""
+    k = frame.loci.index(locus)
+    return [frame.year, frame.group_keys, locus, frame.stratum,
+            frame.mean[k], frame.p10[k], frame.p90[k], frame.weight]
+
+
 def _stage_exposure(state: RunState, write: bool) -> None:
     config = state.config
     strata = _strata(config)
@@ -367,56 +367,92 @@ def _stage_exposure(state: RunState, write: bool) -> None:
         data = state.years[year]
         data.homes, rac_tracts = _join_table(config, data.surface, ingest.RESIDENCE, config.rac)
         data.works, wac_tracts = _join_table(config, data.surface, ingest.WORKPLACE, config.wac)
-        records = []
-        for aligned in (data.homes, data.works):
-            records += exposure.compute_group_exposures(
-                aligned, ingest.RAC_WAC_SCHEMAS, state.classification, strata
-            )
-        data.records = records
+        data.exposures = [
+            exposure.compute_group_exposures(aligned, ingest.RAC_WAC_SCHEMAS,
+                                             state.classification, strata)
+            for aligned in (data.homes, data.works)
+        ]
+        exposure_blocks += [_exposure_block(frame, frame.loci[0]) for frame in data.exposures]
         drops = {"rac": data.homes.dropped_weight, "wac": data.works.dropped_weight}
         od_pairs = 0
         if config.od:
             data.pairs, od_pairs = _join_od(config, data.surface)
-            data.hw_records, data.error_records = exposure.compute_hw_exposures(
+            od = data.od_exposures = exposure.compute_hw_exposures(
                 data.pairs, ingest.OD_SCHEMAS, config.hw_weights,
                 state.classification, strata,
             )
             drops["od"] = data.pairs.dropped_weight
+            exposure_blocks.append(_exposure_block(od, exposure.LOCUS_BLEND))
+            error_blocks.append([year, od.group_keys, od.stratum, od.error, od.percent_error])
         _warn_drops(year, drops)
         manifest["years"][str(year)] = {
             "rac_tracts": rac_tracts,
             "wac_tracts": wac_tracts,
             "od_pairs": od_pairs,
             "dropped_weight": drops,
-            "records": len(records) + len(data.hw_records),
+            "records": sum(frame.mean.size for frame in (*data.exposures, data.od_exposures)
+                           if frame is not None),
         }
-        blend = [h for h in data.hw_records if h.locus == exposure.LOCUS_BLEND]
-        exposure_blocks.append([year, *_columns(records + blend, ("group_key", "locus", "stratum"),
-                                                ("mean", "p10", "p90", "weight"))])
-        error_blocks.append([year, *_columns(data.error_records, ("group_key", "stratum"),
-                                             ("error", "percent_error"))])
     if write:
         _write_csv(config.out_dir / "exposure.csv",
                    ["year", "group", "locus", "stratum", "mean", "p10", "p90", "weight"],
                    exposure_blocks)
-        if any(data.error_records for data in state.years.values()):
+        if any(len(block[1]) for block in error_blocks):
             _write_csv(config.out_dir / "error.csv",
                        ["year", "group", "stratum", "error", "percent_error"],
                        error_blocks)
     state.manifest_stages["exposure"] = manifest
 
 
-def _group_records(records: Iterable[ExposureRecord]):
-    by_key: dict[tuple[str, str, str], list[ExposureRecord]] = {}
-    all_means: dict[tuple[str, str], float] = {}
-    for r in records:
-        if r.locus == exposure.LOCUS_BLEND:
+def _transpose(rows: Sequence[tuple], n_text: int, width: int) -> list:
+    """Row tuples of ``width`` fields as columns: the first ``n_text`` as text
+    lists, the rest as float arrays."""
+    columns = list(zip(*rows)) or [()] * width
+    return [*map(list, columns[:n_text]),
+            *(np.array(c, dtype=np.float64) for c in columns[n_text:])]
+
+
+def _gap_and_atkinson_blocks(year: int, frames: Sequence[exposure.GroupExposures],
+                             epsilons: Sequence[float], skips: dict[str, int]) -> list[list]:
+    """gaps.csv and atkinson.csv blocks of one year's RAC and WAC frames.
+
+    A frame's rows are ordered by stratum, then schema, so each (locus,
+    stratum, characteristic) is one run of rows; the total population's row
+    holds the national mean of its (locus, stratum). Gaps are ordered by
+    (locus, stratum, characteristic), Atkinson rows by (characteristic,
+    locus, stratum) with one row per epsilon.
+    """
+    slices, national = {}, {}
+    for frame in frames:
+        start = 0
+        for (stratum, characteristic), run in itertools.groupby(
+                zip(frame.stratum, frame.characteristic)):
+            key = (frame.loci[0], stratum, characteristic)
+            rows = slice(start, start + len(list(run)))
+            if characteristic == exposure.ALL_GROUP[0]:
+                national[key[:2]] = float(frame.mean[0, start])
+            else:
+                slices[key] = (frame.characteristic[rows], frame.label[rows],
+                               frame.weight[rows], frame.mean[0, rows])
+            start = rows.stop
+    gaps, curves = [], []
+    for key in sorted(slices):
+        characteristics, labels, _, means = slices[key]
+        try:
+            gaps.append((*key, *disparity.extreme_group_gap(characteristics, labels, means,
+                                                             national[key[:2]])))
+        except _METRIC_DEGENERACIES as exc:
+            _skip(skips, "gap", "%s %s/%s/%s: %s" % (year, *key, exc))
+    for locus, stratum, characteristic in sorted(slices, key=lambda k: (k[2], k[0], k[1])):
+        try:
+            curve = disparity.atkinson_pipeline(*slices[(locus, stratum, characteristic)],
+                                                epsilons)
+        except _METRIC_DEGENERACIES as exc:
+            _skip(skips, "atkinson", "%s %s/%s/%s: %s" % (year, locus, stratum, characteristic,
+                                                          exc))
             continue
-        if r.characteristic == "all":
-            all_means[(r.locus, r.stratum)] = r.mean
-        else:
-            by_key.setdefault((r.locus, r.stratum, r.characteristic), []).append(r)
-    return by_key, all_means
+        curves += [(characteristic, locus, stratum, e, v) for e, v in zip(epsilons, curve)]
+    return [[year, *_transpose(gaps, 5, 8)], [year, *_transpose(curves, 3, 5)]]
 
 
 # The disparity stage's reports: manifest row count -> file name and header.
@@ -442,29 +478,9 @@ def _stage_disparity(state: RunState, write: bool) -> None:
         [], [], [], [], [])
     for year in config.years:
         data = state.years[year]
-        by_key, all_means = _group_records(data.records)
-
-        keys, gaps = [], []
-        for (locus, stratum, characteristic), members in sorted(by_key.items()):
-            try:
-                gaps.append(disparity.extreme_group_gap(members, all_means[(locus, stratum)]))
-            except _METRIC_DEGENERACIES as exc:
-                _skip(skips, "gap", "%s %s/%s/%s: %s" % (year, locus, stratum, characteristic, exc))
-                continue
-            keys.append((locus, stratum))
-        gap_blocks.append([year, [k[0] for k in keys], [k[1] for k in keys], *_columns(
-            gaps, ("characteristic", "most_exposed", "least_exposed"),
-            ("absolute_diff", "percent_diff", "ratio"))])
-
-        # atkinson.csv is ordered by (characteristic, locus, stratum).
-        results = []
-        for key in sorted(by_key, key=lambda k: (k[2], k[0], k[1])):
-            try:
-                results += disparity.atkinson_pipeline(by_key[key], config.epsilons)
-            except _METRIC_DEGENERACIES as exc:
-                _skip(skips, "atkinson", "%s %s/%s/%s: %s" % (year, *key, exc))
-        atkinson_blocks.append([year, *_columns(results, ("characteristic", "locus", "stratum"),
-                                                ("epsilon", "value"))])
+        gaps, curves = _gap_and_atkinson_blocks(year, data.exposures, config.epsilons, skips)
+        gap_blocks.append(gaps)
+        atkinson_blocks.append(curves)
 
         for aligned in (data.homes, data.works):
             # one group per row of aligned.counts, both in schema order
@@ -472,7 +488,7 @@ def _stage_disparity(state: RunState, write: bool) -> None:
                       exposure.iter_groups(ingest.RAC_WAC_SCHEMAS, aligned)][1:]
             counts = aligned.counts.astype(np.float64)
             bin_blocks += _composition_blocks(state, aligned, groups, counts, strata, skips)
-            threshold_blocks += _threshold_rows(config, aligned, skips)
+            threshold_blocks += _threshold_rows(config, aligned, groups, counts, skips)
             try:
                 state_blocks.append(_state_rows(aligned, groups, counts))
             except _METRIC_DEGENERACIES as exc:
@@ -565,38 +581,32 @@ def _bin_block(year: int, locus: str, stratum: str, groups: Sequence[tuple[str, 
 
 
 def _threshold_rows(config: RunConfig, aligned: exposure.AlignedTable,
+                    groups: Sequence[tuple[str, str]], counts: np.ndarray,
                     skips: dict[str, int]) -> list[list]:
     """threshold.csv blocks of one table, one per threshold: the whole
-    population, then each characteristic's groups with the CoV of their shares."""
+    population, then each characteristic's groups with positive weight and
+    the CoV of their shares. ``counts`` is the float64 (groups x tracts)
+    matrix; every threshold's shares come from one compress of it."""
     year, locus = aligned.year, aligned.locus
+    kept = np.flatnonzero(counts.sum(axis=1) > 0)
+    weights = np.vstack([aligned.totals, counts.take(kept, axis=0)])
+    characteristics = [groups[g][0] for g in kept]
+    runs = [(c, len(list(run))) for c, run in itertools.groupby(characteristics)]
     blocks: list[list] = []
-    conc = aligned.concentrations
-    row = {code: i for i, code in enumerate(aligned.codes)}
     for threshold in config.thresholds:
-        characteristics, labels, covs = ["all"], ["all"], [""]
-        qs = [disparity.threshold_share(conc, aligned.totals, threshold)]
-        for schema in ingest.RAC_WAC_SCHEMAS:
-            shares = []
-            for code, label in schema.categories:
-                if code not in row:
-                    continue
-                weights = aligned.counts[row[code]]
-                if int(weights.sum()) == 0:
-                    continue
-                labels.append(label)
-                shares.append(disparity.threshold_share(conc, weights, threshold))
-            if not shares:
-                continue
+        qs = disparity.threshold_share(aligned.concentrations, weights, threshold)
+        covs, start = [""], 1
+        for characteristic, n in runs:
             try:
-                cov_text = repr(disparity.cov_of_shares(shares))
+                cov_text = repr(disparity.cov_of_shares(qs[start:start + n]))
             except _METRIC_DEGENERACIES as exc:
                 _skip(skips, "threshold-cov",
-                      "%s %s T=%s %s: %s" % (year, locus, threshold, schema.characteristic, exc))
+                      "%s %s T=%s %s: %s" % (year, locus, threshold, characteristic, exc))
                 cov_text = ""
-            characteristics += [schema.characteristic] * len(shares)
-            qs += shares
-            covs += [cov_text] * len(shares)
-        blocks.append([year, locus, repr(threshold), characteristics, labels, np.array(qs), covs])
+            covs += [cov_text] * n
+            start += n
+        blocks.append([year, locus, repr(threshold), ["all", *characteristics],
+                       ["all", *(groups[g][1] for g in kept)], qs, covs])
     return blocks
 
 
@@ -666,11 +676,10 @@ def _stage_bias(state: RunState, write: bool) -> None:
                 test_keys.append(group_key)
                 ns.append(n)
                 tests.append(pooled.test(w, w))
-            bias_blocks.append([year, bias_keys, stratum,
-                                *_columns(moment_list, (), ("sigma2", "phi", "omega2")),
-                                np.array(biases, dtype=np.float64)])
+            bias_blocks.append([year, bias_keys, stratum, *_transpose(
+                [(m.sigma2, m.phi, m.omega2, b) for m, b in zip(moment_list, biases)], 0, 4)])
             wilcoxon_blocks.append([year, test_keys, stratum, np.array(ns), np.array(ns),
-                                    *_columns(tests, (), ("u", "z", "p_value"))])
+                                    *_transpose([(t.u, t.z, t.p_value) for t in tests], 0, 3)])
     _warn_skips("bias", skips)
     if write:
         _write_csv(config.out_dir / "bias.csv",

@@ -29,6 +29,18 @@ the per-group bodies that the one-sort-per-slice kernels
 replaced: one argsort per group and percentile, a per-row dict lookup per
 stratum mask, and a Python dict tally per rank-sum test. with_layout gives a
 count matrix C-ordered, Fortran-ordered or strided.
+ExposureRecord, ErrorRecord, GapResult and AtkinsonResult are the per-record
+dataclasses that the columnar exposure.GroupExposures frame replaced;
+exposure_records and error_records turn a frame into them, frame_of turns
+records of one locus into a frame, and compute_hw_exposures returns the OD
+frame as the two record lists.
+oracle_group_records, oracle_columns, oracle_extreme_group_gap,
+oracle_atkinson, oracle_atkinson_pipeline, oracle_threshold_share and
+oracle_threshold_rows are the record regrouping, the attribute-to-column
+builder, the record gap, the per-epsilon checks and the per-group threshold
+shares that the frame's array columns, the checked-once Atkinson curve and
+the one-compress threshold kernel replaced; oracle_gap_and_atkinson_blocks is
+the disparity stage's gaps.csv and atkinson.csv emission built from them.
 """
 from __future__ import annotations
 
@@ -42,12 +54,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from hwexposure import biasstats, disparity, exposure, geometry, ingest, zonal
+from hwexposure import biasstats, disparity, exposure, geometry, ingest, pipeline, zonal
 from hwexposure.errors import (
     ContractError,
     DegenerateGeometryError,
+    DomainError,
     EmptyPopulationError,
     FormatError,
+    InsufficientGroupsError,
     SchemaError,
     ValidationError,
 )
@@ -689,6 +703,84 @@ def oracle_stratum_masks(geoids, classification, strata) -> dict[str, np.ndarray
     return masks
 
 
+@dataclass(frozen=True)
+class ExposureRecord:
+    """Weighted exposure summary for one (group, locus, stratum)."""
+
+    year: int
+    characteristic: str
+    group: str
+    locus: str
+    stratum: str
+    mean: float
+    p10: float
+    p90: float
+    weight: float
+
+    def __post_init__(self) -> None:
+        if self.p10 > self.p90:
+            raise ValueError(f"p10 {self.p10} > p90 {self.p90}")
+        if self.weight < 0:
+            raise ValueError(f"negative weight {self.weight}")
+
+    @property
+    def group_key(self) -> str:
+        return exposure.format_group(self.characteristic, self.group)
+
+
+@dataclass(frozen=True)
+class ErrorRecord:
+    """Misclassification error H - HW for one (group, stratum)."""
+
+    year: int
+    characteristic: str
+    group: str
+    stratum: str
+    error: float
+    percent_error: float
+
+    @property
+    def group_key(self) -> str:
+        return exposure.format_group(self.characteristic, self.group)
+
+
+def exposure_records(frame: exposure.GroupExposures) -> list[ExposureRecord]:
+    """One record per (row, locus) of a frame, loci within a row."""
+    return [
+        ExposureRecord(frame.year, frame.characteristic[r], frame.label[r], locus,
+                       frame.stratum[r], float(frame.mean[k, r]), float(frame.p10[k, r]),
+                       float(frame.p90[k, r]), float(frame.weight[r]))
+        for r in range(len(frame.weight)) for k, locus in enumerate(frame.loci)
+    ]
+
+
+def error_records(frame: exposure.GroupExposures) -> list[ErrorRecord]:
+    return [
+        ErrorRecord(frame.year, frame.characteristic[r], frame.label[r], frame.stratum[r],
+                    float(frame.error[r]), float(frame.percent_error[r]))
+        for r in range(len(frame.weight))
+    ]
+
+
+def frame_of(records: Sequence[ExposureRecord]) -> exposure.GroupExposures:
+    """The frame of records of one year and locus, rows in record order."""
+    (year, locus), = {(r.year, r.locus) for r in records}
+
+    def column(name: str) -> np.ndarray:
+        return np.array([getattr(r, name) for r in records], dtype=np.float64)
+
+    return exposure.GroupExposures(
+        year, [r.characteristic for r in records], [r.group for r in records],
+        [r.stratum for r in records], (locus,), column("mean")[None], column("p10")[None],
+        column("p90")[None], column("weight"))
+
+
+def compute_hw_exposures(*args, **kwargs) -> tuple[list[ExposureRecord], list[ErrorRecord]]:
+    """exposure.compute_hw_exposures as exposure and error record lists."""
+    frame = exposure.compute_hw_exposures(*args, **kwargs)
+    return exposure_records(frame), error_records(frame)
+
+
 def oracle_group_exposures(aligned, schemas, classification=None,
                            strata=(exposure.ALL_STRATUM,)) -> list:
     records = []
@@ -698,7 +790,7 @@ def oracle_group_exposures(aligned, schemas, classification=None,
             w = weights[mask]
             if int(w.sum()) == 0:
                 continue
-            records.append(exposure.ExposureRecord(
+            records.append(ExposureRecord(
                 year=aligned.year, characteristic=characteristic, group=label,
                 locus=aligned.locus, stratum=stratum,
                 mean=oracle_weighted_mean(conc, w.astype(np.float64)),
@@ -727,7 +819,7 @@ def oracle_hw_exposures(pairs, schemas, weights=exposure.DEFAULT_HW_WEIGHTS,
             w_mean = oracle_weighted_mean(vw, wf)
             hw_mean = oracle_weighted_mean(vb, wf)
             for locus, vals, mean in (("H", vh, h_mean), ("W", vw, w_mean), ("HW", vb, hw_mean)):
-                records.append(exposure.ExposureRecord(
+                records.append(ExposureRecord(
                     year=pairs.year, characteristic=characteristic, group=label,
                     locus=locus, stratum=stratum, mean=mean,
                     p10=oracle_weighted_percentile(vals, w, 0.10),
@@ -736,11 +828,213 @@ def oracle_hw_exposures(pairs, schemas, weights=exposure.DEFAULT_HW_WEIGHTS,
                 ))
             error = h_mean - hw_mean
             percent = 100.0 * error / h_mean if h_mean != 0.0 else math.nan
-            errors.append(exposure.ErrorRecord(
+            errors.append(ErrorRecord(
                 year=pairs.year, characteristic=characteristic, group=label,
                 stratum=stratum, error=error, percent_error=percent,
             ))
     return records, errors
+
+
+def oracle_group_records(records: Iterable[ExposureRecord]):
+    by_key: dict[tuple[str, str, str], list[ExposureRecord]] = {}
+    all_means: dict[tuple[str, str], float] = {}
+    for r in records:
+        if r.locus == exposure.LOCUS_BLEND:
+            continue
+        if r.characteristic == "all":
+            all_means[(r.locus, r.stratum)] = r.mean
+        else:
+            by_key.setdefault((r.locus, r.stratum, r.characteristic), []).append(r)
+    return by_key, all_means
+
+
+def oracle_columns(items: Sequence, text: Sequence[str] = (), floats: Sequence[str] = ()) -> list:
+    """One text list per attribute in ``text``, then one float array per
+    attribute in ``floats``, over ``items``."""
+    values = np.array([[getattr(i, a) for i in items] for a in floats], dtype=np.float64)
+    return [*([getattr(i, a) for i in items] for a in text),
+            *values.reshape(len(floats), len(items))]
+
+
+@dataclass(frozen=True)
+class GapResult:
+    """Most- vs least-exposed group within one characteristic."""
+
+    characteristic: str
+    most_exposed: str
+    least_exposed: str
+    absolute_diff: float
+    percent_diff: float
+    ratio: float
+
+
+def oracle_extreme_group_gap(records: Sequence[ExposureRecord], national_mean: float) -> GapResult:
+    if len(records) < 2:
+        raise InsufficientGroupsError(
+            f"need >= 2 groups, got {len(records)}"
+        )
+    characteristics = {r.characteristic for r in records}
+    if len(characteristics) != 1:
+        raise ContractError(f"records span multiple characteristics: {sorted(characteristics)}")
+    if national_mean <= 0.0:
+        raise DomainError(f"national mean must be positive, got {national_mean}")
+    ordered = sorted(records, key=lambda r: r.group)
+    most = max(ordered, key=lambda r: r.mean)
+    least = min(ordered, key=lambda r: r.mean)
+    diff = most.mean - least.mean
+    return GapResult(
+        characteristic=characteristics.pop(),
+        most_exposed=most.group,
+        least_exposed=least.group,
+        absolute_diff=diff,
+        percent_diff=100.0 * diff / national_mean,
+        ratio=most.mean / least.mean if least.mean > 0.0 else math.inf,
+    )
+
+
+def oracle_atkinson(shares: Sequence[float], values: Sequence[float], epsilon: float) -> float:
+    """The Atkinson index with every check made on each call."""
+    f = np.asarray(shares, dtype=np.float64)
+    y = np.asarray(values, dtype=np.float64)
+    if f.size == 0 or f.size != y.size:
+        raise DomainError(f"need matching non-empty shares/values, got {f.size}/{y.size}")
+    if (f <= 0.0).any():
+        raise DomainError("population shares must be positive")
+    if abs(float(np.sum(f)) - 1.0) > 1e-9:
+        raise DomainError(f"population shares must sum to 1, got {float(np.sum(f))}")
+    if (y <= 0.0).any():
+        raise DomainError("group values must be positive")
+    if epsilon < 0.0:
+        raise DomainError(f"aversion parameter must be >= 0, got {epsilon}")
+    if epsilon == 0.0:
+        return 0.0
+    f = f / float(np.sum(f))
+    ybar = float(np.sum(f * y))
+    ratio = y / ybar
+    if epsilon == 1.0:
+        ai = 1.0 - math.exp(float(np.sum(f * np.log(ratio))))
+    else:
+        power = 1.0 - epsilon
+        ai = 1.0 - float(np.sum(f * ratio ** power)) ** (1.0 / power)
+    return max(ai, 0.0)
+
+
+@dataclass(frozen=True)
+class AtkinsonResult:
+    year: int
+    characteristic: str
+    locus: str
+    stratum: str
+    epsilon: float
+    value: float
+
+
+def oracle_atkinson_pipeline(records: Iterable[ExposureRecord],
+                             epsilons: Sequence[float]) -> list[AtkinsonResult]:
+    """Records grouped by (year, characteristic, locus, stratum), the total
+    population ignored, and oracle_atkinson called once per epsilon."""
+    grouped: dict[tuple[int, str, str, str], list[ExposureRecord]] = {}
+    for record in records:
+        if record.characteristic == "all":
+            continue
+        key = (record.year, record.characteristic, record.locus, record.stratum)
+        grouped.setdefault(key, []).append(record)
+    results = []
+    for key in sorted(grouped):
+        members = sorted(grouped[key], key=lambda r: r.group)
+        total = sum(r.weight for r in members)
+        shares = [r.weight / total for r in members]
+        for r in members:
+            if r.mean <= 0.0:
+                raise DomainError(
+                    f"group {r.group_key} has non-positive mean {r.mean}; "
+                    "cannot invert concentrations"
+                )
+        inverse = [1.0 / r.mean for r in members]
+        year, characteristic, locus, stratum = key
+        for eps in epsilons:
+            results.append(AtkinsonResult(
+                year=year,
+                characteristic=characteristic,
+                locus=locus,
+                stratum=stratum,
+                epsilon=eps,
+                value=oracle_atkinson(shares, inverse, eps),
+            ))
+    return results
+
+
+def oracle_gap_and_atkinson_blocks(year: int, records: Sequence[ExposureRecord],
+                                   epsilons: Sequence[float], skips: dict[str, int]):
+    """gaps.csv and atkinson.csv blocks of one year's RAC and WAC records,
+    regrouped by oracle_group_records and built by oracle_columns."""
+    by_key, all_means = oracle_group_records(records)
+    keys, gaps = [], []
+    for (locus, stratum, characteristic), members in sorted(by_key.items()):
+        try:
+            gaps.append(oracle_extreme_group_gap(members, all_means[(locus, stratum)]))
+        except pipeline._METRIC_DEGENERACIES as exc:
+            pipeline._skip(skips, "gap", "%s %s/%s/%s: %s" % (year, locus, stratum,
+                                                              characteristic, exc))
+            continue
+        keys.append((locus, stratum))
+    gap_block = [year, [k[0] for k in keys], [k[1] for k in keys], *oracle_columns(
+        gaps, ("characteristic", "most_exposed", "least_exposed"),
+        ("absolute_diff", "percent_diff", "ratio"))]
+    results = []
+    for key in sorted(by_key, key=lambda k: (k[2], k[0], k[1])):
+        try:
+            results += oracle_atkinson_pipeline(by_key[key], epsilons)
+        except pipeline._METRIC_DEGENERACIES as exc:
+            pipeline._skip(skips, "atkinson", "%s %s/%s/%s: %s" % (year, *key, exc))
+    atkinson_block = [year, *oracle_columns(results, ("characteristic", "locus", "stratum"),
+                                            ("epsilon", "value"))]
+    return gap_block, atkinson_block
+
+
+def oracle_threshold_share(values, weights, threshold: float) -> float:
+    vals = np.asarray(values, dtype=np.float64)
+    wts = np.asarray(weights, dtype=np.float64)
+    total = float(np.sum(wts))
+    if vals.size == 0 or total <= 0.0:
+        raise EmptyPopulationError("total weight is zero")
+    return 100.0 * float(np.sum(wts[vals > threshold])) / total
+
+
+def oracle_threshold_rows(thresholds: Sequence[float], aligned: exposure.AlignedTable,
+                          skips: dict[str, int]) -> list[list]:
+    """threshold.csv blocks of one table with one oracle_threshold_share call
+    per group and threshold."""
+    year, locus = aligned.year, aligned.locus
+    blocks: list[list] = []
+    conc = aligned.concentrations
+    row = {code: i for i, code in enumerate(aligned.codes)}
+    for threshold in thresholds:
+        characteristics, labels, covs = ["all"], ["all"], [""]
+        qs = [oracle_threshold_share(conc, aligned.totals, threshold)]
+        for schema in ingest.RAC_WAC_SCHEMAS:
+            shares = []
+            for code, label in schema.categories:
+                if code not in row:
+                    continue
+                weights = aligned.counts[row[code]]
+                if int(weights.sum()) == 0:
+                    continue
+                labels.append(label)
+                shares.append(oracle_threshold_share(conc, weights, threshold))
+            if not shares:
+                continue
+            try:
+                cov_text = repr(disparity.cov_of_shares(shares))
+            except pipeline._METRIC_DEGENERACIES as exc:
+                pipeline._skip(skips, "threshold-cov", "%s %s T=%s %s: %s" % (
+                    year, locus, threshold, schema.characteristic, exc))
+                cov_text = ""
+            characteristics += [schema.characteristic] * len(shares)
+            qs += shares
+            covs += [cov_text] * len(shares)
+        blocks.append([year, locus, repr(threshold), characteristics, labels, np.array(qs), covs])
+    return blocks
 
 
 def oracle_rank_sum_grouped(values_a, counts_a, values_b, counts_b, method="auto"):

@@ -23,6 +23,7 @@ import pytest
 from helpers import (
     PolygonPart,
     TractGeometry,
+    compute_hw_exposures,
     points_in_parts,
     random_star_polygon,
     zonal_weighted_mean,
@@ -32,7 +33,6 @@ from hwexposure import pipeline, synth
 from hwexposure.biasstats import ErrorMoments, bias_factor, error_moments, wilcoxon_rank_sum
 from hwexposure.disparity import atkinson
 from hwexposure.exposure import (
-    compute_hw_exposures,
     hw_blend,
     population_weighted_mean,
     resolve_pairs,

@@ -4,20 +4,30 @@ from __future__ import annotations
 
 import math
 import random
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from helpers import (
+    ExposureRecord,
+    GapResult,
+    exposure_records,
+    frame_of,
+    oracle_atkinson,
+    oracle_atkinson_pipeline,
     oracle_bin_curve,
     oracle_composition_rows,
     oracle_decile_shares,
+    oracle_gap_and_atkinson_blocks,
     oracle_state_rows,
+    oracle_threshold_rows,
     reference_csv,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hwexposure import pipeline
+from hwexposure import disparity, pipeline
 from hwexposure.disparity import (
     DecileShares,
     PercentileBinCurves,
@@ -39,7 +49,7 @@ from hwexposure.errors import (
     InsufficientGroupsError,
     InsufficientTractsError,
 )
-from hwexposure.exposure import AlignedTable, ExposureRecord, iter_groups
+from hwexposure.exposure import AlignedTable, compute_group_exposures, iter_groups, tract_strata
 from hwexposure.ingest import RAC_WAC_SCHEMAS
 
 ATKINSON_REFERENCE = 0.10079283984242682  # direct evaluation of the two-group case
@@ -53,12 +63,26 @@ def record(group, mean, weight=1.0, characteristic="race", stratum="all", locus=
     )
 
 
+def gap(records, national_mean):
+    """extreme_group_gap over the records' columns, as a GapResult."""
+    result = extreme_group_gap([r.characteristic for r in records], [r.group for r in records],
+                               np.array([r.mean for r in records]), national_mean)
+    return GapResult(records[0].characteristic, *result)
+
+
+def atkinson_of(records, epsilons):
+    """atkinson_pipeline over the records' columns."""
+    return atkinson_pipeline([r.characteristic for r in records], [r.group for r in records],
+                             np.array([r.weight for r in records]),
+                             np.array([r.mean for r in records]), epsilons)
+
+
 # ----------------------------------------------------------------------------
 # extreme_group_gap
 # ----------------------------------------------------------------------------
 
 def test_gap_direct_arithmetic():
-    result = extreme_group_gap([record("a", 7.0), record("b", 8.21)], national_mean=8.0)
+    result = gap([record("a", 7.0), record("b", 8.21)], national_mean=8.0)
     assert result.most_exposed == "b"
     assert result.least_exposed == "a"
     assert result.absolute_diff == pytest.approx(1.21)
@@ -67,7 +91,7 @@ def test_gap_direct_arithmetic():
 
 
 def test_gap_degenerate_equal_means():
-    result = extreme_group_gap([record("a", 8.0), record("b", 8.0)], national_mean=8.0)
+    result = gap([record("a", 8.0), record("b", 8.0)], national_mean=8.0)
     assert result.absolute_diff == 0.0
     assert result.percent_diff == 0.0
     assert result.ratio == 1.0
@@ -78,20 +102,20 @@ def test_gap_degenerate_equal_means():
 
 def test_gap_single_group():
     with pytest.raises(InsufficientGroupsError):
-        extreme_group_gap([record("a", 8.0)], national_mean=8.0)
+        gap([record("a", 8.0)], national_mean=8.0)
 
 
 def test_gap_mixed_characteristics_rejected():
     with pytest.raises(ContractError):
-        extreme_group_gap(
+        gap(
             [record("a", 8.0), record("b", 9.0, characteristic="sex")], national_mean=8.0
         )
 
 
 def test_gap_relabel_invariance():
     groups = [("a", 7.5), ("b", 9.25), ("c", 8.5)]
-    base = extreme_group_gap([record(g, m) for g, m in groups], national_mean=8.0)
-    relabeled = extreme_group_gap(
+    base = gap([record(g, m) for g, m in groups], national_mean=8.0)
+    relabeled = gap(
         [record("x" + g, m) for g, m in groups], national_mean=8.0
     )
     assert relabeled.absolute_diff == base.absolute_diff
@@ -100,7 +124,7 @@ def test_gap_relabel_invariance():
 
 
 def test_gap_zero_min_gives_inf_ratio():
-    result = extreme_group_gap([record("a", 0.0), record("b", 5.0)], national_mean=5.0)
+    result = gap([record("a", 0.0), record("b", 5.0)], national_mean=5.0)
     assert result.ratio == math.inf
 
 
@@ -426,33 +450,36 @@ def test_atkinson_increases_with_spread():
 
 def test_atkinson_pipeline_equal_means_zero():
     records = [record("a", 8.0, 10.0), record("b", 8.0, 30.0)]
-    results = atkinson_pipeline(records, PAPER_EPSILONS)
+    results = atkinson_of(records, PAPER_EPSILONS)
     assert len(results) == len(PAPER_EPSILONS)
-    assert all(r.value <= 1e-12 for r in results)
+    assert all(value <= 1e-12 for value in results)
 
 
 def test_atkinson_pipeline_composes_with_direct_atkinson():
     records = [record("a", 8.0, 5.0), record("b", 10.0, 5.0)]
-    results = atkinson_pipeline(records, [0.75])
+    results = atkinson_of(records, [0.75])
     direct = atkinson([0.5, 0.5], [1.0 / 8.0, 1.0 / 10.0], 0.75)
-    assert results[0].value == pytest.approx(direct, rel=1e-12)
+    assert results[0] == pytest.approx(direct, rel=1e-12)
 
 
 def test_atkinson_pipeline_ignores_all_group_and_sorts():
+    # the atkinson.csv block of one year's frames
     records = [
         record("all", 9.0, 40.0, characteristic="all"),
         record("b", 10.0, 5.0),
         record("a", 8.0, 5.0),
+        record("all", 9.25, 10.0, characteristic="all", locus="W"),
         record("m", 9.0, 5.0, characteristic="sex", locus="W"),
         record("f", 9.5, 5.0, characteristic="sex", locus="W"),
     ]
-    results = atkinson_pipeline(records, [0.75])
-    assert [(r.characteristic, r.locus) for r in results] == [("race", "H"), ("sex", "W")]
+    frames = [frame_of(records[:3]), frame_of(records[3:])]
+    _, block = pipeline._gap_and_atkinson_blocks(2011, frames, [0.75], {})
+    assert list(zip(block[1], block[2])) == [("race", "H"), ("sex", "W")]
 
 
 def test_atkinson_pipeline_zero_mean_rejected():
-    with pytest.raises(DomainError):
-        atkinson_pipeline([record("a", 0.0, 1.0), record("b", 8.0, 1.0)], [0.75])
+    with pytest.raises(DomainError, match="^group race:a has non-positive mean 0.0; "):
+        atkinson_of([record("b", 8.0, 1.0), record("a", 0.0, 1.0)], [0.75])
 
 
 # ----------------------------------------------------------------------------
@@ -651,3 +678,156 @@ def test_cov_errors():
         cov_of_shares([1.0])
     with pytest.raises(DomainError):
         cov_of_shares([0.0, 0.0])
+
+
+# ----------------------------------------------------------------------------
+# the checked-once Atkinson curve, the one-compress threshold shares and the
+# blocks built from frame columns, against the per-epsilon, per-group and
+# per-record oracles
+# ----------------------------------------------------------------------------
+
+RAC_CODES = [code for schema in RAC_WAC_SCHEMAS for code, _ in schema.categories]
+ATKINSON_EPSILONS = st.lists(st.sampled_from([0.0, 1.0, 0.25, 0.5, 1.75, 2.0, -0.5])
+                             | st.floats(0.0, 4.0), min_size=1, max_size=6)
+
+
+def outcome(compute):
+    try:
+        return repr(compute())
+    except DomainError as exc:
+        return f"DomainError({exc})"
+
+
+@st.composite
+def atkinson_inputs(draw):
+    """Shares summing to 1 and positive values, each sometimes spoiled."""
+    n = draw(st.integers(1, 6))
+    weights = draw(st.lists(st.floats(0.01, 100.0), min_size=n, max_size=n))
+    shares = [w / math.fsum(weights) for w in weights]
+    values = draw(st.lists(st.floats(1e-3, 50.0), min_size=n, max_size=n))
+    spoil = draw(st.sampled_from(["none", "none", "share", "sum", "value", "size"]))
+    if spoil == "share":
+        shares[draw(st.integers(0, n - 1))] = draw(st.sampled_from([0.0, -0.2]))
+    elif spoil == "sum":
+        shares = [2.0 * f for f in shares]
+    elif spoil == "value":
+        values[draw(st.integers(0, n - 1))] = draw(st.sampled_from([0.0, -1.0]))
+    elif spoil == "size":
+        values = values[:draw(st.integers(0, n - 1))]
+        shares = shares[:draw(st.integers(0, 1)) * n]
+    return shares, values
+
+
+@given(atkinson_inputs(), ATKINSON_EPSILONS)
+@settings(max_examples=400, deadline=None)
+def test_atkinson_curve_matches_per_epsilon_oracle(inputs, epsilons):
+    shares, values = inputs
+    oracle = outcome(lambda: [oracle_atkinson(shares, values, e) for e in epsilons])
+    assert outcome(lambda: disparity._atkinson_curve(shares, values, epsilons)) == oracle
+    assert outcome(lambda: [atkinson(shares, values, e) for e in epsilons]) == oracle
+
+
+@pytest.mark.parametrize("shares, values, epsilons, message", [
+    ([], [], [0.5], "need matching non-empty shares/values, got 0/0"),
+    ([0.5, 0.5], [1.0], [0.5], "need matching non-empty shares/values, got 2/1"),
+    ([0.0, 1.0], [1.0, 2.0], [0.5], "population shares must be positive"),
+    ([0.5, 0.6], [1.0, 2.0], [0.5], "population shares must sum to 1, got 1.1"),
+    ([0.5, 0.5], [1.0, 0.0], [0.5], "group values must be positive"),
+    ([0.5, 0.5], [1.0, 2.0], [0.0, 1.0, -1.0], "aversion parameter must be >= 0, got -1.0"),
+])
+def test_atkinson_curve_domain_errors_match_oracle(shares, values, epsilons, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        disparity._atkinson_curve(shares, values, epsilons)
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        [oracle_atkinson(shares, values, e) for e in epsilons]
+
+
+@given(st.data(), ATKINSON_EPSILONS)
+@settings(max_examples=300, deadline=None)
+def test_atkinson_pipeline_matches_record_oracle(data, epsilons):
+    labels = data.draw(st.lists(st.sampled_from("abcdefg"), min_size=1, max_size=6, unique=True))
+    # worker counts, or fractional weights whose sum depends on its order
+    weights = data.draw(st.lists(st.integers(1, 10**6) | st.floats(0.01, 1e6),
+                                 min_size=len(labels), max_size=len(labels)))
+    means = data.draw(st.lists(st.sampled_from([0.0, -1.0, 1e-3, 2.5, 7.75, 40.0])
+                               | st.floats(0.5, 60.0), min_size=len(labels),
+                               max_size=len(labels)))
+    records = [record(g, m, float(w)) for g, m, w in zip(labels, means, weights)]
+    assert outcome(lambda: atkinson_of(records, epsilons)) == outcome(
+        lambda: [r.value for r in oracle_atkinson_pipeline(records, epsilons)])
+
+
+def random_aligned(rng, n_tracts, locus="H", conc_values=(4.0, 5.0, 10.0, 12.0, 13.5, 20.0)):
+    """A RAC/WAC table on geoid-ordered tracts with a random subset of the
+    codes (schema order), some groups and tracts without workers."""
+    codes = [c for c in RAC_CODES if rng.random() < 0.3]
+    counts = rng.integers(0, 6, (len(codes), n_tracts))
+    counts[rng.random(len(codes)) < 0.2] = 0
+    counts[:, rng.random(n_tracts) < 0.1] = 0
+    totals = counts.sum(axis=0) + rng.integers(0, 3, n_tracts)
+    conc = rng.choice(conc_values, n_tracts)
+    aligned = aligned_table([f"06037{i:06d}" for i in range(n_tracts)], totals, conc,
+                            dict(zip(codes, counts)))
+    return aligned._replace(locus=locus)
+
+
+def threshold_outcome(compute):
+    skips = {}
+    try:
+        blocks = compute(skips)
+    except EmptyPopulationError as exc:
+        return f"EmptyPopulationError({exc})"
+    lines = [pipeline._csv_lines("threshold.csv", HEADERS["threshold.csv"], b) for b in blocks]
+    return lines, skips
+
+
+@given(seed=st.integers(0, 2**32 - 1), n_tracts=st.integers(0, 30),
+       thresholds=st.lists(st.sampled_from([12.0, 10.0, 5.0, 0.5, 25.0]), max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_threshold_rows_match_oracle(seed, n_tracts, thresholds):
+    aligned = random_aligned(np.random.default_rng(seed), n_tracts)
+    groups = [(c, label) for c, label, _ in iter_groups(RAC_WAC_SCHEMAS, aligned)][1:]
+    config = SimpleNamespace(thresholds=tuple(thresholds))
+    assert threshold_outcome(lambda skips: pipeline._threshold_rows(
+        config, aligned, groups, aligned.counts.astype(np.float64), skips)) == threshold_outcome(
+        lambda skips: oracle_threshold_rows(thresholds, aligned, skips))
+
+
+def test_threshold_rows_skip_degenerate_cov():
+    # sex has one group with workers (InsufficientGroupsError); age has two,
+    # both below every threshold (DomainError)
+    aligned = aligned_table(
+        ["06037000001", "06037000002"], totals=[3, 4], conc=[4.0, 13.0],
+        category_counts={"CS01": [3, 4], "CS02": [0, 0], "CA01": [1, 0], "CA02": [2, 0]})
+    groups = [(c, label) for c, label, _ in iter_groups(RAC_WAC_SCHEMAS, aligned)][1:]
+    skips = {}
+    blocks = pipeline._threshold_rows(SimpleNamespace(thresholds=(12.0,)), aligned, groups,
+                                      aligned.counts.astype(np.float64), skips)
+    assert skips == {"threshold-cov": 2}
+    assert blocks[0][3:5] == [["all", "sex", "age", "age"], ["all", "male", "29_or_less",
+                                                             "30_54"]]
+    assert threshold_outcome(lambda s: oracle_threshold_rows([12.0], aligned, s)) == (
+        [pipeline._csv_lines("threshold.csv", HEADERS["threshold.csv"], blocks[0])], skips)
+
+
+@given(seed=st.integers(0, 2**32 - 1), n_tracts=st.integers(0, 30), epsilons=ATKINSON_EPSILONS)
+@settings(max_examples=150, deadline=None)
+def test_gap_and_atkinson_blocks_match_record_oracle(seed, n_tracts, epsilons):
+    rng = np.random.default_rng(seed)
+    epsilons = [abs(e) for e in epsilons]
+    classification = tract_strata({f"06037{i:06d}": rng.choice(["urban", "rural"])
+                                   for i in range(n_tracts) if rng.random() < 0.9})
+    frames = [
+        compute_group_exposures(random_aligned(rng, n_tracts, locus, (0.0, 4.0, 7.5, 12.0)),
+                                RAC_WAC_SCHEMAS, classification, ("all", "urban", "rural"))
+        for locus in ("H", "W")
+    ]
+    skips = {}
+    got = pipeline._gap_and_atkinson_blocks(2011, frames, epsilons, skips)
+    oracle_skips = {}
+    oracle = oracle_gap_and_atkinson_blocks(
+        2011, [r for frame in frames for r in exposure_records(frame)], epsilons, oracle_skips)
+    for name, block, oracle_block in zip(("gaps.csv", "atkinson.csv"), got, oracle):
+        assert (pipeline._csv_lines(name, HEADERS[name], block)
+                == pipeline._csv_lines(name, HEADERS[name], oracle_block))
+    assert skips == oracle_skips

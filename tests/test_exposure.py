@@ -14,13 +14,12 @@ from hwexposure.errors import EmptyPopulationError
 from hwexposure.exposure import (
     DEFAULT_HW_WEIGHTS,
     AlignedTable,
-    ExposureRecord,
+    GroupExposures,
     HWWeights,
     ResolvedPairs,
     ValueSlice,
     align_table,
     compute_group_exposures,
-    compute_hw_exposures,
     hw_blend,
     population_weighted_mean,
     resolve_pairs,
@@ -31,8 +30,11 @@ from hwexposure.ingest import OD_SCHEMAS, RAC_WAC_SCHEMAS
 from hwexposure.zonal import TractSurface
 
 from helpers import (
+    compute_hw_exposures,
+    exposure_records,
     oracle_group_exposures,
     oracle_hw_exposures,
+    oracle_weighted_mean,
     oracle_weighted_percentile,
     with_layout,
     worker_table,
@@ -220,7 +222,7 @@ def small_world():
 def test_group_exposures_point_mass():
     surface = TractSurface(year=2011, entries={geoid(1): 9.5})
     table = {geoid(1): (4, {"CA01": 4, "CA02": 0, "CA03": 0})}
-    records = compute_group_exposures(aligned_home(surface, table), AGE)
+    records = exposure_records(compute_group_exposures(aligned_home(surface, table), AGE))
     by_group = {r.group_key: r for r in records}
     assert by_group["all"].mean == 9.5
     assert by_group["all"].p10 == 9.5
@@ -232,7 +234,7 @@ def test_group_exposures_point_mass():
 
 def test_group_exposures_match_expansion_oracle_exactly():
     surface, table = small_world()
-    records = compute_group_exposures(aligned_home(surface, table), AGE)
+    records = exposure_records(compute_group_exposures(aligned_home(surface, table), AGE))
     for record in records:
         if record.group_key == "all":
             pick = lambda row: row[0]  # noqa: E731
@@ -257,9 +259,9 @@ def test_group_exposures_match_expansion_oracle_exactly():
 def test_group_exposures_strata_split():
     surface, table = small_world()
     classification = tract_strata({geoid(i): ("urban" if i < 4 else "rural") for i in range(9)})
-    records = compute_group_exposures(
+    records = exposure_records(compute_group_exposures(
         aligned_home(surface, table), AGE, classification, strata=("all", "urban", "rural")
-    )
+    ))
     strata = {r.stratum for r in records}
     assert strata == {"all", "urban", "rural"}
     all_weight = next(r.weight for r in records if r.stratum == "all" and r.group_key == "all")
@@ -270,12 +272,12 @@ def test_group_exposures_strata_split():
 
 def test_group_exposures_weight_scaling_invariance():
     surface, table = small_world()
-    base = compute_group_exposures(aligned_home(surface, table), AGE)
+    base = exposure_records(compute_group_exposures(aligned_home(surface, table), AGE))
     scaled_rows = {
         g: (total * 7, {c: v * 7 for c, v in counts.items()})
         for g, (total, counts) in table.items()
     }
-    scaled = compute_group_exposures(aligned_home(surface, scaled_rows), AGE)
+    scaled = exposure_records(compute_group_exposures(aligned_home(surface, scaled_rows), AGE))
     for a, b in zip(base, scaled):
         assert b.mean == pytest.approx(a.mean, rel=1e-12)
         assert b.p10 == a.p10
@@ -403,11 +405,24 @@ def test_hw_stratum_assigned_by_home_tract():
     assert {r.stratum for r in records} == {"urban"}
 
 
+def one_row_frame(p10, p90, weight):
+    return GroupExposures(2011, ["all"], ["all"], ["all"], ("H",), np.array([[5.0]]),
+                          np.array([[p10]]), np.array([[p90]]), np.array([weight]))
+
+
 def test_exposure_record_validates():
-    with pytest.raises(ValueError):
-        ExposureRecord(2011, "all", "all", "H", "all", mean=5.0, p10=6.0, p90=5.0, weight=1.0)
-    with pytest.raises(ValueError):
-        ExposureRecord(2011, "all", "all", "H", "all", mean=5.0, p10=5.0, p90=5.0, weight=-1.0)
+    with pytest.raises(ValueError, match=r"^p10 6\.0 > p90 5\.0$"):
+        one_row_frame(6.0, 5.0, 1.0).checked()
+    with pytest.raises(ValueError, match=r"^negative weight -1\.0$"):
+        one_row_frame(5.0, 5.0, -1.0).checked()
+    frame = one_row_frame(5.0, 5.0, 1.0)
+    assert frame.checked() is frame
+    # the first failing row is named, and within it the first failing locus
+    frame = GroupExposures(2011, ["all", "all"], ["all", "all"], ["all", "urban"],
+                           ("H", "W"), np.zeros((2, 2)), np.array([[0.0, 3.0], [2.0, 0.0]]),
+                           np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match=r"^p10 2\.0 > p90 1\.0$"):
+        frame.checked()
 
 
 # ----------------------------------------------------------------------------
@@ -468,7 +483,8 @@ def test_group_and_hw_exposures_match_per_group_oracle(case):
     codes = ("CA01", "CA02", "CA03")
     aligned = AlignedTable(2011, "H", geoids, index, values, counts[0], codes, counts[1:], 0)
     assert records_text(
-        compute_group_exposures, aligned, AGE, tract_strata(classification), STRATA
+        lambda *args: exposure_records(compute_group_exposures(*args)),
+        aligned, AGE, tract_strata(classification), STRATA,
     ) == records_text(oracle_group_exposures, aligned, AGE, classification, STRATA)
     pairs = ResolvedPairs(2011, geoids, index, values, others, counts[0],
                           ("SA01", "SA02", "SA03"), counts[1:], 0)
@@ -504,3 +520,75 @@ def test_value_slice_percentile_past_float_drift():
     assert np.cumsum(weights)[-1] < np.sum(weights)
     assert ValueSlice(values).percentiles(weights, (1.0,)) == [9.0]
     assert weighted_percentile(values, weights, 1.0) == 9.0
+
+
+# ----------------------------------------------------------------------------
+# ValueSlice.stats: every group of a slice in one matrix kernel call
+# ----------------------------------------------------------------------------
+
+STATS_PS = (0.0, 0.1, 0.5, 0.9, 1.0)
+
+
+@st.composite
+def weight_matrices(draw, n):
+    """(rows x n) float64 weights, each row with a positive total: counts
+    with zeros between them, one-tract rows, all weight on one tract, and
+    rows of 0.1s whose cumsum falls short of p * total by drift."""
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["counts", "single", "heavy", "drift"]))
+        row = [0.0] * n
+        if kind == "counts":
+            row = [float(v) for v in draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))]
+            if not any(row):
+                row[draw(st.integers(0, n - 1))] = 1.0
+        elif kind in ("single", "heavy"):
+            row[draw(st.integers(0, n - 1))] = 1.0 if kind == "single" else 1e6
+            if kind == "heavy":
+                row = [w + (1.0 if draw(st.booleans()) and w == 0.0 else 0.0) for w in row]
+        else:
+            for i in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)):
+                row[i] = 0.1
+        rows.append(row)
+    return np.array(rows, dtype=np.float64)
+
+
+@given(data=st.data(), n=st.integers(1, 20), p=st.floats(0.0, 1.0, allow_nan=False),
+       layout=st.sampled_from(["C", "F", "strided"]))
+@settings(max_examples=300, deadline=None)
+def test_value_slice_stats_match_oracle_row_by_row(data, n, p, layout):
+    values = np.array(data.draw(st.lists(st.sampled_from((-0.0, 0.0) + SLICE_VALUES),
+                                         min_size=n, max_size=n)))
+    weights = data.draw(weight_matrices(n))
+    if layout == "F":
+        weights = np.asfortranarray(weights)
+    elif layout == "strided":
+        wide = np.zeros((len(weights), 2 * n))
+        wide[:, ::2] = weights
+        weights = wide[:, ::2]
+    ps = STATS_PS + (p,)
+    means, picks = ValueSlice(values).stats(weights, ps)
+    assert picks.shape == (len(ps), len(weights))
+    for r, row in enumerate(weights):
+        assert repr(float(means[r])) == repr(oracle_weighted_mean(values, row))
+        assert [float(picks[k, r]) for k in range(len(ps))] == [
+            oracle_weighted_percentile(values, row, q) for q in ps]
+
+
+def test_value_slice_stats_drift_row_among_others():
+    # the drift row's cumsum ends below its total: its pick at p = 1 is the
+    # largest value with weight, while the other rows search normally
+    values = np.array([float(v) for v in range(10)] + [100.0])
+    weights = np.array([[0.1] * 10 + [0.0], [1.0] * 11, [0.0] * 10 + [2.0]])
+    means, picks = ValueSlice(values).stats(weights, (1.0,))
+    assert picks.tolist() == [[9.0, 100.0, 100.0]]
+    assert means.tolist() == [oracle_weighted_mean(values, row) for row in weights]
+
+
+def test_value_slice_stats_rejects_empty_rows_and_slices():
+    with pytest.raises(EmptyPopulationError, match="total weight is zero"):
+        ValueSlice(np.array([1.0, 2.0])).stats(np.array([[1.0, 0.0], [0.0, 0.0]]), (0.5,))
+    with pytest.raises(EmptyPopulationError, match="total weight is zero"):
+        ValueSlice(np.empty(0)).stats(np.empty((1, 0)), (0.5,))
+    with pytest.raises(ValueError, match=r"p must be in \[0, 1\], got 1.5"):
+        ValueSlice(np.array([1.0])).stats(np.array([[1.0]]), (0.5, 1.5))

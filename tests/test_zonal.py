@@ -124,6 +124,44 @@ def test_read_asc_rejects_non_finite(tmp_path, token):
         read_asc(str(path))
 
 
+def asc_with_data(rows: list[str]) -> str:
+    return "".join(ASC_TEXT.splitlines(keepends=True)[:6]) + "".join(rows)
+
+
+def assert_same_grid(a, b):
+    assert a.lattice == b.lattice
+    assert np.array_equal(a.values, b.values) and np.array_equal(a.nodata, b.nodata)
+
+
+def test_read_asc_wrapped_data_equals_rectangular(tmp_path):
+    rect, wrapped = tmp_path / "rect.asc", tmp_path / "wrapped.asc"
+    rect.write_text(ASC_TEXT)
+    # the same six cells, two then four per line (the fast path cannot take it)
+    wrapped.write_text(asc_with_data(["1.5 2.5\n", "-9999 4.0 5.0 6.0\n"]))
+    assert_same_grid(read_asc(str(wrapped)), read_asc(str(rect)))
+    # one cell per line: six rows of one value, not (nrows x ncols)
+    wrapped.write_text(asc_with_data([f"{v}\n" for v in "1.5 2.5 -9999 4.0 5.0 6.0".split()]))
+    assert_same_grid(read_asc(str(wrapped)), read_asc(str(rect)))
+
+
+def test_read_asc_blank_line_between_data_rows(tmp_path):
+    rect, spaced = tmp_path / "rect.asc", tmp_path / "spaced.asc"
+    rect.write_text(ASC_TEXT)
+    spaced.write_text(asc_with_data(["1.5 2.5 -9999\n", "\n", "  \n", "4.0 5.0 6.0\n"]))
+    assert_same_grid(read_asc(str(spaced)), read_asc(str(rect)))
+
+
+def test_read_asc_names_the_line_of_a_late_non_finite_cell(tmp_path):
+    path = tmp_path / "bad.asc"
+    rows = ["1.0 1.0 1.0\n"] * 40
+    rows[36] = "1.0 nan 1.0\n"
+    path.write_text("ncols 3\nnrows 40\nxllcorner 0\nyllcorner 0\ncellsize 1\n"
+                    "NODATA_value -9999\n\n" + "".join(rows))
+    # six header lines and a blank one: data row 36 is line 44
+    with pytest.raises(FormatError, match=r"bad\.asc:44: non-finite cell value nan"):
+        read_asc(str(path))
+
+
 def test_read_xyz_csv(tmp_path):
     path = tmp_path / "grid.csv"
     # centers of a 2x2 unit grid, one cell missing -> nodata
