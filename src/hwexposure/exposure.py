@@ -370,7 +370,7 @@ def _group_exposures(table: AlignedTable | ResolvedPairs, schemas: Sequence[Grou
     entry, ``skipped`` % (group key, stratum)."""
     groups = list(iter_groups(schemas, table))
     # float64 sums of worker counts are exact below 2**53
-    counts = np.vstack([group_counts for *_, group_counts in groups]).astype(np.float64)
+    counts = np.vstack([group_counts for *_, group_counts in groups], dtype=np.float64)
     characteristics, labels, strata_column = [], [], []
     weights = [np.empty(0)]
     means, picks = [np.empty((len(loci), 0))], [np.empty((len(loci), 2, 0))]
