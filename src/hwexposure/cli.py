@@ -10,10 +10,12 @@ import argparse
 import logging
 import sys
 
-from . import ingest, pipeline, synth
+from . import ingest, pipeline
 from .errors import ConfigError, EngineError
 
 logger = logging.getLogger("hwexposure")
+
+GRADIENT_KINDS = ("work_hotspot", "uniform", "linear_x")  # synth.GRADIENT_KINDS
 
 
 def _add_config_options(parser: argparse.ArgumentParser) -> None:
@@ -52,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--seed", type=int, default=0)
     p_synth.add_argument("--tracts", type=int, default=9)
     p_synth.add_argument("--groups", type=int, default=3)
-    p_synth.add_argument("--gradient", choices=synth.GRADIENT_KINDS, default="work_hotspot")
+    p_synth.add_argument("--gradient", choices=GRADIENT_KINDS, default="work_hotspot")
     p_synth.add_argument("--base", type=float, default=6.0, help="gradient base level (ug/m3)")
     p_synth.add_argument("--amplitude", type=float, default=8.0, help="gradient peak above base")
     p_synth.add_argument("--year", type=int, default=2011)
@@ -95,6 +97,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    from . import synth  # only this command needs the generator
     spec = synth.GradientSpec(kind=args.gradient, base=args.base, amplitude=args.amplitude)
     synth.synth(args.out, seed=args.seed, n_tracts=args.tracts,
                 n_groups=args.groups, gradient=spec, year=args.year)

@@ -168,7 +168,7 @@ class ValueSlice:
 class AlignedTable(NamedTuple):
     """RAC/WAC tract table joined against a tract surface, geoid-ascending.
 
-    ``surface_geoids`` are the surface's geoids (``U11``, ascending) and
+    ``surface_geoids`` are the surface's int64 tract ids (ascending) and
     ``tract_index`` each row's position among them; ``codes`` (category
     columns in schema order) and the int64 (codes x tracts) ``counts`` are
     empty when no tract resolved.
@@ -210,22 +210,20 @@ class ResolvedPairs(NamedTuple):
 
 
 def _join(surface: TractSurface, table: WorkerTable):
-    """Resolve each row of ``table`` against the surface's geoids (ascending).
+    """Resolve each row of ``table`` against the surface's tract ids (ascending).
 
-    Returns the geoids and their concentrations; per key array, the
-    positions among the geoids of the rows whose every tract resolved; those
-    rows' (totals, codes, counts), without codes when there are none; and
-    the worker total of the other rows.
+    Returns the ids and their concentrations; per key array, the positions
+    among the ids of the rows whose every tract resolved; those rows'
+    (totals, codes, counts), without codes when there are none; and the
+    worker total of the other rows.
     """
-    geoids = sorted(surface.entries)
-    sorted_ids = np.array(geoids, dtype=str)
-    values = np.array([surface.entries[g] for g in geoids], dtype=np.float64)
+    ids = surface.ids
     found = np.ones(len(table.totals), dtype=bool)
     positions = []
     for keys in table.keys:
-        pos = np.searchsorted(sorted_ids, keys)
-        hit = pos < len(geoids)
-        hit[hit] = sorted_ids[pos[hit]] == keys[hit]
+        pos = np.searchsorted(ids, keys)
+        hit = pos < len(ids)
+        hit[hit] = ids[pos[hit]] == keys[hit]
         found &= hit
         positions.append(pos)
     codes = table.codes if found.any() else ()
@@ -233,7 +231,7 @@ def _join(surface: TractSurface, table: WorkerTable):
     # disparity row sums stay pairwise and byte-identical
     rows = (table.totals[found], codes, table.counts[:len(codes)].compress(found, axis=1))
     dropped = int(table.totals[~found].sum())
-    return sorted_ids, values, [pos[found] for pos in positions], rows, dropped
+    return ids, surface.values, [pos[found] for pos in positions], rows, dropped
 
 
 def align_table(surface: TractSurface, table: WorkerTable, role: str) -> AlignedTable:
@@ -267,7 +265,7 @@ def resolve_pairs(surface: TractSurface, od: WorkerTable) -> ResolvedPairs:
 
 class TractStrata(NamedTuple):
     """The stratum of each classified tract, built once per run: ``geoids``
-    ascending and an int8 ``codes`` index into ``names`` per geoid."""
+    (int64 tract ids) ascending and an int8 ``codes`` index into ``names``."""
 
     geoids: np.ndarray
     codes: np.ndarray
@@ -280,7 +278,7 @@ def tract_strata(classification: Mapping[str, str]) -> TractStrata:
     names = tuple(sorted(set(classification.values())))
     index = {name: k for k, name in enumerate(names)}
     codes = np.array([index[classification[g]] for g in geoids], dtype=np.int8)
-    return TractStrata(np.array(geoids, dtype=str), codes, names)
+    return TractStrata(np.array(geoids, dtype=np.int64), codes, names)
 
 
 def stratum_masks(table: AlignedTable | ResolvedPairs, classification: TractStrata | None,

@@ -49,6 +49,12 @@ def is_tract_geoid(geoid: object) -> bool:
     return isinstance(geoid, str) and len(geoid) == 11 and geoid.isascii() and geoid.isdigit()
 
 
+def geoid_text(ids: np.ndarray) -> list[str]:
+    """int64 tract ids (a GEOID's value; the text sorts as the value) as the
+    11-digit GEOIDs that reports print."""
+    return ["%011d" % g for g in ids.tolist()]
+
+
 def _lengths(items: list) -> np.ndarray:
     """Each item's length when it is a list, else -1."""
     if set(map(type, items)) <= {list}:

@@ -133,11 +133,12 @@ class WorkerTable(NamedTuple):
     """Worker counts of one LODES table, one row per block, tract or pair.
 
     ``keys`` holds one geocode array for RAC/WAC tables and the (home, work)
-    arrays for OD tables: block geocodes as read (``U16``, so an over-long
-    geocode is kept over-long), tract geoids (``U11``) after a rollup, which
-    also leaves the rows key-ascending and unique. ``codes`` are the category
-    columns in schema order, ``counts`` their C-contiguous int64
-    (codes x rows) matrix, and ``totals`` the int64 total column.
+    arrays for OD tables: block geocodes as read (``S16`` Latin-1 bytes, or
+    ``U`` text; an over-long geocode is kept over-long), int64 tract ids
+    (block // 10_000) after a rollup, which also leaves the rows key-ascending
+    and unique. ``codes`` are the category columns in schema order, ``counts``
+    their C-contiguous int64 (codes x rows) matrix, and ``totals`` the int64
+    total column.
     """
 
     keys: tuple[np.ndarray, ...]
@@ -153,15 +154,23 @@ def block_to_tract(geocode: str) -> str:
     return geocode[:11]
 
 
-def _is_geocode(keys: np.ndarray) -> np.ndarray:
-    """Whether each string of a ``U`` array is 15 ASCII digits (block_to_tract's
-    test), read from the array's code points."""
-    chars = keys.view(np.uint32).reshape(len(keys), keys.dtype.itemsize // 4)
-    digits = (chars[:, :15] >= ord("0")) & (chars[:, :15] <= ord("9"))
-    return (digits.sum(axis=1) == 15) & (chars[:, 15:] == 0).all(axis=1)
+def _tract_ids(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each geocode of an ``S`` or ``U`` array is 15 ASCII digits
+    (block_to_tract's test), read from its code points, and the int64 value
+    of its first 11 digits: the tract id of a valid one."""
+    unit = np.dtype(np.uint32 if keys.dtype.kind == "U" else np.uint8)
+    chars = keys.view(unit).reshape(len(keys), keys.dtype.itemsize // unit.itemsize)
+    ok = (chars[:, 15:] == 0).all(axis=1) & (chars.shape[1] >= 15)
+    ids = np.zeros(len(keys), dtype=np.int64)
+    for k, column in enumerate(chars[:, :15].T):  # a column at a time beats row reductions
+        digit = column - unit.type(ord("0"))  # unsigned: any other character wraps above 9
+        ok &= digit <= 9
+        if k < 11:
+            ids = ids * 10 + digit
+    return ok, ids
 
 
-def _validate(rows: WorkerTable, schemas: Sequence[GroupSchema]) -> None:
+def _validate(rows: WorkerTable, schemas: Sequence[GroupSchema], well_formed: Sequence) -> None:
     """Raise on the first row, in input order, that has a malformed geocode,
     a negative count, or a category sum other than its total.
 
@@ -177,14 +186,14 @@ def _validate(rows: WorkerTable, schemas: Sequence[GroupSchema]) -> None:
     ]
     subtotals = [sum(rows.counts[i] for i in codes) for _, codes in plan]
     bad = (rows.totals < 0) | (rows.counts < 0).any(axis=0)
-    for keys in rows.keys:
-        bad |= ~_is_geocode(keys)
+    for ok in well_formed:
+        bad |= ~ok
     for sums in subtotals:
         bad |= sums != rows.totals
     if not bad.any():
         return
     r = int(np.argmax(bad))
-    keys = [str(k[r]) for k in rows.keys]
+    keys = [k[r].decode("latin-1") if k.dtype.kind == "S" else str(k[r]) for k in rows.keys]
     for key in keys:
         block_to_tract(key)
     label = "->".join(keys)
@@ -202,9 +211,9 @@ def _validate(rows: WorkerTable, schemas: Sequence[GroupSchema]) -> None:
 
 
 def _rollup(rows: WorkerTable, schemas: Sequence[GroupSchema]) -> WorkerTable:
-    """Validate block rows, then sum them per tract key (exact in int64)."""
-    _validate(rows, schemas)
-    tracts = [keys.astype("U11") for keys in rows.keys]
+    """Validate block rows, then sum them per tract id (exact in int64)."""
+    well_formed, tracts = zip(*map(_tract_ids, rows.keys))
+    _validate(rows, schemas, well_formed)
     order = np.lexsort(tracts[::-1])
     tracts = [t[order] for t in tracts]
     first = np.zeros(len(order), dtype=bool)
@@ -212,11 +221,14 @@ def _rollup(rows: WorkerTable, schemas: Sequence[GroupSchema]) -> WorkerTable:
     for t in tracts:
         first[1:] |= t[1:] != t[:-1]
     starts = np.flatnonzero(first)
+    counts = np.empty((len(rows.counts), len(starts)), dtype=np.int64)  # C order
+    for code, row in enumerate(rows.counts):  # a code at a time: no sorted copy of all
+        counts[code] = np.add.reduceat(row.take(order), starts)
     return WorkerTable(
         keys=tuple(t[starts] for t in tracts),
         totals=np.add.reduceat(rows.totals[order], starts),
         codes=rows.codes,
-        counts=np.add.reduceat(rows.counts.take(order, axis=1), starts, axis=1),  # C order
+        counts=counts,
     )
 
 
@@ -225,7 +237,7 @@ def aggregate_to_tracts(rows: WorkerTable,
     """Roll RAC/WAC block rows up to tracts, preserving all totals exactly.
 
     Raises MalformedGeocodeError or ValidationError naming the first
-    offending row. Output rows are in ascending geoid order regardless of
+    offending row. Output rows are in ascending tract id order regardless of
     input order; rows with a zero total are kept.
     """
     return _rollup(rows, schemas)
@@ -302,7 +314,7 @@ def _first_bad_count(path: str, header: list[str],
 
 
 def _read_table(path: str, required: Sequence[str], keys: Sequence[str],
-                schemas: Sequence[GroupSchema]) -> WorkerTable:
+                schemas: Sequence[GroupSchema], key_dtype: str = "S16") -> WorkerTable:
     """Parse a worker table's key, total (the last required column) and
     category columns, whole columns at a time."""
     total = required[-1]
@@ -315,7 +327,7 @@ def _read_table(path: str, required: Sequence[str], keys: Sequence[str],
                 header[0] = header[0].removeprefix("\ufeff")  # a UTF-8 byte-order mark
             codes = _resolve_columns(header, required, schemas, path)
             position = {name: i for i, name in enumerate(header)}  # last of a repeated name
-            dtype = np.dtype([*((key, "U16") for key in keys),
+            dtype = np.dtype([*((key, key_dtype) for key in keys),
                               ("counts", np.int64, (len(codes) + 1,))])
             try:
                 with warnings.catch_warnings():
@@ -327,8 +339,10 @@ def _read_table(path: str, required: Sequence[str], keys: Sequence[str],
             except UnicodeDecodeError:  # a ValueError, but not a bad cell
                 raise
             except ValueError as exc:
-                raise (_first_bad_count(path, header, [total, *codes])
-                       or FormatError(f"{path}: {exc}")) from exc
+                error = _first_bad_count(path, header, [total, *codes])
+                if error is None and key_dtype == "S16":  # a key with no Latin-1 form
+                    return _read_table(path, required, keys, schemas, "U16")
+                raise (error or FormatError(f"{path}: {exc}")) from exc
     except (EOFError, gzip.BadGzipFile, zlib.error, UnicodeDecodeError) as exc:
         raise FormatError(f"{path}: cannot read: {exc}") from exc
     counts = data["counts"]

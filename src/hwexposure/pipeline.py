@@ -31,7 +31,7 @@ from .errors import (
     InsufficientTractsError,
 )
 from .exposure import ALL_STRATUM, HWWeights
-from .geometry import read_mask_geojson, read_tracts_geojson
+from .geometry import geoid_text, read_mask_geojson, read_tracts_geojson
 from .grids import read_asc, read_xyz_csv
 
 logger = logging.getLogger(__name__)
@@ -315,15 +315,13 @@ def _stage_surface(state: RunState, write: bool) -> None:
         surface = zonal.build_tract_surface(grid, coverage, year)
         state.years[year] = YearData(year=year, surface=surface)
         manifest["years"][str(year)] = {
-            "tracts_with_coverage": len(surface.entries),
-            "excluded": list(surface.excluded),
+            "tracts_with_coverage": len(surface.ids),
+            "excluded": geoid_text(surface.excluded),
             "completeness": surface.completeness,
         }
         if write:
-            geoids = sorted(surface.entries)
-            values = np.array([surface.entries[g] for g in geoids], dtype=np.float64)
             _write_csv(config.out_dir / f"surface_{year}.csv", ["geoid", "year", "pm25"],
-                       [[geoids, year, values]])
+                       [[geoid_text(surface.ids), year, surface.values]])
     state.manifest_stages["surface"] = manifest
 
 
@@ -613,13 +611,13 @@ def _threshold_rows(config: RunConfig, aligned: exposure.AlignedTable,
 def _state_rows(aligned: exposure.AlignedTable, groups: Sequence[tuple[str, str]],
                 counts: np.ndarray) -> list:
     """state_disparity.csv block of one table. The state is a geoid's first two
-    digits, so each state is a contiguous run of the geoid-sorted tracts."""
+    digits (id // 10**9), so each state is a contiguous run of the sorted tracts."""
     states, present, values = [], [np.empty(0, np.intp)], [np.empty(0)]
     if len(aligned.geoids):
         totals = aligned.totals.astype(float)
         conc = aligned.concentrations
         national_mean = float((conc * totals).sum()) / float(totals.sum())
-        codes = np.array(aligned.geoids, dtype="U2")
+        codes = aligned.geoids // 10**9
         bounds = [0, *(np.flatnonzero(codes[1:] != codes[:-1]) + 1).tolist(), len(codes)]
         weighted = counts * conc
         for start, end in zip(bounds, bounds[1:]):
@@ -632,7 +630,7 @@ def _state_rows(aligned: exposure.AlignedTable, groups: Sequence[tuple[str, str]
             group_means = weighted[:, start:end].sum(axis=1)[kept] / group_totals[kept]
             values.append(disparity.state_disparity(group_means, state_mean, national_mean))
             present.append(kept)
-            states += [str(codes[start])] * len(kept)
+            states += ["%02d" % codes[start]] * len(kept)
     names = np.array(groups, dtype=object).reshape(len(groups), 2)[np.concatenate(present)]
     return [aligned.year, states, aligned.locus, names[:, 0].tolist(), names[:, 1].tolist(),
             np.concatenate(values)]

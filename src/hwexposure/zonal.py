@@ -24,14 +24,13 @@ pairs come from sorted windows of boxes, so no step is quadratic in the edges.
 from __future__ import annotations
 
 import logging
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateGeometryError, SchemaError
-from .geometry import PolygonSet
+from .geometry import PolygonSet, geoid_text
 from .grids import ConcentrationGrid
 
 logger = logging.getLogger(__name__)
@@ -56,34 +55,36 @@ _ON_LINE = 64 * np.finfo(np.float64).eps
 _MIN_FRACTION = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TractSurface:
-    """Per-tract zonal concentrations for one year.
+    """Per-tract zonal concentrations for one year: the float64 ``values`` of
+    the tracts ``ids`` (int64, ascending) with valid coverage, and the ids of
+    the ``excluded`` tracts without.
 
     ``completeness`` summarizes valued tracts by valid covered area over
     polygon area: how many are under 0.99 and under 0.5, and the worst five
-    of those under 0.99 as [geoid, ratio], lowest first. It is empty for a
-    surface not built by build_tract_surface.
+    of those under 0.99 as [geoid, ratio], lowest first.
     """
 
     year: int
-    entries: dict[str, float]
-    excluded: tuple[str, ...] = ()
-    completeness: dict = field(default_factory=dict)
+    ids: np.ndarray
+    values: np.ndarray
+    excluded: np.ndarray
+    completeness: dict
 
     def __post_init__(self) -> None:
-        overlap = set(self.entries) & set(self.excluded)
-        if overlap:
-            raise SchemaError(f"tracts both valued and excluded: {sorted(overlap)[:5]}")
-        bad = [g for g, v in self.entries.items() if v < 0 or math.isnan(v)]
-        if bad:
-            raise SchemaError(f"negative/NaN concentrations for {bad[:5]}")
+        every = np.sort(np.concatenate((self.ids, self.excluded)))
+        if (np.diff(self.ids) <= 0).any() or (every[1:] == every[:-1]).any():
+            raise SchemaError("tract ids must be ascending, each valued or excluded once")
+        bad = self.ids[(self.values < 0) | np.isnan(self.values)]
+        if len(bad):
+            raise SchemaError(f"negative/NaN concentrations for {geoid_text(bad[:5])}")
 
 
 class TractCoverage(NamedTuple):
     """Exact tract x cell coverage on one grid lattice, as CSR arrays.
 
-    Tract ``i`` (``geoids`` ascending) covers the flat cells
+    Tract ``i`` (``ids`` ascending) covers the flat cells
     ``cell_idx[tract_ptr[i]:tract_ptr[i + 1]]`` (``row * n_cols + col``,
     row-major) with the areas ``area[...]`` in grid units squared.
     ``polygon_area`` is each tract's covered area over its whole bounding box,
@@ -91,8 +92,8 @@ class TractCoverage(NamedTuple):
     """
 
     lattice: tuple[float, float, float, float, int, int]
-    geoids: tuple[str, ...]
-    tract_ptr: np.ndarray  # int64, len(geoids) + 1
+    ids: np.ndarray        # int64 tract ids
+    tract_ptr: np.ndarray  # int64, len(ids) + 1
     cell_idx: np.ndarray   # int64
     area: np.ndarray       # float64
     polygon_area: np.ndarray  # float64, one per tract
@@ -242,7 +243,7 @@ def tract_coverage(tracts: PolygonSet, grid: ConcentrationGrid) -> TractCoverage
     counts = np.bincount(np.concatenate(out_tract), minlength=n_tracts)
     return TractCoverage(
         lattice=grid.lattice,
-        geoids=tracts.geoids,
+        ids=np.array(tracts.geoids, dtype=np.int64),
         tract_ptr=np.concatenate(([0], np.cumsum(counts))).astype(np.int64),
         cell_idx=np.concatenate(out_cell).astype(np.int64),
         area=np.concatenate(out_frac) * cell_area,
@@ -260,7 +261,7 @@ def _zonal_means(grid: ConcentrationGrid,
     values = grid.values.ravel()[coverage.cell_idx]
     valid = ~grid.nodata.ravel()[coverage.cell_idx]
     weight = np.where(valid, coverage.area, 0.0)
-    n = len(coverage.geoids)
+    n = len(coverage.ids)
     num, den = np.zeros(n), np.zeros(n)
     vmin, vmax = np.full(n, np.inf), np.full(n, -np.inf)
     starts = coverage.tract_ptr[:-1]
@@ -279,15 +280,14 @@ def _zonal_means(grid: ConcentrationGrid,
 
 def build_tract_surface(grid: ConcentrationGrid, coverage: TractCoverage,
                         year: int) -> TractSurface:
-    """Reduce one year's grid over precomputed coverage, in ascending geoid
-    order. Tracts without valid coverage are excluded. Valued tracts whose
+    """Reduce one year's grid over precomputed coverage, in ascending tract
+    id order. Tracts without valid coverage are excluded. Valued tracts whose
     valid covered area is under 99% of their polygon area are summarized in
     ``completeness`` and in one warning."""
     mean, den = _zonal_means(grid, coverage)
     valued = den > 0.0
-    entries = {g: m for g, m, ok in zip(coverage.geoids, mean.tolist(), valued.tolist()) if ok}
-    excluded = tuple(g for g, ok in zip(coverage.geoids, valued.tolist()) if not ok)
-    if excluded:
+    excluded = coverage.ids[~valued]
+    if len(excluded):
         logger.warning("%d tract(s) with no valid grid coverage excluded", len(excluded))
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = den / coverage.polygon_area
@@ -296,13 +296,13 @@ def build_tract_surface(grid: ConcentrationGrid, coverage: TractCoverage,
     completeness = {
         "below_0.99": len(low),
         "below_0.5": int((ratio[low] < 0.5).sum()),
-        "worst": [[coverage.geoids[i], float(ratio[i])] for i in low[:5].tolist()],
+        "worst": [[g, r] for g, r in zip(geoid_text(coverage.ids[low[:5]]), ratio[low[:5]].tolist())],
     }
     if len(low):
         logger.warning("year %d: %d valued tract(s) have under 99%% of their area on valid "
                        "grid cells (%d under 50%%); worst %s", year, len(low),
                        completeness["below_0.5"], completeness["worst"])
-    return TractSurface(year=year, entries=entries, excluded=excluded, completeness=completeness)
+    return TractSurface(year, coverage.ids[valued], mean[valued], excluded, completeness)
 
 
 class _Sweep(NamedTuple):

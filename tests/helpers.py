@@ -21,7 +21,11 @@ columnar report writer replaced, oracle_composition_rows the bins.csv rows
 built one list per row, and read_surface_csv reads a surface_<year>.csv
 back. worker_table and table_rows convert between row literals and the
 columnar ingest.WorkerTable; oracle_rollup and oracle_join are the per-row
-dict rollup, validation and joins that the columnar ones replaced.
+dict rollup, validation and joins that the columnar ones replaced, and
+oracle_read_tracts the text-keyed (U16 geocodes, U11 geoids) reader and
+rollup that the int64 tract ids replaced. tract_surface builds a
+zonal.TractSurface from a {geoid: value} dict, surface_entries gives one
+back as that dict, and key_text prints WorkerTable keys as text.
 oracle_weighted_mean, oracle_weighted_percentile, oracle_stratum_masks,
 oracle_group_exposures, oracle_hw_exposures and oracle_rank_sum_grouped are
 the per-group bodies that the one-sort-per-slice kernels
@@ -62,6 +66,7 @@ from hwexposure.errors import (
     EmptyPopulationError,
     FormatError,
     InsufficientGroupsError,
+    MalformedGeocodeError,
     SchemaError,
     ValidationError,
 )
@@ -327,7 +332,7 @@ def zonal_weighted_mean(grid, tract: TractGeometry) -> float | None:
     """Coverage-weighted mean of grid values under one tract polygon; None
     without valid coverage."""
     coverage = zonal.tract_coverage(tract_set([tract]), grid)
-    return zonal.build_tract_surface(grid, coverage, 0).entries.get(tract.geoid)
+    return surface_entries(zonal.build_tract_surface(grid, coverage, 0)).get(tract.geoid)
 
 
 def random_star_polygon(rng, cx, cy, r_lo, r_hi, n_verts):
@@ -494,9 +499,10 @@ def oracle_state_rows(aligned) -> list[list]:
     totals = aligned.totals.astype(float)
     conc = aligned.concentrations
     national_mean = float((conc * totals).sum()) / float(totals.sum())
-    states = sorted({g[:2] for g in aligned.geoids})
+    geoids = geometry.geoid_text(aligned.geoids)
+    states = sorted({g[:2] for g in geoids})
     for st in states:
-        idx = [i for i, g in enumerate(aligned.geoids) if g[:2] == st]
+        idx = [i for i, g in enumerate(geoids) if g[:2] == st]
         st_totals = totals[idx]
         if st_totals.sum() == 0:
             continue
@@ -564,7 +570,27 @@ def read_surface_csv(path: str) -> zonal.TractSurface:
             entries[row["geoid"]] = float(row["pm25"])
     if year is None:
         raise FormatError(f"{path}: no data rows")
-    return zonal.TractSurface(year=year, entries=entries)
+    return tract_surface(year, entries)
+
+
+def tract_surface(year: int, entries: dict[str, float],
+                  excluded: Sequence[str] = ()) -> zonal.TractSurface:
+    """The TractSurface of a {geoid: concentration} dict and excluded geoids."""
+    ids = np.array(sorted(entries), dtype=np.int64)
+    values = np.array([entries[g] for g in sorted(entries)], dtype=np.float64)
+    return zonal.TractSurface(year, ids, values, np.array(excluded, dtype=np.int64), {})
+
+
+def surface_entries(surface: zonal.TractSurface) -> dict[str, float]:
+    """A surface's {geoid: concentration}, geoid-ascending."""
+    return dict(zip(geometry.geoid_text(surface.ids), surface.values.tolist()))
+
+
+def key_text(keys: np.ndarray) -> list[str]:
+    """A WorkerTable key array as text: geocodes as read, or tract ids as geoids."""
+    if keys.dtype.kind == "i":
+        return geometry.geoid_text(keys)
+    return [k.decode("latin-1") if isinstance(k, bytes) else k for k in keys.tolist()]
 
 
 def worker_table(rows, codes=None, n_keys=None) -> ingest.WorkerTable:
@@ -585,7 +611,7 @@ def worker_table(rows, codes=None, n_keys=None) -> ingest.WorkerTable:
 
 def table_rows(table: ingest.WorkerTable) -> list[tuple]:
     """(*keys, total, {code: count}) per row of a WorkerTable, keys as str."""
-    keys = [k.tolist() for k in table.keys]
+    keys = [key_text(k) for k in table.keys]
     counts = table.counts.tolist()
     return [
         (*(k[i] for k in keys), total,
@@ -664,6 +690,50 @@ def oracle_join(entries: dict[str, float], tracts, schemas):
     return keys, concentrations, totals, groups, dropped
 
 
+def _oracle_is_geocode(keys: np.ndarray) -> np.ndarray:
+    """Whether each string of a ``U`` array is 15 ASCII digits."""
+    chars = keys.view(np.uint32).reshape(len(keys), keys.dtype.itemsize // 4)
+    digits = (chars[:, :15] >= ord("0")) & (chars[:, :15] <= ord("9"))
+    return (digits.sum(axis=1) == 15) & (chars[:, 15:] == 0).all(axis=1)
+
+
+def oracle_read_tracts(path: str, role: str) -> tuple[int, ingest.WorkerTable]:
+    """ingest.read_tracts as it was with text keys: geocodes read as ``U16``,
+    checked on their code points, cut to ``U11`` geoids and lexsorted as
+    text. Only files that validate are expected here."""
+    od = role == ingest.ORIGIN_DESTINATION
+    schemas = ingest.OD_SCHEMAS if od else ingest.RAC_WAC_SCHEMAS
+    key = "h_geocode" if role == ingest.RESIDENCE else "w_geocode"
+    required = ["w_geocode", "h_geocode", "S000"] if od else [key, "C000"]
+    keys = ["h_geocode", "w_geocode"] if od else [key]
+    with ingest._open_text(path) as fh:
+        header = next(csv.reader(fh))
+        header[0] = header[0].removeprefix("\ufeff")
+        codes = ingest._resolve_columns(header, required, schemas, path)
+        position = {name: i for i, name in enumerate(header)}
+        dtype = np.dtype([*((k, "U16") for k in keys), ("counts", np.int64, (len(codes) + 1,))])
+        data = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, quotechar='"',
+                          usecols=[position[c] for c in (*keys, required[-1], *codes)], ndmin=1)
+    blocks = [data[k].copy() for k in keys]
+    if not all(_oracle_is_geocode(b).all() for b in blocks):
+        raise MalformedGeocodeError(f"{path}: a malformed geocode")
+    counts = data["counts"]
+    tracts = [b.astype("U11") for b in blocks]
+    order = np.lexsort(tracts[::-1])
+    tracts = [t[order] for t in tracts]
+    first = np.zeros(len(order), dtype=bool)
+    first[:1] = True
+    for t in tracts:
+        first[1:] |= t[1:] != t[:-1]
+    starts = np.flatnonzero(first)
+    return len(data), ingest.WorkerTable(
+        keys=tuple(t[starts] for t in tracts),
+        totals=np.add.reduceat(counts[order, 0], starts),
+        codes=tuple(codes),
+        counts=np.add.reduceat(np.ascontiguousarray(counts[order, 1:].T), starts, axis=1),
+    )
+
+
 def oracle_weighted_mean(values: np.ndarray, weights: np.ndarray) -> float:
     total = float(np.sum(weights))
     if len(values) == 0 or total <= 0.0:
@@ -692,14 +762,15 @@ def oracle_weighted_percentile(values, weights, p: float) -> float:
 
 
 def oracle_stratum_masks(geoids, classification, strata) -> dict[str, np.ndarray]:
-    """Per-row dict lookups in a {geoid: stratum} classification."""
+    """Per-row dict lookups in a {geoid: stratum} classification, ``geoids``
+    being int64 tract ids."""
     masks = {}
     for stratum in strata:
         if stratum == exposure.ALL_STRATUM:
             masks[stratum] = np.ones(len(geoids), dtype=bool)
         elif classification is not None:
-            masks[stratum] = np.array([classification.get(g) == stratum for g in geoids],
-                                      dtype=bool)
+            masks[stratum] = np.array([classification.get(g) == stratum
+                                       for g in geometry.geoid_text(geoids)], dtype=bool)
     return masks
 
 

@@ -501,7 +501,7 @@ def test_state_disparity_zero_national():
 
 def aligned_table(geoids, totals, conc, category_counts):
     return AlignedTable(
-        year=2011, locus="H", surface_geoids=np.array(geoids, dtype="U11"),
+        year=2011, locus="H", surface_geoids=np.array(geoids, dtype=np.int64),
         tract_index=np.arange(len(geoids)),
         concentrations=np.asarray(conc, dtype=np.float64),
         totals=np.asarray(totals, dtype=np.int64),

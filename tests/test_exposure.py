@@ -27,7 +27,7 @@ from hwexposure.exposure import (
     weighted_percentile,
 )
 from hwexposure.ingest import OD_SCHEMAS, RAC_WAC_SCHEMAS
-from hwexposure.zonal import TractSurface
+from hwexposure.geometry import geoid_text
 
 from helpers import (
     compute_hw_exposures,
@@ -36,6 +36,8 @@ from helpers import (
     oracle_hw_exposures,
     oracle_weighted_mean,
     oracle_weighted_percentile,
+    surface_entries,
+    tract_surface,
     with_layout,
     worker_table,
 )
@@ -50,8 +52,9 @@ def geoid(i: int, state: str = "06") -> str:
 
 def tract_table(rows, n_keys=1):
     """Rolled-up WorkerTable of {geoid or (home, work): (total, {code: count})}."""
-    return worker_table([(*(key if isinstance(key, tuple) else (key,)), total, counts)
-                         for key, (total, counts) in sorted(rows.items())], n_keys=n_keys)
+    table = worker_table([(*(key if isinstance(key, tuple) else (key,)), total, counts)
+                          for key, (total, counts) in sorted(rows.items())], n_keys=n_keys)
+    return table._replace(keys=tuple(keys.astype(np.int64) for keys in table.keys))
 
 
 def aligned_home(surface, rows):
@@ -206,7 +209,7 @@ def test_percentile_matches_expansion_oracle(seed, p):
 
 def small_world():
     """9 tracts, age-split counts, dyadic concentrations (exact arithmetic)."""
-    surface = TractSurface(year=2011, entries={
+    surface = tract_surface(2011, {
         geoid(i): conc for i, conc in enumerate(
             [6.0, 7.25, 8.5, 9.0, 9.75, 10.5, 11.0, 12.25, 13.5]
         )
@@ -220,7 +223,7 @@ def small_world():
 
 
 def test_group_exposures_point_mass():
-    surface = TractSurface(year=2011, entries={geoid(1): 9.5})
+    surface = tract_surface(2011, {geoid(1): 9.5})
     table = {geoid(1): (4, {"CA01": 4, "CA02": 0, "CA03": 0})}
     records = exposure_records(compute_group_exposures(aligned_home(surface, table), AGE))
     by_group = {r.group_key: r for r in records}
@@ -234,6 +237,7 @@ def test_group_exposures_point_mass():
 
 def test_group_exposures_match_expansion_oracle_exactly():
     surface, table = small_world()
+    entries = surface_entries(surface)
     records = exposure_records(compute_group_exposures(aligned_home(surface, table), AGE))
     for record in records:
         if record.group_key == "all":
@@ -242,14 +246,14 @@ def test_group_exposures_match_expansion_oracle_exactly():
             code = {"29_or_less": "CA01", "30_54": "CA02", "55_plus": "CA03"}[record.group]
             pick = lambda row, c=code: row[1][c]  # noqa: E731
         expanded = [
-            surface.entries[g]
+            entries[g]
             for g, row in table.items()
             for _ in range(pick(row))
         ]
         assert record.mean == math.fsum(expanded) / len(expanded)
         assert record.p10 == expansion_percentile(
-            list(surface.entries.values()),
-            [pick(table[g]) for g in surface.entries],
+            list(entries.values()),
+            [pick(table[g]) for g in entries],
             0.10,
         )
         assert record.weight == len(expanded)
@@ -286,10 +290,10 @@ def test_group_exposures_weight_scaling_invariance():
 
 
 def test_align_table_dropped_weight():
-    surface = TractSurface(year=2011, entries={geoid(0): 8.0}, excluded=(geoid(1),))
+    surface = tract_surface(2011, {geoid(0): 8.0}, excluded=(geoid(1),))
     aligned = aligned_home(surface, {geoid(0): (3, {}), geoid(1): (11, {})})
     assert aligned.dropped_weight == 11
-    assert aligned.geoids.tolist() == [geoid(0)]
+    assert geoid_text(aligned.geoids) == [geoid(0)]
 
 
 # ----------------------------------------------------------------------------
@@ -301,7 +305,7 @@ def od_matrix(entries):
 
 
 def test_hw_degenerate_commute():
-    surface = TractSurface(year=2011, entries={geoid(0): 8.5, geoid(1): 11.0})
+    surface = tract_surface(2011, {geoid(0): 8.5, geoid(1): 11.0})
     od = od_matrix({
         (geoid(0), geoid(0)): (3, {"SA01": 3, "SA02": 0, "SA03": 0}),
         (geoid(1), geoid(1)): (2, {"SA01": 0, "SA02": 2, "SA03": 0}),
@@ -315,7 +319,7 @@ def test_hw_degenerate_commute():
 
 
 def test_hw_single_pair_arithmetic():
-    surface = TractSurface(year=2011, entries={geoid(0): 10.0, geoid(1): 20.0})
+    surface = tract_surface(2011, {geoid(0): 10.0, geoid(1): 20.0})
     od = od_matrix({(geoid(0), geoid(1)): (1, {})})
     records, errors = compute_hw_exposures(resolve_pairs(surface, od), ())
     by = {(r.group_key, r.locus): r for r in records}
@@ -325,13 +329,13 @@ def test_hw_single_pair_arithmetic():
 
 
 def test_hw_empty_od():
-    surface = TractSurface(year=2011, entries={geoid(0): 10.0})
+    surface = tract_surface(2011, {geoid(0): 10.0})
     with pytest.raises(EmptyPopulationError):
         compute_hw_exposures(resolve_pairs(surface, od_matrix({})), ())
 
 
 def test_hw_unresolvable_pairs_dropped():
-    surface = TractSurface(year=2011, entries={geoid(0): 10.0})
+    surface = tract_surface(2011, {geoid(0): 10.0})
     od = od_matrix({
         (geoid(0), geoid(0)): (2, {}),
         (geoid(0), geoid(9)): (5, {}),
@@ -344,7 +348,7 @@ def test_hw_unresolvable_pairs_dropped():
 
 def random_od_world(seed, n_tracts=40, n_pairs=300):
     rng = random.Random(seed)
-    surface = TractSurface(year=2011, entries={
+    surface = tract_surface(2011, {
         geoid(i): rng.uniform(3.0, 16.0) for i in range(n_tracts)
     })
     entries = {}
@@ -361,7 +365,7 @@ def random_od_world(seed, n_tracts=40, n_pairs=300):
 def test_hw_error_identity(seed):
     surface, od = random_od_world(seed)
     classification = tract_strata(
-        {g: ("urban" if i % 3 else "rural") for i, g in enumerate(surface.entries)})
+        {g: ("urban" if i % 3 else "rural") for i, g in enumerate(surface_entries(surface))})
     records, errors = compute_hw_exposures(
         resolve_pairs(surface, od), OD_AGE,
         classification=classification, strata=("all", "urban", "rural"),
@@ -375,7 +379,7 @@ def test_hw_error_identity(seed):
 
 
 def test_hw_zero_home_mean_warns_once_per_year(caplog):
-    surface = TractSurface(year=2011, entries={geoid(0): 0.0, geoid(1): 0.0})
+    surface = tract_surface(2011, {geoid(0): 0.0, geoid(1): 0.0})
     classification = tract_strata({geoid(0): "urban", geoid(1): "rural"})
     od = od_matrix({(geoid(0), geoid(1)): (3, {"SA01": 1, "SA02": 2, "SA03": 0})})
     with caplog.at_level(logging.DEBUG, logger="hwexposure.exposure"):
@@ -394,7 +398,7 @@ def test_hw_zero_home_mean_warns_once_per_year(caplog):
 
 
 def test_hw_stratum_assigned_by_home_tract():
-    surface = TractSurface(year=2011, entries={geoid(0): 4.0, geoid(1): 10.0})
+    surface = tract_surface(2011, {geoid(0): 4.0, geoid(1): 10.0})
     classification = tract_strata({geoid(0): "urban", geoid(1): "rural"})
     od = od_matrix({
         (geoid(0), geoid(1)): (1, {}),  # lives urban, works rural
@@ -479,7 +483,7 @@ def records_text(compute, *args, **kwargs):
 @settings(max_examples=300, deadline=None)
 def test_group_and_hw_exposures_match_per_group_oracle(case):
     index, values, others, counts, classification = case
-    geoids = np.array([geoid(i) for i in range(13)], dtype="U11")
+    geoids = np.array([geoid(i) for i in range(13)], dtype=np.int64)
     codes = ("CA01", "CA02", "CA03")
     aligned = AlignedTable(2011, "H", geoids, index, values, counts[0], codes, counts[1:], 0)
     assert records_text(

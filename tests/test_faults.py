@@ -104,6 +104,21 @@ def test_bad_geocode_names_the_file(tmp_path, caplog, change):
             f"got {change(geocode)!r}") in caplog.text
 
 
+@pytest.mark.parametrize("name, column", [("rac_2011.csv", "h_geocode"),
+                                          ("od_2011.csv", "w_geocode")], ids=["rac", "od"])
+@pytest.mark.parametrize("letter", ["é", "０"], ids=["latin1_letter", "fullwidth_digit"])
+def test_non_ascii_geocode_names_the_file(tmp_path, caplog, name, column, letter):
+    # "é" is one Latin-1 byte; the full-width zero has no Latin-1 byte at all
+    world = make_world(tmp_path)
+    path = world / name
+    header = path.read_text().splitlines()[0].split(",")
+    geocode = path.read_text().splitlines()[3].split(",")[header.index(column)]
+    set_cell(path, 4, column, geocode[:-1] + letter)
+    assert run(world, tmp_path / "out") == 1
+    assert (f"stage exposure: {path}: block geocode must be 15 digits, "
+            f"got {geocode[:-1] + letter!r}") in caplog.text
+
+
 def test_truncated_gzip(tmp_path, caplog):
     world = make_world(tmp_path)
     data = gzip.compress((world / "od_2011.csv").read_bytes())

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import gzip
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hwexposure.errors import (
     ValidationError,
 )
 from hwexposure.exposure import align_table, iter_groups, resolve_pairs
+from hwexposure import ingest
 from hwexposure.ingest import (
     OD_SCHEMAS,
     RAC_WAC_SCHEMAS,
@@ -28,9 +30,15 @@ from hwexposure.ingest import (
     read_od_csv,
 )
 
-from hwexposure.zonal import TractSurface
-
-from helpers import oracle_join, oracle_rollup, table_rows, worker_table
+from helpers import (
+    key_text,
+    oracle_join,
+    oracle_read_tracts,
+    oracle_rollup,
+    table_rows,
+    tract_surface,
+    worker_table,
+)
 
 AGE_INCOME = tuple(s for s in RAC_WAC_SCHEMAS if s.characteristic in ("age", "income"))
 
@@ -134,7 +142,7 @@ def test_rollup_matches_naive_oracle():
     table = rollup(rows)
     oracle = naive_rollup(rows)
     assert int(table.totals.sum()) == sum(r[1] for r in rows)
-    assert set(table.keys[0].tolist()) == set(oracle)
+    assert set(key_text(table.keys[0])) == set(oracle)
     for tract, total, counts in table_rows(table):
         assert total == oracle[tract]["total"]
         assert counts == oracle[tract]["counts"]
@@ -310,17 +318,17 @@ def test_columnar_rollup_and_join_match_dict_oracle(data, n_keys):
     oracle = oracle_rollup(rows, schemas)
     assert [tuple(row[:n_keys]) for row in table_rows(tracts)] == list(oracle)
     assert [(row[n_keys], row[-1]) for row in table_rows(tracts)] == list(oracle.values())
-    assert all(keys.dtype == np.dtype("U11") for keys in tracts.keys)
+    assert all(keys.dtype == np.dtype(np.int64) for keys in tracts.keys)
 
-    surface = TractSurface(year=2011, entries=entries)
+    surface = tract_surface(2011, entries)
     keys, concentrations, totals, groups, dropped = oracle_join(entries, oracle, schemas)
     if n_keys == 1:
         joined = align_table(surface, tracts, "residence")
-        assert joined.geoids.tolist() == [key[0] for key in keys]
+        assert key_text(joined.geoids) == [key[0] for key in keys]
         values = [joined.concentrations]
     else:
         joined = resolve_pairs(surface, tracts)
-        assert joined.home_geoids.tolist() == [key[0] for key in keys]
+        assert key_text(joined.home_geoids) == [key[0] for key in keys]
         values = [joined.home_values, joined.work_values]
     assert list(zip(*(v.tolist() for v in values))) == concentrations
     assert joined.totals.tolist() == totals.tolist()
@@ -438,3 +446,83 @@ def test_read_csv_line_numbers_count_blank_lines(tmp_path):
 def test_group_schema_rejects_duplicates():
     with pytest.raises(SchemaError):
         GroupSchema("x", (("A", "a"), ("A", "b")))
+
+
+# ----------------------------------------------------------------------------
+# the int64 reader and rollup against the text-keyed one
+# ----------------------------------------------------------------------------
+
+AGE_INCOME_CODES = [code for s in AGE_INCOME for code in s.codes]
+OD_CODES = [code for s in OD_SCHEMAS for code in s.codes]
+
+
+@st.composite
+def lodes_text(draw, od):
+    """A RAC (age and income columns) or OD table: a few tracts with leading
+    zeros, repeated blocks and OD pairs sharing tracts, cells quoted at
+    random, and an optional byte-order mark and CRLF line ends."""
+    tracts = draw(st.lists(st.builds("{}{:03d}{:06d}".format, st.sampled_from(["01", "06", "72"]),
+                                     st.integers(0, 3), st.integers(0, 120)),
+                           min_size=1, max_size=5))
+    block = st.builds(str.__add__, st.sampled_from(tracts),
+                      st.sampled_from(["0001", "1001", "1002", "9999"]))
+    header = ["w_geocode", "h_geocode", "S000", *OD_CODES] if od else \
+        ["h_geocode", "C000", *AGE_INCOME_CODES]
+    schemas = OD_SCHEMAS if od else AGE_INCOME  # three codes each, all partitioning the total
+    lines = [header]
+    for _ in range(draw(st.integers(1, 25))):
+        first = draw(st.lists(st.integers(0, 6), min_size=3, max_size=3))
+        counts = first + [c for _ in schemas[1:] for c in draw(st.permutations(first))]
+        keys = [draw(block) for _ in range(1 + od)]
+        lines.append([*keys, str(sum(first)), *map(str, counts)])
+    quote = draw(st.sampled_from(["none", "some", "all"]))
+    lines = [[f'"{cell}"' if quote == "all" or (quote == "some" and draw(st.booleans()))
+              else cell for cell in line] if k else line for k, line in enumerate(lines)]
+    text = draw(st.sampled_from(["\n", "\r\n"])).join(map(",".join, lines)) + "\n"
+    return draw(st.sampled_from(["", "\ufeff"])) + text
+
+
+@given(data=st.data(), od=st.booleans(), compressed=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_int64_reader_matches_text_keyed_oracle(tmp_path_factory, data, od, compressed):
+    text = data.draw(lodes_text(od))
+    path = tmp_path_factory.mktemp("lodes") / ("table.csv.gz" if compressed else "table.csv")
+    if compressed:
+        path.write_bytes(gzip.compress(text.encode("utf-8")))
+    else:
+        path.write_bytes(text.encode("utf-8"))
+    role = ingest.ORIGIN_DESTINATION if od else ingest.RESIDENCE
+    n_blocks, table = ingest.read_tracts(str(path), role)
+    want_blocks, want = oracle_read_tracts(str(path), role)
+    assert n_blocks == want_blocks
+    assert all(keys.dtype == np.int64 for keys in table.keys)
+    assert [key_text(keys) for keys in table.keys] == [keys.tolist() for keys in want.keys]
+    assert table.codes == want.codes
+    assert table.totals.tolist() == want.totals.tolist()
+    assert table.counts.tolist() == want.counts.tolist()
+
+
+def test_od_read_memory_per_row(tmp_path):
+    # 200k OD rows over ~73k tracts, so nearly every pair is its own tract pair
+    n = 200_000
+    rng = np.random.default_rng(11)
+    blocks = rng.integers(0, 73_000, (2, n)) * 10_000 + rng.integers(0, 10_000, (2, n))
+    sa = rng.integers(0, 5, (n, 3))
+    counts = np.hstack([sa.sum(axis=1, keepdims=True), sa, sa[:, [1, 2, 0]], sa[:, [2, 0, 1]]])
+    path = tmp_path / "od.csv"
+    with open(path, "w") as fh:
+        fh.write(",".join(["w_geocode", "h_geocode", "S000", *OD_CODES]) + "\n")
+        fh.writelines(f"{w + 60_000_000_000_000:015d},{h + 10_000_000_000_000:015d},"
+                      + ",".join(map(str, row)) + "\n"
+                      for w, h, row in zip(blocks[0].tolist(), blocks[1].tolist(),
+                                           counts.tolist()))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        n_blocks, table = ingest.read_tracts(str(path), ingest.ORIGIN_DESTINATION)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert n_blocks == n and int(table.totals.sum()) == int(counts[:, 0].sum())
+    assert (peak - before) / n <= 320
+    assert (held - before) / n <= 100

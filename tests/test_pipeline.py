@@ -552,3 +552,28 @@ def test_run_does_not_import_numpy_ma(tmp_path):
         assert result.stdout.split("\n")[-2] == "0 []", grid_format
     csv_out, asc_out = tmp_path / "csv" / "out", tmp_path / "asc" / "out"
     assert (csv_out / "exposure.csv").read_bytes() == (asc_out / "exposure.csv").read_bytes()
+
+
+_SYNTH_CHECK = """
+import sys
+from hwexposure import cli
+rc = cli.main(["run", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(rc, "hwexposure.synth" in sys.modules)
+"""
+
+
+def test_run_does_not_import_synth(tmp_path, capsys):
+    # a fresh interpreter, as above; only the synth command needs the generator
+    world = make_world(tmp_path, seed=7, n_tracts=9, n_groups=3)
+    env = dict(os.environ, PYTHONPATH=str(Path(hwexposure.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", _SYNTH_CHECK, str(world / "config.json"), str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert result.stdout.split("\n")[-2] == "0 False"
+    assert cli.GRADIENT_KINDS == synth.GRADIENT_KINDS
+    assert cli.main(["synth", "--out", str(tmp_path / "s"), "--gradient", "linear_x"]) == 0
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["synth", "--out", str(tmp_path / "s"), "--gradient", "radial"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'radial'" in capsys.readouterr().err

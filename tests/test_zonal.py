@@ -19,13 +19,14 @@ from helpers import (
     points_in_parts,
     random_star_polygon,
     read_surface_csv,
+    surface_entries,
     tract_set,
     zonal_weighted_mean,
 )
 
 from hwexposure import pipeline, synth, zonal
 from hwexposure.errors import FormatError, SchemaError
-from hwexposure.geometry import read_tracts_geojson
+from hwexposure.geometry import geoid_text, read_tracts_geojson
 from hwexposure.grids import ConcentrationGrid, read_asc, read_xyz_csv
 from hwexposure.zonal import build_tract_surface, build_urban_mask
 
@@ -328,8 +329,8 @@ def test_surface_uniform_field():
     grid = make_grid(np.full((4, 4), 7.8))
     tract = rect_tract("06037000100", 0.5, 0.5, 3.5, 3.5)
     surface = surface_of(grid, [tract])
-    assert surface.entries == {"06037000100": 7.8}
-    assert surface.excluded == ()
+    assert surface_entries(surface) == {"06037000100": 7.8}
+    assert geoid_text(surface.excluded) == []
 
 
 def test_surface_excludes_nodata_tract():
@@ -342,8 +343,8 @@ def test_surface_excludes_nodata_tract():
         rect_tract("06037000200", 2.0, 2.0, 4.0, 4.0),
     ]
     surface = surface_of(grid, tracts)
-    assert surface.excluded == ("06037000100",)
-    assert surface.entries == {"06037000200": 7.8}
+    assert geoid_text(surface.excluded) == ["06037000100"]
+    assert surface_entries(surface) == {"06037000200": 7.8}
 
 
 def test_surface_duplicate_geoid():
@@ -367,12 +368,15 @@ def test_surface_matches_per_tract_oracle_and_threads():
         for i, (row, col) in enumerate((r, c) for r in range(3) for c in range(3))
     ]
     surface = surface_of(grid, tracts)
+    entries = surface_entries(surface)
     for tract in tracts:
-        assert surface.entries[tract.geoid] == zonal_weighted_mean(grid, tract)
-        assert surface.entries[tract.geoid] == pytest.approx(oracle_zonal_mean(grid, tract),
-                                                             rel=1e-12)
+        assert entries[tract.geoid] == zonal_weighted_mean(grid, tract)
+        assert entries[tract.geoid] == pytest.approx(oracle_zonal_mean(grid, tract), rel=1e-12)
     # input order does not matter; a rebuild is identical
-    assert surface_of(grid, tracts[::-1]) == surface
+    rebuilt = surface_of(grid, tracts[::-1])
+    assert surface_entries(rebuilt) == entries
+    assert rebuilt.excluded.tolist() == surface.excluded.tolist()
+    assert rebuilt.completeness == surface.completeness
 
 
 def test_surface_rejects_coverage_of_another_lattice():
@@ -385,9 +389,9 @@ def test_surface_rejects_coverage_of_another_lattice():
 def test_coverage_reused_across_years():
     tracts = [rect_tract("06037000100", 0.0, 0.0, 1.5, 1.0)]
     coverage = tract_coverage(tracts, make_grid([[8.0, 10.0]]))
-    assert build_tract_surface(make_grid([[8.0, 10.0]]), coverage, 2011).entries == \
+    assert surface_entries(build_tract_surface(make_grid([[8.0, 10.0]]), coverage, 2011)) == \
         {"06037000100": pytest.approx(13.0 / 1.5)}
-    assert build_tract_surface(make_grid([[4.0, 1.0]]), coverage, 2012).entries == \
+    assert surface_entries(build_tract_surface(make_grid([[4.0, 1.0]]), coverage, 2012)) == \
         {"06037000100": 3.0}
 
 
@@ -441,9 +445,9 @@ def test_coverage_matches_clipping_oracle(seed, origin, cell):
     for i, tract in enumerate(tracts):
         want = oracle_zonal_mean(grid, tract, exact=True)
         if want is None:
-            assert tract.geoid in surface.excluded
+            assert tract.geoid in geoid_text(surface.excluded)
         else:
-            assert surface.entries[tract.geoid] == pytest.approx(want, rel=1e-12)
+            assert surface_entries(surface)[tract.geoid] == pytest.approx(want, rel=1e-12)
         minx = min(x for p in tract.parts for x, _ in p.exterior)
         maxx = max(x for p in tract.parts for x, _ in p.exterior)
         miny = min(y for p in tract.parts for _, y in p.exterior)
@@ -451,7 +455,7 @@ def test_coverage_matches_clipping_oracle(seed, origin, cell):
         if origin[0] <= minx and maxx <= x1 and origin[1] <= miny and maxy <= y1:
             covered = coverage.area[coverage.tract_ptr[i]:coverage.tract_ptr[i + 1]].sum()
             assert covered == pytest.approx(exact_area(tract.parts), rel=1e-12)
-    assert surface.excluded[-1] == tracts[-1].geoid
+    assert geoid_text(surface.excluded)[-1] == tracts[-1].geoid
 
 
 def test_coverage_chunks_match_one_pass(monkeypatch):
@@ -483,7 +487,7 @@ def test_coverage_excludes_tract_on_nodata_with_valid_gap():
         parts = tuple(PolygonPart(exterior=tuple(random_star_polygon(rng, cx, 3.0, 0.5, 0.95, 9)))
                       for cx in (1.0, 6.0))
         surface = surface_of(grid, [TractGeometry(geoid="06037000100", parts=parts)])
-        assert surface.excluded == ("06037000100",), seed
+        assert geoid_text(surface.excluded) == ["06037000100"], seed
 
 
 def test_completeness_of_half_outside_tract(caplog):
@@ -495,7 +499,8 @@ def test_completeness_of_half_outside_tract(caplog):
               rect_tract("06037000300", -1.2, 0.0, 1.0, 1.0)]
     with caplog.at_level(logging.WARNING, logger="hwexposure.zonal"):
         surface = surface_of(grid, tracts)
-    assert surface.entries == {g: 6.0 for g in ("06037000100", "06037000200", "06037000300")}
+    assert surface_entries(surface) == {g: 6.0 for g in ("06037000100", "06037000200",
+                                                         "06037000300")}
     assert surface.completeness["below_0.99"] == 2
     assert surface.completeness["below_0.5"] == 1
     (worst_geoid, worst_ratio), second = surface.completeness["worst"]
@@ -796,4 +801,15 @@ def test_surface_csv_roundtrip(tmp_path):
     grid = read_asc(str(grid_path))
     surface = build_tract_surface(grid, zonal.tract_coverage(tracts, grid), 2011)
     assert back.year == 2011
-    assert back.entries == surface.entries
+    assert surface_entries(back) == surface_entries(surface)
+
+
+def test_surface_rejects_unsorted_twice_listed_or_negative_tracts():
+    ids, values = np.array([6037000100, 6037000200]), np.array([1.0, 2.0])
+    none = np.array([], dtype=np.int64)
+    with pytest.raises(SchemaError, match="ascending"):
+        zonal.TractSurface(2011, ids[::-1], values, none, {})
+    with pytest.raises(SchemaError, match="once"):
+        zonal.TractSurface(2011, ids, values, ids[1:], {})
+    with pytest.raises(SchemaError, match=r"negative/NaN concentrations for \['06037000200'\]"):
+        zonal.TractSurface(2011, ids, np.array([1.0, np.nan]), none, {})
