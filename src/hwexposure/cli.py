@@ -43,6 +43,8 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         _add_config_options(p)
+        if name in pipeline.STAGES:  # a stage subcommand is `run --stage <name>`
+            p.set_defaults(stage=name)
 
     p_run = sub.add_parser("run", help="run all configured stages and write the manifest")
     _add_config_options(p_run)
@@ -84,12 +86,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_stage(args: argparse.Namespace, stage: str) -> int:
-    config = pipeline.load_config(args.config, args.out, args.threads)
-    pipeline.run(config, only_stage=stage)
-    return 0
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     config = pipeline.load_config(args.config, args.out, args.threads)
     pipeline.run(config, only_stage=args.stage)
@@ -117,11 +113,9 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_validate(args)
         if args.command == "ingest":
             return _cmd_ingest(args)
-        if args.command == "run":
-            return _cmd_run(args)
         if args.command == "synth":
             return _cmd_synth(args)
-        return _cmd_stage(args, args.command)
+        return _cmd_run(args)  # run and the stage subcommands
     except ConfigError as exc:
         logger.error("configuration error: %s", exc)
         return 2

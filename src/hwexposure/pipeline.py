@@ -1,11 +1,16 @@
-"""Batch orchestration: configuration, staged execution, report emission.
+"""Batch orchestration: configuration, year-major execution, report emission.
 
-Stages run in a fixed order (surface -> exposure -> disparity -> bias); a
-requested stage always gets its prerequisites computed in memory, but only the
-requested stages write files. All report CSVs are emitted in deterministic
-order with full-precision floats, so identical inputs produce byte-identical
-reports. Tract coverage is computed once per grid lattice and reused by every
-year on that lattice. The ``threads`` setting is validated but changes nothing.
+The outer loop is the years. Each year runs the requested stages in a fixed
+order (surface -> exposure -> disparity -> bias) on one ``YearData``, which is
+dropped after the year's last stage, so memory is bounded by one year's
+working set; a requested stage always gets its prerequisites computed in
+memory, but only the requested stages write files. What outlives a year is
+small: the tracts and their strata, the coverage of the last grid lattice
+(reused by every following year on that lattice), the report blocks, the skip
+counts and the manifest. ``surface_<year>.csv`` is written as each year
+finishes and every other report after the last year, in deterministic order
+with full-precision floats, so identical inputs produce byte-identical
+reports. The ``threads`` setting is validated but changes nothing.
 """
 from __future__ import annotations
 
@@ -31,7 +36,7 @@ from .errors import (
     InsufficientTractsError,
 )
 from .exposure import ALL_STRATUM, HWWeights
-from .geometry import geoid_text, read_mask_geojson, read_tracts_geojson
+from .geometry import PolygonSet, geoid_text, read_mask_geojson, read_tracts_geojson
 from .grids import read_asc, read_xyz_csv
 
 logger = logging.getLogger(__name__)
@@ -190,12 +195,11 @@ def load_config(path: str, out_dir: str | None = None,
 
 @dataclass
 class YearData:
-    """Everything computed for one year, passed between stages.
+    """Everything computed for one year, passed between its stages.
 
     Each worker table is joined to the surface once: ``homes``/``works`` are
     the RAC/WAC tables and ``pairs`` the OD matrix, as the stages read them;
-    ``exposures`` holds the frames of the RAC and WAC tables and
-    ``od_exposures`` that of the OD matrix.
+    ``exposures`` holds the frames of the RAC and WAC tables.
     """
 
     year: int
@@ -204,16 +208,27 @@ class YearData:
     works: exposure.AlignedTable | None = None
     pairs: exposure.ResolvedPairs | None = None
     exposures: list[exposure.GroupExposures] = field(default_factory=list)
-    od_exposures: exposure.GroupExposures | None = None
 
 
 @dataclass
 class RunState:
+    """What outlives a year. ``blocks`` holds each report's blocks so far, by
+    file name; ``skips`` the degenerate-slice skips per stage and kind."""
+
     config: RunConfig
+    tracts: PolygonSet | None = None
     classification: exposure.TractStrata | None = None
-    years: dict[int, YearData] = field(default_factory=dict)
+    coverage: zonal.TractCoverage | None = None
+    blocks: dict[str, list] = field(default_factory=dict)
+    skips: dict[str, dict[str, int]] = field(default_factory=dict)
     manifest_stages: dict[str, dict] = field(default_factory=dict)
+    dropped_weight: int = 0
     timings: dict[str, float] = field(default_factory=dict)
+
+    def reports(self, *names: str) -> list[list]:
+        """The block lists of these reports; a report listed here is written
+        (if its stage is) even when it gets no rows."""
+        return [self.blocks.setdefault(name, []) for name in names]
 
 
 def _strata(config: RunConfig) -> tuple[str, ...]:
@@ -275,6 +290,34 @@ def _write_csv(path: Path, header: Sequence[str], blocks: Iterable[Sequence]) ->
             fh.write(_csv_lines(path, header, block))
 
 
+# Every report: file name -> (stage, header, manifest row count of the stage).
+# surface_<year>.csv is written as each year finishes; the others after the
+# last year, from the blocks the years appended to RunState.blocks.
+_REPORTS = {
+    "surface_{year}.csv": ("surface", ("geoid", "year", "pm25"), None),
+    "urban.csv": ("surface", ("geoid", "stratum"), None),
+    "exposure.csv": ("exposure", ("year", "group", "locus", "stratum", "mean", "p10", "p90",
+                                  "weight"), None),
+    "error.csv": ("exposure", ("year", "group", "stratum", "error", "percent_error"), None),
+    "gaps.csv": ("disparity", ("year", "locus", "stratum", "characteristic", "most_exposed",
+                               "least_exposed", "absolute_diff", "percent_diff", "ratio"),
+                 "gap_rows"),
+    "bins.csv": ("disparity", ("year", "kind", "locus", "stratum", "characteristic", "group",
+                               "n_bins", "bin", "n_tracts", "value", "top_minus_bottom"),
+                 "bin_rows"),
+    "atkinson.csv": ("disparity", ("year", "characteristic", "locus", "stratum", "epsilon",
+                                   "value"), "atkinson_rows"),
+    "state_disparity.csv": ("disparity", ("year", "state", "locus", "characteristic", "group",
+                                          "value"), "state_rows"),
+    "threshold.csv": ("disparity", ("year", "locus", "threshold", "characteristic", "group",
+                                    "q_percent", "group_cov"), "threshold_rows"),
+    "bias.csv": ("bias", ("year", "group", "stratum", "sigma2", "phi", "omega2", "bias"),
+                 "bias_rows"),
+    "wilcoxon.csv": ("bias", ("year", "group", "stratum", "n_surrogate", "n_reference", "u",
+                              "z", "p_value"), "wilcoxon_rows"),
+}
+
+
 def _sha256_file(path: Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -294,35 +337,27 @@ def _display_path(path: Path, base_dir: Path) -> str:
 # stages
 # ----------------------------------------------------------------------------
 
-def _stage_surface(state: RunState, write: bool) -> None:
+def _stage_surface(state: RunState, data: YearData) -> None:
     config = state.config
-    tracts = read_tracts_geojson(str(config.path(config.tracts)))
-    manifest: dict = {"tracts": len(tracts.geoids), "years": {}}
-    if config.urban_mask:
-        mask = read_mask_geojson(str(config.path(config.urban_mask)))
-        fraction = zonal.build_urban_mask(mask, tracts)
-        labels = np.where(fraction >= zonal.URBAN_SHARE, zonal.URBAN, zonal.RURAL).tolist()
-        state.classification = exposure.tract_strata(dict(zip(tracts.geoids, labels)))
-        manifest["urban"] = zonal.urban_counts(fraction)
-        if write:
-            _write_csv(config.out_dir / "urban.csv", ["geoid", "stratum"],
-                       [[tracts.geoids, labels]])
-    coverage = None
-    for year in config.years:
-        grid = _read_grid(config.path(config.grid, year))
-        if coverage is None or coverage.lattice != grid.lattice:
-            coverage = zonal.tract_coverage(tracts, grid)
-        surface = zonal.build_tract_surface(grid, coverage, year)
-        state.years[year] = YearData(year=year, surface=surface)
-        manifest["years"][str(year)] = {
-            "tracts_with_coverage": len(surface.ids),
-            "excluded": geoid_text(surface.excluded),
-            "completeness": surface.completeness,
-        }
-        if write:
-            _write_csv(config.out_dir / f"surface_{year}.csv", ["geoid", "year", "pm25"],
-                       [[geoid_text(surface.ids), year, surface.values]])
-    state.manifest_stages["surface"] = manifest
+    if state.tracts is None:  # the first year reads the tracts and the mask
+        state.tracts = tracts = read_tracts_geojson(str(config.path(config.tracts)))
+        state.manifest_stages["surface"] = manifest = {"tracts": len(tracts.geoids), "years": {}}
+        if config.urban_mask:
+            mask = read_mask_geojson(str(config.path(config.urban_mask)))
+            fraction = zonal.build_urban_mask(mask, tracts)
+            labels = np.where(fraction >= zonal.URBAN_SHARE, zonal.URBAN, zonal.RURAL).tolist()
+            state.classification = exposure.tract_strata(dict(zip(tracts.geoids, labels)))
+            manifest["urban"] = zonal.urban_counts(fraction)
+            state.reports("urban.csv")[0].append([tracts.geoids, labels])
+    grid = _read_grid(config.path(config.grid, data.year))
+    if state.coverage is None or state.coverage.lattice != grid.lattice:
+        state.coverage = zonal.tract_coverage(state.tracts, grid)
+    data.surface = surface = zonal.build_tract_surface(grid, state.coverage, data.year)
+    state.manifest_stages["surface"]["years"][str(data.year)] = {
+        "tracts_with_coverage": len(surface.ids),
+        "excluded": geoid_text(surface.excluded),
+        "completeness": surface.completeness,
+    }
 
 
 def _join_table(config: RunConfig, surface: zonal.TractSurface, role: str,
@@ -342,8 +377,9 @@ def _join_od(config: RunConfig,
     return exposure.resolve_pairs(surface, od), len(od.totals)
 
 
-def _warn_drops(year: int, drops: dict[str, int]) -> None:
+def _count_drops(state: RunState, year: int, drops: dict[str, int]) -> None:
     total_dropped = sum(drops.values())
+    state.dropped_weight += total_dropped
     if total_dropped:
         logger.warning("year %d: dropped %d workers on unresolvable tracts/pairs: %s",
                        year, total_dropped, drops)
@@ -356,50 +392,38 @@ def _exposure_block(frame: exposure.GroupExposures, locus: str) -> list:
             frame.mean[k], frame.p10[k], frame.p90[k], frame.weight]
 
 
-def _stage_exposure(state: RunState, write: bool) -> None:
+def _stage_exposure(state: RunState, data: YearData) -> None:
     config = state.config
     strata = _strata(config)
-    manifest: dict = {"years": {}}
-    exposure_blocks, error_blocks = [], []
-    for year in config.years:
-        data = state.years[year]
-        data.homes, rac_tracts = _join_table(config, data.surface, ingest.RESIDENCE, config.rac)
-        data.works, wac_tracts = _join_table(config, data.surface, ingest.WORKPLACE, config.wac)
-        data.exposures = [
-            exposure.compute_group_exposures(aligned, ingest.RAC_WAC_SCHEMAS,
-                                             state.classification, strata)
-            for aligned in (data.homes, data.works)
-        ]
-        exposure_blocks += [_exposure_block(frame, frame.loci[0]) for frame in data.exposures]
-        drops = {"rac": data.homes.dropped_weight, "wac": data.works.dropped_weight}
-        od_pairs = 0
-        if config.od:
-            data.pairs, od_pairs = _join_od(config, data.surface)
-            od = data.od_exposures = exposure.compute_hw_exposures(
-                data.pairs, ingest.OD_SCHEMAS, config.hw_weights,
-                state.classification, strata,
-            )
-            drops["od"] = data.pairs.dropped_weight
-            exposure_blocks.append(_exposure_block(od, exposure.LOCUS_BLEND))
-            error_blocks.append([year, od.group_keys, od.stratum, od.error, od.percent_error])
-        _warn_drops(year, drops)
-        manifest["years"][str(year)] = {
-            "rac_tracts": rac_tracts,
-            "wac_tracts": wac_tracts,
-            "od_pairs": od_pairs,
-            "dropped_weight": drops,
-            "records": sum(frame.mean.size for frame in (*data.exposures, data.od_exposures)
-                           if frame is not None),
-        }
-    if write:
-        _write_csv(config.out_dir / "exposure.csv",
-                   ["year", "group", "locus", "stratum", "mean", "p10", "p90", "weight"],
-                   exposure_blocks)
-        if any(len(block[1]) for block in error_blocks):
-            _write_csv(config.out_dir / "error.csv",
-                       ["year", "group", "stratum", "error", "percent_error"],
-                       error_blocks)
-    state.manifest_stages["exposure"] = manifest
+    year = data.year
+    data.homes, rac_tracts = _join_table(config, data.surface, ingest.RESIDENCE, config.rac)
+    data.works, wac_tracts = _join_table(config, data.surface, ingest.WORKPLACE, config.wac)
+    frames = data.exposures = [
+        exposure.compute_group_exposures(aligned, ingest.RAC_WAC_SCHEMAS,
+                                         state.classification, strata)
+        for aligned in (data.homes, data.works)
+    ]
+    exposure_blocks = state.reports("exposure.csv")[0]
+    exposure_blocks += [_exposure_block(frame, frame.loci[0]) for frame in frames]
+    drops = {"rac": data.homes.dropped_weight, "wac": data.works.dropped_weight}
+    od_pairs = 0
+    if config.od:  # error.csv exists only with an OD table
+        data.pairs, od_pairs = _join_od(config, data.surface)
+        od = exposure.compute_hw_exposures(data.pairs, ingest.OD_SCHEMAS, config.hw_weights,
+                                           state.classification, strata)
+        frames = [*frames, od]
+        drops["od"] = data.pairs.dropped_weight
+        exposure_blocks.append(_exposure_block(od, exposure.LOCUS_BLEND))
+        state.reports("error.csv")[0].append(
+            [year, od.group_keys, od.stratum, od.error, od.percent_error])
+    _count_drops(state, year, drops)
+    state.manifest_stages.setdefault("exposure", {"years": {}})["years"][str(year)] = {
+        "rac_tracts": rac_tracts,
+        "wac_tracts": wac_tracts,
+        "od_pairs": od_pairs,
+        "dropped_weight": drops,
+        "records": sum(frame.mean.size for frame in frames),
+    }
 
 
 def _transpose(rows: Sequence[tuple], n_text: int, width: int) -> list:
@@ -453,53 +477,29 @@ def _gap_and_atkinson_blocks(year: int, frames: Sequence[exposure.GroupExposures
     return [[year, *_transpose(gaps, 5, 8)], [year, *_transpose(curves, 3, 5)]]
 
 
-# The disparity stage's reports: manifest row count -> file name and header.
-_DISPARITY_REPORTS = {
-    "gap_rows": ("gaps.csv", ("year", "locus", "stratum", "characteristic", "most_exposed",
-                              "least_exposed", "absolute_diff", "percent_diff", "ratio")),
-    "bin_rows": ("bins.csv", ("year", "kind", "locus", "stratum", "characteristic", "group",
-                              "n_bins", "bin", "n_tracts", "value", "top_minus_bottom")),
-    "atkinson_rows": ("atkinson.csv",
-                      ("year", "characteristic", "locus", "stratum", "epsilon", "value")),
-    "state_rows": ("state_disparity.csv",
-                   ("year", "state", "locus", "characteristic", "group", "value")),
-    "threshold_rows": ("threshold.csv", ("year", "locus", "threshold", "characteristic",
-                                         "group", "q_percent", "group_cov")),
-}
-
-
-def _stage_disparity(state: RunState, write: bool) -> None:
+def _stage_disparity(state: RunState, data: YearData) -> None:
     config = state.config
     strata = _strata(config)
-    skips: dict[str, int] = {}
-    reports = gap_blocks, bin_blocks, atkinson_blocks, state_blocks, threshold_blocks = (
-        [], [], [], [], [])
-    for year in config.years:
-        data = state.years[year]
-        gaps, curves = _gap_and_atkinson_blocks(year, data.exposures, config.epsilons, skips)
-        gap_blocks.append(gaps)
-        atkinson_blocks.append(curves)
+    year = data.year
+    skips = state.skips.setdefault("disparity", {})
+    gap_blocks, bin_blocks, atkinson_blocks, state_blocks, threshold_blocks = state.reports(
+        "gaps.csv", "bins.csv", "atkinson.csv", "state_disparity.csv", "threshold.csv")
+    gaps, curves = _gap_and_atkinson_blocks(year, data.exposures, config.epsilons, skips)
+    gap_blocks.append(gaps)
+    atkinson_blocks.append(curves)
 
-        for aligned in (data.homes, data.works):
-            # one group per row of aligned.counts, both in schema order
-            groups = [(characteristic, label) for characteristic, label, _ in
-                      exposure.iter_groups(ingest.RAC_WAC_SCHEMAS, aligned)][1:]
-            counts = aligned.counts.astype(np.float64)
-            bin_blocks += _composition_blocks(state, aligned, groups, counts, strata, skips)
-            threshold_blocks += _threshold_rows(config, aligned, groups, counts, skips)
-            try:
-                state_blocks.append(_state_rows(aligned, groups, counts))
-            except _METRIC_DEGENERACIES as exc:
-                _skip(skips, "state-disparity", "%s %s: %s" % (year, aligned.locus, exc))
-            del counts
-    _warn_skips("disparity", skips)
-    if write:
-        for (name, header), blocks in zip(_DISPARITY_REPORTS.values(), reports):
-            _write_csv(config.out_dir / name, header, blocks)
-    state.manifest_stages["disparity"] = {
-        **{key: sum(map(_n_rows, blocks)) for key, blocks in zip(_DISPARITY_REPORTS, reports)},
-        "skipped": dict(sorted(skips.items())),
-    }
+    for aligned in (data.homes, data.works):
+        # one group per row of aligned.counts, both in schema order
+        groups = [(characteristic, label) for characteristic, label, _ in
+                  exposure.iter_groups(ingest.RAC_WAC_SCHEMAS, aligned)][1:]
+        counts = aligned.counts.astype(np.float64)
+        bin_blocks += _composition_blocks(state, aligned, groups, counts, strata, skips)
+        threshold_blocks += _threshold_rows(config, aligned, groups, counts, skips)
+        try:
+            state_blocks.append(_state_rows(aligned, groups, counts))
+        except _METRIC_DEGENERACIES as exc:
+            _skip(skips, "state-disparity", "%s %s: %s" % (year, aligned.locus, exc))
+        del counts
 
 
 def _skip(skips: dict[str, int], kind: str, detail: str) -> None:
@@ -636,61 +636,47 @@ def _state_rows(aligned: exposure.AlignedTable, groups: Sequence[tuple[str, str]
             np.concatenate(values)]
 
 
-def _stage_bias(state: RunState, write: bool) -> None:
+def _stage_bias(state: RunState, data: YearData) -> None:
     config = state.config
     strata = _strata(config)
-    skips: dict[str, int] = {}
-    bias_blocks, wilcoxon_blocks = [], []
-    for year in config.years:
-        data = state.years[year]
-        if data.pairs is None:
-            data.pairs, _ = _join_od(config, data.surface)
-            _warn_drops(year, {"od": data.pairs.dropped_weight})
-        pairs = data.pairs
-        blended = exposure.hw_blend(pairs.home_values, pairs.work_values, config.hw_weights)
-        masks = exposure.stratum_masks(pairs, state.classification, strata)
-        for stratum, mask in masks.items():
-            if not mask.any():
+    year = data.year
+    skips = state.skips.setdefault("bias", {})
+    bias_blocks, wilcoxon_blocks = state.reports("bias.csv", "wilcoxon.csv")
+    if data.pairs is None:  # the exposure stage did not run
+        data.pairs, _ = _join_od(config, data.surface)
+        _count_drops(state, year, {"od": data.pairs.dropped_weight})
+    pairs = data.pairs
+    blended = exposure.hw_blend(pairs.home_values, pairs.work_values, config.hw_weights)
+    masks = exposure.stratum_masks(pairs, state.classification, strata)
+    for stratum, mask in masks.items():
+        if not mask.any():
+            continue
+        vh = pairs.home_values[mask]
+        vb = blended[mask]
+        pooled = biasstats.PooledSamples(vh, vb)
+        bias_keys, moment_list, biases, test_keys, ns, tests = [], [], [], [], [], []
+        for characteristic, label, counts in exposure.iter_groups(ingest.OD_SCHEMAS, pairs):
+            group_key = exposure.format_group(characteristic, label)
+            w = counts[mask]
+            n = int(w.sum())
+            if n == 0:
                 continue
-            vh = pairs.home_values[mask]
-            vb = blended[mask]
-            pooled = biasstats.PooledSamples(vh, vb)
-            bias_keys, moment_list, biases, test_keys, ns, tests = [], [], [], [], [], []
-            for characteristic, label, counts in exposure.iter_groups(ingest.OD_SCHEMAS, pairs):
-                group_key = exposure.format_group(characteristic, label)
-                w = counts[mask]
-                n = int(w.sum())
-                if n == 0:
-                    continue
-                try:
-                    moments = biasstats.error_moments(vh, vb, w)
-                    bias = biasstats.bias_factor(moments)
-                except _METRIC_DEGENERACIES as exc:
-                    _skip(skips, "bias-factor", "%s %s/%s: %s" % (year, stratum, group_key, exc))
-                else:
-                    bias_keys.append(group_key)
-                    moment_list.append(moments)
-                    biases.append(bias)
-                test_keys.append(group_key)
-                ns.append(n)
-                tests.append(pooled.test(w, w))
-            bias_blocks.append([year, bias_keys, stratum, *_transpose(
-                [(m.sigma2, m.phi, m.omega2, b) for m, b in zip(moment_list, biases)], 0, 4)])
-            wilcoxon_blocks.append([year, test_keys, stratum, np.array(ns), np.array(ns),
-                                    *_transpose([(t.u, t.z, t.p_value) for t in tests], 0, 3)])
-    _warn_skips("bias", skips)
-    if write:
-        _write_csv(config.out_dir / "bias.csv",
-                   ["year", "group", "stratum", "sigma2", "phi", "omega2", "bias"],
-                   bias_blocks)
-        _write_csv(config.out_dir / "wilcoxon.csv",
-                   ["year", "group", "stratum", "n_surrogate", "n_reference", "u", "z", "p_value"],
-                   wilcoxon_blocks)
-    state.manifest_stages["bias"] = {
-        "bias_rows": sum(map(_n_rows, bias_blocks)),
-        "wilcoxon_rows": sum(map(_n_rows, wilcoxon_blocks)),
-        "skipped": dict(sorted(skips.items())),
-    }
+            try:
+                moments = biasstats.error_moments(vh, vb, w)
+                bias = biasstats.bias_factor(moments)
+            except _METRIC_DEGENERACIES as exc:
+                _skip(skips, "bias-factor", "%s %s/%s: %s" % (year, stratum, group_key, exc))
+            else:
+                bias_keys.append(group_key)
+                moment_list.append(moments)
+                biases.append(bias)
+            test_keys.append(group_key)
+            ns.append(n)
+            tests.append(pooled.test(w, w))
+        bias_blocks.append([year, bias_keys, stratum, *_transpose(
+            [(m.sigma2, m.phi, m.omega2, b) for m, b in zip(moment_list, biases)], 0, 4)])
+        wilcoxon_blocks.append([year, test_keys, stratum, np.array(ns), np.array(ns),
+                                *_transpose([(t.u, t.z, t.p_value) for t in tests], 0, 3)])
 
 
 _STAGE_FUNCS = {
@@ -709,10 +695,13 @@ _PREREQS = {
 
 
 def run(config: RunConfig, only_stage: str | None = None) -> dict:
-    """Execute the configured stages and emit reports plus a manifest.
+    """Execute the configured stages year by year and emit reports plus a
+    manifest.
 
     With ``only_stage``, prerequisites are still computed but only that
-    stage's files are written (and no manifest). Returns the manifest dict.
+    stage's files are written (and no manifest). A full run first removes the
+    output directory's ``manifest.json``, so a run that fails leaves none.
+    Returns the manifest dict.
     """
     if only_stage is not None and only_stage not in STAGES:
         raise ConfigError(f"unknown stage {only_stage!r}; valid stages: {list(STAGES)}")
@@ -731,17 +720,33 @@ def run(config: RunConfig, only_stage: str | None = None) -> dict:
         raise ConfigError("od path is required for the bias stage")
 
     config.out_dir.mkdir(parents=True, exist_ok=True)
+    if only_stage is None:
+        (config.out_dir / "manifest.json").unlink(missing_ok=True)
     state = RunState(config=config)
-    for stage in to_run:
-        logger.info("stage %s starting", stage)
-        started = time.perf_counter()
-        try:
-            _STAGE_FUNCS[stage](state, write=stage in to_write)
-        except EngineError as exc:
-            raise StageError(stage, exc) from exc
-        state.timings[stage] = time.perf_counter() - started
-        logger.info("stage %s done in %.3fs", stage, state.timings[stage])
+    for year in config.years:
+        data = YearData(year=year)
+        for stage in to_run:
+            started = time.perf_counter()
+            try:
+                _STAGE_FUNCS[stage](state, data)
+            except EngineError as exc:
+                raise StageError(stage, exc) from exc
+            elapsed = time.perf_counter() - started
+            state.timings[stage] = state.timings.get(stage, 0.0) + elapsed
+            logger.info("stage %s done for %d in %.3fs", stage, year, elapsed)
+        if "surface" in to_write:
+            _write_csv(config.out_dir / f"surface_{year}.csv", _REPORTS["surface_{year}.csv"][1],
+                       [[geoid_text(data.surface.ids), year, data.surface.values]])
 
+    for name, blocks in state.blocks.items():
+        stage, header, count_key = _REPORTS[name]
+        if count_key:
+            state.manifest_stages.setdefault(stage, {})[count_key] = sum(map(_n_rows, blocks))
+        if stage in to_write:
+            _write_csv(config.out_dir / name, header, blocks)
+    for stage, skips in state.skips.items():
+        _warn_skips(stage, skips)
+        state.manifest_stages.setdefault(stage, {})["skipped"] = dict(sorted(skips.items()))
     manifest = {
         "config_hash": hashlib.sha256(
             json.dumps(config.raw, sort_keys=True, separators=(",", ":")).encode()
@@ -751,11 +756,7 @@ def run(config: RunConfig, only_stage: str | None = None) -> dict:
             for p in sorted(set(config.input_paths()))
         },
         "stages": state.manifest_stages,
-        "dropped_weight_total": sum(
-            frame.dropped_weight
-            for data in state.years.values()
-            for frame in (data.homes, data.works, data.pairs) if frame is not None
-        ),
+        "dropped_weight_total": state.dropped_weight,
         "timings_seconds": {k: round(v, 6) for k, v in state.timings.items()},
     }
     if only_stage is None:

@@ -146,9 +146,9 @@ def test_c3_blend_and_error_identity(tmp_path):
     world = tmp_path / "world"
     synth.synth(str(world), seed=303, n_tracts=9, n_groups=3)
     config = pipeline.load_config(str(world / "config.json"), out_dir=str(tmp_path / "out"))
-    state = pipeline.RunState(config=config)
-    pipeline._stage_surface(state, write=False)
-    surface = state.years[2011].surface
+    state, data = pipeline.RunState(config=config), pipeline.YearData(year=2011)
+    pipeline._stage_surface(state, data)
+    surface = data.surface
     od = aggregate_od(read_od_csv(str(world / "od_2011.csv")))
     records, errors = compute_hw_exposures(
         resolve_pairs(surface, od), OD_SCHEMAS,

@@ -512,7 +512,7 @@ def aligned_table(geoids, totals, conc, category_counts):
     )
 
 
-HEADERS = dict(pipeline._DISPARITY_REPORTS.values())
+HEADERS = {name: header for name, (_, header, _) in pipeline._REPORTS.items()}
 
 
 def csv_cells(text: str) -> list[list[str]]:

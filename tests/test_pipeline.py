@@ -8,7 +8,10 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
+from collections import Counter
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -38,6 +41,45 @@ def make_world(tmp_path: Path, name: str = "world", **kwargs) -> Path:
 def csv_rows(path: Path) -> list[dict]:
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def set_years(world: Path, years: Sequence[int]) -> None:
+    config_doc = json.loads((world / "config.json").read_text())
+    config_doc["years"] = list(years)
+    (world / "config.json").write_text(json.dumps(config_doc))
+
+
+def copy_years(world: Path, years: Sequence[int]) -> None:
+    """Copy the 2011 grid and tables to each other year and configure them all."""
+    for year in set(years) - {2011}:
+        for name in ("grid_2011.asc", "rac_2011.csv", "wac_2011.csv", "od_2011.csv"):
+            shutil.copy(world / name, world / name.replace("2011", str(year)))
+    set_years(world, years)
+
+
+def make_distinct_years_world(tmp_path: Path, years: Sequence[int]) -> Path:
+    """A 25-tract world whose years differ. 2011's grid has nodata over tract 0,
+    so its workers are dropped; 2012's field is zero everywhere, so its
+    Atkinson and state disparities are skipped; 2013's grid is shifted half a
+    cell, so it has its own lattice and partly covered tracts."""
+    world = tmp_path / "years"
+    for year, seed, gradient in ((2011, 31, synth.GradientSpec()),
+                                 (2012, 32, synth.GradientSpec("uniform", 0.0, 0.0)),
+                                 (2013, 33, synth.GradientSpec("linear_x"))):
+        if year in years:  # the tract and mask files depend on n_tracts only
+            synth.synth(str(world), seed=seed, n_tracts=25, n_groups=3, gradient=gradient,
+                        year=year)
+    if 2011 in years:
+        grid = world / "grid_2011.asc"
+        lines = grid.read_text().splitlines()
+        for i in (-2, -1):  # tract 0's bottom-left 2x2 cells, listed last
+            lines[i] = " ".join(["-9999", "-9999", *lines[i].split()[2:]])
+        grid.write_text("\n".join(lines) + "\n")
+    if 2013 in years:
+        grid = world / "grid_2013.asc"
+        grid.write_text(grid.read_text().replace("xllcorner 0.0", "xllcorner 0.5"))
+    set_years(world, years)
+    return world
 
 
 # ----------------------------------------------------------------------------
@@ -154,18 +196,78 @@ def test_run_bias_stage_requires_od(tmp_path):
         pipeline.load_config(str(world / "config.json"))
 
 
-def test_run_bias_stage_matches_full_run(tmp_path):
-    # run --stage bias joins the OD table itself; its reports must match the
-    # full run, where the exposure stage built the same frame
-    world = make_world(tmp_path, seed=17, n_tracts=16, n_groups=3)
+STAGE_FILES = {
+    "surface": {"surface_2011.csv", "surface_2012.csv", "urban.csv"},
+    "exposure": {"exposure.csv", "error.csv"},
+    "disparity": {"gaps.csv", "bins.csv", "atkinson.csv", "state_disparity.csv",
+                  "threshold.csv"},
+    "bias": {"bias.csv", "wilcoxon.csv"},
+}
+
+
+@pytest.mark.parametrize("stage", pipeline.STAGES)
+def test_run_stage_matches_full_run(tmp_path, stage):
+    # run --stage X computes X's prerequisites but writes only X's files, with
+    # the full run's bytes; run --stage bias joins the OD table itself, where
+    # the full run's exposure stage built the same frame
+    world = make_distinct_years_world(tmp_path, (2011, 2012))
     full, alone = tmp_path / "full", tmp_path / "alone"
     pipeline.run(pipeline.load_config(str(world / "config.json"), out_dir=str(full)))
     pipeline.run(pipeline.load_config(str(world / "config.json"), out_dir=str(alone)),
-                 only_stage="bias")
-    assert set(read_out_files(alone)) == {"bias.csv", "wilcoxon.csv"}
-    for name in ("bias.csv", "wilcoxon.csv"):
+                 only_stage=stage)
+    assert set(read_out_files(alone)) == STAGE_FILES[stage]
+    for name in STAGE_FILES[stage]:
         assert (alone / name).read_bytes() == (full / name).read_bytes(), name
-    assert len(csv_rows(full / "bias.csv")) > 0
+        assert len(csv_rows(full / name)) > 0, name
+
+
+def test_run_years_are_independent(tmp_path):
+    # a 3-year run is its three 1-year runs put together: no skip count,
+    # coverage, drop or stratum of one year leaks into another
+    years = (2011, 2012, 2013)
+    world = make_distinct_years_world(tmp_path, years)
+    config_doc = json.loads((world / "config.json").read_text())
+    singles = []
+    for year in years:
+        (world / f"config_{year}.json").write_text(json.dumps({**config_doc, "years": [year]}))
+        out_dir = tmp_path / f"out_{year}"
+        singles.append((pipeline.run(pipeline.load_config(str(world / f"config_{year}.json"),
+                                                          out_dir=str(out_dir))),
+                        read_out_files(out_dir)))
+    out_dir = tmp_path / "out"
+    manifest = pipeline.run(pipeline.load_config(str(world / "config.json"), out_dir=str(out_dir)))
+    files = read_out_files(out_dir)
+
+    assert set(files) == {name for _, one in singles for name in one}
+    for name, text in files.items():
+        if name == "manifest.json":
+            continue
+        texts = [one[name] for _, one in singles if name in one]
+        if name.startswith("surface_") or name == "urban.csv":
+            assert all(t == text for t in texts), name
+        else:
+            header = texts[0].split(b"\n", 1)[0]
+            assert text == b"".join([header + b"\n", *(t.split(b"\n", 1)[1] for t in texts)]), name
+
+    stages = manifest["stages"]
+    for (one, _), year in zip(singles, years):
+        for stage in ("surface", "exposure"):
+            assert stages[stage]["years"][str(year)] == one["stages"][stage]["years"][str(year)]
+    assert stages["surface"]["urban"] == singles[0][0]["stages"]["surface"]["urban"]
+    for stage in ("disparity", "bias"):
+        parts = [one["stages"][stage] for one, _ in singles]
+        for key, value in stages[stage].items():
+            if key == "skipped":
+                summed = sum((Counter(part[key]) for part in parts), Counter())
+                assert value == dict(sorted(summed.items())), stage
+            else:
+                assert value == sum(part[key] for part in parts), (stage, key)
+    assert manifest["dropped_weight_total"] == sum(
+        one["dropped_weight_total"] for one, _ in singles)
+    # the years do differ in what the manifest counts
+    skipped = [one["stages"]["disparity"]["skipped"] for one, _ in singles]
+    assert skipped[1] != skipped[0] == skipped[2]
+    assert [one["dropped_weight_total"] > 0 for one, _ in singles] == [True, False, False]
 
 
 def test_run_single_group_degrades_gracefully(tmp_path):
@@ -189,11 +291,7 @@ def test_run_single_stage_writes_only_that_stage(tmp_path):
 
 def test_run_multi_year(tmp_path):
     world = make_world(tmp_path, seed=14, n_tracts=9, n_groups=3)
-    for name in ("grid_2011.asc", "rac_2011.csv", "wac_2011.csv", "od_2011.csv"):
-        shutil.copy(world / name, world / name.replace("2011", "2012"))
-    config_doc = json.loads((world / "config.json").read_text())
-    config_doc["years"] = [2012, 2011]
-    (world / "config.json").write_text(json.dumps(config_doc))
+    copy_years(world, [2012, 2011])
     out_dir = tmp_path / "out"
     config = pipeline.load_config(str(world / "config.json"), out_dir=str(out_dir))
     assert config.years == (2011, 2012)
@@ -202,6 +300,35 @@ def test_run_multi_year(tmp_path):
     assert years == {"2011", "2012"}
     assert (out_dir / "surface_2011.csv").exists()
     assert (out_dir / "surface_2012.csv").exists()
+
+
+def test_run_peak_memory_bounded_by_one_year(tmp_path):
+    # each year's tables are dropped after its last stage, so four identical
+    # years peak near one year; only the report blocks, as large as the output,
+    # grow with the years. A dense OD table (every tract pair) makes the year's
+    # working set much larger than its output.
+    world = make_world(tmp_path, seed=14, n_tracts=150, n_groups=3)
+    features = json.loads((world / "tracts.geojson").read_text())["features"]
+    geoids = [feature["properties"]["GEOID"] for feature in features]
+    totals = np.random.default_rng(14).integers(3, 30, size=len(geoids) ** 2).tolist()
+    pairs = ((home, work) for home in geoids for work in geoids)
+    rows = [f"{work}1001,{home}1001,{t}" + f",{t // 3},{t // 3},{t - 2 * (t // 3)}" * 3
+            for (home, work), t in zip(pairs, totals)]
+    od = world / "od_2011.csv"
+    header = od.read_text().split("\n", 1)[0]
+    od.write_text("\n".join([header, *rows]) + "\n")
+    peaks = []
+    for years in ([2011], [2011, 2012, 2013, 2014]):
+        copy_years(world, years)
+        config = pipeline.load_config(str(world / "config.json"),
+                                      out_dir=str(tmp_path / f"out_{len(years)}"))
+        tracemalloc.start()
+        try:
+            pipeline.run(config)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.2 * peaks[0], [f"{peak / 1e6:.2f} MB" for peak in peaks]
 
 
 def test_run_coverage_once_per_lattice(tmp_path, monkeypatch):
@@ -370,6 +497,19 @@ def test_stage_error_names_stage(tmp_path):
         pipeline.run(config)
     assert err.value.stage == "exposure"
     assert "exposure" in str(err.value)
+
+
+def test_failed_rerun_leaves_no_manifest(tmp_path):
+    # a manifest claims a complete run, so a rerun that fails must not leave
+    # the earlier run's, whose input hashes no longer match
+    world = make_world(tmp_path, seed=25, n_tracts=4, n_groups=2)
+    out_dir = tmp_path / "out"
+    argv = ["run", "--config", str(world / "config.json"), "--out", str(out_dir)]
+    assert cli.main(argv) == 0
+    assert (out_dir / "manifest.json").exists()
+    (world / "rac_2011.csv").write_text("h_geocode,CA01\n060370000001001,1\n")
+    assert cli.main(argv) == 1
+    assert not (out_dir / "manifest.json").exists()
 
 
 # ----------------------------------------------------------------------------
