@@ -14,6 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractError, DegenerateVarianceError, DomainError, EmptyPopulationError
+from .exposure import stable_argsort
 
 
 @dataclass(frozen=True)
@@ -127,7 +128,7 @@ class PooledSamples:
         b = np.asarray(values_b, dtype=np.float64)
         self._sizes = (len(a), len(b))
         pooled = np.concatenate((a, b))
-        self._order = np.argsort(pooled, kind="stable")
+        self._order = stable_argsort(pooled)
         ordered = pooled.take(self._order)
         run_start = np.ones(len(ordered), dtype=bool)
         np.not_equal(ordered[1:], ordered[:-1], out=run_start[1:])

@@ -73,26 +73,37 @@ def _bin_sizes(n_items: int, n_bins: int) -> list[int]:
     return [base + 1 if i < extra else base for i in range(n_bins)]
 
 
+def _bin_sums(ranked: np.ndarray, n_bins: int) -> np.ndarray:
+    """Row sums of ``ranked`` over the column runs of ``_bin_sizes``: one
+    reshaped sum over the leading bins of base + 1 columns, one over the rest.
+    Each bin is still numpy's pairwise sum of a contiguous run, bit for bit
+    a 1-D sum over that bin's tracts."""
+    n_rows, n_items = ranked.shape
+    base, extra = divmod(n_items, n_bins)
+    split = extra * (base + 1)
+    return np.hstack((ranked[:, :split].reshape(n_rows, extra, base + 1).sum(axis=2),
+                      ranked[:, split:].reshape(n_rows, n_bins - extra, base).sum(axis=2)))
+
+
 def rank_by_composition(
-    fractions: np.ndarray,
     counts: np.ndarray,
     concentrations: np.ndarray,
+    order: np.ndarray,
 ) -> CompositionRanking:
-    """Sort each group's tracts by its population fraction, ties by geoid.
+    """Each group's counts and count-weighted concentrations in its rank order.
 
-    ``fractions`` and ``counts`` are (groups, tracts) with tracts in geoid-
-    ascending order; ``concentrations`` is per tract.
+    ``counts`` is (groups, tracts) with tracts in geoid-ascending order and
+    ``concentrations`` is per tract. Row g of ``order`` lists tract columns
+    by group g's population fraction, ties by geoid: ``stable_argsort`` of
+    the fractions, or its rows compressed to a subset of the tracts.
     """
-    # A stable sort keeps the geoid order among equal fractions. The gathered
-    # rows are C-contiguous, so every bin sum over a row slice is numpy's
-    # pairwise sum of the same values in the same order as a 1-D sum over
-    # that bin's tracts.
-    order = np.argsort(np.asarray(fractions, dtype=np.float64), axis=1, kind="stable")
+    # The gathered rows are C-contiguous, so every bin sum over a row slice
+    # is numpy's pairwise sum of the same values in the same order as a 1-D
+    # sum over that bin's tracts.
     ranked = np.ascontiguousarray(
         np.take_along_axis(np.asarray(counts, dtype=np.float64), order, axis=1)
     )
     weighted = np.asarray(concentrations, dtype=np.float64)[order]
-    del order
     weighted *= ranked
     return CompositionRanking(counts=ranked, weighted=weighted)
 
@@ -106,22 +117,16 @@ def percentile_bin_curve(ranking: CompositionRanking, n_bins: int) -> Percentile
     """
     if n_bins < 2:
         raise ContractError(f"n_bins must be >= 2, got {n_bins}")
-    n_groups, n_tracts = ranking.counts.shape
+    n_tracts = ranking.counts.shape[1]
     if n_tracts < n_bins:
         raise InsufficientTractsError(
             f"need >= {n_bins} tracts for {n_bins} bins, got {n_tracts}"
         )
-    sizes = _bin_sizes(n_tracts, n_bins)
-    totals = np.empty((n_groups, n_bins))
-    sums = np.empty((n_groups, n_bins))
-    start = 0
-    for index, size in enumerate(sizes):
-        totals[:, index] = ranking.counts[:, start:start + size].sum(axis=1)
-        sums[:, index] = ranking.weighted[:, start:start + size].sum(axis=1)
-        start += size
+    totals = _bin_sums(ranking.counts, n_bins)
+    sums = _bin_sums(ranking.weighted, n_bins)
     with np.errstate(invalid="ignore", divide="ignore"):
         exposure = np.where(totals > 0.0, sums / totals, math.nan)
-    return PercentileBinCurves(n_tracts=tuple(sizes), exposure=exposure)
+    return PercentileBinCurves(n_tracts=tuple(_bin_sizes(n_tracts, n_bins)), exposure=exposure)
 
 
 def decile_contrast(curves: PercentileBinCurves) -> np.ndarray:
@@ -134,29 +139,25 @@ def decile_contrast(curves: PercentileBinCurves) -> np.ndarray:
 
 def population_share_by_concentration_decile(
     fractions: np.ndarray,
-    concentrations: np.ndarray,
+    order: np.ndarray,
 ) -> DecileShares:
     """Mean group fraction per concentration-ranked tract decile, and each
     group's top-minus-bottom decile difference.
 
-    ``fractions`` is (groups, tracts) with tracts in geoid-ascending order;
-    ``concentrations`` is per tract. Tracts are ranked by concentration (ties
-    by geoid) into 10 bins; each bin's value is the unweighted mean of the
-    per-tract group fractions.
+    ``fractions`` is (groups, tracts) with tracts in geoid-ascending order.
+    ``order`` lists the tracts to rank, by concentration with ties by geoid:
+    ``stable_argsort`` of the concentrations, or it compressed to a subset of
+    the tracts. They are split into 10 bins; each bin's value is the
+    unweighted mean of the per-tract group fractions.
     """
-    fractions = np.asarray(fractions, dtype=np.float64)
-    n_tracts = fractions.shape[1]
+    ranked = np.asarray(fractions, dtype=np.float64).take(order, axis=1)
+    n_tracts = ranked.shape[1]
     if n_tracts < 10:
         raise InsufficientTractsError(f"need >= 10 tracts, got {n_tracts}")
-    if not np.isfinite(fractions).all():
+    if not np.isfinite(ranked).all():
         raise ValueError("group fractions must be finite: every tract needs a positive total")
-    order = np.argsort(concentrations, kind="stable")
-    ranked = np.ascontiguousarray(fractions[:, order])
-    means = np.empty((len(ranked), 10))
-    start = 0
-    for index, size in enumerate(_bin_sizes(n_tracts, 10)):
-        means[:, index] = ranked[:, start:start + size].mean(axis=1)
-        start += size
+    # np.mean is the pairwise sum divided by the count
+    means = _bin_sums(ranked, 10) / _bin_sizes(n_tracts, 10)
     return DecileShares(means=means, difference=means[:, -1] - means[:, 0])
 
 

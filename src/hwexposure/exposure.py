@@ -100,6 +100,27 @@ def weighted_percentile(values: Sequence[float], weights: Sequence[float], p: fl
     return ValueSlice(vals[keep]).percentiles(wts[keep], (p,))[0]
 
 
+def stable_argsort(values: np.ndarray) -> np.ndarray:
+    """``np.argsort(values, axis=-1, kind="stable")`` from numpy's faster
+    default sort (SIMD where the CPU has it), which leaves ties in any order:
+    if any exist, the unique int64 keys ``run * n + index`` are sorted, which
+    puts each run of equal values (NaNs are one run) in index order. No value
+    is cast, so int64 above 2**53 stay exact."""
+    order = np.argsort(values, axis=-1)
+    ranked = np.sort(values, axis=-1)  # faster than gathering values[order]
+    before = ranked[..., :-1]
+    new_run = (ranked[..., 1:] != before) & (before == before)  # NaNs sort last
+    del ranked, before
+    if new_run.all():
+        return order
+    runs = np.cumsum(new_run, axis=-1, dtype=np.int64)
+    runs *= order.shape[-1]
+    order[..., 1:] += runs
+    order.sort(axis=-1)
+    order[..., 1:] -= runs
+    return order
+
+
 class ValueSlice:
     """The values of one (locus, stratum) slice, shared by every group's
     weighted mean and percentiles over it.
@@ -111,7 +132,7 @@ class ValueSlice:
 
     def __init__(self, values: np.ndarray):
         self.values = values
-        self._order = np.argsort(values, kind="stable")
+        self._order = stable_argsort(values)
 
     def stats(self, weights: np.ndarray, ps: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
         """Per row of ``weights``, sum(value * weight) / sum(weight), and per p

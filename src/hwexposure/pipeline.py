@@ -42,6 +42,7 @@ from .grids import read_asc, read_xyz_csv
 logger = logging.getLogger(__name__)
 
 STAGES = ("surface", "exposure", "disparity", "bias")
+_FLOAT_MAX = float(np.finfo(np.float64).max)  # compares exactly with any int, unlike inf
 
 _CONFIG_KEYS = {
     "years", "grid", "tracts", "urban_mask", "rac", "wac", "od", "stages",
@@ -124,8 +125,11 @@ def load_config(path: str, out_dir: str | None = None,
         raise ConfigError(f"{path}: unknown config key(s) {sorted(unknown)}")
 
     years = raw.get("years")
-    if not years or not all(isinstance(y, int) for y in years):
+    if not isinstance(years, list) or not years or not all(type(y) is int for y in years):
         raise ConfigError("years must be a non-empty list of integers")
+    repeated = sorted({y for y in years if years.count(y) > 1})
+    if repeated:
+        raise ConfigError(f"years must not repeat, got {repeated[0]} more than once")
     for key in ("grid", "tracts"):
         if not raw.get(key):
             raise ConfigError(f"config key {key!r} is required")
@@ -147,18 +151,17 @@ def load_config(path: str, out_dir: str | None = None,
     except ValueError as exc:
         raise ConfigError(f"invalid hw_weights: {exc}") from exc
 
-    bin_counts = tuple(raw.get("bin_counts", [100, 10]))
-    if any(not isinstance(b, int) or b < 2 for b in bin_counts):
-        raise ConfigError(f"bin_counts must be integers >= 2, got {list(bin_counts)}")
-    epsilons = tuple(float(e) for e in raw.get("epsilons", [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0]))
-    if any(e < 0 for e in epsilons):
-        raise ConfigError("epsilons must be >= 0")
-    thresholds = tuple(float(t) for t in raw.get("thresholds", [12.0, 10.0, 5.0]))
-    if any(t <= 0 for t in thresholds):
-        raise ConfigError("thresholds must be positive")
-    threads_value = threads if threads is not None else int(raw.get("threads", 1))
-    if threads_value < 1:
-        raise ConfigError("threads must be >= 1")
+    bin_counts = _numbers(raw, "bin_counts", [100, 10], "integers >= 2",
+                          lambda b: type(b) is int and b >= 2)
+    epsilons = _numbers(raw, "epsilons", [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0],
+                        "finite numbers >= 0", lambda e: 0 <= e <= _FLOAT_MAX)
+    thresholds = _numbers(raw, "thresholds", [12.0, 10.0, 5.0], "finite numbers > 0",
+                          lambda t: 0 < t <= _FLOAT_MAX)
+    threads_value = threads if threads is not None else raw.get("threads", 1)
+    if type(threads_value) is not int or threads_value < 1:
+        raise ConfigError(f"threads must be an integer >= 1, got {threads_value!r}")
+    if not isinstance(raw.get("strata", True), bool):
+        raise ConfigError(f"strata must be true or false, got {raw['strata']!r}")
 
     base_dir = config_path.parent
     if out_dir is not None:
@@ -179,9 +182,9 @@ def load_config(path: str, out_dir: str | None = None,
         stages=stages,
         hw_weights=hw_weights,
         bin_counts=bin_counts,
-        epsilons=epsilons,
-        thresholds=thresholds,
-        strata=bool(raw.get("strata", True)),
+        epsilons=tuple(map(float, epsilons)),
+        thresholds=tuple(map(float, thresholds)),
+        strata=raw.get("strata", True),
         threads=threads_value,
         out_dir=out_path,
         base_dir=base_dir,
@@ -191,6 +194,15 @@ def load_config(path: str, out_dir: str | None = None,
     if missing:
         raise ConfigError(f"missing input file(s): {missing}")
     return config
+
+
+def _numbers(raw: dict, key: str, default: list, rule: str, valid) -> tuple:
+    """The config's list at ``key``, of ints or floats that ``valid`` accepts."""
+    values = raw.get(key, default)
+    if not isinstance(values, list) or not all(
+            type(v) in (int, float) and valid(v) for v in values):
+        raise ConfigError(f"{key} must be a list of {rule}, got {values!r}")
+    return tuple(values)
 
 
 @dataclass
@@ -523,18 +535,24 @@ def _warn_skips(stage: str, skips: dict[str, int]) -> None:
 def _composition_blocks(state: RunState, aligned: exposure.AlignedTable,
                         groups: Sequence[tuple[str, str]], counts: np.ndarray,
                         strata: Sequence[str], skips: dict[str, int]) -> list[list]:
-    """bins.csv blocks of one table, one per stratum."""
+    """bins.csv blocks of one table, one per stratum. The tracts with a
+    positive total are ranked once by each group's fraction and once by
+    concentration; a stratum's ranks are these compressed by its mask, since
+    a stable order restricted to a subset is the subset's stable order."""
     config = state.config
     year, locus = aligned.year, aligned.locus
     blocks: list[list] = []
+    positive = np.flatnonzero(aligned.totals > 0)
+    group_counts = counts.take(positive, axis=1)
+    fractions = group_counts / aligned.totals[positive]
+    conc = aligned.concentrations[positive]
+    by_fraction = exposure.stable_argsort(fractions)
+    by_conc = exposure.stable_argsort(conc)
     masks = exposure.stratum_masks(aligned, state.classification, strata)
     for stratum, mask in masks.items():
-        cols = np.flatnonzero(mask & (aligned.totals > 0))
-        group_counts = np.ascontiguousarray(counts[:, cols])
-        fractions = group_counts / aligned.totals[cols]
-        conc = aligned.concentrations[cols]
-
-        ranking = disparity.rank_by_composition(fractions, group_counts, conc)
+        inside = mask[positive]
+        order = by_fraction[inside.take(by_fraction)].reshape(len(by_fraction), inside.sum())
+        ranking = disparity.rank_by_composition(group_counts, conc, order)
         curves = []
         for n_bins in config.bin_counts:
             try:
@@ -542,14 +560,13 @@ def _composition_blocks(state: RunState, aligned: exposure.AlignedTable,
             except _METRIC_DEGENERACIES as exc:
                 _skip_groups(skips, "composition-curve", groups,
                              "%s %s/%s" % (year, locus, stratum), exc)
-        del ranking, group_counts
         try:
-            shares = disparity.population_share_by_concentration_decile(fractions, conc)
+            shares = disparity.population_share_by_concentration_decile(
+                fractions, by_conc.compress(inside.take(by_conc)))
         except _METRIC_DEGENERACIES as exc:
             _skip_groups(skips, "decile-share", groups,
                          "%s %s/%s" % (year, locus, stratum), exc)
             shares = None
-        del fractions
         blocks.append(_bin_block(year, locus, stratum, groups, curves, shares))
     return blocks
 

@@ -45,6 +45,9 @@ builder, the record gap, the per-epsilon checks and the per-group threshold
 shares that the frame's array columns, the checked-once Atkinson curve and
 the one-compress threshold kernel replaced; oracle_gap_and_atkinson_blocks is
 the disparity stage's gaps.csv and atkinson.csv emission built from them.
+oracle_composition_blocks is the bins.csv emission that ranked each stratum's
+tracts with its own stable sorts and summed each bin in a loop; the
+pipeline's one ranking per table, shared by its strata, is held to it.
 """
 from __future__ import annotations
 
@@ -1168,3 +1171,52 @@ def with_layout(matrix: np.ndarray, layout: str) -> np.ndarray:
     wide = np.zeros((matrix.shape[0], 2 * matrix.shape[1]), dtype=np.int64)
     wide[:, ::2] = matrix
     return wide[:, ::2]
+
+
+def _oracle_bin_means(ranked: np.ndarray, n_bins: int, mean: bool) -> np.ndarray:
+    """Per row, the sum (or mean) of each bin's column run, one bin at a time."""
+    out = np.empty((len(ranked), n_bins))
+    start = 0
+    for index, size in enumerate(disparity._bin_sizes(ranked.shape[1], n_bins)):
+        run = ranked[:, start:start + size]
+        out[:, index] = run.mean(axis=1) if mean else run.sum(axis=1)
+        start += size
+    return out
+
+
+def oracle_composition_blocks(state, aligned: exposure.AlignedTable,
+                              groups: Sequence[tuple[str, str]], counts: np.ndarray,
+                              strata: Sequence[str], skips: dict[str, int]) -> list[list]:
+    """bins.csv blocks of one table, one per stratum, each stratum's tracts
+    sorted on their own by each group's fraction and by concentration."""
+    year, locus = aligned.year, aligned.locus
+    blocks: list[list] = []
+    for stratum, mask in exposure.stratum_masks(aligned, state.classification, strata).items():
+        cols = np.flatnonzero(mask & (aligned.totals > 0))
+        group_counts = np.ascontiguousarray(counts[:, cols])
+        fractions = group_counts / aligned.totals[cols]
+        conc = aligned.concentrations[cols]
+        order = np.argsort(fractions, axis=1, kind="stable")
+        ranked = np.ascontiguousarray(np.take_along_axis(group_counts, order, axis=1))
+        weighted = conc[order] * ranked
+        where = "%s %s/%s" % (year, locus, stratum)
+        curves = []
+        for n_bins in state.config.bin_counts:
+            if len(cols) < n_bins:
+                pipeline._skip_groups(skips, "composition-curve", groups, where, "few tracts")
+                continue
+            totals = _oracle_bin_means(ranked, n_bins, mean=False)
+            sums = _oracle_bin_means(weighted, n_bins, mean=False)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                curve = np.where(totals > 0.0, sums / totals, math.nan)
+            curves.append((n_bins, disparity.PercentileBinCurves(
+                tuple(disparity._bin_sizes(len(cols), n_bins)), curve)))
+        shares = None
+        if len(cols) < 10:
+            pipeline._skip_groups(skips, "decile-share", groups, where, "few tracts")
+        else:
+            by_conc = np.argsort(conc, kind="stable")
+            means = _oracle_bin_means(np.ascontiguousarray(fractions[:, by_conc]), 10, mean=True)
+            shares = disparity.DecileShares(means, means[:, -1] - means[:, 0])
+        blocks.append(pipeline._bin_block(year, locus, stratum, groups, curves, shares))
+    return blocks

@@ -17,6 +17,7 @@ from helpers import (
     oracle_atkinson,
     oracle_atkinson_pipeline,
     oracle_bin_curve,
+    oracle_composition_blocks,
     oracle_composition_rows,
     oracle_decile_shares,
     oracle_gap_and_atkinson_blocks,
@@ -49,7 +50,13 @@ from hwexposure.errors import (
     InsufficientGroupsError,
     InsufficientTractsError,
 )
-from hwexposure.exposure import AlignedTable, compute_group_exposures, iter_groups, tract_strata
+from hwexposure.exposure import (
+    AlignedTable,
+    compute_group_exposures,
+    iter_groups,
+    stable_argsort,
+    tract_strata,
+)
 from hwexposure.ingest import RAC_WAC_SCHEMAS
 
 ATKINSON_REFERENCE = 0.10079283984242682  # direct evaluation of the two-group case
@@ -143,7 +150,8 @@ def one_group_curve(tracts, n_bins):
     fractions = np.array([[t[1] for t in ordered]])
     counts = np.array([[t[2] for t in ordered]])
     conc = np.array([t[3] for t in ordered])
-    return percentile_bin_curve(rank_by_composition(fractions, counts, conc), n_bins)
+    return percentile_bin_curve(rank_by_composition(counts, conc, stable_argsort(fractions)),
+                                n_bins)
 
 
 def test_bin_curve_one_tract_per_bin():
@@ -235,7 +243,7 @@ def one_group_shares(tracts):
     with np.errstate(divide="ignore", invalid="ignore"):
         fractions = counts / totals
     return population_share_by_concentration_decile(
-        fractions, np.array([t[3] for t in ordered])
+        fractions, stable_argsort(np.array([t[3] for t in ordered]))
     )
 
 
@@ -290,8 +298,8 @@ def _check_kernels(counts, totals, conc, n_bins, layout):
     geoids = [f"06037{j:06d}" for j in range(counts.shape[1])]
     fractions = counts / totals
     n_tracts = counts.shape[1]
-    ranking = rank_by_composition(_non_contiguous(fractions, layout),
-                                  _non_contiguous(counts, layout), conc)
+    ranking = rank_by_composition(_non_contiguous(counts, layout), conc,
+                                  stable_argsort(_non_contiguous(fractions, layout)))
     if n_tracts < n_bins:
         with pytest.raises(InsufficientTractsError):
             percentile_bin_curve(ranking, n_bins)
@@ -306,9 +314,10 @@ def _check_kernels(counts, totals, conc, n_bins, layout):
             assert _same(curve.exposure[g], [value for _, value in expected])
     if n_tracts < 10:
         with pytest.raises(InsufficientTractsError):
-            population_share_by_concentration_decile(fractions, conc)
+            population_share_by_concentration_decile(fractions, stable_argsort(conc))
         return
-    shares = population_share_by_concentration_decile(_non_contiguous(fractions, layout), conc)
+    shares = population_share_by_concentration_decile(_non_contiguous(fractions, layout),
+                                                       stable_argsort(conc))
     for g in range(counts.shape[0]):
         means, difference = oracle_decile_shares(
             list(zip(geoids, counts[g].tolist(), totals.tolist(), conc.tolist()))
@@ -769,6 +778,34 @@ def random_aligned(rng, n_tracts, locus="H", conc_values=(4.0, 5.0, 10.0, 12.0, 
     aligned = aligned_table([f"06037{i:06d}" for i in range(n_tracts)], totals, conc,
                             dict(zip(codes, counts)))
     return aligned._replace(locus=locus)
+
+
+@given(seed=st.integers(0, 2**32 - 1), n_tracts=st.integers(0, 40),
+       bin_counts=st.lists(st.sampled_from([2, 3, 7, 10, 100]), min_size=1, max_size=3),
+       names=st.sampled_from([("urban", "rural"), ("rural",), ("urban",)]),
+       classified=st.sampled_from([0.0, 0.6, 1.0]), tied_concentrations=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_composition_blocks_match_per_stratum_oracle(seed, n_tracts, bin_counts, names,
+                                                     classified, tied_concentrations):
+    # Unclassified tracts, zero-total tracts and groups, empty strata and tied
+    # fractions and concentrations: the strata share one ranking per table,
+    # the oracle sorts each stratum on its own.
+    rng = np.random.default_rng(seed)
+    conc_values = (4.0, 7.5, 12.0) if tied_concentrations else tuple(rng.uniform(4, 20, 64))
+    aligned = random_aligned(rng, n_tracts, conc_values=conc_values)
+    classification = tract_strata({f"06037{i:06d}": str(rng.choice(names))
+                                   for i in range(n_tracts) if rng.random() < classified})
+    state = SimpleNamespace(config=SimpleNamespace(bin_counts=tuple(bin_counts)),
+                            classification=classification)
+    groups = [(c, label) for c, label, _ in iter_groups(RAC_WAC_SCHEMAS, aligned)][1:]
+    counts = aligned.counts.astype(np.float64)
+    strata = ("all", "urban", "rural")
+    skips, oracle_skips = {}, {}
+    blocks = pipeline._composition_blocks(state, aligned, groups, counts, strata, skips)
+    oracle = oracle_composition_blocks(state, aligned, groups, counts, strata, oracle_skips)
+    assert ([pipeline._csv_lines("bins.csv", HEADERS["bins.csv"], b) for b in blocks]
+            == [pipeline._csv_lines("bins.csv", HEADERS["bins.csv"], b) for b in oracle])
+    assert skips == oracle_skips
 
 
 def threshold_outcome(compute):

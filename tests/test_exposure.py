@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hwexposure.errors import EmptyPopulationError
 from hwexposure.exposure import (
@@ -23,6 +24,7 @@ from hwexposure.exposure import (
     hw_blend,
     population_weighted_mean,
     resolve_pairs,
+    stable_argsort,
     tract_strata,
     weighted_percentile,
 )
@@ -427,6 +429,41 @@ def test_exposure_record_validates():
                            np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 1.0]))
     with pytest.raises(ValueError, match=r"^p10 2\.0 > p90 1\.0$"):
         frame.checked()
+
+
+# ----------------------------------------------------------------------------
+# stable_argsort: numpy's stable order from its default sort
+# ----------------------------------------------------------------------------
+
+# values that tie, sort apart only by sign or sit at the ends of the order
+TIE_FLOATS = [0.0, -0.0, 1.0, 0.1 + 0.2, 0.3, 5e-324, math.inf, -math.inf, math.nan]
+# neighbours above 2**53, which a float64 cast would merge, and the int64 ends
+BIG_INTS = [2**53, 2**53 + 1, 2**53 + 2, 2**63 - 1, -2**63, 0, -1]
+
+
+@given(shape=hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=40),
+       ints=st.booleans(), data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_stable_argsort_matches_numpy_stable_sort(shape, ints, data):
+    if ints:
+        dtype, elements = np.int64, st.sampled_from(BIG_INTS) | st.integers(-2**63, 2**63 - 1)
+    else:
+        dtype, elements = np.float64, st.sampled_from(TIE_FLOATS) | st.floats()
+    values = data.draw(hnp.arrays(dtype, shape, elements=elements))
+    expected = np.argsort(values, axis=-1, kind="stable")
+    got = stable_argsort(values)
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
+
+
+def test_stable_argsort_keeps_int64_above_2_53():
+    values = np.array([2**53 + 1, 2**53, 2**53 + 1, 2**53], dtype=np.int64)
+    assert stable_argsort(values).tolist() == [1, 3, 0, 2]
+
+
+def test_stable_argsort_orders_ties_and_nans_by_index():
+    values = np.array([[math.nan, 0.0, -0.0, math.nan, 0.0, -math.inf, math.nan]])
+    assert stable_argsort(values).tolist() == [[5, 1, 2, 4, 0, 3, 6]]
 
 
 # ----------------------------------------------------------------------------

@@ -269,3 +269,37 @@ def test_duplicate_tract_geoid_names_the_file(tmp_path, caplog):
     path.write_text(json.dumps(collection))
     assert run(world, tmp_path / "out") == 1
     assert f"stage surface: {path}: duplicate tract geoids: [{geoid!r}]" in caplog.text
+
+
+def test_repeated_year_is_a_config_error(tmp_path, caplog):
+    # a repeated year would run that year twice and repeat every report row
+    world = make_world(tmp_path)
+    point_config(world, "years", [2011, 2011])
+    assert run(world, tmp_path / "out") == 2
+    assert "years must not repeat, got 2011 more than once" in caplog.text
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("epsilons", ["a"]),
+    ("epsilons", [float("nan")]),
+    ("epsilons", [float("inf")]),
+    ("epsilons", 0.5),
+    ("thresholds", [None]),
+    ("thresholds", [float("nan")]),
+    ("thresholds", [True]),
+    ("bin_counts", None),
+    ("bin_counts", [10.0]),
+    ("threads", "x"),
+    ("threads", 1.5),
+    ("threads", True),
+    ("strata", "no"),
+    ("years", 2011),
+    ("years", [2011.0]),
+], ids=lambda v: json.dumps(v))
+def test_malformed_config_value_names_the_key(tmp_path, caplog, key, value):
+    world = make_world(tmp_path)
+    point_config(world, key, value)
+    code = cli.main(["validate", "--config", str(world / "config.json")])
+    assert code == 2
+    assert f"configuration error: {key} must be" in caplog.text
