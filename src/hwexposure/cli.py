@@ -119,10 +119,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         logger.error("configuration error: %s", exc)
         return 2
-    except pipeline.StageError as exc:
-        logger.error("%s", exc)
-        return 1
-    except EngineError as exc:
+    except EngineError as exc:  # a StageError names its stage
         logger.error("%s", exc)
         return 1
 

@@ -86,16 +86,18 @@ def read_asc(path: str) -> ConcentrationGrid:
     values = values[::-1].copy()  # file is top-down; store bottom-up
     nodata = values == header.get("nodata_value", -9999.0)
     values = np.where(nodata, 0.0, values)
-    return ConcentrationGrid(
-        origin_x=header["xllcorner"],
-        origin_y=header["yllcorner"],
-        cell_width=header["cellsize"],
-        cell_height=header["cellsize"],
-        n_rows=values.shape[0],
-        n_cols=values.shape[1],
-        values=values,
-        nodata=nodata,
-    )
+    return _grid(path, header["xllcorner"], header["yllcorner"], header["cellsize"],
+                 header["cellsize"], values, nodata)
+
+
+def _grid(path: str, origin_x: float, origin_y: float, cell_width: float,
+          cell_height: float, values: np.ndarray, nodata: np.ndarray) -> ConcentrationGrid:
+    """The grid read from ``path``; a fault the grid finds names the file."""
+    try:
+        return ConcentrationGrid(origin_x, origin_y, cell_width, cell_height,
+                                 *values.shape, values, nodata)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def _read_asc(path: str, fast: bool) -> tuple[dict[str, float], np.ndarray | None]:
@@ -168,7 +170,9 @@ def read_xyz_csv(path: str) -> ConcentrationGrid:
     vs: list[float] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != ["x", "y", "value"]:
+        if reader.fieldnames is not None:  # the cells are looked up by the stripped names
+            reader.fieldnames = [f.strip() for f in reader.fieldnames]
+        if reader.fieldnames != ["x", "y", "value"]:
             raise FormatError(f"{path}: expected header 'x,y,value'")
         for row in reader:
             try:
@@ -194,16 +198,8 @@ def read_xyz_csv(path: str) -> ConcentrationGrid:
         row = int(round((y - uy[0]) / cell_h))
         values[row, col] = v
         nodata[row, col] = False
-    return ConcentrationGrid(
-        origin_x=ux[0] - cell_w / 2.0,
-        origin_y=uy[0] - cell_h / 2.0,
-        cell_width=cell_w,
-        cell_height=cell_h,
-        n_rows=n_rows,
-        n_cols=n_cols,
-        values=values,
-        nodata=nodata,
-    )
+    return _grid(path, ux[0] - cell_w / 2.0, uy[0] - cell_h / 2.0, cell_w, cell_h,
+                 values, nodata)
 
 
 def _distinct(values: list[float]) -> np.ndarray:

@@ -44,12 +44,6 @@ logger = logging.getLogger(__name__)
 STAGES = ("surface", "exposure", "disparity", "bias")
 _FLOAT_MAX = float(np.finfo(np.float64).max)  # compares exactly with any int, unlike inf
 
-_CONFIG_KEYS = {
-    "years", "grid", "tracts", "urban_mask", "rac", "wac", "od", "stages",
-    "hw_weights", "bin_counts", "epsilons", "thresholds", "strata", "threads",
-    "out_dir",
-}
-
 _METRIC_DEGENERACIES = (
     InsufficientGroupsError,
     InsufficientTractsError,
@@ -88,28 +82,73 @@ class RunConfig:
     raw: dict = field(repr=False)
 
     def path(self, template: str, year: int | None = None) -> Path:
-        name = template.format(year=year) if year is not None else template
-        p = Path(name)
-        return p if p.is_absolute() else self.base_dir / p
+        """The template for ``year`` (as written without one), against base_dir."""
+        return self.base_dir / (template if year is None else template.format(year=year))
 
     def input_paths(self) -> list[Path]:
-        paths = [self.path(self.tracts)]
-        if self.urban_mask:
-            paths.append(self.path(self.urban_mask))
-        for year in self.years:
-            paths.append(self.path(self.grid, year))
-            for template in (self.rac, self.wac, self.od):
-                if template:
-                    paths.append(self.path(template, year))
-        return paths
+        """The tracts and mask, then each year's grid and worker tables."""
+        paths = [self.path(name) for name in (self.tracts, self.urban_mask) if name]
+        return paths + [self.path(template, year) for year in self.years
+                        for template in (self.grid, self.rac, self.wac, self.od) if template]
+
+
+def _list_of(entry_ok, non_empty: bool = False):
+    """A check: a JSON list (non-empty if asked) of entries that ``entry_ok`` takes."""
+    return lambda v: type(v) is list and (bool(v) or not non_empty) and all(map(entry_ok, v))
+
+
+def _is_path(value) -> bool:
+    return type(value) is str and value != ""
+
+
+def _is_template(value) -> bool:
+    """A path that formats with a year: no field but ``{year}``, no stray brace."""
+    try:
+        return _is_path(value) and value.format(year=2011) != ""
+    except (LookupError, ValueError, AttributeError, TypeError):
+        return False
+
+
+_REQUIRED = object()
+_TEMPLATE = "a path template with no field but {year}"
+_WORKER_TABLE = (None, _TEMPLATE + " or null", lambda v: v is None or _is_template(v))
+
+# Every config key in check order: (default or _REQUIRED, the rule a value must
+# meet, as ConfigError prints it, and its check). A list's entries must also not
+# repeat. FORMATS.md "Run configuration" lists the same table.
+_CONFIG_RULES = {
+    "years": (_REQUIRED, "a non-empty list of integers",
+              _list_of(lambda y: type(y) is int, non_empty=True)),
+    "grid": (_REQUIRED, _TEMPLATE, _is_template),
+    "tracts": (_REQUIRED, "a non-empty string", _is_path),
+    "urban_mask": (None, "a non-empty string or null", lambda v: v is None or _is_path(v)),
+    "rac": _WORKER_TABLE,
+    "wac": _WORKER_TABLE,
+    "od": _WORKER_TABLE,
+    "stages": (list(STAGES), f"a list of stages from {list(STAGES)}",
+               _list_of(STAGES.__contains__)),
+    "hw_weights": ({"home": 0.794, "work": 0.206}, "{'home': h, 'work': w}",
+                   lambda v: type(v) is dict),
+    "bin_counts": ([100, 10], "a list of integers >= 2",
+                   _list_of(lambda b: type(b) is int and b >= 2)),
+    "epsilons": ([0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0], "a list of finite numbers >= 0",
+                 _list_of(lambda e: type(e) in (int, float) and 0 <= e <= _FLOAT_MAX)),
+    "thresholds": ([12.0, 10.0, 5.0], "a list of finite numbers > 0",
+                   _list_of(lambda t: type(t) in (int, float) and 0 < t <= _FLOAT_MAX)),
+    "strata": (True, "true or false", lambda v: type(v) is bool),
+    "threads": (1, "an integer >= 1", lambda v: type(v) is int and v >= 1),
+    "out_dir": ("out", "a non-empty string", _is_path),
+}
 
 
 def load_config(path: str, out_dir: str | None = None,
                 threads: int | None = None) -> RunConfig:
-    """Parse and validate a JSON run configuration.
+    """Parse and validate a JSON run configuration, in the check order that
+    FORMATS.md "Run configuration" gives; the first failure is the ConfigError.
 
-    Relative paths are resolved against the config file's directory. Optional
-    ``out_dir`` and ``threads`` override the config values.
+    Optional ``out_dir`` and ``threads`` override the config's values, and
+    both must meet the key's rule. An ``out_dir`` given here resolves against
+    the current directory, the config's relative paths against its directory.
     """
     config_path = Path(path)
     try:
@@ -120,89 +159,61 @@ def load_config(path: str, out_dir: str | None = None,
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    unknown = set(raw) - _CONFIG_KEYS
+    unknown = set(raw) - set(_CONFIG_RULES)
     if unknown:
         raise ConfigError(f"{path}: unknown config key(s) {sorted(unknown)}")
 
-    years = raw.get("years")
-    if not isinstance(years, list) or not years or not all(type(y) is int for y in years):
-        raise ConfigError("years must be a non-empty list of integers")
-    repeated = sorted({y for y in years if years.count(y) > 1})
-    if repeated:
-        raise ConfigError(f"years must not repeat, got {repeated[0]} more than once")
-    for key in ("grid", "tracts"):
-        if not raw.get(key):
-            raise ConfigError(f"config key {key!r} is required")
+    values = {key: _checked(key, raw) for key in _CONFIG_RULES}
+    overrides = {} if threads is None else {"threads": threads}
+    if out_dir is not None:  # resolved against the current directory
+        overrides["out_dir"] = str(Path(out_dir).absolute())
+    values.update((key, _checked(key, overrides)) for key in overrides)
+    _check_stage_inputs(values["stages"], values["rac"], values["wac"], values["od"])
 
-    stages = tuple(raw.get("stages", STAGES))
-    bad = [s for s in stages if s not in STAGES]
-    if bad:
-        raise ConfigError(f"unknown stage(s) {bad}; valid stages: {list(STAGES)}")
-    if ("exposure" in stages or "disparity" in stages) and not (raw.get("rac") and raw.get("wac")):
-        raise ConfigError("rac and wac paths are required for the exposure/disparity stages")
-    if "bias" in stages and not raw.get("od"):
-        raise ConfigError("od path is required for the bias stage")
-
-    hw = raw.get("hw_weights", {"home": 0.794, "work": 0.206})
+    hw = values["hw_weights"]
     try:
-        hw_weights = HWWeights(home_fraction=hw["home"], work_fraction=hw["work"])
+        values["hw_weights"] = HWWeights(home_fraction=hw["home"], work_fraction=hw["work"])
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"hw_weights must be {{'home': h, 'work': w}}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"invalid hw_weights: {exc}") from exc
 
-    bin_counts = _numbers(raw, "bin_counts", [100, 10], "integers >= 2",
-                          lambda b: type(b) is int and b >= 2)
-    epsilons = _numbers(raw, "epsilons", [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0],
-                        "finite numbers >= 0", lambda e: 0 <= e <= _FLOAT_MAX)
-    thresholds = _numbers(raw, "thresholds", [12.0, 10.0, 5.0], "finite numbers > 0",
-                          lambda t: 0 < t <= _FLOAT_MAX)
-    threads_value = threads if threads is not None else raw.get("threads", 1)
-    if type(threads_value) is not int or threads_value < 1:
-        raise ConfigError(f"threads must be an integer >= 1, got {threads_value!r}")
-    if not isinstance(raw.get("strata", True), bool):
-        raise ConfigError(f"strata must be true or false, got {raw['strata']!r}")
-
     base_dir = config_path.parent
-    if out_dir is not None:
-        out_path = Path(out_dir)  # explicit override: resolved against the cwd
-    else:
-        out_path = Path(raw.get("out_dir", "out"))
-        if not out_path.is_absolute():
-            out_path = base_dir / out_path
-
-    config = RunConfig(
-        years=tuple(sorted(years)),
-        grid=raw["grid"],
-        tracts=raw["tracts"],
-        urban_mask=raw.get("urban_mask"),
-        rac=raw.get("rac"),
-        wac=raw.get("wac"),
-        od=raw.get("od"),
-        stages=stages,
-        hw_weights=hw_weights,
-        bin_counts=bin_counts,
-        epsilons=tuple(map(float, epsilons)),
-        thresholds=tuple(map(float, thresholds)),
-        strata=raw.get("strata", True),
-        threads=threads_value,
-        out_dir=out_path,
-        base_dir=base_dir,
-        raw=raw,
-    )
+    config = RunConfig(**{**values, "years": tuple(sorted(values["years"])),
+                          "epsilons": tuple(map(float, values["epsilons"])),
+                          "thresholds": tuple(map(float, values["thresholds"])),
+                          "out_dir": base_dir / values["out_dir"]},
+                       base_dir=base_dir, raw=raw)
     missing = [str(p) for p in config.input_paths() if not p.exists()]
     if missing:
         raise ConfigError(f"missing input file(s): {missing}")
     return config
 
 
-def _numbers(raw: dict, key: str, default: list, rule: str, valid) -> tuple:
-    """The config's list at ``key``, of ints or floats that ``valid`` accepts."""
-    values = raw.get(key, default)
-    if not isinstance(values, list) or not all(
-            type(v) in (int, float) and valid(v) for v in values):
-        raise ConfigError(f"{key} must be a list of {rule}, got {values!r}")
-    return tuple(values)
+def _checked(key: str, given: dict):
+    """The value of config ``key`` in ``given``, or the key's default, once it
+    meets the key's rule; a list becomes a tuple."""
+    default, rule, check = _CONFIG_RULES[key]
+    if key not in given and default is _REQUIRED:
+        raise ConfigError(f"config key {key!r} is required")
+    value = given.get(key, default)
+    if not check(value):
+        raise ConfigError(f"{key} must be {rule}, got {value!r}")
+    if type(value) is not list:
+        return value
+    repeated = [v for i, v in enumerate(value) if v in value[:i]]
+    if repeated:
+        raise ConfigError(f"{key} must not repeat, got {min(repeated)!r} more than once")
+    return tuple(value)
+
+
+def _check_stage_inputs(stages: Sequence[str], rac: str | None, wac: str | None,
+                        od: str | None) -> None:
+    """The worker tables that these stages read must be configured."""
+    if ("exposure" in stages or "disparity" in stages) and not (rac and wac):
+        raise ConfigError("rac and wac paths are required for the exposure/disparity stages")
+    if "bias" in stages and not od:
+        raise ConfigError("od path is required for the bias stage")
 
 
 @dataclass
@@ -722,19 +733,9 @@ def run(config: RunConfig, only_stage: str | None = None) -> dict:
     """
     if only_stage is not None and only_stage not in STAGES:
         raise ConfigError(f"unknown stage {only_stage!r}; valid stages: {list(STAGES)}")
-    if only_stage is None:
-        to_write = set(config.stages)
-        to_run = [s for s in STAGES if s in set(config.stages).union(
-            p for s in config.stages for p in _PREREQS[s]
-        )]
-    else:
-        to_write = {only_stage}
-        needed = set(_PREREQS[only_stage]) | {only_stage}
-        to_run = [s for s in STAGES if s in needed]
-    if ("exposure" in to_run or "disparity" in to_run) and not (config.rac and config.wac):
-        raise ConfigError("rac and wac paths are required for the exposure/disparity stages")
-    if "bias" in to_run and not config.od:
-        raise ConfigError("od path is required for the bias stage")
+    to_write = set(config.stages if only_stage is None else (only_stage,))
+    to_run = [s for s in STAGES if s in to_write or any(s in _PREREQS[w] for w in to_write)]
+    _check_stage_inputs(to_run, config.rac, config.wac, config.od)
 
     config.out_dir.mkdir(parents=True, exist_ok=True)
     if only_stage is None:

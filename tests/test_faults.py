@@ -296,10 +296,66 @@ def test_repeated_year_is_a_config_error(tmp_path, caplog):
     ("strata", "no"),
     ("years", 2011),
     ("years", [2011.0]),
+    # a repeated entry would repeat that entry's report rows
+    ("bin_counts", [10, 10]),
+    ("epsilons", [0.5, 0.5]),
+    ("thresholds", [5.0, 5.0]),
+    ("epsilons", [1, 1.0]),
+    ("stages", ["bias", "surface", "bias"]),
+    ("epsilons", [0.5, 0.5, "a"]),  # a bad entry is reported before a repeat
+    ("grid", 5),
+    ("urban_mask", 3),
+    ("out_dir", None),
+    ("stages", None),
+    ("hw_weights", [0.794, 0.206]),
+    ("grid", "grid_{yr}.asc"),
+    ("rac", "rac_{year"),
+    ("od", "od_{}.csv"),
 ], ids=lambda v: json.dumps(v))
 def test_malformed_config_value_names_the_key(tmp_path, caplog, key, value):
     world = make_world(tmp_path)
     point_config(world, key, value)
     code = cli.main(["validate", "--config", str(world / "config.json")])
     assert code == 2
-    assert f"configuration error: {key} must be" in caplog.text
+    rule = "must not repeat" if value in ([10, 10], [0.5, 0.5], [5.0, 5.0], [1, 1.0],
+                                          ["bias", "surface", "bias"]) else "must be"
+    assert f"configuration error: {key} {rule}" in caplog.text
+    assert run(world, tmp_path / "out") == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_repeated_entry_names_the_smallest_repeat(tmp_path, caplog):
+    world = make_world(tmp_path)
+    point_config(world, "thresholds", [12.0, 10.0, 12, 5.0, 10.0])
+    assert run(world, tmp_path / "out") == 2
+    assert "thresholds must not repeat, got 10.0 more than once" in caplog.text
+
+
+def test_threads_flag_meets_the_threads_rule(tmp_path, caplog):
+    world = make_world(tmp_path)
+    assert cli.main(["validate", "--config", str(world / "config.json"), "--threads", "0"]) == 2
+    assert "configuration error: threads must be an integer >= 1, got 0" in caplog.text
+
+
+def test_stage_without_its_tables_is_a_config_error(tmp_path, caplog):
+    world = make_world(tmp_path)
+    config = json.loads((world / "config.json").read_text())
+    del config["wac"]
+    (world / "config.json").write_text(json.dumps(config))
+    assert cli.main(["validate", "--config", str(world / "config.json")]) == 2
+    assert ("configuration error: rac and wac paths are required for the "
+            "exposure/disparity stages") in caplog.text
+
+
+def test_stage_flag_without_its_table_is_a_config_error(tmp_path, caplog):
+    # the config is valid for its own stages; run --stage bias also needs od
+    world = make_world(tmp_path)
+    config = json.loads((world / "config.json").read_text())
+    del config["od"]
+    config["stages"] = ["surface", "exposure", "disparity"]
+    (world / "config.json").write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(world / "config.json"), "--out", str(out),
+                     "--stage", "bias"]) == 2
+    assert "configuration error: od path is required for the bias stage" in caplog.text
+    assert not out.exists()

@@ -552,6 +552,22 @@ def test_write_csv_rejects_what_it_cannot_write(tmp_path, bad):
 # config validation
 # ----------------------------------------------------------------------------
 
+def test_formats_lists_the_config_rules_the_code_walks():
+    text = (Path(__file__).resolve().parents[1] / "FORMATS.md").read_text(encoding="utf-8")
+    section = text[text.index("### Run configuration"):text.index("## Outputs")]
+    rows = [line.split(" | ") for line in section.splitlines() if line.startswith("| `")]
+    documented = {key.strip("| `"): (default, rule.rstrip(" |").strip("`"))
+                  for key, _, default, rule in rows}
+    assert list(documented) == list(pipeline._CONFIG_RULES)
+    for key, (default, rule, _) in pipeline._CONFIG_RULES.items():
+        text_default, text_rule = documented[key]
+        assert text_rule == rule
+        if default is pipeline._REQUIRED:
+            assert text_default == "required"
+        else:
+            assert json.loads(text_default.strip("`")) == default
+
+
 def test_config_empty_years(tmp_path):
     world = make_world(tmp_path, seed=1, n_tracts=4, n_groups=2)
     doc = json.loads((world / "config.json").read_text())

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -191,6 +192,33 @@ def test_read_xyz_csv_rejects_bad_value(tmp_path, token, message):
     path = tmp_path / "bad.csv"
     path.write_text(f"x,y,value\n0.5,0.5,1.0\n1.5,0.5,{token}\n")
     with pytest.raises(FormatError, match=rf"bad\.csv:3: {message}"):
+        read_xyz_csv(str(path))
+
+
+def test_read_xyz_csv_padded_header(tmp_path):
+    padded, plain = tmp_path / "padded.csv", tmp_path / "plain.csv"
+    rows = "0.5,0.5,1.0\n1.5,0.5,2.0\n0.5,1.5,3.0\n"
+    padded.write_text(" x , y ,value\n" + rows)
+    plain.write_text("x,y,value\n" + rows)
+    assert_same_grid(read_xyz_csv(str(padded)), read_xyz_csv(str(plain)))
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("cellsize 2.0", "cellsize 0", "cell dimensions must be positive"),
+    ("5.0", "-5.0", "concentrations must be non-negative"),
+])
+def test_read_asc_grid_fault_names_the_file(tmp_path, old, new, message):
+    path = tmp_path / "bad.asc"
+    path.write_text(ASC_TEXT.replace(old, new))
+    with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}: {message}$"):
+        read_asc(str(path))
+
+
+def test_read_xyz_csv_negative_value_names_the_file(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("x,y,value\n0.5,0.5,1.0\n1.5,0.5,-2.0\n")
+    with pytest.raises(FormatError,
+                       match=rf"^{re.escape(str(path))}: concentrations must be non-negative$"):
         read_xyz_csv(str(path))
 
 
