@@ -3,6 +3,9 @@
 Subcommands mirror the pipeline stages plus `run` (all configured stages),
 `validate`, `ingest` (parse and check tables without writing), and `synth`
 (generate a synthetic input set). Logs go to stderr; data only to files.
+
+Each command imports only what it runs: `validate`, `--help` and every
+configuration error end before numpy or an engine module is loaded.
 """
 from __future__ import annotations
 
@@ -10,7 +13,7 @@ import argparse
 import logging
 import sys
 
-from . import ingest, pipeline
+from .config import STAGES, load_config
 from .errors import ConfigError, EngineError
 
 logger = logging.getLogger("hwexposure")
@@ -43,12 +46,12 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         _add_config_options(p)
-        if name in pipeline.STAGES:  # a stage subcommand is `run --stage <name>`
+        if name in STAGES:  # a stage subcommand is `run --stage <name>`
             p.set_defaults(stage=name)
 
     p_run = sub.add_parser("run", help="run all configured stages and write the manifest")
     _add_config_options(p_run)
-    p_run.add_argument("--stage", choices=pipeline.STAGES,
+    p_run.add_argument("--stage", choices=STAGES,
                        help="run a single stage (prerequisites are computed, not written)")
 
     p_synth = sub.add_parser("synth", help="generate a synthetic input set")
@@ -64,14 +67,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    config = pipeline.load_config(args.config, args.out, args.threads)
+    config = load_config(args.config, args.out, args.threads)
     logger.info("config ok: years=%s stages=%s inputs=%d",
                 list(config.years), list(config.stages), len(config.input_paths()))
     return 0
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    config = pipeline.load_config(args.config, args.out, args.threads)
+    config = load_config(args.config, args.out, args.threads)
+    from . import ingest  # loaded once the configuration is known to be valid
     for year in config.years:
         for role, template, units in (
             (ingest.RESIDENCE, config.rac, ("blocks", "tracts")),
@@ -87,7 +91,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = pipeline.load_config(args.config, args.out, args.threads)
+    config = load_config(args.config, args.out, args.threads)
+    from . import pipeline  # loaded once the configuration is known to be valid
     pipeline.run(config, only_stage=args.stage)
     return 0
 

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from .config import HWWeights
 from .errors import EmptyPopulationError
 from .ingest import RESIDENCE, GroupSchema, WorkerTable
 from .zonal import TractSurface
@@ -29,21 +29,6 @@ LOCUS_WORK = "W"
 LOCUS_BLEND = "HW"
 ALL_STRATUM = "all"
 ALL_GROUP = ("all", "all")  # (characteristic, group label) of the total population
-
-
-@dataclass(frozen=True)
-class HWWeights:
-    """Time split between home and work tracts (fractions of the year)."""
-
-    home_fraction: float = 0.794
-    work_fraction: float = 0.206
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.home_fraction < 1.0 and 0.0 < self.work_fraction < 1.0):
-            raise ValueError("fractions must lie strictly between 0 and 1")
-        if self.home_fraction + self.work_fraction != 1.0:
-            raise ValueError("fractions must sum to 1 exactly")
-
 
 DEFAULT_HW_WEIGHTS = HWWeights()
 

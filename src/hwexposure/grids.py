@@ -163,7 +163,7 @@ def read_xyz_csv(path: str) -> ConcentrationGrid:
 
     Points are cell centers on a regular lattice; spacing is inferred from the
     distinct coordinates. Lattice positions absent from the file become nodata.
-    Values must be finite.
+    Coordinates and values must be finite.
     """
     xs: list[float] = []
     ys: list[float] = []
@@ -179,8 +179,9 @@ def read_xyz_csv(path: str) -> ConcentrationGrid:
                 x, y, value = float(row["x"]), float(row["y"]), float(row["value"])
             except (TypeError, ValueError) as exc:
                 raise FormatError(f"{path}:{reader.line_num}: non-numeric x, y or value") from exc
-            if not math.isfinite(value):
-                raise FormatError(f"{path}:{reader.line_num}: non-finite value {row['value']!r}")
+            for name, number in (("x", x), ("y", y), ("value", value)):
+                if not math.isfinite(number):
+                    raise FormatError(f"{path}:{reader.line_num}: non-finite {name} {row[name]!r}")
             xs.append(x)
             ys.append(y)
             vs.append(value)

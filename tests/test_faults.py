@@ -3,8 +3,10 @@ documented exit code and one diagnostic that names the file, and the line
 where the reader knows it."""
 from __future__ import annotations
 
+import errno
 import gzip
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -308,6 +310,11 @@ def test_repeated_year_is_a_config_error(tmp_path, caplog):
     ("out_dir", None),
     ("stages", None),
     ("hw_weights", [0.794, 0.206]),
+    ("hw_weights", {"home": 0.794, "work": 0.206, "school": 0.5}),
+    ("hw_weights", {"home": 0.794}),
+    ("hw_weights", {"home": "0.794", "work": 0.206}),
+    ("hw_weights", {"home": True, "work": False}),
+    ("hw_weights", {"home": 0.794, "work": None}),
     ("grid", "grid_{yr}.asc"),
     ("rac", "rac_{year"),
     ("od", "od_{}.csv"),
@@ -359,3 +366,48 @@ def test_stage_flag_without_its_table_is_a_config_error(tmp_path, caplog):
                      "--stage", "bias"]) == 2
     assert "configuration error: od path is required for the bias stage" in caplog.text
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value, reason", [
+    ({"home": 0.794, "work": 0.206, "school": 0.5},
+     "keys must be 'home' and 'work', got ['home', 'school', 'work']"),
+    ({"home": 0.794}, "keys must be 'home' and 'work', got ['home']"),
+    ({"home": "0.794", "work": 0.206}, "home must be a number, got '0.794'"),
+    ({"home": True, "work": False}, "home must be a number, got True"),
+    ({"home": 0.794, "work": None}, "work must be a number, got None"),
+], ids=["unknown_key", "missing_key", "string", "bools", "null"])
+def test_hw_weights_fault_gives_its_reason(tmp_path, caplog, value, reason):
+    world = make_world(tmp_path)
+    point_config(world, "hw_weights", value)
+    assert cli.main(["validate", "--config", str(world / "config.json")]) == 2
+    assert ("configuration error: hw_weights must be {'home': h, 'work': w}: "
+            f"{reason}") in caplog.text
+
+
+def _unreadable(config: Path, monkeypatch) -> None:
+    # mode 000 does not stop a root process, so the read itself is refused
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(self))
+    monkeypatch.setattr(Path, "read_text", refuse)
+
+
+@pytest.mark.parametrize("name, make, reason", [
+    ("w", None, "cannot read config file: Is a directory"),
+    ("w/config.json/config.json", None, "cannot read config file: Not a directory"),
+    ("latin1.json", lambda path, _: path.write_bytes('{"tracts": "caf\xe9"}'.encode("latin-1")),
+     "config file is not UTF-8: 'utf-8' codec can't decode byte 0xe9 in position 15"),
+    ("w/config.json", _unreadable, "cannot read config file: Permission denied"),
+    ("deep.json", lambda path, _: path.write_text("[" * 100_000),
+     "invalid JSON: maximum recursion depth exceeded"),
+], ids=["directory", "path_through_a_file", "not_utf8", "unreadable", "nested_too_deep"])
+def test_unreadable_config_file_is_a_config_error(tmp_path, caplog, monkeypatch,
+                                                  name, make, reason):
+    make_world(tmp_path)
+    config = tmp_path / name
+    if make:
+        make(config, monkeypatch)
+    for command in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+        caplog.clear()
+        assert cli.main([*command, "--config", str(config)]) == 2
+        assert f"configuration error: {config}: {reason}" in caplog.text
+    assert not (tmp_path / "out").exists()

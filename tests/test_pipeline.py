@@ -19,6 +19,7 @@ from helpers import reference_csv
 
 import hwexposure
 from hwexposure import cli, pipeline, synth, zonal
+from hwexposure.config import _CONFIG_RULES, _REQUIRED
 from hwexposure.errors import ConfigError
 
 
@@ -558,11 +559,11 @@ def test_formats_lists_the_config_rules_the_code_walks():
     rows = [line.split(" | ") for line in section.splitlines() if line.startswith("| `")]
     documented = {key.strip("| `"): (default, rule.rstrip(" |").strip("`"))
                   for key, _, default, rule in rows}
-    assert list(documented) == list(pipeline._CONFIG_RULES)
-    for key, (default, rule, _) in pipeline._CONFIG_RULES.items():
+    assert list(documented) == list(_CONFIG_RULES)
+    for key, (default, rule, _) in _CONFIG_RULES.items():
         text_default, text_rule = documented[key]
         assert text_rule == rule
-        if default is pipeline._REQUIRED:
+        if default is _REQUIRED:
             assert text_default == "required"
         else:
             assert json.loads(text_default.strip("`")) == default
@@ -708,6 +709,37 @@ def test_run_does_not_import_numpy_ma(tmp_path):
         assert result.stdout.split("\n")[-2] == "0 []", grid_format
     csv_out, asc_out = tmp_path / "csv" / "out", tmp_path / "asc" / "out"
     assert (csv_out / "exposure.csv").read_bytes() == (asc_out / "exposure.csv").read_bytes()
+
+
+_CONFIG_ONLY_CHECK = """
+import sys
+from hwexposure import cli
+try:
+    rc = cli.main(sys.argv[1:])
+except SystemExit as exc:  # --help
+    rc = exc.code
+loaded = [name for name in sys.modules if name == "numpy" or name.startswith("hwexposure")]
+print(rc, sorted(loaded))
+"""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["validate", "--config", "{world}/config.json"], 0),
+    (["--help"], 0),
+    (["run", "--help"], 0),
+    (["run", "--config", "{world}/config.json", "--threads", "0"], 2),
+    (["validate", "--config", "{world}/nope.json"], 2),
+], ids=["validate", "help", "run_help", "bad_threads", "missing_config"])
+def test_validate_help_and_config_errors_load_no_engine(tmp_path, argv, code):
+    # a fresh interpreter: numpy and the engine modules are already loaded here
+    world = make_world(tmp_path, seed=7, n_tracts=9, n_groups=3)
+    env = dict(os.environ, PYTHONPATH=str(Path(hwexposure.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", _CONFIG_ONLY_CHECK, *(a.format(world=world) for a in argv)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    modules = ["hwexposure", "hwexposure.cli", "hwexposure.config", "hwexposure.errors"]
+    assert result.stdout.split("\n")[-2] == f"{code} {modules}"
 
 
 _SYNTH_CHECK = """

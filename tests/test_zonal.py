@@ -195,6 +195,21 @@ def test_read_xyz_csv_rejects_bad_value(tmp_path, token, message):
         read_xyz_csv(str(path))
 
 
+@pytest.mark.parametrize("row, message", [
+    ("nan,0.5,1.0", "non-finite x 'nan'"),
+    ("0.5,inf,1.0", "non-finite y 'inf'"),
+    ("-inf,0.5,1.0", "non-finite x '-inf'"),
+])
+def test_read_xyz_csv_rejects_non_finite_coordinate(tmp_path, row, message):
+    # alone or among finite points, a non-finite coordinate names its line
+    for rows in (f"{row}\n", f"0.5,0.5,1.0\n{row}\n1.5,0.5,2.0\n"):
+        path = tmp_path / "bad.csv"
+        path.write_text("x,y,value\n" + rows)
+        line = 2 if rows.startswith(row) else 3
+        with pytest.raises(FormatError, match=rf"bad\.csv:{line}: {message}"):
+            read_xyz_csv(str(path))
+
+
 def test_read_xyz_csv_padded_header(tmp_path):
     padded, plain = tmp_path / "padded.csv", tmp_path / "plain.csv"
     rows = "0.5,0.5,1.0\n1.5,0.5,2.0\n0.5,1.5,3.0\n"
