@@ -8,8 +8,7 @@ worker table is a census of the modeled population, not a sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -17,8 +16,7 @@ from .errors import ContractError, DegenerateVarianceError, DomainError, EmptyPo
 from .exposure import stable_argsort
 
 
-@dataclass(frozen=True)
-class ErrorMoments:
+class ErrorMoments(NamedTuple):
     """Weighted second moments of the classical error model."""
 
     sigma2: float  # variance of the reference X
@@ -26,8 +24,7 @@ class ErrorMoments:
     omega2: float  # variance of the error E
 
 
-@dataclass(frozen=True)
-class RankSumResult:
+class RankSumResult(NamedTuple):
     u: float       # rank-sum statistic of the first sample
     z: float       # tie-corrected normal score with continuity correction
     p_value: float  # two-sided

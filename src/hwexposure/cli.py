@@ -6,11 +6,15 @@ Subcommands mirror the pipeline stages plus `run` (all configured stages),
 
 Each command imports only what it runs: `validate`, `--help` and every
 configuration error end before numpy or an engine module is loaded.
+
+`entry` is the process entry (`python -m hwexposure.cli` and the console
+script); in-process callers use `main`, which returns the exit code.
 """
 from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 
 from .config import STAGES, load_config
@@ -129,5 +133,20 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def entry() -> None:
+    """Run ``main`` and end the process with its code, without interpreter
+    teardown. Every file ``main`` writes is closed when it returns; the logs
+    and standard streams are flushed here. An exception escaping ``main``
+    unwinds through the normal exit (a traceback and exit 1)."""
+    rc = main()
+    logging.shutdown()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):  # a broken or closed stream: the normal exit reports it
+        sys.exit(rc)
+    os._exit(rc)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ConfigError
 
@@ -19,22 +18,21 @@ STAGES = ("surface", "exposure", "disparity", "bias")
 _FLOAT_MAX = sys.float_info.max  # compares exactly with any int, unlike inf
 
 
-@dataclass(frozen=True)
 class HWWeights:
     """Time split between home and work tracts (fractions of the year)."""
 
-    home_fraction: float = 0.794
-    work_fraction: float = 0.206
+    __slots__ = ("home_fraction", "work_fraction")
 
-    def __post_init__(self) -> None:
-        if not (0.0 < self.home_fraction < 1.0 and 0.0 < self.work_fraction < 1.0):
+    def __init__(self, home_fraction: float = 0.794, work_fraction: float = 0.206) -> None:
+        if not (0.0 < home_fraction < 1.0 and 0.0 < work_fraction < 1.0):
             raise ValueError("fractions must lie strictly between 0 and 1")
-        if self.home_fraction + self.work_fraction != 1.0:
+        if home_fraction + work_fraction != 1.0:
             raise ValueError("fractions must sum to 1 exactly")
+        self.home_fraction = home_fraction
+        self.work_fraction = work_fraction
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     years: tuple[int, ...]
     grid: str
     tracts: str
@@ -51,7 +49,7 @@ class RunConfig:
     threads: int
     out_dir: Path
     base_dir: Path
-    raw: dict = field(repr=False)
+    raw: dict
 
     def path(self, template: str, year: int | None = None) -> Path:
         """The template for ``year`` (as written without one), against base_dir."""

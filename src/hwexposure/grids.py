@@ -10,7 +10,6 @@ import bisect
 import csv
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,35 +18,37 @@ from .errors import FormatError
 _ASC_KEYWORDS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
 
 
-@dataclass(frozen=True)
 class ConcentrationGrid:
-    """A regular raster of annual-average concentrations (ug/m3) with a nodata mask."""
+    """A regular raster of annual-average concentrations (ug/m3) with a nodata
+    mask: ``values`` (float64, shape (n_rows, n_cols), row 0 at the bottom) and
+    ``nodata`` (bool, same shape; True where the cell has no data), both made
+    read-only."""
 
-    origin_x: float
-    origin_y: float
-    cell_width: float
-    cell_height: float
-    n_rows: int
-    n_cols: int
-    values: np.ndarray  # float64, shape (n_rows, n_cols), row 0 at the bottom
-    nodata: np.ndarray  # bool, same shape; True where the cell has no data
+    __slots__ = ("origin_x", "origin_y", "cell_width", "cell_height", "n_rows", "n_cols",
+                 "values", "nodata")
 
-    def __post_init__(self) -> None:
-        if self.cell_width <= 0 or self.cell_height <= 0:
+    def __init__(self, origin_x: float, origin_y: float, cell_width: float,
+                 cell_height: float, n_rows: int, n_cols: int, values: np.ndarray,
+                 nodata: np.ndarray) -> None:
+        if cell_width <= 0 or cell_height <= 0:
             raise FormatError("cell dimensions must be positive")
-        if self.n_rows <= 0 or self.n_cols <= 0:
+        if n_rows <= 0 or n_cols <= 0:
             raise FormatError("grid dimensions must be positive")
-        shape = (self.n_rows, self.n_cols)
-        if self.values.shape != shape or self.nodata.shape != shape:
+        shape = (n_rows, n_cols)
+        if values.shape != shape or nodata.shape != shape:
             raise FormatError(
                 f"value/nodata arrays must have shape {shape}, "
-                f"got {self.values.shape} and {self.nodata.shape}"
+                f"got {values.shape} and {nodata.shape}"
             )
-        valid = self.values[~self.nodata]
+        valid = values[~nodata]
         if valid.size and (valid < 0).any():
             raise FormatError("concentrations must be non-negative")
-        self.values.setflags(write=False)
-        self.nodata.setflags(write=False)
+        values.setflags(write=False)
+        nodata.setflags(write=False)
+        self.origin_x, self.origin_y = origin_x, origin_y
+        self.cell_width, self.cell_height = cell_width, cell_height
+        self.n_rows, self.n_cols = n_rows, n_cols
+        self.values, self.nodata = values, nodata
 
     def cell_rect(self, row: int, col: int) -> tuple[float, float, float, float]:
         """(x0, y0, x1, y1) of the cell at (row, col)."""

@@ -14,7 +14,6 @@ import io
 import logging
 import warnings
 import zlib
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -28,25 +27,27 @@ WORKPLACE = "workplace"
 ORIGIN_DESTINATION = "od"
 
 
-@dataclass(frozen=True)
 class GroupSchema:
-    """One demographic characteristic and its ordered category columns.
+    """One demographic characteristic and its ordered (column_code, label)
+    categories.
 
     ``partitions_total`` marks characteristics whose categories partition the
     worker total; their per-row category sums must equal the total column.
     Education does not partition (it is only tabulated for workers aged 30+).
     """
 
-    characteristic: str
-    categories: tuple[tuple[str, str], ...]  # (column_code, label)
-    partitions_total: bool = True
+    __slots__ = ("characteristic", "categories", "partitions_total")
 
-    def __post_init__(self) -> None:
-        if not self.categories:
-            raise SchemaError(f"{self.characteristic}: empty category list")
-        codes = [code for code, _ in self.categories]
+    def __init__(self, characteristic: str, categories: tuple[tuple[str, str], ...],
+                 partitions_total: bool = True) -> None:
+        if not categories:
+            raise SchemaError(f"{characteristic}: empty category list")
+        codes = [code for code, _ in categories]
         if len(set(codes)) != len(codes):
-            raise SchemaError(f"{self.characteristic}: duplicate column codes")
+            raise SchemaError(f"{characteristic}: duplicate column codes")
+        self.characteristic = characteristic
+        self.categories = categories
+        self.partitions_total = partitions_total
 
     @property
     def codes(self) -> tuple[str, ...]:

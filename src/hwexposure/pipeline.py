@@ -19,7 +19,6 @@ import itertools
 import json
 import logging
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -59,7 +58,6 @@ class StageError(EngineError):
         self.stage = stage
 
 
-@dataclass
 class YearData:
     """Everything computed for one year, passed between its stages.
 
@@ -68,28 +66,34 @@ class YearData:
     ``exposures`` holds the frames of the RAC and WAC tables.
     """
 
-    year: int
-    surface: zonal.TractSurface | None = None
-    homes: exposure.AlignedTable | None = None
-    works: exposure.AlignedTable | None = None
-    pairs: exposure.ResolvedPairs | None = None
-    exposures: list[exposure.GroupExposures] = field(default_factory=list)
+    __slots__ = ("year", "surface", "homes", "works", "pairs", "exposures")
+
+    def __init__(self, year: int) -> None:
+        self.year = year
+        self.surface: zonal.TractSurface | None = None
+        self.homes: exposure.AlignedTable | None = None
+        self.works: exposure.AlignedTable | None = None
+        self.pairs: exposure.ResolvedPairs | None = None
+        self.exposures: list[exposure.GroupExposures] = []
 
 
-@dataclass
 class RunState:
     """What outlives a year. ``blocks`` holds each report's blocks so far, by
     file name; ``skips`` the degenerate-slice skips per stage and kind."""
 
-    config: RunConfig
-    tracts: PolygonSet | None = None
-    classification: exposure.TractStrata | None = None
-    coverage: zonal.TractCoverage | None = None
-    blocks: dict[str, list] = field(default_factory=dict)
-    skips: dict[str, dict[str, int]] = field(default_factory=dict)
-    manifest_stages: dict[str, dict] = field(default_factory=dict)
-    dropped_weight: int = 0
-    timings: dict[str, float] = field(default_factory=dict)
+    __slots__ = ("config", "tracts", "classification", "coverage", "blocks", "skips",
+                 "manifest_stages", "dropped_weight", "timings")
+
+    def __init__(self, config: RunConfig) -> None:
+        self.config = config
+        self.tracts: PolygonSet | None = None
+        self.classification: exposure.TractStrata | None = None
+        self.coverage: zonal.TractCoverage | None = None
+        self.blocks: dict[str, list] = {}
+        self.skips: dict[str, dict[str, int]] = {}
+        self.manifest_stages: dict[str, dict] = {}
+        self.dropped_weight = 0
+        self.timings: dict[str, float] = {}
 
     def reports(self, *names: str) -> list[list]:
         """The block lists of these reports; a report listed here is written
@@ -580,7 +584,11 @@ def run(config: RunConfig, only_stage: str | None = None) -> dict:
     to_run = [s for s in STAGES if s in to_write or any(s in _PREREQS[w] for w in to_write)]
     _check_stage_inputs(to_run, config.rac, config.wac, config.od)
 
-    config.out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        config.out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # an existing file, a path through a file, a name too long
+        raise ConfigError(
+            f"{config.out_dir}: cannot create output directory: {exc.strerror or exc}") from exc
     if only_stage is None:
         (config.out_dir / "manifest.json").unlink(missing_ok=True)
     state = RunState(config=config)

@@ -24,7 +24,6 @@ pairs come from sorted windows of boxes, so no step is quadratic in the edges.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -55,7 +54,6 @@ _ON_LINE = 64 * np.finfo(np.float64).eps
 _MIN_FRACTION = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
 class TractSurface:
     """Per-tract zonal concentrations for one year: the float64 ``values`` of
     the tracts ``ids`` (int64, ascending) with valid coverage, and the ids of
@@ -66,19 +64,18 @@ class TractSurface:
     of those under 0.99 as [geoid, ratio], lowest first.
     """
 
-    year: int
-    ids: np.ndarray
-    values: np.ndarray
-    excluded: np.ndarray
-    completeness: dict
+    __slots__ = ("year", "ids", "values", "excluded", "completeness")
 
-    def __post_init__(self) -> None:
-        every = np.sort(np.concatenate((self.ids, self.excluded)))
-        if (np.diff(self.ids) <= 0).any() or (every[1:] == every[:-1]).any():
+    def __init__(self, year: int, ids: np.ndarray, values: np.ndarray,
+                 excluded: np.ndarray, completeness: dict) -> None:
+        every = np.sort(np.concatenate((ids, excluded)))
+        if (np.diff(ids) <= 0).any() or (every[1:] == every[:-1]).any():
             raise SchemaError("tract ids must be ascending, each valued or excluded once")
-        bad = self.ids[(self.values < 0) | np.isnan(self.values)]
+        bad = ids[(values < 0) | np.isnan(values)]
         if len(bad):
             raise SchemaError(f"negative/NaN concentrations for {geoid_text(bad[:5])}")
+        self.year, self.ids, self.values = year, ids, values
+        self.excluded, self.completeness = excluded, completeness
 
 
 class TractCoverage(NamedTuple):

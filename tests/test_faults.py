@@ -411,3 +411,21 @@ def test_unreadable_config_file_is_a_config_error(tmp_path, caplog, monkeypatch,
         assert cli.main([*command, "--config", str(config)]) == 2
         assert f"configuration error: {config}: {reason}" in caplog.text
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name, reason", [
+    ("taken", "File exists"),
+    ("taken/out", "Not a directory"),
+    ("x" * 300, "File name too long"),
+], ids=["existing_file", "path_through_a_file", "name_too_long"])
+def test_unusable_output_directory_is_a_config_error(tmp_path, caplog, name, reason):
+    world = make_world(tmp_path)
+    (tmp_path / "taken").write_text("not a directory\n")
+    out = tmp_path / name
+    for command in (["run"], ["run", "--stage", "bias"], ["surface"]):
+        caplog.clear()
+        argv = [*command, "--config", str(world / "config.json"), "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert f"configuration error: {out}: cannot create output directory: {reason}" \
+            in caplog.text
+    assert (tmp_path / "taken").read_text() == "not a directory\n"

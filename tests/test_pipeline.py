@@ -2,9 +2,12 @@
 from __future__ import annotations
 
 import csv
+import functools
 import json
+import logging
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -718,7 +721,8 @@ try:
     rc = cli.main(sys.argv[1:])
 except SystemExit as exc:  # --help
     rc = exc.code
-loaded = [name for name in sys.modules if name == "numpy" or name.startswith("hwexposure")]
+loaded = [name for name in sys.modules
+          if name in ("numpy", "dataclasses") or name.startswith("hwexposure")]
 print(rc, sorted(loaded))
 """
 
@@ -731,7 +735,8 @@ print(rc, sorted(loaded))
     (["validate", "--config", "{world}/nope.json"], 2),
 ], ids=["validate", "help", "run_help", "bad_threads", "missing_config"])
 def test_validate_help_and_config_errors_load_no_engine(tmp_path, argv, code):
-    # a fresh interpreter: numpy and the engine modules are already loaded here
+    # a fresh interpreter: numpy and the engine modules are already loaded here;
+    # no record type builds a dataclass, so dataclasses is not loaded either
     world = make_world(tmp_path, seed=7, n_tracts=9, n_groups=3)
     env = dict(os.environ, PYTHONPATH=str(Path(hwexposure.__file__).parents[1]))
     result = subprocess.run(
@@ -746,22 +751,96 @@ _SYNTH_CHECK = """
 import sys
 from hwexposure import cli
 rc = cli.main(["run", "--config", sys.argv[1], "--out", sys.argv[2]])
-print(rc, "hwexposure.synth" in sys.modules)
+print(rc, "hwexposure.synth" in sys.modules, "dataclasses" in sys.modules)
 """
 
 
 def test_run_does_not_import_synth(tmp_path, capsys):
-    # a fresh interpreter, as above; only the synth command needs the generator
+    # a fresh interpreter, as above; only the synth command needs the generator,
+    # whose GradientSpec is the one dataclass left
     world = make_world(tmp_path, seed=7, n_tracts=9, n_groups=3)
     env = dict(os.environ, PYTHONPATH=str(Path(hwexposure.__file__).parents[1]))
     result = subprocess.run(
         [sys.executable, "-c", _SYNTH_CHECK, str(world / "config.json"), str(tmp_path / "out")],
         capture_output=True, text=True, env=env, check=True,
     )
-    assert result.stdout.split("\n")[-2] == "0 False"
+    assert result.stdout.split("\n")[-2] == "0 False False"
     assert cli.GRADIENT_KINDS == synth.GRADIENT_KINDS
     assert cli.main(["synth", "--out", str(tmp_path / "s"), "--gradient", "linear_x"]) == 0
     with pytest.raises(SystemExit) as exit_info:
         cli.main(["synth", "--out", str(tmp_path / "s"), "--gradient", "radial"])
     assert exit_info.value.code == 2
     assert "invalid choice: 'radial'" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------------
+# the process: `python -m hwexposure.cli` ends through cli.entry
+# ----------------------------------------------------------------------------
+
+def run_process(*args: str) -> subprocess.CompletedProcess:
+    """A fresh ``python <args>`` with this engine on its path and the standard
+    streams block-buffered, as in a batch job, so a lost flush shows."""
+    env = dict(os.environ, PYTHONPATH=str(Path(hwexposure.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def test_process_run_matches_in_process_run(tmp_path, caplog):
+    caplog.set_level(logging.INFO)  # the process logs at INFO
+    world = make_world(tmp_path, seed=7, n_tracts=9, n_groups=3)
+    argv = ["run", "--config", str(world / "config.json"), "--out"]
+    result = run_process("-m", "hwexposure.cli", *argv, str(tmp_path / "process"))
+    assert result.returncode == 0, result.stderr
+    assert cli.main([*argv, str(tmp_path / "main")]) == 0
+    process, main = read_out_files(tmp_path / "process"), read_out_files(tmp_path / "main")
+    assert strip_timings(process.pop("manifest.json")) == strip_timings(main.pop("manifest.json"))
+    assert process == main
+    assert len(main) == 11
+    # every log line reaches stderr before the exit, the last one included
+    logged = [f"{r.levelname} {r.name}: {r.getMessage()}" for r in caplog.records]
+    untimed = functools.partial(re.sub, r" in \d+\.\d+s$", "")
+    assert list(map(untimed, result.stderr.splitlines())) == list(map(untimed, logged))
+    assert logged[-1].startswith("WARNING hwexposure.pipeline: bias: skipped ")
+
+
+@pytest.mark.parametrize("command, code, expected", [
+    ("validate --config {world}/config.json", 0, "INFO hwexposure: config ok: years=[2011]"),
+    ("validate --config {world}/missing.json", 2,
+     "ERROR hwexposure: configuration error: config file not found: {world}/missing.json"),
+    ("run --config {world}/config.json --out {world}/config.json", 2,
+     "cannot create output directory: File exists"),
+    ("run --config {world}/config.json --out {world}/out --stage exposure", 1,
+     "ERROR hwexposure: stage exposure: "),
+], ids=["validate", "config_error", "output_directory", "stage_failure"])
+def test_process_exit_codes(tmp_path, command, code, expected):
+    world = make_world(tmp_path, seed=7, n_tracts=9, n_groups=3)
+    (world / "rac_2011.csv").write_text("h_geocode,CA01\n060370000001001,1\n")
+    result = run_process("-m", "hwexposure.cli", *command.format(world=world).split())
+    assert result.returncode == code
+    assert expected.format(world=world) in result.stderr
+    assert result.stdout == ""
+
+
+_REPLACED_MAIN = """
+import sys
+from hwexposure import cli
+def main(argv=None):
+    print("written before exit", end="")  # held in the stdout buffer
+    if sys.argv[1] == "raise":
+        raise RuntimeError("raised inside main")
+    return int(sys.argv[1])
+cli.main = main
+cli.entry()
+"""
+
+
+@pytest.mark.parametrize("how, code", [("0", 0), ("3", 3), ("raise", 1)])
+def test_process_entry_flushes_and_keeps_tracebacks(how, code):
+    # entry ends the process with main's code once the streams are flushed; an
+    # exception escaping main takes the normal exit: a traceback and exit 1
+    result = run_process("-c", _REPLACED_MAIN, how)
+    assert result.returncode == code
+    assert result.stdout == "written before exit"
+    traceback = "Traceback (most recent call last):" in result.stderr
+    assert traceback == (how == "raise")
+    assert result.stderr.endswith("RuntimeError: raised inside main\n") == (how == "raise")
