@@ -172,57 +172,47 @@ class ValueSlice:
 
 
 class AlignedTable(NamedTuple):
-    """RAC/WAC tract table joined against a tract surface, geoid-ascending.
+    """A worker table joined against one year's tract surface, key-ascending.
 
-    ``surface_geoids`` are the surface's int64 tract ids (ascending) and
-    ``tract_index`` each row's position among them; ``codes`` (category
-    columns in schema order) and the int64 (codes x tracts) ``counts`` are
-    empty when no tract resolved.
+    Each key of the table has a locus in ``loci`` (``("H",)`` for RAC,
+    ``("W",)`` for WAC, ``("H", "W")`` for OD) and an int64 array in
+    ``index``: each row's tract as a position among ``surface.ids``. The
+    first key's locus is the table's ``locus``, and its tract picks a row's
+    stratum. ``codes`` (category columns in schema order) and the int64
+    (codes x rows) ``counts`` are empty when no row resolved.
     """
 
-    year: int
-    locus: str
-    surface_geoids: np.ndarray
-    tract_index: np.ndarray
-    concentrations: np.ndarray
+    surface: TractSurface
+    loci: tuple[str, ...]
+    index: tuple[np.ndarray, ...]
     totals: np.ndarray
     codes: tuple[str, ...]
     counts: np.ndarray
     dropped_weight: int
+
+    @property
+    def year(self) -> int:
+        return self.surface.year
+
+    @property
+    def locus(self) -> str:
+        return self.loci[0]
 
     @property
     def geoids(self) -> np.ndarray:
-        return self.surface_geoids.take(self.tract_index)
+        """The int64 tract id of each row's first key."""
+        return self.surface.ids.take(self.index[0])
+
+    def values(self, locus: str) -> np.ndarray:
+        """Each row's concentration at ``locus``, gathered from the surface."""
+        return self.surface.values.take(self.index[self.loci.index(locus)])
 
 
-class ResolvedPairs(NamedTuple):
-    """OD tract pairs joined against a tract surface, (home, work)-ascending,
-    with ``tract_index`` the position of each pair's home tract among
-    ``surface_geoids`` and ``codes``/``counts`` as in AlignedTable."""
-
-    year: int
-    surface_geoids: np.ndarray
-    tract_index: np.ndarray
-    home_values: np.ndarray
-    work_values: np.ndarray
-    totals: np.ndarray
-    codes: tuple[str, ...]
-    counts: np.ndarray
-    dropped_weight: int
-
-    @property
-    def home_geoids(self) -> np.ndarray:
-        return self.surface_geoids.take(self.tract_index)
-
-
-def _join(surface: TractSurface, table: WorkerTable):
-    """Resolve each row of ``table`` against the surface's tract ids (ascending).
-
-    Returns the ids and their concentrations; per key array, the positions
-    among the ids of the rows whose every tract resolved; those rows'
-    (totals, codes, counts), without codes when there are none; and the
-    worker total of the other rows.
-    """
+def _join(surface: TractSurface, table: WorkerTable, loci: tuple[str, ...],
+          dropped_text: str) -> AlignedTable:
+    """Resolve each row of ``table`` against the surface's tract ids
+    (ascending), keeping the rows whose every tract resolved; the worker total
+    of the others is logged with ``dropped_text`` % (year, total)."""
     ids = surface.ids
     found = np.ones(len(table.totals), dtype=bool)
     positions = []
@@ -233,40 +223,30 @@ def _join(surface: TractSurface, table: WorkerTable):
         found &= hit
         positions.append(pos)
     codes = table.codes if found.any() else ()
+    dropped = int(table.totals[~found].sum())
+    if dropped:
+        logger.debug(dropped_text, surface.year, dropped)
     # compress, unlike a boolean index, keeps the matrix C-contiguous, so the
     # disparity row sums stay pairwise and byte-identical
-    rows = (table.totals[found], codes, table.counts[:len(codes)].compress(found, axis=1))
-    dropped = int(table.totals[~found].sum())
-    return ids, surface.values, [pos[found] for pos in positions], rows, dropped
+    return AlignedTable(surface, loci, tuple(pos[found] for pos in positions),
+                        table.totals[found], codes,
+                        table.counts[:len(codes)].compress(found, axis=1), dropped)
 
 
 def align_table(surface: TractSurface, table: WorkerTable, role: str) -> AlignedTable:
-    """Join a RAC/WAC tract table to surface concentrations, dropping
-    unresolvable tracts.
+    """Join a RAC/WAC tract table to the surface, dropping unresolvable
+    tracts.
 
     The locus is H for residence tables and W for workplace tables.
     """
-    geoids, values, (index,), rows, dropped = _join(surface, table)
-    if dropped:
-        logger.debug(
-            "%s table %d: dropped %d workers on tracts without concentrations",
-            role, surface.year, dropped,
-        )
-    locus = LOCUS_HOME if role == RESIDENCE else LOCUS_WORK
-    return AlignedTable(surface.year, locus, geoids, index, values.take(index), *rows, dropped)
+    return _join(surface, table, (LOCUS_HOME if role == RESIDENCE else LOCUS_WORK,),
+                 f"{role} table %d: dropped %d workers on tracts without concentrations")
 
 
-def resolve_pairs(surface: TractSurface, od: WorkerTable) -> ResolvedPairs:
-    """Join OD tract pairs to surface concentrations, dropping unresolvable
-    pairs."""
-    geoids, values, (home, work), rows, dropped = _join(surface, od)
-    if dropped:
-        logger.debug(
-            "OD %d: dropped %d workers on pairs touching tracts without concentrations",
-            surface.year, dropped,
-        )
-    return ResolvedPairs(surface.year, geoids, home, values.take(home), values.take(work),
-                         *rows, dropped)
+def resolve_pairs(surface: TractSurface, od: WorkerTable) -> AlignedTable:
+    """Join OD tract pairs to the surface, dropping unresolvable pairs."""
+    return _join(surface, od, (LOCUS_HOME, LOCUS_WORK),
+                 "OD %d: dropped %d workers on pairs touching tracts without concentrations")
 
 
 class TractStrata(NamedTuple):
@@ -287,21 +267,21 @@ def tract_strata(classification: Mapping[str, str]) -> TractStrata:
     return TractStrata(np.array(geoids, dtype=np.int64), codes, names)
 
 
-def stratum_masks(table: AlignedTable | ResolvedPairs, classification: TractStrata | None,
+def stratum_masks(table: AlignedTable, classification: TractStrata | None,
                   strata: Sequence[str]) -> dict[str, np.ndarray]:
-    """Boolean row mask per stratum, by each row's (home) tract. Classified
+    """Boolean row mask per stratum, by each row's first (RAC and OD: home) tract. Classified
     strata are skipped without a classification; tracts it does not list are
     in no classified stratum. The surface's tracts are looked up once and
     carried to the rows through the join positions."""
     masks = {}
     codes = None
-    n = len(table.tract_index)
+    n = len(table.totals)
     for stratum in strata:
         if stratum == ALL_STRATUM:
             masks[stratum] = np.ones(n, dtype=bool)
         elif classification is not None:
             if codes is None:
-                codes = _codes(table.surface_geoids, classification).take(table.tract_index)
+                codes = _codes(table.surface.ids, classification).take(table.index[0])
             if stratum in classification.names:
                 masks[stratum] = codes == classification.names.index(stratum)
             else:
@@ -318,7 +298,7 @@ def _codes(geoids: np.ndarray, classification: TractStrata) -> np.ndarray:
     return np.where(known.take(pos) == geoids, classification.codes.take(pos), -1)
 
 
-def iter_groups(schemas: Sequence[GroupSchema], table: AlignedTable | ResolvedPairs):
+def iter_groups(schemas: Sequence[GroupSchema], table: AlignedTable):
     """(characteristic, label, counts) for the total population, then each
     schema category among the table's codes, in schema order."""
     yield ALL_GROUP[0], ALL_GROUP[1], table.totals
@@ -365,7 +345,7 @@ class GroupExposures(NamedTuple):
         return self
 
 
-def _group_exposures(table: AlignedTable | ResolvedPairs, schemas: Sequence[GroupSchema],
+def _group_exposures(table: AlignedTable, schemas: Sequence[GroupSchema],
                      loci: dict[str, np.ndarray], classification: TractStrata | None,
                      strata: Sequence[str], skipped: str) -> GroupExposures:
     """Every group's weight and, per locus, its mean, p10 and p90 over that
@@ -409,12 +389,12 @@ def compute_group_exposures(
     strata: Sequence[str] = (ALL_STRATUM,),
 ) -> GroupExposures:
     """Every (group, stratum)'s exposure at the table's locus."""
-    return _group_exposures(aligned, schemas, {aligned.locus: aligned.concentrations},
+    return _group_exposures(aligned, schemas, {aligned.locus: aligned.values(aligned.locus)},
                             classification, strata, f"group %s ({aligned.locus}, %s)")
 
 
 def compute_hw_exposures(
-    pairs: ResolvedPairs,
+    pairs: AlignedTable,
     schemas: Sequence[GroupSchema],
     weights: HWWeights = DEFAULT_HW_WEIGHTS,
     classification: TractStrata | None = None,
@@ -429,11 +409,8 @@ def compute_hw_exposures(
     """
     if len(pairs.totals) == 0 or int(pairs.totals.sum()) == 0:
         raise EmptyPopulationError("no resolvable OD pairs with workers")
-    loci = {
-        LOCUS_HOME: pairs.home_values,
-        LOCUS_WORK: pairs.work_values,
-        LOCUS_BLEND: hw_blend(pairs.home_values, pairs.work_values, weights),
-    }
+    home, work = pairs.values(LOCUS_HOME), pairs.values(LOCUS_WORK)
+    loci = {LOCUS_HOME: home, LOCUS_WORK: work, LOCUS_BLEND: hw_blend(home, work, weights)}
     frame = _group_exposures(pairs, schemas, loci, classification, strata, "OD group %s (%s)")
     h_mean, hw_mean = frame.mean[0], frame.mean[2]
     error = h_mean - hw_mean

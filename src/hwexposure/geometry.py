@@ -190,7 +190,15 @@ def polygon_set(source: str, features: Sequence[Sequence],
     )
 
 
-def _polygons(source: str, i: int, geometry: dict) -> list:
+def _object(source: str, i: int, name: str, value) -> dict:
+    """``value``, feature ``i`` or a member of it, once it is a JSON object."""
+    if type(value) is not dict:
+        raise FormatError(f"{source}: feature {i}: {name} must be a JSON object, got {value!r}")
+    return value
+
+
+def _polygons(source: str, i: int, feature: dict) -> list:
+    geometry = _object(source, i, "geometry", feature.get("geometry") or {})
     gtype = geometry.get("type")
     coords = geometry.get("coordinates")
     if gtype == "Polygon":
@@ -204,13 +212,14 @@ def _polygons(source: str, i: int, geometry: dict) -> list:
                       f"(need Polygon/MultiPolygon)")
 
 
-def _features(path: str) -> list[dict]:
+def _features(path: str) -> list:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: not valid JSON: {exc}") from exc
-    if doc.get("type") != "FeatureCollection" or "features" not in doc:
+    if (type(doc) is not dict or doc.get("type") != "FeatureCollection"
+            or type(doc.get("features")) is not list):
         raise FormatError(f"{path}: expected a GeoJSON FeatureCollection")
     return doc["features"]
 
@@ -224,18 +233,18 @@ def read_tracts_geojson(path: str) -> PolygonSet:
     """
     geoids, features = [], []
     for i, feat in enumerate(_features(path)):
-        props = feat.get("properties") or {}
-        geoid = props.get("GEOID")
+        feat = _object(path, i, "feature", feat)
+        geoid = _object(path, i, "properties", feat.get("properties") or {}).get("GEOID")
         if geoid is None:
             raise FormatError(f"{path}: feature {i} is missing the GEOID property")
         geoids.append(geoid)
-        features.append(_polygons(path, i, feat.get("geometry") or {}))
+        features.append(_polygons(path, i, feat))
     return polygon_set(path, features, geoids)
 
 
 def read_mask_geojson(path: str) -> PolygonSet:
     """Read mask polygons (e.g. urban areas) from a GeoJSON FeatureCollection;
     each polygon is one owner."""
-    features = [_polygons(path, i, feat.get("geometry") or {})
+    features = [_polygons(path, i, _object(path, i, "feature", feat))
                 for i, feat in enumerate(_features(path))]
     return polygon_set(path, features)

@@ -61,8 +61,8 @@ class StageError(EngineError):
 class YearData:
     """Everything computed for one year, passed between its stages.
 
-    Each worker table is joined to the surface once: ``homes``/``works`` are
-    the RAC/WAC tables and ``pairs`` the OD matrix, as the stages read them;
+    Each worker table is joined to the surface once: ``homes``, ``works`` and
+    ``pairs`` are the RAC, WAC and OD tables, as the stages read them;
     ``exposures`` holds the frames of the RAC and WAC tables.
     """
 
@@ -73,7 +73,7 @@ class YearData:
         self.surface: zonal.TractSurface | None = None
         self.homes: exposure.AlignedTable | None = None
         self.works: exposure.AlignedTable | None = None
-        self.pairs: exposure.ResolvedPairs | None = None
+        self.pairs: exposure.AlignedTable | None = None
         self.exposures: list[exposure.GroupExposures] = []
 
 
@@ -188,6 +188,20 @@ _REPORTS = {
 }
 
 
+def _check_report_paths(config: RunConfig, to_write: set[str], full_run: bool) -> None:
+    """Before the first stage, the first file the run will write that is an
+    existing directory (the manifest, each year's surface, then the other
+    reports in table order) is a configuration error."""
+    optional = {"urban.csv": config.urban_mask, "error.csv": config.od}
+    names = ["manifest.json"] if full_run else []
+    for name, (stage, _, _) in _REPORTS.items():
+        if stage in to_write and optional.get(name, True):
+            names += dict.fromkeys(name.format(year=year) for year in config.years)
+    for path in (config.out_dir / name for name in names):
+        if path.is_dir():
+            raise ConfigError(f"{path}: cannot write output file: Is a directory")
+
+
 def _sha256_file(path: Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -230,21 +244,16 @@ def _stage_surface(state: RunState, data: YearData) -> None:
     }
 
 
-def _join_table(config: RunConfig, surface: zonal.TractSurface, role: str,
-                template: str) -> tuple[exposure.AlignedTable, int]:
-    """Read one year's RAC/WAC table and join it to the surface; also returns
-    the table's tract count."""
+def _join(config: RunConfig, surface: zonal.TractSurface,
+          role: str) -> tuple[exposure.AlignedTable, int]:
+    """Read one year's RAC, WAC or OD table and join it to the surface; also
+    returns the table's tract (OD: tract-pair) count."""
+    template = {ingest.RESIDENCE: config.rac, ingest.WORKPLACE: config.wac,
+                ingest.ORIGIN_DESTINATION: config.od}[role]
     _, table = ingest.read_tracts(str(config.path(template, surface.year)), role)
+    if role == ingest.ORIGIN_DESTINATION:
+        return exposure.resolve_pairs(surface, table), len(table.totals)
     return exposure.align_table(surface, table, role), len(table.totals)
-
-
-def _join_od(config: RunConfig,
-             surface: zonal.TractSurface) -> tuple[exposure.ResolvedPairs, int]:
-    """Read one year's OD table and join it to the surface; also returns the
-    table's tract-pair count."""
-    _, od = ingest.read_tracts(str(config.path(config.od, surface.year)),
-                               ingest.ORIGIN_DESTINATION)
-    return exposure.resolve_pairs(surface, od), len(od.totals)
 
 
 def _count_drops(state: RunState, year: int, drops: dict[str, int]) -> None:
@@ -266,8 +275,8 @@ def _stage_exposure(state: RunState, data: YearData) -> None:
     config = state.config
     strata = _strata(config)
     year = data.year
-    data.homes, rac_tracts = _join_table(config, data.surface, ingest.RESIDENCE, config.rac)
-    data.works, wac_tracts = _join_table(config, data.surface, ingest.WORKPLACE, config.wac)
+    data.homes, rac_tracts = _join(config, data.surface, ingest.RESIDENCE)
+    data.works, wac_tracts = _join(config, data.surface, ingest.WORKPLACE)
     frames = data.exposures = [
         exposure.compute_group_exposures(aligned, ingest.RAC_WAC_SCHEMAS,
                                          state.classification, strata)
@@ -278,7 +287,7 @@ def _stage_exposure(state: RunState, data: YearData) -> None:
     drops = {"rac": data.homes.dropped_weight, "wac": data.works.dropped_weight}
     od_pairs = 0
     if config.od:  # error.csv exists only with an OD table
-        data.pairs, od_pairs = _join_od(config, data.surface)
+        data.pairs, od_pairs = _join(config, data.surface, ingest.ORIGIN_DESTINATION)
         od = exposure.compute_hw_exposures(data.pairs, ingest.OD_SCHEMAS, config.hw_weights,
                                            state.classification, strata)
         frames = [*frames, od]
@@ -403,7 +412,7 @@ def _composition_blocks(state: RunState, aligned: exposure.AlignedTable,
     positive = np.flatnonzero(aligned.totals > 0)
     group_counts = counts.take(positive, axis=1)
     fractions = group_counts / aligned.totals[positive]
-    conc = aligned.concentrations[positive]
+    conc = aligned.values(locus).take(positive)
     by_fraction = exposure.stable_argsort(fractions)
     by_conc = exposure.stable_argsort(conc)
     masks = exposure.stratum_masks(aligned, state.classification, strata)
@@ -466,8 +475,9 @@ def _threshold_rows(config: RunConfig, aligned: exposure.AlignedTable,
     characteristics = [groups[g][0] for g in kept]
     runs = [(c, len(list(run))) for c, run in itertools.groupby(characteristics)]
     blocks: list[list] = []
+    conc = aligned.values(locus)
     for threshold in config.thresholds:
-        qs = disparity.threshold_share(aligned.concentrations, weights, threshold)
+        qs = disparity.threshold_share(conc, weights, threshold)
         covs, start = [""], 1
         for characteristic, n in runs:
             try:
@@ -490,7 +500,7 @@ def _state_rows(aligned: exposure.AlignedTable, groups: Sequence[tuple[str, str]
     states, present, values = [], [np.empty(0, np.intp)], [np.empty(0)]
     if len(aligned.geoids):
         totals = aligned.totals.astype(float)
-        conc = aligned.concentrations
+        conc = aligned.values(aligned.locus)
         national_mean = float((conc * totals).sum()) / float(totals.sum())
         codes = aligned.geoids // 10**9
         bounds = [0, *(np.flatnonzero(codes[1:] != codes[:-1]) + 1).tolist(), len(codes)]
@@ -518,15 +528,16 @@ def _stage_bias(state: RunState, data: YearData) -> None:
     skips = state.skips.setdefault("bias", {})
     bias_blocks, wilcoxon_blocks = state.reports("bias.csv", "wilcoxon.csv")
     if data.pairs is None:  # the exposure stage did not run
-        data.pairs, _ = _join_od(config, data.surface)
+        data.pairs, _ = _join(config, data.surface, ingest.ORIGIN_DESTINATION)
         _count_drops(state, year, {"od": data.pairs.dropped_weight})
     pairs = data.pairs
-    blended = exposure.hw_blend(pairs.home_values, pairs.work_values, config.hw_weights)
+    home = pairs.values(exposure.LOCUS_HOME)
+    blended = exposure.hw_blend(home, pairs.values(exposure.LOCUS_WORK), config.hw_weights)
     masks = exposure.stratum_masks(pairs, state.classification, strata)
     for stratum, mask in masks.items():
         if not mask.any():
             continue
-        vh = pairs.home_values[mask]
+        vh = home[mask]
         vb = blended[mask]
         pooled = biasstats.PooledSamples(vh, vb)
         bias_keys, moment_list, biases, test_keys, ns, tests = [], [], [], [], [], []
@@ -589,6 +600,7 @@ def run(config: RunConfig, only_stage: str | None = None) -> dict:
     except OSError as exc:  # an existing file, a path through a file, a name too long
         raise ConfigError(
             f"{config.out_dir}: cannot create output directory: {exc.strerror or exc}") from exc
+    _check_report_paths(config, to_write, only_stage is None)
     if only_stage is None:
         (config.out_dir / "manifest.json").unlink(missing_ok=True)
     state = RunState(config=config)

@@ -500,7 +500,7 @@ def oracle_state_rows(aligned) -> list[list]:
     if len(aligned.geoids) == 0:
         return rows
     totals = aligned.totals.astype(float)
-    conc = aligned.concentrations
+    conc = aligned.values(locus)
     national_mean = float((conc * totals).sum()) / float(totals.sum())
     geoids = geometry.geoid_text(aligned.geoids)
     states = sorted({g[:2] for g in geoids})
@@ -859,7 +859,7 @@ def oracle_group_exposures(aligned, schemas, classification=None,
                            strata=(exposure.ALL_STRATUM,)) -> list:
     records = []
     for stratum, mask in oracle_stratum_masks(aligned.geoids, classification, strata).items():
-        conc = aligned.concentrations[mask]
+        conc = aligned.values(aligned.locus)[mask]
         for characteristic, label, weights in exposure.iter_groups(schemas, aligned):
             w = weights[mask]
             if int(w.sum()) == 0:
@@ -879,11 +879,11 @@ def oracle_hw_exposures(pairs, schemas, weights=exposure.DEFAULT_HW_WEIGHTS,
                         classification=None, strata=(exposure.ALL_STRATUM,)):
     if len(pairs.totals) == 0 or int(pairs.totals.sum()) == 0:
         raise EmptyPopulationError("no resolvable OD pairs with workers")
-    blended = exposure.hw_blend(pairs.home_values, pairs.work_values, weights)
+    home, work = pairs.values("H"), pairs.values("W")
+    blended = exposure.hw_blend(home, work, weights)
     records, errors = [], []
-    for stratum, mask in oracle_stratum_masks(pairs.home_geoids, classification,
-                                              strata).items():
-        vh, vw, vb = pairs.home_values[mask], pairs.work_values[mask], blended[mask]
+    for stratum, mask in oracle_stratum_masks(pairs.geoids, classification, strata).items():
+        vh, vw, vb = home[mask], work[mask], blended[mask]
         for characteristic, label, group_counts in exposure.iter_groups(schemas, pairs):
             w = group_counts[mask]
             if int(w.sum()) == 0:
@@ -1081,7 +1081,7 @@ def oracle_threshold_rows(thresholds: Sequence[float], aligned: exposure.Aligned
     per group and threshold."""
     year, locus = aligned.year, aligned.locus
     blocks: list[list] = []
-    conc = aligned.concentrations
+    conc = aligned.values(locus)
     row = {code: i for i, code in enumerate(aligned.codes)}
     for threshold in thresholds:
         characteristics, labels, covs = ["all"], ["all"], [""]
@@ -1195,7 +1195,7 @@ def oracle_composition_blocks(state, aligned: exposure.AlignedTable,
         cols = np.flatnonzero(mask & (aligned.totals > 0))
         group_counts = np.ascontiguousarray(counts[:, cols])
         fractions = group_counts / aligned.totals[cols]
-        conc = aligned.concentrations[cols]
+        conc = aligned.values(locus)[cols]
         order = np.argsort(fractions, axis=1, kind="stable")
         ranked = np.ascontiguousarray(np.take_along_axis(group_counts, order, axis=1))
         weighted = conc[order] * ranked

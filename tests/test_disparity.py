@@ -28,7 +28,7 @@ from helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hwexposure import disparity, pipeline
+from hwexposure import disparity, pipeline, zonal
 from hwexposure.disparity import (
     DecileShares,
     PercentileBinCurves,
@@ -509,10 +509,10 @@ def test_state_disparity_zero_national():
 
 
 def aligned_table(geoids, totals, conc, category_counts):
+    surface = zonal.TractSurface(2011, np.array(geoids, dtype=np.int64),
+                                 np.asarray(conc, dtype=np.float64), np.empty(0, np.int64), {})
     return AlignedTable(
-        year=2011, locus="H", surface_geoids=np.array(geoids, dtype=np.int64),
-        tract_index=np.arange(len(geoids)),
-        concentrations=np.asarray(conc, dtype=np.float64),
+        surface=surface, loci=("H",), index=(np.arange(len(geoids)),),
         totals=np.asarray(totals, dtype=np.int64),
         codes=tuple(category_counts),
         counts=np.array(list(category_counts.values()), dtype=np.int64).reshape(
@@ -777,7 +777,7 @@ def random_aligned(rng, n_tracts, locus="H", conc_values=(4.0, 5.0, 10.0, 12.0, 
     conc = rng.choice(conc_values, n_tracts)
     aligned = aligned_table([f"06037{i:06d}" for i in range(n_tracts)], totals, conc,
                             dict(zip(codes, counts)))
-    return aligned._replace(locus=locus)
+    return aligned._replace(loci=(locus,))
 
 
 @given(seed=st.integers(0, 2**32 - 1), n_tracts=st.integers(0, 40),

@@ -11,13 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from hwexposure import pipeline, synth
 from hwexposure.errors import EmptyPopulationError
 from hwexposure.exposure import (
     DEFAULT_HW_WEIGHTS,
     AlignedTable,
     GroupExposures,
     HWWeights,
-    ResolvedPairs,
     ValueSlice,
     align_table,
     compute_group_exposures,
@@ -28,7 +28,14 @@ from hwexposure.exposure import (
     tract_strata,
     weighted_percentile,
 )
-from hwexposure.ingest import OD_SCHEMAS, RAC_WAC_SCHEMAS
+from hwexposure.ingest import (
+    OD_SCHEMAS,
+    ORIGIN_DESTINATION,
+    RAC_WAC_SCHEMAS,
+    RESIDENCE,
+    WORKPLACE,
+    read_tracts,
+)
 from hwexposure.geometry import geoid_text
 
 from helpers import (
@@ -298,6 +305,32 @@ def test_align_table_dropped_weight():
     assert geoid_text(aligned.geoids) == [geoid(0)]
 
 
+def test_joined_frames_hold_tract_indices_not_values(tmp_path):
+    # each frame keeps positions into the year's surface and gathers values on
+    # demand; the OD frame's budget is the one the compact pair frame lowers
+    synth.synth(str(tmp_path / "w"), seed=5, n_tracts=25, n_groups=3)
+    config = pipeline.load_config(str(tmp_path / "w" / "config.json"),
+                                  out_dir=str(tmp_path / "out"))
+    state, data = pipeline.RunState(config=config), pipeline.YearData(year=2011)
+    pipeline._stage_surface(state, data)
+    surface = data.surface
+    for role, loci in ((RESIDENCE, ("H",)), (WORKPLACE, ("W",)),
+                       (ORIGIN_DESTINATION, ("H", "W"))):
+        frame, _ = pipeline._join(config, surface, role)
+        n = len(frame.totals)
+        assert frame.loci == loci and n > 0
+        fields = [*frame.index, *(f for f in frame if isinstance(f, np.ndarray))]
+        assert not [f for f in fields if f.dtype == np.float64 and f.shape[-1:] == (n,)]
+        template = {RESIDENCE: config.rac, WORKPLACE: config.wac, ORIGIN_DESTINATION: config.od}
+        _, table = read_tracts(str(config.path(template[role], 2011)), role)
+        resolved = np.logical_and.reduce([np.isin(keys, surface.ids) for keys in table.keys])
+        for locus, keys in zip(loci, table.keys):
+            expected = surface.values[np.searchsorted(surface.ids, keys[resolved])]
+            assert frame.values(locus).tobytes() == expected.tobytes()
+        if role == ORIGIN_DESTINATION:
+            assert sum(f.nbytes for f in fields if f.shape[-1:] == (n,)) <= 96 * n
+
+
 # ----------------------------------------------------------------------------
 # compute_hw_exposures
 # ----------------------------------------------------------------------------
@@ -494,19 +527,20 @@ def count_matrices(draw, n_rows, n):
 
 @st.composite
 def classified_slices(draw):
-    """Tract positions (ascending, repeats for OD homes) among 13 surface
-    geoids, tied values, a count matrix whose first row is the totals, and a
-    classification that may leave a stratum empty."""
+    """Tied values of 13 surface tracts, each row's home (ascending, repeats
+    as for OD pairs) and work tract among them, a count matrix whose first row
+    is the totals, and a classification that may leave a stratum empty."""
+    surface_values = np.array(draw(st.lists(st.sampled_from(SLICE_VALUES), min_size=13,
+                                            max_size=13)))
     n = draw(st.integers(0, 24))
-    index = np.array(sorted(draw(st.lists(st.integers(0, 12), min_size=n, max_size=n))),
-                     dtype=np.int64)
-    values = np.array(draw(st.lists(st.sampled_from(SLICE_VALUES), min_size=n, max_size=n)))
-    others = np.array(draw(st.lists(st.sampled_from(SLICE_VALUES), min_size=n, max_size=n)))
+    home = np.array(sorted(draw(st.lists(st.integers(0, 12), min_size=n, max_size=n))),
+                    dtype=np.int64)
+    work = np.array(draw(st.lists(st.integers(0, 12), min_size=n, max_size=n)), dtype=np.int64)
     counts = draw(count_matrices(4, n))
     labels = draw(st.lists(st.sampled_from(["urban", "rural", None]), min_size=13,
                            max_size=13))
     classification = {geoid(i): s for i, s in enumerate(labels) if s is not None}
-    return index, values, others, counts, classification
+    return surface_values, home, work, counts, classification
 
 
 def records_text(compute, *args, **kwargs):
@@ -519,16 +553,16 @@ def records_text(compute, *args, **kwargs):
 @given(classified_slices())
 @settings(max_examples=300, deadline=None)
 def test_group_and_hw_exposures_match_per_group_oracle(case):
-    index, values, others, counts, classification = case
-    geoids = np.array([geoid(i) for i in range(13)], dtype=np.int64)
+    surface_values, home, work, counts, classification = case
+    surface = tract_surface(2011, dict(zip(map(geoid, range(13)), surface_values)))
     codes = ("CA01", "CA02", "CA03")
-    aligned = AlignedTable(2011, "H", geoids, index, values, counts[0], codes, counts[1:], 0)
+    aligned = AlignedTable(surface, ("H",), (home,), counts[0], codes, counts[1:], 0)
     assert records_text(
         lambda *args: exposure_records(compute_group_exposures(*args)),
         aligned, AGE, tract_strata(classification), STRATA,
     ) == records_text(oracle_group_exposures, aligned, AGE, classification, STRATA)
-    pairs = ResolvedPairs(2011, geoids, index, values, others, counts[0],
-                          ("SA01", "SA02", "SA03"), counts[1:], 0)
+    pairs = AlignedTable(surface, ("H", "W"), (home, work), counts[0],
+                         ("SA01", "SA02", "SA03"), counts[1:], 0)
     assert records_text(
         compute_hw_exposures, pairs, OD_AGE, classification=tract_strata(classification),
         strata=STRATA,
@@ -539,7 +573,8 @@ def test_group_and_hw_exposures_match_per_group_oracle(case):
 @given(classified_slices())
 @settings(max_examples=200, deadline=None)
 def test_value_slice_percentiles_match_oracle_at_every_p(case):
-    _, values, _, counts, _ = case
+    surface_values, home, _, counts, _ = case
+    values = surface_values.take(home)
     ps = (0.0, 0.1, 0.5, 0.9, 1.0)
     value_slice = ValueSlice(values)
     for row in counts:

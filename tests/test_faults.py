@@ -273,6 +273,47 @@ def test_duplicate_tract_geoid_names_the_file(tmp_path, caplog):
     assert f"stage surface: {path}: duplicate tract geoids: [{geoid!r}]" in caplog.text
 
 
+def _set_feature(index, value):
+    def edit(collection):
+        collection["features"][index] = value
+        return collection
+    return edit
+
+
+def _set_member(name, value):
+    def edit(collection):
+        collection["features"][-1][name] = value
+        return collection
+    return edit
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("tracts.geojson", lambda c: [c], "expected a GeoJSON FeatureCollection"),
+    ("urban.geojson", lambda c: [c], "expected a GeoJSON FeatureCollection"),
+    ("tracts.geojson", lambda c: {**c, "features": {"0": c["features"][0]}},
+     "expected a GeoJSON FeatureCollection"),
+    ("urban.geojson", lambda c: {**c, "features": {}}, "expected a GeoJSON FeatureCollection"),
+    ("tracts.geojson", _set_feature(1, 5), "feature 1: feature must be a JSON object, got 5"),
+    ("urban.geojson", _set_feature(0, 5), "feature 0: feature must be a JSON object, got 5"),
+    ("tracts.geojson", _set_member("geometry", [1, 2]),
+     "feature {last}: geometry must be a JSON object, got [1, 2]"),
+    ("urban.geojson", _set_member("geometry", [1, 2]),
+     "feature {last}: geometry must be a JSON object, got [1, 2]"),
+    ("tracts.geojson", _set_member("properties", ["GEOID"]),
+     "feature {last}: properties must be a JSON object, got ['GEOID']"),
+], ids=["top_level_array", "mask_top_level_array", "features_object", "mask_features_object",
+        "feature_number", "mask_feature_number", "geometry_list", "mask_geometry_list",
+        "properties_list"])
+def test_wrong_geojson_structure_names_the_file(tmp_path, caplog, name, edit, message):
+    world = make_world(tmp_path)
+    path = world / name
+    collection = json.loads(path.read_text())
+    last = len(collection["features"]) - 1
+    path.write_text(json.dumps(edit(collection)))
+    assert run(world, tmp_path / "out") == 1
+    assert f"stage surface: {path}: {message.format(last=last)}" in caplog.text
+
+
 def test_repeated_year_is_a_config_error(tmp_path, caplog):
     # a repeated year would run that year twice and repeat every report row
     world = make_world(tmp_path)
@@ -429,3 +470,37 @@ def test_unusable_output_directory_is_a_config_error(tmp_path, caplog, name, rea
         assert f"configuration error: {out}: cannot create output directory: {reason}" \
             in caplog.text
     assert (tmp_path / "taken").read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("command, name", [
+    (["run"], "manifest.json"),
+    (["run"], "surface_2011.csv"),
+    (["run"], "exposure.csv"),
+    (["run"], "wilcoxon.csv"),
+    (["run", "--stage", "surface"], "urban.csv"),
+    (["run", "--stage", "exposure"], "error.csv"),
+    (["disparity"], "bins.csv"),
+], ids=["manifest", "surface", "exposure", "last_report", "stage_surface", "stage_exposure",
+        "stage_disparity"])
+def test_report_path_that_is_a_directory_is_a_config_error(tmp_path, caplog, command, name):
+    # found before the first stage, so the run writes nothing
+    world = make_world(tmp_path)
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    argv = [*command, "--config", str(world / "config.json"), "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert f"configuration error: {out / name}: cannot write output file: Is a directory" \
+        in caplog.text
+    assert [p.name for p in out.iterdir()] == [name]
+
+
+def test_report_path_check_skips_files_the_run_does_not_write(tmp_path):
+    # a stage run writes no manifest; only the named stage's reports count
+    world = make_world(tmp_path)
+    out = tmp_path / "out"
+    for name in ("manifest.json", "exposure.csv"):
+        (out / name).mkdir(parents=True)
+    argv = ["run", "--stage", "bias", "--config", str(world / "config.json"), "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["bias.csv", "exposure.csv", "manifest.json",
+                                                     "wilcoxon.csv"]

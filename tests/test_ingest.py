@@ -324,12 +324,10 @@ def test_columnar_rollup_and_join_match_dict_oracle(data, n_keys):
     keys, concentrations, totals, groups, dropped = oracle_join(entries, oracle, schemas)
     if n_keys == 1:
         joined = align_table(surface, tracts, "residence")
-        assert key_text(joined.geoids) == [key[0] for key in keys]
-        values = [joined.concentrations]
     else:
         joined = resolve_pairs(surface, tracts)
-        assert key_text(joined.home_geoids) == [key[0] for key in keys]
-        values = [joined.home_values, joined.work_values]
+    assert key_text(joined.geoids) == [key[0] for key in keys]
+    values = [joined.values(locus) for locus in joined.loci]
     assert list(zip(*(v.tolist() for v in values))) == concentrations
     assert joined.totals.tolist() == totals.tolist()
     assert joined.dropped_weight == dropped
