@@ -94,7 +94,8 @@ _WORKER_TABLE = (None, _TEMPLATE + " or null", lambda v: v is None or _is_templa
 _CONFIG_RULES = {
     "years": (_REQUIRED, "a non-empty list of integers",
               _list_of(lambda y: type(y) is int, non_empty=True)),
-    "grid": (_REQUIRED, _TEMPLATE, _is_template),
+    "grid": (_REQUIRED, _TEMPLATE + ", ending in .asc or .csv",
+             lambda v: _is_template(v) and Path(v).suffix in (".asc", ".csv")),
     "tracts": (_REQUIRED, "a non-empty string", _is_path),
     "urban_mask": (None, "a non-empty string or null", lambda v: v is None or _is_path(v)),
     "rac": _WORKER_TABLE,
@@ -127,7 +128,7 @@ def load_config(path: str, out_dir: str | None = None,
     """
     config_path = Path(path)
     try:
-        raw = json.loads(config_path.read_text(encoding="utf-8"))
+        raw = json.loads(config_path.read_text(encoding="utf-8-sig"))
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except OSError as exc:  # a directory, a path through a file, no read permission

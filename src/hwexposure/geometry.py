@@ -18,6 +18,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DegenerateGeometryError, FormatError, SchemaError
+from .ingest import open_input
 
 
 class PolygonSet(NamedTuple):
@@ -213,7 +214,7 @@ def _polygons(source: str, i: int, feature: dict) -> list:
 
 
 def _features(path: str) -> list:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_input(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:

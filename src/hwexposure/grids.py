@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from .errors import FormatError
+from .ingest import open_input
 
 _ASC_KEYWORDS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
 
@@ -78,17 +79,23 @@ def read_asc(path: str) -> ConcentrationGrid:
 
     Recognized header keywords: ncols, nrows, xllcorner, yllcorner, cellsize,
     NODATA_value (optional, default -9999). Data rows follow, top row first,
-    and may wrap across lines. Cell values other than NODATA_value must be
-    finite.
+    and may wrap across lines. Cell values other than NODATA_value (which
+    may be NaN) must be finite.
     """
     header, values = _read_asc(path, fast=True)
     if values is None:
         header, values = _read_asc(path, fast=False)
     values = values[::-1].copy()  # file is top-down; store bottom-up
-    nodata = values == header.get("nodata_value", -9999.0)
+    nodata = _is_nodata(values, header)
     values = np.where(nodata, 0.0, values)
     return _grid(path, header["xllcorner"], header["yllcorner"], header["cellsize"],
                  header["cellsize"], values, nodata)
+
+
+def _is_nodata(values: np.ndarray, header: dict[str, float]) -> np.ndarray:
+    """Where the cells hold the header's nodata marker (a NaN marker marks NaN cells)."""
+    marker = header.get("nodata_value", -9999.0)
+    return np.isnan(values) if math.isnan(marker) else values == marker
 
 
 def _grid(path: str, origin_x: float, origin_y: float, cell_width: float,
@@ -112,7 +119,7 @@ def _read_asc(path: str, fast: bool) -> tuple[dict[str, float], np.ndarray | Non
     data: list[float] | np.ndarray = []
     line_starts: list[int] = []  # index in ``data`` of each data line's first value
     line_numbers: list[int] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_input(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             tokens = line.split()
             if not tokens:
@@ -149,7 +156,7 @@ def _read_asc(path: str, fast: bool) -> tuple[dict[str, float], np.ndarray | Non
     flat = np.asarray(data, dtype=np.float64)
     if flat.size != n_rows * n_cols:
         raise FormatError(f"{path}: expected {n_rows * n_cols} cell values, got {flat.size}")
-    bad = ~np.isfinite(flat) & (flat != header.get("nodata_value", -9999.0))
+    bad = ~np.isfinite(flat) & ~_is_nodata(flat, header)
     if bad.any():
         if fast:
             return header, None
@@ -163,13 +170,14 @@ def read_xyz_csv(path: str) -> ConcentrationGrid:
     """Read a grid from a CSV with header ``x,y,value``.
 
     Points are cell centers on a regular lattice; spacing is inferred from the
-    distinct coordinates. Lattice positions absent from the file become nodata.
-    Coordinates and values must be finite.
+    distinct coordinates. Lattice positions absent from the file become nodata,
+    and of two points at one position the later one wins. Coordinates and
+    values must be finite.
     """
     xs: list[float] = []
     ys: list[float] = []
     vs: list[float] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_input(path) as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is not None:  # the cells are looked up by the stripped names
             reader.fieldnames = [f.strip() for f in reader.fieldnames]

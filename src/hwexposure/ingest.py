@@ -8,13 +8,13 @@ blocks.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import gzip
-import io
 import logging
 import warnings
 import zlib
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -266,10 +266,19 @@ def read_tracts(path: str, role: str) -> tuple[int, WorkerTable]:
         raise type(exc)(f"{path}: {exc}") from exc
 
 
-def _open_text(path: str) -> io.TextIOBase:
-    if path.endswith(".gz"):
-        return io.TextIOWrapper(gzip.open(path, "rb"), encoding="utf-8")
-    return open(path, "r", encoding="utf-8", newline="")
+@contextlib.contextmanager
+def open_input(path: str) -> Iterator[TextIO]:
+    """Open an input file as UTF-8 text, a leading byte-order mark dropped,
+    through gzip when the path ends in ``.gz``. A failure to read it while the
+    block runs (an OS error, a truncated or corrupt gzip stream, a byte that is
+    not UTF-8) is ``FormatError("<path>: cannot read: <reason>")``."""
+    try:
+        with (gzip.open if path.endswith(".gz") else open)(
+                path, "rt", encoding="utf-8-sig", newline="") as fh:
+            yield fh
+    except (OSError, EOFError, zlib.error, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise FormatError(f"{path}: cannot read: {reason}") from exc
 
 
 def _resolve_columns(fieldnames: Sequence[str], required: Sequence[str],
@@ -300,7 +309,7 @@ def _first_bad_count(path: str, header: list[str],
                      columns: Sequence[str]) -> FormatError | None:
     """The first count cell, in file order, that is not an integer, named by
     its file line (blank lines count, unlike in np.loadtxt's row numbers)."""
-    with _open_text(path) as fh:
+    with open_input(path) as fh:
         reader = csv.DictReader(fh, fieldnames=header)
         next(reader)  # the header line
         for rec in reader:
@@ -319,33 +328,28 @@ def _read_table(path: str, required: Sequence[str], keys: Sequence[str],
     """Parse a worker table's key, total (the last required column) and
     category columns, whole columns at a time."""
     total = required[-1]
-    try:
-        with _open_text(path) as fh:
-            header = next(csv.reader(fh), None)
-            if header is None:
-                raise FormatError(f"{path}: empty file")
-            if header:
-                header[0] = header[0].removeprefix("\ufeff")  # a UTF-8 byte-order mark
-            codes = _resolve_columns(header, required, schemas, path)
-            position = {name: i for i, name in enumerate(header)}  # last of a repeated name
-            dtype = np.dtype([*((key, key_dtype) for key in keys),
-                              ("counts", np.int64, (len(codes) + 1,))])
-            try:
-                with warnings.catch_warnings():
-                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                    data = np.loadtxt(
-                        fh, dtype=dtype, delimiter=",", comments=None, quotechar='"',
-                        usecols=[position[c] for c in (*keys, total, *codes)], ndmin=1,
-                    )
-            except UnicodeDecodeError:  # a ValueError, but not a bad cell
-                raise
-            except ValueError as exc:
-                error = _first_bad_count(path, header, [total, *codes])
-                if error is None and key_dtype == "S16":  # a key with no Latin-1 form
-                    return _read_table(path, required, keys, schemas, "U16")
-                raise (error or FormatError(f"{path}: {exc}")) from exc
-    except (EOFError, gzip.BadGzipFile, zlib.error, UnicodeDecodeError) as exc:
-        raise FormatError(f"{path}: cannot read: {exc}") from exc
+    with open_input(path) as fh:
+        header = next(csv.reader(fh), None)
+        if header is None:
+            raise FormatError(f"{path}: empty file")
+        codes = _resolve_columns(header, required, schemas, path)
+        position = {name: i for i, name in enumerate(header)}  # last of a repeated name
+        dtype = np.dtype([*((key, key_dtype) for key in keys),
+                          ("counts", np.int64, (len(codes) + 1,))])
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(
+                    fh, dtype=dtype, delimiter=",", comments=None, quotechar='"',
+                    usecols=[position[c] for c in (*keys, total, *codes)], ndmin=1,
+                )
+        except UnicodeDecodeError:  # a ValueError, but not a bad cell: open_input names it
+            raise
+        except ValueError as exc:
+            error = _first_bad_count(path, header, [total, *codes])
+            if error is None and key_dtype == "S16":  # a key with no Latin-1 form
+                return _read_table(path, required, keys, schemas, "U16")
+            raise (error or FormatError(f"{path}: {exc}")) from exc
     counts = data["counts"]
     return WorkerTable(
         keys=tuple(data[key].copy() for key in keys),

@@ -107,14 +107,6 @@ def _strata(config: RunConfig) -> tuple[str, ...]:
     return (ALL_STRATUM,)
 
 
-def _read_grid(path: Path):
-    if path.suffix == ".asc":
-        return read_asc(str(path))
-    if path.suffix == ".csv":
-        return read_xyz_csv(str(path))
-    raise ConfigError(f"grid file must be .asc or .csv, got {path.name}")
-
-
 # A text cell holding one of these would need quoting, which _write_csv does
 # not do: geoids are ASCII digits and labels and strata are schema constants.
 _QUOTED = (",", '"', "\r", "\n")
@@ -233,7 +225,8 @@ def _stage_surface(state: RunState, data: YearData) -> None:
             state.classification = exposure.tract_strata(dict(zip(tracts.geoids, labels)))
             manifest["urban"] = zonal.urban_counts(fraction)
             state.reports("urban.csv")[0].append([tracts.geoids, labels])
-    grid = _read_grid(config.path(config.grid, data.year))
+    path = config.path(config.grid, data.year)  # .asc or .csv (XYZ), by the grid rule
+    grid = (read_asc if path.suffix == ".asc" else read_xyz_csv)(str(path))
     if state.coverage is None or state.coverage.lattice != grid.lattice:
         state.coverage = zonal.tract_coverage(state.tracts, grid)
     data.surface = surface = zonal.build_tract_surface(grid, state.coverage, data.year)

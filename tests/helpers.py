@@ -26,6 +26,8 @@ oracle_read_tracts the text-keyed (U16 geocodes, U11 geoids) reader and
 rollup that the int64 tract ids replaced. tract_surface builds a
 zonal.TractSurface from a {geoid: value} dict, surface_entries gives one
 back as that dict, and key_text prints WorkerTable keys as text.
+write_xyz_grid writes an ASC grid's valued cells as shuffled x,y,value
+points.
 oracle_weighted_mean, oracle_weighted_percentile, oracle_stratum_masks,
 oracle_group_exposures, oracle_hw_exposures and oracle_rank_sum_grouped are
 the per-group bodies that the one-sort-per-slice kernels
@@ -61,7 +63,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from hwexposure import biasstats, disparity, exposure, geometry, ingest, pipeline, zonal
+from hwexposure import biasstats, disparity, exposure, geometry, grids, ingest, pipeline, zonal
 from hwexposure.errors import (
     ContractError,
     DegenerateGeometryError,
@@ -576,6 +578,19 @@ def read_surface_csv(path: str) -> zonal.TractSurface:
     return tract_surface(year, entries)
 
 
+def write_xyz_grid(asc_path: str, xyz_path: str, seed: int = 0) -> None:
+    """Write the valued cells of an ESRI ASCII grid as cell-centre
+    ``x,y,value`` points in a shuffled order, leaving its nodata cells out."""
+    grid = grids.read_asc(asc_path)
+    rows, cols = np.nonzero(~grid.nodata)
+    lines = [f"{grid.origin_x + (c + 0.5) * grid.cell_width!r},"
+             f"{grid.origin_y + (r + 0.5) * grid.cell_height!r},{v!r}\n"
+             for r, c, v in zip(rows.tolist(), cols.tolist(), grid.values[rows, cols].tolist())]
+    np.random.default_rng(seed).shuffle(lines)
+    with open(xyz_path, "w", encoding="utf-8") as fh:
+        fh.write("x,y,value\n" + "".join(lines))
+
+
 def tract_surface(year: int, entries: dict[str, float],
                   excluded: Sequence[str] = ()) -> zonal.TractSurface:
     """The TractSurface of a {geoid: concentration} dict and excluded geoids."""
@@ -709,9 +724,8 @@ def oracle_read_tracts(path: str, role: str) -> tuple[int, ingest.WorkerTable]:
     key = "h_geocode" if role == ingest.RESIDENCE else "w_geocode"
     required = ["w_geocode", "h_geocode", "S000"] if od else [key, "C000"]
     keys = ["h_geocode", "w_geocode"] if od else [key]
-    with ingest._open_text(path) as fh:
+    with ingest.open_input(path) as fh:
         header = next(csv.reader(fh))
-        header[0] = header[0].removeprefix("\ufeff")
         codes = ingest._resolve_columns(header, required, schemas, path)
         position = {name: i for i, name in enumerate(header)}
         dtype = np.dtype([*((k, "U16") for k in keys), ("counts", np.int64, (len(codes) + 1,))])

@@ -375,6 +375,21 @@ def test_pooled_rank_sum_tie_term_past_int64(tie):
     assert outcome(PooledSamples(values_a, values_b).test, counts_a, counts_b) == want
 
 
+@pytest.mark.parametrize("counts_a, counts_b", [
+    ([2 ** 62, 2 ** 62], [5]),        # n_a = 2**63: the counts become Python ints
+    ([2 ** 31, 2 ** 31], [2 ** 31]),  # only n(2n + 1) >= 2**63: the ordered counts do
+], ids=["huge_count", "huge_total"])
+def test_pooled_rank_sum_past_int64_matches_python_ints(counts_a, counts_b):
+    # an int64 tally of these counts would wrap; the dict oracle tallies
+    # in Python ints, so u, z and p must match it exactly
+    values_a, values_b = [1.0, 2.0], [1.5]
+    n = sum(counts_a) + sum(counts_b)
+    assert n * (2 * n + 1) >= 2 ** 63
+    want = oracle_rank_sum_grouped(values_a, counts_a, values_b, counts_b)
+    got = PooledSamples(values_a, values_b).test(counts_a, counts_b)
+    assert (got.u, got.z, got.p_value) == (want.u, want.z, want.p_value)
+
+
 def test_pooled_rank_sum_rejects_misaligned_counts():
     with pytest.raises(ContractError, match="align"):
         PooledSamples([1.0, 2.0], [3.0]).test([1], [1])

@@ -10,6 +10,7 @@ import os
 from pathlib import Path
 
 import pytest
+from helpers import write_xyz_grid
 
 from hwexposure import cli, synth
 
@@ -151,6 +152,68 @@ def test_invalid_utf8(tmp_path, caplog):
     wac.write_bytes(wac.read_bytes().replace(b"\n", b"\n\xff", 3))
     assert run(world, tmp_path / "out") == 1
     assert f"{wac}: cannot read: " in caplog.text
+
+
+def use_xyz_grid(world: Path) -> Path:
+    """Point the world's config at an XYZ copy of its grid; returns its path."""
+    path = world / "grid_2011.csv"
+    write_xyz_grid(str(world / "grid_2011.asc"), str(path))
+    point_config(world, "grid", "grid_{year}.csv")
+    return path
+
+
+# each input kind: the stage that reads it, and its path once the world uses it
+INPUTS = {
+    "asc": ("surface", lambda world: world / "grid_2011.asc"),
+    "xyz": ("surface", use_xyz_grid),
+    "tracts": ("surface", lambda world: world / "tracts.geojson"),
+    "mask": ("surface", lambda world: world / "urban.geojson"),
+    "rac": ("exposure", lambda world: world / "rac_2011.csv"),
+}
+
+
+@pytest.mark.parametrize("fault, reason", [
+    ("non_utf8", "'utf-8' codec can't decode byte 0xff in position "),
+    ("directory", "Is a directory"),
+])
+@pytest.mark.parametrize("kind", INPUTS)
+def test_unreadable_input_names_the_file(tmp_path, caplog, kind, fault, reason):
+    world = make_world(tmp_path)
+    stage, locate = INPUTS[kind]
+    path = locate(world)
+    if fault == "directory":
+        path.unlink()
+        path.mkdir()
+    else:
+        path.write_bytes(path.read_bytes() + b"\xff")
+    assert run(world, tmp_path / "out") == 1
+    assert f"stage {stage}: {path}: cannot read: {reason}" in caplog.text
+
+
+def report_bytes(out: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.suffix == ".csv"}
+
+
+@pytest.mark.parametrize("grid", ["asc", "xyz"])
+def test_every_input_accepts_a_byte_order_mark(tmp_path, grid):
+    world = make_world(tmp_path)
+    names = ["config.json", "tracts.geojson", "urban.geojson", "rac_2011.csv",
+             "wac_2011.csv", "od_2011.csv", INPUTS[grid][1](world).name]
+    assert run(world, tmp_path / "plain") == 0
+    for name in names:
+        (world / name).write_bytes(b"\xef\xbb\xbf" + (world / name).read_bytes())
+    assert run(world, tmp_path / "bom") == 0
+    assert report_bytes(tmp_path / "bom") == report_bytes(tmp_path / "plain")
+
+
+def test_gzipped_geojson_gives_the_same_outputs(tmp_path):
+    world = make_world(tmp_path)
+    assert run(world, tmp_path / "plain") == 0
+    for key, name in (("tracts", "tracts.geojson"), ("urban_mask", "urban.geojson")):
+        (world / f"{name}.gz").write_bytes(gzip.compress((world / name).read_bytes()))
+        point_config(world, key, f"{name}.gz")
+    assert run(world, tmp_path / "gz") == 0
+    assert report_bytes(tmp_path / "gz") == report_bytes(tmp_path / "plain")
 
 
 def test_header_only_table(tmp_path, caplog):
@@ -359,6 +422,8 @@ def test_repeated_year_is_a_config_error(tmp_path, caplog):
     ("grid", "grid_{yr}.asc"),
     ("rac", "rac_{year"),
     ("od", "od_{}.csv"),
+    ("grid", "grid_{year}.txt"),  # the grid readers take .asc and .csv only
+    ("grid", "grid_{year}.csv.gz"),
 ], ids=lambda v: json.dumps(v))
 def test_malformed_config_value_names_the_key(tmp_path, caplog, key, value):
     world = make_world(tmp_path)

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 import pytest
-from helpers import reference_csv
+from helpers import reference_csv, write_xyz_grid
 
 import hwexposure
 from hwexposure import cli, pipeline, synth, zonal
@@ -84,6 +84,29 @@ def make_distinct_years_world(tmp_path: Path, years: Sequence[int]) -> Path:
         grid.write_text(grid.read_text().replace("xllcorner 0.0", "xllcorner 0.5"))
     set_years(world, years)
     return world
+
+
+def test_xyz_grids_give_the_asc_grids_reports(tmp_path):
+    # each year's quarter-unit grid as shuffled cell-centre points, its nodata
+    # cells left out (2011), its own lattice (2013) and a zero field (2012)
+    years = (2011, 2012, 2013)
+    world = make_distinct_years_world(tmp_path, years)
+    assert cli.main(["run", "--config", str(world / "config.json"),
+                     "--out", str(tmp_path / "asc")]) == 0
+    for year in years:
+        write_xyz_grid(str(world / f"grid_{year}.asc"), str(world / f"grid_{year}.csv"), year)
+    config_doc = json.loads((world / "config.json").read_text())
+    config_doc["grid"] = "grid_{year}.csv"
+    (world / "config.json").write_text(json.dumps(config_doc))
+    assert cli.main(["run", "--config", str(world / "config.json"),
+                     "--out", str(tmp_path / "xyz")]) == 0
+    asc, xyz = read_out_files(tmp_path / "asc"), read_out_files(tmp_path / "xyz")
+    assert sorted(asc) == sorted(xyz)
+    for name in asc:
+        if name != "manifest.json":  # its inputs name the grid files
+            assert xyz[name] == asc[name], name
+    assert strip_timings(xyz["manifest.json"])["stages"] == \
+        strip_timings(asc["manifest.json"])["stages"]
 
 
 # ----------------------------------------------------------------------------

@@ -237,6 +237,26 @@ def test_read_xyz_csv_negative_value_names_the_file(tmp_path):
         read_xyz_csv(str(path))
 
 
+@pytest.mark.parametrize("wrapped", [False, True], ids=["rectangular", "wrapped"])
+def test_read_asc_nan_nodata_marker(tmp_path, wrapped):
+    # only the cells other than the marker must be finite; NaN never equals
+    # itself, so a NaN marker is matched with isnan
+    rect, nan = tmp_path / "rect.asc", tmp_path / "nan.asc"
+    rect.write_text(ASC_TEXT)
+    data = "1.5 2.5\nnan 4.0 5.0 6.0\n" if wrapped else "1.5 2.5 nan\n4.0 5.0 6.0\n"
+    nan.write_text(ASC_TEXT.replace("-9999", "nan").split("1.5")[0] + data)
+    assert_same_grid(read_asc(str(nan)), read_asc(str(rect)))
+    nan.write_text(nan.read_text().replace("6.0", "inf"))
+    with pytest.raises(FormatError, match=r"nan\.asc:8: non-finite cell value inf"):
+        read_asc(str(nan))
+
+
+def test_read_xyz_csv_later_point_wins(tmp_path):
+    path = tmp_path / "grid.csv"
+    path.write_text("x,y,value\n0.5,0.5,1.0\n1.5,0.5,2.0\n0.5,0.5,3.0\n")
+    assert read_xyz_csv(str(path)).values.tolist() == [[3.0, 2.0]]
+
+
 def test_negative_concentration_rejected():
     with pytest.raises(FormatError):
         make_grid([[-1.0]])
