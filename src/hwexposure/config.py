@@ -157,9 +157,13 @@ def load_config(path: str, out_dir: str | None = None,
                           "thresholds": tuple(map(float, values["thresholds"])),
                           "out_dir": base_dir / values["out_dir"]},
                        base_dir=base_dir, raw=raw)
-    missing = [str(p) for p in config.input_paths() if not p.exists()]
+    inputs = config.input_paths()
+    missing = [str(p) for p in inputs if not p.exists()]
     if missing:
         raise ConfigError(f"missing input file(s): {missing}")
+    directory = next((p for p in inputs if p.is_dir()), None)
+    if directory is not None:
+        raise ConfigError(f"{directory}: cannot read input file: Is a directory")
     return config
 
 

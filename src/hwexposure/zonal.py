@@ -1,6 +1,10 @@
 """Zonal aggregation of a concentration grid over tract polygons, plus
 urban/rural classification against a mask polygon set.
 
+Both exact-area kernels take their edges from ``_oriented_edges``, one run
+of tracts at a time: exterior rings turned counter-clockwise and holes
+clockwise by the sign of ``PolygonSet.ring_area``.
+
 Cell weights are exact coverage areas. ``tract_coverage`` computes them once
 per grid lattice with a signed-area accumulation rasterizer, the exact-area
 technique of font-rs and exactextract: every ring edge is split at the row and
@@ -13,13 +17,13 @@ with zero valid coverage are excluded rather than failing the run.
 
 ``build_urban_mask`` measures each tract's overlap with the mask by Green's
 theorem: area(T ∩ M) is the integral of x dy over the pieces of T's boundary
-inside M plus the pieces of M's boundary inside T, with exterior rings
-counter-clockwise and holes clockwise. Every tract edge is split where it
-meets a mask edge and every mask edge where it meets a tract edge; each
-piece's midpoint is classified by a winding-number (signed crossing) test. A
-piece of T's boundary lying on M's boundary counts when the two run the same
-way; a piece of M's boundary lying on T's boundary never counts. Candidate
-pairs come from sorted windows of boxes, so no step is quadratic in the edges.
+inside M plus the pieces of M's boundary inside T. Every tract edge is split
+where it meets a mask edge and every mask edge where it meets a tract edge;
+each piece's midpoint is classified by a winding-number (signed crossing)
+test. A piece of T's boundary lying on M's boundary counts when the two run
+the same way; a piece of M's boundary lying on T's boundary never counts.
+Candidate pairs come from sorted windows of boxes, so no step is quadratic in
+the edges.
 """
 from __future__ import annotations
 
@@ -121,33 +125,61 @@ def _line_crossings(a0: np.ndarray, a1: np.ndarray):
     return edge, line, (line - a0[edge]) / (a1[edge] - a0[edge])
 
 
-def _chunk_coverage(gx, gy, ring_len, ring_tract, ring_hole, col0, row0, width, height):
+class _Edges(NamedTuple):
+    """Directed edges of nonzero length, with the owner of each, in owner order."""
+
+    x0: np.ndarray
+    y0: np.ndarray
+    x1: np.ndarray
+    y1: np.ndarray
+    owner: np.ndarray
+
+    def take(self, idx) -> "_Edges":
+        return _Edges(*(a[idx] for a in self))
+
+    def boxes(self) -> np.ndarray:
+        return np.column_stack((np.minimum(self.x0, self.x1), np.minimum(self.y0, self.y1),
+                                np.maximum(self.x0, self.x1), np.maximum(self.y0, self.y1)))
+
+
+def _oriented_edges(polygons: PolygonSet, ra: int, rb: int) -> _Edges:
+    """The edges of rings ra:rb, exteriors turned counter-clockwise and holes
+    clockwise by the sign of ``ring_area``."""
+    ptr = polygons.ring_ptr[ra:rb + 1]
+    ring, rank = _expand(np.diff(ptr) - 1)
+    e0 = ptr[ring] + rank
+    ring += ra
+    flip = (polygons.ring_area[ring] < 0.0) != polygons.ring_hole[ring]
+    i, j = e0 + flip, e0 + ~flip
+    x, y = polygons.xy[:, 0], polygons.xy[:, 1]
+    keep = (x[i] != x[j]) | (y[i] != y[j])
+    i, j = i[keep], j[keep]
+    return _Edges(x[i], y[i], x[j], y[j], polygons.ring_owner[ring[keep]])
+
+
+def _tract_runs(tracts: PolygonSet, *budgets):
+    """Consecutive runs of tracts holding about _CHUNK_VERTICES ring vertices,
+    and within any further (sizes, limit) budgets: yields each run's first and
+    end tract and its oriented edges, owners counted from the run's first."""
+    tract_ring = np.searchsorted(tracts.ring_owner, np.arange(tracts.n_owners + 1))
+    bounds = _runs(tracts.n_owners, (np.diff(tracts.ring_ptr[tract_ring]), _CHUNK_VERTICES),
+                   *budgets)
+    for ta, tb in zip(bounds[:-1], bounds[1:]):
+        edges = _oriented_edges(tracts, tract_ring[ta], tract_ring[tb])
+        yield ta, tb, edges._replace(owner=edges.owner - ta)
+
+
+def _chunk_coverage(edges: _Edges, width: np.ndarray, height: np.ndarray):
     """Covered fraction of every bbox cell of a run of tracts.
 
-    ``gx``/``gy`` are the run's closed-ring vertices in cell units; tract ``t``
-    of the run has the bbox of ``height[t]`` rows by ``width[t]`` columns from
-    cell (``row0[t]``, ``col0[t]``). For each bbox cell covered by more than
-    _MIN_FRACTION, returns its tract (index within the run), bbox row, bbox
-    column and covered fraction, clipped to 1.
+    ``edges`` are the run's oriented edges in cell units from each tract's bbox
+    corner; tract ``t`` of the run (``edges.owner``) has the bbox of
+    ``height[t]`` rows by ``width[t]`` columns. For each bbox cell covered by
+    more than _MIN_FRACTION, returns its tract, bbox row, bbox column and
+    covered fraction, clipped to 1.
     """
-    vert_tract = np.repeat(ring_tract, ring_len)
-    u = gx - col0[vert_tract]
-    v = gy - row0[vert_tract]
-    # edges run from each vertex to the next one of its closed ring
-    last = np.cumsum(ring_len) - 1
-    start = np.ones(len(u), dtype=bool)
-    start[last] = False
-    e0 = np.flatnonzero(start)
-    ring_edges = ring_len - 1
-    edge_ring = np.repeat(np.arange(len(ring_len)), ring_edges)
-    u0, v0, u1, v1 = u[e0], v[e0], u[e0 + 1], v[e0 + 1]
-    twice_area = np.add.reduceat(u0 * v1 - u1 * v0, np.cumsum(ring_edges) - ring_edges)
-    # Pieces add area right of a rising edge, so a counter-clockwise exterior
-    # accumulates negative coverage: flip exteriors, keep holes.
-    sign = (np.where(ring_hole, 1.0, -1.0) * np.sign(twice_area))[edge_ring]
-    steep = (v0 != v1) & (sign != 0.0)
-    u0, v0, u1, v1, sign = u0[steep], v0[steep], u1[steep], v1[steep], sign[steep]
-    edge_tract = ring_tract[edge_ring[steep]]
+    steep = edges.y0 != edges.y1
+    u0, v0, u1, v1, edge_tract = (a[steep] for a in edges)
 
     # split every edge at the column and row lines it crosses
     ex, xline, xt = _line_crossings(u0, u1)
@@ -159,11 +191,12 @@ def _chunk_coverage(gx, gy, ring_len, ring_tract, ring_hole, col0, row0, width, 
     v = np.concatenate((v0, v0[ex] + xt * (v1[ex] - v0[ex]), yline, v1))
     order = np.lexsort((t, edge))
     edge, u, v = edge[order], u[order], v[order]
-    # consecutive points of one edge bound a piece lying inside a single cell
+    # Consecutive points of one edge bound a piece lying inside a single cell;
+    # on oriented rings, each piece adds its drop to the cells right of it.
     piece = np.flatnonzero(edge[1:] == edge[:-1])
-    dy = v[piece + 1] - v[piece]
+    dy = v[piece] - v[piece + 1]
     keep = dy != 0.0
-    piece, dy = piece[keep], dy[keep] * sign[edge[piece[keep]]]
+    piece, dy = piece[keep], dy[keep]
     tract = edge_tract[edge[piece]]
     um = 0.5 * (u[piece] + u[piece + 1])
     col = np.clip(np.floor(um), 0, width[tract] - 1)
@@ -197,38 +230,28 @@ def tract_coverage(tracts: PolygonSet, grid: ConcentrationGrid) -> TractCoverage
     """Exact coverage of every grid cell by every tract, for the grid's lattice.
 
     Only the lattice (origin, cell size, shape) is read, so the result serves
-    every year whose grid has the same lattice. Ring orientation is taken from
-    each ring's shoelace sign; holes subtract. Raises SchemaError for an empty
-    tract set.
+    every year whose grid has the same lattice. Holes subtract. Raises
+    SchemaError for an empty tract set.
     """
     n_tracts = len(tracts.geoids)
     if not n_tracts:
         raise SchemaError("tract list is empty")
-    ring_len = np.diff(tracts.ring_ptr)
-    ring_tract, ring_hole = tracts.ring_owner, tracts.ring_hole
-    gx = (tracts.xy[:, 0] - grid.origin_x) / grid.cell_width
-    gy = (tracts.xy[:, 1] - grid.origin_y) / grid.cell_height
-    # first ring and first vertex of each tract, plus the ends
-    tract_ring = np.searchsorted(ring_tract, np.arange(n_tracts + 1))
-    tract_vertex = tracts.ring_ptr[tract_ring]
-    first = tract_vertex[:-1]
-    col0 = np.floor(np.minimum.reduceat(gx, first))
-    row0 = np.floor(np.minimum.reduceat(gy, first))
-    width = (np.ceil(np.maximum.reduceat(gx, first)) - col0).astype(np.int64)
-    height = (np.ceil(np.maximum.reduceat(gy, first)) - row0).astype(np.int64)
+    ox, oy, cw, ch = grid.origin_x, grid.origin_y, grid.cell_width, grid.cell_height
+    # Each tract's bbox in cells: the cell transform is monotone, so these are
+    # the floors and ceilings of its vertices' cell coordinates.
+    col0, row0 = np.floor((tracts.bbox[:, 0] - ox) / cw), np.floor((tracts.bbox[:, 1] - oy) / ch)
+    width = (np.ceil((tracts.bbox[:, 2] - ox) / cw) - col0).astype(np.int64)
+    height = (np.ceil((tracts.bbox[:, 3] - oy) / ch) - row0).astype(np.int64)
 
-    # runs of tracts holding about _CHUNK_CELLS bbox cells and _CHUNK_VERTICES vertices
-    bounds = _runs(n_tracts, (height * (width + 1), _CHUNK_CELLS),
-                   (np.diff(tract_vertex), _CHUNK_VERTICES))
-
-    cell_area = grid.cell_width * grid.cell_height
+    cell_area = cw * ch
     polygon_area = np.zeros(n_tracts)
     out_tract, out_cell, out_frac = [], [], []
-    for ta, tb in zip(bounds[:-1], bounds[1:]):
-        va, vb, ra, rb = tract_vertex[ta], tract_vertex[tb], tract_ring[ta], tract_ring[tb]
+    for ta, tb, e in _tract_runs(tracts, (height * (width + 1), _CHUNK_CELLS)):
+        c0, r0 = col0[ta:tb][e.owner], row0[ta:tb][e.owner]
         tract, r, c, frac = _chunk_coverage(
-            gx[va:vb], gy[va:vb], ring_len[ra:rb], ring_tract[ra:rb] - ta, ring_hole[ra:rb],
-            col0[ta:tb], row0[ta:tb], width[ta:tb], height[ta:tb])
+            e._replace(x0=(e.x0 - ox) / cw - c0, y0=(e.y0 - oy) / ch - r0,
+                       x1=(e.x1 - ox) / cw - c0, y1=(e.y1 - oy) / ch - r0),
+            width[ta:tb], height[ta:tb])
         polygon_area[ta:tb] = np.bincount(tract, weights=frac, minlength=tb - ta) * cell_area
         tract += ta
         row = row0[tract].astype(np.int64) + r
@@ -332,37 +355,6 @@ class _Sweep(NamedTuple):
         return q[keep], b[keep]
 
 
-class _Edges(NamedTuple):
-    """Directed edges of nonzero length, with the owner of each, in owner order."""
-
-    x0: np.ndarray
-    y0: np.ndarray
-    x1: np.ndarray
-    y1: np.ndarray
-    owner: np.ndarray
-
-    def take(self, idx) -> "_Edges":
-        return _Edges(*(a[idx] for a in self))
-
-    def boxes(self) -> np.ndarray:
-        return np.column_stack((np.minimum(self.x0, self.x1), np.minimum(self.y0, self.y1),
-                                np.maximum(self.x0, self.x1), np.maximum(self.y0, self.y1)))
-
-
-def _oriented_edges(polygons: PolygonSet) -> _Edges:
-    """Every ring edge, exteriors turned counter-clockwise and holes clockwise."""
-    ring_len = np.diff(polygons.ring_ptr)
-    start = np.ones(len(polygons.xy), dtype=bool)
-    start[polygons.ring_ptr[1:] - 1] = False
-    e0 = np.flatnonzero(start)
-    edge_ring = np.repeat(np.arange(len(ring_len)), ring_len - 1)
-    flip = ((polygons.ring_area < 0.0) != polygons.ring_hole)[edge_ring]
-    a, b = polygons.xy[np.where(flip, e0 + 1, e0)], polygons.xy[np.where(flip, e0, e0 + 1)]
-    keep = (a != b).any(axis=1)
-    return _Edges(a[keep, 0], a[keep, 1], b[keep, 0], b[keep, 1],
-                  polygons.ring_owner[edge_ring[keep]])
-
-
 def _winding(px, py, x_end, edges: _Edges, rays: _Sweep, owner=None) -> np.ndarray:
     """Winding number of each point about the rings of ``edges``, or of the
     point's ``owner`` only: the signed crossings of the ray from the point to
@@ -426,7 +418,7 @@ class _Mask(NamedTuple):
 
     @classmethod
     def of(cls, mask: PolygonSet) -> "_Mask":
-        edges = _oriented_edges(mask)
+        edges = _oriented_edges(mask, 0, len(mask.ring_area))
         boxes = edges.boxes()
         return cls(edges, _Sweep.of(boxes, 0), _Sweep.of(boxes, 1))
 
@@ -445,19 +437,20 @@ def _side(ax, ay, bx, by, px, py):
 
 
 def _chunk_overlap(tract_edges: _Edges, tract_bbox: np.ndarray, tract_area: np.ndarray,
-                   corner: np.ndarray, mask: _Mask) -> np.ndarray:
+                   mask: _Mask) -> np.ndarray:
     """The area of each tract of a run inside the mask; ``tract_edges.owner``
-    indexes the run's tracts, the rows of ``tract_bbox``, ``tract_area`` and
-    ``corner`` (one vertex of each tract)."""
+    indexes the run's tracts, the rows of ``tract_bbox`` and ``tract_area``."""
     n_tracts = len(tract_bbox)
     # each mask edge meeting a tract's box
     tt, jm = mask.by_x.pairs(tract_bbox)
     order = np.argsort(jm * n_tracts + tt, kind="stable")
     tt, jm = tt[order], jm[order]
     # The mask's boundary misses the box of any other tract, so such a tract
-    # lies wholly inside or outside each mask polygon.
+    # lies wholly inside or outside each mask polygon, as any vertex of it does.
     far = np.bincount(tt, minlength=n_tracts) == 0
-    area = np.where(far, tract_area * mask.winding(corner[:, 0], corner[:, 1]), 0.0)
+    first = np.searchsorted(tract_edges.owner, np.arange(n_tracts))
+    area = np.where(far, tract_area * mask.winding(tract_edges.x0[first], tract_edges.y0[first]),
+                    0.0)
     te, me = tract_edges.take(np.flatnonzero(~far[tract_edges.owner])), mask.edges
     te_boxes = te.boxes()
     # x is taken relative to each tract's left edge, so the terms stay small
@@ -543,15 +536,8 @@ def build_urban_mask(mask: PolygonSet, tracts: PolygonSet) -> np.ndarray:
     if not mask.n_owners:
         return overlap
     mask = _Mask.of(mask)
-    edges = _oriented_edges(tracts)
-    edge_bounds = np.searchsorted(edges.owner, np.arange(tracts.n_owners + 1))
-    corner = tracts.xy[tracts.ring_ptr[np.searchsorted(tracts.ring_owner,
-                                                       np.arange(tracts.n_owners))]]
-    bounds = _runs(tracts.n_owners, (np.diff(edge_bounds), _CHUNK_VERTICES))
-    for ta, tb in zip(bounds[:-1], bounds[1:]):
-        chunk = edges.take(slice(edge_bounds[ta], edge_bounds[tb]))
-        overlap[ta:tb] = _chunk_overlap(chunk._replace(owner=chunk.owner - ta),
-                                        tracts.bbox[ta:tb], area[ta:tb], corner[ta:tb], mask)
+    for ta, tb, edges in _tract_runs(tracts):
+        overlap[ta:tb] = _chunk_overlap(edges, tracts.bbox[ta:tb], area[ta:tb], mask)
     return np.maximum(overlap, 0.0) / area
 
 

@@ -12,7 +12,9 @@ of one tract. points_in_ring implements an even-odd crossing test,
 deliberately independent of the clipper so it can serve as an oracle.
 cell_coverage and oracle_zonal_mean clip the tract against one grid cell at
 a time, independently of the accumulation rasterizer in zonal.tract_coverage,
-which they pin in differential tests. oracle_bin_curve, oracle_decile_shares
+which they pin in differential tests. oracle_tract_coverage is that
+rasterizer as it was before it took the overlap kernel's oriented edges, with
+its own per-ring shoelace sign; the differential tests hold the new one to it. oracle_bin_curve, oracle_decile_shares
 and oracle_state_rows are the per-group tuple-list sorts and the per-state
 tract scan that the (groups x tracts) matrix kernels in disparity and
 pipeline replaced; the differential tests hold the kernels bit-identical to
@@ -452,6 +454,109 @@ def oracle_zonal_mean(grid, tract, exact=False):
     if den == 0.0:
         return None
     return min(max(num / den, vmin), vmax)
+
+
+def _oracle_chunk_coverage(gx, gy, ring_len, ring_tract, ring_hole, col0, row0, width, height):
+    """The coverage kernel before it took oriented edges: its own per-ring
+    shoelace sign in cell units, turned into a per-edge sign."""
+    vert_tract = np.repeat(ring_tract, ring_len)
+    u = gx - col0[vert_tract]
+    v = gy - row0[vert_tract]
+    last = np.cumsum(ring_len) - 1
+    start = np.ones(len(u), dtype=bool)
+    start[last] = False
+    e0 = np.flatnonzero(start)
+    ring_edges = ring_len - 1
+    edge_ring = np.repeat(np.arange(len(ring_len)), ring_edges)
+    u0, v0, u1, v1 = u[e0], v[e0], u[e0 + 1], v[e0 + 1]
+    twice_area = np.add.reduceat(u0 * v1 - u1 * v0, np.cumsum(ring_edges) - ring_edges)
+    sign = (np.where(ring_hole, 1.0, -1.0) * np.sign(twice_area))[edge_ring]
+    steep = (v0 != v1) & (sign != 0.0)
+    u0, v0, u1, v1, sign = u0[steep], v0[steep], u1[steep], v1[steep], sign[steep]
+    edge_tract = ring_tract[edge_ring[steep]]
+
+    ex, xline, xt = zonal._line_crossings(u0, u1)
+    ey, yline, yt = zonal._line_crossings(v0, v1)
+    ends = np.arange(len(u0))
+    edge = np.concatenate((ends, ex, ey, ends))
+    t = np.concatenate((np.zeros(len(u0)), xt, yt, np.ones(len(u0))))
+    u = np.concatenate((u0, xline, u0[ey] + yt * (u1[ey] - u0[ey]), u1))
+    v = np.concatenate((v0, v0[ex] + xt * (v1[ex] - v0[ex]), yline, v1))
+    order = np.lexsort((t, edge))
+    edge, u, v = edge[order], u[order], v[order]
+    piece = np.flatnonzero(edge[1:] == edge[:-1])
+    dy = v[piece + 1] - v[piece]
+    keep = dy != 0.0
+    piece, dy = piece[keep], dy[keep] * sign[edge[piece[keep]]]
+    tract = edge_tract[edge[piece]]
+    um = 0.5 * (u[piece] + u[piece + 1])
+    col = np.clip(np.floor(um), 0, width[tract] - 1)
+    row = np.clip(np.floor(0.5 * (v[piece] + v[piece + 1])), 0, height[tract] - 1)
+    partial = dy * (col + 1.0 - um)
+
+    stride = width + 1
+    cells = height * stride
+    base = np.cumsum(cells) - cells
+    idx = base[tract] + row.astype(np.int64) * stride[tract] + col.astype(np.int64)
+    buf = np.bincount(np.concatenate((idx, idx + 1)),
+                      weights=np.concatenate((partial, dy - partial)), minlength=int(cells.sum()))
+    row_width = np.repeat(stride, height)
+    row_start = np.cumsum(row_width) - row_width
+    for w in np.flatnonzero(np.bincount(row_width)).tolist():
+        at = row_start[row_width == w][:, None] + np.arange(w)
+        buf[at] = np.cumsum(buf[at], axis=1)
+
+    pos = np.flatnonzero(buf > zonal._MIN_FRACTION)
+    tract = np.searchsorted(base, pos, side="right") - 1
+    r, c = np.divmod(pos - base[tract], stride[tract])
+    in_bbox = c < width[tract]
+    return tract[in_bbox], r[in_bbox], c[in_bbox], np.minimum(buf[pos[in_bbox]], 1.0)
+
+
+def oracle_tract_coverage(tracts: geometry.PolygonSet, grid) -> zonal.TractCoverage:
+    """zonal.tract_coverage as it was before the coverage kernel shared the
+    overlap kernel's oriented edges: whole-set cell coordinates, each tract's
+    cell box from a min/max reduceat over them, and the per-ring sign above."""
+    n_tracts = len(tracts.geoids)
+    ring_len = np.diff(tracts.ring_ptr)
+    ring_tract, ring_hole = tracts.ring_owner, tracts.ring_hole
+    gx = (tracts.xy[:, 0] - grid.origin_x) / grid.cell_width
+    gy = (tracts.xy[:, 1] - grid.origin_y) / grid.cell_height
+    tract_ring = np.searchsorted(ring_tract, np.arange(n_tracts + 1))
+    tract_vertex = tracts.ring_ptr[tract_ring]
+    first = tract_vertex[:-1]
+    col0 = np.floor(np.minimum.reduceat(gx, first))
+    row0 = np.floor(np.minimum.reduceat(gy, first))
+    width = (np.ceil(np.maximum.reduceat(gx, first)) - col0).astype(np.int64)
+    height = (np.ceil(np.maximum.reduceat(gy, first)) - row0).astype(np.int64)
+    bounds = zonal._runs(n_tracts, (height * (width + 1), zonal._CHUNK_CELLS),
+                         (np.diff(tract_vertex), zonal._CHUNK_VERTICES))
+
+    cell_area = grid.cell_width * grid.cell_height
+    polygon_area = np.zeros(n_tracts)
+    out_tract, out_cell, out_frac = [], [], []
+    for ta, tb in zip(bounds[:-1], bounds[1:]):
+        va, vb, ra, rb = tract_vertex[ta], tract_vertex[tb], tract_ring[ta], tract_ring[tb]
+        tract, r, c, frac = _oracle_chunk_coverage(
+            gx[va:vb], gy[va:vb], ring_len[ra:rb], ring_tract[ra:rb] - ta, ring_hole[ra:rb],
+            col0[ta:tb], row0[ta:tb], width[ta:tb], height[ta:tb])
+        polygon_area[ta:tb] = np.bincount(tract, weights=frac, minlength=tb - ta) * cell_area
+        tract += ta
+        row = row0[tract].astype(np.int64) + r
+        col = col0[tract].astype(np.int64) + c
+        on_grid = (row >= 0) & (row < grid.n_rows) & (col >= 0) & (col < grid.n_cols)
+        out_tract.append(tract[on_grid])
+        out_cell.append(row[on_grid] * grid.n_cols + col[on_grid])
+        out_frac.append(frac[on_grid])
+    counts = np.bincount(np.concatenate(out_tract), minlength=n_tracts)
+    return zonal.TractCoverage(
+        lattice=grid.lattice,
+        ids=np.array(tracts.geoids, dtype=np.int64),
+        tract_ptr=np.concatenate(([0], np.cumsum(counts))).astype(np.int64),
+        cell_idx=np.concatenate(out_cell).astype(np.int64),
+        area=np.concatenate(out_frac) * cell_area,
+        polygon_area=polygon_area,
+    )
 
 
 def oracle_bin_curve(tracts, n_bins: int) -> list[tuple[int, float]]:

@@ -6,7 +6,9 @@ from __future__ import annotations
 import errno
 import gzip
 import json
+import logging
 import os
+import shutil
 from pathlib import Path
 
 import pytest
@@ -182,12 +184,57 @@ def test_unreadable_input_names_the_file(tmp_path, caplog, kind, fault, reason):
     stage, locate = INPUTS[kind]
     path = locate(world)
     if fault == "directory":
+        # found by the configuration check, before any stage
         path.unlink()
         path.mkdir()
+        assert run(world, tmp_path / "out") == 2
+        assert f"configuration error: {path}: cannot read input file: {reason}" in caplog.text
+        assert not (tmp_path / "out").exists()
     else:
         path.write_bytes(path.read_bytes() + b"\xff")
-    assert run(world, tmp_path / "out") == 1
-    assert f"stage {stage}: {path}: cannot read: {reason}" in caplog.text
+        assert run(world, tmp_path / "out") == 1
+        assert f"stage {stage}: {path}: cannot read: {reason}" in caplog.text
+
+
+def add_second_year(world: Path) -> Path:
+    """Give the world 2012 copies of its 2011 grid and tables; returns the
+    2012 grid's path, which the config's grid_{year}.asc template names."""
+    for name in ("grid_2011.asc", "rac_2011.csv", "wac_2011.csv", "od_2011.csv"):
+        shutil.copyfile(world / name, world / name.replace("2011", "2012"))
+    point_config(world, "years", [2011, 2012])
+    return world / "grid_2012.asc"
+
+
+@pytest.mark.parametrize("locate", [
+    *(locate for _, locate in INPUTS.values()),
+    lambda world: world / "wac_2011.csv",
+    lambda world: world / "od_2011.csv",
+    add_second_year,
+], ids=[*INPUTS, "wac", "od", "grid_template_2012"])
+def test_input_directory_fails_validate(tmp_path, caplog, locate):
+    caplog.set_level(logging.INFO)  # so that a "config ok" line would show
+    world = make_world(tmp_path)
+    path = locate(world)
+    path.unlink()
+    path.mkdir()
+    for command in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+        caplog.clear()
+        assert cli.main([*command, "--config", str(world / "config.json")]) == 2
+        assert f"configuration error: {path}: cannot read input file: Is a directory" \
+            in caplog.text
+    assert "config ok" not in caplog.text
+    assert not (tmp_path / "out").exists()
+
+
+def test_first_input_directory_is_named(tmp_path, caplog):
+    # input order: tracts, mask, then each year's grid, rac, wac and od
+    world = make_world(tmp_path)
+    for name in ("od_2011.csv", "urban.geojson", "grid_2011.asc"):
+        (world / name).unlink()
+        (world / name).mkdir()
+    assert cli.main(["validate", "--config", str(world / "config.json")]) == 2
+    assert f"configuration error: {world / 'urban.geojson'}: cannot read input file" \
+        in caplog.text
 
 
 def report_bytes(out: Path) -> dict[str, bytes]:

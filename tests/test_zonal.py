@@ -15,11 +15,13 @@ from helpers import (
     counter_clockwise,
     exact_area,
     mask_set,
+    oracle_tract_coverage,
     oracle_zonal_mean,
     overlap_area,
     points_in_parts,
     random_star_polygon,
     read_surface_csv,
+    signed_ring_area,
     surface_entries,
     tract_set,
     zonal_weighted_mean,
@@ -521,19 +523,152 @@ def test_coverage_matches_clipping_oracle(seed, origin, cell):
     assert geoid_text(surface.excluded)[-1] == tracts[-1].geoid
 
 
+COVERAGE_ARRAYS = ("ids", "tract_ptr", "cell_idx", "area", "polygon_area")
+
+
+def _turned(parts, ccw):
+    """The parts with exteriors turned counter-clockwise and holes clockwise
+    when ``ccw``, else the reverse."""
+    def turn(ring, ring_ccw):
+        return ring if (signed_ring_area(ring) > 0.0) == ring_ccw else ring[::-1]
+    return tuple(PolygonPart(exterior=turn(p.exterior, ccw),
+                             holes=tuple(turn(h, not ccw) for h in p.holes)) for p in parts)
+
+
+def _tracts(parts):
+    return tract_set([TractGeometry(geoid=f"06037{k:06d}", parts=p) for k, p in enumerate(parts)])
+
+
+def _dense(coverage, grid):
+    """Each tract's covered fraction of every grid cell, as a dense matrix."""
+    dense = np.zeros((len(coverage.ids), grid.n_rows * grid.n_cols))
+    tract = np.repeat(np.arange(len(coverage.ids)), np.diff(coverage.tract_ptr))
+    dense[tract, coverage.cell_idx] = coverage.area / (grid.cell_width * grid.cell_height)
+    return dense
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    origin=st.tuples(st.floats(-60.0, 60.0), st.floats(-60.0, 60.0)),
+    cell=st.tuples(st.floats(0.3, 3.0), st.floats(0.3, 3.0)),
+)
+@settings(max_examples=40, deadline=None)
+def test_coverage_matches_the_per_ring_sign_kernel(seed, origin, cell):
+    # The kernel that signed each ring by its own shoelace sum in cell units
+    # is the oracle. Given exteriors counter-clockwise and holes clockwise,
+    # the edges run as given and every array is bit-identical; given any
+    # other way, edges are reversed rather than signed, which moves only the
+    # last bits.
+    rng = np.random.default_rng(seed)
+    cw, ch = cell
+    grid = make_grid(np.ones((8, 8)), origin=origin, cell=cw, cell_height=ch)
+    size = min(cw, ch)
+
+    def at():  # a point at most a fifth of the extent off the grid
+        fx, fy = rng.uniform(-0.2, 1.2, size=2)
+        return origin[0] + 8 * fx * cw, origin[1] + 8 * fy * ch
+
+    parts = [(_star_part(rng, *at(), 1.5 * size, 3.0 * size, hole_scale=0.4 * (k % 2)),)
+             for k in range(6)]
+    parts.append((_star_part(rng, *at(), 0.5 * size, size),
+                  _star_part(rng, *at(), 0.5 * size, size)))
+
+    ccw = _tracts([_turned(p, True) for p in parts])
+    got, want = zonal.tract_coverage(ccw, grid), oracle_tract_coverage(ccw, grid)
+    for name in COVERAGE_ARRAYS:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    mixed = _tracts(parts)
+    got, want = zonal.tract_coverage(mixed, grid), oracle_tract_coverage(mixed, grid)
+    assert np.abs(_dense(got, grid) - _dense(want, grid)).max() <= 1e-12
+    assert got.polygon_area == pytest.approx(want.polygon_area, rel=1e-12)
+
+
+def _quarter_part(rng):
+    """A rectangle with a rectangular hole, or an L-shape, on the quarter-unit
+    lattice: every edge is axis-parallel, so every piece is exact."""
+    x0, y0 = (0.25 * rng.integers(-8, 40, size=2)).tolist()
+    w, h = (0.25 * rng.integers(4, 20, size=2)).tolist()
+    x1, y1 = x0 + w, y0 + h
+    if rng.random() < 0.5:
+        cx, cy = x0 + 0.25 * int(rng.integers(1, 4 * w)), y0 + 0.25 * int(rng.integers(1, 4 * h))
+        return PolygonPart(exterior=((x0, y0), (x1, y0), (x1, cy), (cx, cy), (cx, y1), (x0, y1)))
+    return PolygonPart(exterior=lattice_rect(x0, y0, x1, y1),
+                       holes=(lattice_rect(x0 + 0.25, y0 + 0.25, x0 + 0.75, y0 + 0.75,
+                                           clockwise=True),))
+
+
+@given(seed=st.integers(0, 2**32 - 1), cell=st.sampled_from([0.25, 0.5, 1.0]),
+       origin=st.tuples(st.integers(-8, 8), st.integers(-8, 8)))
+@settings(max_examples=40, deadline=None)
+def test_coverage_of_reversed_quarter_lattice_rings_is_exact(seed, cell, origin):
+    # Clockwise exteriors with counter-clockwise holes: the reversed edges
+    # give the same exact pieces, so both kernels agree to the bit with each
+    # other and with the rings given the other way.
+    rng = np.random.default_rng(seed)
+    grid = make_grid(np.ones((12, 12)), origin=(0.25 * origin[0], 0.25 * origin[1]), cell=cell)
+    parts = [tuple(_quarter_part(rng) for _ in range(int(rng.integers(1, 3)))) for _ in range(6)]
+    reversed_rings = _tracts([_turned(p, False) for p in parts])
+    got = zonal.tract_coverage(reversed_rings, grid)
+    for want in (oracle_tract_coverage(reversed_rings, grid),
+                 oracle_tract_coverage(_tracts([_turned(p, True) for p in parts]), grid)):
+        for name in COVERAGE_ARRAYS:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def spy_edge_runs(monkeypatch, tracts):
+    """Record the (first, end) tracts of each _oriented_edges call on ``tracts``."""
+    calls, real = [], zonal._oriented_edges
+
+    def spy(polygons, ra, rb):
+        if polygons is tracts:
+            owner = tracts.ring_owner
+            ta, tb = int(owner[ra]), int(owner[rb - 1]) + 1
+            # whole tracts: from the first ring of one to the last ring of another
+            assert (ra, rb) == tuple(np.searchsorted(owner, [ta, tb]).tolist())
+            calls.append((ta, tb))
+        return real(polygons, ra, rb)
+
+    monkeypatch.setattr(zonal, "_oriented_edges", spy)
+    return calls
+
+
+def assert_one_run_per_call(calls, n_tracts, budgets):
+    """The calls build consecutive runs of tracts, each tract once, and before
+    its last tract a run holds less than each (sizes, limit) budget."""
+    assert len(calls) > 1
+    assert calls[0][0] == 0 and calls[-1][1] == n_tracts
+    assert all(a == b for (_, a), (b, _) in zip(calls, calls[1:]))
+    for ta, tb in calls:
+        for sizes, limit in budgets:
+            assert sizes[ta:tb - 1].sum() < limit, (ta, tb, limit)
+
+
+def tract_vertices(tracts):
+    return np.diff(tracts.ring_ptr[np.searchsorted(tracts.ring_owner,
+                                                   np.arange(tracts.n_owners + 1))])
+
+
 def test_coverage_chunks_match_one_pass(monkeypatch):
     rng = np.random.default_rng(31)
     grid = make_grid(rng.uniform(1.0, 9.0, size=(30, 30)), origin=(-3.0, 2.0), cell=0.75)
-    tracts = [
+    tracts = tract_set([
         TractGeometry(geoid=f"06037{k:06d}",
                       parts=(_star_part(rng, *rng.uniform(0.0, 22.0, size=2), 0.5, 4.0),))
         for k in range(40)
-    ]
-    whole = tract_coverage(tracts, grid)
-    for cells, vertices in ((50, 1 << 17), (1 << 20, 30), (80, 40)):
-        monkeypatch.setattr(zonal, "_CHUNK_CELLS", cells)
-        monkeypatch.setattr(zonal, "_CHUNK_VERTICES", vertices)
-        chunked = tract_coverage(tracts, grid)
+    ])
+    whole = zonal.tract_coverage(tracts, grid)
+    # each tract's bbox cells, with the extra column the kernel's buffer holds
+    x0, y0, x1, y1 = ((tracts.bbox - (-3.0, 2.0, -3.0, 2.0)) / 0.75).T
+    cells = ((np.ceil(x1) - np.floor(x0) + 1) * (np.ceil(y1) - np.floor(y0))).astype(np.int64)
+    calls = spy_edge_runs(monkeypatch, tracts)
+    for budget_cells, budget_vertices in ((50, 1 << 17), (1 << 20, 30), (80, 40)):
+        monkeypatch.setattr(zonal, "_CHUNK_CELLS", budget_cells)
+        monkeypatch.setattr(zonal, "_CHUNK_VERTICES", budget_vertices)
+        calls.clear()
+        chunked = zonal.tract_coverage(tracts, grid)
+        assert_one_run_per_call(calls, 40, [(cells, budget_cells),
+                                            (tract_vertices(tracts), budget_vertices)])
         for name in ("tract_ptr", "cell_idx", "area", "polygon_area"):
             assert np.array_equal(getattr(chunked, name), getattr(whole, name)), name
 
@@ -836,7 +971,9 @@ def test_overlap_chunks_match_one_pass(monkeypatch):
         _star_part(rng, *rng.uniform(0.0, 20.0, size=2), 0.5, 3.0),)) for k in range(40)])
     whole = build_urban_mask(mask, tracts)
     monkeypatch.setattr(zonal, "_CHUNK_VERTICES", 30)
+    calls = spy_edge_runs(monkeypatch, tracts)
     assert np.array_equal(build_urban_mask(mask, tracts), whole)
+    assert_one_run_per_call(calls, 40, [(tract_vertices(tracts), 30)])
 
 
 def test_urban_counts_flag_tracts_near_the_threshold():
