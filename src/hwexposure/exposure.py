@@ -8,6 +8,9 @@ values are argsorted once, and each row is summed pairwise and accumulated in
 order, exactly as a 1-D reduction of that group alone. A table's results are
 one columnar ``GroupExposures`` frame, deterministic for any thread count
 upstream.
+An ``AlignedTable``'s ``index`` points into the run's tract index, which
+every year's ``TractSurface`` spans; the per-tract stratum codes are taken by
+the same positions.
 """
 from __future__ import annotations
 
@@ -20,7 +23,7 @@ import numpy as np
 from .config import HWWeights
 from .errors import EmptyPopulationError
 from .ingest import RESIDENCE, GroupSchema, WorkerTable
-from .zonal import TractSurface
+from .zonal import STRATA, TractSurface
 
 logger = logging.getLogger(__name__)
 
@@ -176,10 +179,10 @@ class AlignedTable(NamedTuple):
 
     Each key of the table has a locus in ``loci`` (``("H",)`` for RAC,
     ``("W",)`` for WAC, ``("H", "W")`` for OD) and an int64 array in
-    ``index``: each row's tract as a position among ``surface.ids``. The
-    first key's locus is the table's ``locus``, and its tract picks a row's
-    stratum. ``codes`` (category columns in schema order) and the int64
-    (codes x rows) ``counts`` are empty when no row resolved.
+    ``index``: each row's tract as a position in the run's tract index,
+    ``surface.ids``. The first key's locus is the table's ``locus``, and its
+    tract picks a row's stratum. ``codes`` (category columns in schema order)
+    and the int64 (codes x rows) ``counts`` are empty when no row resolved.
     """
 
     surface: TractSurface
@@ -210,8 +213,8 @@ class AlignedTable(NamedTuple):
 
 def _join(surface: TractSurface, table: WorkerTable, loci: tuple[str, ...],
           dropped_text: str) -> AlignedTable:
-    """Resolve each row of ``table`` against the surface's tract ids
-    (ascending), keeping the rows whose every tract resolved; the worker total
+    """Resolve each row of ``table`` against the run's tract ids (ascending),
+    keeping the rows whose every tract is valued this year; the worker total
     of the others is logged with ``dropped_text`` % (year, total)."""
     ids = surface.ids
     found = np.ones(len(table.totals), dtype=bool)
@@ -219,7 +222,7 @@ def _join(surface: TractSurface, table: WorkerTable, loci: tuple[str, ...],
     for keys in table.keys:
         pos = np.searchsorted(ids, keys)
         hit = pos < len(ids)
-        hit[hit] = ids[pos[hit]] == keys[hit]
+        hit[hit] = (ids[pos[hit]] == keys[hit]) & ~np.isnan(surface.values[pos[hit]])
         found &= hit
         positions.append(pos)
     codes = table.codes if found.any() else ()
@@ -249,53 +252,20 @@ def resolve_pairs(surface: TractSurface, od: WorkerTable) -> AlignedTable:
                  "OD %d: dropped %d workers on pairs touching tracts without concentrations")
 
 
-class TractStrata(NamedTuple):
-    """The stratum of each classified tract, built once per run: ``geoids``
-    (int64 tract ids) ascending and an int8 ``codes`` index into ``names``."""
-
-    geoids: np.ndarray
-    codes: np.ndarray
-    names: tuple[str, ...]
-
-
-def tract_strata(classification: Mapping[str, str]) -> TractStrata:
-    """Encode a {geoid: stratum} classification as a TractStrata."""
-    geoids = sorted(classification)
-    names = tuple(sorted(set(classification.values())))
-    index = {name: k for k, name in enumerate(names)}
-    codes = np.array([index[classification[g]] for g in geoids], dtype=np.int8)
-    return TractStrata(np.array(geoids, dtype=np.int64), codes, names)
-
-
-def stratum_masks(table: AlignedTable, classification: TractStrata | None,
+def stratum_masks(table: AlignedTable, classification: np.ndarray | None,
                   strata: Sequence[str]) -> dict[str, np.ndarray]:
-    """Boolean row mask per stratum, by each row's first (RAC and OD: home) tract. Classified
-    strata are skipped without a classification; tracts it does not list are
-    in no classified stratum. The surface's tracts are looked up once and
-    carried to the rows through the join positions."""
+    """Boolean row mask per stratum, by each row's first (RAC and OD: home)
+    tract. ``classification`` is the int8 stratum code of each tract of the
+    run (an index into ``zonal.STRATA``; -1 for none), taken by the join
+    positions. Classified strata are skipped without a classification."""
+    codes = None if classification is None else classification.take(table.index[0])
     masks = {}
-    codes = None
-    n = len(table.totals)
     for stratum in strata:
         if stratum == ALL_STRATUM:
-            masks[stratum] = np.ones(n, dtype=bool)
-        elif classification is not None:
-            if codes is None:
-                codes = _codes(table.surface.ids, classification).take(table.index[0])
-            if stratum in classification.names:
-                masks[stratum] = codes == classification.names.index(stratum)
-            else:
-                masks[stratum] = np.zeros(n, dtype=bool)
+            masks[stratum] = np.ones(len(table.totals), dtype=bool)
+        elif codes is not None:
+            masks[stratum] = codes == STRATA.index(stratum)
     return masks
-
-
-def _codes(geoids: np.ndarray, classification: TractStrata) -> np.ndarray:
-    """The stratum code of each geoid, -1 for those without one."""
-    known = classification.geoids
-    if len(known) == 0:
-        return np.full(len(geoids), -1, dtype=np.int8)
-    pos = np.minimum(np.searchsorted(known, geoids), len(known) - 1)
-    return np.where(known.take(pos) == geoids, classification.codes.take(pos), -1)
 
 
 def iter_groups(schemas: Sequence[GroupSchema], table: AlignedTable):
@@ -346,7 +316,7 @@ class GroupExposures(NamedTuple):
 
 
 def _group_exposures(table: AlignedTable, schemas: Sequence[GroupSchema],
-                     loci: dict[str, np.ndarray], classification: TractStrata | None,
+                     loci: dict[str, np.ndarray], classification: np.ndarray | None,
                      strata: Sequence[str], skipped: str) -> GroupExposures:
     """Every group's weight and, per locus, its mean, p10 and p90 over that
     locus's row values: one weight matrix and one kernel call per (locus,
@@ -385,7 +355,7 @@ def _group_exposures(table: AlignedTable, schemas: Sequence[GroupSchema],
 def compute_group_exposures(
     aligned: AlignedTable,
     schemas: Sequence[GroupSchema],
-    classification: TractStrata | None = None,
+    classification: np.ndarray | None = None,
     strata: Sequence[str] = (ALL_STRATUM,),
 ) -> GroupExposures:
     """Every (group, stratum)'s exposure at the table's locus."""
@@ -397,7 +367,7 @@ def compute_hw_exposures(
     pairs: AlignedTable,
     schemas: Sequence[GroupSchema],
     weights: HWWeights = DEFAULT_HW_WEIGHTS,
-    classification: TractStrata | None = None,
+    classification: np.ndarray | None = None,
     strata: Sequence[str] = (ALL_STRATUM,),
 ) -> GroupExposures:
     """Every (group, stratum)'s exposure at loci H, W, and HW over the OD

@@ -3,7 +3,9 @@ tract and mask geometries.
 
 Coordinates are assumed to be in a planar CRS already; nothing here reprojects.
 A file is parsed once into a ``PolygonSet``: every ring closed and stored
-back to back, with its owner (a tract, or a mask polygon) and hole flag. Every
+back to back, with its owner (a tract, or a mask polygon) and hole flag. A
+tract set's ``ids``, its GEOIDs as int64 ascending, are the run's one tract
+index; ``geoid_text`` gives their text for reports and messages. Every
 ring is checked here, so the kernels in ``zonal`` can rely on >= 3 distinct
 vertices and a nonzero shoelace area per ring.
 """
@@ -25,14 +27,14 @@ class PolygonSet(NamedTuple):
     """Polygons as flat arrays of closed rings.
 
     Ring ``r`` is ``xy[ring_ptr[r]:ring_ptr[r + 1]]``, first vertex repeated
-    last. Its owner ``ring_owner[r]`` is a tract (``geoids`` ascending) or, in
+    last. Its owner ``ring_owner[r]`` is a tract (``ids`` ascending) or, in
     a mask, one polygon; an owner's rings are contiguous, each polygon's
     exterior first and then its holes. ``ring_area`` is the signed shoelace
     area (positive counter-clockwise); ``bbox`` is each owner's
     (min x, min y, max x, max y) over all its rings.
     """
 
-    geoids: tuple[str, ...]  # () for a mask
+    ids: np.ndarray          # int64 tract ids, ascending; empty for a mask
     xy: np.ndarray           # float64 (V, 2)
     ring_ptr: np.ndarray     # int64 (R + 1,)
     ring_owner: np.ndarray   # int64 (R,)
@@ -92,13 +94,16 @@ def polygon_set(source: str, features: Sequence[Sequence],
             i = next(i for i, geoid in enumerate(geoids) if not is_tract_geoid(geoid))
             raise FormatError(f"{source}: feature {i}: GEOID must be a string of 11 ASCII "
                               f"digits, got {geoids[i]!r}")
-        order = sorted(range(n), key=geoids.__getitem__)
-        ordered = [geoids[i] for i in order]
-        dupes = sorted({a for a, b in zip(ordered, ordered[1:]) if a == b})
-        if dupes:
-            raise SchemaError(f"{source}: duplicate tract geoids: {dupes[:5]}")
+        # 11 digits each, so the int64 order is the text order
+        ids = np.fromiter(map(int, geoids), dtype=np.int64, count=n)
+        order = np.argsort(ids, kind="stable")
+        ids = ids[order]
+        dupes = ids[1:][ids[1:] == ids[:-1]]
+        if len(dupes):
+            raise SchemaError(f"{source}: duplicate tract geoids: "
+                              f"{sorted(set(geoid_text(dupes)))[:5]}")
     else:
-        order = list(range(n))
+        ids, order = np.zeros(0, dtype=np.int64), np.arange(n)
 
     def fail(bad: np.ndarray, feature: np.ndarray, error, message) -> None:
         """Raise ``error`` when any item is bad; ``feature`` is each item's
@@ -108,14 +113,13 @@ def polygon_set(source: str, features: Sequence[Sequence],
             k = int(np.flatnonzero(bad & (feature == f))[0])
             raise error(f"{source}: feature {f}: {message(k)}")
 
-    by_owner = [features[i] for i in order]
+    by_owner = [features[i] for i in order.tolist()]  # order: each owner's feature
     n_polygons = np.fromiter(map(len, by_owner), dtype=np.int64, count=n)
-    owner_feature = np.array(order, dtype=np.int64)
     if geoids is not None:
-        fail(n_polygons == 0, owner_feature, DegenerateGeometryError,
-             lambda k: f"tract {ordered[k]} has no polygons")
+        fail(n_polygons == 0, order, DegenerateGeometryError,
+             lambda k: f"tract {geoid_text(ids[k:k + 1])[0]} has no polygons")
     polygons = list(chain.from_iterable(by_owner))
-    polygon_feature = np.repeat(owner_feature, n_polygons)
+    polygon_feature = np.repeat(order, n_polygons)
     n_rings = _lengths(polygons)
     fail(n_rings <= 0, polygon_feature, FormatError, lambda k: "polygon has no rings")
     rings = list(chain.from_iterable(polygons))
@@ -185,8 +189,7 @@ def polygon_set(source: str, features: Sequence[Sequence],
                             np.maximum.reduceat(y, first_vertex)]) if n_owners else \
         np.zeros((0, 4))
     return PolygonSet(
-        geoids=tuple(ordered) if geoids is not None else (),
-        xy=xy, ring_ptr=ring_ptr, ring_owner=ring_owner, ring_hole=ring_hole,
+        ids=ids, xy=xy, ring_ptr=ring_ptr, ring_owner=ring_owner, ring_hole=ring_hole,
         ring_area=ring_area, bbox=bbox,
     )
 

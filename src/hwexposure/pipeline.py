@@ -5,12 +5,13 @@ order (surface -> exposure -> disparity -> bias) on one ``YearData``, which is
 dropped after the year's last stage, so memory is bounded by one year's
 working set; a requested stage always gets its prerequisites computed in
 memory, but only the requested stages write files. What outlives a year is
-small: the tracts and their strata, the coverage of the last grid lattice
-(reused by every following year on that lattice), the report blocks, the skip
-counts and the manifest. ``surface_<year>.csv`` is written as each year
-finishes and every other report after the last year, in deterministic order
-with full-precision floats, so identical inputs produce byte-identical
-reports. The ``threads`` setting is validated but changes nothing.
+small: the tracts (their ascending int64 ids are the run's one tract index)
+and their stratum codes, the coverage of the last grid lattice (reused by
+every following year on that lattice), the report blocks, the skip counts and
+the manifest. ``surface_<year>.csv`` is written as each year finishes and
+every other report after the last year, in deterministic order with
+full-precision floats, so identical inputs produce byte-identical reports.
+The ``threads`` setting is validated but changes nothing.
 """
 from __future__ import annotations
 
@@ -87,7 +88,7 @@ class RunState:
     def __init__(self, config: RunConfig) -> None:
         self.config = config
         self.tracts: PolygonSet | None = None
-        self.classification: exposure.TractStrata | None = None
+        self.classification: np.ndarray | None = None  # int8 zonal.STRATA code per tract
         self.coverage: zonal.TractCoverage | None = None
         self.blocks: dict[str, list] = {}
         self.skips: dict[str, dict[str, int]] = {}
@@ -217,22 +218,23 @@ def _stage_surface(state: RunState, data: YearData) -> None:
     config = state.config
     if state.tracts is None:  # the first year reads the tracts and the mask
         state.tracts = tracts = read_tracts_geojson(str(config.path(config.tracts)))
-        state.manifest_stages["surface"] = manifest = {"tracts": len(tracts.geoids), "years": {}}
+        state.manifest_stages["surface"] = manifest = {"tracts": len(tracts.ids), "years": {}}
         if config.urban_mask:
             mask = read_mask_geojson(str(config.path(config.urban_mask)))
             fraction = zonal.build_urban_mask(mask, tracts)
-            labels = np.where(fraction >= zonal.URBAN_SHARE, zonal.URBAN, zonal.RURAL).tolist()
-            state.classification = exposure.tract_strata(dict(zip(tracts.geoids, labels)))
+            codes = state.classification = (fraction >= zonal.URBAN_SHARE).astype(np.int8)
             manifest["urban"] = zonal.urban_counts(fraction)
-            state.reports("urban.csv")[0].append([tracts.geoids, labels])
+            state.reports("urban.csv")[0].append(
+                [geoid_text(tracts.ids), [zonal.STRATA[c] for c in codes.tolist()]])
     path = config.path(config.grid, data.year)  # .asc or .csv (XYZ), by the grid rule
     grid = (read_asc if path.suffix == ".asc" else read_xyz_csv)(str(path))
     if state.coverage is None or state.coverage.lattice != grid.lattice:
         state.coverage = zonal.tract_coverage(state.tracts, grid)
     data.surface = surface = zonal.build_tract_surface(grid, state.coverage, data.year)
+    excluded = surface.excluded
     state.manifest_stages["surface"]["years"][str(data.year)] = {
-        "tracts_with_coverage": len(surface.ids),
-        "excluded": geoid_text(surface.excluded),
+        "tracts_with_coverage": len(surface.ids) - len(excluded),
+        "excluded": geoid_text(excluded),
         "completeness": surface.completeness,
     }
 
@@ -461,7 +463,8 @@ def _threshold_rows(config: RunConfig, aligned: exposure.AlignedTable,
     """threshold.csv blocks of one table, one per threshold: the whole
     population, then each characteristic's groups with positive weight and
     the CoV of their shares. ``counts`` is the float64 (groups x tracts)
-    matrix; every threshold's shares come from one compress of it."""
+    matrix; every threshold's shares come from one compress of it. A table
+    without workers gets no block, and a skip per threshold."""
     year, locus = aligned.year, aligned.locus
     kept = np.flatnonzero(counts.sum(axis=1) > 0)
     weights = np.vstack([aligned.totals, counts.take(kept, axis=0)])
@@ -470,7 +473,11 @@ def _threshold_rows(config: RunConfig, aligned: exposure.AlignedTable,
     blocks: list[list] = []
     conc = aligned.values(locus)
     for threshold in config.thresholds:
-        qs = disparity.threshold_share(conc, weights, threshold)
+        try:
+            qs = disparity.threshold_share(conc, weights, threshold)
+        except _METRIC_DEGENERACIES as exc:
+            _skip(skips, "threshold-share", "%s %s T=%s: %s" % (year, locus, threshold, exc))
+            continue
         covs, start = [""], 1
         for characteristic, n in runs:
             try:
@@ -489,10 +496,13 @@ def _threshold_rows(config: RunConfig, aligned: exposure.AlignedTable,
 def _state_rows(aligned: exposure.AlignedTable, groups: Sequence[tuple[str, str]],
                 counts: np.ndarray) -> list:
     """state_disparity.csv block of one table. The state is a geoid's first two
-    digits (id // 10**9), so each state is a contiguous run of the sorted tracts."""
+    digits (id // 10**9), so each state is a contiguous run of the sorted tracts.
+    Raises EmptyPopulationError for a table whose tracts have no workers."""
     states, present, values = [], [np.empty(0, np.intp)], [np.empty(0)]
     if len(aligned.geoids):
         totals = aligned.totals.astype(float)
+        if not totals.sum():
+            raise EmptyPopulationError("total weight is zero")
         conc = aligned.values(aligned.locus)
         national_mean = float((conc * totals).sum()) / float(totals.sum())
         codes = aligned.geoids // 10**9
@@ -609,8 +619,9 @@ def run(config: RunConfig, only_stage: str | None = None) -> dict:
             state.timings[stage] = state.timings.get(stage, 0.0) + elapsed
             logger.info("stage %s done for %d in %.3fs", stage, year, elapsed)
         if "surface" in to_write:
+            surface, valued = data.surface, ~np.isnan(data.surface.values)
             _write_csv(config.out_dir / f"surface_{year}.csv", _REPORTS["surface_{year}.csv"][1],
-                       [[geoid_text(data.surface.ids), year, data.surface.values]])
+                       [[geoid_text(surface.ids[valued]), year, surface.values[valued]]])
 
     for name, blocks in state.blocks.items():
         stage, header, count_key = _REPORTS[name]

@@ -12,8 +12,9 @@ column lines it crosses, each piece adds its signed area to its own cell and
 the rest of its height to the next cell, and a prefix sum along each row turns
 those into the covered fraction of every cell. ``build_tract_surface`` then
 reduces one year's grid over that coverage: the zonal value is
-sum(value * covered_area) / sum(covered_area) over non-nodata cells. Tracts
-with zero valid coverage are excluded rather than failing the run.
+sum(value * covered_area) / sum(covered_area) over non-nodata cells. A
+``TractSurface`` covers every tract of the run, with NaN where a tract has no
+valid coverage that year: it is excluded rather than failing the run.
 
 ``build_urban_mask`` measures each tract's overlap with the mask by Green's
 theorem: area(T ∩ M) is the integral of x dy over the pieces of T's boundary
@@ -40,6 +41,8 @@ logger = logging.getLogger(__name__)
 
 URBAN = "urban"
 RURAL = "rural"
+# A tract's stratum code indexes this: 0 rural, 1 urban (-1: unclassified).
+STRATA = (RURAL, URBAN)
 
 # A tract is urban when at least this share of its area lies in the mask; a
 # share within _NEAR_THRESHOLD of it could flip under float drift.
@@ -59,27 +62,28 @@ _MIN_FRACTION = 1e-12
 
 
 class TractSurface:
-    """Per-tract zonal concentrations for one year: the float64 ``values`` of
-    the tracts ``ids`` (int64, ascending) with valid coverage, and the ids of
-    the ``excluded`` tracts without.
+    """Per-tract zonal concentrations for one year over every tract of the
+    run: the float64 ``values`` of the tracts ``ids`` (int64, ascending), NaN
+    where a tract is ``excluded`` for want of valid coverage.
 
     ``completeness`` summarizes valued tracts by valid covered area over
     polygon area: how many are under 0.99 and under 0.5, and the worst five
     of those under 0.99 as [geoid, ratio], lowest first.
     """
 
-    __slots__ = ("year", "ids", "values", "excluded", "completeness")
+    __slots__ = ("year", "ids", "values", "completeness")
 
     def __init__(self, year: int, ids: np.ndarray, values: np.ndarray,
-                 excluded: np.ndarray, completeness: dict) -> None:
-        every = np.sort(np.concatenate((ids, excluded)))
-        if (np.diff(ids) <= 0).any() or (every[1:] == every[:-1]).any():
-            raise SchemaError("tract ids must be ascending, each valued or excluded once")
-        bad = ids[(values < 0) | np.isnan(values)]
+                 completeness: dict) -> None:
+        bad = ids[values < 0]
         if len(bad):
-            raise SchemaError(f"negative/NaN concentrations for {geoid_text(bad[:5])}")
-        self.year, self.ids, self.values = year, ids, values
-        self.excluded, self.completeness = excluded, completeness
+            raise SchemaError(f"negative concentrations for {geoid_text(bad[:5])}")
+        self.year, self.ids, self.values, self.completeness = year, ids, values, completeness
+
+    @property
+    def excluded(self) -> np.ndarray:
+        """The ids of the tracts without a value this year."""
+        return self.ids[np.isnan(self.values)]
 
 
 class TractCoverage(NamedTuple):
@@ -233,7 +237,7 @@ def tract_coverage(tracts: PolygonSet, grid: ConcentrationGrid) -> TractCoverage
     every year whose grid has the same lattice. Holes subtract. Raises
     SchemaError for an empty tract set.
     """
-    n_tracts = len(tracts.geoids)
+    n_tracts = len(tracts.ids)
     if not n_tracts:
         raise SchemaError("tract list is empty")
     ox, oy, cw, ch = grid.origin_x, grid.origin_y, grid.cell_width, grid.cell_height
@@ -263,7 +267,7 @@ def tract_coverage(tracts: PolygonSet, grid: ConcentrationGrid) -> TractCoverage
     counts = np.bincount(np.concatenate(out_tract), minlength=n_tracts)
     return TractCoverage(
         lattice=grid.lattice,
-        ids=np.array(tracts.geoids, dtype=np.int64),
+        ids=tracts.ids,
         tract_ptr=np.concatenate(([0], np.cumsum(counts))).astype(np.int64),
         cell_idx=np.concatenate(out_cell).astype(np.int64),
         area=np.concatenate(out_frac) * cell_area,
@@ -301,14 +305,13 @@ def _zonal_means(grid: ConcentrationGrid,
 def build_tract_surface(grid: ConcentrationGrid, coverage: TractCoverage,
                         year: int) -> TractSurface:
     """Reduce one year's grid over precomputed coverage, in ascending tract
-    id order. Tracts without valid coverage are excluded. Valued tracts whose
-    valid covered area is under 99% of their polygon area are summarized in
-    ``completeness`` and in one warning."""
+    id order. Tracts without valid coverage are excluded: their value is NaN.
+    Valued tracts whose valid covered area is under 99% of their polygon area
+    are summarized in ``completeness`` and in one warning."""
     mean, den = _zonal_means(grid, coverage)
     valued = den > 0.0
-    excluded = coverage.ids[~valued]
-    if len(excluded):
-        logger.warning("%d tract(s) with no valid grid coverage excluded", len(excluded))
+    if not valued.all():
+        logger.warning("%d tract(s) with no valid grid coverage excluded", (~valued).sum())
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = den / coverage.polygon_area
     low = np.flatnonzero(valued & (ratio < 0.99))
@@ -322,7 +325,7 @@ def build_tract_surface(grid: ConcentrationGrid, coverage: TractCoverage,
         logger.warning("year %d: %d valued tract(s) have under 99%% of their area on valid "
                        "grid cells (%d under 50%%); worst %s", year, len(low),
                        completeness["below_0.5"], completeness["worst"])
-    return TractSurface(year, coverage.ids[valued], mean[valued], excluded, completeness)
+    return TractSurface(year, coverage.ids, mean, completeness)
 
 
 class _Sweep(NamedTuple):
@@ -531,7 +534,7 @@ def build_urban_mask(mask: PolygonSet, tracts: PolygonSet) -> np.ndarray:
     area = tract_areas(tracts)
     if (area <= 0.0).any():
         raise DegenerateGeometryError(
-            f"tract {tracts.geoids[int(np.argmax(area <= 0.0))]} has zero area")
+            f"tract {geoid_text(tracts.ids[area <= 0.0])[0]} has zero area")
     overlap = np.zeros(tracts.n_owners)
     if not mask.n_owners:
         return overlap

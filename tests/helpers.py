@@ -26,14 +26,20 @@ columnar ingest.WorkerTable; oracle_rollup and oracle_join are the per-row
 dict rollup, validation and joins that the columnar ones replaced, and
 oracle_read_tracts the text-keyed (U16 geocodes, U11 geoids) reader and
 rollup that the int64 tract ids replaced. tract_surface builds a
-zonal.TractSurface from a {geoid: value} dict, surface_entries gives one
-back as that dict, and key_text prints WorkerTable keys as text.
+zonal.TractSurface from a {geoid: value} dict (excluded geoids NaN),
+surface_entries gives its valued tracts back as that dict, strata_codes
+gives each tract's int8 stratum code from a {geoid: stratum} dict, and
+key_text prints WorkerTable keys as text. OracleSurface,
+oracle_valued_surface, oracle_valued_join, OracleStrata, oracle_tract_strata
+and oracle_searched_stratum_masks are the surface of valued tracts only, the
+join against it and the searchsorted stratum lookup that the run-wide tract
+index and the per-tract stratum codes replaced.
 write_xyz_grid writes an ASC grid's valued cells as shuffled x,y,value
 points.
 oracle_weighted_mean, oracle_weighted_percentile, oracle_stratum_masks,
 oracle_group_exposures, oracle_hw_exposures and oracle_rank_sum_grouped are
 the per-group bodies that the one-sort-per-slice kernels
-(exposure.ValueSlice, biasstats.PooledSamples, exposure.TractStrata)
+(exposure.ValueSlice, biasstats.PooledSamples, per-tract stratum codes)
 replaced: one argsort per group and percentile, a per-row dict lookup per
 stratum mask, and a Python dict tally per rank-sum test. with_layout gives a
 count matrix C-ordered, Fortran-ordered or strided.
@@ -61,7 +67,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -517,7 +523,7 @@ def oracle_tract_coverage(tracts: geometry.PolygonSet, grid) -> zonal.TractCover
     """zonal.tract_coverage as it was before the coverage kernel shared the
     overlap kernel's oriented edges: whole-set cell coordinates, each tract's
     cell box from a min/max reduceat over them, and the per-ring sign above."""
-    n_tracts = len(tracts.geoids)
+    n_tracts = len(tracts.ids)
     ring_len = np.diff(tracts.ring_ptr)
     ring_tract, ring_hole = tracts.ring_owner, tracts.ring_hole
     gx = (tracts.xy[:, 0] - grid.origin_x) / grid.cell_width
@@ -551,7 +557,7 @@ def oracle_tract_coverage(tracts: geometry.PolygonSet, grid) -> zonal.TractCover
     counts = np.bincount(np.concatenate(out_tract), minlength=n_tracts)
     return zonal.TractCoverage(
         lattice=grid.lattice,
-        ids=np.array(tracts.geoids, dtype=np.int64),
+        ids=tracts.ids,
         tract_ptr=np.concatenate(([0], np.cumsum(counts))).astype(np.int64),
         cell_idx=np.concatenate(out_cell).astype(np.int64),
         area=np.concatenate(out_frac) * cell_area,
@@ -698,15 +704,24 @@ def write_xyz_grid(asc_path: str, xyz_path: str, seed: int = 0) -> None:
 
 def tract_surface(year: int, entries: dict[str, float],
                   excluded: Sequence[str] = ()) -> zonal.TractSurface:
-    """The TractSurface of a {geoid: concentration} dict and excluded geoids."""
-    ids = np.array(sorted(entries), dtype=np.int64)
-    values = np.array([entries[g] for g in sorted(entries)], dtype=np.float64)
-    return zonal.TractSurface(year, ids, values, np.array(excluded, dtype=np.int64), {})
+    """The TractSurface of a {geoid: concentration} dict and excluded geoids:
+    the run's tracts are both, and the excluded ones are NaN."""
+    geoids = sorted({*entries, *excluded})
+    values = np.array([entries.get(g, math.nan) for g in geoids], dtype=np.float64)
+    return zonal.TractSurface(year, np.array(geoids, dtype=np.int64), values, {})
 
 
 def surface_entries(surface: zonal.TractSurface) -> dict[str, float]:
-    """A surface's {geoid: concentration}, geoid-ascending."""
-    return dict(zip(geometry.geoid_text(surface.ids), surface.values.tolist()))
+    """A surface's {geoid: concentration} of its valued tracts, geoid-ascending."""
+    valued = ~np.isnan(surface.values)
+    return dict(zip(geometry.geoid_text(surface.ids[valued]), surface.values[valued].tolist()))
+
+
+def strata_codes(ids: np.ndarray, classification: dict[str, str]) -> np.ndarray:
+    """The int8 stratum code (an index into zonal.STRATA) of each int64 tract
+    id from a {geoid: stratum} dict, -1 for a tract it does not list."""
+    return np.array([zonal.STRATA.index(classification[g]) if g in classification else -1
+                     for g in geometry.geoid_text(ids)], dtype=np.int8)
 
 
 def key_text(keys: np.ndarray) -> list[str]:
@@ -893,6 +908,93 @@ def oracle_stratum_masks(geoids, classification, strata) -> dict[str, np.ndarray
         elif classification is not None:
             masks[stratum] = np.array([classification.get(g) == stratum
                                        for g in geometry.geoid_text(geoids)], dtype=bool)
+    return masks
+
+
+class OracleSurface(NamedTuple):
+    """A TractSurface as it was before it spanned every tract of the run: the
+    ``ids`` and ``values`` of that year's valued tracts only."""
+
+    year: int
+    ids: np.ndarray
+    values: np.ndarray
+
+
+def oracle_valued_surface(surface: zonal.TractSurface) -> OracleSurface:
+    """The valued subset of a run-wide surface."""
+    valued = ~np.isnan(surface.values)
+    return OracleSurface(surface.year, surface.ids[valued], surface.values[valued])
+
+
+def oracle_valued_join(surface: OracleSurface, table: ingest.WorkerTable,
+                       loci: tuple[str, ...]) -> exposure.AlignedTable:
+    """exposure._join as it was over a valued-subset surface: each key
+    resolved by searchsorted among the valued ids, its index a position
+    among them."""
+    ids = surface.ids
+    found = np.ones(len(table.totals), dtype=bool)
+    positions = []
+    for keys in table.keys:
+        pos = np.searchsorted(ids, keys)
+        hit = pos < len(ids)
+        hit[hit] = ids[pos[hit]] == keys[hit]
+        found &= hit
+        positions.append(pos)
+    codes = table.codes if found.any() else ()
+    dropped = int(table.totals[~found].sum())
+    return exposure.AlignedTable(surface, loci, tuple(pos[found] for pos in positions),
+                                 table.totals[found], codes,
+                                 table.counts[:len(codes)].compress(found, axis=1), dropped)
+
+
+class OracleStrata(NamedTuple):
+    """exposure.TractStrata as it was: the stratum of each classified tract,
+    ``geoids`` (int64 tract ids) ascending and an int8 ``codes`` index into
+    ``names``."""
+
+    geoids: np.ndarray
+    codes: np.ndarray
+    names: tuple[str, ...]
+
+
+def oracle_tract_strata(classification: dict[str, str]) -> OracleStrata:
+    """exposure.tract_strata as it was: a {geoid: stratum} classification
+    encoded as an OracleStrata."""
+    geoids = sorted(classification)
+    names = tuple(sorted(set(classification.values())))
+    index = {name: k for k, name in enumerate(names)}
+    codes = np.array([index[classification[g]] for g in geoids], dtype=np.int8)
+    return OracleStrata(np.array(geoids, dtype=np.int64), codes, names)
+
+
+def _oracle_codes(geoids: np.ndarray, classification: OracleStrata) -> np.ndarray:
+    """exposure._codes as it was: the stratum code of each geoid, -1 for
+    those without one."""
+    known = classification.geoids
+    if len(known) == 0:
+        return np.full(len(geoids), -1, dtype=np.int8)
+    pos = np.minimum(np.searchsorted(known, geoids), len(known) - 1)
+    return np.where(known.take(pos) == geoids, classification.codes.take(pos), -1)
+
+
+def oracle_searched_stratum_masks(table: exposure.AlignedTable,
+                                  classification: OracleStrata | None,
+                                  strata: Sequence[str]) -> dict[str, np.ndarray]:
+    """exposure.stratum_masks as it was: the surface's tracts looked up in
+    the classification by searchsorted, carried to the rows by the join."""
+    masks = {}
+    codes = None
+    n = len(table.totals)
+    for stratum in strata:
+        if stratum == exposure.ALL_STRATUM:
+            masks[stratum] = np.ones(n, dtype=bool)
+        elif classification is not None:
+            if codes is None:
+                codes = _oracle_codes(table.surface.ids, classification).take(table.index[0])
+            if stratum in classification.names:
+                masks[stratum] = codes == classification.names.index(stratum)
+            else:
+                masks[stratum] = np.zeros(n, dtype=bool)
     return masks
 
 
@@ -1204,7 +1306,12 @@ def oracle_threshold_rows(thresholds: Sequence[float], aligned: exposure.Aligned
     row = {code: i for i, code in enumerate(aligned.codes)}
     for threshold in thresholds:
         characteristics, labels, covs = ["all"], ["all"], [""]
-        qs = [oracle_threshold_share(conc, aligned.totals, threshold)]
+        try:
+            qs = [oracle_threshold_share(conc, aligned.totals, threshold)]
+        except pipeline._METRIC_DEGENERACIES as exc:
+            pipeline._skip(skips, "threshold-share", "%s %s T=%s: %s" % (
+                year, locus, threshold, exc))
+            continue
         for schema in ingest.RAC_WAC_SCHEMAS:
             shares = []
             for code, label in schema.categories:

@@ -24,6 +24,7 @@ from helpers import (
     oracle_state_rows,
     oracle_threshold_rows,
     reference_csv,
+    strata_codes,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -55,7 +56,6 @@ from hwexposure.exposure import (
     compute_group_exposures,
     iter_groups,
     stable_argsort,
-    tract_strata,
 )
 from hwexposure.ingest import RAC_WAC_SCHEMAS
 
@@ -510,7 +510,7 @@ def test_state_disparity_zero_national():
 
 def aligned_table(geoids, totals, conc, category_counts):
     surface = zonal.TractSurface(2011, np.array(geoids, dtype=np.int64),
-                                 np.asarray(conc, dtype=np.float64), np.empty(0, np.int64), {})
+                                 np.asarray(conc, dtype=np.float64), {})
     return AlignedTable(
         surface=surface, loci=("H",), index=(np.arange(len(geoids)),),
         totals=np.asarray(totals, dtype=np.int64),
@@ -793,8 +793,9 @@ def test_composition_blocks_match_per_stratum_oracle(seed, n_tracts, bin_counts,
     rng = np.random.default_rng(seed)
     conc_values = (4.0, 7.5, 12.0) if tied_concentrations else tuple(rng.uniform(4, 20, 64))
     aligned = random_aligned(rng, n_tracts, conc_values=conc_values)
-    classification = tract_strata({f"06037{i:06d}": str(rng.choice(names))
-                                   for i in range(n_tracts) if rng.random() < classified})
+    classification = strata_codes(aligned.surface.ids, {
+        f"06037{i:06d}": str(rng.choice(names))
+        for i in range(n_tracts) if rng.random() < classified})
     state = SimpleNamespace(config=SimpleNamespace(bin_counts=tuple(bin_counts)),
                             classification=classification)
     groups = [(c, label) for c, label, _ in iter_groups(RAC_WAC_SCHEMAS, aligned)][1:]
@@ -852,8 +853,9 @@ def test_threshold_rows_skip_degenerate_cov():
 def test_gap_and_atkinson_blocks_match_record_oracle(seed, n_tracts, epsilons):
     rng = np.random.default_rng(seed)
     epsilons = [abs(e) for e in epsilons]
-    classification = tract_strata({f"06037{i:06d}": rng.choice(["urban", "rural"])
-                                   for i in range(n_tracts) if rng.random() < 0.9})
+    classification = strata_codes(6037000000 + np.arange(n_tracts), {
+        f"06037{i:06d}": rng.choice(["urban", "rural"])
+        for i in range(n_tracts) if rng.random() < 0.9})
     frames = [
         compute_group_exposures(random_aligned(rng, n_tracts, locus, (0.0, 4.0, 7.5, 12.0)),
                                 RAC_WAC_SCHEMAS, classification, ("all", "urban", "rural"))

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from hwexposure import pipeline, synth
+from hwexposure import pipeline, synth, zonal
 from hwexposure.errors import EmptyPopulationError
 from hwexposure.exposure import (
     DEFAULT_HW_WEIGHTS,
@@ -25,7 +25,7 @@ from hwexposure.exposure import (
     population_weighted_mean,
     resolve_pairs,
     stable_argsort,
-    tract_strata,
+    stratum_masks,
     weighted_percentile,
 )
 from hwexposure.ingest import (
@@ -34,6 +34,7 @@ from hwexposure.ingest import (
     RAC_WAC_SCHEMAS,
     RESIDENCE,
     WORKPLACE,
+    WorkerTable,
     read_tracts,
 )
 from hwexposure.geometry import geoid_text
@@ -43,8 +44,13 @@ from helpers import (
     exposure_records,
     oracle_group_exposures,
     oracle_hw_exposures,
+    oracle_searched_stratum_masks,
+    oracle_tract_strata,
+    oracle_valued_join,
+    oracle_valued_surface,
     oracle_weighted_mean,
     oracle_weighted_percentile,
+    strata_codes,
     surface_entries,
     tract_surface,
     with_layout,
@@ -271,7 +277,8 @@ def test_group_exposures_match_expansion_oracle_exactly():
 
 def test_group_exposures_strata_split():
     surface, table = small_world()
-    classification = tract_strata({geoid(i): ("urban" if i < 4 else "rural") for i in range(9)})
+    classification = strata_codes(surface.ids,
+                                  {geoid(i): ("urban" if i < 4 else "rural") for i in range(9)})
     records = exposure_records(compute_group_exposures(
         aligned_home(surface, table), AGE, classification, strata=("all", "urban", "rural")
     ))
@@ -329,6 +336,54 @@ def test_joined_frames_hold_tract_indices_not_values(tmp_path):
             assert frame.values(locus).tobytes() == expected.tobytes()
         if role == ORIGIN_DESTINATION:
             assert sum(f.nbytes for f in fields if f.shape[-1:] == (n,)) <= 96 * n
+
+
+@st.composite
+def joined_worlds(draw):
+    """A run's tracts, some excluded this year (NaN), a classification that
+    leaves some unlisted, RAC and OD keys (ascending) that include tracts
+    outside the run, and a seed for the counts."""
+    tracts = sorted(draw(st.sets(st.integers(0, 19), max_size=12)))
+    n = len(tracts)
+    values = draw(st.lists(st.sampled_from([math.nan, 0.0, 3.5, 12.0]), min_size=n, max_size=n))
+    labels = draw(st.lists(st.sampled_from(["urban", "rural", None]), min_size=n, max_size=n))
+    rac = sorted((k,) for k in draw(st.sets(st.integers(0, 24), max_size=15)))
+    od = sorted(draw(st.sets(st.tuples(st.integers(0, 24), st.integers(0, 24)), max_size=20)))
+    return tracts, values, labels, rac, od, draw(st.integers(0, 2**32 - 1))
+
+
+@given(joined_worlds())
+@settings(max_examples=300, deadline=None)
+def test_join_and_strata_match_valued_subset_oracle(world):
+    # the run-wide surface and per-tract codes against the join over valued
+    # tracts only and the searchsorted stratum lookup they replaced
+    tracts, values, labels, rac, od, seed = world
+    rng = np.random.default_rng(seed)
+    ids = np.array([int(geoid(t)) for t in tracts], dtype=np.int64)
+    surface = zonal.TractSurface(2011, ids, np.array(values, dtype=np.float64), {})
+    classification = {geoid(t): s for t, s in zip(tracts, labels) if s is not None}
+    codes = strata_codes(ids, classification)
+    valued, strata = oracle_valued_surface(surface), oracle_tract_strata(classification)
+    for keys, loci, join in ((rac, ("H",), lambda s, t: align_table(s, t, RESIDENCE)),
+                             (od, ("H", "W"), resolve_pairs)):
+        key_ids = np.array([[int(geoid(k)) for k in key] for key in keys],
+                           dtype=np.int64).reshape(len(keys), len(loci))
+        counts = rng.integers(0, 5, (2, len(keys)))
+        table = WorkerTable(tuple(np.ascontiguousarray(k) for k in key_ids.T),
+                            counts.sum(axis=0) + rng.integers(0, 3, len(keys)),
+                            ("SA01", "SA02"), counts)
+        got, want = join(surface, table), oracle_valued_join(valued, table, loci)
+        assert got.dropped_weight == want.dropped_weight
+        assert got.totals.tolist() == want.totals.tolist() and got.codes == want.codes
+        assert got.counts.tolist() == want.counts.tolist()
+        assert got.geoids.tolist() == want.geoids.tolist()
+        for locus in loci:
+            assert got.values(locus).tobytes() == want.values(locus).tobytes()
+        masks = stratum_masks(got, codes, STRATA)
+        oracle = oracle_searched_stratum_masks(want, strata, STRATA)
+        assert {k: m.tolist() for k, m in masks.items()} == {
+            k: m.tolist() for k, m in oracle.items()}
+        assert list(stratum_masks(got, None, STRATA)) == ["all"]
 
 
 # ----------------------------------------------------------------------------
@@ -399,8 +454,8 @@ def random_od_world(seed, n_tracts=40, n_pairs=300):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_hw_error_identity(seed):
     surface, od = random_od_world(seed)
-    classification = tract_strata(
-        {g: ("urban" if i % 3 else "rural") for i, g in enumerate(surface_entries(surface))})
+    classification = strata_codes(surface.ids, {
+        g: ("urban" if i % 3 else "rural") for i, g in enumerate(surface_entries(surface))})
     records, errors = compute_hw_exposures(
         resolve_pairs(surface, od), OD_AGE,
         classification=classification, strata=("all", "urban", "rural"),
@@ -415,7 +470,7 @@ def test_hw_error_identity(seed):
 
 def test_hw_zero_home_mean_warns_once_per_year(caplog):
     surface = tract_surface(2011, {geoid(0): 0.0, geoid(1): 0.0})
-    classification = tract_strata({geoid(0): "urban", geoid(1): "rural"})
+    classification = strata_codes(surface.ids, {geoid(0): "urban", geoid(1): "rural"})
     od = od_matrix({(geoid(0), geoid(1)): (3, {"SA01": 1, "SA02": 2, "SA03": 0})})
     with caplog.at_level(logging.DEBUG, logger="hwexposure.exposure"):
         _, errors = compute_hw_exposures(
@@ -434,7 +489,7 @@ def test_hw_zero_home_mean_warns_once_per_year(caplog):
 
 def test_hw_stratum_assigned_by_home_tract():
     surface = tract_surface(2011, {geoid(0): 4.0, geoid(1): 10.0})
-    classification = tract_strata({geoid(0): "urban", geoid(1): "rural"})
+    classification = strata_codes(surface.ids, {geoid(0): "urban", geoid(1): "rural"})
     od = od_matrix({
         (geoid(0), geoid(1)): (1, {}),  # lives urban, works rural
     })
@@ -559,12 +614,13 @@ def test_group_and_hw_exposures_match_per_group_oracle(case):
     aligned = AlignedTable(surface, ("H",), (home,), counts[0], codes, counts[1:], 0)
     assert records_text(
         lambda *args: exposure_records(compute_group_exposures(*args)),
-        aligned, AGE, tract_strata(classification), STRATA,
+        aligned, AGE, strata_codes(surface.ids, classification), STRATA,
     ) == records_text(oracle_group_exposures, aligned, AGE, classification, STRATA)
     pairs = AlignedTable(surface, ("H", "W"), (home, work), counts[0],
                          ("SA01", "SA02", "SA03"), counts[1:], 0)
     assert records_text(
-        compute_hw_exposures, pairs, OD_AGE, classification=tract_strata(classification),
+        compute_hw_exposures, pairs, OD_AGE,
+        classification=strata_codes(surface.ids, classification),
         strata=STRATA,
     ) == records_text(oracle_hw_exposures, pairs, OD_AGE, classification=classification,
                       strata=STRATA)

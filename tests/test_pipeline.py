@@ -462,6 +462,30 @@ def test_run_survives_zero_concentrations(tmp_path):
     assert len(csv_rows(out_dir / "bins.csv")) > 0
 
 
+@pytest.mark.parametrize("table, locus", [("rac_2011.csv", "H"), ("wac_2011.csv", "W")])
+def test_run_survives_a_table_without_workers(tmp_path, table, locus):
+    # every count of one RAC or WAC table is 0: that table's threshold shares
+    # and state disparities are undefined and skipped, as the README promises
+    world = make_world(tmp_path, seed=7, n_tracts=25, n_groups=3)
+    lines = (world / table).read_text().splitlines()
+    zeroed = [line.split(",", 1)[0] + ",0" * line.count(",") for line in lines[1:]]
+    (world / table).write_text("\n".join([lines[0], *zeroed]) + "\n")
+    config = world / "config.json"
+    out_dir = tmp_path / "out"
+    assert cli.main(["run", "--config", str(config), "--out", str(out_dir)]) == 0
+    skipped = json.loads((out_dir / "manifest.json").read_text())["stages"]["disparity"]["skipped"]
+    thresholds = pipeline.load_config(str(config)).thresholds
+    assert skipped["threshold-share"] == len(thresholds) > 0
+    assert skipped["state-disparity"] == 1
+    other = {"H": "W", "W": "H"}[locus]
+    assert {row["locus"] for row in csv_rows(out_dir / "threshold.csv")} == {other}
+    assert {row["locus"] for row in csv_rows(out_dir / "state_disparity.csv")} == {other}
+    stage_dir = tmp_path / "stage"
+    assert cli.main(["run", "--config", str(config), "--out", str(stage_dir),
+                     "--stage", "disparity"]) == 0
+    assert (stage_dir / "threshold.csv").read_bytes() == (out_dir / "threshold.csv").read_bytes()
+
+
 @pytest.mark.parametrize("stages", [
     pytest.param(["surface", "exposure", "disparity", "bias"], id="full"),
     pytest.param(["surface", "bias"], id="bias_only"),

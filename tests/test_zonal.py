@@ -1004,12 +1004,10 @@ def test_surface_csv_roundtrip(tmp_path):
     assert surface_entries(back) == surface_entries(surface)
 
 
-def test_surface_rejects_unsorted_twice_listed_or_negative_tracts():
-    ids, values = np.array([6037000100, 6037000200]), np.array([1.0, 2.0])
-    none = np.array([], dtype=np.int64)
-    with pytest.raises(SchemaError, match="ascending"):
-        zonal.TractSurface(2011, ids[::-1], values, none, {})
-    with pytest.raises(SchemaError, match="once"):
-        zonal.TractSurface(2011, ids, values, ids[1:], {})
-    with pytest.raises(SchemaError, match=r"negative/NaN concentrations for \['06037000200'\]"):
-        zonal.TractSurface(2011, ids, np.array([1.0, np.nan]), none, {})
+def test_surface_rejects_negative_tracts_and_derives_excluded():
+    # a surface spans every tract of the run; NaN marks an excluded tract
+    ids = np.array([6037000100, 6037000200, 6037000300])
+    with pytest.raises(SchemaError, match=r"negative concentrations for \['06037000200'\]"):
+        zonal.TractSurface(2011, ids, np.array([1.0, -2.0, np.nan]), {})
+    surface = zonal.TractSurface(2011, ids, np.array([np.nan, 2.0, np.nan]), {})
+    assert geoid_text(surface.excluded) == ["06037000100", "06037000300"]
