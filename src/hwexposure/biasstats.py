@@ -74,22 +74,10 @@ def bias_factor(moments: ErrorMoments) -> float:
 
 # The normal approximation is poor for very small samples (it can be off by
 # more than 0.1 from the permutation p when one sample has a single element),
-# so "auto" switches to exact enumeration for small untied samples, the same
-# policy R's wilcox.test uses. Production-scale inputs always take the normal
-# path.
+# so untied samples with at most this many pooled values take the exact
+# permutation p, the same policy R's wilcox.test uses. Production-scale inputs
+# always take the normal path.
 _EXACT_MAX_N = 25
-
-
-def wilcoxon_rank_sum(a: Sequence[float], b: Sequence[float],
-                      method: str = "auto") -> RankSumResult:
-    """Rank-sum test of two samples.
-
-    Mid-ranks for ties and a tie-corrected normal z with 0.5 continuity
-    correction. ``method`` is "auto" (exact permutation p for untied samples
-    with at most 25 pooled values, normal tail otherwise), "normal", or
-    "exact" (untied samples only).
-    """
-    return wilcoxon_rank_sum_grouped(a, [1] * len(a), b, [1] * len(b), method=method)
 
 
 def wilcoxon_rank_sum_grouped(
@@ -97,14 +85,13 @@ def wilcoxon_rank_sum_grouped(
     counts_a: Sequence[int],
     values_b: Sequence[float],
     counts_b: Sequence[int],
-    method: str = "auto",
 ) -> RankSumResult:
     """Rank-sum test on frequency-weighted samples.
 
     Equivalent to expanding each value ``count`` times; rank sums use exact
     integer arithmetic, so U_a + U_b = n_a * n_b holds exactly.
     """
-    return PooledSamples(values_a, values_b).test(counts_a, counts_b, method)
+    return PooledSamples(values_a, values_b).test(counts_a, counts_b)
 
 
 _INT64_LIMIT = 2 ** 63
@@ -132,12 +119,12 @@ class PooledSamples:
         self._starts = np.flatnonzero(run_start)
         self._from_a = self._order < len(a)
 
-    def test(self, counts_a: Sequence[int], counts_b: Sequence[int],
-             method: str = "auto") -> RankSumResult:
+    def test(self, counts_a: Sequence[int], counts_b: Sequence[int]) -> RankSumResult:
         """Rank-sum test of the first values weighted by ``counts_a`` against
-        the second weighted by ``counts_b`` (counts truncated to integers)."""
-        if method not in ("auto", "normal", "exact"):
-            raise ContractError(f"unknown method {method!r}")
+        the second weighted by ``counts_b`` (counts truncated to integers):
+        mid-ranks for ties and a tie-corrected normal z with 0.5 continuity
+        correction. The p is exact for untied samples with at most
+        ``_EXACT_MAX_N`` pooled values and the normal tail otherwise."""
         ca = np.asarray(counts_a, dtype=np.int64)
         cb = np.asarray(counts_b, dtype=np.int64)
         if (len(ca), len(cb)) != self._sizes:
@@ -179,10 +166,7 @@ class PooledSamples:
             z = (deviation + 0.5) / math.sqrt(var_u)
         else:
             z = 0.0
-        untied = max_t == 1
-        if method == "exact" or (method == "auto" and untied and n <= _EXACT_MAX_N):
-            if not untied:
-                raise ContractError("exact method requires untied samples")
+        if max_t == 1 and n <= _EXACT_MAX_N:
             p = _exact_two_sided_p(n_a, n_b, u)
         else:
             p = min(math.erfc(abs(z) / math.sqrt(2.0)), 1.0)

@@ -23,7 +23,7 @@ class HWWeights:
 
     __slots__ = ("home_fraction", "work_fraction")
 
-    def __init__(self, home_fraction: float = 0.794, work_fraction: float = 0.206) -> None:
+    def __init__(self, home_fraction: float, work_fraction: float) -> None:
         if not (0.0 < home_fraction < 1.0 and 0.0 < work_fraction < 1.0):
             raise ValueError("fractions must lie strictly between 0 and 1")
         if home_fraction + work_fraction != 1.0:

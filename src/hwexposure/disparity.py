@@ -161,18 +161,14 @@ def population_share_by_concentration_decile(
     return DecileShares(means=means, difference=means[:, -1] - means[:, 0])
 
 
-def atkinson(shares: Sequence[float], values: Sequence[float], epsilon: float) -> float:
-    """Between-group Atkinson index with aversion parameter ``epsilon``.
+def _atkinson_curve(shares: Sequence[float], values: Sequence[float],
+                    epsilons: Sequence[float]) -> list[float]:
+    """Between-group Atkinson index at each aversion parameter of
+    ``epsilons``, with the shares and values checked once.
 
     ``shares`` are population fractions (positive, summing to 1); ``values``
     are positive group means. epsilon = 1 uses the geometric-mean limit.
     """
-    return _atkinson_curve(shares, values, (epsilon,))[0]
-
-
-def _atkinson_curve(shares: Sequence[float], values: Sequence[float],
-                    epsilons: Sequence[float]) -> list[float]:
-    """``atkinson`` at each epsilon, with the shares and values checked once."""
     f = np.asarray(shares, dtype=np.float64)
     y = np.asarray(values, dtype=np.float64)
     if f.size == 0 or f.size != y.size:

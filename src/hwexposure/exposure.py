@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import logging
 import math
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,14 +33,12 @@ LOCUS_BLEND = "HW"
 ALL_STRATUM = "all"
 ALL_GROUP = ("all", "all")  # (characteristic, group label) of the total population
 
-DEFAULT_HW_WEIGHTS = HWWeights()
-
 
 def format_group(characteristic: str, group: str) -> str:
     return "all" if (characteristic, group) == ALL_GROUP else f"{characteristic}:{group}"
 
 
-def hw_blend(h, w, weights: HWWeights = DEFAULT_HW_WEIGHTS):
+def hw_blend(h, w, weights: HWWeights):
     """Time-weighted blend of home and work concentrations (scalars or arrays).
 
     Computed as h + work_fraction * (w - h), which equals
@@ -50,42 +48,6 @@ def hw_blend(h, w, weights: HWWeights = DEFAULT_HW_WEIGHTS):
     op bit for bit.
     """
     return h + weights.work_fraction * (w - h)
-
-
-def population_weighted_mean(values: Mapping[str, float],
-                             weights: Mapping[str, float]) -> float:
-    """sum(value * weight) / sum(weight) over tracts present in ``values``.
-
-    Weights keyed by tracts absent from ``values`` (excluded tracts) are
-    dropped with a log entry. Raises EmptyPopulationError when no weight
-    remains.
-    """
-    vals = []
-    wts = []
-    dropped = 0.0
-    for geoid in sorted(weights):
-        w = weights[geoid]
-        if geoid in values:
-            vals.append(values[geoid])
-            wts.append(w)
-        else:
-            dropped += w
-    if dropped:
-        logger.warning("dropped %s worker-weight on tracts without concentrations", dropped)
-    return ValueSlice(np.asarray(vals, dtype=np.float64)).mean(np.asarray(wts, dtype=np.float64))
-
-
-def weighted_percentile(values: Sequence[float], weights: Sequence[float], p: float) -> float:
-    """Left-continuous inverse CDF with frequency weights, no interpolation.
-
-    Returns the smallest value whose cumulative weight reaches ``p`` times the
-    total weight. Ties in value are irrelevant to the result; the stable sort
-    keeps the caller's (geoid-ascending) order deterministic.
-    """
-    vals = np.asarray(values, dtype=np.float64)
-    wts = np.asarray(weights, dtype=np.float64)
-    keep = wts > 0
-    return ValueSlice(vals[keep]).percentiles(wts[keep], (p,))[0]
 
 
 def stable_argsort(values: np.ndarray) -> np.ndarray:
@@ -125,8 +87,8 @@ class ValueSlice:
     def stats(self, weights: np.ndarray, ps: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
         """Per row of ``weights``, sum(value * weight) / sum(weight), and per p
         the smallest value with positive weight whose cumulative weight
-        reaches p times the row's total (see ``weighted_percentile``): the
-        means and a (len(ps) x groups) matrix of picks."""
+        reaches p times the row's total, with no interpolation: the means and
+        a (len(ps) x groups) matrix of picks."""
         for p in ps:
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"p must be in [0, 1], got {p}")
@@ -164,14 +126,6 @@ class ValueSlice:
                 idx[row] = np.flatnonzero(weights[row].take(self._order))[-1]
             picks[k] = self.values.take(self._order.take(idx))
         return means, picks
-
-    def mean(self, weights: np.ndarray) -> float:
-        """sum(value * weight) / sum(weight) of one group."""
-        return float(self.stats(np.reshape(weights, (1, -1)), ())[0][0])
-
-    def percentiles(self, weights: np.ndarray, ps: Sequence[float]) -> list[float]:
-        """Per p, the percentile pick of one group (see ``stats``)."""
-        return self.stats(np.reshape(weights, (1, -1)), ps)[1][:, 0].tolist()
 
 
 class AlignedTable(NamedTuple):
@@ -317,11 +271,10 @@ class GroupExposures(NamedTuple):
 
 def _group_exposures(table: AlignedTable, schemas: Sequence[GroupSchema],
                      loci: dict[str, np.ndarray], classification: np.ndarray | None,
-                     strata: Sequence[str], skipped: str) -> GroupExposures:
+                     strata: Sequence[str]) -> GroupExposures:
     """Every group's weight and, per locus, its mean, p10 and p90 over that
     locus's row values: one weight matrix and one kernel call per (locus,
-    stratum). Groups with zero weight in a stratum are left out with a log
-    entry, ``skipped`` % (group key, stratum)."""
+    stratum). Groups with zero weight in a stratum are left out."""
     groups = list(iter_groups(schemas, table))
     # float64 sums of worker counts are exact below 2**53
     counts = np.vstack([group_counts for *_, group_counts in groups], dtype=np.float64)
@@ -331,8 +284,6 @@ def _group_exposures(table: AlignedTable, schemas: Sequence[GroupSchema],
     for stratum, mask in stratum_masks(table, classification, strata).items():
         w = counts.compress(mask, axis=1)
         weight = w.sum(axis=1)
-        for g in np.flatnonzero(weight == 0):
-            logger.debug("skipping zero-weight " + skipped, format_group(*groups[g][:2]), stratum)
         kept = np.flatnonzero(weight)
         if not kept.size:
             continue
@@ -360,13 +311,13 @@ def compute_group_exposures(
 ) -> GroupExposures:
     """Every (group, stratum)'s exposure at the table's locus."""
     return _group_exposures(aligned, schemas, {aligned.locus: aligned.values(aligned.locus)},
-                            classification, strata, f"group %s ({aligned.locus}, %s)")
+                            classification, strata)
 
 
 def compute_hw_exposures(
     pairs: AlignedTable,
     schemas: Sequence[GroupSchema],
-    weights: HWWeights = DEFAULT_HW_WEIGHTS,
+    weights: HWWeights,
     classification: np.ndarray | None = None,
     strata: Sequence[str] = (ALL_STRATUM,),
 ) -> GroupExposures:
@@ -381,7 +332,7 @@ def compute_hw_exposures(
         raise EmptyPopulationError("no resolvable OD pairs with workers")
     home, work = pairs.values(LOCUS_HOME), pairs.values(LOCUS_WORK)
     loci = {LOCUS_HOME: home, LOCUS_WORK: work, LOCUS_BLEND: hw_blend(home, work, weights)}
-    frame = _group_exposures(pairs, schemas, loci, classification, strata, "OD group %s (%s)")
+    frame = _group_exposures(pairs, schemas, loci, classification, strata)
     h_mean, hw_mean = frame.mean[0], frame.mean[2]
     error = h_mean - hw_mean
     undefined = np.flatnonzero(h_mean == 0.0)

@@ -51,27 +51,12 @@ class ConcentrationGrid:
         self.n_rows, self.n_cols = n_rows, n_cols
         self.values, self.nodata = values, nodata
 
-    def cell_rect(self, row: int, col: int) -> tuple[float, float, float, float]:
-        """(x0, y0, x1, y1) of the cell at (row, col)."""
-        x0 = self.origin_x + col * self.cell_width
-        y0 = self.origin_y + row * self.cell_height
-        return (x0, y0, x0 + self.cell_width, y0 + self.cell_height)
-
     @property
     def lattice(self) -> tuple[float, float, float, float, int, int]:
         """(origin_x, origin_y, cell_width, cell_height, n_rows, n_cols): what
         tract coverage depends on, as opposed to the cell values."""
         return (self.origin_x, self.origin_y, self.cell_width, self.cell_height,
                 self.n_rows, self.n_cols)
-
-    @property
-    def extent(self) -> tuple[float, float, float, float]:
-        return (
-            self.origin_x,
-            self.origin_y,
-            self.origin_x + self.n_cols * self.cell_width,
-            self.origin_y + self.n_rows * self.cell_height,
-        )
 
 
 def read_asc(path: str) -> ConcentrationGrid:

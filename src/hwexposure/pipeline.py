@@ -270,6 +270,7 @@ def _stage_exposure(state: RunState, data: YearData) -> None:
     config = state.config
     strata = _strata(config)
     year = data.year
+    skips = state.skips.setdefault("exposure", {})
     data.homes, rac_tracts = _join(config, data.surface, ingest.RESIDENCE)
     data.works, wac_tracts = _join(config, data.surface, ingest.WORKPLACE)
     frames = data.exposures = [
@@ -277,6 +278,8 @@ def _stage_exposure(state: RunState, data: YearData) -> None:
                                          state.classification, strata)
         for aligned in (data.homes, data.works)
     ]
+    for aligned, frame in zip((data.homes, data.works), frames):
+        _skip_left_out(skips, aligned, ingest.RAC_WAC_SCHEMAS, strata, frame)
     exposure_blocks = state.reports("exposure.csv")[0]
     exposure_blocks += [_exposure_block(frame, frame.loci[0]) for frame in frames]
     drops = {"rac": data.homes.dropped_weight, "wac": data.works.dropped_weight}
@@ -285,6 +288,7 @@ def _stage_exposure(state: RunState, data: YearData) -> None:
         data.pairs, od_pairs = _join(config, data.surface, ingest.ORIGIN_DESTINATION)
         od = exposure.compute_hw_exposures(data.pairs, ingest.OD_SCHEMAS, config.hw_weights,
                                            state.classification, strata)
+        _skip_left_out(skips, data.pairs, ingest.OD_SCHEMAS, strata, od)
         frames = [*frames, od]
         drops["od"] = data.pairs.dropped_weight
         exposure_blocks.append(_exposure_block(od, exposure.LOCUS_BLEND))
@@ -300,6 +304,17 @@ def _stage_exposure(state: RunState, data: YearData) -> None:
     }
 
 
+def _skip_left_out(skips: dict[str, int], table: exposure.AlignedTable,
+                   schemas: Sequence[ingest.GroupSchema], strata: Sequence[str],
+                   frame: exposure.GroupExposures) -> None:
+    """One zero-weight-group skip per (stratum, group) asked of ``frame``
+    that it left out for having no workers."""
+    left_out = len(strata) * len(list(exposure.iter_groups(schemas, table))) - len(frame.weight)
+    if left_out:
+        _skip(skips, "zero-weight-group", "%s %s: %d (stratum, group) slices" % (
+            table.year, frame.loci[-1], left_out), left_out)
+
+
 def _transpose(rows: Sequence[tuple], n_text: int, width: int) -> list:
     """Row tuples of ``width`` fields as columns: the first ``n_text`` as text
     lists, the rest as float arrays."""
@@ -309,12 +324,15 @@ def _transpose(rows: Sequence[tuple], n_text: int, width: int) -> list:
 
 
 def _gap_and_atkinson_blocks(year: int, frames: Sequence[exposure.GroupExposures],
-                             epsilons: Sequence[float], skips: dict[str, int]) -> list[list]:
-    """gaps.csv and atkinson.csv blocks of one year's RAC and WAC frames.
+                             asked: Sequence[tuple[str, str, str]], epsilons: Sequence[float],
+                             skips: dict[str, int]) -> list[list]:
+    """gaps.csv and atkinson.csv blocks of one year's RAC and WAC frames, over
+    the ``asked`` (locus, stratum, characteristic) slices.
 
     A frame's rows are ordered by stratum, then schema, so each (locus,
     stratum, characteristic) is one run of rows; the total population's row
-    holds the national mean of its (locus, stratum). Gaps are ordered by
+    holds the national mean of its (locus, stratum). A slice with no rows has
+    no groups, so its gap and Atkinson curve are skipped. Gaps are ordered by
     (locus, stratum, characteristic), Atkinson rows by (characteristic,
     locus, stratum) with one row per epsilon.
     """
@@ -331,18 +349,19 @@ def _gap_and_atkinson_blocks(year: int, frames: Sequence[exposure.GroupExposures
                 slices[key] = (frame.characteristic[rows], frame.label[rows],
                                frame.weight[rows], frame.mean[0, rows])
             start = rows.stop
+    no_rows = ([], [], np.empty(0), np.empty(0))
     gaps, curves = [], []
-    for key in sorted(slices):
-        characteristics, labels, _, means = slices[key]
+    for key in sorted(asked):
+        characteristics, labels, _, means = slices.get(key, no_rows)
         try:
             gaps.append((*key, *disparity.extreme_group_gap(characteristics, labels, means,
-                                                             national[key[:2]])))
+                                                             national.get(key[:2], 0.0))))
         except _METRIC_DEGENERACIES as exc:
             _skip(skips, "gap", "%s %s/%s/%s: %s" % (year, *key, exc))
-    for locus, stratum, characteristic in sorted(slices, key=lambda k: (k[2], k[0], k[1])):
+    for locus, stratum, characteristic in sorted(asked, key=lambda k: (k[2], k[0], k[1])):
         try:
-            curve = disparity.atkinson_pipeline(*slices[(locus, stratum, characteristic)],
-                                                epsilons)
+            curve = disparity.atkinson_pipeline(
+                *slices.get((locus, stratum, characteristic), no_rows), epsilons)
         except _METRIC_DEGENERACIES as exc:
             _skip(skips, "atkinson", "%s %s/%s/%s: %s" % (year, locus, stratum, characteristic,
                                                           exc))
@@ -358,14 +377,19 @@ def _stage_disparity(state: RunState, data: YearData) -> None:
     skips = state.skips.setdefault("disparity", {})
     gap_blocks, bin_blocks, atkinson_blocks, state_blocks, threshold_blocks = state.reports(
         "gaps.csv", "bins.csv", "atkinson.csv", "state_disparity.csv", "threshold.csv")
-    gaps, curves = _gap_and_atkinson_blocks(year, data.exposures, config.epsilons, skips)
+    tables = (data.homes, data.works)
+    # one group per row of aligned.counts, both in schema order
+    table_groups = [[(characteristic, label) for characteristic, label, _ in
+                     exposure.iter_groups(ingest.RAC_WAC_SCHEMAS, aligned)][1:]
+                    for aligned in tables]
+    asked = [(aligned.locus, stratum, characteristic)
+             for aligned, groups in zip(tables, table_groups) for stratum in strata
+             for characteristic in dict.fromkeys(c for c, _ in groups)]
+    gaps, curves = _gap_and_atkinson_blocks(year, data.exposures, asked, config.epsilons, skips)
     gap_blocks.append(gaps)
     atkinson_blocks.append(curves)
 
-    for aligned in (data.homes, data.works):
-        # one group per row of aligned.counts, both in schema order
-        groups = [(characteristic, label) for characteristic, label, _ in
-                  exposure.iter_groups(ingest.RAC_WAC_SCHEMAS, aligned)][1:]
+    for aligned, groups in zip(tables, table_groups):
         counts = aligned.counts.astype(np.float64)
         bin_blocks += _composition_blocks(state, aligned, groups, counts, strata, skips)
         threshold_blocks += _threshold_rows(config, aligned, groups, counts, skips)
@@ -376,8 +400,8 @@ def _stage_disparity(state: RunState, data: YearData) -> None:
         del counts
 
 
-def _skip(skips: dict[str, int], kind: str, detail: str) -> None:
-    skips[kind] = skips.get(kind, 0) + 1
+def _skip(skips: dict[str, int], kind: str, detail: str, count: int = 1) -> None:
+    skips[kind] = skips.get(kind, 0) + count
     logger.debug("%s skipped: %s", kind, detail)
 
 
@@ -538,8 +562,6 @@ def _stage_bias(state: RunState, data: YearData) -> None:
     blended = exposure.hw_blend(home, pairs.values(exposure.LOCUS_WORK), config.hw_weights)
     masks = exposure.stratum_masks(pairs, state.classification, strata)
     for stratum, mask in masks.items():
-        if not mask.any():
-            continue
         vh = home[mask]
         vb = blended[mask]
         pooled = biasstats.PooledSamples(vh, vb)
@@ -549,6 +571,7 @@ def _stage_bias(state: RunState, data: YearData) -> None:
             w = counts[mask]
             n = int(w.sum())
             if n == 0:
+                _skip(skips, "zero-weight-group", "%s %s/%s" % (year, stratum, group_key))
                 continue
             try:
                 moments = biasstats.error_moments(vh, vb, w)

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import _CONFIG_RULES
 from .errors import ConfigError
 from .ingest import OD_SCHEMAS, RAC_WAC_SCHEMAS
 
@@ -109,7 +110,7 @@ def synth(
         "wac": "wac_{year}.csv",
         "od": "od_{year}.csv",
         "stages": ["surface", "exposure", "disparity", "bias"],
-        "hw_weights": {"home": 0.794, "work": 0.206},
+        "hw_weights": _CONFIG_RULES["hw_weights"][0],
         "bin_counts": [3],
         "epsilons": [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0],
         "thresholds": [12.0, 10.0, 5.0],

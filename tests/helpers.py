@@ -89,6 +89,8 @@ Ring = tuple[Vertex, ...]
 Rect = tuple[float, float, float, float]  # x0, y0, x1, y1
 HalfPlane = tuple[float, float, float]  # keep a*x + b*y <= c
 
+HW_WEIGHTS = exposure.HWWeights(0.794, 0.206)  # the paper's home/work time split
+
 
 def normalize_ring(vertices: Iterable[Sequence[float]]) -> Ring:
     """Return a closed ring (first vertex repeated last) with >= 3 distinct vertices.
@@ -448,7 +450,10 @@ def oracle_zonal_mean(grid, tract, exact=False):
                               for ext, holes in rings)
                 frac = min(max(float(covered / (cw * ch)), 0.0), 1.0)
             else:
-                frac = cell_coverage(tract.parts, grid.cell_rect(row, col))
+                x0 = grid.origin_x + col * grid.cell_width
+                y0 = grid.origin_y + row * grid.cell_height
+                frac = cell_coverage(tract.parts,
+                                     (x0, y0, x0 + grid.cell_width, y0 + grid.cell_height))
             if frac == 0.0:
                 continue
             value = float(grid.values[row, col])
@@ -1096,8 +1101,8 @@ def oracle_group_exposures(aligned, schemas, classification=None,
     return records
 
 
-def oracle_hw_exposures(pairs, schemas, weights=exposure.DEFAULT_HW_WEIGHTS,
-                        classification=None, strata=(exposure.ALL_STRATUM,)):
+def oracle_hw_exposures(pairs, schemas, weights, classification=None,
+                        strata=(exposure.ALL_STRATUM,)):
     if len(pairs.totals) == 0 or int(pairs.totals.sum()) == 0:
         raise EmptyPopulationError("no resolvable OD pairs with workers")
     home, work = pairs.values("H"), pairs.values("W")

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    HW_WEIGHTS,
     PolygonPart,
     TractGeometry,
     compute_hw_exposures,
@@ -30,20 +31,25 @@ from helpers import (
 )
 
 from hwexposure import pipeline, synth
-from hwexposure.biasstats import ErrorMoments, bias_factor, error_moments, wilcoxon_rank_sum
-from hwexposure.disparity import atkinson
-from hwexposure.exposure import (
-    hw_blend,
-    population_weighted_mean,
-    resolve_pairs,
-    weighted_percentile,
-)
+from hwexposure.biasstats import ErrorMoments, PooledSamples, bias_factor, error_moments
+from hwexposure.disparity import _atkinson_curve
+from hwexposure.exposure import ValueSlice, hw_blend, resolve_pairs
 from hwexposure.grids import ConcentrationGrid
 from hwexposure.ingest import OD_SCHEMAS, WorkerTable, aggregate_od, aggregate_to_tracts, read_od_csv
 
 
 def report(number: int, text: str) -> None:
     print(f"ACCEPTANCE {number} PASS: {text}")
+
+
+def atkinson(shares, values, eps: float) -> float:
+    """The engine's Atkinson curve at one aversion value."""
+    return _atkinson_curve(shares, values, (eps,))[0]
+
+
+def rank_sum(a, b):
+    """The engine's rank-sum test of two unweighted samples."""
+    return PooledSamples(a, b).test([1] * len(a), [1] * len(b))
 
 
 # ----------------------------------------------------------------------------
@@ -116,17 +122,18 @@ def test_c2_exposure_expansion_oracles():
         expanded = sorted(v for g, v in values.items() for _ in range(weights[g]))
         assert len(expanded) <= 10**4 * 4
         oracle_mean = math.fsum(expanded) / len(expanded)
-        got = population_weighted_mean(values, weights)
-        assert got == pytest.approx(oracle_mean, rel=1e-9)
-        vals = [values[g] for g in sorted(values)]
-        wts = [weights[g] for g in sorted(values)]
-        for p in (0.0, 0.1, 0.25, 0.5, 0.9, 1.0, rng.random()):
+        vals = np.array([values[g] for g in sorted(values)])
+        wts = np.array([weights[g] for g in sorted(values)], dtype=np.float64)
+        ps = (0.0, 0.1, 0.25, 0.5, 0.9, 1.0, rng.random())
+        means, picks = ValueSlice(vals).stats(wts.reshape(1, -1), ps)
+        assert float(means[0]) == pytest.approx(oracle_mean, rel=1e-9)
+        for p, got in zip(ps, picks[:, 0].tolist()):
             n = len(expanded)
             k = max(1, math.ceil(p * n)) if p * n > 0 else 1
             while k < n and k < p * n:  # guard ceil float edge cases
                 k += 1
             oracle_pct = expanded[k - 1]
-            assert weighted_percentile(vals, wts, p) == oracle_pct, (trial, p)
+            assert got == oracle_pct, (trial, p)
     report(2, "weighted mean within 1e-9 and percentiles exactly equal to "
               "per-worker expansion oracles on 5 seeded instances up to 1e4 workers")
 
@@ -140,7 +147,7 @@ def test_c3_blend_and_error_identity(tmp_path):
     values = rng.uniform(0.0, 40.0, size=1_000_000)
     for h in values:
         hv = float(h)
-        if hw_blend(hv, hv) != hv:
+        if hw_blend(hv, hv, HW_WEIGHTS) != hv:
             pytest.fail(f"hw_blend({hv}, {hv}) != {hv}")
 
     world = tmp_path / "world"
@@ -151,7 +158,7 @@ def test_c3_blend_and_error_identity(tmp_path):
     surface = data.surface
     od = aggregate_od(read_od_csv(str(world / "od_2011.csv")))
     records, errors = compute_hw_exposures(
-        resolve_pairs(surface, od), OD_SCHEMAS,
+        resolve_pairs(surface, od), OD_SCHEMAS, HW_WEIGHTS,
         classification=state.classification, strata=("all", "urban", "rural"),
     )
     means = {(r.group_key, r.stratum, r.locus): r.mean for r in records}
@@ -264,7 +271,7 @@ def enumeration_p(a, b):
 
 
 def test_c6_wilcoxon_enumeration_oracle():
-    result = wilcoxon_rank_sum([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
+    result = rank_sum([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
     assert result.u == 0.0
     assert enumeration_p([1.0, 2.0, 3.0], [4.0, 5.0, 6.0]) == pytest.approx(0.1)
 
@@ -276,7 +283,7 @@ def test_c6_wilcoxon_enumeration_oracle():
             for combo in itertools.combinations(ranks, n_a):
                 a = [float(r) for r in combo]
                 b = [float(r) for r in ranks if r not in set(combo)]
-                got = wilcoxon_rank_sum(a, b).p_value
+                got = rank_sum(a, b).p_value
                 exact = enumeration_p(a, b)
                 worst = max(worst, abs(got - exact))
                 checked += 1

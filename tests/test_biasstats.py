@@ -16,7 +16,6 @@ from hwexposure.biasstats import (
     PooledSamples,
     bias_factor,
     error_moments,
-    wilcoxon_rank_sum,
     wilcoxon_rank_sum_grouped,
 )
 from hwexposure.errors import ContractError, DegenerateVarianceError, DomainError
@@ -162,8 +161,18 @@ def test_bias_monte_carlo_regression_oracle(sigma2, phi, omega2):
 
 
 # ----------------------------------------------------------------------------
-# wilcoxon_rank_sum
+# PooledSamples.test on unweighted samples
 # ----------------------------------------------------------------------------
+
+def rank_sum(a, b):
+    """The engine's rank-sum test of two unweighted samples."""
+    return PooledSamples(a, b).test([1] * len(a), [1] * len(b))
+
+
+def normal_p(result) -> float:
+    """The two-sided normal tail of a result's z."""
+    return min(math.erfc(abs(result.z) / math.sqrt(2.0)), 1.0)
+
 
 def u_statistic(a, b):
     """Direct pair-counting definition, independent of the rank implementation."""
@@ -196,38 +205,37 @@ def exact_two_sided_p(a, b):
 
 
 def test_wilcoxon_identical_samples():
-    result = wilcoxon_rank_sum([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+    result = rank_sum([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
     assert result.z == 0.0
     assert result.p_value == 1.0
     assert result.u == 4.5
 
 
 def test_wilcoxon_disjoint_samples():
-    result = wilcoxon_rank_sum([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
+    result = rank_sum([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
     assert result.u == 0.0
     assert exact_two_sided_p([1.0, 2.0, 3.0], [4.0, 5.0, 6.0]) == pytest.approx(0.1)
-    # auto method takes the exact path for this untied 6-value input
+    # this untied 6-value input takes the exact path; its normal tail is near
     assert result.p_value == pytest.approx(0.1)
-    normal = wilcoxon_rank_sum([1.0, 2.0, 3.0], [4.0, 5.0, 6.0], method="normal")
-    assert normal.p_value == pytest.approx(0.1, abs=0.05)
+    assert normal_p(result) == pytest.approx(0.1, abs=0.05)
 
 
 def test_wilcoxon_empty_sample():
     with pytest.raises(ContractError):
-        wilcoxon_rank_sum([], [1.0])
+        rank_sum([], [1.0])
     with pytest.raises(ContractError):
-        wilcoxon_rank_sum([1.0], [])
+        rank_sum([1.0], [])
 
 
 def test_wilcoxon_all_tied_degenerate():
-    result = wilcoxon_rank_sum([2.0, 2.0], [2.0, 2.0, 2.0])
+    result = rank_sum([2.0, 2.0], [2.0, 2.0, 2.0])
     assert result.z == 0.0
     assert result.p_value == 1.0
 
 
 def test_wilcoxon_vs_exact_enumeration_small_samples():
-    # Every no-tie rank configuration with n_a + n_b <= 8. The auto method
-    # takes the exact permutation path here; the combinatorial oracle is an
+    # Every no-tie rank configuration with n_a + n_b <= 8. The test takes
+    # the exact permutation path here; the combinatorial oracle is an
     # independent implementation of the same p.
     for n in range(2, 9):
         ranks = list(range(1, n + 1))
@@ -235,7 +243,7 @@ def test_wilcoxon_vs_exact_enumeration_small_samples():
             for combo in itertools.combinations(ranks, n_a):
                 a = [float(r) for r in combo]
                 b = [float(r) for r in ranks if r not in set(combo)]
-                got = wilcoxon_rank_sum(a, b).p_value
+                got = rank_sum(a, b).p_value
                 exact = exact_two_sided_p(a, b)
                 assert abs(got - exact) <= 0.05, (a, b, got, exact)
                 assert got == pytest.approx(exact, rel=1e-12)
@@ -244,23 +252,29 @@ def test_wilcoxon_vs_exact_enumeration_small_samples():
 def test_wilcoxon_normal_path_envelope():
     # The pure normal approximation stays within 0.05 of exact enumeration
     # once both samples have >= 2 elements and 6+ values are pooled; smaller
-    # splits are why the auto method switches to the exact path.
+    # splits are why small untied samples take the exact path.
     for n in range(6, 9):
         ranks = list(range(1, n + 1))
         for n_a in range(2, n - 1):
             for combo in itertools.combinations(ranks, n_a):
                 a = [float(r) for r in combo]
                 b = [float(r) for r in ranks if r not in set(combo)]
-                approx = wilcoxon_rank_sum(a, b, method="normal").p_value
+                approx = normal_p(rank_sum(a, b))
                 exact = exact_two_sided_p(a, b)
                 assert abs(approx - exact) <= 0.05, (a, b, approx, exact)
 
 
-def test_wilcoxon_exact_method_rejects_ties():
-    with pytest.raises(ContractError):
-        wilcoxon_rank_sum([1.0, 2.0], [2.0, 3.0], method="exact")
-    with pytest.raises(ContractError):
-        wilcoxon_rank_sum([1.0], [2.0], method="bogus")
+def test_wilcoxon_exact_p_only_for_small_untied_samples():
+    # untied samples of at most 25 pooled values take the exact p; a 26th
+    # value or a tie gives the normal tail (the oracle forced to each branch)
+    def oracle(a, b, method):
+        return oracle_rank_sum_grouped(a, [1] * len(a), b, [1] * len(b), method)
+
+    a, b = [float(v) for v in range(0, 25, 2)], [float(v) for v in range(1, 25, 2)]
+    a[-1], b[0] = 30.0, -5.0  # 25 untied values, U away from its mean
+    assert rank_sum(a, b) == oracle(a, b, "exact") != oracle(a, b, "normal")
+    assert rank_sum([*a, 40.0], b) == oracle([*a, 40.0], b, "normal")
+    assert rank_sum([1.0, 2.0], [2.0, 3.0]) == oracle([1.0, 2.0], [2.0, 3.0], "normal")
 
 
 def test_wilcoxon_u_matches_pair_counting():
@@ -268,7 +282,7 @@ def test_wilcoxon_u_matches_pair_counting():
     for _ in range(30):
         a = [rng.choice([1.0, 2.0, 2.5, 4.0, 6.0]) for _ in range(rng.randrange(1, 8))]
         b = [rng.choice([1.0, 2.0, 2.5, 4.0, 6.0]) for _ in range(rng.randrange(1, 8))]
-        assert wilcoxon_rank_sum(a, b).u == u_statistic(a, b)
+        assert rank_sum(a, b).u == u_statistic(a, b)
 
 
 @given(st.integers(0, 100_000))
@@ -277,8 +291,8 @@ def test_wilcoxon_u_complement_identity(seed):
     rng = random.Random(seed)
     a = [rng.choice([1.0, 2.0, 3.0, 5.5, 8.0]) for _ in range(rng.randrange(1, 10))]
     b = [rng.choice([1.0, 2.0, 3.0, 5.5, 8.0]) for _ in range(rng.randrange(1, 10))]
-    u_a = wilcoxon_rank_sum(a, b).u
-    u_b = wilcoxon_rank_sum(b, a).u
+    u_a = rank_sum(a, b).u
+    u_b = rank_sum(b, a).u
     assert u_a + u_b == len(a) * len(b)
     assert 0.0 <= u_a <= len(a) * len(b)
 
@@ -287,7 +301,7 @@ def test_wilcoxon_grouped_matches_expanded():
     values_a, counts_a = [5.0, 7.0, 9.0], [3, 0, 2]
     values_b, counts_b = [6.0, 7.0], [4, 1]
     grouped = wilcoxon_rank_sum_grouped(values_a, counts_a, values_b, counts_b)
-    expanded = wilcoxon_rank_sum(
+    expanded = rank_sum(
         [v for v, c in zip(values_a, counts_a) for _ in range(c)],
         [v for v, c in zip(values_b, counts_b) for _ in range(c)],
     )
@@ -346,21 +360,19 @@ def pooled_slices(draw):
         counts_a = counts_a.copy()
         counts_a[draw(st.integers(0, groups - 1)), draw(st.integers(0, n_a - 1))] = -2
     layout = draw(st.sampled_from(["C", "F", "strided"]))
-    method = draw(st.sampled_from(["auto", "auto", "normal", "exact"]))
     return (values[:n_a], values[n_a:], with_layout(counts_a, layout),
-            with_layout(counts_b, layout), method)
+            with_layout(counts_b, layout))
 
 
 @given(pooled_slices())
 @settings(max_examples=400, deadline=None)
 def test_pooled_rank_sums_match_dict_oracle(case):
-    values_a, values_b, counts_a, counts_b, method = case
+    values_a, values_b, counts_a, counts_b = case
     pooled = PooledSamples(values_a, values_b)
     for row_a, row_b in zip(counts_a, counts_b):
-        want = outcome(oracle_rank_sum_grouped, values_a, row_a, values_b, row_b, method)
-        assert outcome(pooled.test, row_a, row_b, method) == want
-        assert outcome(wilcoxon_rank_sum_grouped, values_a, row_a, values_b, row_b,
-                       method) == want
+        want = outcome(oracle_rank_sum_grouped, values_a, row_a, values_b, row_b)
+        assert outcome(pooled.test, row_a, row_b) == want
+        assert outcome(wilcoxon_rank_sum_grouped, values_a, row_a, values_b, row_b) == want
 
 
 @pytest.mark.parametrize("tie", [1_000_000, 2_097_151, 2_097_152, 3_000_000])

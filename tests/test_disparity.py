@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import re
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,7 +34,6 @@ from hwexposure import disparity, pipeline, zonal
 from hwexposure.disparity import (
     DecileShares,
     PercentileBinCurves,
-    atkinson,
     atkinson_pipeline,
     cov_of_shares,
     decile_contrast,
@@ -61,6 +61,11 @@ from hwexposure.ingest import RAC_WAC_SCHEMAS
 
 ATKINSON_REFERENCE = 0.10079283984242682  # direct evaluation of the two-group case
 PAPER_EPSILONS = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0)
+
+
+def atkinson(shares, values, eps: float) -> float:
+    """The engine's Atkinson curve at one aversion value."""
+    return disparity._atkinson_curve(shares, values, (eps,))[0]
 
 
 def record(group, mean, weight=1.0, characteristic="race", stratum="all", locus="H", year=2011):
@@ -482,7 +487,8 @@ def test_atkinson_pipeline_ignores_all_group_and_sorts():
         record("f", 9.5, 5.0, characteristic="sex", locus="W"),
     ]
     frames = [frame_of(records[:3]), frame_of(records[3:])]
-    _, block = pipeline._gap_and_atkinson_blocks(2011, frames, [0.75], {})
+    asked = [("H", "all", "race"), ("W", "all", "sex")]
+    _, block = pipeline._gap_and_atkinson_blocks(2011, frames, asked, [0.75], {})
     assert list(zip(block[1], block[2])) == [("race", "H"), ("sex", "W")]
 
 
@@ -733,7 +739,8 @@ def test_atkinson_curve_matches_per_epsilon_oracle(inputs, epsilons):
     shares, values = inputs
     oracle = outcome(lambda: [oracle_atkinson(shares, values, e) for e in epsilons])
     assert outcome(lambda: disparity._atkinson_curve(shares, values, epsilons)) == oracle
-    assert outcome(lambda: [atkinson(shares, values, e) for e in epsilons]) == oracle
+    assert outcome(lambda: [disparity._atkinson_curve(shares, values, (e,))[0]
+                            for e in epsilons]) == oracle
 
 
 @pytest.mark.parametrize("shares, values, epsilons, message", [
@@ -856,17 +863,27 @@ def test_gap_and_atkinson_blocks_match_record_oracle(seed, n_tracts, epsilons):
     classification = strata_codes(6037000000 + np.arange(n_tracts), {
         f"06037{i:06d}": rng.choice(["urban", "rural"])
         for i in range(n_tracts) if rng.random() < 0.9})
-    frames = [
-        compute_group_exposures(random_aligned(rng, n_tracts, locus, (0.0, 4.0, 7.5, 12.0)),
-                                RAC_WAC_SCHEMAS, classification, ("all", "urban", "rural"))
-        for locus in ("H", "W")
-    ]
+    strata = ("all", "urban", "rural")
+    tables = [random_aligned(rng, n_tracts, locus, (0.0, 4.0, 7.5, 12.0))
+              for locus in ("H", "W")]
+    frames = [compute_group_exposures(aligned, RAC_WAC_SCHEMAS, classification, strata)
+              for aligned in tables]
+    # every (locus, stratum, characteristic) of the tables' groups, as the
+    # disparity stage asks for them
+    asked = [(aligned.locus, stratum, characteristic) for aligned in tables for stratum in strata
+             for characteristic in dict.fromkeys(
+                 c for c, _, _ in iter_groups(RAC_WAC_SCHEMAS, aligned) if c != "all")]
     skips = {}
-    got = pipeline._gap_and_atkinson_blocks(2011, frames, epsilons, skips)
+    got = pipeline._gap_and_atkinson_blocks(2011, frames, asked, epsilons, skips)
     oracle_skips = {}
     oracle = oracle_gap_and_atkinson_blocks(
         2011, [r for frame in frames for r in exposure_records(frame)], epsilons, oracle_skips)
     for name, block, oracle_block in zip(("gaps.csv", "atkinson.csv"), got, oracle):
         assert (pipeline._csv_lines(name, HEADERS[name], block)
                 == pipeline._csv_lines(name, HEADERS[name], oracle_block))
-    assert skips == oracle_skips
+    # the oracle sees only the slices with rows; each asked slice without
+    # rows is one more gap and Atkinson skip
+    present = {(frame.loci[0], stratum, characteristic) for frame in frames
+               for stratum, characteristic in zip(frame.stratum, frame.characteristic)}
+    empty = sum(key not in present for key in asked)
+    assert skips == dict(Counter(oracle_skips) + Counter({"gap": empty, "atkinson": empty}))

@@ -1,6 +1,7 @@
 """Exposure statistics vs per-worker expansion oracles and blend identities."""
 from __future__ import annotations
 
+import json
 import logging
 import math
 import random
@@ -14,7 +15,6 @@ from hypothesis.extra import numpy as hnp
 from hwexposure import pipeline, synth, zonal
 from hwexposure.errors import EmptyPopulationError
 from hwexposure.exposure import (
-    DEFAULT_HW_WEIGHTS,
     AlignedTable,
     GroupExposures,
     HWWeights,
@@ -22,11 +22,9 @@ from hwexposure.exposure import (
     align_table,
     compute_group_exposures,
     hw_blend,
-    population_weighted_mean,
     resolve_pairs,
     stable_argsort,
     stratum_masks,
-    weighted_percentile,
 )
 from hwexposure.ingest import (
     OD_SCHEMAS,
@@ -40,6 +38,7 @@ from hwexposure.ingest import (
 from hwexposure.geometry import geoid_text
 
 from helpers import (
+    HW_WEIGHTS,
     compute_hw_exposures,
     exposure_records,
     oracle_group_exposures,
@@ -81,20 +80,28 @@ def aligned_home(surface, rows):
 # ----------------------------------------------------------------------------
 
 def test_hw_blend_direct():
-    assert hw_blend(10.0, 20.0) == pytest.approx(12.06, abs=1e-12)
+    assert hw_blend(10.0, 20.0, HW_WEIGHTS) == pytest.approx(12.06, abs=1e-12)
 
 
 def test_hw_blend_identity_when_equal():
     for h in (0.0, 7.8, 12.25, 1e3):
-        assert hw_blend(h, h) == h
+        assert hw_blend(h, h, HW_WEIGHTS) == h
 
 
 def test_hw_blend_zero_home():
-    assert hw_blend(0.0, 1.0) == 0.206
+    assert hw_blend(0.0, 1.0, HW_WEIGHTS) == 0.206
 
 
-def test_hw_weights_default_sums_to_one():
-    assert DEFAULT_HW_WEIGHTS.home_fraction + DEFAULT_HW_WEIGHTS.work_fraction == 1.0
+def test_hw_weights_default_sums_to_one(tmp_path):
+    # a configuration without hw_weights gets the paper's split
+    for name in ("grid_2011.asc", "tracts.geojson"):
+        (tmp_path / name).touch()
+    (tmp_path / "config.json").write_text(json.dumps({
+        "years": [2011], "grid": "grid_{year}.asc", "tracts": "tracts.geojson",
+        "stages": ["surface"]}))
+    weights = pipeline.load_config(str(tmp_path / "config.json")).hw_weights
+    assert (weights.home_fraction, weights.work_fraction) == (0.794, 0.206)
+    assert weights.home_fraction + weights.work_fraction == 1.0
 
 
 def test_hw_weights_validation():
@@ -107,7 +114,7 @@ def test_hw_weights_validation():
 @given(st.floats(0.0, 50.0, allow_nan=False))
 @settings(max_examples=200)
 def test_hw_blend_identity_property(h):
-    assert hw_blend(h, h) == h
+    assert hw_blend(h, h, HW_WEIGHTS) == h
 
 
 def test_hw_blend_arrays_match_scalar():
@@ -120,79 +127,87 @@ def test_hw_blend_arrays_match_scalar():
 
 
 # ----------------------------------------------------------------------------
-# population_weighted_mean
+# ValueSlice.stats, one group: the weighted mean and the percentile picks
 # ----------------------------------------------------------------------------
 
+def mean_of(values, weights) -> float:
+    """One group's weighted mean from the slice kernel."""
+    return float(ValueSlice(np.asarray(values, dtype=np.float64)).stats(
+        np.asarray(weights, dtype=np.float64).reshape(1, -1), ())[0][0])
+
+
+def percentile_of(values, weights, p: float) -> float:
+    """One group's percentile pick at ``p`` from the slice kernel."""
+    return float(ValueSlice(np.asarray(values, dtype=np.float64)).stats(
+        np.asarray(weights, dtype=np.float64).reshape(1, -1), (p,))[1][0, 0])
+
+
 def test_pwm_symmetry():
-    values = {geoid(1): 8.0, geoid(2): 10.0}
-    weights = {geoid(1): 3, geoid(2): 3}
-    assert population_weighted_mean(values, weights) == 9.0
+    assert mean_of([8.0, 10.0], [3, 3]) == 9.0
 
 
 def test_pwm_direct_arithmetic():
-    values = {geoid(1): 8.0, geoid(2): 12.0}
-    weights = {geoid(1): 1, geoid(2): 3}
-    assert population_weighted_mean(values, weights) == 11.0
+    assert mean_of([8.0, 12.0], [1, 3]) == 11.0
 
 
 def test_pwm_drops_excluded_tract_weight():
-    values = {geoid(1): 8.0}
-    weights = {geoid(1): 2, geoid(9): 100}
-    assert population_weighted_mean(values, weights) == 8.0
+    # a tract without a concentration drops out at the join
+    surface = tract_surface(2011, {geoid(1): 8.0})
+    aligned = aligned_home(surface, {geoid(1): (2, {}), geoid(9): (100, {})})
+    assert aligned.dropped_weight == 100
+    assert mean_of(aligned.values("H"), aligned.totals) == 8.0
+    assert mean_of([8.0, 30.0], [2, 0]) == 8.0
 
 
 def test_pwm_empty_population():
     with pytest.raises(EmptyPopulationError):
-        population_weighted_mean({}, {geoid(1): 5})
+        mean_of([], [])
     with pytest.raises(EmptyPopulationError):
-        population_weighted_mean({geoid(1): 8.0}, {geoid(1): 0})
+        mean_of([8.0], [0])
 
 
 def test_pwm_expansion_oracle():
     rng = random.Random(31)
-    values = {geoid(i): rng.uniform(2.0, 18.0) for i in range(1000)}
-    weights = {geoid(i): rng.randrange(0, 40) for i in range(1000)}
-    expanded = [values[g] for g, w in weights.items() for _ in range(w)]
+    values = [rng.uniform(2.0, 18.0) for _ in range(1000)]
+    weights = [rng.randrange(0, 40) for _ in range(1000)]
+    expanded = [v for v, w in zip(values, weights) for _ in range(w)]
     oracle = math.fsum(expanded) / len(expanded)
-    assert population_weighted_mean(values, weights) == pytest.approx(oracle, rel=1e-9)
+    assert mean_of(values, weights) == pytest.approx(oracle, rel=1e-9)
+    assert mean_of(values, weights) == oracle_weighted_mean(
+        np.array(values), np.array(weights, dtype=np.float64))
 
 
 def test_pwm_within_value_range():
     rng = random.Random(32)
-    values = {geoid(i): rng.uniform(2.0, 18.0) for i in range(100)}
-    weights = {geoid(i): rng.randrange(1, 40) for i in range(100)}
-    mean = population_weighted_mean(values, weights)
-    assert min(values.values()) <= mean <= max(values.values())
+    values = [rng.uniform(2.0, 18.0) for _ in range(100)]
+    weights = [rng.randrange(1, 40) for _ in range(100)]
+    assert min(values) <= mean_of(values, weights) <= max(values)
 
-
-# ----------------------------------------------------------------------------
-# weighted_percentile
-# ----------------------------------------------------------------------------
 
 def test_percentile_median_symmetric():
-    assert weighted_percentile([1.0, 2.0, 3.0], [1, 1, 1], 0.5) == 2.0
+    assert percentile_of([1.0, 2.0, 3.0], [1, 1, 1], 0.5) == 2.0
 
 
 def test_percentile_left_mass():
-    assert weighted_percentile([5.0, 10.0], [1, 9], 0.10) == 5.0
+    assert percentile_of([5.0, 10.0], [1, 9], 0.10) == 5.0
 
 
 def test_percentile_bounds():
     values, weights = [4.0, 7.0, 9.0], [2, 3, 5]
-    assert weighted_percentile(values, weights, 0.0) == 4.0
-    assert weighted_percentile(values, weights, 1.0) == 9.0
+    assert percentile_of(values, weights, 0.0) == 4.0
+    assert percentile_of(values, weights, 1.0) == 9.0
 
 
 def test_percentile_rejects_bad_p():
     with pytest.raises(ValueError):
-        weighted_percentile([1.0], [1], 1.5)
+        percentile_of([1.0], [1], 1.5)
 
 
 def test_percentile_empty():
     with pytest.raises(EmptyPopulationError):
-        weighted_percentile([], [], 0.5)
+        percentile_of([], [], 0.5)
     with pytest.raises(EmptyPopulationError):
-        weighted_percentile([1.0], [0], 0.5)
+        percentile_of([1.0], [0], 0.5)
 
 
 def expansion_percentile(values, weights, p):
@@ -215,7 +230,7 @@ def test_percentile_matches_expansion_oracle(seed, p):
     weights = [rng.randrange(0, 6) for _ in range(n)]
     if sum(weights) == 0:
         weights[0] = 1
-    assert weighted_percentile(values, weights, p) == expansion_percentile(values, weights, p)
+    assert percentile_of(values, weights, p) == expansion_percentile(values, weights, p)
 
 
 # ----------------------------------------------------------------------------
@@ -400,7 +415,7 @@ def test_hw_degenerate_commute():
         (geoid(0), geoid(0)): (3, {"SA01": 3, "SA02": 0, "SA03": 0}),
         (geoid(1), geoid(1)): (2, {"SA01": 0, "SA02": 2, "SA03": 0}),
     })
-    records, errors = compute_hw_exposures(resolve_pairs(surface, od), OD_AGE)
+    records, errors = compute_hw_exposures(resolve_pairs(surface, od), OD_AGE, HW_WEIGHTS)
     by = {(r.group_key, r.locus): r for r in records}
     assert by[("all", "H")].mean == by[("all", "W")].mean == by[("all", "HW")].mean
     for err in errors:
@@ -411,7 +426,7 @@ def test_hw_degenerate_commute():
 def test_hw_single_pair_arithmetic():
     surface = tract_surface(2011, {geoid(0): 10.0, geoid(1): 20.0})
     od = od_matrix({(geoid(0), geoid(1)): (1, {})})
-    records, errors = compute_hw_exposures(resolve_pairs(surface, od), ())
+    records, errors = compute_hw_exposures(resolve_pairs(surface, od), (), HW_WEIGHTS)
     by = {(r.group_key, r.locus): r for r in records}
     assert by[("all", "HW")].mean == pytest.approx(12.06, abs=1e-12)
     assert errors[0].error == pytest.approx(-2.06, abs=1e-9)
@@ -421,7 +436,7 @@ def test_hw_single_pair_arithmetic():
 def test_hw_empty_od():
     surface = tract_surface(2011, {geoid(0): 10.0})
     with pytest.raises(EmptyPopulationError):
-        compute_hw_exposures(resolve_pairs(surface, od_matrix({})), ())
+        compute_hw_exposures(resolve_pairs(surface, od_matrix({})), (), HW_WEIGHTS)
 
 
 def test_hw_unresolvable_pairs_dropped():
@@ -432,7 +447,7 @@ def test_hw_unresolvable_pairs_dropped():
     })
     pairs = resolve_pairs(surface, od)
     assert pairs.dropped_weight == 5
-    records, _ = compute_hw_exposures(resolve_pairs(surface, od), ())
+    records, _ = compute_hw_exposures(resolve_pairs(surface, od), (), HW_WEIGHTS)
     assert next(r for r in records if r.locus == "HW").weight == 2.0
 
 
@@ -457,7 +472,7 @@ def test_hw_error_identity(seed):
     classification = strata_codes(surface.ids, {
         g: ("urban" if i % 3 else "rural") for i, g in enumerate(surface_entries(surface))})
     records, errors = compute_hw_exposures(
-        resolve_pairs(surface, od), OD_AGE,
+        resolve_pairs(surface, od), OD_AGE, HW_WEIGHTS,
         classification=classification, strata=("all", "urban", "rural"),
     )
     by = {(r.group_key, r.stratum, r.locus): r.mean for r in records}
@@ -474,7 +489,7 @@ def test_hw_zero_home_mean_warns_once_per_year(caplog):
     od = od_matrix({(geoid(0), geoid(1)): (3, {"SA01": 1, "SA02": 2, "SA03": 0})})
     with caplog.at_level(logging.DEBUG, logger="hwexposure.exposure"):
         _, errors = compute_hw_exposures(
-            resolve_pairs(surface, od), OD_AGE,
+            resolve_pairs(surface, od), OD_AGE, HW_WEIGHTS,
             classification=classification, strata=("all", "urban", "rural"),
         )
     undefined = sum(math.isnan(e.percent_error) for e in errors)
@@ -494,7 +509,8 @@ def test_hw_stratum_assigned_by_home_tract():
         (geoid(0), geoid(1)): (1, {}),  # lives urban, works rural
     })
     records, _ = compute_hw_exposures(
-        resolve_pairs(surface, od), (), classification=classification, strata=("urban", "rural")
+        resolve_pairs(surface, od), (), HW_WEIGHTS, classification=classification,
+        strata=("urban", "rural"),
     )
     assert {r.stratum for r in records} == {"urban"}
 
@@ -619,10 +635,11 @@ def test_group_and_hw_exposures_match_per_group_oracle(case):
     pairs = AlignedTable(surface, ("H", "W"), (home, work), counts[0],
                          ("SA01", "SA02", "SA03"), counts[1:], 0)
     assert records_text(
-        compute_hw_exposures, pairs, OD_AGE,
+        compute_hw_exposures, pairs, OD_AGE, HW_WEIGHTS,
         classification=strata_codes(surface.ids, classification),
         strata=STRATA,
-    ) == records_text(oracle_hw_exposures, pairs, OD_AGE, classification=classification,
+    ) == records_text(oracle_hw_exposures, pairs, OD_AGE, HW_WEIGHTS,
+                      classification=classification,
                       strata=STRATA)
 
 
@@ -637,9 +654,9 @@ def test_value_slice_percentiles_match_oracle_at_every_p(case):
         weights = row.astype(np.float64)
         if int(row.sum()) == 0:
             with pytest.raises(EmptyPopulationError):
-                value_slice.percentiles(weights, ps)
+                value_slice.stats(weights.reshape(1, -1), ps)
             continue
-        got = value_slice.percentiles(weights, ps)
+        got = value_slice.stats(weights.reshape(1, -1), ps)[1][:, 0].tolist()
         assert repr(got) == repr([oracle_weighted_percentile(values, row, p) for p in ps])
 
 
@@ -650,8 +667,8 @@ def test_value_slice_percentile_past_float_drift():
     values = np.array([float(v) for v in range(10)] + [100.0])
     weights = np.array([0.1] * 10 + [0.0])
     assert np.cumsum(weights)[-1] < np.sum(weights)
-    assert ValueSlice(values).percentiles(weights, (1.0,)) == [9.0]
-    assert weighted_percentile(values, weights, 1.0) == 9.0
+    assert ValueSlice(values).stats(weights.reshape(1, -1), (1.0,))[1].tolist() == [[9.0]]
+    assert oracle_weighted_percentile(values, weights, 1.0) == 9.0
 
 
 # ----------------------------------------------------------------------------

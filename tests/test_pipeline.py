@@ -473,17 +473,57 @@ def test_run_survives_a_table_without_workers(tmp_path, table, locus):
     config = world / "config.json"
     out_dir = tmp_path / "out"
     assert cli.main(["run", "--config", str(config), "--out", str(out_dir)]) == 0
-    skipped = json.loads((out_dir / "manifest.json").read_text())["stages"]["disparity"]["skipped"]
+    stages = json.loads((out_dir / "manifest.json").read_text())["stages"]
+    skipped = stages["disparity"]["skipped"]
     thresholds = pipeline.load_config(str(config)).thresholds
     assert skipped["threshold-share"] == len(thresholds) > 0
     assert skipped["state-disparity"] == 1
     other = {"H": "W", "W": "H"}[locus]
     assert {row["locus"] for row in csv_rows(out_dir / "threshold.csv")} == {other}
     assert {row["locus"] for row in csv_rows(out_dir / "state_disparity.csv")} == {other}
+    # the table's (stratum, group) exposures and its (stratum, characteristic)
+    # gaps and Atkinson curves are left out, and each one is counted: 41
+    # RAC/WAC groups, 10 OD groups, 7 characteristics and 3 strata
+    exposure_rows = csv_rows(out_dir / "exposure.csv")
+    assert locus not in {row["locus"] for row in exposure_rows}
+    assert stages["exposure"]["skipped"] == {
+        "zero-weight-group": 3 * (41 + 41 + 10) - len(exposure_rows)}
+    assert stages["exposure"]["skipped"]["zero-weight-group"] >= 3 * 41
+    for name in ("gaps.csv", "atkinson.csv"):
+        assert {row["locus"] for row in csv_rows(out_dir / name)} == {other}
+    assert skipped["gap"] == skipped["atkinson"] == 3 * 7
     stage_dir = tmp_path / "stage"
     assert cli.main(["run", "--config", str(config), "--out", str(stage_dir),
                      "--stage", "disparity"]) == 0
     assert (stage_dir / "threshold.csv").read_bytes() == (out_dir / "threshold.csv").read_bytes()
+
+
+def test_run_counts_a_stratum_without_tracts(tmp_path):
+    # an urban mask far off the world leaves the urban stratum without tracts:
+    # every (urban, group) slice of each table and every urban (locus,
+    # characteristic) is left out and counted, in the bias stage too
+    world = make_world(tmp_path, seed=7, n_tracts=25, n_groups=3)
+    mask = json.loads((world / "urban.geojson").read_text())
+    for feature in mask["features"]:
+        feature["geometry"]["coordinates"] = [
+            [[-900.0, -900.0], [-899.0, -900.0], [-899.0, -899.0], [-900.0, -899.0],
+             [-900.0, -900.0]]]
+    (world / "urban.geojson").write_text(json.dumps(mask))
+    out_dir = tmp_path / "out"
+    assert cli.main(["run", "--config", str(world / "config.json"), "--out", str(out_dir)]) == 0
+    stages = json.loads((out_dir / "manifest.json").read_text())["stages"]
+    assert stages["surface"]["urban"]["urban"] == 0
+    for name in ("exposure.csv", "error.csv", "gaps.csv", "atkinson.csv", "bias.csv",
+                 "wilcoxon.csv"):
+        assert "urban" not in {row["stratum"] for row in csv_rows(out_dir / name)}, name
+    # 41 RAC/WAC groups, 10 OD groups, 7 characteristics, 2 loci and 3 strata
+    exposure_rows = csv_rows(out_dir / "exposure.csv")
+    assert stages["exposure"]["skipped"] == {
+        "zero-weight-group": 3 * (41 + 41 + 10) - len(exposure_rows)}
+    assert stages["bias"]["skipped"] == {"zero-weight-group": 10}
+    gaps = 3 * 2 * 7 - len({(row["locus"], row["stratum"], row["characteristic"])
+                            for row in csv_rows(out_dir / "gaps.csv")})
+    assert stages["disparity"]["skipped"]["gap"] == gaps >= 2 * 7
 
 
 @pytest.mark.parametrize("stages", [

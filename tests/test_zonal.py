@@ -84,8 +84,7 @@ def test_read_asc(tmp_path):
     path = tmp_path / "grid.asc"
     path.write_text(ASC_TEXT)
     grid = read_asc(str(path))
-    assert (grid.n_rows, grid.n_cols) == (2, 3)
-    assert grid.extent == (10.0, 20.0, 16.0, 24.0)
+    assert grid.lattice == (10.0, 20.0, 2.0, 2.0, 2, 3)
     # file is top-down; bottom row (row 0) holds the last data line
     assert grid.values[0].tolist() == [4.0, 5.0, 6.0]
     assert grid.values[1].tolist() == [1.5, 2.5, 0.0]
@@ -171,8 +170,7 @@ def test_read_xyz_csv(tmp_path):
     # centers of a 2x2 unit grid, one cell missing -> nodata
     path.write_text("x,y,value\n0.5,0.5,1.0\n1.5,0.5,2.0\n0.5,1.5,3.0\n")
     grid = read_xyz_csv(str(path))
-    assert (grid.n_rows, grid.n_cols) == (2, 2)
-    assert grid.extent == (0.0, 0.0, 2.0, 2.0)
+    assert grid.lattice == (0.0, 0.0, 1.0, 1.0, 2, 2)
     assert grid.values[0].tolist() == [1.0, 2.0]
     assert grid.nodata[1].tolist() == [False, True]
 
