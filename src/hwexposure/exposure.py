@@ -9,8 +9,8 @@ order, exactly as a 1-D reduction of that group alone. A table's results are
 one columnar ``GroupExposures`` frame, deterministic for any thread count
 upstream.
 An ``AlignedTable``'s ``index`` points into the run's tract index, which
-every year's ``TractSurface`` spans; the per-tract stratum codes are taken by
-the same positions.
+every year's ``TractSurface`` spans; a row's stratum is the surface's code of
+its first tract, and its groups are named by the table's category codes.
 """
 from __future__ import annotations
 
@@ -22,8 +22,8 @@ import numpy as np
 
 from .config import HWWeights
 from .errors import EmptyPopulationError
-from .ingest import RESIDENCE, GroupSchema, WorkerTable
-from .zonal import STRATA, TractSurface
+from .ingest import GROUPS, RESIDENCE, WorkerTable
+from .zonal import RURAL, STRATA, URBAN, TractSurface
 
 logger = logging.getLogger(__name__)
 
@@ -135,8 +135,9 @@ class AlignedTable(NamedTuple):
     ``("W",)`` for WAC, ``("H", "W")`` for OD) and an int64 array in
     ``index``: each row's tract as a position in the run's tract index,
     ``surface.ids``. The first key's locus is the table's ``locus``, and its
-    tract picks a row's stratum. ``codes`` (category columns in schema order)
-    and the int64 (codes x rows) ``counts`` are empty when no row resolved.
+    tract's code in ``surface.strata`` is a row's stratum. ``codes`` (category
+    columns in schema order, each naming a group) and the int64 (codes x rows)
+    ``counts`` are empty when no row resolved.
     """
 
     surface: TractSurface
@@ -206,31 +207,29 @@ def resolve_pairs(surface: TractSurface, od: WorkerTable) -> AlignedTable:
                  "OD %d: dropped %d workers on pairs touching tracts without concentrations")
 
 
-def stratum_masks(table: AlignedTable, classification: np.ndarray | None,
-                  strata: Sequence[str]) -> dict[str, np.ndarray]:
-    """Boolean row mask per stratum, by each row's first (RAC and OD: home)
-    tract. ``classification`` is the int8 stratum code of each tract of the
-    run (an index into ``zonal.STRATA``; -1 for none), taken by the join
-    positions. Classified strata are skipped without a classification."""
-    codes = None if classification is None else classification.take(table.index[0])
-    masks = {}
-    for stratum in strata:
-        if stratum == ALL_STRATUM:
-            masks[stratum] = np.ones(len(table.totals), dtype=bool)
-        elif codes is not None:
+def reported_strata(surface: TractSurface) -> tuple[str, ...]:
+    """The strata a run reports, in report order: ``all``, then urban and
+    rural when its surface carries stratum codes."""
+    return (ALL_STRATUM,) if surface.strata is None else (ALL_STRATUM, URBAN, RURAL)
+
+
+def stratum_masks(table: AlignedTable) -> dict[str, np.ndarray]:
+    """Boolean row mask per reported stratum, by the surface's stratum code
+    of each row's first (RAC and OD: home) tract."""
+    masks = {ALL_STRATUM: np.ones(len(table.totals), dtype=bool)}
+    if table.surface.strata is not None:
+        codes = table.surface.strata.take(table.index[0])
+        for stratum in reported_strata(table.surface)[1:]:
             masks[stratum] = codes == STRATA.index(stratum)
     return masks
 
 
-def iter_groups(schemas: Sequence[GroupSchema], table: AlignedTable):
-    """(characteristic, label, counts) for the total population, then each
-    schema category among the table's codes, in schema order."""
+def iter_groups(table: AlignedTable):
+    """(characteristic, label, counts) for the total population, then the
+    group of each of the table's codes, in their (schema) order."""
     yield ALL_GROUP[0], ALL_GROUP[1], table.totals
-    row = {code: i for i, code in enumerate(table.codes)}
-    for schema in schemas:
-        for code, label in schema.categories:
-            if code in row:
-                yield schema.characteristic, label, table.counts[row[code]]
+    for code, counts in zip(table.codes, table.counts):
+        yield (*GROUPS[code], counts)
 
 
 class GroupExposures(NamedTuple):
@@ -269,19 +268,17 @@ class GroupExposures(NamedTuple):
         return self
 
 
-def _group_exposures(table: AlignedTable, schemas: Sequence[GroupSchema],
-                     loci: dict[str, np.ndarray], classification: np.ndarray | None,
-                     strata: Sequence[str]) -> GroupExposures:
+def _group_exposures(table: AlignedTable, loci: dict[str, np.ndarray]) -> GroupExposures:
     """Every group's weight and, per locus, its mean, p10 and p90 over that
     locus's row values: one weight matrix and one kernel call per (locus,
     stratum). Groups with zero weight in a stratum are left out."""
-    groups = list(iter_groups(schemas, table))
+    groups = list(iter_groups(table))
     # float64 sums of worker counts are exact below 2**53
     counts = np.vstack([group_counts for *_, group_counts in groups], dtype=np.float64)
     characteristics, labels, strata_column = [], [], []
     weights = [np.empty(0)]
     means, picks = [np.empty((len(loci), 0))], [np.empty((len(loci), 2, 0))]
-    for stratum, mask in stratum_masks(table, classification, strata).items():
+    for stratum, mask in stratum_masks(table).items():
         w = counts.compress(mask, axis=1)
         weight = w.sum(axis=1)
         kept = np.flatnonzero(weight)
@@ -303,24 +300,12 @@ def _group_exposures(table: AlignedTable, schemas: Sequence[GroupSchema],
                           np.concatenate(weights)).checked()
 
 
-def compute_group_exposures(
-    aligned: AlignedTable,
-    schemas: Sequence[GroupSchema],
-    classification: np.ndarray | None = None,
-    strata: Sequence[str] = (ALL_STRATUM,),
-) -> GroupExposures:
+def compute_group_exposures(aligned: AlignedTable) -> GroupExposures:
     """Every (group, stratum)'s exposure at the table's locus."""
-    return _group_exposures(aligned, schemas, {aligned.locus: aligned.values(aligned.locus)},
-                            classification, strata)
+    return _group_exposures(aligned, {aligned.locus: aligned.values(aligned.locus)})
 
 
-def compute_hw_exposures(
-    pairs: AlignedTable,
-    schemas: Sequence[GroupSchema],
-    weights: HWWeights,
-    classification: np.ndarray | None = None,
-    strata: Sequence[str] = (ALL_STRATUM,),
-) -> GroupExposures:
+def compute_hw_exposures(pairs: AlignedTable, weights: HWWeights) -> GroupExposures:
     """Every (group, stratum)'s exposure at loci H, W, and HW over the OD
     population, with the H-minus-HW error.
 
@@ -328,11 +313,9 @@ def compute_hw_exposures(
     identity error = work_fraction * (H - W) holds to float precision. Strata
     are assigned by residential (home-tract) location.
     """
-    if len(pairs.totals) == 0 or int(pairs.totals.sum()) == 0:
-        raise EmptyPopulationError("no resolvable OD pairs with workers")
     home, work = pairs.values(LOCUS_HOME), pairs.values(LOCUS_WORK)
     loci = {LOCUS_HOME: home, LOCUS_WORK: work, LOCUS_BLEND: hw_blend(home, work, weights)}
-    frame = _group_exposures(pairs, schemas, loci, classification, strata)
+    frame = _group_exposures(pairs, loci)
     h_mean, hw_mean = frame.mean[0], frame.mean[2]
     error = h_mean - hw_mean
     undefined = np.flatnonzero(h_mean == 0.0)

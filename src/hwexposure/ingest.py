@@ -129,6 +129,10 @@ OD_SCHEMAS: tuple[GroupSchema, ...] = (
     )),
 )
 
+# The (characteristic, label) of every category column; no code is in two schemas.
+GROUPS = {code: (schema.characteristic, label)
+          for schema in (*RAC_WAC_SCHEMAS, *OD_SCHEMAS) for code, label in schema.categories}
+
 
 class WorkerTable(NamedTuple):
     """Worker counts of one LODES table, one row per block, tract or pair.
@@ -233,20 +237,19 @@ def _rollup(rows: WorkerTable, schemas: Sequence[GroupSchema]) -> WorkerTable:
     )
 
 
-def aggregate_to_tracts(rows: WorkerTable,
-                        schemas: Sequence[GroupSchema] = RAC_WAC_SCHEMAS) -> WorkerTable:
+def aggregate_to_tracts(rows: WorkerTable) -> WorkerTable:
     """Roll RAC/WAC block rows up to tracts, preserving all totals exactly.
 
     Raises MalformedGeocodeError or ValidationError naming the first
     offending row. Output rows are in ascending tract id order regardless of
     input order; rows with a zero total are kept.
     """
-    return _rollup(rows, schemas)
+    return _rollup(rows, RAC_WAC_SCHEMAS)
 
 
-def aggregate_od(rows: WorkerTable, schemas: Sequence[GroupSchema] = OD_SCHEMAS) -> WorkerTable:
+def aggregate_od(rows: WorkerTable) -> WorkerTable:
     """Roll OD block pairs up to (home tract, work tract) pairs."""
-    return _rollup(rows, schemas)
+    return _rollup(rows, OD_SCHEMAS)
 
 
 def read_tracts(path: str, role: str) -> tuple[int, WorkerTable]:
@@ -359,8 +362,7 @@ def _read_table(path: str, required: Sequence[str], keys: Sequence[str],
     )
 
 
-def read_block_csv(path: str, role: str,
-                   schemas: Sequence[GroupSchema] = RAC_WAC_SCHEMAS) -> WorkerTable:
+def read_block_csv(path: str, role: str) -> WorkerTable:
     """Read a RAC or WAC style CSV (optionally .gz).
 
     The geocode key column is ``h_geocode`` for residence tables and
@@ -369,11 +371,11 @@ def read_block_csv(path: str, role: str,
     if role not in (RESIDENCE, WORKPLACE):
         raise SchemaError(f"role must be {RESIDENCE!r} or {WORKPLACE!r}, got {role!r}")
     key = "h_geocode" if role == RESIDENCE else "w_geocode"
-    return _read_table(path, [key, "C000"], [key], schemas)
+    return _read_table(path, [key, "C000"], [key], RAC_WAC_SCHEMAS)
 
 
-def read_od_csv(path: str, schemas: Sequence[GroupSchema] = OD_SCHEMAS) -> WorkerTable:
+def read_od_csv(path: str) -> WorkerTable:
     """Read an OD style CSV (optionally .gz) keyed by ``w_geocode,h_geocode``;
     the table's keys are (home, work)."""
     return _read_table(path, ["w_geocode", "h_geocode", "S000"], ["h_geocode", "w_geocode"],
-                       schemas)
+                       OD_SCHEMAS)

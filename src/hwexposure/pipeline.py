@@ -36,7 +36,6 @@ from .errors import (
     InsufficientGroupsError,
     InsufficientTractsError,
 )
-from .exposure import ALL_STRATUM
 from .geometry import PolygonSet, geoid_text, read_mask_geojson, read_tracts_geojson
 from .grids import read_asc, read_xyz_csv
 
@@ -100,12 +99,6 @@ class RunState:
         """The block lists of these reports; a report listed here is written
         (if its stage is) even when it gets no rows."""
         return [self.blocks.setdefault(name, []) for name in names]
-
-
-def _strata(config: RunConfig) -> tuple[str, ...]:
-    if config.strata and config.urban_mask:
-        return (ALL_STRATUM, zonal.URBAN, zonal.RURAL)
-    return (ALL_STRATUM,)
 
 
 # A text cell holding one of these would need quoting, which _write_csv does
@@ -230,7 +223,8 @@ def _stage_surface(state: RunState, data: YearData) -> None:
     grid = (read_asc if path.suffix == ".asc" else read_xyz_csv)(str(path))
     if state.coverage is None or state.coverage.lattice != grid.lattice:
         state.coverage = zonal.tract_coverage(state.tracts, grid)
-    data.surface = surface = zonal.build_tract_surface(grid, state.coverage, data.year)
+    data.surface = surface = zonal.build_tract_surface(
+        grid, state.coverage, data.year, state.classification if config.strata else None)
     excluded = surface.excluded
     state.manifest_stages["surface"]["years"][str(data.year)] = {
         "tracts_with_coverage": len(surface.ids) - len(excluded),
@@ -268,27 +262,22 @@ def _exposure_block(frame: exposure.GroupExposures, locus: str) -> list:
 
 def _stage_exposure(state: RunState, data: YearData) -> None:
     config = state.config
-    strata = _strata(config)
     year = data.year
     skips = state.skips.setdefault("exposure", {})
     data.homes, rac_tracts = _join(config, data.surface, ingest.RESIDENCE)
     data.works, wac_tracts = _join(config, data.surface, ingest.WORKPLACE)
     frames = data.exposures = [
-        exposure.compute_group_exposures(aligned, ingest.RAC_WAC_SCHEMAS,
-                                         state.classification, strata)
-        for aligned in (data.homes, data.works)
-    ]
+        exposure.compute_group_exposures(aligned) for aligned in (data.homes, data.works)]
     for aligned, frame in zip((data.homes, data.works), frames):
-        _skip_left_out(skips, aligned, ingest.RAC_WAC_SCHEMAS, strata, frame)
+        _skip_left_out(skips, aligned, frame)
     exposure_blocks = state.reports("exposure.csv")[0]
     exposure_blocks += [_exposure_block(frame, frame.loci[0]) for frame in frames]
     drops = {"rac": data.homes.dropped_weight, "wac": data.works.dropped_weight}
     od_pairs = 0
     if config.od:  # error.csv exists only with an OD table
         data.pairs, od_pairs = _join(config, data.surface, ingest.ORIGIN_DESTINATION)
-        od = exposure.compute_hw_exposures(data.pairs, ingest.OD_SCHEMAS, config.hw_weights,
-                                           state.classification, strata)
-        _skip_left_out(skips, data.pairs, ingest.OD_SCHEMAS, strata, od)
+        od = exposure.compute_hw_exposures(data.pairs, config.hw_weights)
+        _skip_left_out(skips, data.pairs, od)
         frames = [*frames, od]
         drops["od"] = data.pairs.dropped_weight
         exposure_blocks.append(_exposure_block(od, exposure.LOCUS_BLEND))
@@ -305,11 +294,11 @@ def _stage_exposure(state: RunState, data: YearData) -> None:
 
 
 def _skip_left_out(skips: dict[str, int], table: exposure.AlignedTable,
-                   schemas: Sequence[ingest.GroupSchema], strata: Sequence[str],
                    frame: exposure.GroupExposures) -> None:
-    """One zero-weight-group skip per (stratum, group) asked of ``frame``
-    that it left out for having no workers."""
-    left_out = len(strata) * len(list(exposure.iter_groups(schemas, table))) - len(frame.weight)
+    """One zero-weight-group skip per (stratum, group) of ``table`` that its
+    ``frame`` left out for having no workers."""
+    asked = len(exposure.reported_strata(table.surface)) * (len(table.codes) + 1)
+    left_out = asked - len(frame.weight)
     if left_out:
         _skip(skips, "zero-weight-group", "%s %s: %d (stratum, group) slices" % (
             table.year, frame.loci[-1], left_out), left_out)
@@ -372,18 +361,16 @@ def _gap_and_atkinson_blocks(year: int, frames: Sequence[exposure.GroupExposures
 
 def _stage_disparity(state: RunState, data: YearData) -> None:
     config = state.config
-    strata = _strata(config)
     year = data.year
     skips = state.skips.setdefault("disparity", {})
     gap_blocks, bin_blocks, atkinson_blocks, state_blocks, threshold_blocks = state.reports(
         "gaps.csv", "bins.csv", "atkinson.csv", "state_disparity.csv", "threshold.csv")
     tables = (data.homes, data.works)
     # one group per row of aligned.counts, both in schema order
-    table_groups = [[(characteristic, label) for characteristic, label, _ in
-                     exposure.iter_groups(ingest.RAC_WAC_SCHEMAS, aligned)][1:]
-                    for aligned in tables]
+    table_groups = [[ingest.GROUPS[code] for code in aligned.codes] for aligned in tables]
     asked = [(aligned.locus, stratum, characteristic)
-             for aligned, groups in zip(tables, table_groups) for stratum in strata
+             for aligned, groups in zip(tables, table_groups)
+             for stratum in exposure.reported_strata(data.surface)
              for characteristic in dict.fromkeys(c for c, _ in groups)]
     gaps, curves = _gap_and_atkinson_blocks(year, data.exposures, asked, config.epsilons, skips)
     gap_blocks.append(gaps)
@@ -391,7 +378,7 @@ def _stage_disparity(state: RunState, data: YearData) -> None:
 
     for aligned, groups in zip(tables, table_groups):
         counts = aligned.counts.astype(np.float64)
-        bin_blocks += _composition_blocks(state, aligned, groups, counts, strata, skips)
+        bin_blocks += _composition_blocks(config, aligned, groups, counts, skips)
         threshold_blocks += _threshold_rows(config, aligned, groups, counts, skips)
         try:
             state_blocks.append(_state_rows(aligned, groups, counts))
@@ -418,14 +405,13 @@ def _warn_skips(stage: str, skips: dict[str, int]) -> None:
                        "(details at debug level)", stage, count, kind)
 
 
-def _composition_blocks(state: RunState, aligned: exposure.AlignedTable,
+def _composition_blocks(config: RunConfig, aligned: exposure.AlignedTable,
                         groups: Sequence[tuple[str, str]], counts: np.ndarray,
-                        strata: Sequence[str], skips: dict[str, int]) -> list[list]:
+                        skips: dict[str, int]) -> list[list]:
     """bins.csv blocks of one table, one per stratum. The tracts with a
     positive total are ranked once by each group's fraction and once by
     concentration; a stratum's ranks are these compressed by its mask, since
     a stable order restricted to a subset is the subset's stable order."""
-    config = state.config
     year, locus = aligned.year, aligned.locus
     blocks: list[list] = []
     positive = np.flatnonzero(aligned.totals > 0)
@@ -434,8 +420,7 @@ def _composition_blocks(state: RunState, aligned: exposure.AlignedTable,
     conc = aligned.values(locus).take(positive)
     by_fraction = exposure.stable_argsort(fractions)
     by_conc = exposure.stable_argsort(conc)
-    masks = exposure.stratum_masks(aligned, state.classification, strata)
-    for stratum, mask in masks.items():
+    for stratum, mask in exposure.stratum_masks(aligned).items():
         inside = mask[positive]
         order = by_fraction[inside.take(by_fraction)].reshape(len(by_fraction), inside.sum())
         ranking = disparity.rank_by_composition(group_counts, conc, order)
@@ -550,7 +535,6 @@ def _state_rows(aligned: exposure.AlignedTable, groups: Sequence[tuple[str, str]
 
 def _stage_bias(state: RunState, data: YearData) -> None:
     config = state.config
-    strata = _strata(config)
     year = data.year
     skips = state.skips.setdefault("bias", {})
     bias_blocks, wilcoxon_blocks = state.reports("bias.csv", "wilcoxon.csv")
@@ -560,13 +544,12 @@ def _stage_bias(state: RunState, data: YearData) -> None:
     pairs = data.pairs
     home = pairs.values(exposure.LOCUS_HOME)
     blended = exposure.hw_blend(home, pairs.values(exposure.LOCUS_WORK), config.hw_weights)
-    masks = exposure.stratum_masks(pairs, state.classification, strata)
-    for stratum, mask in masks.items():
+    for stratum, mask in exposure.stratum_masks(pairs).items():
         vh = home[mask]
         vb = blended[mask]
         pooled = biasstats.PooledSamples(vh, vb)
         bias_keys, moment_list, biases, test_keys, ns, tests = [], [], [], [], [], []
-        for characteristic, label, counts in exposure.iter_groups(ingest.OD_SCHEMAS, pairs):
+        for characteristic, label, counts in exposure.iter_groups(pairs):
             group_key = exposure.format_group(characteristic, label)
             w = counts[mask]
             n = int(w.sum())

@@ -41,7 +41,7 @@ logger = logging.getLogger(__name__)
 
 URBAN = "urban"
 RURAL = "rural"
-# A tract's stratum code indexes this: 0 rural, 1 urban (-1: unclassified).
+# A tract's stratum code indexes this: 0 rural, 1 urban.
 STRATA = (RURAL, URBAN)
 
 # A tract is urban when at least this share of its area lies in the mask; a
@@ -64,21 +64,24 @@ _MIN_FRACTION = 1e-12
 class TractSurface:
     """Per-tract zonal concentrations for one year over every tract of the
     run: the float64 ``values`` of the tracts ``ids`` (int64, ascending), NaN
-    where a tract is ``excluded`` for want of valid coverage.
+    where a tract is ``excluded`` for want of valid coverage. ``strata`` is
+    each tract's int8 code (an index into ``STRATA``), None in a run that
+    reports only ``all``.
 
     ``completeness`` summarizes valued tracts by valid covered area over
     polygon area: how many are under 0.99 and under 0.5, and the worst five
     of those under 0.99 as [geoid, ratio], lowest first.
     """
 
-    __slots__ = ("year", "ids", "values", "completeness")
+    __slots__ = ("year", "ids", "values", "completeness", "strata")
 
     def __init__(self, year: int, ids: np.ndarray, values: np.ndarray,
-                 completeness: dict) -> None:
+                 completeness: dict, strata: np.ndarray | None) -> None:
         bad = ids[values < 0]
         if len(bad):
             raise SchemaError(f"negative concentrations for {geoid_text(bad[:5])}")
-        self.year, self.ids, self.values, self.completeness = year, ids, values, completeness
+        self.year, self.ids, self.values = year, ids, values
+        self.completeness, self.strata = completeness, strata
 
     @property
     def excluded(self) -> np.ndarray:
@@ -302,12 +305,13 @@ def _zonal_means(grid: ConcentrationGrid,
     return np.where(den > 0.0, mean, np.nan), den
 
 
-def build_tract_surface(grid: ConcentrationGrid, coverage: TractCoverage,
-                        year: int) -> TractSurface:
+def build_tract_surface(grid: ConcentrationGrid, coverage: TractCoverage, year: int,
+                        strata: np.ndarray | None) -> TractSurface:
     """Reduce one year's grid over precomputed coverage, in ascending tract
-    id order. Tracts without valid coverage are excluded: their value is NaN.
-    Valued tracts whose valid covered area is under 99% of their polygon area
-    are summarized in ``completeness`` and in one warning."""
+    id order, with the run's ``strata`` codes. Tracts without valid coverage
+    are excluded: their value is NaN. Valued tracts whose valid covered area
+    is under 99% of their polygon area are summarized in ``completeness``
+    and in one warning."""
     mean, den = _zonal_means(grid, coverage)
     valued = den > 0.0
     if not valued.all():
@@ -325,7 +329,7 @@ def build_tract_surface(grid: ConcentrationGrid, coverage: TractCoverage,
         logger.warning("year %d: %d valued tract(s) have under 99%% of their area on valid "
                        "grid cells (%d under 50%%); worst %s", year, len(low),
                        completeness["below_0.5"], completeness["worst"])
-    return TractSurface(year, coverage.ids, mean, completeness)
+    return TractSurface(year, coverage.ids, mean, completeness, strata)
 
 
 class _Sweep(NamedTuple):

@@ -28,12 +28,17 @@ oracle_read_tracts the text-keyed (U16 geocodes, U11 geoids) reader and
 rollup that the int64 tract ids replaced. tract_surface builds a
 zonal.TractSurface from a {geoid: value} dict (excluded geoids NaN),
 surface_entries gives its valued tracts back as that dict, strata_codes
-gives each tract's int8 stratum code from a {geoid: stratum} dict, and
+gives each tract's int8 stratum code from a {geoid: stratum} dict,
+with_strata gives a surface (or a table's surface) those codes, and
 key_text prints WorkerTable keys as text. OracleSurface,
 oracle_valued_surface, oracle_valued_join, OracleStrata, oracle_tract_strata
 and oracle_searched_stratum_masks are the surface of valued tracts only, the
 join against it and the searchsorted stratum lookup that the run-wide tract
-index and the per-tract stratum codes replaced.
+index and the per-tract stratum codes replaced. oracle_schema_groups and
+oracle_classified_masks are exposure.iter_groups and exposure.stratum_masks
+as they were, walking the group schemas and taking a classification array
+and a strata list, before a table's codes named its groups and its surface
+carried the stratum codes.
 write_xyz_grid writes an ASC grid's valued cells as shuffled x,y,value
 points.
 oracle_weighted_mean, oracle_weighted_percentile, oracle_stratum_masks,
@@ -347,7 +352,7 @@ def zonal_weighted_mean(grid, tract: TractGeometry) -> float | None:
     """Coverage-weighted mean of grid values under one tract polygon; None
     without valid coverage."""
     coverage = zonal.tract_coverage(tract_set([tract]), grid)
-    return surface_entries(zonal.build_tract_surface(grid, coverage, 0)).get(tract.geoid)
+    return surface_entries(zonal.build_tract_surface(grid, coverage, 0, None)).get(tract.geoid)
 
 
 def random_star_polygon(rng, cx, cy, r_lo, r_hi, n_verts):
@@ -713,7 +718,7 @@ def tract_surface(year: int, entries: dict[str, float],
     the run's tracts are both, and the excluded ones are NaN."""
     geoids = sorted({*entries, *excluded})
     values = np.array([entries.get(g, math.nan) for g in geoids], dtype=np.float64)
-    return zonal.TractSurface(year, np.array(geoids, dtype=np.int64), values, {})
+    return zonal.TractSurface(year, np.array(geoids, dtype=np.int64), values, {}, None)
 
 
 def surface_entries(surface: zonal.TractSurface) -> dict[str, float]:
@@ -727,6 +732,15 @@ def strata_codes(ids: np.ndarray, classification: dict[str, str]) -> np.ndarray:
     id from a {geoid: stratum} dict, -1 for a tract it does not list."""
     return np.array([zonal.STRATA.index(classification[g]) if g in classification else -1
                      for g in geometry.geoid_text(ids)], dtype=np.int8)
+
+
+def with_strata(target, classification: dict[str, str]):
+    """A TractSurface, or an AlignedTable with its surface, carrying the
+    stratum codes of a {geoid: stratum} dict (strata_codes)."""
+    if isinstance(target, exposure.AlignedTable):
+        return target._replace(surface=with_strata(target.surface, classification))
+    return zonal.TractSurface(target.year, target.ids, target.values, target.completeness,
+                              strata_codes(target.ids, classification))
 
 
 def key_text(keys: np.ndarray) -> list[str]:
@@ -916,6 +930,34 @@ def oracle_stratum_masks(geoids, classification, strata) -> dict[str, np.ndarray
     return masks
 
 
+def oracle_schema_groups(schemas: Sequence[ingest.GroupSchema], table: exposure.AlignedTable):
+    """exposure.iter_groups as it was: (characteristic, label, counts) for
+    the total population, then each schema category among the table's
+    codes, in schema order."""
+    yield exposure.ALL_GROUP[0], exposure.ALL_GROUP[1], table.totals
+    row = {code: i for i, code in enumerate(table.codes)}
+    for schema in schemas:
+        for code, label in schema.categories:
+            if code in row:
+                yield schema.characteristic, label, table.counts[row[code]]
+
+
+def oracle_classified_masks(table: exposure.AlignedTable, classification: np.ndarray | None,
+                            strata: Sequence[str]) -> dict[str, np.ndarray]:
+    """exposure.stratum_masks as it was: a boolean row mask per stratum of
+    ``strata``, by the int8 code in ``classification`` (one per tract of the
+    run) of each row's first tract; classified strata are skipped without a
+    classification."""
+    codes = None if classification is None else classification.take(table.index[0])
+    masks = {}
+    for stratum in strata:
+        if stratum == exposure.ALL_STRATUM:
+            masks[stratum] = np.ones(len(table.totals), dtype=bool)
+        elif codes is not None:
+            masks[stratum] = codes == zonal.STRATA.index(stratum)
+    return masks
+
+
 class OracleSurface(NamedTuple):
     """A TractSurface as it was before it spanned every tract of the run: the
     ``ids`` and ``values`` of that year's valued tracts only."""
@@ -1086,7 +1128,7 @@ def oracle_group_exposures(aligned, schemas, classification=None,
     records = []
     for stratum, mask in oracle_stratum_masks(aligned.geoids, classification, strata).items():
         conc = aligned.values(aligned.locus)[mask]
-        for characteristic, label, weights in exposure.iter_groups(schemas, aligned):
+        for characteristic, label, weights in oracle_schema_groups(schemas, aligned):
             w = weights[mask]
             if int(w.sum()) == 0:
                 continue
@@ -1103,14 +1145,12 @@ def oracle_group_exposures(aligned, schemas, classification=None,
 
 def oracle_hw_exposures(pairs, schemas, weights, classification=None,
                         strata=(exposure.ALL_STRATUM,)):
-    if len(pairs.totals) == 0 or int(pairs.totals.sum()) == 0:
-        raise EmptyPopulationError("no resolvable OD pairs with workers")
     home, work = pairs.values("H"), pairs.values("W")
     blended = exposure.hw_blend(home, work, weights)
     records, errors = [], []
     for stratum, mask in oracle_stratum_masks(pairs.geoids, classification, strata).items():
         vh, vw, vb = home[mask], work[mask], blended[mask]
-        for characteristic, label, group_counts in exposure.iter_groups(schemas, pairs):
+        for characteristic, label, group_counts in oracle_schema_groups(schemas, pairs):
             w = group_counts[mask]
             if int(w.sum()) == 0:
                 continue
@@ -1415,14 +1455,14 @@ def _oracle_bin_means(ranked: np.ndarray, n_bins: int, mean: bool) -> np.ndarray
     return out
 
 
-def oracle_composition_blocks(state, aligned: exposure.AlignedTable,
+def oracle_composition_blocks(config, aligned: exposure.AlignedTable,
                               groups: Sequence[tuple[str, str]], counts: np.ndarray,
-                              strata: Sequence[str], skips: dict[str, int]) -> list[list]:
+                              skips: dict[str, int]) -> list[list]:
     """bins.csv blocks of one table, one per stratum, each stratum's tracts
     sorted on their own by each group's fraction and by concentration."""
     year, locus = aligned.year, aligned.locus
     blocks: list[list] = []
-    for stratum, mask in exposure.stratum_masks(aligned, state.classification, strata).items():
+    for stratum, mask in exposure.stratum_masks(aligned).items():
         cols = np.flatnonzero(mask & (aligned.totals > 0))
         group_counts = np.ascontiguousarray(counts[:, cols])
         fractions = group_counts / aligned.totals[cols]
@@ -1432,7 +1472,7 @@ def oracle_composition_blocks(state, aligned: exposure.AlignedTable,
         weighted = conc[order] * ranked
         where = "%s %s/%s" % (year, locus, stratum)
         curves = []
-        for n_bins in state.config.bin_counts:
+        for n_bins in config.bin_counts:
             if len(cols) < n_bins:
                 pipeline._skip_groups(skips, "composition-curve", groups, where, "few tracts")
                 continue

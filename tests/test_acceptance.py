@@ -35,7 +35,7 @@ from hwexposure.biasstats import ErrorMoments, PooledSamples, bias_factor, error
 from hwexposure.disparity import _atkinson_curve
 from hwexposure.exposure import ValueSlice, hw_blend, resolve_pairs
 from hwexposure.grids import ConcentrationGrid
-from hwexposure.ingest import OD_SCHEMAS, WorkerTable, aggregate_od, aggregate_to_tracts, read_od_csv
+from hwexposure.ingest import WorkerTable, aggregate_od, aggregate_to_tracts, read_od_csv
 
 
 def report(number: int, text: str) -> None:
@@ -157,10 +157,8 @@ def test_c3_blend_and_error_identity(tmp_path):
     pipeline._stage_surface(state, data)
     surface = data.surface
     od = aggregate_od(read_od_csv(str(world / "od_2011.csv")))
-    records, errors = compute_hw_exposures(
-        resolve_pairs(surface, od), OD_SCHEMAS, HW_WEIGHTS,
-        classification=state.classification, strata=("all", "urban", "rural"),
-    )
+    assert surface.strata is state.classification is not None
+    records, errors = compute_hw_exposures(resolve_pairs(surface, od), HW_WEIGHTS)
     means = {(r.group_key, r.stratum, r.locus): r.mean for r in records}
     assert errors, "no error records computed"
     for err in errors:

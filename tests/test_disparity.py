@@ -25,7 +25,7 @@ from helpers import (
     oracle_state_rows,
     oracle_threshold_rows,
     reference_csv,
-    strata_codes,
+    with_strata,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -516,7 +516,7 @@ def test_state_disparity_zero_national():
 
 def aligned_table(geoids, totals, conc, category_counts):
     surface = zonal.TractSurface(2011, np.array(geoids, dtype=np.int64),
-                                 np.asarray(conc, dtype=np.float64), {})
+                                 np.asarray(conc, dtype=np.float64), {}, None)
     return AlignedTable(
         surface=surface, loci=("H",), index=(np.arange(len(geoids)),),
         totals=np.asarray(totals, dtype=np.int64),
@@ -537,7 +537,7 @@ def csv_cells(text: str) -> list[list[str]]:
 def state_rows(aligned):
     """The cells of the state_disparity.csv lines that _state_rows' block gives."""
     groups = [(characteristic, label) for characteristic, label, _ in
-              iter_groups(RAC_WAC_SCHEMAS, aligned)][1:]
+              iter_groups(aligned)][1:]
     block = pipeline._state_rows(aligned, groups, aligned.counts.astype(np.float64))
     return csv_cells(pipeline._csv_lines("state_disparity.csv",
                                          HEADERS["state_disparity.csv"], block))
@@ -800,17 +800,15 @@ def test_composition_blocks_match_per_stratum_oracle(seed, n_tracts, bin_counts,
     rng = np.random.default_rng(seed)
     conc_values = (4.0, 7.5, 12.0) if tied_concentrations else tuple(rng.uniform(4, 20, 64))
     aligned = random_aligned(rng, n_tracts, conc_values=conc_values)
-    classification = strata_codes(aligned.surface.ids, {
+    aligned = with_strata(aligned, {
         f"06037{i:06d}": str(rng.choice(names))
         for i in range(n_tracts) if rng.random() < classified})
-    state = SimpleNamespace(config=SimpleNamespace(bin_counts=tuple(bin_counts)),
-                            classification=classification)
-    groups = [(c, label) for c, label, _ in iter_groups(RAC_WAC_SCHEMAS, aligned)][1:]
+    config = SimpleNamespace(bin_counts=tuple(bin_counts))
+    groups = [(c, label) for c, label, _ in iter_groups(aligned)][1:]
     counts = aligned.counts.astype(np.float64)
-    strata = ("all", "urban", "rural")
     skips, oracle_skips = {}, {}
-    blocks = pipeline._composition_blocks(state, aligned, groups, counts, strata, skips)
-    oracle = oracle_composition_blocks(state, aligned, groups, counts, strata, oracle_skips)
+    blocks = pipeline._composition_blocks(config, aligned, groups, counts, skips)
+    oracle = oracle_composition_blocks(config, aligned, groups, counts, oracle_skips)
     assert ([pipeline._csv_lines("bins.csv", HEADERS["bins.csv"], b) for b in blocks]
             == [pipeline._csv_lines("bins.csv", HEADERS["bins.csv"], b) for b in oracle])
     assert skips == oracle_skips
@@ -831,7 +829,7 @@ def threshold_outcome(compute):
 @settings(max_examples=200, deadline=None)
 def test_threshold_rows_match_oracle(seed, n_tracts, thresholds):
     aligned = random_aligned(np.random.default_rng(seed), n_tracts)
-    groups = [(c, label) for c, label, _ in iter_groups(RAC_WAC_SCHEMAS, aligned)][1:]
+    groups = [(c, label) for c, label, _ in iter_groups(aligned)][1:]
     config = SimpleNamespace(thresholds=tuple(thresholds))
     assert threshold_outcome(lambda skips: pipeline._threshold_rows(
         config, aligned, groups, aligned.counts.astype(np.float64), skips)) == threshold_outcome(
@@ -844,7 +842,7 @@ def test_threshold_rows_skip_degenerate_cov():
     aligned = aligned_table(
         ["06037000001", "06037000002"], totals=[3, 4], conc=[4.0, 13.0],
         category_counts={"CS01": [3, 4], "CS02": [0, 0], "CA01": [1, 0], "CA02": [2, 0]})
-    groups = [(c, label) for c, label, _ in iter_groups(RAC_WAC_SCHEMAS, aligned)][1:]
+    groups = [(c, label) for c, label, _ in iter_groups(aligned)][1:]
     skips = {}
     blocks = pipeline._threshold_rows(SimpleNamespace(thresholds=(12.0,)), aligned, groups,
                                       aligned.counts.astype(np.float64), skips)
@@ -860,19 +858,17 @@ def test_threshold_rows_skip_degenerate_cov():
 def test_gap_and_atkinson_blocks_match_record_oracle(seed, n_tracts, epsilons):
     rng = np.random.default_rng(seed)
     epsilons = [abs(e) for e in epsilons]
-    classification = strata_codes(6037000000 + np.arange(n_tracts), {
-        f"06037{i:06d}": rng.choice(["urban", "rural"])
-        for i in range(n_tracts) if rng.random() < 0.9})
+    classification = {f"06037{i:06d}": rng.choice(["urban", "rural"])
+                      for i in range(n_tracts) if rng.random() < 0.9}
     strata = ("all", "urban", "rural")
-    tables = [random_aligned(rng, n_tracts, locus, (0.0, 4.0, 7.5, 12.0))
-              for locus in ("H", "W")]
-    frames = [compute_group_exposures(aligned, RAC_WAC_SCHEMAS, classification, strata)
-              for aligned in tables]
+    tables = [with_strata(random_aligned(rng, n_tracts, locus, (0.0, 4.0, 7.5, 12.0)),
+                          classification) for locus in ("H", "W")]
+    frames = [compute_group_exposures(aligned) for aligned in tables]
     # every (locus, stratum, characteristic) of the tables' groups, as the
     # disparity stage asks for them
     asked = [(aligned.locus, stratum, characteristic) for aligned in tables for stratum in strata
              for characteristic in dict.fromkeys(
-                 c for c, _, _ in iter_groups(RAC_WAC_SCHEMAS, aligned) if c != "all")]
+                 c for c, _, _ in iter_groups(aligned) if c != "all")]
     skips = {}
     got = pipeline._gap_and_atkinson_blocks(2011, frames, asked, epsilons, skips)
     oracle_skips = {}

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from hwexposure import pipeline, synth, zonal
+from hwexposure import exposure, pipeline, synth, zonal
 from hwexposure.errors import EmptyPopulationError
 from hwexposure.exposure import (
     AlignedTable,
@@ -22,6 +22,7 @@ from hwexposure.exposure import (
     align_table,
     compute_group_exposures,
     hw_blend,
+    iter_groups,
     resolve_pairs,
     stable_argsort,
     stratum_masks,
@@ -42,7 +43,9 @@ from helpers import (
     compute_hw_exposures,
     exposure_records,
     oracle_group_exposures,
+    oracle_classified_masks,
     oracle_hw_exposures,
+    oracle_schema_groups,
     oracle_searched_stratum_masks,
     oracle_tract_strata,
     oracle_valued_join,
@@ -53,6 +56,7 @@ from helpers import (
     surface_entries,
     tract_surface,
     with_layout,
+    with_strata,
     worker_table,
 )
 
@@ -255,7 +259,7 @@ def small_world():
 def test_group_exposures_point_mass():
     surface = tract_surface(2011, {geoid(1): 9.5})
     table = {geoid(1): (4, {"CA01": 4, "CA02": 0, "CA03": 0})}
-    records = exposure_records(compute_group_exposures(aligned_home(surface, table), AGE))
+    records = exposure_records(compute_group_exposures(aligned_home(surface, table)))
     by_group = {r.group_key: r for r in records}
     assert by_group["all"].mean == 9.5
     assert by_group["all"].p10 == 9.5
@@ -268,7 +272,7 @@ def test_group_exposures_point_mass():
 def test_group_exposures_match_expansion_oracle_exactly():
     surface, table = small_world()
     entries = surface_entries(surface)
-    records = exposure_records(compute_group_exposures(aligned_home(surface, table), AGE))
+    records = exposure_records(compute_group_exposures(aligned_home(surface, table)))
     for record in records:
         if record.group_key == "all":
             pick = lambda row: row[0]  # noqa: E731
@@ -292,11 +296,8 @@ def test_group_exposures_match_expansion_oracle_exactly():
 
 def test_group_exposures_strata_split():
     surface, table = small_world()
-    classification = strata_codes(surface.ids,
-                                  {geoid(i): ("urban" if i < 4 else "rural") for i in range(9)})
-    records = exposure_records(compute_group_exposures(
-        aligned_home(surface, table), AGE, classification, strata=("all", "urban", "rural")
-    ))
+    surface = with_strata(surface, {geoid(i): ("urban" if i < 4 else "rural") for i in range(9)})
+    records = exposure_records(compute_group_exposures(aligned_home(surface, table)))
     strata = {r.stratum for r in records}
     assert strata == {"all", "urban", "rural"}
     all_weight = next(r.weight for r in records if r.stratum == "all" and r.group_key == "all")
@@ -307,12 +308,12 @@ def test_group_exposures_strata_split():
 
 def test_group_exposures_weight_scaling_invariance():
     surface, table = small_world()
-    base = exposure_records(compute_group_exposures(aligned_home(surface, table), AGE))
+    base = exposure_records(compute_group_exposures(aligned_home(surface, table)))
     scaled_rows = {
         g: (total * 7, {c: v * 7 for c, v in counts.items()})
         for g, (total, counts) in table.items()
     }
-    scaled = exposure_records(compute_group_exposures(aligned_home(surface, scaled_rows), AGE))
+    scaled = exposure_records(compute_group_exposures(aligned_home(surface, scaled_rows)))
     for a, b in zip(base, scaled):
         assert b.mean == pytest.approx(a.mean, rel=1e-12)
         assert b.p10 == a.p10
@@ -375,9 +376,10 @@ def test_join_and_strata_match_valued_subset_oracle(world):
     tracts, values, labels, rac, od, seed = world
     rng = np.random.default_rng(seed)
     ids = np.array([int(geoid(t)) for t in tracts], dtype=np.int64)
-    surface = zonal.TractSurface(2011, ids, np.array(values, dtype=np.float64), {})
     classification = {geoid(t): s for t, s in zip(tracts, labels) if s is not None}
-    codes = strata_codes(ids, classification)
+    surface = zonal.TractSurface(2011, ids, np.array(values, dtype=np.float64), {},
+                                 strata_codes(ids, classification))
+    unclassified = zonal.TractSurface(2011, ids, surface.values, {}, None)
     valued, strata = oracle_valued_surface(surface), oracle_tract_strata(classification)
     for keys, loci, join in ((rac, ("H",), lambda s, t: align_table(s, t, RESIDENCE)),
                              (od, ("H", "W"), resolve_pairs)):
@@ -394,11 +396,61 @@ def test_join_and_strata_match_valued_subset_oracle(world):
         assert got.geoids.tolist() == want.geoids.tolist()
         for locus in loci:
             assert got.values(locus).tobytes() == want.values(locus).tobytes()
-        masks = stratum_masks(got, codes, STRATA)
+        masks = stratum_masks(got)
         oracle = oracle_searched_stratum_masks(want, strata, STRATA)
         assert {k: m.tolist() for k, m in masks.items()} == {
             k: m.tolist() for k, m in oracle.items()}
-        assert list(stratum_masks(got, None, STRATA)) == ["all"]
+        assert list(stratum_masks(got._replace(surface=unclassified))) == ["all"]
+
+
+SCHEMAS = (*RAC_WAC_SCHEMAS, *OD_SCHEMAS)
+
+
+@st.composite
+def coded_tables(draw):
+    """A RAC or OD table joined to a run's surface: its codes those of a
+    drawn subset of every characteristic (RAC ones next to OD ones), in
+    schema order, as the readers give them; its keys may miss the run's
+    tracts, so that no row resolves. Also whether the run has an urban mask
+    and its ``strata`` setting."""
+    n_tracts = draw(st.integers(1, 8))
+    ids = np.array([int(geoid(t)) for t in range(n_tracts)], dtype=np.int64)
+    values = draw(st.lists(st.sampled_from([math.nan, 2.5, 9.0]), min_size=n_tracts,
+                           max_size=n_tracts))
+    codes = draw(st.lists(st.sampled_from([0, 1]), min_size=n_tracts, max_size=n_tracts))
+    kept = draw(st.sets(st.sampled_from(range(len(SCHEMAS)))))
+    columns = tuple(code for k, schema in enumerate(SCHEMAS) if k in kept for code in schema.codes)
+    n_keys = draw(st.sampled_from([1, 2]))
+    keys = sorted(draw(st.sets(st.tuples(*[st.integers(0, n_tracts)] * n_keys), max_size=10)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = rng.integers(0, 4, (len(columns), len(keys)))
+    key_ids = np.array([[int(geoid(k)) for k in key] for key in keys],
+                       dtype=np.int64).reshape(len(keys), n_keys)
+    table = WorkerTable(tuple(np.ascontiguousarray(k) for k in key_ids.T),
+                        rng.integers(0, 9, len(keys)), columns, counts)
+    return (ids, np.array(values), np.array(codes, dtype=np.int8), table,
+            draw(st.booleans()), draw(st.booleans()))
+
+
+@given(coded_tables())
+@settings(max_examples=300, deadline=None)
+def test_table_groups_and_strata_match_schema_oracle(case):
+    # the groups named by a table's codes and the strata carried by its
+    # surface, against the schema walk and the classification and strata
+    # arguments they replaced, as the stages passed them
+    ids, values, codes, table, has_mask, stratified = case
+    classification = codes if has_mask else None
+    strata = ("all", "urban", "rural") if has_mask and stratified else ("all",)
+    surface = zonal.TractSurface(2011, ids, values, {}, classification if stratified else None)
+    join = resolve_pairs if len(table.keys) == 2 else (lambda s, t: align_table(s, t, RESIDENCE))
+    aligned = join(surface, table)
+    assert [(c, label, counts.tolist()) for c, label, counts in iter_groups(aligned)] == [
+        (c, label, counts.tolist())
+        for c, label, counts in oracle_schema_groups(SCHEMAS, aligned)]
+    masks = stratum_masks(aligned)
+    oracle = oracle_classified_masks(aligned, classification, strata)
+    assert exposure.reported_strata(surface) == strata == tuple(masks)
+    assert {k: m.tolist() for k, m in masks.items()} == {k: m.tolist() for k, m in oracle.items()}
 
 
 # ----------------------------------------------------------------------------
@@ -415,7 +467,7 @@ def test_hw_degenerate_commute():
         (geoid(0), geoid(0)): (3, {"SA01": 3, "SA02": 0, "SA03": 0}),
         (geoid(1), geoid(1)): (2, {"SA01": 0, "SA02": 2, "SA03": 0}),
     })
-    records, errors = compute_hw_exposures(resolve_pairs(surface, od), OD_AGE, HW_WEIGHTS)
+    records, errors = compute_hw_exposures(resolve_pairs(surface, od), HW_WEIGHTS)
     by = {(r.group_key, r.locus): r for r in records}
     assert by[("all", "H")].mean == by[("all", "W")].mean == by[("all", "HW")].mean
     for err in errors:
@@ -426,7 +478,7 @@ def test_hw_degenerate_commute():
 def test_hw_single_pair_arithmetic():
     surface = tract_surface(2011, {geoid(0): 10.0, geoid(1): 20.0})
     od = od_matrix({(geoid(0), geoid(1)): (1, {})})
-    records, errors = compute_hw_exposures(resolve_pairs(surface, od), (), HW_WEIGHTS)
+    records, errors = compute_hw_exposures(resolve_pairs(surface, od), HW_WEIGHTS)
     by = {(r.group_key, r.locus): r for r in records}
     assert by[("all", "HW")].mean == pytest.approx(12.06, abs=1e-12)
     assert errors[0].error == pytest.approx(-2.06, abs=1e-9)
@@ -434,9 +486,15 @@ def test_hw_single_pair_arithmetic():
 
 
 def test_hw_empty_od():
+    # an OD table without resolvable pairs or workers gets an empty frame:
+    # every (stratum, group) slice has zero weight and is left out
     surface = tract_surface(2011, {geoid(0): 10.0})
-    with pytest.raises(EmptyPopulationError):
-        compute_hw_exposures(resolve_pairs(surface, od_matrix({})), (), HW_WEIGHTS)
+    zero = od_matrix({(geoid(0), geoid(0)): (0, {"SA01": 0, "SA02": 0, "SA03": 0})})
+    for od in (od_matrix({}), zero):
+        frame = exposure.compute_hw_exposures(resolve_pairs(surface, od), HW_WEIGHTS)
+        assert frame.loci == ("H", "W", "HW")
+        assert frame.mean.shape == frame.p10.shape == frame.p90.shape == (3, 0)
+        assert frame.weight.size == frame.error.size == frame.percent_error.size == 0
 
 
 def test_hw_unresolvable_pairs_dropped():
@@ -447,7 +505,7 @@ def test_hw_unresolvable_pairs_dropped():
     })
     pairs = resolve_pairs(surface, od)
     assert pairs.dropped_weight == 5
-    records, _ = compute_hw_exposures(resolve_pairs(surface, od), (), HW_WEIGHTS)
+    records, _ = compute_hw_exposures(resolve_pairs(surface, od), HW_WEIGHTS)
     assert next(r for r in records if r.locus == "HW").weight == 2.0
 
 
@@ -469,12 +527,9 @@ def random_od_world(seed, n_tracts=40, n_pairs=300):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_hw_error_identity(seed):
     surface, od = random_od_world(seed)
-    classification = strata_codes(surface.ids, {
+    surface = with_strata(surface, {
         g: ("urban" if i % 3 else "rural") for i, g in enumerate(surface_entries(surface))})
-    records, errors = compute_hw_exposures(
-        resolve_pairs(surface, od), OD_AGE, HW_WEIGHTS,
-        classification=classification, strata=("all", "urban", "rural"),
-    )
+    records, errors = compute_hw_exposures(resolve_pairs(surface, od), HW_WEIGHTS)
     by = {(r.group_key, r.stratum, r.locus): r.mean for r in records}
     for err in errors:
         h = by[(err.group_key, err.stratum, "H")]
@@ -484,14 +539,11 @@ def test_hw_error_identity(seed):
 
 
 def test_hw_zero_home_mean_warns_once_per_year(caplog):
-    surface = tract_surface(2011, {geoid(0): 0.0, geoid(1): 0.0})
-    classification = strata_codes(surface.ids, {geoid(0): "urban", geoid(1): "rural"})
+    surface = with_strata(tract_surface(2011, {geoid(0): 0.0, geoid(1): 0.0}),
+                          {geoid(0): "urban", geoid(1): "rural"})
     od = od_matrix({(geoid(0), geoid(1)): (3, {"SA01": 1, "SA02": 2, "SA03": 0})})
     with caplog.at_level(logging.DEBUG, logger="hwexposure.exposure"):
-        _, errors = compute_hw_exposures(
-            resolve_pairs(surface, od), OD_AGE, HW_WEIGHTS,
-            classification=classification, strata=("all", "urban", "rural"),
-        )
+        _, errors = compute_hw_exposures(resolve_pairs(surface, od), HW_WEIGHTS)
     undefined = sum(math.isnan(e.percent_error) for e in errors)
     assert undefined == len(errors) == 6  # all, SA01, SA02 in strata all and urban
     warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
@@ -503,16 +555,13 @@ def test_hw_zero_home_mean_warns_once_per_year(caplog):
 
 
 def test_hw_stratum_assigned_by_home_tract():
-    surface = tract_surface(2011, {geoid(0): 4.0, geoid(1): 10.0})
-    classification = strata_codes(surface.ids, {geoid(0): "urban", geoid(1): "rural"})
+    surface = with_strata(tract_surface(2011, {geoid(0): 4.0, geoid(1): 10.0}),
+                          {geoid(0): "urban", geoid(1): "rural"})
     od = od_matrix({
         (geoid(0), geoid(1)): (1, {}),  # lives urban, works rural
     })
-    records, _ = compute_hw_exposures(
-        resolve_pairs(surface, od), (), HW_WEIGHTS, classification=classification,
-        strata=("urban", "rural"),
-    )
-    assert {r.stratum for r in records} == {"urban"}
+    records, _ = compute_hw_exposures(resolve_pairs(surface, od), HW_WEIGHTS)
+    assert {r.stratum for r in records} - {"all"} == {"urban"}
 
 
 def one_row_frame(p10, p90, weight):
@@ -625,19 +674,17 @@ def records_text(compute, *args, **kwargs):
 @settings(max_examples=300, deadline=None)
 def test_group_and_hw_exposures_match_per_group_oracle(case):
     surface_values, home, work, counts, classification = case
-    surface = tract_surface(2011, dict(zip(map(geoid, range(13)), surface_values)))
+    surface = with_strata(tract_surface(2011, dict(zip(map(geoid, range(13)), surface_values))),
+                          classification)
     codes = ("CA01", "CA02", "CA03")
     aligned = AlignedTable(surface, ("H",), (home,), counts[0], codes, counts[1:], 0)
     assert records_text(
-        lambda *args: exposure_records(compute_group_exposures(*args)),
-        aligned, AGE, strata_codes(surface.ids, classification), STRATA,
+        lambda *args: exposure_records(compute_group_exposures(*args)), aligned,
     ) == records_text(oracle_group_exposures, aligned, AGE, classification, STRATA)
     pairs = AlignedTable(surface, ("H", "W"), (home, work), counts[0],
                          ("SA01", "SA02", "SA03"), counts[1:], 0)
     assert records_text(
-        compute_hw_exposures, pairs, OD_AGE, HW_WEIGHTS,
-        classification=strata_codes(surface.ids, classification),
-        strata=STRATA,
+        compute_hw_exposures, pairs, HW_WEIGHTS,
     ) == records_text(oracle_hw_exposures, pairs, OD_AGE, HW_WEIGHTS,
                       classification=classification,
                       strata=STRATA)

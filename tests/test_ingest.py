@@ -47,8 +47,8 @@ def age_row(geocode, a1, a2, a3):
     return (geocode, a1 + a2 + a3, {"CA01": a1, "CA02": a2, "CA03": a3})
 
 
-def rollup(rows, schemas=AGE_INCOME):
-    return aggregate_to_tracts(worker_table(rows), schemas)
+def rollup(rows):
+    return aggregate_to_tracts(worker_table(rows))
 
 
 # ----------------------------------------------------------------------------
@@ -84,7 +84,7 @@ def test_rollup_empty_input():
 def test_rollup_rejects_bad_role(tmp_path):
     # the role picks the key column, so the reader checks it
     with pytest.raises(SchemaError):
-        read_block_csv(str(tmp_path / "rac.csv"), "commuter", AGE_INCOME)
+        read_block_csv(str(tmp_path / "rac.csv"), "commuter")
 
 
 def test_rollup_category_sum_error_names_row_and_characteristic():
@@ -103,7 +103,7 @@ def test_rollup_keeps_zero_total_rows():
 def test_education_partial_characteristic_not_sum_checked():
     # education is only tabulated for workers aged 30+, so CD sums < C000 are fine
     row = ("060372653011011", 10, {"CD01": 1, "CD02": 2, "CD03": 1, "CD04": 2})
-    table = rollup([row], RAC_WAC_SCHEMAS)
+    table = rollup([row])
     assert table_rows(table)[0][2]["CD01"] == 1
 
 
@@ -171,7 +171,7 @@ def od_row(home, work, s1, s2, s3):
 
 
 def od_rollup(rows):
-    return aggregate_od(worker_table(rows), (OD_SCHEMAS[0],))
+    return aggregate_od(worker_table(rows))
 
 
 def test_od_additivity():
@@ -314,7 +314,7 @@ def test_columnar_rollup_and_join_match_dict_oracle(data, n_keys):
     entries = data.draw(surface_entries())  # may resolve no tract at all
     codes = [code for s in schemas for code in s.codes]
     rollup_columns = aggregate_to_tracts if n_keys == 1 else aggregate_od
-    tracts = rollup_columns(worker_table(rows, codes, n_keys), schemas)
+    tracts = rollup_columns(worker_table(rows, codes, n_keys))
     oracle = oracle_rollup(rows, schemas)
     assert [tuple(row[:n_keys]) for row in table_rows(tracts)] == list(oracle)
     assert [(row[n_keys], row[-1]) for row in table_rows(tracts)] == list(oracle.values())
@@ -332,7 +332,7 @@ def test_columnar_rollup_and_join_match_dict_oracle(data, n_keys):
     assert joined.totals.tolist() == totals.tolist()
     assert joined.dropped_weight == dropped
     got = [((characteristic, label), counts.tolist())
-           for characteristic, label, counts in iter_groups(schemas, joined)][1:]
+           for characteristic, label, counts in iter_groups(joined)][1:]
     assert got == [(group, counts.tolist()) for group, counts in groups]
 
 
@@ -346,7 +346,7 @@ def test_columnar_validation_matches_dict_oracle(data, n_keys):
     outcomes = []
     for rollup_rows in (
         lambda: oracle_rollup(rows, schemas),
-        lambda: rollup_columns(worker_table(rows, codes, n_keys), schemas),
+        lambda: rollup_columns(worker_table(rows, codes, n_keys)),
     ):
         try:
             rollup_rows()
@@ -370,7 +370,7 @@ RAC_CSV = """h_geocode,C000,CA01,CA02,CA03,weird_extra
 def test_read_block_csv(tmp_path, caplog):
     path = tmp_path / "rac.csv"
     path.write_text(RAC_CSV)
-    rows = table_rows(read_block_csv(str(path), "residence", AGE_INCOME))
+    rows = table_rows(read_block_csv(str(path), "residence"))
     assert len(rows) == 3
     assert rows[0] == ("060372653011011", 6, {"CA01": 1, "CA02": 2, "CA03": 3})
     assert any("weird_extra" in r.message for r in caplog.records)
@@ -380,7 +380,7 @@ def test_read_block_csv_gzip(tmp_path):
     path = tmp_path / "rac.csv.gz"
     with gzip.open(path, "wt") as fh:
         fh.write(RAC_CSV)
-    rows = table_rows(read_block_csv(str(path), "residence", AGE_INCOME))
+    rows = table_rows(read_block_csv(str(path), "residence"))
     assert len(rows) == 3
 
 
@@ -388,20 +388,20 @@ def test_read_block_csv_missing_required(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("h_geocode,CA01\n060372653011011,1\n")
     with pytest.raises(FormatError):
-        read_block_csv(str(path), "residence", AGE_INCOME)
+        read_block_csv(str(path), "residence")
 
 
 def test_read_block_csv_partial_characteristic(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("h_geocode,C000,CA01\n060372653011011,1,1\n")
     with pytest.raises(FormatError):
-        read_block_csv(str(path), "residence", AGE_INCOME)
+        read_block_csv(str(path), "residence")
 
 
 def test_read_block_csv_wac_key(tmp_path):
     path = tmp_path / "wac.csv"
     path.write_text("w_geocode,C000\n060372653011011,4\n")
-    rows = table_rows(read_block_csv(str(path), "workplace", ()))
+    rows = table_rows(read_block_csv(str(path), "workplace"))
     assert rows[0][1] == 4
 
 
@@ -414,7 +414,7 @@ OD_CSV = """w_geocode,h_geocode,S000,SA01,SA02,SA03
 def test_read_od_csv(tmp_path):
     path = tmp_path / "od.csv"
     path.write_text(OD_CSV)
-    rows = table_rows(read_od_csv(str(path), (OD_SCHEMAS[0],)))
+    rows = table_rows(read_od_csv(str(path)))
     assert len(rows) == 2
     assert rows[0][0] == "060372653011011"  # home
     assert rows[0][1] == "060372653021011"  # work
@@ -425,7 +425,7 @@ def test_read_block_csv_bad_count(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("h_geocode,C000\n060372653011011,x\n")
     with pytest.raises(FormatError):
-        read_block_csv(str(path), "residence", ())
+        read_block_csv(str(path), "residence")
 
 
 def test_read_csv_line_numbers_count_blank_lines(tmp_path):
@@ -433,12 +433,12 @@ def test_read_csv_line_numbers_count_blank_lines(tmp_path):
     block = tmp_path / "r.csv"
     block.write_text("h_geocode,C000\n060372653011011,5\n\n060372653011012,x\n")
     with pytest.raises(FormatError, match=r"r\.csv:4: column 'C000': bad count 'x'"):
-        read_block_csv(str(block), "residence", ())
+        read_block_csv(str(block), "residence")
     od = tmp_path / "od.csv"
     od.write_text("w_geocode,h_geocode,S000\n060372653021011,060372653011011,3\n\n"
                   "060372653021011,060372653012022,y\n")
     with pytest.raises(FormatError, match=r"od\.csv:4: column 'S000': bad count 'y'"):
-        read_od_csv(str(od), ())
+        read_od_csv(str(od))
 
 
 def test_group_schema_rejects_duplicates():

@@ -462,18 +462,36 @@ def test_run_survives_zero_concentrations(tmp_path):
     assert len(csv_rows(out_dir / "bins.csv")) > 0
 
 
-@pytest.mark.parametrize("table, locus", [("rac_2011.csv", "H"), ("wac_2011.csv", "W")])
+@pytest.mark.parametrize("table, locus", [("rac_2011.csv", "H"), ("wac_2011.csv", "W"),
+                                          ("od_2011.csv", "HW")])
 def test_run_survives_a_table_without_workers(tmp_path, table, locus):
-    # every count of one RAC or WAC table is 0: that table's threshold shares
-    # and state disparities are undefined and skipped, as the README promises
+    # every count of one RAC, WAC or OD table is 0: its slices are left out
+    # and counted, and a RAC or WAC table's threshold shares and state
+    # disparities are undefined and skipped, as the README promises
     world = make_world(tmp_path, seed=7, n_tracts=25, n_groups=3)
     lines = (world / table).read_text().splitlines()
-    zeroed = [line.split(",", 1)[0] + ",0" * line.count(",") for line in lines[1:]]
+    n_keys = 2 if locus == "HW" else 1  # OD: w_geocode, h_geocode
+    zeroed = [",".join(line.split(",")[:n_keys]) + ",0" * (line.count(",") + 1 - n_keys)
+              for line in lines[1:]]
     (world / table).write_text("\n".join([lines[0], *zeroed]) + "\n")
     config = world / "config.json"
     out_dir = tmp_path / "out"
     assert cli.main(["run", "--config", str(config), "--out", str(out_dir)]) == 0
     stages = json.loads((out_dir / "manifest.json").read_text())["stages"]
+    # the table's (stratum, group) exposures are left out, and each one is
+    # counted: 41 RAC/WAC groups, 10 OD groups and 3 strata
+    exposure_rows = csv_rows(out_dir / "exposure.csv")
+    assert locus not in {row["locus"] for row in exposure_rows}
+    assert stages["exposure"]["skipped"] == {
+        "zero-weight-group": 3 * (41 + 41 + 10) - len(exposure_rows)}
+    if locus == "HW":
+        # no OD error, bias or rank-sum slice has workers
+        assert stages["exposure"]["skipped"]["zero-weight-group"] >= 3 * 10
+        for name in ("error.csv", "bias.csv", "wilcoxon.csv"):
+            assert csv_rows(out_dir / name) == [], name
+        assert stages["bias"]["skipped"] == {"zero-weight-group": 3 * 10}
+        return
+    assert stages["exposure"]["skipped"]["zero-weight-group"] >= 3 * 41
     skipped = stages["disparity"]["skipped"]
     thresholds = pipeline.load_config(str(config)).thresholds
     assert skipped["threshold-share"] == len(thresholds) > 0
@@ -481,14 +499,8 @@ def test_run_survives_a_table_without_workers(tmp_path, table, locus):
     other = {"H": "W", "W": "H"}[locus]
     assert {row["locus"] for row in csv_rows(out_dir / "threshold.csv")} == {other}
     assert {row["locus"] for row in csv_rows(out_dir / "state_disparity.csv")} == {other}
-    # the table's (stratum, group) exposures and its (stratum, characteristic)
-    # gaps and Atkinson curves are left out, and each one is counted: 41
-    # RAC/WAC groups, 10 OD groups, 7 characteristics and 3 strata
-    exposure_rows = csv_rows(out_dir / "exposure.csv")
-    assert locus not in {row["locus"] for row in exposure_rows}
-    assert stages["exposure"]["skipped"] == {
-        "zero-weight-group": 3 * (41 + 41 + 10) - len(exposure_rows)}
-    assert stages["exposure"]["skipped"]["zero-weight-group"] >= 3 * 41
+    # and so are its (stratum, characteristic) gaps and Atkinson curves: 7
+    # characteristics and 3 strata
     for name in ("gaps.csv", "atkinson.csv"):
         assert {row["locus"] for row in csv_rows(out_dir / name)} == {other}
     assert skipped["gap"] == skipped["atkinson"] == 3 * 7
@@ -524,6 +536,35 @@ def test_run_counts_a_stratum_without_tracts(tmp_path):
     gaps = 3 * 2 * 7 - len({(row["locus"], row["stratum"], row["characteristic"])
                             for row in csv_rows(out_dir / "gaps.csv")})
     assert stages["disparity"]["skipped"]["gap"] == gaps >= 2 * 7
+
+
+def test_strata_false_reports_only_all(tmp_path):
+    # with an urban mask and strata false, the tracts are still classified
+    # (urban.csv), but every stratified report holds only the `all` rows,
+    # byte for byte those of the stratified run; the other reports are equal
+    world = make_world(tmp_path, seed=7, n_tracts=25, n_groups=3)
+    config_doc = json.loads((world / "config.json").read_text())
+    assert config_doc["strata"] is True and config_doc["urban_mask"]
+    (world / "flat.json").write_text(json.dumps({**config_doc, "strata": False}))
+    outs = {}
+    for name in ("config.json", "flat.json"):
+        outs[name] = tmp_path / name
+        assert cli.main(["run", "--config", str(world / name), "--out", str(outs[name])]) == 0
+    stratified, flat = (read_out_files(outs[name]) for name in ("config.json", "flat.json"))
+    assert sorted(flat) == sorted(stratified)
+    assert flat["urban.csv"] == stratified["urban.csv"]
+    assert {row["stratum"] for row in csv_rows(outs["flat.json"] / "urban.csv")} == {
+        "urban", "rural"}
+    reports = ("exposure.csv", "error.csv", "gaps.csv", "bins.csv", "atkinson.csv", "bias.csv",
+               "wilcoxon.csv")
+    for name in reports:
+        header, *lines = stratified[name].decode().splitlines(keepends=True)
+        column = header.rstrip("\n").split(",").index("stratum")
+        kept = [line for line in lines if line.split(",")[column] == "all"]
+        assert 0 < len(kept) < len(lines), name
+        assert flat[name].decode() == header + "".join(kept), name
+    for name in sorted(set(flat) - {*reports, "manifest.json"}):
+        assert flat[name] == stratified[name], name
 
 
 @pytest.mark.parametrize("stages", [

@@ -62,7 +62,7 @@ def tract_coverage(tracts, grid):
 
 
 def surface_of(grid, tracts, year=2011):
-    return build_tract_surface(grid, tract_coverage(tracts, grid), year)
+    return build_tract_surface(grid, tract_coverage(tracts, grid), year, None)
 
 
 # ----------------------------------------------------------------------------
@@ -446,15 +446,15 @@ def test_surface_rejects_coverage_of_another_lattice():
     tracts = [rect_tract("06037000100", 0.0, 0.0, 1.0, 1.0)]
     coverage = tract_coverage(tracts, make_grid([[1.0, 2.0]]))
     with pytest.raises(SchemaError, match="lattice"):
-        build_tract_surface(make_grid([[1.0, 2.0]], origin=(0.5, 0.0)), coverage, 2011)
+        build_tract_surface(make_grid([[1.0, 2.0]], origin=(0.5, 0.0)), coverage, 2011, None)
 
 
 def test_coverage_reused_across_years():
     tracts = [rect_tract("06037000100", 0.0, 0.0, 1.5, 1.0)]
     coverage = tract_coverage(tracts, make_grid([[8.0, 10.0]]))
-    assert surface_entries(build_tract_surface(make_grid([[8.0, 10.0]]), coverage, 2011)) == \
+    assert surface_entries(build_tract_surface(make_grid([[8.0, 10.0]]), coverage, 2011, None)) == \
         {"06037000100": pytest.approx(13.0 / 1.5)}
-    assert surface_entries(build_tract_surface(make_grid([[4.0, 1.0]]), coverage, 2012)) == \
+    assert surface_entries(build_tract_surface(make_grid([[4.0, 1.0]]), coverage, 2012, None)) == \
         {"06037000100": 3.0}
 
 
@@ -503,7 +503,7 @@ def test_coverage_matches_clipping_oracle(seed, origin, cell):
     tracts = [TractGeometry(geoid=f"06037{k:06d}", parts=p) for k, p in enumerate(parts)]
 
     coverage = tract_coverage(tracts, grid)
-    surface = build_tract_surface(grid, coverage, 2011)
+    surface = build_tract_surface(grid, coverage, 2011, None)
     x1, y1 = at(1.0, 1.0)
     for i, tract in enumerate(tracts):
         want = oracle_zonal_mean(grid, tract, exact=True)
@@ -997,7 +997,7 @@ def test_surface_csv_roundtrip(tmp_path):
     back = read_surface_csv(str(tmp_path / "out" / "surface_2011.csv"))
     tracts = read_tracts_geojson(str(world / "tracts.geojson"))
     grid = read_asc(str(grid_path))
-    surface = build_tract_surface(grid, zonal.tract_coverage(tracts, grid), 2011)
+    surface = build_tract_surface(grid, zonal.tract_coverage(tracts, grid), 2011, None)
     assert back.year == 2011
     assert surface_entries(back) == surface_entries(surface)
 
@@ -1006,6 +1006,6 @@ def test_surface_rejects_negative_tracts_and_derives_excluded():
     # a surface spans every tract of the run; NaN marks an excluded tract
     ids = np.array([6037000100, 6037000200, 6037000300])
     with pytest.raises(SchemaError, match=r"negative concentrations for \['06037000200'\]"):
-        zonal.TractSurface(2011, ids, np.array([1.0, -2.0, np.nan]), {})
-    surface = zonal.TractSurface(2011, ids, np.array([np.nan, 2.0, np.nan]), {})
+        zonal.TractSurface(2011, ids, np.array([1.0, -2.0, np.nan]), {}, None)
+    surface = zonal.TractSurface(2011, ids, np.array([np.nan, 2.0, np.nan]), {}, None)
     assert geoid_text(surface.excluded) == ["06037000100", "06037000300"]
