@@ -2,12 +2,13 @@
 time-weighted home-work blend (HW), plus the H-minus-HW misclassification
 error, for the total population and demographic subgroups.
 
-Each (locus, stratum) slice is one kernel call (``ValueSlice.stats``): every
+Each (table, stratum) slice is one kernel call (``ValueSlice.stats``): every
 group's weights are a row of one C-contiguous (groups x values) matrix, the
-values are argsorted once, and each row is summed pairwise and accumulated in
-order, exactly as a 1-D reduction of that group alone. A table's results are
-one columnar ``GroupExposures`` frame, deterministic for any thread count
-upstream.
+values are argsorted once for the percentiles, and each row is summed pairwise
+and accumulated in order, exactly as a 1-D reduction of that group alone. An
+OD frame holds HW alone; its error's H means come from a second, sort-free
+call on the same weights. A table's results are one columnar
+``GroupExposures`` frame, deterministic for any thread count upstream.
 An ``AlignedTable``'s ``index`` points into the run's tract index, which
 every year's ``TractSurface`` spans; a row's stratum is the surface's code of
 its first tract, and its groups are named by the table's category codes.
@@ -76,19 +77,18 @@ class ValueSlice:
     weighted mean and percentiles over it.
 
     The groups' float64 weights over the whole slice, zeros included, are the
-    rows of one (groups x values) matrix. The values are argsorted once for
-    all groups (stable, so ties keep the caller's geoid-ascending order).
+    rows of one (groups x values) matrix. Percentiles argsort the values once
+    for all groups (stable, so ties keep the caller's geoid-ascending order).
     """
 
     def __init__(self, values: np.ndarray):
         self.values = values
-        self._order = stable_argsort(values)
 
     def stats(self, weights: np.ndarray, ps: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
         """Per row of ``weights``, sum(value * weight) / sum(weight), and per p
         the smallest value with positive weight whose cumulative weight
         reaches p times the row's total, with no interpolation: the means and
-        a (len(ps) x groups) matrix of picks."""
+        a (len(ps) x groups) matrix of picks, empty when ``ps`` is."""
         for p in ps:
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"p must be in [0, 1], got {p}")
@@ -107,10 +107,13 @@ class ValueSlice:
         low, high = self.values.min(), self.values.max()
         means = np.where(low > means, low, means)
         means = np.where(high < means, high, means)
-        # mode="clip" writes straight into out; "raise" would buffer it
-        ranked = weights.take(self._order, axis=1, out=scratch, mode="clip")
-        cum = np.cumsum(ranked, axis=1, out=scratch)
         picks = np.empty((len(ps), len(totals)))
+        if not ps:
+            return means, picks
+        order = stable_argsort(self.values)
+        # mode="clip" writes straight into out; "raise" would buffer it
+        ranked = weights.take(order, axis=1, out=scratch, mode="clip")
+        cum = np.cumsum(ranked, axis=1, out=scratch)
         for k, p in enumerate(ps):
             target = (p * totals)[:, None]
             # cum never decreases, so the count of entries below the target is
@@ -123,8 +126,8 @@ class ValueSlice:
             idx = np.count_nonzero(hit, axis=1)
             for row in np.flatnonzero(idx == cum.shape[1]):
                 # float drift: the largest value with weight
-                idx[row] = np.flatnonzero(weights[row].take(self._order))[-1]
-            picks[k] = self.values.take(self._order.take(idx))
+                idx[row] = np.flatnonzero(weights[row].take(order))[-1]
+            picks[k] = self.values.take(order.take(idx))
         return means, picks
 
 
@@ -233,18 +236,18 @@ def iter_groups(table: AlignedTable):
 
 
 class GroupExposures(NamedTuple):
-    """The exposures of one table's groups: a row per (stratum, group) with
-    positive weight, in stratum then schema order, the total population
-    first. ``mean``, ``p10`` and ``p90`` are (loci x rows) float64 matrices,
-    one row per entry of ``loci``; ``weight`` is each row's worker count.
-    Tables of tract pairs also carry ``error``, the H-minus-HW mean, and
-    ``percent_error``, NaN where the H mean is zero."""
+    """The exposures of one table's groups at its ``locus``: a row per
+    (stratum, group) with positive weight, in stratum then schema order, the
+    total population first. ``mean``, ``p10`` and ``p90`` are float64 columns;
+    ``weight`` is each row's worker count. Tables of tract pairs (locus HW)
+    also carry ``error``, the H-minus-HW mean, and ``percent_error``, NaN
+    where the H mean is zero."""
 
     year: int
     characteristic: list[str]
     label: list[str]
     stratum: list[str]
-    loci: tuple[str, ...]
+    locus: str
     mean: np.ndarray
     p10: np.ndarray
     p90: np.ndarray
@@ -257,27 +260,28 @@ class GroupExposures(NamedTuple):
         return list(map(format_group, self.characteristic, self.label))
 
     def checked(self) -> GroupExposures:
-        """This frame, once every row has p10 <= p90 at each locus and a
-        non-negative weight; the first failing row (and locus) is named."""
+        """This frame, once every row has p10 <= p90 and a non-negative
+        weight; the first failing row is named."""
         bad = (self.p10 > self.p90) | (self.weight < 0)
         if bad.any():
-            row, k = np.argwhere(bad.T)[0]
-            if self.p10[k, row] > self.p90[k, row]:
-                raise ValueError(f"p10 {float(self.p10[k, row])} > p90 {float(self.p90[k, row])}")
+            row = np.flatnonzero(bad)[0]
+            if self.p10[row] > self.p90[row]:
+                raise ValueError(f"p10 {float(self.p10[row])} > p90 {float(self.p90[row])}")
             raise ValueError(f"negative weight {float(self.weight[row])}")
         return self
 
 
-def _group_exposures(table: AlignedTable, loci: dict[str, np.ndarray]) -> GroupExposures:
-    """Every group's weight and, per locus, its mean, p10 and p90 over that
-    locus's row values: one weight matrix and one kernel call per (locus,
-    stratum). Groups with zero weight in a stratum are left out."""
+def _group_exposures(table: AlignedTable, locus: str, values: np.ndarray,
+                     home: np.ndarray | None = None) -> GroupExposures:
+    """Every group's weight and its mean, p10 and p90 of the rows' ``values``
+    at ``locus``: one weight matrix and one kernel call per stratum. Groups
+    with zero weight in a stratum are left out. Given each row's ``home``
+    value, it also holds the error (H mean minus mean) and its percent."""
     groups = list(iter_groups(table))
     # float64 sums of worker counts are exact below 2**53
     counts = np.vstack([group_counts for *_, group_counts in groups], dtype=np.float64)
     characteristics, labels, strata_column = [], [], []
-    weights = [np.empty(0)]
-    means, picks = [np.empty((len(loci), 0))], [np.empty((len(loci), 2, 0))]
+    weights, h_means, slices = [np.empty(0)], [np.empty(0)], [(np.empty(0), np.empty((2, 0)))]
     for stratum, mask in stratum_masks(table).items():
         w = counts.compress(mask, axis=1)
         weight = w.sum(axis=1)
@@ -286,38 +290,20 @@ def _group_exposures(table: AlignedTable, loci: dict[str, np.ndarray]) -> GroupE
             continue
         if kept.size < len(w):
             w = w.take(kept, axis=0)
-        slices = [ValueSlice(values.compress(mask)).stats(w, (0.10, 0.90))
-                  for values in loci.values()]
-        means.append(np.array([m for m, _ in slices]))
-        picks.append(np.array([p for _, p in slices]))
+        slices.append(ValueSlice(values.compress(mask)).stats(w, (0.10, 0.90)))
+        if home is not None:
+            h_means.append(ValueSlice(home.compress(mask)).stats(w, ())[0])
         weights.append(weight.take(kept))
         characteristics += [groups[g][0] for g in kept]
         labels += [groups[g][1] for g in kept]
         strata_column += [stratum] * kept.size
-    picks = np.concatenate(picks, axis=2)
-    return GroupExposures(table.year, characteristics, labels, strata_column, tuple(loci),
-                          np.concatenate(means, axis=1), picks[:, 0], picks[:, 1],
-                          np.concatenate(weights)).checked()
-
-
-def compute_group_exposures(aligned: AlignedTable) -> GroupExposures:
-    """Every (group, stratum)'s exposure at the table's locus."""
-    return _group_exposures(aligned, {aligned.locus: aligned.values(aligned.locus)})
-
-
-def compute_hw_exposures(pairs: AlignedTable, weights: HWWeights) -> GroupExposures:
-    """Every (group, stratum)'s exposure at loci H, W, and HW over the OD
-    population, with the H-minus-HW error.
-
-    H, W, and HW are aggregated over the same resolvable pairs, so the error
-    identity error = work_fraction * (H - W) holds to float precision. Strata
-    are assigned by residential (home-tract) location.
-    """
-    home, work = pairs.values(LOCUS_HOME), pairs.values(LOCUS_WORK)
-    loci = {LOCUS_HOME: home, LOCUS_WORK: work, LOCUS_BLEND: hw_blend(home, work, weights)}
-    frame = _group_exposures(pairs, loci)
-    h_mean, hw_mean = frame.mean[0], frame.mean[2]
-    error = h_mean - hw_mean
+    means, picks = map(np.hstack, zip(*slices))  # (groups,) means, (2, groups) picks
+    frame = GroupExposures(table.year, characteristics, labels, strata_column, locus, means,
+                           *picks, np.concatenate(weights)).checked()
+    if home is None:
+        return frame
+    h_mean = np.concatenate(h_means)
+    error = h_mean - frame.mean
     undefined = np.flatnonzero(h_mean == 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         percent = np.where(h_mean != 0.0, 100.0 * error / h_mean, math.nan)
@@ -327,5 +313,23 @@ def compute_hw_exposures(pairs: AlignedTable, weights: HWWeights) -> GroupExposu
                      frame.stratum[row])
     if undefined.size:
         logger.warning("year %d: H mean is zero in %d OD group/stratum slice(s); "
-                       "their percent error is NaN", pairs.year, undefined.size)
+                       "their percent error is NaN", table.year, undefined.size)
     return frame._replace(error=error, percent_error=percent)
+
+
+def compute_group_exposures(aligned: AlignedTable) -> GroupExposures:
+    """Every (group, stratum)'s exposure at the table's locus."""
+    return _group_exposures(aligned, aligned.locus, aligned.values(aligned.locus))
+
+
+def compute_hw_exposures(pairs: AlignedTable, weights: HWWeights) -> GroupExposures:
+    """Every (group, stratum)'s HW exposure over the OD population, with the
+    H-minus-HW error: one sort per stratum, for the HW percentiles.
+
+    The H means are taken over the same resolvable pairs and weights, so the
+    error identity error = work_fraction * (H - W) holds to float precision.
+    Strata are assigned by residential (home-tract) location.
+    """
+    home = pairs.values(LOCUS_HOME)
+    return _group_exposures(pairs, LOCUS_BLEND,
+                            hw_blend(home, pairs.values(LOCUS_WORK), weights), home)

@@ -64,8 +64,8 @@ def read_asc(path: str) -> ConcentrationGrid:
 
     Recognized header keywords: ncols, nrows, xllcorner, yllcorner, cellsize,
     NODATA_value (optional, default -9999). Data rows follow, top row first,
-    and may wrap across lines. Cell values other than NODATA_value (which
-    may be NaN) must be finite.
+    and may wrap across lines. The corners, the cell size and cell values
+    other than NODATA_value (which may be NaN or infinite) must be finite.
     """
     header, values = _read_asc(path, fast=True)
     if values is None:
@@ -120,6 +120,8 @@ def _read_asc(path: str, fast: bool) -> tuple[dict[str, float], np.ndarray | Non
                 if key in ("ncols", "nrows") and not (header[key].is_integer() and header[key] > 0):
                     raise FormatError(
                         f"{path}:{lineno}: {key} must be a positive integer, got {tokens[1]!r}")
+                if key in ("xllcorner", "yllcorner", "cellsize") and not math.isfinite(header[key]):
+                    raise FormatError(f"{path}:{lineno}: {key} must be finite, got {tokens[1]!r}")
             elif fast:
                 try:  # ragged lines, or a token only Python's float() takes
                     data = np.loadtxt(itertools.chain([line], fh), dtype=np.float64,

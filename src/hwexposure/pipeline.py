@@ -253,11 +253,10 @@ def _count_drops(state: RunState, year: int, drops: dict[str, int]) -> None:
                        year, total_dropped, drops)
 
 
-def _exposure_block(frame: exposure.GroupExposures, locus: str) -> list:
-    """exposure.csv block of one frame at one of its loci."""
-    k = frame.loci.index(locus)
-    return [frame.year, frame.group_keys, locus, frame.stratum,
-            frame.mean[k], frame.p10[k], frame.p90[k], frame.weight]
+def _exposure_block(frame: exposure.GroupExposures) -> list:
+    """exposure.csv block of one frame."""
+    return [frame.year, frame.group_keys, frame.locus, frame.stratum,
+            frame.mean, frame.p10, frame.p90, frame.weight]
 
 
 def _stage_exposure(state: RunState, data: YearData) -> None:
@@ -270,8 +269,6 @@ def _stage_exposure(state: RunState, data: YearData) -> None:
         exposure.compute_group_exposures(aligned) for aligned in (data.homes, data.works)]
     for aligned, frame in zip((data.homes, data.works), frames):
         _skip_left_out(skips, aligned, frame)
-    exposure_blocks = state.reports("exposure.csv")[0]
-    exposure_blocks += [_exposure_block(frame, frame.loci[0]) for frame in frames]
     drops = {"rac": data.homes.dropped_weight, "wac": data.works.dropped_weight}
     od_pairs = 0
     if config.od:  # error.csv exists only with an OD table
@@ -280,9 +277,9 @@ def _stage_exposure(state: RunState, data: YearData) -> None:
         _skip_left_out(skips, data.pairs, od)
         frames = [*frames, od]
         drops["od"] = data.pairs.dropped_weight
-        exposure_blocks.append(_exposure_block(od, exposure.LOCUS_BLEND))
         state.reports("error.csv")[0].append(
             [year, od.group_keys, od.stratum, od.error, od.percent_error])
+    state.reports("exposure.csv")[0].extend(map(_exposure_block, frames))
     _count_drops(state, year, drops)
     state.manifest_stages.setdefault("exposure", {"years": {}})["years"][str(year)] = {
         "rac_tracts": rac_tracts,
@@ -301,7 +298,7 @@ def _skip_left_out(skips: dict[str, int], table: exposure.AlignedTable,
     left_out = asked - len(frame.weight)
     if left_out:
         _skip(skips, "zero-weight-group", "%s %s: %d (stratum, group) slices" % (
-            table.year, frame.loci[-1], left_out), left_out)
+            table.year, frame.locus, left_out), left_out)
 
 
 def _transpose(rows: Sequence[tuple], n_text: int, width: int) -> list:
@@ -330,13 +327,13 @@ def _gap_and_atkinson_blocks(year: int, frames: Sequence[exposure.GroupExposures
         start = 0
         for (stratum, characteristic), run in itertools.groupby(
                 zip(frame.stratum, frame.characteristic)):
-            key = (frame.loci[0], stratum, characteristic)
+            key = (frame.locus, stratum, characteristic)
             rows = slice(start, start + len(list(run)))
             if characteristic == exposure.ALL_GROUP[0]:
-                national[key[:2]] = float(frame.mean[0, start])
+                national[key[:2]] = float(frame.mean[start])
             else:
                 slices[key] = (frame.characteristic[rows], frame.label[rows],
-                               frame.weight[rows], frame.mean[0, rows])
+                               frame.weight[rows], frame.mean[rows])
             start = rows.stop
     no_rows = ([], [], np.empty(0), np.empty(0))
     gaps, curves = [], []
@@ -567,7 +564,7 @@ def _stage_bias(state: RunState, data: YearData) -> None:
                 biases.append(bias)
             test_keys.append(group_key)
             ns.append(n)
-            tests.append(pooled.test(w, w))
+            tests.append(biasstats.wilcoxon_rank_sum_grouped(pooled, w, w))
         bias_blocks.append([year, bias_keys, stratum, *_transpose(
             [(m.sigma2, m.phi, m.omega2, b) for m, b in zip(moment_list, biases)], 0, 4)])
         wilcoxon_blocks.append([year, test_keys, stratum, np.array(ns), np.array(ns),

@@ -52,7 +52,11 @@ ExposureRecord, ErrorRecord, GapResult and AtkinsonResult are the per-record
 dataclasses that the columnar exposure.GroupExposures frame replaced;
 exposure_records and error_records turn a frame into them, frame_of turns
 records of one locus into a frame, and compute_hw_exposures returns the OD
-frame as the two record lists.
+frame as the two record lists. oracle_loci_group_exposures and
+oracle_three_locus_hw_exposures are exposure._group_exposures and
+compute_hw_exposures as they were, when the OD frame (an OracleLociExposures)
+held H, W and HW rows and sorted once per (locus, stratum), before it held
+the HW rows alone.
 oracle_group_records, oracle_columns, oracle_extreme_group_gap,
 oracle_atkinson, oracle_atkinson_pipeline, oracle_threshold_share and
 oracle_threshold_rows are the record regrouping, the attribute-to-column
@@ -1087,12 +1091,12 @@ class ErrorRecord:
 
 
 def exposure_records(frame: exposure.GroupExposures) -> list[ExposureRecord]:
-    """One record per (row, locus) of a frame, loci within a row."""
+    """One record per row of a frame."""
     return [
-        ExposureRecord(frame.year, frame.characteristic[r], frame.label[r], locus,
-                       frame.stratum[r], float(frame.mean[k, r]), float(frame.p10[k, r]),
-                       float(frame.p90[k, r]), float(frame.weight[r]))
-        for r in range(len(frame.weight)) for k, locus in enumerate(frame.loci)
+        ExposureRecord(frame.year, frame.characteristic[r], frame.label[r], frame.locus,
+                       frame.stratum[r], float(frame.mean[r]), float(frame.p10[r]),
+                       float(frame.p90[r]), float(frame.weight[r]))
+        for r in range(len(frame.weight))
     ]
 
 
@@ -1113,14 +1117,77 @@ def frame_of(records: Sequence[ExposureRecord]) -> exposure.GroupExposures:
 
     return exposure.GroupExposures(
         year, [r.characteristic for r in records], [r.group for r in records],
-        [r.stratum for r in records], (locus,), column("mean")[None], column("p10")[None],
-        column("p90")[None], column("weight"))
+        [r.stratum for r in records], locus, column("mean"), column("p10"), column("p90"),
+        column("weight"))
 
 
 def compute_hw_exposures(*args, **kwargs) -> tuple[list[ExposureRecord], list[ErrorRecord]]:
     """exposure.compute_hw_exposures as exposure and error record lists."""
     frame = exposure.compute_hw_exposures(*args, **kwargs)
     return exposure_records(frame), error_records(frame)
+
+
+class OracleLociExposures(NamedTuple):
+    """exposure.GroupExposures as it was: ``mean``, ``p10`` and ``p90`` are
+    (loci x rows) matrices, one row per entry of ``loci``."""
+
+    year: int
+    characteristic: list[str]
+    label: list[str]
+    stratum: list[str]
+    loci: tuple[str, ...]
+    mean: np.ndarray
+    p10: np.ndarray
+    p90: np.ndarray
+    weight: np.ndarray
+    error: np.ndarray | None = None
+    percent_error: np.ndarray | None = None
+
+
+def oracle_loci_group_exposures(table: exposure.AlignedTable,
+                                loci: dict[str, np.ndarray]) -> OracleLociExposures:
+    """exposure._group_exposures as it was: every group's weight and, per
+    locus, its mean, p10 and p90 over that locus's row values; one weight
+    matrix and one kernel call (so one sort) per (locus, stratum)."""
+    groups = list(exposure.iter_groups(table))
+    counts = np.vstack([group_counts for *_, group_counts in groups], dtype=np.float64)
+    characteristics, labels, strata_column = [], [], []
+    weights = [np.empty(0)]
+    means, picks = [np.empty((len(loci), 0))], [np.empty((len(loci), 2, 0))]
+    for stratum, mask in exposure.stratum_masks(table).items():
+        w = counts.compress(mask, axis=1)
+        weight = w.sum(axis=1)
+        kept = np.flatnonzero(weight)
+        if not kept.size:
+            continue
+        if kept.size < len(w):
+            w = w.take(kept, axis=0)
+        slices = [exposure.ValueSlice(values.compress(mask)).stats(w, (0.10, 0.90))
+                  for values in loci.values()]
+        means.append(np.array([m for m, _ in slices]))
+        picks.append(np.array([p for _, p in slices]))
+        weights.append(weight.take(kept))
+        characteristics += [groups[g][0] for g in kept]
+        labels += [groups[g][1] for g in kept]
+        strata_column += [stratum] * kept.size
+    picks = np.concatenate(picks, axis=2)
+    return OracleLociExposures(table.year, characteristics, labels, strata_column, tuple(loci),
+                               np.concatenate(means, axis=1), picks[:, 0], picks[:, 1],
+                               np.concatenate(weights))
+
+
+def oracle_three_locus_hw_exposures(pairs: exposure.AlignedTable,
+                                    weights: exposure.HWWeights) -> OracleLociExposures:
+    """exposure.compute_hw_exposures as it was: H, W and HW over the OD
+    population, each sorted per stratum, and the error of the H and HW rows."""
+    home, work = pairs.values("H"), pairs.values("W")
+    frame = oracle_loci_group_exposures(
+        pairs, {"H": home, "W": work, "HW": exposure.hw_blend(home, work, weights)})
+    h_mean, hw_mean = frame.mean[0], frame.mean[2]
+    error = h_mean - hw_mean
+    with np.errstate(divide="ignore", invalid="ignore"):
+        percent = np.where(h_mean != 0.0, 100.0 * error / h_mean, math.nan)
+    return frame._replace(error=error, percent_error=percent)
 
 
 def oracle_group_exposures(aligned, schemas, classification=None,

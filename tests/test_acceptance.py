@@ -25,17 +25,32 @@ from helpers import (
     PolygonPart,
     TractGeometry,
     compute_hw_exposures,
+    oracle_hw_exposures,
     points_in_parts,
     random_star_polygon,
     zonal_weighted_mean,
 )
 
 from hwexposure import pipeline, synth
-from hwexposure.biasstats import ErrorMoments, PooledSamples, bias_factor, error_moments
+from hwexposure.biasstats import (
+    ErrorMoments,
+    PooledSamples,
+    bias_factor,
+    error_moments,
+    wilcoxon_rank_sum_grouped,
+)
 from hwexposure.disparity import _atkinson_curve
-from hwexposure.exposure import ValueSlice, hw_blend, resolve_pairs
+from hwexposure.exposure import ValueSlice, hw_blend, reported_strata, resolve_pairs
+from hwexposure.geometry import geoid_text
 from hwexposure.grids import ConcentrationGrid
-from hwexposure.ingest import WorkerTable, aggregate_od, aggregate_to_tracts, read_od_csv
+from hwexposure.ingest import (
+    OD_SCHEMAS,
+    WorkerTable,
+    aggregate_od,
+    aggregate_to_tracts,
+    read_od_csv,
+)
+from hwexposure.zonal import STRATA
 
 
 def report(number: int, text: str) -> None:
@@ -49,7 +64,7 @@ def atkinson(shares, values, eps: float) -> float:
 
 def rank_sum(a, b):
     """The engine's rank-sum test of two unweighted samples."""
-    return PooledSamples(a, b).test([1] * len(a), [1] * len(b))
+    return wilcoxon_rank_sum_grouped(PooledSamples(a, b), [1] * len(a), [1] * len(b))
 
 
 # ----------------------------------------------------------------------------
@@ -158,9 +173,15 @@ def test_c3_blend_and_error_identity(tmp_path):
     surface = data.surface
     od = aggregate_od(read_od_csv(str(world / "od_2011.csv")))
     assert surface.strata is state.classification is not None
-    records, errors = compute_hw_exposures(resolve_pairs(surface, od), HW_WEIGHTS)
+    pairs = resolve_pairs(surface, od)
+    _, errors = compute_hw_exposures(pairs, HW_WEIGHTS)
+    # the OD frame holds HW alone; H and W come from the per-group oracle
+    classification = dict(zip(geoid_text(surface.ids), (STRATA[c] for c in surface.strata)))
+    records, _ = oracle_hw_exposures(pairs, OD_SCHEMAS, HW_WEIGHTS, classification,
+                                     reported_strata(surface))
     means = {(r.group_key, r.stratum, r.locus): r.mean for r in records}
     assert errors, "no error records computed"
+    assert len(records) == 3 * len(errors)
     for err in errors:
         h = means[(err.group_key, err.stratum, "H")]
         w = means[(err.group_key, err.stratum, "W")]

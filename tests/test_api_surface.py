@@ -8,9 +8,7 @@ from pathlib import Path
 import hwexposure
 
 # name -> why it stays without a caller in src/
-ALLOWED = {
-    "wilcoxon_rank_sum_grouped": "a layer the benchmark traces by this name (perfbench/traced_run.py)",
-}
+ALLOWED: dict[str, str] = {}
 
 
 def test_every_function_in_src_is_referenced_in_src():

@@ -161,12 +161,12 @@ def test_bias_monte_carlo_regression_oracle(sigma2, phi, omega2):
 
 
 # ----------------------------------------------------------------------------
-# PooledSamples.test on unweighted samples
+# wilcoxon_rank_sum_grouped on unweighted samples
 # ----------------------------------------------------------------------------
 
 def rank_sum(a, b):
     """The engine's rank-sum test of two unweighted samples."""
-    return PooledSamples(a, b).test([1] * len(a), [1] * len(b))
+    return wilcoxon_rank_sum_grouped(PooledSamples(a, b), [1] * len(a), [1] * len(b))
 
 
 def normal_p(result) -> float:
@@ -300,7 +300,7 @@ def test_wilcoxon_u_complement_identity(seed):
 def test_wilcoxon_grouped_matches_expanded():
     values_a, counts_a = [5.0, 7.0, 9.0], [3, 0, 2]
     values_b, counts_b = [6.0, 7.0], [4, 1]
-    grouped = wilcoxon_rank_sum_grouped(values_a, counts_a, values_b, counts_b)
+    grouped = wilcoxon_rank_sum_grouped(PooledSamples(values_a, values_b), counts_a, counts_b)
     expanded = rank_sum(
         [v for v, c in zip(values_a, counts_a) for _ in range(c)],
         [v for v, c in zip(values_b, counts_b) for _ in range(c)],
@@ -371,8 +371,7 @@ def test_pooled_rank_sums_match_dict_oracle(case):
     pooled = PooledSamples(values_a, values_b)
     for row_a, row_b in zip(counts_a, counts_b):
         want = outcome(oracle_rank_sum_grouped, values_a, row_a, values_b, row_b)
-        assert outcome(pooled.test, row_a, row_b) == want
-        assert outcome(wilcoxon_rank_sum_grouped, values_a, row_a, values_b, row_b) == want
+        assert outcome(wilcoxon_rank_sum_grouped, pooled, row_a, row_b) == want
 
 
 @pytest.mark.parametrize("tie", [1_000_000, 2_097_151, 2_097_152, 3_000_000])
@@ -384,7 +383,8 @@ def test_pooled_rank_sum_tie_term_past_int64(tie):
     values_b, counts_b = [1.0, 0.5, 3.0], [5, 13, 2]
     assert (tie ** 3 >= 2 ** 63) == (tie > 2_097_151)
     want = outcome(oracle_rank_sum_grouped, values_a, counts_a, values_b, counts_b)
-    assert outcome(PooledSamples(values_a, values_b).test, counts_a, counts_b) == want
+    assert outcome(wilcoxon_rank_sum_grouped, PooledSamples(values_a, values_b),
+                   counts_a, counts_b) == want
 
 
 @pytest.mark.parametrize("counts_a, counts_b", [
@@ -398,10 +398,10 @@ def test_pooled_rank_sum_past_int64_matches_python_ints(counts_a, counts_b):
     n = sum(counts_a) + sum(counts_b)
     assert n * (2 * n + 1) >= 2 ** 63
     want = oracle_rank_sum_grouped(values_a, counts_a, values_b, counts_b)
-    got = PooledSamples(values_a, values_b).test(counts_a, counts_b)
+    got = wilcoxon_rank_sum_grouped(PooledSamples(values_a, values_b), counts_a, counts_b)
     assert (got.u, got.z, got.p_value) == (want.u, want.z, want.p_value)
 
 
 def test_pooled_rank_sum_rejects_misaligned_counts():
     with pytest.raises(ContractError, match="align"):
-        PooledSamples([1.0, 2.0], [3.0]).test([1], [1])
+        wilcoxon_rank_sum_grouped(PooledSamples([1.0, 2.0], [3.0]), [1], [1])

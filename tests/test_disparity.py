@@ -879,7 +879,7 @@ def test_gap_and_atkinson_blocks_match_record_oracle(seed, n_tracts, epsilons):
                 == pipeline._csv_lines(name, HEADERS[name], oracle_block))
     # the oracle sees only the slices with rows; each asked slice without
     # rows is one more gap and Atkinson skip
-    present = {(frame.loci[0], stratum, characteristic) for frame in frames
+    present = {(frame.locus, stratum, characteristic) for frame in frames
                for stratum, characteristic in zip(frame.stratum, frame.characteristic)}
     empty = sum(key not in present for key in asked)
     assert skips == dict(Counter(oracle_skips) + Counter({"gap": empty, "atkinson": empty}))

@@ -5,6 +5,7 @@ import json
 import logging
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -47,6 +48,7 @@ from helpers import (
     oracle_hw_exposures,
     oracle_schema_groups,
     oracle_searched_stratum_masks,
+    oracle_three_locus_hw_exposures,
     oracle_tract_strata,
     oracle_valued_join,
     oracle_valued_surface,
@@ -467,9 +469,12 @@ def test_hw_degenerate_commute():
         (geoid(0), geoid(0)): (3, {"SA01": 3, "SA02": 0, "SA03": 0}),
         (geoid(1), geoid(1)): (2, {"SA01": 0, "SA02": 2, "SA03": 0}),
     })
-    records, errors = compute_hw_exposures(resolve_pairs(surface, od), HW_WEIGHTS)
-    by = {(r.group_key, r.locus): r for r in records}
-    assert by[("all", "H")].mean == by[("all", "W")].mean == by[("all", "HW")].mean
+    pairs = resolve_pairs(surface, od)
+    records, errors = compute_hw_exposures(pairs, HW_WEIGHTS)
+    # the frame holds HW alone; the H and W means come from the per-group oracle
+    by = {(r.group_key, r.locus): r for r in oracle_hw_exposures(pairs, OD_AGE, HW_WEIGHTS)[0]}
+    assert (records[0].group_key, records[0].locus) == ("all", "HW")
+    assert by[("all", "H")].mean == by[("all", "W")].mean == records[0].mean
     for err in errors:
         assert err.error == 0.0
         assert err.percent_error == 0.0
@@ -492,8 +497,8 @@ def test_hw_empty_od():
     zero = od_matrix({(geoid(0), geoid(0)): (0, {"SA01": 0, "SA02": 0, "SA03": 0})})
     for od in (od_matrix({}), zero):
         frame = exposure.compute_hw_exposures(resolve_pairs(surface, od), HW_WEIGHTS)
-        assert frame.loci == ("H", "W", "HW")
-        assert frame.mean.shape == frame.p10.shape == frame.p90.shape == (3, 0)
+        assert frame.locus == "HW"
+        assert frame.mean.shape == frame.p10.shape == frame.p90.shape == (0,)
         assert frame.weight.size == frame.error.size == frame.percent_error.size == 0
 
 
@@ -527,10 +532,14 @@ def random_od_world(seed, n_tracts=40, n_pairs=300):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_hw_error_identity(seed):
     surface, od = random_od_world(seed)
-    surface = with_strata(surface, {
-        g: ("urban" if i % 3 else "rural") for i, g in enumerate(surface_entries(surface))})
-    records, errors = compute_hw_exposures(resolve_pairs(surface, od), HW_WEIGHTS)
+    classification = {
+        g: ("urban" if i % 3 else "rural") for i, g in enumerate(surface_entries(surface))}
+    pairs = resolve_pairs(with_strata(surface, classification), od)
+    _, errors = compute_hw_exposures(pairs, HW_WEIGHTS)
+    # the H and W means the OD frame no longer holds, from the per-group oracle
+    records, _ = oracle_hw_exposures(pairs, OD_AGE, HW_WEIGHTS, classification, STRATA)
     by = {(r.group_key, r.stratum, r.locus): r.mean for r in records}
+    assert len(records) == 3 * len(errors)
     for err in errors:
         h = by[(err.group_key, err.stratum, "H")]
         w = by[(err.group_key, err.stratum, "W")]
@@ -565,8 +574,8 @@ def test_hw_stratum_assigned_by_home_tract():
 
 
 def one_row_frame(p10, p90, weight):
-    return GroupExposures(2011, ["all"], ["all"], ["all"], ("H",), np.array([[5.0]]),
-                          np.array([[p10]]), np.array([[p90]]), np.array([weight]))
+    return GroupExposures(2011, ["all"], ["all"], ["all"], "H", np.array([5.0]),
+                          np.array([p10]), np.array([p90]), np.array([weight]))
 
 
 def test_exposure_record_validates():
@@ -576,12 +585,13 @@ def test_exposure_record_validates():
         one_row_frame(5.0, 5.0, -1.0).checked()
     frame = one_row_frame(5.0, 5.0, 1.0)
     assert frame.checked() is frame
-    # the first failing row is named, and within it the first failing locus
-    frame = GroupExposures(2011, ["all", "all"], ["all", "all"], ["all", "urban"],
-                           ("H", "W"), np.zeros((2, 2)), np.array([[0.0, 3.0], [2.0, 0.0]]),
-                           np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 1.0]))
+    # the first failing row is named, whichever check it fails
+    frame = GroupExposures(2011, ["all"] * 3, ["all"] * 3, ["all", "urban", "rural"], "H",
+                           np.zeros(3), np.array([0.0, 2.0, 3.0]), np.ones(3), np.ones(3))
     with pytest.raises(ValueError, match=r"^p10 2\.0 > p90 1\.0$"):
         frame.checked()
+    with pytest.raises(ValueError, match=r"^negative weight -1\.0$"):
+        frame._replace(weight=np.array([1.0, -1.0, 1.0]), p10=np.array([0.0, 0.0, 3.0])).checked()
 
 
 # ----------------------------------------------------------------------------
@@ -683,11 +693,48 @@ def test_group_and_hw_exposures_match_per_group_oracle(case):
     ) == records_text(oracle_group_exposures, aligned, AGE, classification, STRATA)
     pairs = AlignedTable(surface, ("H", "W"), (home, work), counts[0],
                          ("SA01", "SA02", "SA03"), counts[1:], 0)
+
+    def oracle_hw_rows(*args, **kwargs):
+        # the OD frame holds the HW rows of the oracle's H, W and HW
+        records, errors = oracle_hw_exposures(*args, **kwargs)
+        return [r for r in records if r.locus == "HW"], errors
+
     assert records_text(
         compute_hw_exposures, pairs, HW_WEIGHTS,
-    ) == records_text(oracle_hw_exposures, pairs, OD_AGE, HW_WEIGHTS,
+    ) == records_text(oracle_hw_rows, pairs, OD_AGE, HW_WEIGHTS,
                       classification=classification,
                       strata=STRATA)
+
+
+@given(classified_slices(), st.sampled_from([1.0, 0.1, 1 / 3]))
+@settings(max_examples=300, deadline=None)
+def test_hw_frame_is_the_three_locus_frames_hw_rows_with_one_sort_per_stratum(case, scale):
+    # the one-locus OD kernel against the three-locus kernel it replaced: the
+    # same HW rows, error and percent error bit for bit, with one sort per
+    # stratum that has workers where the old kernel sorted H, W and HW; a
+    # scale of 0.1 or 1/3 makes the values inexact, so that a sum in another
+    # order shows in the bits
+    surface_values, home, work, counts, classification = case
+    surface = with_strata(tract_surface(
+        2011, dict(zip(map(geoid, range(13)), surface_values * scale))), classification)
+    pairs = AlignedTable(surface, ("H", "W"), (home, work), counts[0],
+                         ("SA01", "SA02", "SA03"), counts[1:], 0)
+    with mock.patch.object(exposure, "stable_argsort", wraps=stable_argsort) as sorts:
+        frame = exposure.compute_hw_exposures(pairs, HW_WEIGHTS)
+        new_sorts = sorts.call_count
+        old = oracle_three_locus_hw_exposures(pairs, HW_WEIGHTS)
+    k = old.loci.index("HW")
+    assert frame.locus == "HW"
+    assert repr([frame.characteristic, frame.label, frame.stratum, frame.weight.tolist(),
+                 frame.mean.tolist(), frame.p10.tolist(), frame.p90.tolist(),
+                 frame.error.tolist(), frame.percent_error.tolist()]) == repr(
+        [old.characteristic, old.label, old.stratum, old.weight.tolist(),
+         old.mean[k].tolist(), old.p10[k].tolist(), old.p90[k].tolist(),
+         old.error.tolist(), old.percent_error.tolist()])
+    with_workers = sum(bool(counts.compress(mask, axis=1).any())
+                       for mask in stratum_masks(pairs).values())
+    assert new_sorts == with_workers
+    assert sorts.call_count - new_sorts == 3 * with_workers
 
 
 @given(classified_slices())

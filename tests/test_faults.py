@@ -196,6 +196,22 @@ def test_unreadable_input_names_the_file(tmp_path, caplog, kind, fault, reason):
         assert f"stage {stage}: {path}: cannot read: {reason}" in caplog.text
 
 
+@pytest.mark.parametrize("key, value", [
+    ("xllcorner", "nan"), ("xllcorner", "inf"), ("cellsize", "nan"), ("cellsize", "inf"),
+])
+def test_non_finite_grid_header_names_the_line(tmp_path, caplog, key, value):
+    # a NaN or infinite corner or cell size is a named fault: it once ended
+    # the run in a traceback, or (cellsize inf) in exit 0 with every tract
+    # excluded and every worker dropped
+    world = make_world(tmp_path)
+    grid = world / "grid_2011.asc"
+    lines = grid.read_text(encoding="utf-8").splitlines()
+    line = next(n for n, text in enumerate(lines, start=1) if text.split()[0] == key)
+    edit_lines(grid, lambda lines: lines.__setitem__(line - 1, f"{key} {value}"))
+    assert run(world, tmp_path / "out") == 1
+    assert f"stage surface: {grid}:{line}: {key} must be finite, got '{value}'" in caplog.text
+
+
 def add_second_year(world: Path) -> Path:
     """Give the world 2012 copies of its 2011 grid and tables; returns the
     2012 grid's path, which the config's grid_{year}.asc template names."""

@@ -251,6 +251,19 @@ def test_read_asc_nan_nodata_marker(tmp_path, wrapped):
         read_asc(str(nan))
 
 
+def test_read_asc_inf_nodata_marker(tmp_path):
+    # the header's corners and cell size must be finite, its marker need not
+    # be: an infinite marker marks the infinite cells, and a NaN cell is
+    # still refused
+    rect, marked = tmp_path / "rect.asc", tmp_path / "inf.asc"
+    rect.write_text(ASC_TEXT)
+    marked.write_text(ASC_TEXT.replace("-9999", "inf"))
+    assert_same_grid(read_asc(str(marked)), read_asc(str(rect)))
+    marked.write_text(marked.read_text().replace("6.0", "nan"))
+    with pytest.raises(FormatError, match=r"inf\.asc:8: non-finite cell value nan"):
+        read_asc(str(marked))
+
+
 def test_read_xyz_csv_later_point_wins(tmp_path):
     path = tmp_path / "grid.csv"
     path.write_text("x,y,value\n0.5,0.5,1.0\n1.5,0.5,2.0\n0.5,0.5,3.0\n")
