@@ -10,13 +10,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (
-    ContractError,
-    DomainError,
-    EmptyPopulationError,
-    InsufficientGroupsError,
-    InsufficientTractsError,
-)
+from .errors import DegenerateSliceError
 from .exposure import format_group
 
 
@@ -53,11 +47,9 @@ def extreme_group_gap(characteristics: Sequence[str], groups: Sequence[str],
     percentage of the supplied national mean.
     """
     if len(groups) < 2:
-        raise InsufficientGroupsError(f"need >= 2 groups, got {len(groups)}")
-    if len(set(characteristics)) != 1:
-        raise ContractError(f"groups span characteristics {sorted(set(characteristics))}")
+        raise DegenerateSliceError(f"need >= 2 groups, got {len(groups)}")
     if national_mean <= 0.0:
-        raise DomainError(f"national mean must be positive, got {national_mean}")
+        raise DegenerateSliceError(f"national mean must be positive, got {national_mean}")
     order = sorted(range(len(groups)), key=groups.__getitem__)
     ranked = np.asarray(means, dtype=np.float64).take(order)
     most, least = order[int(np.argmax(ranked))], order[int(np.argmin(ranked))]
@@ -115,11 +107,9 @@ def percentile_bin_curve(ranking: CompositionRanking, n_bins: int) -> Percentile
     The ranked tracts are split into ``n_bins`` contiguous bins; each bin's
     exposure is the group-count-weighted mean concentration over its tracts.
     """
-    if n_bins < 2:
-        raise ContractError(f"n_bins must be >= 2, got {n_bins}")
     n_tracts = ranking.counts.shape[1]
     if n_tracts < n_bins:
-        raise InsufficientTractsError(
+        raise DegenerateSliceError(
             f"need >= {n_bins} tracts for {n_bins} bins, got {n_tracts}"
         )
     totals = _bin_sums(ranking.counts, n_bins)
@@ -130,10 +120,8 @@ def percentile_bin_curve(ranking: CompositionRanking, n_bins: int) -> Percentile
 
 
 def decile_contrast(curves: PercentileBinCurves) -> np.ndarray:
-    """Top-decile exposure minus bottom-decile exposure per group; needs
-    exactly 10 bins."""
-    if len(curves.n_tracts) != 10:
-        raise ContractError(f"decile contrast needs 10 bins, got {len(curves.n_tracts)}")
+    """Top-bin exposure minus bottom-bin exposure per group: the decile
+    contrast of a 10-bin curve."""
     return curves.exposure[:, -1] - curves.exposure[:, 0]
 
 
@@ -153,9 +141,7 @@ def population_share_by_concentration_decile(
     ranked = np.asarray(fractions, dtype=np.float64).take(order, axis=1)
     n_tracts = ranked.shape[1]
     if n_tracts < 10:
-        raise InsufficientTractsError(f"need >= 10 tracts, got {n_tracts}")
-    if not np.isfinite(ranked).all():
-        raise ValueError("group fractions must be finite: every tract needs a positive total")
+        raise DegenerateSliceError(f"need >= 10 tracts, got {n_tracts}")
     # np.mean is the pairwise sum divided by the count
     means = _bin_sums(ranked, 10) / _bin_sizes(n_tracts, 10)
     return DecileShares(means=means, difference=means[:, -1] - means[:, 0])
@@ -164,27 +150,20 @@ def population_share_by_concentration_decile(
 def _atkinson_curve(shares: Sequence[float], values: Sequence[float],
                     epsilons: Sequence[float]) -> list[float]:
     """Between-group Atkinson index at each aversion parameter of
-    ``epsilons``, with the shares and values checked once.
+    ``epsilons`` (each >= 0, by the config rule), over a slice of groups.
 
-    ``shares`` are population fractions (positive, summing to 1); ``values``
-    are positive group means. epsilon = 1 uses the geometric-mean limit.
+    ``shares`` are population fractions (positive, summing to 1) and
+    ``values`` positive group values, one per share, as ``atkinson_pipeline``
+    gives them. epsilon = 1 uses the geometric-mean limit.
     """
     f = np.asarray(shares, dtype=np.float64)
     y = np.asarray(values, dtype=np.float64)
-    if f.size == 0 or f.size != y.size:
-        raise DomainError(f"need matching non-empty shares/values, got {f.size}/{y.size}")
-    if (f <= 0.0).any():
-        raise DomainError("population shares must be positive")
-    if abs(float(np.sum(f)) - 1.0) > 1e-9:
-        raise DomainError(f"population shares must sum to 1, got {float(np.sum(f))}")
-    if (y <= 0.0).any():
-        raise DomainError("group values must be positive")
+    if f.size == 0:
+        raise DegenerateSliceError(f"need matching non-empty shares/values, got {f.size}/{y.size}")
     f = f / float(np.sum(f))
     ratio = y / float(np.sum(f * y))
     curve = []
     for epsilon in epsilons:
-        if epsilon < 0.0:
-            raise DomainError(f"aversion parameter must be >= 0, got {epsilon}")
         if epsilon == 0.0:
             curve.append(0.0)  # reduces to 1 - sum(f*y)/ybar, identically zero
             continue
@@ -212,7 +191,7 @@ def atkinson_pipeline(characteristics: Sequence[str], groups: Sequence[str],
     bad = np.flatnonzero(means <= 0.0)
     if bad.size:
         g = order[bad[0]]
-        raise DomainError(
+        raise DegenerateSliceError(
             f"group {format_group(characteristics[g], groups[g])} has "
             f"non-positive mean {float(means[bad[0]])}; cannot invert concentrations"
         )
@@ -226,7 +205,7 @@ def state_disparity(group_mean: float | np.ndarray, state_mean: float,
     """Group-minus-state exposure gap, normalized by the national mean;
     ``group_mean`` may be an array of group means."""
     if national_mean <= 0.0:
-        raise DomainError(f"national mean must be positive, got {national_mean}")
+        raise DegenerateSliceError(f"national mean must be positive, got {national_mean}")
     return (group_mean - state_mean) / national_mean
 
 
@@ -242,7 +221,7 @@ def threshold_share(values: Sequence[float], weights: Sequence[float] | np.ndarr
     wts = np.ascontiguousarray(weights, dtype=np.float64)
     total = wts.sum(axis=-1)
     if vals.size == 0 or (total <= 0.0).any():
-        raise EmptyPopulationError("total weight is zero")
+        raise DegenerateSliceError("total weight is zero")
     shares = 100.0 * wts.compress(vals > threshold, axis=-1).sum(axis=-1) / total
     return shares if wts.ndim > 1 else float(shares)
 
@@ -255,8 +234,8 @@ def cov_of_shares(qs: Sequence[float]) -> float:
     """
     q = np.asarray(qs, dtype=np.float64)
     if q.size < 2:
-        raise InsufficientGroupsError(f"need >= 2 groups, got {q.size}")
+        raise DegenerateSliceError(f"need >= 2 groups, got {q.size}")
     mean = float(np.mean(q))
     if mean <= 0.0:
-        raise DomainError("mean exceedance share is zero; CoV undefined")
+        raise DegenerateSliceError("mean exceedance share is zero; CoV undefined")
     return math.sqrt(float(np.var(q))) / mean

@@ -25,28 +25,9 @@ class DegenerateGeometryError(EngineError):
     """A polygon ring has fewer than 3 distinct vertices or zero area."""
 
 
-class EmptyPopulationError(EngineError):
-    """A weighted statistic was requested over zero total weight."""
-
-
-class InsufficientGroupsError(EngineError):
-    """A between-group metric needs at least two groups."""
-
-
-class InsufficientTractsError(EngineError):
-    """A binning needs more tracts than were supplied."""
-
-
-class DomainError(EngineError):
-    """An input is outside the mathematical domain of a metric."""
-
-
-class DegenerateVarianceError(DomainError):
-    """The reference exposure has zero variance; moments are undefined."""
-
-
-class ContractError(EngineError):
-    """An internal contract was violated (wrong bin count, empty samples)."""
+class DegenerateSliceError(EngineError):
+    """A metric is undefined on one slice (no workers, too few groups or tracts,
+    zero variance); the stage skips the slice and counts it."""
 
 
 class ConfigError(EngineError):

@@ -22,7 +22,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .config import HWWeights
-from .errors import EmptyPopulationError
 from .ingest import GROUPS, RESIDENCE, WorkerTable
 from .zonal import RURAL, STRATA, URBAN, TractSurface
 
@@ -85,19 +84,16 @@ class ValueSlice:
         self.values = values
 
     def stats(self, weights: np.ndarray, ps: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-        """Per row of ``weights``, sum(value * weight) / sum(weight), and per p
-        the smallest value with positive weight whose cumulative weight
-        reaches p times the row's total, with no interpolation: the means and
-        a (len(ps) x groups) matrix of picks, empty when ``ps`` is."""
-        for p in ps:
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"p must be in [0, 1], got {p}")
+        """Per row of ``weights`` (each with a positive total, as
+        ``_group_exposures`` keeps only groups with workers), sum(value *
+        weight) / sum(weight), and per p in [0, 1] the smallest value with
+        positive weight whose cumulative weight reaches p times the row's
+        total, with no interpolation: the means and a (len(ps) x groups)
+        matrix of picks, empty when ``ps`` is."""
         # every row of a C-contiguous matrix is summed pairwise, as a 1-D
         # np.sum of that row alone would be, and accumulated in order
         weights = np.ascontiguousarray(weights, dtype=np.float64)
         totals = weights.sum(axis=1)
-        if len(self.values) == 0 or (totals <= 0.0).any():
-            raise EmptyPopulationError("total weight is zero")
         # one scratch matrix holds the products, then the ranked cumsum: each
         # large fresh array costs a page fault per 4 kB
         scratch = np.multiply(weights, self.values, out=np.empty_like(weights))

@@ -23,7 +23,7 @@ class ConcentrationGrid:
     """A regular raster of annual-average concentrations (ug/m3) with a nodata
     mask: ``values`` (float64, shape (n_rows, n_cols), row 0 at the bottom) and
     ``nodata`` (bool, same shape; True where the cell has no data), both made
-    read-only."""
+    read-only. The readers give both that shape, with at least one cell."""
 
     __slots__ = ("origin_x", "origin_y", "cell_width", "cell_height", "n_rows", "n_cols",
                  "values", "nodata")
@@ -33,14 +33,6 @@ class ConcentrationGrid:
                  nodata: np.ndarray) -> None:
         if cell_width <= 0 or cell_height <= 0:
             raise FormatError("cell dimensions must be positive")
-        if n_rows <= 0 or n_cols <= 0:
-            raise FormatError("grid dimensions must be positive")
-        shape = (n_rows, n_cols)
-        if values.shape != shape or nodata.shape != shape:
-            raise FormatError(
-                f"value/nodata arrays must have shape {shape}, "
-                f"got {values.shape} and {nodata.shape}"
-            )
         valid = values[~nodata]
         if valid.size and (valid < 0).any():
             raise FormatError("concentrations must be non-negative")

@@ -18,7 +18,7 @@ from typing import Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
-from .errors import FormatError, MalformedGeocodeError, SchemaError, ValidationError
+from .errors import FormatError, MalformedGeocodeError, ValidationError
 
 logger = logging.getLogger(__name__)
 
@@ -34,17 +34,14 @@ class GroupSchema:
     ``partitions_total`` marks characteristics whose categories partition the
     worker total; their per-row category sums must equal the total column.
     Education does not partition (it is only tabulated for workers aged 30+).
+    The schemas are constants of this module; a test checks that every code
+    is named once.
     """
 
     __slots__ = ("characteristic", "categories", "partitions_total")
 
     def __init__(self, characteristic: str, categories: tuple[tuple[str, str], ...],
                  partitions_total: bool = True) -> None:
-        if not categories:
-            raise SchemaError(f"{characteristic}: empty category list")
-        codes = [code for code, _ in categories]
-        if len(set(codes)) != len(codes):
-            raise SchemaError(f"{characteristic}: duplicate column codes")
         self.characteristic = characteristic
         self.categories = categories
         self.partitions_total = partitions_total
@@ -366,10 +363,9 @@ def read_block_csv(path: str, role: str) -> WorkerTable:
     """Read a RAC or WAC style CSV (optionally .gz).
 
     The geocode key column is ``h_geocode`` for residence tables and
-    ``w_geocode`` for workplace tables; the total column is ``C000``.
+    ``w_geocode`` for workplace tables (``role`` is ``RESIDENCE`` or
+    ``WORKPLACE``, as ``read_tracts`` passes it); the total column is ``C000``.
     """
-    if role not in (RESIDENCE, WORKPLACE):
-        raise SchemaError(f"role must be {RESIDENCE!r} or {WORKPLACE!r}, got {role!r}")
     key = "h_geocode" if role == RESIDENCE else "w_geocode"
     return _read_table(path, [key, "C000"], [key], RAC_WAC_SCHEMAS)
 

@@ -27,28 +27,11 @@ import numpy as np
 
 from . import biasstats, disparity, exposure, ingest, zonal
 from .config import STAGES, RunConfig, _check_stage_inputs, load_config  # noqa: F401 (pipeline.load_config)
-from .errors import (
-    ConfigError,
-    DegenerateVarianceError,
-    DomainError,
-    EmptyPopulationError,
-    EngineError,
-    InsufficientGroupsError,
-    InsufficientTractsError,
-)
+from .errors import ConfigError, DegenerateSliceError, EngineError, FormatError
 from .geometry import PolygonSet, geoid_text, read_mask_geojson, read_tracts_geojson
 from .grids import read_asc, read_xyz_csv
 
 logger = logging.getLogger(__name__)
-
-_METRIC_DEGENERACIES = (
-    InsufficientGroupsError,
-    InsufficientTractsError,
-    DomainError,
-    EmptyPopulationError,
-    DegenerateVarianceError,
-)
-
 
 class StageError(EngineError):
     """A stage failed; carries the stage name for diagnostics."""
@@ -222,7 +205,10 @@ def _stage_surface(state: RunState, data: YearData) -> None:
     path = config.path(config.grid, data.year)  # .asc or .csv (XYZ), by the grid rule
     grid = (read_asc if path.suffix == ".asc" else read_xyz_csv)(str(path))
     if state.coverage is None or state.coverage.lattice != grid.lattice:
-        state.coverage = zonal.tract_coverage(state.tracts, grid)
+        try:
+            state.coverage = zonal.tract_coverage(state.tracts, grid)
+        except FormatError as exc:  # a lattice that cannot place the tracts
+            raise FormatError(f"{path}: {exc}") from exc
     data.surface = surface = zonal.build_tract_surface(
         grid, state.coverage, data.year, state.classification if config.strata else None)
     excluded = surface.excluded
@@ -342,13 +328,13 @@ def _gap_and_atkinson_blocks(year: int, frames: Sequence[exposure.GroupExposures
         try:
             gaps.append((*key, *disparity.extreme_group_gap(characteristics, labels, means,
                                                              national.get(key[:2], 0.0))))
-        except _METRIC_DEGENERACIES as exc:
+        except DegenerateSliceError as exc:
             _skip(skips, "gap", "%s %s/%s/%s: %s" % (year, *key, exc))
     for locus, stratum, characteristic in sorted(asked, key=lambda k: (k[2], k[0], k[1])):
         try:
             curve = disparity.atkinson_pipeline(
                 *slices.get((locus, stratum, characteristic), no_rows), epsilons)
-        except _METRIC_DEGENERACIES as exc:
+        except DegenerateSliceError as exc:
             _skip(skips, "atkinson", "%s %s/%s/%s: %s" % (year, locus, stratum, characteristic,
                                                           exc))
             continue
@@ -379,7 +365,7 @@ def _stage_disparity(state: RunState, data: YearData) -> None:
         threshold_blocks += _threshold_rows(config, aligned, groups, counts, skips)
         try:
             state_blocks.append(_state_rows(aligned, groups, counts))
-        except _METRIC_DEGENERACIES as exc:
+        except DegenerateSliceError as exc:
             _skip(skips, "state-disparity", "%s %s: %s" % (year, aligned.locus, exc))
         del counts
 
@@ -425,13 +411,13 @@ def _composition_blocks(config: RunConfig, aligned: exposure.AlignedTable,
         for n_bins in config.bin_counts:
             try:
                 curves.append((n_bins, disparity.percentile_bin_curve(ranking, n_bins)))
-            except _METRIC_DEGENERACIES as exc:
+            except DegenerateSliceError as exc:
                 _skip_groups(skips, "composition-curve", groups,
                              "%s %s/%s" % (year, locus, stratum), exc)
         try:
             shares = disparity.population_share_by_concentration_decile(
                 fractions, by_conc.compress(inside.take(by_conc)))
-        except _METRIC_DEGENERACIES as exc:
+        except DegenerateSliceError as exc:
             _skip_groups(skips, "decile-share", groups,
                          "%s %s/%s" % (year, locus, stratum), exc)
             shares = None
@@ -481,14 +467,14 @@ def _threshold_rows(config: RunConfig, aligned: exposure.AlignedTable,
     for threshold in config.thresholds:
         try:
             qs = disparity.threshold_share(conc, weights, threshold)
-        except _METRIC_DEGENERACIES as exc:
+        except DegenerateSliceError as exc:
             _skip(skips, "threshold-share", "%s %s T=%s: %s" % (year, locus, threshold, exc))
             continue
         covs, start = [""], 1
         for characteristic, n in runs:
             try:
                 cov_text = repr(disparity.cov_of_shares(qs[start:start + n]))
-            except _METRIC_DEGENERACIES as exc:
+            except DegenerateSliceError as exc:
                 _skip(skips, "threshold-cov",
                       "%s %s T=%s %s: %s" % (year, locus, threshold, characteristic, exc))
                 cov_text = ""
@@ -503,12 +489,12 @@ def _state_rows(aligned: exposure.AlignedTable, groups: Sequence[tuple[str, str]
                 counts: np.ndarray) -> list:
     """state_disparity.csv block of one table. The state is a geoid's first two
     digits (id // 10**9), so each state is a contiguous run of the sorted tracts.
-    Raises EmptyPopulationError for a table whose tracts have no workers."""
+    Raises DegenerateSliceError for a table whose tracts have no workers."""
     states, present, values = [], [np.empty(0, np.intp)], [np.empty(0)]
     if len(aligned.geoids):
         totals = aligned.totals.astype(float)
         if not totals.sum():
-            raise EmptyPopulationError("total weight is zero")
+            raise DegenerateSliceError("total weight is zero")
         conc = aligned.values(aligned.locus)
         national_mean = float((conc * totals).sum()) / float(totals.sum())
         codes = aligned.geoids // 10**9
@@ -556,7 +542,7 @@ def _stage_bias(state: RunState, data: YearData) -> None:
             try:
                 moments = biasstats.error_moments(vh, vb, w)
                 bias = biasstats.bias_factor(moments)
-            except _METRIC_DEGENERACIES as exc:
+            except DegenerateSliceError as exc:
                 _skip(skips, "bias-factor", "%s %s/%s: %s" % (year, stratum, group_key, exc))
             else:
                 bias_keys.append(group_key)

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, SchemaError
+from .errors import DegenerateGeometryError, FormatError, SchemaError
 from .geometry import PolygonSet, geoid_text
 from .grids import ConcentrationGrid
 
@@ -238,19 +238,30 @@ def tract_coverage(tracts: PolygonSet, grid: ConcentrationGrid) -> TractCoverage
 
     Only the lattice (origin, cell size, shape) is read, so the result serves
     every year whose grid has the same lattice. Holes subtract. Raises
-    SchemaError for an empty tract set.
+    SchemaError for an empty tract set and FormatError for a lattice that
+    cannot place the tracts exactly.
     """
     n_tracts = len(tracts.ids)
     if not n_tracts:
         raise SchemaError("tract list is empty")
     ox, oy, cw, ch = grid.origin_x, grid.origin_y, grid.cell_width, grid.cell_height
-    # Each tract's bbox in cells: the cell transform is monotone, so these are
-    # the floors and ceilings of its vertices' cell coordinates.
-    col0, row0 = np.floor((tracts.bbox[:, 0] - ox) / cw), np.floor((tracts.bbox[:, 1] - oy) / ch)
-    width = (np.ceil((tracts.bbox[:, 2] - ox) / cw) - col0).astype(np.int64)
-    height = (np.ceil((tracts.bbox[:, 3] - oy) / ch) - row0).astype(np.int64)
-
     cell_area = cw * ch
+    if not 0.0 < cell_area < np.inf:
+        raise FormatError(f"cell area {cw!r} x {ch!r} must be finite and positive, "
+                          f"got {cell_area!r}")
+    # Each tract's bbox in cells: the cell transform is monotone, so these are
+    # the floors and ceilings of its vertices' cell coordinates. They are
+    # exact integers only within 2**53 of 0, and a tract whose extent rounds
+    # away there spans no cell.
+    lo = np.floor((tracts.bbox[:, :2] - (ox, oy)) / (cw, ch))
+    hi = np.ceil((tracts.bbox[:, 2:] - (ox, oy)) / (cw, ch))
+    if not ((np.abs(lo) <= 2.0 ** 53) & (np.abs(hi) <= 2.0 ** 53) & (hi > lo)).all():
+        raise FormatError(f"origin ({ox!r}, {oy!r}) and cell size {cw!r} x {ch!r} put the "
+                          "tracts outside the exact cell range: their cell coordinates must "
+                          "be finite, within 2**53 of 0 and span a cell each")
+    col0, row0 = lo.T
+    width, height = (hi - lo).astype(np.int64).T
+
     polygon_area = np.zeros(n_tracts)
     out_tract, out_cell, out_frac = [], [], []
     for ta, tb, e in _tract_runs(tracts, (height * (width + 1), _CHUNK_CELLS)):
@@ -282,9 +293,6 @@ def _zonal_means(grid: ConcentrationGrid,
                  coverage: TractCoverage) -> tuple[np.ndarray, np.ndarray]:
     """Per tract: the coverage-weighted mean over valid cells (NaN where there
     is none) and the valid covered area."""
-    if coverage.lattice != grid.lattice:
-        raise SchemaError(f"coverage built for lattice {coverage.lattice}, "
-                          f"grid has {grid.lattice}")
     values = grid.values.ravel()[coverage.cell_idx]
     valid = ~grid.nodata.ravel()[coverage.cell_idx]
     weight = np.where(valid, coverage.area, 0.0)

@@ -80,14 +80,12 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from hwexposure import biasstats, disparity, exposure, geometry, grids, ingest, pipeline, zonal
+from hwexposure import (biasstats, disparity, exposure, geometry, grids, ingest, pipeline, synth,
+                        zonal)
 from hwexposure.errors import (
-    ContractError,
     DegenerateGeometryError,
-    DomainError,
-    EmptyPopulationError,
+    DegenerateSliceError,
     FormatError,
-    InsufficientGroupsError,
     MalformedGeocodeError,
     SchemaError,
     ValidationError,
@@ -897,7 +895,7 @@ def oracle_read_tracts(path: str, role: str) -> tuple[int, ingest.WorkerTable]:
 def oracle_weighted_mean(values: np.ndarray, weights: np.ndarray) -> float:
     total = float(np.sum(weights))
     if len(values) == 0 or total <= 0.0:
-        raise EmptyPopulationError("total weight is zero")
+        raise DegenerateSliceError("total weight is zero")
     mean = float(np.sum(values * weights)) / total
     return min(max(mean, float(values.min())), float(values.max()))
 
@@ -913,7 +911,7 @@ def oracle_weighted_percentile(values, weights, p: float) -> float:
     vals, wts = vals[keep], wts[keep]
     total = float(np.sum(wts))
     if vals.size == 0 or total <= 0.0:
-        raise EmptyPopulationError("total weight is zero")
+        raise DegenerateSliceError("total weight is zero")
     order = np.argsort(vals, kind="stable")
     vals, wts = vals[order], wts[order]
     cum = np.cumsum(wts)
@@ -1277,14 +1275,14 @@ class GapResult:
 
 def oracle_extreme_group_gap(records: Sequence[ExposureRecord], national_mean: float) -> GapResult:
     if len(records) < 2:
-        raise InsufficientGroupsError(
+        raise DegenerateSliceError(
             f"need >= 2 groups, got {len(records)}"
         )
     characteristics = {r.characteristic for r in records}
     if len(characteristics) != 1:
-        raise ContractError(f"records span multiple characteristics: {sorted(characteristics)}")
+        raise ValueError(f"records span multiple characteristics: {sorted(characteristics)}")
     if national_mean <= 0.0:
-        raise DomainError(f"national mean must be positive, got {national_mean}")
+        raise DegenerateSliceError(f"national mean must be positive, got {national_mean}")
     ordered = sorted(records, key=lambda r: r.group)
     most = max(ordered, key=lambda r: r.mean)
     least = min(ordered, key=lambda r: r.mean)
@@ -1304,15 +1302,15 @@ def oracle_atkinson(shares: Sequence[float], values: Sequence[float], epsilon: f
     f = np.asarray(shares, dtype=np.float64)
     y = np.asarray(values, dtype=np.float64)
     if f.size == 0 or f.size != y.size:
-        raise DomainError(f"need matching non-empty shares/values, got {f.size}/{y.size}")
+        raise DegenerateSliceError(f"need matching non-empty shares/values, got {f.size}/{y.size}")
     if (f <= 0.0).any():
-        raise DomainError("population shares must be positive")
+        raise ValueError("population shares must be positive")
     if abs(float(np.sum(f)) - 1.0) > 1e-9:
-        raise DomainError(f"population shares must sum to 1, got {float(np.sum(f))}")
+        raise ValueError(f"population shares must sum to 1, got {float(np.sum(f))}")
     if (y <= 0.0).any():
-        raise DomainError("group values must be positive")
+        raise ValueError("group values must be positive")
     if epsilon < 0.0:
-        raise DomainError(f"aversion parameter must be >= 0, got {epsilon}")
+        raise ValueError(f"aversion parameter must be >= 0, got {epsilon}")
     if epsilon == 0.0:
         return 0.0
     f = f / float(np.sum(f))
@@ -1353,7 +1351,7 @@ def oracle_atkinson_pipeline(records: Iterable[ExposureRecord],
         shares = [r.weight / total for r in members]
         for r in members:
             if r.mean <= 0.0:
-                raise DomainError(
+                raise DegenerateSliceError(
                     f"group {r.group_key} has non-positive mean {r.mean}; "
                     "cannot invert concentrations"
                 )
@@ -1380,7 +1378,7 @@ def oracle_gap_and_atkinson_blocks(year: int, records: Sequence[ExposureRecord],
     for (locus, stratum, characteristic), members in sorted(by_key.items()):
         try:
             gaps.append(oracle_extreme_group_gap(members, all_means[(locus, stratum)]))
-        except pipeline._METRIC_DEGENERACIES as exc:
+        except DegenerateSliceError as exc:
             pipeline._skip(skips, "gap", "%s %s/%s/%s: %s" % (year, locus, stratum,
                                                               characteristic, exc))
             continue
@@ -1392,7 +1390,7 @@ def oracle_gap_and_atkinson_blocks(year: int, records: Sequence[ExposureRecord],
     for key in sorted(by_key, key=lambda k: (k[2], k[0], k[1])):
         try:
             results += oracle_atkinson_pipeline(by_key[key], epsilons)
-        except pipeline._METRIC_DEGENERACIES as exc:
+        except DegenerateSliceError as exc:
             pipeline._skip(skips, "atkinson", "%s %s/%s/%s: %s" % (year, *key, exc))
     atkinson_block = [year, *oracle_columns(results, ("characteristic", "locus", "stratum"),
                                             ("epsilon", "value"))]
@@ -1404,7 +1402,7 @@ def oracle_threshold_share(values, weights, threshold: float) -> float:
     wts = np.asarray(weights, dtype=np.float64)
     total = float(np.sum(wts))
     if vals.size == 0 or total <= 0.0:
-        raise EmptyPopulationError("total weight is zero")
+        raise DegenerateSliceError("total weight is zero")
     return 100.0 * float(np.sum(wts[vals > threshold])) / total
 
 
@@ -1420,7 +1418,7 @@ def oracle_threshold_rows(thresholds: Sequence[float], aligned: exposure.Aligned
         characteristics, labels, covs = ["all"], ["all"], [""]
         try:
             qs = [oracle_threshold_share(conc, aligned.totals, threshold)]
-        except pipeline._METRIC_DEGENERACIES as exc:
+        except DegenerateSliceError as exc:
             pipeline._skip(skips, "threshold-share", "%s %s T=%s: %s" % (
                 year, locus, threshold, exc))
             continue
@@ -1438,7 +1436,7 @@ def oracle_threshold_rows(thresholds: Sequence[float], aligned: exposure.Aligned
                 continue
             try:
                 cov_text = repr(disparity.cov_of_shares(shares))
-            except pipeline._METRIC_DEGENERACIES as exc:
+            except DegenerateSliceError as exc:
                 pipeline._skip(skips, "threshold-cov", "%s %s T=%s %s: %s" % (
                     year, locus, threshold, schema.characteristic, exc))
                 cov_text = ""
@@ -1452,20 +1450,20 @@ def oracle_threshold_rows(thresholds: Sequence[float], aligned: exposure.Aligned
 def oracle_rank_sum_grouped(values_a, counts_a, values_b, counts_b, method="auto"):
     """Rank-sum test from a {value: [count a, count b]} tally in Python ints."""
     if method not in ("auto", "normal", "exact"):
-        raise ContractError(f"unknown method {method!r}")
+        raise ValueError(f"unknown method {method!r}")
     tally: dict[float, list[int]] = {}
     for values, counts, side in ((values_a, counts_a, 0), (values_b, counts_b, 1)):
         for value, count in zip(values, counts):
             count = int(count)
             if count < 0:
-                raise ContractError(f"negative count {count}")
+                raise ValueError(f"negative count {count}")
             if count == 0:
                 continue
             tally.setdefault(float(value), [0, 0])[side] += count
     n_a = sum(ca for ca, _ in tally.values())
     n_b = sum(cb for _, cb in tally.values())
     if n_a == 0 or n_b == 0:
-        raise ContractError("both samples must be non-empty")
+        raise ValueError("both samples must be non-empty")
     cum = 0
     two_rank_sum_a = 0
     tie_cubes = 0
@@ -1491,7 +1489,7 @@ def oracle_rank_sum_grouped(values_a, counts_a, values_b, counts_b, method="auto
     untied = all(ca + cb == 1 for ca, cb in tally.values())
     if method == "exact" or (method == "auto" and untied and n <= biasstats._EXACT_MAX_N):
         if not untied:
-            raise ContractError("exact method requires untied samples")
+            raise ValueError("exact method requires untied samples")
         p = biasstats._exact_two_sided_p(n_a, n_b, u)
     else:
         p = min(math.erfc(abs(z) / math.sqrt(2.0)), 1.0)
@@ -1558,3 +1556,14 @@ def oracle_composition_blocks(config, aligned: exposure.AlignedTable,
             shares = disparity.DecileShares(means, means[:, -1] - means[:, 0])
         blocks.append(pipeline._bin_block(year, locus, stratum, groups, curves, shares))
     return blocks
+
+
+def synth_config(tmp_path, **changes) -> str:
+    """The config path of a default synth world under ``tmp_path``, with
+    ``changes`` to its keys."""
+    world = tmp_path / "synth_config"
+    synth.synth(str(world))
+    doc = json.loads((world / "config.json").read_text())
+    doc.update(changes)
+    (world / "config.json").write_text(json.dumps(doc))
+    return str(world / "config.json")

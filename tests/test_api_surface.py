@@ -1,11 +1,14 @@
 """src/ holds only what a run executes: every top-level function and method
-of the package is named somewhere in the package itself."""
+of the package is named somewhere in the package itself, and every error
+class is raised there."""
 from __future__ import annotations
 
 import ast
 from pathlib import Path
 
 import hwexposure
+
+SOURCES = sorted(Path(hwexposure.__file__).parent.glob("*.py"))
 
 # name -> why it stays without a caller in src/
 ALLOWED: dict[str, str] = {}
@@ -14,7 +17,7 @@ ALLOWED: dict[str, str] = {}
 def test_every_function_in_src_is_referenced_in_src():
     defined: dict[str, str] = {}  # name -> module.Class.name of its first definition
     referenced: set[str] = set()
-    for path in sorted(Path(hwexposure.__file__).parent.glob("*.py")):
+    for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         for node in tree.body:
             owner, members = (f"{node.name}.", node.body) if isinstance(node, ast.ClassDef) \
@@ -32,3 +35,25 @@ def test_every_function_in_src_is_referenced_in_src():
                     and not (name.startswith("__") and name.endswith("__")))
     assert unused == []
     assert set(ALLOWED) <= set(defined) - referenced  # the allowlist holds no stale name
+
+
+def test_every_error_class_is_raised_in_src():
+    # a class counts when a raise in src/ names it, or when it is a base of
+    # one that does (EngineError, which the CLI catches)
+    raised: set[str] = set()
+    bases: dict[str, list[str]] = {}
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                raised |= {n.id for n in ast.walk(node.exc) if isinstance(n, ast.Name)}
+            elif isinstance(node, ast.ClassDef):
+                bases[node.name] = [b.id for b in node.bases if isinstance(b, ast.Name)]
+    live, todo = set(), list(raised)
+    while todo:
+        name = todo.pop()
+        if name not in live:
+            live.add(name)
+            todo += bases.get(name, [])
+    errors = ast.parse(Path(hwexposure.__file__).with_name("errors.py").read_text("utf-8"))
+    defined = [node.name for node in errors.body if isinstance(node, ast.ClassDef)]
+    assert [name for name in defined if name not in live] == []

@@ -18,7 +18,7 @@ from hwexposure.biasstats import (
     error_moments,
     wilcoxon_rank_sum_grouped,
 )
-from hwexposure.errors import ContractError, DegenerateVarianceError, DomainError
+from hwexposure.errors import DegenerateSliceError
 
 from helpers import oracle_rank_sum_grouped, with_layout
 
@@ -47,15 +47,18 @@ def test_moments_direct_arithmetic():
 
 
 def test_moments_degenerate_variance():
-    with pytest.raises(DegenerateVarianceError):
+    with pytest.raises(DegenerateSliceError, match="^reference exposure has zero variance$"):
         error_moments([1.0, 2.0], [3.0, 3.0], [1, 1])
 
 
-def test_moments_zero_weight():
-    from hwexposure.errors import EmptyPopulationError
-
-    with pytest.raises(EmptyPopulationError):
-        error_moments([1.0], [1.0], [0])
+def test_moments_zero_weight(recorded_run):
+    # the bias stage skips and counts a group without workers, so every call
+    # gets aligned pairs with some weight
+    manifest, calls = recorded_run
+    assert manifest["stages"]["bias"]["skipped"]["zero-weight-group"] > 0
+    for surrogate, reference, weights in calls["error_moments"]:
+        assert surrogate.shape == reference.shape == weights.shape
+        assert weights.sum() > 0
 
 
 def test_moments_expansion_oracle():
@@ -110,7 +113,7 @@ def test_bias_classical_attenuation():
 
 
 def test_bias_nonpositive_denominator():
-    with pytest.raises(DomainError):
+    with pytest.raises(DegenerateSliceError, match="^surrogate variance must be positive"):
         bias_factor(ErrorMoments(sigma2=1.0, phi=-1.0, omega2=0.5))
 
 
@@ -220,11 +223,15 @@ def test_wilcoxon_disjoint_samples():
     assert normal_p(result) == pytest.approx(0.1, abs=0.05)
 
 
-def test_wilcoxon_empty_sample():
-    with pytest.raises(ContractError):
-        rank_sum([], [1.0])
-    with pytest.raises(ContractError):
-        rank_sum([1.0], [])
+def test_wilcoxon_empty_sample(recorded_run):
+    # the bias stage tests a group only when it has workers, so no sample is
+    # empty; its counts are one non-negative count per pooled value
+    _, calls = recorded_run
+    for pooled, counts_a, counts_b in calls["wilcoxon_rank_sum_grouped"]:
+        assert len(counts_a) + len(counts_b) == len(pooled.order)
+        assert len(counts_a) == int(pooled.from_a.sum())
+        assert (counts_a >= 0).all() and (counts_b >= 0).all()
+        assert counts_a.sum() > 0 and counts_b.sum() > 0
 
 
 def test_wilcoxon_all_tied_degenerate():
@@ -313,11 +320,8 @@ def test_wilcoxon_grouped_matches_expanded():
 # ----------------------------------------------------------------------------
 
 def outcome(test, *args):
-    """repr of a rank-sum result, or the class and text of its error."""
-    try:
-        result = test(*args)
-    except ContractError as exc:
-        return f"ContractError({exc})"
+    """repr of a rank-sum result."""
+    result = test(*args)
     return repr((result.u, result.z, result.p_value))
 
 
@@ -329,8 +333,8 @@ def pooled_slices(draw):
     """Two value arrays and count matrices with one row per group: tied
     values shared within and across sides with counts 0-5, or distinct
     values with 0/1 counts (the untied exact path when n <= 25); rows may be
-    all-zero or one worker, the second side may reuse the first's counts as
-    the bias stage does, and one count may be negative."""
+    all-zero or one worker, and the second side may reuse the first's counts
+    as the bias stage does."""
     untied = draw(st.booleans())
     n_a = draw(st.integers(0, 14))
     same = draw(st.booleans())
@@ -356,9 +360,6 @@ def pooled_slices(draw):
     counts_a = np.array([row(n_a) for _ in range(groups)], dtype=np.int64).reshape(groups, n_a)
     counts_b = counts_a if same else np.array(
         [row(n_b) for _ in range(groups)], dtype=np.int64).reshape(groups, n_b)
-    if n_a and draw(st.integers(0, 9)) == 0:
-        counts_a = counts_a.copy()
-        counts_a[draw(st.integers(0, groups - 1)), draw(st.integers(0, n_a - 1))] = -2
     layout = draw(st.sampled_from(["C", "F", "strided"]))
     return (values[:n_a], values[n_a:], with_layout(counts_a, layout),
             with_layout(counts_b, layout))
@@ -370,6 +371,8 @@ def test_pooled_rank_sums_match_dict_oracle(case):
     values_a, values_b, counts_a, counts_b = case
     pooled = PooledSamples(values_a, values_b)
     for row_a, row_b in zip(counts_a, counts_b):
+        if not (row_a.sum() and row_b.sum()):
+            continue  # the bias stage skips a group without workers
         want = outcome(oracle_rank_sum_grouped, values_a, row_a, values_b, row_b)
         assert outcome(wilcoxon_rank_sum_grouped, pooled, row_a, row_b) == want
 
@@ -400,8 +403,3 @@ def test_pooled_rank_sum_past_int64_matches_python_ints(counts_a, counts_b):
     want = oracle_rank_sum_grouped(values_a, counts_a, values_b, counts_b)
     got = wilcoxon_rank_sum_grouped(PooledSamples(values_a, values_b), counts_a, counts_b)
     assert (got.u, got.z, got.p_value) == (want.u, want.z, want.p_value)
-
-
-def test_pooled_rank_sum_rejects_misaligned_counts():
-    with pytest.raises(ContractError, match="align"):
-        wilcoxon_rank_sum_grouped(PooledSamples([1.0, 2.0], [3.0]), [1], [1])

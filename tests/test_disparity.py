@@ -7,6 +7,7 @@ import random
 import re
 from collections import Counter
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from helpers import (
     oracle_state_rows,
     oracle_threshold_rows,
     reference_csv,
+    synth_config,
     with_strata,
 )
 from hypothesis import given, settings
@@ -44,13 +46,8 @@ from hwexposure.disparity import (
     state_disparity,
     threshold_share,
 )
-from hwexposure.errors import (
-    ContractError,
-    DomainError,
-    EmptyPopulationError,
-    InsufficientGroupsError,
-    InsufficientTractsError,
-)
+from hwexposure.config import load_config
+from hwexposure.errors import ConfigError, DegenerateSliceError
 from hwexposure.exposure import (
     AlignedTable,
     compute_group_exposures,
@@ -113,15 +110,16 @@ def test_gap_degenerate_equal_means():
 
 
 def test_gap_single_group():
-    with pytest.raises(InsufficientGroupsError):
+    with pytest.raises(DegenerateSliceError):
         gap([record("a", 8.0)], national_mean=8.0)
 
 
-def test_gap_mixed_characteristics_rejected():
-    with pytest.raises(ContractError):
-        gap(
-            [record("a", 8.0), record("b", 9.0, characteristic="sex")], national_mean=8.0
-        )
+def test_gap_slices_hold_one_characteristic(recorded_run):
+    # the gap blocks split each frame into (locus, stratum, characteristic)
+    # slices, so no gap mixes characteristics
+    _, calls = recorded_run
+    for characteristics, *_ in calls["extreme_group_gap"]:
+        assert len(set(characteristics)) <= 1
 
 
 def test_gap_relabel_invariance():
@@ -211,11 +209,15 @@ def test_bin_curve_empty_bin_is_nan():
     assert not math.isnan(curve.exposure[0, 1])
 
 
-def test_bin_curve_insufficient_tracts():
-    with pytest.raises(InsufficientTractsError):
+def test_bin_curve_insufficient_tracts(tmp_path, recorded_run):
+    with pytest.raises(DegenerateSliceError, match="^need >= 2 tracts for 2 bins, got 1$"):
         one_group_curve([comp_tract(0, 0.1, 1.0, 5.0)], n_bins=2)
-    with pytest.raises(ContractError):
-        one_group_curve([comp_tract(0, 0.1, 1.0, 5.0)], n_bins=1)
+    # fewer than two bins never reach the curve: the config rule rejects them
+    with pytest.raises(ConfigError,
+                       match=r"^bin_counts must be a list of integers >= 2, got \[1\]$"):
+        load_config(synth_config(tmp_path, bin_counts=[1]))
+    _, calls = recorded_run
+    assert {n_bins for _, n_bins in calls["percentile_bin_curve"]} == {100, 10, 3}
 
 
 def test_decile_contrast():
@@ -229,10 +231,11 @@ def test_decile_contrast_identical_bins_zero():
     assert decile_contrast(one_group_curve(tracts, n_bins=10))[0] == 0.0
 
 
-def test_decile_contrast_wrong_bin_count():
-    tracts = [comp_tract(i, i / 10.0, 2.0, 7.5) for i in range(10)]
-    with pytest.raises(ContractError):
-        decile_contrast(one_group_curve(tracts, n_bins=5))
+def test_decile_contrast_wrong_bin_count(recorded_run):
+    # a run with bin counts [100, 10, 3] asks the contrast of its 10-bin
+    # curves only
+    _, calls = recorded_run
+    assert {len(curves.n_tracts) for curves, in calls["decile_contrast"]} == {10}
 
 
 # ----------------------------------------------------------------------------
@@ -268,14 +271,25 @@ def test_decile_shares_group_in_most_polluted_only():
 
 
 def test_decile_shares_insufficient_tracts():
-    with pytest.raises(InsufficientTractsError):
+    with pytest.raises(DegenerateSliceError):
         one_group_shares([("06037000100", 1.0, 2.0, 5.0)] * 9)
 
 
 def test_decile_shares_zero_total_rejected():
-    tracts = [(f"06037{i:06d}", 1.0, 0.0 if i == 0 else 2.0, 5.0 + i) for i in range(10)]
-    with pytest.raises(ValueError):
-        one_group_shares(tracts)
+    # the bins stage ranks only the tracts with workers, so a tract without
+    # workers never gives the decile shares an undefined fraction
+    aligned = aligned_table([f"06037{i:06d}" for i in range(11)], [0] + [2] * 10,
+                            [5.0 + i for i in range(11)],
+                            {"CS01": [0] + [1] * 10, "CS02": [0] + [1] * 10})
+    groups = [(c, label) for c, label, _ in iter_groups(aligned)][1:]
+    with mock.patch.object(disparity, "population_share_by_concentration_decile",
+                           autospec=True,
+                           side_effect=population_share_by_concentration_decile) as shares:
+        pipeline._composition_blocks(SimpleNamespace(bin_counts=(10,)), aligned, groups,
+                                     aligned.counts.astype(np.float64), {})
+    (fractions, order), = [c.args for c in shares.call_args_list]
+    assert fractions.shape == (2, 10) and (fractions == 0.5).all()
+    assert sorted(order.tolist()) == list(range(10))
 
 
 # ----------------------------------------------------------------------------
@@ -306,7 +320,7 @@ def _check_kernels(counts, totals, conc, n_bins, layout):
     ranking = rank_by_composition(_non_contiguous(counts, layout), conc,
                                   stable_argsort(_non_contiguous(fractions, layout)))
     if n_tracts < n_bins:
-        with pytest.raises(InsufficientTractsError):
+        with pytest.raises(DegenerateSliceError):
             percentile_bin_curve(ranking, n_bins)
     else:
         curve = percentile_bin_curve(ranking, n_bins)
@@ -318,7 +332,7 @@ def _check_kernels(counts, totals, conc, n_bins, layout):
             assert list(curve.n_tracts) == [size for size, _ in expected]
             assert _same(curve.exposure[g], [value for _, value in expected])
     if n_tracts < 10:
-        with pytest.raises(InsufficientTractsError):
+        with pytest.raises(DegenerateSliceError):
             population_share_by_concentration_decile(fractions, stable_argsort(conc))
         return
     shares = population_share_by_concentration_decile(_non_contiguous(fractions, layout),
@@ -402,17 +416,20 @@ def test_atkinson_geometric_mean_limit():
     assert at_one == pytest.approx(1.0 - gm / ybar, rel=1e-12)
 
 
-def test_atkinson_domain_errors():
-    with pytest.raises(DomainError):
-        atkinson([0.5, 0.5], [1.0, -3.0], 0.75)
-    with pytest.raises(DomainError):
-        atkinson([0.5, 0.5], [1.0, 0.0], 0.75)
-    with pytest.raises(DomainError):
-        atkinson([0.7, 0.7], [1.0, 2.0], 0.75)
-    with pytest.raises(DomainError):
-        atkinson([-0.5, 1.5], [1.0, 2.0], 0.75)
-    with pytest.raises(DomainError):
-        atkinson([0.5, 0.5], [1.0, 2.0], -0.1)
+def test_atkinson_domain_errors(tmp_path, recorded_run):
+    # the curve's domain is kept where its inputs come from: the config rule
+    # rejects a negative epsilon, atkinson_pipeline a non-positive group mean,
+    # and a run gives positive shares summing to 1 and positive values
+    with pytest.raises(ConfigError,
+                       match=r"^epsilons must be a list of finite numbers >= 0, got "):
+        load_config(synth_config(tmp_path, epsilons=[0.5, -0.1]))
+    with pytest.raises(DegenerateSliceError, match="non-positive mean -3.0"):
+        atkinson_of([record("a", 1.0), record("b", -3.0)], [0.75])
+    _, calls = recorded_run
+    for shares, values, epsilons in calls["_atkinson_curve"]:
+        assert (shares > 0.0).all() and abs(shares.sum() - 1.0) <= 1e-9
+        assert (values > 0.0).all() and len(values) == len(shares)
+        assert min(epsilons) >= 0.0
 
 
 @given(
@@ -493,7 +510,7 @@ def test_atkinson_pipeline_ignores_all_group_and_sorts():
 
 
 def test_atkinson_pipeline_zero_mean_rejected():
-    with pytest.raises(DomainError, match="^group race:a has non-positive mean 0.0; "):
+    with pytest.raises(DegenerateSliceError, match="^group race:a has non-positive mean 0.0; "):
         atkinson_of([record("b", 8.0, 1.0), record("a", 0.0, 1.0)], [0.75])
 
 
@@ -510,7 +527,7 @@ def test_state_disparity_direct():
 
 
 def test_state_disparity_zero_national():
-    with pytest.raises(DomainError):
+    with pytest.raises(DegenerateSliceError):
         state_disparity(8.4, 8.0, 0.0)
 
 
@@ -651,7 +668,7 @@ def test_threshold_strict_inequality():
 
 
 def test_threshold_empty():
-    with pytest.raises(EmptyPopulationError):
+    with pytest.raises(DegenerateSliceError):
         threshold_share([], [], 12.0)
 
 
@@ -689,9 +706,9 @@ def test_cov_matches_direct_formula():
 
 
 def test_cov_errors():
-    with pytest.raises(InsufficientGroupsError):
+    with pytest.raises(DegenerateSliceError):
         cov_of_shares([1.0])
-    with pytest.raises(DomainError):
+    with pytest.raises(DegenerateSliceError):
         cov_of_shares([0.0, 0.0])
 
 
@@ -702,34 +719,28 @@ def test_cov_errors():
 # ----------------------------------------------------------------------------
 
 RAC_CODES = [code for schema in RAC_WAC_SCHEMAS for code, _ in schema.categories]
-ATKINSON_EPSILONS = st.lists(st.sampled_from([0.0, 1.0, 0.25, 0.5, 1.75, 2.0, -0.5])
+# epsilons >= 0, as the config rule admits them
+ATKINSON_EPSILONS = st.lists(st.sampled_from([0.0, 1.0, 0.25, 0.5, 1.75, 2.0])
                              | st.floats(0.0, 4.0), min_size=1, max_size=6)
 
 
 def outcome(compute):
     try:
         return repr(compute())
-    except DomainError as exc:
-        return f"DomainError({exc})"
+    except DegenerateSliceError as exc:
+        return f"DegenerateSliceError({exc})"
 
 
 @st.composite
 def atkinson_inputs(draw):
-    """Shares summing to 1 and positive values, each sometimes spoiled."""
+    """Shares summing to 1 and positive values, as atkinson_pipeline gives
+    them, or an empty slice."""
     n = draw(st.integers(1, 6))
     weights = draw(st.lists(st.floats(0.01, 100.0), min_size=n, max_size=n))
     shares = [w / math.fsum(weights) for w in weights]
     values = draw(st.lists(st.floats(1e-3, 50.0), min_size=n, max_size=n))
-    spoil = draw(st.sampled_from(["none", "none", "share", "sum", "value", "size"]))
-    if spoil == "share":
-        shares[draw(st.integers(0, n - 1))] = draw(st.sampled_from([0.0, -0.2]))
-    elif spoil == "sum":
-        shares = [2.0 * f for f in shares]
-    elif spoil == "value":
-        values[draw(st.integers(0, n - 1))] = draw(st.sampled_from([0.0, -1.0]))
-    elif spoil == "size":
-        values = values[:draw(st.integers(0, n - 1))]
-        shares = shares[:draw(st.integers(0, 1)) * n]
+    if draw(st.integers(0, 5)) == 0:
+        return [], []
     return shares, values
 
 
@@ -745,16 +756,11 @@ def test_atkinson_curve_matches_per_epsilon_oracle(inputs, epsilons):
 
 @pytest.mark.parametrize("shares, values, epsilons, message", [
     ([], [], [0.5], "need matching non-empty shares/values, got 0/0"),
-    ([0.5, 0.5], [1.0], [0.5], "need matching non-empty shares/values, got 2/1"),
-    ([0.0, 1.0], [1.0, 2.0], [0.5], "population shares must be positive"),
-    ([0.5, 0.6], [1.0, 2.0], [0.5], "population shares must sum to 1, got 1.1"),
-    ([0.5, 0.5], [1.0, 0.0], [0.5], "group values must be positive"),
-    ([0.5, 0.5], [1.0, 2.0], [0.0, 1.0, -1.0], "aversion parameter must be >= 0, got -1.0"),
 ])
 def test_atkinson_curve_domain_errors_match_oracle(shares, values, epsilons, message):
-    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(DegenerateSliceError, match=f"^{re.escape(message)}$"):
         disparity._atkinson_curve(shares, values, epsilons)
-    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(DegenerateSliceError, match=f"^{re.escape(message)}$"):
         [oracle_atkinson(shares, values, e) for e in epsilons]
 
 
@@ -818,8 +824,8 @@ def threshold_outcome(compute):
     skips = {}
     try:
         blocks = compute(skips)
-    except EmptyPopulationError as exc:
-        return f"EmptyPopulationError({exc})"
+    except DegenerateSliceError as exc:
+        return f"DegenerateSliceError({exc})"
     lines = [pipeline._csv_lines("threshold.csv", HEADERS["threshold.csv"], b) for b in blocks]
     return lines, skips
 
@@ -837,8 +843,8 @@ def test_threshold_rows_match_oracle(seed, n_tracts, thresholds):
 
 
 def test_threshold_rows_skip_degenerate_cov():
-    # sex has one group with workers (InsufficientGroupsError); age has two,
-    # both below every threshold (DomainError)
+    # sex has one group with workers (too few groups); age has two, both
+    # below every threshold (a zero mean share)
     aligned = aligned_table(
         ["06037000001", "06037000002"], totals=[3, 4], conc=[4.0, 13.0],
         category_counts={"CS01": [3, 4], "CS02": [0, 0], "CA01": [1, 0], "CA02": [2, 0]})
@@ -857,7 +863,6 @@ def test_threshold_rows_skip_degenerate_cov():
 @settings(max_examples=150, deadline=None)
 def test_gap_and_atkinson_blocks_match_record_oracle(seed, n_tracts, epsilons):
     rng = np.random.default_rng(seed)
-    epsilons = [abs(e) for e in epsilons]
     classification = {f"06037{i:06d}": rng.choice(["urban", "rural"])
                       for i in range(n_tracts) if rng.random() < 0.9}
     strata = ("all", "urban", "rural")

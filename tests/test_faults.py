@@ -9,6 +9,7 @@ import json
 import logging
 import os
 import shutil
+import warnings
 from pathlib import Path
 
 import pytest
@@ -210,6 +211,43 @@ def test_non_finite_grid_header_names_the_line(tmp_path, caplog, key, value):
     edit_lines(grid, lambda lines: lines.__setitem__(line - 1, f"{key} {value}"))
     assert run(world, tmp_path / "out") == 1
     assert f"stage surface: {grid}:{line}: {key} must be finite, got '{value}'" in caplog.text
+
+
+def set_header(grid: Path, key: str, value: str) -> None:
+    edit_lines(grid, lambda lines: lines.__setitem__(
+        next(n for n, text in enumerate(lines) if text.split()[0] == key), f"{key} {value}"))
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("xllcorner", "1e17", "origin (1e+17, 0.0) and cell size 1.0 x 1.0 put the tracts outside "
+                          "the exact cell range"),
+    ("xllcorner", "1e20", "origin (1e+20, 0.0) and cell size 1.0 x 1.0 put the tracts outside "
+                          "the exact cell range"),
+    ("cellsize", "1e-320", "cell area 1e-320 x 1e-320 must be finite and positive, got 0.0"),
+    ("cellsize", "1e308", "cell area 1e+308 x 1e+308 must be finite and positive, got inf"),
+])
+def test_grid_lattice_that_cannot_place_the_tracts_is_named(tmp_path, caplog, key, value,
+                                                            message):
+    # a finite header whose lattice puts the tracts beyond float64's exact
+    # cell coordinates, or whose cell area under- or overflows, once ended
+    # the run in a traceback from the coverage kernel, or (cellsize 1e308)
+    # in exit 0 with a RuntimeWarning and every tract excluded
+    world = make_world(tmp_path)
+    grid = world / "grid_2011.asc"
+    set_header(grid, key, value)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert run(world, tmp_path / "out") == 1
+    assert f"stage surface: {grid}: {message}" in caplog.text
+    assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("value", ["1e6", "1e12", "8e15"])  # 8e15 < 2**53
+def test_grid_far_from_the_tracts_excludes_them(tmp_path, caplog, value):
+    world = make_world(tmp_path)
+    set_header(world / "grid_2011.asc", "xllcorner", value)
+    assert run(world, tmp_path / "out") == 0
+    assert "9 tract(s) with no valid grid coverage excluded" in caplog.text
 
 
 def add_second_year(world: Path) -> Path:

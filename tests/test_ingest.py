@@ -14,7 +14,6 @@ from hwexposure.errors import (
     EngineError,
     FormatError,
     MalformedGeocodeError,
-    SchemaError,
     ValidationError,
 )
 from hwexposure.exposure import align_table, iter_groups, resolve_pairs
@@ -22,7 +21,6 @@ from hwexposure import ingest
 from hwexposure.ingest import (
     OD_SCHEMAS,
     RAC_WAC_SCHEMAS,
-    GroupSchema,
     aggregate_od,
     aggregate_to_tracts,
     block_to_tract,
@@ -81,10 +79,12 @@ def test_rollup_empty_input():
     assert int(table.totals.sum()) == 0
 
 
-def test_rollup_rejects_bad_role(tmp_path):
-    # the role picks the key column, so the reader checks it
-    with pytest.raises(SchemaError):
-        read_block_csv(str(tmp_path / "rac.csv"), "commuter")
+def test_block_tables_are_read_with_a_table_role(recorded_run):
+    # the role picks the key column; a run reads every RAC and WAC table
+    # with one of the two role constants
+    _, calls = recorded_run
+    assert sorted({role for _, role in calls["read_block_csv"]}) == [ingest.RESIDENCE,
+                                                                    ingest.WORKPLACE]
 
 
 def test_rollup_category_sum_error_names_row_and_characteristic():
@@ -442,8 +442,11 @@ def test_read_csv_line_numbers_count_blank_lines(tmp_path):
 
 
 def test_group_schema_rejects_duplicates():
-    with pytest.raises(SchemaError):
-        GroupSchema("x", (("A", "a"), ("A", "b")))
+    # the schemas are constants: each names some codes, and no code twice,
+    # within a schema or across them, so every code names one group
+    schemas = (*RAC_WAC_SCHEMAS, *OD_SCHEMAS)
+    assert all(schema.codes for schema in schemas)
+    assert len(ingest.GROUPS) == sum(len(schema.codes) for schema in schemas)
 
 
 # ----------------------------------------------------------------------------

@@ -455,11 +455,23 @@ def test_surface_matches_per_tract_oracle_and_threads():
     assert rebuilt.completeness == surface.completeness
 
 
-def test_surface_rejects_coverage_of_another_lattice():
-    tracts = [rect_tract("06037000100", 0.0, 0.0, 1.0, 1.0)]
-    coverage = tract_coverage(tracts, make_grid([[1.0, 2.0]]))
-    with pytest.raises(SchemaError, match="lattice"):
-        build_tract_surface(make_grid([[1.0, 2.0]], origin=(0.5, 0.0)), coverage, 2011, None)
+def test_surface_rejects_coverage_of_another_lattice(recorded_run):
+    # the surface stage builds a new coverage whenever the grid's lattice
+    # changes, so no year is reduced over another lattice's coverage
+    _, calls = recorded_run
+    assert all(coverage.lattice == grid.lattice for grid, coverage in calls["_zonal_means"])
+    assert len({grid.lattice for grid, _ in calls["_zonal_means"]}) == 2
+
+
+@pytest.mark.parametrize("origin_x, x1", [
+    (1e17, 1.0),       # cell coordinates past 2**53
+    (-2.0 ** 52, 0.4),  # the tract's extent rounds away: it spans no cell
+], ids=["beyond_2_53", "extent_rounds_away"])
+def test_coverage_rejects_a_lattice_that_cannot_place_the_tracts(origin_x, x1):
+    tracts = [rect_tract("06037000100", 0.25, 0.0, x1, 1.0)]
+    with pytest.raises(FormatError, match=r"^origin \(.*\) and cell size 1.0 x 1.0 put the "
+                                          r"tracts outside the exact cell range"):
+        tract_coverage(tracts, make_grid([[1.0, 2.0]], origin=(origin_x, 0.0)))
 
 
 def test_coverage_reused_across_years():
