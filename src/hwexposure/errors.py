@@ -6,23 +6,8 @@ class EngineError(Exception):
 
 
 class FormatError(EngineError):
-    """An input file does not match its documented format."""
-
-
-class SchemaError(EngineError):
-    """Structurally invalid data: duplicate keys, bad identifiers, bad columns."""
-
-
-class MalformedGeocodeError(SchemaError):
-    """A census block geocode is not a 15-digit string."""
-
-
-class ValidationError(EngineError):
-    """A row violates a count invariant (negative count or category-sum mismatch)."""
-
-
-class DegenerateGeometryError(EngineError):
-    """A polygon ring has fewer than 3 distinct vertices or zero area."""
+    """An input file does not match its documented format: bad syntax, a bad
+    identifier or geometry, or a row that breaks a count invariant."""
 
 
 class DegenerateSliceError(EngineError):

@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, FormatError, SchemaError
+from .errors import FormatError
 from .ingest import open_input
 
 
@@ -100,44 +100,44 @@ def polygon_set(source: str, features: Sequence[Sequence],
         ids = ids[order]
         dupes = ids[1:][ids[1:] == ids[:-1]]
         if len(dupes):
-            raise SchemaError(f"{source}: duplicate tract geoids: "
+            raise FormatError(f"{source}: duplicate tract geoids: "
                               f"{sorted(set(geoid_text(dupes)))[:5]}")
     else:
         ids, order = np.zeros(0, dtype=np.int64), np.arange(n)
 
-    def fail(bad: np.ndarray, feature: np.ndarray, error, message) -> None:
-        """Raise ``error`` when any item is bad; ``feature`` is each item's
-        feature and ``message(k)`` describes item ``k``."""
+    def fail(bad: np.ndarray, feature: np.ndarray, message) -> None:
+        """Raise when any item is bad; ``feature`` is each item's feature and
+        ``message(k)`` describes item ``k``."""
         if bad.any():
             f = int(feature[bad].min())
             k = int(np.flatnonzero(bad & (feature == f))[0])
-            raise error(f"{source}: feature {f}: {message(k)}")
+            raise FormatError(f"{source}: feature {f}: {message(k)}")
 
     by_owner = [features[i] for i in order.tolist()]  # order: each owner's feature
     n_polygons = np.fromiter(map(len, by_owner), dtype=np.int64, count=n)
     if geoids is not None:
-        fail(n_polygons == 0, order, DegenerateGeometryError,
+        fail(n_polygons == 0, order,
              lambda k: f"tract {geoid_text(ids[k:k + 1])[0]} has no polygons")
     polygons = list(chain.from_iterable(by_owner))
     polygon_feature = np.repeat(order, n_polygons)
     n_rings = _lengths(polygons)
-    fail(n_rings <= 0, polygon_feature, FormatError, lambda k: "polygon has no rings")
+    fail(n_rings <= 0, polygon_feature, lambda k: "polygon has no rings")
     rings = list(chain.from_iterable(polygons))
     ring_polygon = np.repeat(np.arange(len(polygons)), n_rings)
     ring_feature = polygon_feature[ring_polygon]
     ring_len = _lengths(rings)
-    fail(ring_len < 0, ring_feature, FormatError,
+    fail(ring_len < 0, ring_feature,
          lambda k: f"ring must be a list of positions, got {rings[k]!r}")
     positions = list(chain.from_iterable(rings))
     position_feature = np.repeat(ring_feature, ring_len)
     n_values = _lengths(positions)
-    fail(n_values < 2, position_feature, FormatError,
+    fail(n_values < 2, position_feature,
          lambda k: f"position must be a list of 2 or more numbers, got {positions[k]!r}")
     if (n_values != 2).any():
         positions = [p[:2] for p in positions]
     values = list(chain.from_iterable(positions))
     xy = _numbers(values)
-    fail(~np.isfinite(xy), np.repeat(position_feature, 2), FormatError,
+    fail(~np.isfinite(xy), np.repeat(position_feature, 2),
          lambda k: f"coordinate must be a finite number, got {values[k]!r}")
     xy = xy.reshape(-1, 2)
 
@@ -151,8 +151,7 @@ def polygon_set(source: str, features: Sequence[Sequence],
     ring_hole[np.cumsum(n_rings) - n_rings] = False
 
     # close every ring: its open vertices, then the first again
-    fail(ring_len == 0, ring_feature, DegenerateGeometryError,
-         lambda r: "ring needs >= 3 distinct vertices, got 0")
+    fail(ring_len == 0, ring_feature, lambda r: "ring needs >= 3 distinct vertices, got 0")
     ring_start = np.cumsum(ring_len) - ring_len
     open_len = ring_len - ((xy[ring_start] == xy[ring_start + ring_len - 1]).all(axis=1)
                            & (ring_len >= 2))
@@ -169,7 +168,7 @@ def polygon_set(source: str, features: Sequence[Sequence],
     new = np.ones(len(sr), dtype=bool)
     new[1:] = (sr[1:] != sr[:-1]) | (sx[1:] != sx[:-1]) | (sy[1:] != sy[:-1])
     distinct = np.bincount(sr[new], minlength=len(ring_len))
-    fail(distinct < 3, ring_feature, DegenerateGeometryError,
+    fail(distinct < 3, ring_feature,
          lambda r: f"ring needs >= 3 distinct vertices, got {distinct[r]}")
 
     # nonzero shoelace area per ring, about its first vertex so the terms stay small
@@ -177,10 +176,8 @@ def polygon_set(source: str, features: Sequence[Sequence],
     cross = u[:-1] * v[1:] - u[1:] * v[:-1]
     cross[ring_ptr[1:-1] - 1] = 0.0  # from one ring's last vertex to the next ring's first
     ring_area = 0.5 * np.add.reduceat(cross, ring_ptr[:-1]) if len(cross) else np.zeros(0)
-    fail((ring_area == 0.0) & ~ring_hole, ring_feature, DegenerateGeometryError,
-         lambda r: "exterior ring has zero area")
-    fail((ring_area == 0.0) & ring_hole, ring_feature, DegenerateGeometryError,
-         lambda r: "hole ring has zero area")
+    fail((ring_area == 0.0) & ~ring_hole, ring_feature, lambda r: "exterior ring has zero area")
+    fail((ring_area == 0.0) & ring_hole, ring_feature, lambda r: "hole ring has zero area")
 
     first_vertex = ring_ptr[:-1][np.searchsorted(ring_owner, np.arange(n_owners))]
     bbox = np.column_stack([np.minimum.reduceat(x, first_vertex),
@@ -233,10 +230,14 @@ def read_tracts_geojson(path: str) -> PolygonSet:
 
     Each feature must be a Polygon or MultiPolygon with a ``GEOID`` property
     holding the tract identifier as a string of 11 ASCII digits. Coordinates
-    are taken as planar and must be finite JSON numbers.
+    are taken as planar and must be finite JSON numbers; there must be at
+    least one feature.
     """
     geoids, features = [], []
-    for i, feat in enumerate(_features(path)):
+    collection = _features(path)
+    if not collection:
+        raise FormatError(f"{path}: tract list is empty")
+    for i, feat in enumerate(collection):
         feat = _object(path, i, "feature", feat)
         geoid = _object(path, i, "properties", feat.get("properties") or {}).get("GEOID")
         if geoid is None:

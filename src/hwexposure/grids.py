@@ -23,7 +23,8 @@ class ConcentrationGrid:
     """A regular raster of annual-average concentrations (ug/m3) with a nodata
     mask: ``values`` (float64, shape (n_rows, n_cols), row 0 at the bottom) and
     ``nodata`` (bool, same shape; True where the cell has no data), both made
-    read-only. The readers give both that shape, with at least one cell."""
+    read-only. The readers give both that shape, with at least one cell, a
+    positive cell size and non-negative valid cells."""
 
     __slots__ = ("origin_x", "origin_y", "cell_width", "cell_height", "n_rows", "n_cols",
                  "values", "nodata")
@@ -31,11 +32,6 @@ class ConcentrationGrid:
     def __init__(self, origin_x: float, origin_y: float, cell_width: float,
                  cell_height: float, n_rows: int, n_cols: int, values: np.ndarray,
                  nodata: np.ndarray) -> None:
-        if cell_width <= 0 or cell_height <= 0:
-            raise FormatError("cell dimensions must be positive")
-        valid = values[~nodata]
-        if valid.size and (valid < 0).any():
-            raise FormatError("concentrations must be non-negative")
         values.setflags(write=False)
         nodata.setflags(write=False)
         self.origin_x, self.origin_y = origin_x, origin_y
@@ -77,12 +73,14 @@ def _is_nodata(values: np.ndarray, header: dict[str, float]) -> np.ndarray:
 
 def _grid(path: str, origin_x: float, origin_y: float, cell_width: float,
           cell_height: float, values: np.ndarray, nodata: np.ndarray) -> ConcentrationGrid:
-    """The grid read from ``path``; a fault the grid finds names the file."""
-    try:
-        return ConcentrationGrid(origin_x, origin_y, cell_width, cell_height,
-                                 *values.shape, values, nodata)
-    except FormatError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    """The grid read from ``path``, once its cells have a positive size and
+    its valid cells are non-negative."""
+    if cell_width <= 0 or cell_height <= 0:
+        raise FormatError(f"{path}: cell dimensions must be positive")
+    if (values[~nodata] < 0).any():
+        raise FormatError(f"{path}: concentrations must be non-negative")
+    return ConcentrationGrid(origin_x, origin_y, cell_width, cell_height,
+                             *values.shape, values, nodata)
 
 
 def _read_asc(path: str, fast: bool) -> tuple[dict[str, float], np.ndarray | None]:

@@ -18,7 +18,7 @@ from typing import Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
-from .errors import FormatError, MalformedGeocodeError, ValidationError
+from .errors import FormatError
 
 logger = logging.getLogger(__name__)
 
@@ -149,17 +149,10 @@ class WorkerTable(NamedTuple):
     counts: np.ndarray
 
 
-def block_to_tract(geocode: str) -> str:
-    """First 11 digits of a 15-digit block geocode."""
-    if len(geocode) != 15 or not (geocode.isascii() and geocode.isdigit()):
-        raise MalformedGeocodeError(f"block geocode must be 15 digits, got {geocode!r}")
-    return geocode[:11]
-
-
 def _tract_ids(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Whether each geocode of an ``S`` or ``U`` array is 15 ASCII digits
-    (block_to_tract's test), read from its code points, and the int64 value
-    of its first 11 digits: the tract id of a valid one."""
+    """Whether each geocode of an ``S`` or ``U`` array is 15 ASCII digits,
+    read from its code points, and the int64 value of its first 11 digits:
+    the tract id of a valid one."""
     unit = np.dtype(np.uint32 if keys.dtype.kind == "U" else np.uint8)
     chars = keys.view(unit).reshape(len(keys), keys.dtype.itemsize // unit.itemsize)
     ok = (chars[:, 15:] == 0).all(axis=1) & (chars.shape[1] >= 15)
@@ -196,18 +189,19 @@ def _validate(rows: WorkerTable, schemas: Sequence[GroupSchema], well_formed: Se
         return
     r = int(np.argmax(bad))
     keys = [k[r].decode("latin-1") if k.dtype.kind == "S" else str(k[r]) for k in rows.keys]
-    for key in keys:
-        block_to_tract(key)
+    for key, ok in zip(keys, well_formed):
+        if not ok[r]:
+            raise FormatError(f"block geocode must be 15 digits, got {key!r}")
     label = "->".join(keys)
     total = int(rows.totals[r])
     if total < 0:
-        raise ValidationError(f"row {label}: total: negative total {total}")
+        raise FormatError(f"row {label}: total: negative total {total}")
     for count in rows.counts[:, r].tolist():
         if count < 0:
-            raise ValidationError(f"row {label}: negative count {count}")
+            raise FormatError(f"row {label}: negative count {count}")
     for (characteristic, _), sums in zip(plan, subtotals):
         if sums[r] != total:
-            raise ValidationError(
+            raise FormatError(
                 f"row {label}: {characteristic}: category sum {int(sums[r])} != total {total}"
             )
 
@@ -237,9 +231,9 @@ def _rollup(rows: WorkerTable, schemas: Sequence[GroupSchema]) -> WorkerTable:
 def aggregate_to_tracts(rows: WorkerTable) -> WorkerTable:
     """Roll RAC/WAC block rows up to tracts, preserving all totals exactly.
 
-    Raises MalformedGeocodeError or ValidationError naming the first
-    offending row. Output rows are in ascending tract id order regardless of
-    input order; rows with a zero total are kept.
+    Raises FormatError naming the first offending row. Output rows are in
+    ascending tract id order regardless of input order; rows with a zero
+    total are kept.
     """
     return _rollup(rows, RAC_WAC_SCHEMAS)
 
@@ -262,8 +256,8 @@ def read_tracts(path: str, role: str) -> tuple[int, WorkerTable]:
         raise FormatError(f"{path}: no data rows")
     try:
         return len(rows.totals), rollup(rows)
-    except (MalformedGeocodeError, ValidationError) as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 @contextlib.contextmanager

@@ -193,11 +193,15 @@ def _display_path(path: Path, base_dir: Path) -> str:
 def _stage_surface(state: RunState, data: YearData) -> None:
     config = state.config
     if state.tracts is None:  # the first year reads the tracts and the mask
-        state.tracts = tracts = read_tracts_geojson(str(config.path(config.tracts)))
+        tracts_path = config.path(config.tracts)
+        state.tracts = tracts = read_tracts_geojson(str(tracts_path))
         state.manifest_stages["surface"] = manifest = {"tracts": len(tracts.ids), "years": {}}
         if config.urban_mask:
             mask = read_mask_geojson(str(config.path(config.urban_mask)))
-            fraction = zonal.build_urban_mask(mask, tracts)
+            try:
+                fraction = zonal.build_urban_mask(mask, tracts)
+            except FormatError as exc:  # a tract of zero area
+                raise FormatError(f"{tracts_path}: {exc}") from exc
             codes = state.classification = (fraction >= zonal.URBAN_SHARE).astype(np.int8)
             manifest["urban"] = zonal.urban_counts(fraction)
             state.reports("urban.csv")[0].append(
@@ -576,13 +580,11 @@ def run(config: RunConfig, only_stage: str | None = None) -> dict:
     """Execute the configured stages year by year and emit reports plus a
     manifest.
 
-    With ``only_stage``, prerequisites are still computed but only that
-    stage's files are written (and no manifest). A full run first removes the
-    output directory's ``manifest.json``, so a run that fails leaves none.
-    Returns the manifest dict.
+    With ``only_stage`` (one of STAGES), prerequisites are still computed but
+    only that stage's files are written (and no manifest). A full run first
+    removes the output directory's ``manifest.json``, so a run that fails
+    leaves none. Returns the manifest dict.
     """
-    if only_stage is not None and only_stage not in STAGES:
-        raise ConfigError(f"unknown stage {only_stage!r}; valid stages: {list(STAGES)}")
     to_write = set(config.stages if only_stage is None else (only_stage,))
     to_run = [s for s in STAGES if s in to_write or any(s in _PREREQS[w] for w in to_write)]
     _check_stage_inputs(to_run, config.rac, config.wac, config.od)

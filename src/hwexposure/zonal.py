@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, FormatError, SchemaError
+from .errors import FormatError
 from .geometry import PolygonSet, geoid_text
 from .grids import ConcentrationGrid
 
@@ -79,7 +79,7 @@ class TractSurface:
                  completeness: dict, strata: np.ndarray | None) -> None:
         bad = ids[values < 0]
         if len(bad):
-            raise SchemaError(f"negative concentrations for {geoid_text(bad[:5])}")
+            raise ValueError(f"negative concentrations for {geoid_text(bad[:5])}")
         self.year, self.ids, self.values = year, ids, values
         self.completeness, self.strata = completeness, strata
 
@@ -238,12 +238,9 @@ def tract_coverage(tracts: PolygonSet, grid: ConcentrationGrid) -> TractCoverage
 
     Only the lattice (origin, cell size, shape) is read, so the result serves
     every year whose grid has the same lattice. Holes subtract. Raises
-    SchemaError for an empty tract set and FormatError for a lattice that
-    cannot place the tracts exactly.
+    FormatError for a lattice that cannot place the tracts exactly.
     """
     n_tracts = len(tracts.ids)
-    if not n_tracts:
-        raise SchemaError("tract list is empty")
     ox, oy, cw, ch = grid.origin_x, grid.origin_y, grid.cell_width, grid.cell_height
     cell_area = cw * ch
     if not 0.0 < cell_area < np.inf:
@@ -540,12 +537,12 @@ def build_urban_mask(mask: PolygonSet, tracts: PolygonSet) -> np.ndarray:
     tracts' geoid order; the tract is urban when it is at least URBAN_SHARE.
 
     The mask's polygons must be mutually disjoint (true for Census urban-area
-    polygons); overlapping ones would be double counted. Raises
-    DegenerateGeometryError for a tract of zero area.
+    polygons); overlapping ones would be double counted. Raises FormatError
+    for a tract of zero area.
     """
     area = tract_areas(tracts)
     if (area <= 0.0).any():
-        raise DegenerateGeometryError(
+        raise FormatError(
             f"tract {geoid_text(tracts.ids[area <= 0.0])[0]} has zero area")
     overlap = np.zeros(tracts.n_owners)
     if not mask.n_owners:

@@ -7,10 +7,17 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
+import os
 import shutil
+import sys
 from unittest import mock
 
 import pytest
+
+# set before the package is first imported, here and in the interpreters the
+# tests start, so a test run leaves no bytecode in src/ for a later run to load
+sys.dont_write_bytecode = True
+os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
 
 from hwexposure import biasstats, disparity, exposure, ingest, pipeline, synth, zonal
 

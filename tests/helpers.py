@@ -23,9 +23,10 @@ columnar report writer replaced, oracle_composition_rows the bins.csv rows
 built one list per row, and read_surface_csv reads a surface_<year>.csv
 back. worker_table and table_rows convert between row literals and the
 columnar ingest.WorkerTable; oracle_rollup and oracle_join are the per-row
-dict rollup, validation and joins that the columnar ones replaced, and
-oracle_read_tracts the text-keyed (U16 geocodes, U11 geoids) reader and
-rollup that the int64 tract ids replaced. tract_surface builds a
+dict rollup (with block_to_tract, its per-string geocode test), validation
+and joins that the columnar ones replaced, and oracle_read_tracts the
+text-keyed (U16 geocodes, U11 geoids) reader and rollup that the int64 tract
+ids replaced. tract_surface builds a
 zonal.TractSurface from a {geoid: value} dict (excluded geoids NaN),
 surface_entries gives its valued tracts back as that dict, strata_codes
 gives each tract's int8 stratum code from a {geoid: stratum} dict,
@@ -82,14 +83,7 @@ import numpy as np
 
 from hwexposure import (biasstats, disparity, exposure, geometry, grids, ingest, pipeline, synth,
                         zonal)
-from hwexposure.errors import (
-    DegenerateGeometryError,
-    DegenerateSliceError,
-    FormatError,
-    MalformedGeocodeError,
-    SchemaError,
-    ValidationError,
-)
+from hwexposure.errors import DegenerateSliceError, FormatError
 
 Vertex = tuple[float, float]
 Ring = tuple[Vertex, ...]
@@ -102,14 +96,14 @@ HW_WEIGHTS = exposure.HWWeights(0.794, 0.206)  # the paper's home/work time spli
 def normalize_ring(vertices: Iterable[Sequence[float]]) -> Ring:
     """Return a closed ring (first vertex repeated last) with >= 3 distinct vertices.
 
-    Accepts open or closed input; raises DegenerateGeometryError when fewer
-    than three distinct vertices remain.
+    Accepts open or closed input; raises FormatError when fewer than three
+    distinct vertices remain.
     """
     pts = [(float(v[0]), float(v[1])) for v in vertices]
     if len(pts) >= 2 and pts[0] == pts[-1]:
         pts = pts[:-1]
     if len(set(pts)) < 3:
-        raise DegenerateGeometryError(
+        raise FormatError(
             f"ring needs >= 3 distinct vertices, got {len(set(pts))}"
         )
     return tuple(pts) + (pts[0],)
@@ -136,18 +130,18 @@ def polygon_area(exterior: Iterable[Sequence[float]],
                  holes: Iterable[Iterable[Sequence[float]]] = ()) -> float:
     """Area of a polygon with optional holes: |exterior| minus hole areas.
 
-    Raises DegenerateGeometryError for rings with fewer than 3 distinct
-    vertices or zero area (collinear rings).
+    Raises FormatError for rings with fewer than 3 distinct vertices or zero
+    area (collinear rings).
     """
     ext = normalize_ring(exterior)
     area = abs(signed_ring_area(ext))
     if area == 0.0:
-        raise DegenerateGeometryError("ring has zero area")
+        raise FormatError("ring has zero area")
     for hole in holes:
         h = normalize_ring(hole)
         h_area = abs(signed_ring_area(h))
         if h_area == 0.0:
-            raise DegenerateGeometryError("hole ring has zero area")
+            raise FormatError("hole ring has zero area")
         area -= h_area
     return max(area, 0.0)
 
@@ -165,7 +159,7 @@ class PolygonPart:
             self, "holes", tuple(normalize_ring(h) for h in self.holes)
         )
         if abs(signed_ring_area(self.exterior)) == 0.0:
-            raise DegenerateGeometryError("exterior ring has zero area")
+            raise FormatError("exterior ring has zero area")
 
     def area(self) -> float:
         return polygon_area(self.exterior, self.holes)
@@ -180,9 +174,9 @@ class TractGeometry:
 
     def __post_init__(self) -> None:
         if not geometry.is_tract_geoid(self.geoid):
-            raise SchemaError(f"tract geoid must be 11 ASCII digits, got {self.geoid!r}")
+            raise FormatError(f"tract geoid must be 11 ASCII digits, got {self.geoid!r}")
         if not self.parts:
-            raise DegenerateGeometryError(f"tract {self.geoid} has no polygons")
+            raise FormatError(f"tract {self.geoid} has no polygons")
 
     def area(self) -> float:
         return sum(p.area() for p in self.parts)
@@ -402,7 +396,7 @@ def cell_coverage(parts, cell) -> float:
     """Fraction of a rectangular cell covered by the polygon, in [0, 1]."""
     x0, y0, x1, y1 = cell
     if x1 <= x0 or y1 <= y0:
-        raise DegenerateGeometryError(f"cell must have positive extent: {cell}")
+        raise FormatError(f"cell must have positive extent: {cell}")
     hps = _rect_halfplanes(cell)
     covered = sum(_part_area_in(p, hps) for p in parts)
     frac = covered / ((x1 - x0) * (y1 - y0))
@@ -787,18 +781,25 @@ class _OracleValidator:
 
     def check(self, key: str, total: int, counts: dict[str, int]) -> None:
         if total < 0:
-            raise ValidationError(f"row {key}: total: negative total {total}")
+            raise FormatError(f"row {key}: total: negative total {total}")
         for count in counts.values():
             if count < 0:
-                raise ValidationError(f"row {key}: negative count {count}")
+                raise FormatError(f"row {key}: negative count {count}")
         for schema in self._schemas:
             if not schema.partitions_total or not all(c in counts for c in schema.codes):
                 continue
             subtotal = sum(counts[code] for code in schema.codes)
             if subtotal != total:
-                raise ValidationError(
+                raise FormatError(
                     f"row {key}: {schema.characteristic}: category sum {subtotal} != total {total}"
                 )
+
+
+def block_to_tract(geocode: str) -> str:
+    """First 11 digits of a 15-digit block geocode."""
+    if len(geocode) != 15 or not (geocode.isascii() and geocode.isdigit()):
+        raise FormatError(f"block geocode must be 15 digits, got {geocode!r}")
+    return geocode[:11]
 
 
 def oracle_rollup(rows, schemas) -> dict[tuple[str, ...], tuple[int, dict[str, int]]]:
@@ -809,7 +810,7 @@ def oracle_rollup(rows, schemas) -> dict[tuple[str, ...], tuple[int, dict[str, i
     totals: dict[tuple[str, ...], int] = {}
     counts: dict[tuple[str, ...], dict[str, int]] = {}
     for *blocks, total, row_counts in rows:
-        key = tuple(ingest.block_to_tract(block) for block in blocks)
+        key = tuple(block_to_tract(block) for block in blocks)
         validator.check("->".join(blocks), total, row_counts)
         if key in totals:
             totals[key] += total
@@ -874,7 +875,7 @@ def oracle_read_tracts(path: str, role: str) -> tuple[int, ingest.WorkerTable]:
                           usecols=[position[c] for c in (*keys, required[-1], *codes)], ndmin=1)
     blocks = [data[k].copy() for k in keys]
     if not all(_oracle_is_geocode(b).all() for b in blocks):
-        raise MalformedGeocodeError(f"{path}: a malformed geocode")
+        raise FormatError(f"{path}: a malformed geocode")
     counts = data["counts"]
     tracts = [b.astype("U11") for b in blocks]
     order = np.lexsort(tracts[::-1])

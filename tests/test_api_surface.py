@@ -1,6 +1,6 @@
 """src/ holds only what a run executes: every top-level function and method
 of the package is named somewhere in the package itself, and every error
-class is raised there."""
+class is raised there and told apart by a handler."""
 from __future__ import annotations
 
 import ast
@@ -57,3 +57,28 @@ def test_every_error_class_is_raised_in_src():
     errors = ast.parse(Path(hwexposure.__file__).with_name("errors.py").read_text("utf-8"))
     defined = [node.name for node in errors.body if isinstance(node, ast.ClassDef)]
     assert [name for name in defined if name not in live] == []
+
+
+def test_every_error_class_is_told_apart_by_a_handler():
+    # a class that no except clause names is one no run tells apart from
+    # the others; each kind of ending has its handler
+    handlers: dict[str, set[str]] = {}  # class -> module.function of each except naming it
+    for path in SOURCES:
+        for function in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(function):
+                if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                    for name in ast.walk(node.type):
+                        if isinstance(name, ast.Name):
+                            handlers.setdefault(name.id, set()).add(
+                                f"{path.stem}.{function.name}")
+    errors = ast.parse(Path(hwexposure.__file__).with_name("errors.py").read_text("utf-8"))
+    defined = [node.name for node in errors.body if isinstance(node, ast.ClassDef)]
+    assert [name for name in defined if name not in handlers] == []
+    assert {"cli.main"} <= handlers["EngineError"]  # exit 1
+    assert {"cli.main"} <= handlers["ConfigError"]  # exit 2
+    assert {"pipeline._stage_disparity", "pipeline._stage_bias"} \
+        <= handlers["DegenerateSliceError"]  # a skipped, counted slice
+    assert {"ingest.read_tracts", "pipeline._stage_surface"} \
+        <= handlers["FormatError"]  # the file named

@@ -437,6 +437,29 @@ def test_duplicate_tract_geoid_names_the_file(tmp_path, caplog):
     assert f"stage surface: {path}: duplicate tract geoids: [{geoid!r}]" in caplog.text
 
 
+def test_empty_tract_list_names_the_file(tmp_path, caplog):
+    world = make_world(tmp_path)
+    path = world / "tracts.geojson"
+    path.write_text(json.dumps({"type": "FeatureCollection", "features": []}))
+    assert run(world, tmp_path / "out") == 1
+    assert f"stage surface: {path}: tract list is empty" in caplog.text
+
+
+def test_zero_area_tract_names_the_file(tmp_path, caplog):
+    # a hole as large as its exterior leaves the tract no area, so the urban
+    # mask (configured in a synth world) has no share to give it
+    world = make_world(tmp_path)
+    path = world / "tracts.geojson"
+    collection = json.loads(path.read_text())
+    feature = collection["features"][0]
+    (exterior,) = feature["geometry"]["coordinates"]
+    feature["geometry"]["coordinates"] = [exterior, exterior[::-1]]
+    path.write_text(json.dumps(collection))
+    geoid = feature["properties"]["GEOID"]
+    assert run(world, tmp_path / "out") == 1
+    assert f"stage surface: {path}: tract {geoid} has zero area" in caplog.text
+
+
 def _set_feature(index, value):
     def edit(collection):
         collection["features"][index] = value

@@ -27,7 +27,7 @@ from helpers import (
 from helpers import overlap_area as clipped_overlap
 
 from hwexposure import zonal
-from hwexposure.errors import DegenerateGeometryError, FormatError
+from hwexposure.errors import FormatError
 from hwexposure.geometry import geoid_text, polygon_set, read_mask_geojson, read_tracts_geojson
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
@@ -59,13 +59,13 @@ def test_area_triangle():
 
 def test_area_collinear_is_degenerate():
     for area in (polygon_area, package_area):
-        with pytest.raises(DegenerateGeometryError):
+        with pytest.raises(FormatError):
             area([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)])
 
 
 def test_area_too_few_vertices():
     for area in (polygon_area, package_area):
-        with pytest.raises(DegenerateGeometryError):
+        with pytest.raises(FormatError):
             area([(0.0, 0.0), (1.0, 0.0)])
 
 
@@ -128,7 +128,7 @@ def test_coverage_hole_subtracted():
 
 def test_coverage_degenerate_cell():
     part = PolygonPart(exterior=tuple(UNIT_SQUARE))
-    with pytest.raises(DegenerateGeometryError):
+    with pytest.raises(FormatError):
         cell_coverage([part], (0.0, 0.0, 0.0, 1.0))
 
 
@@ -275,12 +275,12 @@ def test_geometry_checks_run_kind_by_kind():
     flat = [[[0, 0], [1, 1], [2, 2]]]
     two = [[[0, 0], [1, 0], [0, 0]]]
     text = [[[0, 0], [1, "x"], [1, 1]]]
-    with pytest.raises(DegenerateGeometryError, match="feature 3: ring needs >= 3 distinct"):
+    with pytest.raises(FormatError, match="feature 3: ring needs >= 3 distinct"):
         polygon_set("m.json", [[good], [flat], [good], [two], [two]])
     with pytest.raises(FormatError, match="feature 4: coordinate must be a finite number"):
         polygon_set("m.json", [[good], [flat], [two], [good], [text]])
     geoids = ["06037000300", "06037000200", "06037000100"]
-    with pytest.raises(DegenerateGeometryError, match="feature 1: exterior ring has zero"):
+    with pytest.raises(FormatError, match="feature 1: exterior ring has zero"):
         polygon_set("t.json", [[good], [flat], [flat]], geoids)
 
 

@@ -10,12 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hwexposure.errors import (
-    EngineError,
-    FormatError,
-    MalformedGeocodeError,
-    ValidationError,
-)
+from hwexposure.errors import EngineError, FormatError
 from hwexposure.exposure import align_table, iter_groups, resolve_pairs
 from hwexposure import ingest
 from hwexposure.ingest import (
@@ -23,7 +18,6 @@ from hwexposure.ingest import (
     RAC_WAC_SCHEMAS,
     aggregate_od,
     aggregate_to_tracts,
-    block_to_tract,
     read_block_csv,
     read_od_csv,
 )
@@ -50,17 +44,17 @@ def rollup(rows):
 
 
 # ----------------------------------------------------------------------------
-# block_to_tract
+# block geocode -> tract: the first 11 of 15 digits
 # ----------------------------------------------------------------------------
 
 def test_block_to_tract_prefix():
-    assert block_to_tract("060372653011011") == "06037265301"
+    assert table_rows(rollup([age_row("060372653011011", 1, 1, 1)]))[0][0] == "06037265301"
 
 
 @pytest.mark.parametrize("bad", ["0603726530", "06037265301A011", "", "0603726530110111"])
 def test_block_to_tract_malformed(bad):
-    with pytest.raises(MalformedGeocodeError):
-        block_to_tract(bad)
+    with pytest.raises(FormatError, match=f"^block geocode must be 15 digits, got '{bad}'$"):
+        rollup([age_row("060372653011011", 1, 1, 1), age_row(bad, 1, 1, 1)])
 
 
 # ----------------------------------------------------------------------------
@@ -89,7 +83,7 @@ def test_block_tables_are_read_with_a_table_role(recorded_run):
 
 def test_rollup_category_sum_error_names_row_and_characteristic():
     rows = [("060372653011011", 5, {"CA01": 1, "CA02": 1, "CA03": 1})]
-    with pytest.raises(ValidationError) as err:
+    with pytest.raises(FormatError) as err:
         rollup(rows)
     assert "060372653011011" in str(err.value)
     assert "age" in str(err.value)
@@ -229,19 +223,19 @@ def test_validate_table_clean():
 def test_validate_table_flags_age_mismatch():
     rows = [age_row("060372653011011", 1, 1, 1),
             ("060372653012022", 10, {"CA01": 3, "CA02": 3, "CA03": 3})]
-    with pytest.raises(ValidationError) as err:
+    with pytest.raises(FormatError) as err:
         rollup(rows)
     assert str(err.value).startswith("row 060372653012022: age: ")
 
 
 def test_rollup_rejects_negative_count():
     rows = [age_row("060372653011011", 1, 1, 1), age_row("060372653012022", -1, 2, 2)]
-    with pytest.raises(ValidationError) as err:
+    with pytest.raises(FormatError) as err:
         rollup(rows)
     assert "060372653012022" in str(err.value)
     assert "negative" in str(err.value)
     rows = [("060372653011011", -3, {})]
-    with pytest.raises(ValidationError, match="negative total"):
+    with pytest.raises(FormatError, match="negative total"):
         rollup(rows)
 
 
@@ -256,7 +250,7 @@ def test_fault_injection_single_corruption():
     counts = dict(counts)
     counts["CA02"] += 1
     corrupted = rows[:k] + [(geocode, total, counts)] + rows[k + 1:]
-    with pytest.raises(ValidationError) as err:
+    with pytest.raises(FormatError) as err:
         rollup(corrupted)
     assert str(err.value).startswith(f"row {geocode}: age: ")
 

@@ -28,7 +28,7 @@ from helpers import (
 )
 
 from hwexposure import pipeline, synth, zonal
-from hwexposure.errors import FormatError, SchemaError
+from hwexposure.errors import FormatError
 from hwexposure.geometry import geoid_text, read_tracts_geojson
 from hwexposure.grids import ConcentrationGrid, read_asc, read_xyz_csv
 from hwexposure.zonal import build_tract_surface, build_urban_mask
@@ -270,11 +270,6 @@ def test_read_xyz_csv_later_point_wins(tmp_path):
     assert read_xyz_csv(str(path)).values.tolist() == [[3.0, 2.0]]
 
 
-def test_negative_concentration_rejected():
-    with pytest.raises(FormatError):
-        make_grid([[-1.0]])
-
-
 # ----------------------------------------------------------------------------
 # zonal_weighted_mean
 # ----------------------------------------------------------------------------
@@ -426,14 +421,16 @@ def test_surface_excludes_nodata_tract():
 def test_surface_duplicate_geoid():
     grid = make_grid([[1.0]])
     tracts = [rect_tract("06037000100", 0, 0, 1, 1), rect_tract("06037000100", 0, 0, 1, 1)]
-    with pytest.raises(SchemaError, match="duplicate tract geoids"):
+    with pytest.raises(FormatError, match="duplicate tract geoids"):
         tract_coverage(tracts, grid)
 
 
-def test_surface_empty_tract_list():
-    grid = make_grid([[1.0]])
-    with pytest.raises(SchemaError, match="tract list is empty"):
-        tract_coverage([], grid)
+def test_surface_empty_tract_list(tmp_path):
+    # the reader guarantees the coverage kernel at least one tract
+    path = tmp_path / "tracts.geojson"
+    path.write_text('{"type": "FeatureCollection", "features": []}')
+    with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}: tract list is empty$"):
+        read_tracts_geojson(str(path))
 
 
 def test_surface_matches_per_tract_oracle_and_threads():
@@ -1030,7 +1027,7 @@ def test_surface_csv_roundtrip(tmp_path):
 def test_surface_rejects_negative_tracts_and_derives_excluded():
     # a surface spans every tract of the run; NaN marks an excluded tract
     ids = np.array([6037000100, 6037000200, 6037000300])
-    with pytest.raises(SchemaError, match=r"negative concentrations for \['06037000200'\]"):
+    with pytest.raises(ValueError, match=r"negative concentrations for \['06037000200'\]"):
         zonal.TractSurface(2011, ids, np.array([1.0, -2.0, np.nan]), {}, None)
     surface = zonal.TractSurface(2011, ids, np.array([np.nan, 2.0, np.nan]), {}, None)
     assert geoid_text(surface.excluded) == ["06037000100", "06037000300"]
