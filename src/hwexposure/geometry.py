@@ -7,7 +7,7 @@ back to back, with its owner (a tract, or a mask polygon) and hole flag. A
 tract set's ``ids``, its GEOIDs as int64 ascending, are the run's one tract
 index; ``geoid_text`` gives their text for reports and messages. Every
 ring is checked here, so the kernels in ``zonal`` can rely on >= 3 distinct
-vertices and a nonzero shoelace area per ring.
+vertices and a nonzero shoelace area per ring, and on a nonzero area per tract.
 """
 from __future__ import annotations
 
@@ -30,8 +30,9 @@ class PolygonSet(NamedTuple):
     last. Its owner ``ring_owner[r]`` is a tract (``ids`` ascending) or, in
     a mask, one polygon; an owner's rings are contiguous, each polygon's
     exterior first and then its holes. ``ring_area`` is the signed shoelace
-    area (positive counter-clockwise); ``bbox`` is each owner's
-    (min x, min y, max x, max y) over all its rings.
+    area (positive counter-clockwise); ``area`` is each owner's area: over
+    its polygons, the exterior's area less its holes', at least 0; ``bbox``
+    is each owner's (min x, min y, max x, max y) over all its rings.
     """
 
     ids: np.ndarray          # int64 tract ids, ascending; empty for a mask
@@ -40,6 +41,7 @@ class PolygonSet(NamedTuple):
     ring_owner: np.ndarray   # int64 (R,)
     ring_hole: np.ndarray    # bool (R,)
     ring_area: np.ndarray    # float64 (R,)
+    area: np.ndarray         # float64 (owners,)
     bbox: np.ndarray         # float64 (owners, 4)
 
     @property
@@ -87,6 +89,7 @@ def polygon_set(source: str, features: Sequence[Sequence],
     Rings may be given open or closed. The checks run one kind at a time, in
     the order below; the first kind that fails names ``source``, the first
     feature (in file order) failing it, and that feature's first bad item.
+    Last, a tract of zero area names ``source`` and the first such geoid.
     """
     n = len(features)
     if geoids is not None:
@@ -178,6 +181,11 @@ def polygon_set(source: str, features: Sequence[Sequence],
     ring_area = 0.5 * np.add.reduceat(cross, ring_ptr[:-1]) if len(cross) else np.zeros(0)
     fail((ring_area == 0.0) & ~ring_hole, ring_feature, lambda r: "exterior ring has zero area")
     fail((ring_area == 0.0) & ring_hole, ring_feature, lambda r: "hole ring has zero area")
+    polygon_area = np.maximum(np.bincount(
+        ring_polygon, weights=np.where(ring_hole, -1.0, 1.0) * np.abs(ring_area)), 0.0)
+    area = np.bincount(ring_owner[~ring_hole], weights=polygon_area, minlength=n_owners)
+    if geoids is not None and (area <= 0.0).any():
+        raise FormatError(f"{source}: tract {geoid_text(ids[area <= 0.0])[0]} has zero area")
 
     first_vertex = ring_ptr[:-1][np.searchsorted(ring_owner, np.arange(n_owners))]
     bbox = np.column_stack([np.minimum.reduceat(x, first_vertex),
@@ -187,7 +195,7 @@ def polygon_set(source: str, features: Sequence[Sequence],
         np.zeros((0, 4))
     return PolygonSet(
         ids=ids, xy=xy, ring_ptr=ring_ptr, ring_owner=ring_owner, ring_hole=ring_hole,
-        ring_area=ring_area, bbox=bbox,
+        ring_area=ring_area, area=area, bbox=bbox,
     )
 
 

@@ -193,15 +193,11 @@ def _display_path(path: Path, base_dir: Path) -> str:
 def _stage_surface(state: RunState, data: YearData) -> None:
     config = state.config
     if state.tracts is None:  # the first year reads the tracts and the mask
-        tracts_path = config.path(config.tracts)
-        state.tracts = tracts = read_tracts_geojson(str(tracts_path))
+        state.tracts = tracts = read_tracts_geojson(str(config.path(config.tracts)))
         state.manifest_stages["surface"] = manifest = {"tracts": len(tracts.ids), "years": {}}
         if config.urban_mask:
             mask = read_mask_geojson(str(config.path(config.urban_mask)))
-            try:
-                fraction = zonal.build_urban_mask(mask, tracts)
-            except FormatError as exc:  # a tract of zero area
-                raise FormatError(f"{tracts_path}: {exc}") from exc
+            fraction = zonal.build_urban_mask(mask, tracts)
             codes = state.classification = (fraction >= zonal.URBAN_SHARE).astype(np.int8)
             manifest["urban"] = zonal.urban_counts(fraction)
             state.reports("urban.csv")[0].append(

@@ -7,12 +7,15 @@ clockwise by the sign of ``PolygonSet.ring_area``.
 
 Cell weights are exact coverage areas. ``tract_coverage`` computes them once
 per grid lattice with a signed-area accumulation rasterizer, the exact-area
-technique of font-rs and exactextract: every ring edge is split at the row and
-column lines it crosses, each piece adds its signed area to its own cell and
-the rest of its height to the next cell, and a prefix sum along each row turns
-those into the covered fraction of every cell. ``build_tract_surface`` then
-reduces one year's grid over that coverage: the zonal value is
-sum(value * covered_area) / sum(covered_area) over non-nodata cells. A
+technique of font-rs and exactextract, on each tract's cell box clipped to the
+grid: every ring edge is split at the box's row and column lines it crosses,
+each piece in the box adds its signed area to its own cell and the rest of its
+height to the next cell, a piece left of the box adds all its height to the
+box's first column, and a prefix sum along each row turns those into the
+covered fraction of every cell. ``build_tract_surface`` then reduces one
+year's grid over that coverage: the zonal value is
+sum(value * covered_area) / sum(covered_area) over non-nodata cells, and its
+completeness is the valid covered area over the tract's ``PolygonSet.area``. A
 ``TractSurface`` covers every tract of the run, with NaN where a tract has no
 valid coverage that year: it is excluded rather than failing the run.
 
@@ -49,8 +52,8 @@ STRATA = (RURAL, URBAN)
 URBAN_SHARE = 0.5
 _NEAR_THRESHOLD = 1e-9
 
-# Tracts are processed in runs of about this many dense bounding-box cells
-# (8 MiB of float64) and ring vertices, so memory stays bounded.
+# Tracts are processed in runs of about this many dense cells of their boxes
+# on the grid (8 MiB of float64) and ring vertices, so memory stays bounded.
 _CHUNK_CELLS = 1 << 20
 _CHUNK_VERTICES = 1 << 17
 # A vertex within this factor times (edge length) x (coordinate size) of an
@@ -95,8 +98,8 @@ class TractCoverage(NamedTuple):
     Tract ``i`` (``ids`` ascending) covers the flat cells
     ``cell_idx[tract_ptr[i]:tract_ptr[i + 1]]`` (``row * n_cols + col``,
     row-major) with the areas ``area[...]`` in grid units squared.
-    ``polygon_area`` is each tract's covered area over its whole bounding box,
-    off-grid cells included: the denominator of coverage completeness.
+    ``polygon_area`` is each tract's ``PolygonSet.area``, on the grid or off
+    it: the denominator of coverage completeness.
     """
 
     lattice: tuple[float, float, float, float, int, int]
@@ -122,13 +125,13 @@ def _expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return run, np.arange(len(run)) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def _line_crossings(a0: np.ndarray, a1: np.ndarray):
-    """For each edge running a0 -> a1 along one axis, the integer lines strictly
-    between its ends: (edge index, line, parameter t in (0, 1)) per crossing."""
-    lo = np.floor(np.minimum(a0, a1))
-    count = np.maximum(np.ceil(np.maximum(a0, a1)) - lo - 1.0, 0.0).astype(np.int64)
-    edge, rank = _expand(count)
-    line = lo[edge] + 1.0 + rank
+def _line_crossings(a0: np.ndarray, a1: np.ndarray, side: np.ndarray):
+    """For each edge running a0 -> a1 along one axis, the integer lines in [0, side]
+    strictly between its ends: (edge index, line, parameter t in (0, 1)) per crossing."""
+    first = np.maximum(np.floor(np.minimum(a0, a1)) + 1.0, 0.0)
+    last = np.minimum(np.ceil(np.maximum(a0, a1)) - 1.0, side)
+    edge, rank = _expand(np.maximum(last - first + 1.0, 0.0).astype(np.int64))
+    line = first[edge] + rank
     return edge, line, (line - a0[edge]) / (a1[edge] - a0[edge])
 
 
@@ -177,20 +180,20 @@ def _tract_runs(tracts: PolygonSet, *budgets):
 
 
 def _chunk_coverage(edges: _Edges, width: np.ndarray, height: np.ndarray):
-    """Covered fraction of every bbox cell of a run of tracts.
+    """Covered fraction of every cell of the boxes of a run of tracts.
 
-    ``edges`` are the run's oriented edges in cell units from each tract's bbox
-    corner; tract ``t`` of the run (``edges.owner``) has the bbox of
-    ``height[t]`` rows by ``width[t]`` columns. For each bbox cell covered by
-    more than _MIN_FRACTION, returns its tract, bbox row, bbox column and
-    covered fraction, clipped to 1.
+    ``edges`` are the run's oriented edges in cell units from each tract's box
+    corner; tract ``t`` of the run (``edges.owner``) has the box of
+    ``height[t]`` rows by ``width[t]`` columns, which need not hold the whole
+    tract. For each box cell covered by more than _MIN_FRACTION, returns its
+    tract, box row, box column and covered fraction, clipped to 1.
     """
     steep = edges.y0 != edges.y1
     u0, v0, u1, v1, edge_tract = (a[steep] for a in edges)
 
-    # split every edge at the column and row lines it crosses
-    ex, xline, xt = _line_crossings(u0, u1)
-    ey, yline, yt = _line_crossings(v0, v1)
+    # split every edge at the column and row lines of its box that it crosses
+    ex, xline, xt = _line_crossings(u0, u1, width[edge_tract])
+    ey, yline, yt = _line_crossings(v0, v1, height[edge_tract])
     ends = np.arange(len(u0))
     edge = np.concatenate((ends, ex, ey, ends))
     t = np.concatenate((np.zeros(len(u0)), xt, yt, np.ones(len(u0))))
@@ -198,19 +201,22 @@ def _chunk_coverage(edges: _Edges, width: np.ndarray, height: np.ndarray):
     v = np.concatenate((v0, v0[ex] + xt * (v1[ex] - v0[ex]), yline, v1))
     order = np.lexsort((t, edge))
     edge, u, v = edge[order], u[order], v[order]
-    # Consecutive points of one edge bound a piece lying inside a single cell;
-    # on oriented rings, each piece adds its drop to the cells right of it.
+    # Consecutive points of one edge bound a piece lying inside a single cell
+    # of the box, or wholly outside it; on oriented rings, each piece adds its
+    # drop to the cells right of it. A piece left of the box adds all of it to
+    # column 0; one right of, above or below the box adds none.
     piece = np.flatnonzero(edge[1:] == edge[:-1])
     dy = v[piece] - v[piece + 1]
-    keep = dy != 0.0
-    piece, dy = piece[keep], dy[keep]
     tract = edge_tract[edge[piece]]
     um = 0.5 * (u[piece] + u[piece + 1])
-    col = np.clip(np.floor(um), 0, width[tract] - 1)
-    row = np.clip(np.floor(0.5 * (v[piece] + v[piece + 1])), 0, height[tract] - 1)
+    vm = 0.5 * (v[piece] + v[piece + 1])
+    keep = (dy != 0.0) & (um <= width[tract]) & (vm > 0.0) & (vm < height[tract])
+    dy, tract, um, vm = dy[keep], tract[keep], np.maximum(um[keep], 0.0), vm[keep]
+    col = np.minimum(np.floor(um), width[tract] - 1)
+    row = np.floor(vm)
     partial = dy * (col + 1.0 - um)
 
-    # One dense buffer: each tract's bbox rows, with an extra column that takes
+    # One dense buffer: each tract's box rows, with an extra column that takes
     # the remainders of the last column's pieces.
     stride = width + 1
     cells = height * stride
@@ -218,7 +224,7 @@ def _chunk_coverage(edges: _Edges, width: np.ndarray, height: np.ndarray):
     idx = base[tract] + row.astype(np.int64) * stride[tract] + col.astype(np.int64)
     buf = np.bincount(np.concatenate((idx, idx + 1)),
                       weights=np.concatenate((partial, dy - partial)), minlength=int(cells.sum()))
-    # Prefix sum along each bbox row, rows of one width at a time, so that a
+    # Prefix sum along each box row, rows of one width at a time, so that a
     # cell's sum runs over its own row only, whatever else is in the run.
     row_width = np.repeat(stride, height)
     row_start = np.cumsum(row_width) - row_width
@@ -229,8 +235,8 @@ def _chunk_coverage(edges: _Edges, width: np.ndarray, height: np.ndarray):
     pos = np.flatnonzero(buf > _MIN_FRACTION)
     tract = np.searchsorted(base, pos, side="right") - 1
     r, c = np.divmod(pos - base[tract], stride[tract])
-    in_bbox = c < width[tract]
-    return tract[in_bbox], r[in_bbox], c[in_bbox], np.minimum(buf[pos[in_bbox]], 1.0)
+    in_box = c < width[tract]
+    return tract[in_box], r[in_box], c[in_box], np.minimum(buf[pos[in_box]], 1.0)
 
 
 def tract_coverage(tracts: PolygonSet, grid: ConcentrationGrid) -> TractCoverage:
@@ -240,7 +246,6 @@ def tract_coverage(tracts: PolygonSet, grid: ConcentrationGrid) -> TractCoverage
     every year whose grid has the same lattice. Holes subtract. Raises
     FormatError for a lattice that cannot place the tracts exactly.
     """
-    n_tracts = len(tracts.ids)
     ox, oy, cw, ch = grid.origin_x, grid.origin_y, grid.cell_width, grid.cell_height
     cell_area = cw * ch
     if not 0.0 < cell_area < np.inf:
@@ -256,10 +261,12 @@ def tract_coverage(tracts: PolygonSet, grid: ConcentrationGrid) -> TractCoverage
         raise FormatError(f"origin ({ox!r}, {oy!r}) and cell size {cw!r} x {ch!r} put the "
                           "tracts outside the exact cell range: their cell coordinates must "
                           "be finite, within 2**53 of 0 and span a cell each")
+    # clipped to the grid; a box that misses it has no cells
+    shape = (grid.n_cols, grid.n_rows)
+    lo, hi = np.clip(lo, 0, shape), np.clip(hi, 0, shape)
     col0, row0 = lo.T
-    width, height = (hi - lo).astype(np.int64).T
+    width, height = np.where((hi > lo).all(axis=1, keepdims=True), hi - lo, 0).astype(np.int64).T
 
-    polygon_area = np.zeros(n_tracts)
     out_tract, out_cell, out_frac = [], [], []
     for ta, tb, e in _tract_runs(tracts, (height * (width + 1), _CHUNK_CELLS)):
         c0, r0 = col0[ta:tb][e.owner], row0[ta:tb][e.owner]
@@ -267,22 +274,19 @@ def tract_coverage(tracts: PolygonSet, grid: ConcentrationGrid) -> TractCoverage
             e._replace(x0=(e.x0 - ox) / cw - c0, y0=(e.y0 - oy) / ch - r0,
                        x1=(e.x1 - ox) / cw - c0, y1=(e.y1 - oy) / ch - r0),
             width[ta:tb], height[ta:tb])
-        polygon_area[ta:tb] = np.bincount(tract, weights=frac, minlength=tb - ta) * cell_area
         tract += ta
-        row = row0[tract].astype(np.int64) + r
-        col = col0[tract].astype(np.int64) + c
-        on_grid = (row >= 0) & (row < grid.n_rows) & (col >= 0) & (col < grid.n_cols)
-        out_tract.append(tract[on_grid])
-        out_cell.append(row[on_grid] * grid.n_cols + col[on_grid])
-        out_frac.append(frac[on_grid])
-    counts = np.bincount(np.concatenate(out_tract), minlength=n_tracts)
+        out_tract.append(tract)
+        out_cell.append((row0[tract].astype(np.int64) + r) * grid.n_cols
+                        + col0[tract].astype(np.int64) + c)
+        out_frac.append(frac)
+    counts = np.bincount(np.concatenate(out_tract), minlength=len(tracts.ids))
     return TractCoverage(
         lattice=grid.lattice,
         ids=tracts.ids,
         tract_ptr=np.concatenate(([0], np.cumsum(counts))).astype(np.int64),
         cell_idx=np.concatenate(out_cell).astype(np.int64),
         area=np.concatenate(out_frac) * cell_area,
-        polygon_area=polygon_area,
+        polygon_area=tracts.area,
     )
 
 
@@ -521,29 +525,14 @@ def _chunk_overlap(tract_edges: _Edges, tract_bbox: np.ndarray, tract_area: np.n
         lambda x, y, tract: _winding(x, y, tract_bbox[tract, 2], te, rays, owner=tract))
 
 
-def tract_areas(tracts: PolygonSet) -> np.ndarray:
-    """Each tract's area: over its polygons, the exterior's area less its
-    holes', at least 0."""
-    hole = tracts.ring_hole
-    polygon = np.cumsum(~hole) - 1
-    polygon_area = np.maximum(
-        np.bincount(polygon, weights=np.where(hole, -1.0, 1.0) * np.abs(tracts.ring_area)), 0.0)
-    return np.bincount(tracts.ring_owner[~hole], weights=polygon_area,
-                       minlength=tracts.n_owners)
-
-
 def build_urban_mask(mask: PolygonSet, tracts: PolygonSet) -> np.ndarray:
     """Each tract's share of its area inside the mask polygons, in the
     tracts' geoid order; the tract is urban when it is at least URBAN_SHARE.
 
     The mask's polygons must be mutually disjoint (true for Census urban-area
-    polygons); overlapping ones would be double counted. Raises FormatError
-    for a tract of zero area.
+    polygons); overlapping ones would be double counted.
     """
-    area = tract_areas(tracts)
-    if (area <= 0.0).any():
-        raise FormatError(
-            f"tract {geoid_text(tracts.ids[area <= 0.0])[0]} has zero area")
+    area = tracts.area
     overlap = np.zeros(tracts.n_owners)
     if not mask.n_owners:
         return overlap

@@ -13,8 +13,10 @@ deliberately independent of the clipper so it can serve as an oracle.
 cell_coverage and oracle_zonal_mean clip the tract against one grid cell at
 a time, independently of the accumulation rasterizer in zonal.tract_coverage,
 which they pin in differential tests. oracle_tract_coverage is that
-rasterizer as it was before it took the overlap kernel's oriented edges, with
-its own per-ring shoelace sign; the differential tests hold the new one to it. oracle_bin_curve, oracle_decile_shares
+rasterizer as it was before it took the overlap kernel's oriented edges and
+clipped each tract's box to the grid, with its own per-ring shoelace sign and
+line crossings over the whole box; the differential tests hold the new one to
+it. oracle_bin_curve, oracle_decile_shares
 and oracle_state_rows are the per-group tuple-list sorts and the per-state
 tract scan that the (groups x tracts) matrix kernels in disparity and
 pipeline replaced; the differential tests hold the kernels bit-identical to
@@ -468,6 +470,16 @@ def oracle_zonal_mean(grid, tract, exact=False):
     return min(max(num / den, vmin), vmax)
 
 
+def _oracle_line_crossings(a0: np.ndarray, a1: np.ndarray):
+    """For each edge running a0 -> a1 along one axis, every integer line
+    strictly between its ends: (edge index, line, parameter t in (0, 1))."""
+    lo = np.floor(np.minimum(a0, a1))
+    count = np.maximum(np.ceil(np.maximum(a0, a1)) - lo - 1.0, 0.0).astype(np.int64)
+    edge = np.repeat(np.arange(len(count)), count)
+    line = lo[edge] + 1.0 + (np.arange(len(edge)) - np.repeat(np.cumsum(count) - count, count))
+    return edge, line, (line - a0[edge]) / (a1[edge] - a0[edge])
+
+
 def _oracle_chunk_coverage(gx, gy, ring_len, ring_tract, ring_hole, col0, row0, width, height):
     """The coverage kernel before it took oriented edges: its own per-ring
     shoelace sign in cell units, turned into a per-edge sign."""
@@ -487,8 +499,8 @@ def _oracle_chunk_coverage(gx, gy, ring_len, ring_tract, ring_hole, col0, row0, 
     u0, v0, u1, v1, sign = u0[steep], v0[steep], u1[steep], v1[steep], sign[steep]
     edge_tract = ring_tract[edge_ring[steep]]
 
-    ex, xline, xt = zonal._line_crossings(u0, u1)
-    ey, yline, yt = zonal._line_crossings(v0, v1)
+    ex, xline, xt = _oracle_line_crossings(u0, u1)
+    ey, yline, yt = _oracle_line_crossings(v0, v1)
     ends = np.arange(len(u0))
     edge = np.concatenate((ends, ex, ey, ends))
     t = np.concatenate((np.zeros(len(u0)), xt, yt, np.ones(len(u0))))
@@ -528,7 +540,9 @@ def _oracle_chunk_coverage(gx, gy, ring_len, ring_tract, ring_hole, col0, row0, 
 def oracle_tract_coverage(tracts: geometry.PolygonSet, grid) -> zonal.TractCoverage:
     """zonal.tract_coverage as it was before the coverage kernel shared the
     overlap kernel's oriented edges: whole-set cell coordinates, each tract's
-    cell box from a min/max reduceat over them, and the per-ring sign above."""
+    whole cell box from a min/max reduceat over them, off the grid too, the
+    per-ring sign above, and the covered area over that box as
+    ``polygon_area``."""
     n_tracts = len(tracts.ids)
     ring_len = np.diff(tracts.ring_ptr)
     ring_tract, ring_hole = tracts.ring_owner, tracts.ring_hole

@@ -446,18 +446,24 @@ def test_empty_tract_list_names_the_file(tmp_path, caplog):
 
 
 def test_zero_area_tract_names_the_file(tmp_path, caplog):
-    # a hole as large as its exterior leaves the tract no area, so the urban
-    # mask (configured in a synth world) has no share to give it
-    world = make_world(tmp_path)
-    path = world / "tracts.geojson"
-    collection = json.loads(path.read_text())
-    feature = collection["features"][0]
-    (exterior,) = feature["geometry"]["coordinates"]
-    feature["geometry"]["coordinates"] = [exterior, exterior[::-1]]
-    path.write_text(json.dumps(collection))
-    geoid = feature["properties"]["GEOID"]
-    assert run(world, tmp_path / "out") == 1
-    assert f"stage surface: {path}: tract {geoid} has zero area" in caplog.text
+    # a hole as large as its exterior leaves the tract no area, so it has no
+    # coverage completeness and no urban share: the tract reader names it,
+    # before the urban mask (configured in a synth world) is read, and
+    # without a mask as well
+    for mask in (True, False):
+        world = make_world(tmp_path / str(mask))
+        if not mask:
+            point_config(world, "urban_mask", None)
+        path = world / "tracts.geojson"
+        collection = json.loads(path.read_text())
+        feature = collection["features"][0]
+        (exterior,) = feature["geometry"]["coordinates"]
+        feature["geometry"]["coordinates"] = [exterior, exterior[::-1]]
+        path.write_text(json.dumps(collection))
+        geoid = feature["properties"]["GEOID"]
+        caplog.clear()
+        assert run(world, tmp_path / str(mask) / "out") == 1
+        assert f"stage surface: {path}: tract {geoid} has zero area" in caplog.text
 
 
 def _set_feature(index, value):

@@ -45,7 +45,7 @@ def package_area(exterior, holes=()):
     """A one-polygon tract's area as the package computes it, from rings
     given like the oracle's."""
     rings = [[list(v) for v in ring] for ring in (exterior, *holes)]
-    return zonal.tract_areas(polygon_set("t.json", [[rings]], ["06037000100"]))[0]
+    return polygon_set("t.json", [[rings]], ["06037000100"]).area[0]
 
 
 def test_area_unit_square():
@@ -176,7 +176,7 @@ def overlap_area(subject, mask):
     """The clipper's overlap, checked against the Green's-theorem kernel."""
     want = clipped_overlap(subject, mask)
     tracts = tract_set([TractGeometry(geoid="06037000100", parts=tuple(subject))])
-    got = zonal.build_urban_mask(mask_set(mask), tracts)[0] * zonal.tract_areas(tracts)[0]
+    got = zonal.build_urban_mask(mask_set(mask), tracts)[0] * tracts.area[0]
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
     return want
 
@@ -322,7 +322,7 @@ def test_read_tracts_geojson_roundtrip(tmp_path):
     tracts = read_tracts_geojson(path)
     assert tracts.ids.dtype == np.int64
     assert geoid_text(tracts.ids) == ["06037000100", "06037000200"]
-    assert zonal.tract_areas(tracts).tolist() == [4.0, 2.0]
+    assert tracts.area.tolist() == [4.0, 2.0]
     assert tracts.ring_owner.tolist() == [0, 1, 1]
     # the open ring is closed
     assert tracts.xy[tracts.ring_ptr[2]:].tolist() == [[5, 0], [6, 0], [6, 1], [5, 1], [5, 0]]
@@ -408,7 +408,7 @@ def test_reader_matches_tuple_reader(tmp_path_factory, seed, n):
         xs = [x for p in tract.parts for ring in (p.exterior, *p.holes) for x, _ in ring]
         ys = [y for p in tract.parts for ring in (p.exterior, *p.holes) for _, y in ring]
         assert got.bbox[t].tolist() == [min(xs), min(ys), max(xs), max(ys)]
-    assert zonal.tract_areas(got) == pytest.approx([t.area() for t in want], rel=1e-12)
+    assert got.area == pytest.approx([t.area() for t in want], rel=1e-12)
     mask = read_mask_geojson(path)
     assert np.array_equal(mask.xy, np.concatenate(
         [np.array(ring) for part in oracle_read_mask_geojson(path)

@@ -8,6 +8,7 @@ import logging
 import math
 import os
 import re
+import resource
 import shutil
 import subprocess
 import sys
@@ -840,6 +841,33 @@ def test_run_does_not_import_numpy_ma(tmp_path):
         assert result.stdout.split("\n")[-2] == "0 []", grid_format
     csv_out, asc_out = tmp_path / "csv" / "out", tmp_path / "asc" / "out"
     assert (csv_out / "exposure.csv").read_bytes() == (asc_out / "exposure.csv").read_bytes()
+
+
+def test_grid_far_finer_than_the_tracts_runs_in_bounded_memory(tmp_path):
+    # A 6e-4-wide grid under 2-unit tracts, as a degree grid under metre
+    # tracts would be: each tract's box spans about 2e4 cells a side, but
+    # only its cells on the grid are held, so the run completes under a
+    # 1.5 GB address-space limit, set on the child process alone. One tract
+    # touches the grid and the other eight miss it.
+    world = tmp_path / "w"
+    synth.synth(str(world))
+    grid = world / "grid_2011.asc"
+    grid.write_text(re.sub(r"(?m)^cellsize .*$", "cellsize 0.0001", grid.read_text()))
+    limit = 1_500_000 * 1024
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(hwexposure.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-m", "hwexposure.cli", "run", "--config", str(world / "config.json"),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, preexec_fn=limit_memory,
+    )
+    assert result.returncode == 0, result.stderr
+    year = json.loads((tmp_path / "out" / "manifest.json").read_text())[
+        "stages"]["surface"]["years"]["2011"]
+    assert (len(year["excluded"]), year["tracts_with_coverage"]) == (8, 1)
 
 
 _CONFIG_ONLY_CHECK = """

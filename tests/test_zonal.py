@@ -19,6 +19,7 @@ from helpers import (
     oracle_zonal_mean,
     overlap_area,
     points_in_parts,
+    polygon_area,
     random_star_polygon,
     read_surface_csv,
     signed_ring_area,
@@ -543,7 +544,7 @@ def test_coverage_matches_clipping_oracle(seed, origin, cell):
     assert geoid_text(surface.excluded)[-1] == tracts[-1].geoid
 
 
-COVERAGE_ARRAYS = ("ids", "tract_ptr", "cell_idx", "area", "polygon_area")
+COVERAGE_ARRAYS = ("ids", "tract_ptr", "cell_idx", "area")
 
 
 def _turned(parts, ccw):
@@ -567,6 +568,31 @@ def _dense(coverage, grid):
     return dense
 
 
+def _box_on_grid(tracts, grid):
+    """Whether each tract's cell box lies on the grid."""
+    origin, cell = (grid.origin_x, grid.origin_y), (grid.cell_width, grid.cell_height)
+    lo = np.floor((tracts.bbox[:, :2] - origin) / cell)
+    hi = np.ceil((tracts.bbox[:, 2:] - origin) / cell)
+    return (lo >= 0).all(axis=1) & (hi <= (grid.n_cols, grid.n_rows)).all(axis=1)
+
+
+def assert_coverage_matches_oracle(tracts, grid, exact_on_grid=True):
+    """The kernel against the unclipped oracle: within 1e-12 of a cell for
+    every tract, and bit-identical for each tract whose box lies on the grid
+    when ``exact_on_grid``; the completeness denominator is each tract's
+    polygon area."""
+    got, want = zonal.tract_coverage(tracts, grid), oracle_tract_coverage(tracts, grid)
+    assert np.array_equal(got.ids, want.ids)
+    assert np.abs(_dense(got, grid) - _dense(want, grid)).max() <= 1e-12
+    for t in np.flatnonzero(_box_on_grid(tracts, grid) & exact_on_grid).tolist():
+        g = slice(got.tract_ptr[t], got.tract_ptr[t + 1])
+        w = slice(want.tract_ptr[t], want.tract_ptr[t + 1])
+        assert np.array_equal(got.cell_idx[g], want.cell_idx[w]), t
+        assert np.array_equal(got.area[g], want.area[w]), t
+    assert got.polygon_area is tracts.area
+    return got
+
+
 @given(
     seed=st.integers(0, 2**32 - 1),
     origin=st.tuples(st.floats(-60.0, 60.0), st.floats(-60.0, 60.0)),
@@ -574,11 +600,13 @@ def _dense(coverage, grid):
 )
 @settings(max_examples=40, deadline=None)
 def test_coverage_matches_the_per_ring_sign_kernel(seed, origin, cell):
-    # The kernel that signed each ring by its own shoelace sum in cell units
-    # is the oracle. Given exteriors counter-clockwise and holes clockwise,
-    # the edges run as given and every array is bit-identical; given any
-    # other way, edges are reversed rather than signed, which moves only the
-    # last bits.
+    # The kernel that signed each ring by its own shoelace sum in cell units,
+    # over each tract's whole box, is the oracle. Given exteriors
+    # counter-clockwise and holes clockwise, the edges run as given and the
+    # coverage of every tract whose box lies on the grid is bit-identical;
+    # given any other way, edges are reversed rather than signed, and a box
+    # clipped to the grid puts the cell coordinates about another corner,
+    # which move only the last bits.
     rng = np.random.default_rng(seed)
     cw, ch = cell
     grid = make_grid(np.ones((8, 8)), origin=origin, cell=cw, cell_height=ch)
@@ -594,14 +622,39 @@ def test_coverage_matches_the_per_ring_sign_kernel(seed, origin, cell):
                   _star_part(rng, *at(), 0.5 * size, size)))
 
     ccw = _tracts([_turned(p, True) for p in parts])
-    got, want = zonal.tract_coverage(ccw, grid), oracle_tract_coverage(ccw, grid)
-    for name in COVERAGE_ARRAYS:
-        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    got = assert_coverage_matches_oracle(ccw, grid)
+    assert got.polygon_area == pytest.approx(
+        [sum(polygon_area(q.exterior, q.holes) for q in p) for p in parts], rel=1e-12)
+    assert_coverage_matches_oracle(_tracts(parts), grid, exact_on_grid=False)
 
-    mixed = _tracts(parts)
-    got, want = zonal.tract_coverage(mixed, grid), oracle_tract_coverage(mixed, grid)
-    assert np.abs(_dense(got, grid) - _dense(want, grid)).max() <= 1e-12
-    assert got.polygon_area == pytest.approx(want.polygon_area, rel=1e-12)
+
+def test_coverage_of_tracts_across_and_off_each_grid_side():
+    # An 8 x 6 grid of 0.5 x 0.75 cells from (1, 2). Eight stars straddle a
+    # side or a corner of it and four lie wholly off one side; the four off
+    # the grid get no cells and are excluded, and the completeness of each
+    # straddling tract is its valid area on the grid over its polygon area.
+    rng = np.random.default_rng(5)
+    grid = make_grid(rng.uniform(1.0, 9.0, size=(6, 8)), origin=(1.0, 2.0), cell=0.5,
+                     cell_height=0.75)
+    x0, y0, x1, y1 = 1.0, 2.0, 5.0, 6.5
+    xm, ym = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+    centers = [(x0, ym), (x1, ym), (xm, y0), (xm, y1),
+               (x0, y0), (x1, y0), (x0, y1), (x1, y1),
+               (x0 - 2.0, ym), (x1 + 2.0, ym), (xm, y0 - 2.0), (xm, y1 + 2.0)]
+    parts = [(_star_part(rng, cx, cy, 0.6, 1.2, hole_scale=0.3 * (k % 2)),)
+             for k, (cx, cy) in enumerate(centers)]
+    for tracts in (_tracts([_turned(p, True) for p in parts]), _tracts(parts)):
+        coverage = assert_coverage_matches_oracle(tracts, grid)
+        assert (np.diff(coverage.tract_ptr)[:8] > 0).all()
+        assert (np.diff(coverage.tract_ptr)[8:] == 0).all()
+        surface = zonal.build_tract_surface(grid, coverage, 2011, None)
+        assert np.array_equal(surface.excluded, tracts.ids[8:])
+        assert surface.completeness["below_0.99"] == 8
+        geoids = geoid_text(tracts.ids)
+        for g, ratio in surface.completeness["worst"]:
+            t = geoids.index(g)
+            covered = coverage.area[coverage.tract_ptr[t]:coverage.tract_ptr[t + 1]].sum()
+            assert ratio == pytest.approx(covered / exact_area(parts[t]), rel=1e-12)
 
 
 def _quarter_part(rng):
@@ -634,6 +687,7 @@ def test_coverage_of_reversed_quarter_lattice_rings_is_exact(seed, cell, origin)
                  oracle_tract_coverage(_tracts([_turned(p, True) for p in parts]), grid)):
         for name in COVERAGE_ARRAYS:
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert got.polygon_area is reversed_rings.area
 
 
 def spy_edge_runs(monkeypatch, tracts):
@@ -678,9 +732,12 @@ def test_coverage_chunks_match_one_pass(monkeypatch):
         for k in range(40)
     ])
     whole = zonal.tract_coverage(tracts, grid)
-    # each tract's bbox cells, with the extra column the kernel's buffer holds
-    x0, y0, x1, y1 = ((tracts.bbox - (-3.0, 2.0, -3.0, 2.0)) / 0.75).T
-    cells = ((np.ceil(x1) - np.floor(x0) + 1) * (np.ceil(y1) - np.floor(y0))).astype(np.int64)
+    # each tract's box cells clipped to the grid (none when the box misses
+    # it), with the extra column the kernel's buffer holds
+    box = (tracts.bbox - (-3.0, 2.0, -3.0, 2.0)) / 0.75
+    width, height = (np.clip(np.ceil(box[:, 2:]), 0, 30) - np.clip(np.floor(box[:, :2]), 0, 30)).T
+    cells = np.where((width > 0) & (height > 0), (width + 1) * height, 0).astype(np.int64)
+    assert (width < np.ceil(box[:, 2]) - np.floor(box[:, 0])).any()  # some boxes are clipped
     calls = spy_edge_runs(monkeypatch, tracts)
     for budget_cells, budget_vertices in ((50, 1 << 17), (1 << 20, 30), (80, 40)):
         monkeypatch.setattr(zonal, "_CHUNK_CELLS", budget_cells)
@@ -689,7 +746,7 @@ def test_coverage_chunks_match_one_pass(monkeypatch):
         chunked = zonal.tract_coverage(tracts, grid)
         assert_one_run_per_call(calls, 40, [(cells, budget_cells),
                                             (tract_vertices(tracts), budget_vertices)])
-        for name in ("tract_ptr", "cell_idx", "area", "polygon_area"):
+        for name in COVERAGE_ARRAYS:
             assert np.array_equal(getattr(chunked, name), getattr(whole, name)), name
 
 
