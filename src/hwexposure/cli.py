@@ -41,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, help_text in (
-        ("validate", "check the configuration and input files"),
+        ("validate", "check the configuration and that each input exists and is a file"),
         ("ingest", "parse and validate the worker tables"),
         ("surface", "build per-tract concentration surfaces"),
         ("exposure", "compute exposure and error records"),

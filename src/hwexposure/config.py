@@ -18,20 +18,6 @@ STAGES = ("surface", "exposure", "disparity", "bias")
 _FLOAT_MAX = sys.float_info.max  # compares exactly with any int, unlike inf
 
 
-class HWWeights:
-    """Time split between home and work tracts (fractions of the year)."""
-
-    __slots__ = ("home_fraction", "work_fraction")
-
-    def __init__(self, home_fraction: float, work_fraction: float) -> None:
-        if not (0.0 < home_fraction < 1.0 and 0.0 < work_fraction < 1.0):
-            raise ValueError("fractions must lie strictly between 0 and 1")
-        if home_fraction + work_fraction != 1.0:
-            raise ValueError("fractions must sum to 1 exactly")
-        self.home_fraction = home_fraction
-        self.work_fraction = work_fraction
-
-
 class RunConfig(NamedTuple):
     years: tuple[int, ...]
     grid: str
@@ -41,12 +27,11 @@ class RunConfig(NamedTuple):
     wac: str | None
     od: str | None
     stages: tuple[str, ...]
-    hw_weights: HWWeights
+    work_fraction: float  # w of HW = H + w * (W - H)
     bin_counts: tuple[int, ...]
     epsilons: tuple[float, ...]
     thresholds: tuple[float, ...]
     strata: bool
-    threads: int
     out_dir: Path
     base_dir: Path
     raw: dict
@@ -123,8 +108,9 @@ def load_config(path: str, out_dir: str | None = None,
     FORMATS.md "Run configuration" gives; the first failure is the ConfigError.
 
     Optional ``out_dir`` and ``threads`` override the config's values, and
-    both must meet the key's rule. An ``out_dir`` given here resolves against
-    the current directory, the config's relative paths against its directory.
+    both must meet the key's rule; ``threads`` is checked but not kept. An
+    ``out_dir`` given here resolves against the current directory, the
+    config's relative paths against its directory.
     """
     config_path = Path(path)
     try:
@@ -149,7 +135,8 @@ def load_config(path: str, out_dir: str | None = None,
         overrides["out_dir"] = str(Path(out_dir).absolute())
     values.update((key, _checked(key, overrides)) for key in overrides)
     _check_stage_inputs(values["stages"], values["rac"], values["wac"], values["od"])
-    values["hw_weights"] = _hw_weights(values["hw_weights"])
+    del values["threads"]
+    values["work_fraction"] = _work_fraction(values.pop("hw_weights"))
 
     base_dir = config_path.parent
     config = RunConfig(**{**values, "years": tuple(sorted(values["years"])),
@@ -193,9 +180,10 @@ def _check_stage_inputs(stages: Sequence[str], rac: str | None, wac: str | None,
         raise ConfigError("od path is required for the bias stage")
 
 
-def _hw_weights(hw: dict) -> HWWeights:
-    """The time split of a ``hw_weights`` object: exactly the keys ``home``
-    and ``work``, each a JSON number, that make a valid HWWeights."""
+def _work_fraction(hw: dict) -> float:
+    """The work share of a ``hw_weights`` object: exactly the keys ``home``
+    and ``work``, each a JSON number strictly between 0 and 1, summing to 1
+    exactly."""
     if sorted(hw) != ["home", "work"]:
         reason = f"keys must be 'home' and 'work', got {sorted(hw)}"
     else:
@@ -203,7 +191,9 @@ def _hw_weights(hw: dict) -> HWWeights:
                        for key in ("home", "work") if not _is_number(hw[key])), None)
     if reason:
         raise ConfigError(f"hw_weights must be {{'home': h, 'work': w}}: {reason}")
-    try:
-        return HWWeights(home_fraction=hw["home"], work_fraction=hw["work"])
-    except ValueError as exc:
-        raise ConfigError(f"invalid hw_weights: {exc}") from exc
+    home, work = hw["home"], hw["work"]
+    if not (0.0 < home < 1.0 and 0.0 < work < 1.0):
+        raise ConfigError("invalid hw_weights: fractions must lie strictly between 0 and 1")
+    if home + work != 1.0:
+        raise ConfigError("invalid hw_weights: fractions must sum to 1 exactly")
+    return work

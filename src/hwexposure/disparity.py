@@ -36,8 +36,7 @@ class DecileShares(NamedTuple):
     difference: np.ndarray  # per group, top decile minus bottom decile
 
 
-def extreme_group_gap(characteristics: Sequence[str], groups: Sequence[str],
-                      means: np.ndarray,
+def extreme_group_gap(groups: Sequence[str], means: np.ndarray,
                       national_mean: float) -> tuple[str, str, float, float, float]:
     """Gap between the highest- and lowest-mean groups of one characteristic:
     the most and least exposed group, the absolute and percent difference,
@@ -209,21 +208,16 @@ def state_disparity(group_mean: float | np.ndarray, state_mean: float,
     return (group_mean - state_mean) / national_mean
 
 
-def threshold_share(values: Sequence[float], weights: Sequence[float] | np.ndarray,
-                    threshold: float) -> float | np.ndarray:
-    """Percent of the weighted population with value strictly above threshold.
-
-    ``weights`` may be a (groups x values) matrix, one group per row: then
-    each row's percent, from one compress and one row sum of the matrix.
-    """
-    vals = np.asarray(values, dtype=np.float64)
+def threshold_share(values: np.ndarray, weights: np.ndarray, threshold: float) -> np.ndarray:
+    """Percent of each group's weighted population with value strictly above
+    threshold: ``weights`` is a (groups x values) matrix, one group per row,
+    and each row's percent comes from one compress and one row sum of it."""
     # each row of a C-contiguous matrix is summed pairwise, as a 1-D sum would be
     wts = np.ascontiguousarray(weights, dtype=np.float64)
-    total = wts.sum(axis=-1)
-    if vals.size == 0 or (total <= 0.0).any():
+    total = wts.sum(axis=1)
+    if values.size == 0 or (total <= 0.0).any():
         raise DegenerateSliceError("total weight is zero")
-    shares = 100.0 * wts.compress(vals > threshold, axis=-1).sum(axis=-1) / total
-    return shares if wts.ndim > 1 else float(shares)
+    return 100.0 * wts.compress(values > threshold, axis=1).sum(axis=1) / total
 
 
 def cov_of_shares(qs: Sequence[float]) -> float:

@@ -21,7 +21,6 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .config import HWWeights
 from .ingest import GROUPS, RESIDENCE, WorkerTable
 from .zonal import RURAL, STRATA, URBAN, TractSurface
 
@@ -38,16 +37,15 @@ def format_group(characteristic: str, group: str) -> str:
     return "all" if (characteristic, group) == ALL_GROUP else f"{characteristic}:{group}"
 
 
-def hw_blend(h, w, weights: HWWeights):
+def hw_blend(h, w, work_fraction: float):
     """Time-weighted blend of home and work concentrations (scalars or arrays).
 
     Computed as h + work_fraction * (w - h), which equals
-    home_fraction * h + work_fraction * w because the fractions sum to 1,
-    and keeps hw_blend(h, h) == h exact in floating point. On numpy arrays it
-    is the same expression element-wise, so per-pair blends match the scalar
-    op bit for bit.
+    (1 - work_fraction) * h + work_fraction * w, and keeps hw_blend(h, h) == h
+    exact in floating point. On numpy arrays it is the same expression
+    element-wise, so per-pair blends match the scalar op bit for bit.
     """
-    return h + weights.work_fraction * (w - h)
+    return h + work_fraction * (w - h)
 
 
 def stable_argsort(values: np.ndarray) -> np.ndarray:
@@ -165,11 +163,10 @@ class AlignedTable(NamedTuple):
         return self.surface.values.take(self.index[self.loci.index(locus)])
 
 
-def _join(surface: TractSurface, table: WorkerTable, loci: tuple[str, ...],
-          dropped_text: str) -> AlignedTable:
+def _join(surface: TractSurface, table: WorkerTable, loci: tuple[str, ...]) -> AlignedTable:
     """Resolve each row of ``table`` against the run's tract ids (ascending),
     keeping the rows whose every tract is valued this year; the worker total
-    of the others is logged with ``dropped_text`` % (year, total)."""
+    of the others is the table's ``dropped_weight``."""
     ids = surface.ids
     found = np.ones(len(table.totals), dtype=bool)
     positions = []
@@ -180,14 +177,12 @@ def _join(surface: TractSurface, table: WorkerTable, loci: tuple[str, ...],
         found &= hit
         positions.append(pos)
     codes = table.codes if found.any() else ()
-    dropped = int(table.totals[~found].sum())
-    if dropped:
-        logger.debug(dropped_text, surface.year, dropped)
     # compress, unlike a boolean index, keeps the matrix C-contiguous, so the
     # disparity row sums stay pairwise and byte-identical
     return AlignedTable(surface, loci, tuple(pos[found] for pos in positions),
                         table.totals[found], codes,
-                        table.counts[:len(codes)].compress(found, axis=1), dropped)
+                        table.counts[:len(codes)].compress(found, axis=1),
+                        int(table.totals[~found].sum()))
 
 
 def align_table(surface: TractSurface, table: WorkerTable, role: str) -> AlignedTable:
@@ -196,14 +191,12 @@ def align_table(surface: TractSurface, table: WorkerTable, role: str) -> Aligned
 
     The locus is H for residence tables and W for workplace tables.
     """
-    return _join(surface, table, (LOCUS_HOME if role == RESIDENCE else LOCUS_WORK,),
-                 f"{role} table %d: dropped %d workers on tracts without concentrations")
+    return _join(surface, table, (LOCUS_HOME if role == RESIDENCE else LOCUS_WORK,))
 
 
 def resolve_pairs(surface: TractSurface, od: WorkerTable) -> AlignedTable:
     """Join OD tract pairs to the surface, dropping unresolvable pairs."""
-    return _join(surface, od, (LOCUS_HOME, LOCUS_WORK),
-                 "OD %d: dropped %d workers on pairs touching tracts without concentrations")
+    return _join(surface, od, (LOCUS_HOME, LOCUS_WORK))
 
 
 def reported_strata(surface: TractSurface) -> tuple[str, ...]:
@@ -318,7 +311,7 @@ def compute_group_exposures(aligned: AlignedTable) -> GroupExposures:
     return _group_exposures(aligned, aligned.locus, aligned.values(aligned.locus))
 
 
-def compute_hw_exposures(pairs: AlignedTable, weights: HWWeights) -> GroupExposures:
+def compute_hw_exposures(pairs: AlignedTable, work_fraction: float) -> GroupExposures:
     """Every (group, stratum)'s HW exposure over the OD population, with the
     H-minus-HW error: one sort per stratum, for the HW percentiles.
 
@@ -328,4 +321,4 @@ def compute_hw_exposures(pairs: AlignedTable, weights: HWWeights) -> GroupExposu
     """
     home = pairs.values(LOCUS_HOME)
     return _group_exposures(pairs, LOCUS_BLEND,
-                            hw_blend(home, pairs.values(LOCUS_WORK), weights), home)
+                            hw_blend(home, pairs.values(LOCUS_WORK), work_fraction), home)

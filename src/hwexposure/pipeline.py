@@ -11,7 +11,7 @@ every following year on that lattice), the report blocks, the skip counts and
 the manifest. ``surface_<year>.csv`` is written as each year finishes and
 every other report after the last year, in deterministic order with
 full-precision floats, so identical inputs produce byte-identical reports.
-The ``threads`` setting is validated but changes nothing.
+The ``threads`` setting is checked but not kept: nothing runs in parallel.
 """
 from __future__ import annotations
 
@@ -259,7 +259,7 @@ def _stage_exposure(state: RunState, data: YearData) -> None:
     od_pairs = 0
     if config.od:  # error.csv exists only with an OD table
         data.pairs, od_pairs = _join(config, data.surface, ingest.ORIGIN_DESTINATION)
-        od = exposure.compute_hw_exposures(data.pairs, config.hw_weights)
+        od = exposure.compute_hw_exposures(data.pairs, config.work_fraction)
         _skip_left_out(skips, data.pairs, od)
         frames = [*frames, od]
         drops["od"] = data.pairs.dropped_weight
@@ -324,9 +324,9 @@ def _gap_and_atkinson_blocks(year: int, frames: Sequence[exposure.GroupExposures
     no_rows = ([], [], np.empty(0), np.empty(0))
     gaps, curves = [], []
     for key in sorted(asked):
-        characteristics, labels, _, means = slices.get(key, no_rows)
+        _, labels, _, means = slices.get(key, no_rows)
         try:
-            gaps.append((*key, *disparity.extreme_group_gap(characteristics, labels, means,
+            gaps.append((*key, *disparity.extreme_group_gap(labels, means,
                                                              national.get(key[:2], 0.0))))
         except DegenerateSliceError as exc:
             _skip(skips, "gap", "%s %s/%s/%s: %s" % (year, *key, exc))
@@ -526,7 +526,7 @@ def _stage_bias(state: RunState, data: YearData) -> None:
         _count_drops(state, year, {"od": data.pairs.dropped_weight})
     pairs = data.pairs
     home = pairs.values(exposure.LOCUS_HOME)
-    blended = exposure.hw_blend(home, pairs.values(exposure.LOCUS_WORK), config.hw_weights)
+    blended = exposure.hw_blend(home, pairs.values(exposure.LOCUS_WORK), config.work_fraction)
     for stratum, mask in exposure.stratum_masks(pairs).items():
         vh = home[mask]
         vb = blended[mask]

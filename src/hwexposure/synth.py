@@ -44,6 +44,10 @@ class GradientSpec:
             raise ConfigError(f"unknown gradient kind {self.kind!r}; use one of {GRADIENT_KINDS}")
         if self.base < 0 or self.amplitude < 0:
             raise ConfigError("gradient base and amplitude must be non-negative")
+        # the field's peak in quarter units; NaN and inf fail here too
+        if not math.isfinite(4.0 * (self.base + self.amplitude)):
+            raise ConfigError(f"gradient base and amplitude must be finite, with a finite peak "
+                              f"4 * (base + amplitude); got {self.base!r} and {self.amplitude!r}")
 
 
 def _quarter(x: float) -> float:
@@ -99,7 +103,7 @@ def synth(
     center = _center_tract_index(n_tracts, side)
     od_rows = _generate_od_rows(rng, geoids, center, n_groups)
     _write_od_csv(out / f"od_{year}.csv", od_rows)
-    _write_rac_wac(rng, out, od_rows, geoids, n_groups, year)
+    _write_rac_wac(rng, out, od_rows, n_groups, year)
 
     config = {
         "years": [year],
@@ -240,7 +244,7 @@ def _write_od_csv(path: Path, rows: list[dict]) -> None:
 
 
 def _write_rac_wac(rng: np.random.Generator, out: Path, od_rows: list[dict],
-                   geoids: list[str], n_groups: int, year: int) -> None:
+                   n_groups: int, year: int) -> None:
     # Marginalize the OD flows to home and work blocks, then dress each block
     # with the RAC/WAC-only characteristics consistently with its total.
     for role, key, filename in (

@@ -26,7 +26,6 @@ RECORDED = (
     (exposure.ValueSlice, "stats"),
     (biasstats, "error_moments"),
     (biasstats, "wilcoxon_rank_sum_grouped"),
-    (disparity, "extreme_group_gap"),
     (disparity, "percentile_bin_curve"),
     (disparity, "decile_contrast"),
     (disparity, "_atkinson_curve"),

@@ -92,7 +92,7 @@ Ring = tuple[Vertex, ...]
 Rect = tuple[float, float, float, float]  # x0, y0, x1, y1
 HalfPlane = tuple[float, float, float]  # keep a*x + b*y <= c
 
-HW_WEIGHTS = exposure.HWWeights(0.794, 0.206)  # the paper's home/work time split
+HW_WEIGHTS = 0.206  # the work share of the paper's home/work time split (0.794/0.206)
 
 
 def normalize_ring(vertices: Iterable[Sequence[float]]) -> Ring:
@@ -1190,12 +1190,12 @@ def oracle_loci_group_exposures(table: exposure.AlignedTable,
 
 
 def oracle_three_locus_hw_exposures(pairs: exposure.AlignedTable,
-                                    weights: exposure.HWWeights) -> OracleLociExposures:
+                                    work_fraction: float) -> OracleLociExposures:
     """exposure.compute_hw_exposures as it was: H, W and HW over the OD
     population, each sorted per stratum, and the error of the H and HW rows."""
     home, work = pairs.values("H"), pairs.values("W")
     frame = oracle_loci_group_exposures(
-        pairs, {"H": home, "W": work, "HW": exposure.hw_blend(home, work, weights)})
+        pairs, {"H": home, "W": work, "HW": exposure.hw_blend(home, work, work_fraction)})
     h_mean, hw_mean = frame.mean[0], frame.mean[2]
     error = h_mean - hw_mean
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -1223,10 +1223,10 @@ def oracle_group_exposures(aligned, schemas, classification=None,
     return records
 
 
-def oracle_hw_exposures(pairs, schemas, weights, classification=None,
+def oracle_hw_exposures(pairs, schemas, work_fraction, classification=None,
                         strata=(exposure.ALL_STRATUM,)):
     home, work = pairs.values("H"), pairs.values("W")
-    blended = exposure.hw_blend(home, work, weights)
+    blended = exposure.hw_blend(home, work, work_fraction)
     records, errors = [], []
     for stratum, mask in oracle_stratum_masks(pairs.geoids, classification, strata).items():
         vh, vw, vb = home[mask], work[mask], blended[mask]

@@ -1,6 +1,7 @@
 """src/ holds only what a run executes: every top-level function and method
-of the package is named somewhere in the package itself, and every error
-class is raised there and told apart by a handler."""
+of the package is named somewhere in the package itself, every parameter is
+read by its function, every record field is read somewhere in the package,
+and every error class is raised there and told apart by a handler."""
 from __future__ import annotations
 
 import ast
@@ -12,6 +13,15 @@ SOURCES = sorted(Path(hwexposure.__file__).parent.glob("*.py"))
 
 # name -> why it stays without a caller in src/
 ALLOWED: dict[str, str] = {}
+# module.function(parameter) -> why its function need not read it
+ALLOWED_UNREAD_PARAMETERS: dict[str, str] = {}
+# module.Class.field -> why no attribute read in src/ names it
+ALLOWED_UNREAD_FIELDS: dict[str, str] = {}
+
+
+def parsed_sources():
+    for path in SOURCES:
+        yield path, ast.parse(path.read_text(encoding="utf-8"), str(path))
 
 
 def test_every_function_in_src_is_referenced_in_src():
@@ -35,6 +45,54 @@ def test_every_function_in_src_is_referenced_in_src():
                     and not (name.startswith("__") and name.endswith("__")))
     assert unused == []
     assert set(ALLOWED) <= set(defined) - referenced  # the allowlist holds no stale name
+
+
+def test_every_parameter_in_src_is_read():
+    # a parameter no statement of its function (nested ones included) loads
+    # is one no run needs: its callers pass it for nothing
+    unread = []
+    for path, tree in parsed_sources():
+        for function in ast.walk(tree):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = function.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                      args.vararg, args.kwarg) if a is not None]
+            loaded = {node.id for statement in function.body for node in ast.walk(statement)
+                      if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            unread += [f"{path.stem}.{function.name}({name})" for name in params
+                       if name not in loaded]
+    assert sorted(set(unread) - set(ALLOWED_UNREAD_PARAMETERS)) == []
+    assert set(ALLOWED_UNREAD_PARAMETERS) <= set(unread)  # no stale entry
+
+
+def test_every_record_field_in_src_is_read():
+    # a NamedTuple field or __slots__ entry that no attribute load in src/
+    # names is stored for nothing (a name read on any object counts)
+    fields: dict[str, str] = {}  # module.Class.field -> field
+    read: set[str] = set()
+    for path, tree in parsed_sources():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            if not isinstance(node, ast.ClassDef):
+                continue
+            record = any(isinstance(base, ast.Name) and base.id == "NamedTuple"
+                         for base in node.bases)
+            for statement in node.body:
+                if record and isinstance(statement, ast.AnnAssign):
+                    names = [statement.target.id]
+                elif isinstance(statement, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id == "__slots__"
+                        for t in statement.targets):
+                    names = [c.value for c in ast.walk(statement.value)
+                             if isinstance(c, ast.Constant) and isinstance(c.value, str)]
+                else:
+                    continue
+                fields.update((f"{path.stem}.{node.name}.{name}", name) for name in names)
+    unread = {where for where, name in fields.items() if name not in read}
+    assert sorted(unread - set(ALLOWED_UNREAD_FIELDS)) == []
+    assert set(ALLOWED_UNREAD_FIELDS) <= unread  # no stale entry
 
 
 def test_every_error_class_is_raised_in_src():

@@ -2,6 +2,7 @@
 rows, thresholds, CoV."""
 from __future__ import annotations
 
+import csv
 import math
 import random
 import re
@@ -54,7 +55,7 @@ from hwexposure.exposure import (
     iter_groups,
     stable_argsort,
 )
-from hwexposure.ingest import RAC_WAC_SCHEMAS
+from hwexposure.ingest import GROUPS, RAC_WAC_SCHEMAS
 
 ATKINSON_REFERENCE = 0.10079283984242682  # direct evaluation of the two-group case
 PAPER_EPSILONS = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0)
@@ -74,8 +75,8 @@ def record(group, mean, weight=1.0, characteristic="race", stratum="all", locus=
 
 def gap(records, national_mean):
     """extreme_group_gap over the records' columns, as a GapResult."""
-    result = extreme_group_gap([r.characteristic for r in records], [r.group for r in records],
-                               np.array([r.mean for r in records]), national_mean)
+    result = extreme_group_gap([r.group for r in records], np.array([r.mean for r in records]),
+                               national_mean)
     return GapResult(records[0].characteristic, *result)
 
 
@@ -114,12 +115,21 @@ def test_gap_single_group():
         gap([record("a", 8.0)], national_mean=8.0)
 
 
-def test_gap_slices_hold_one_characteristic(recorded_run):
+def test_gap_slices_hold_one_characteristic(tmp_path):
     # the gap blocks split each frame into (locus, stratum, characteristic)
-    # slices, so no gap mixes characteristics
-    _, calls = recorded_run
-    for characteristics, *_ in calls["extreme_group_gap"]:
-        assert len(set(characteristics)) <= 1
+    # slices, so no gap mixes characteristics: a gaps.csv row's most and
+    # least exposed groups are labels of the row's characteristic (labels
+    # do not repeat across the RAC/WAC characteristics)
+    config = load_config(synth_config(tmp_path, stages=["surface", "exposure", "disparity"]))
+    pipeline.run(config)
+    labels: dict[str, set[str]] = {}
+    for characteristic, label in GROUPS.values():
+        labels.setdefault(characteristic, set()).add(label)
+    with open(config.out_dir / "gaps.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len({row["characteristic"] for row in rows}) > 1
+    for row in rows:
+        assert {row["most_exposed"], row["least_exposed"]} <= labels[row["characteristic"]]
 
 
 def test_gap_relabel_invariance():
@@ -655,28 +665,35 @@ def test_bin_block_matches_oracle(seed, n_groups, kept, with_shares):
 # threshold_share / cov_of_shares
 # ----------------------------------------------------------------------------
 
+def share(values, weights, threshold: float) -> float:
+    """threshold_share of one group: a one-row weight matrix."""
+    shares = threshold_share(np.array(values, dtype=np.float64), np.array([weights]), threshold)
+    assert shares.shape == (1,)
+    return float(shares[0])
+
+
 def test_threshold_all_below():
-    assert threshold_share([5.0, 11.9], [3, 5], 12.0) == 0.0
+    assert share([5.0, 11.9], [3, 5], 12.0) == 0.0
 
 
 def test_threshold_direct():
-    assert threshold_share([11.0, 13.0], [1, 3], 12.0) == 75.0
+    assert share([11.0, 13.0], [1, 3], 12.0) == 75.0
 
 
 def test_threshold_strict_inequality():
-    assert threshold_share([12.0], [10], 12.0) == 0.0
+    assert share([12.0], [10], 12.0) == 0.0
 
 
 def test_threshold_empty():
     with pytest.raises(DegenerateSliceError):
-        threshold_share([], [], 12.0)
+        share([], [], 12.0)
 
 
 def test_threshold_monotone_in_threshold():
     rng = random.Random(5)
     values = [rng.uniform(0, 20) for _ in range(50)]
     weights = [rng.randrange(1, 9) for _ in range(50)]
-    shares = [threshold_share(values, weights, t) for t in (5.0, 10.0, 12.0)]
+    shares = [share(values, weights, t) for t in (5.0, 10.0, 12.0)]
     assert shares[0] >= shares[1] >= shares[2]
 
 

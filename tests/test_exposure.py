@@ -17,7 +17,6 @@ from hwexposure import exposure, pipeline, synth, zonal
 from hwexposure.exposure import (
     AlignedTable,
     GroupExposures,
-    HWWeights,
     ValueSlice,
     align_table,
     compute_group_exposures,
@@ -36,6 +35,7 @@ from hwexposure.ingest import (
     WorkerTable,
     read_tracts,
 )
+from hwexposure.errors import ConfigError
 from hwexposure.geometry import geoid_text
 
 from helpers import (
@@ -81,7 +81,7 @@ def aligned_home(surface, rows):
 
 
 # ----------------------------------------------------------------------------
-# hw_blend / HWWeights
+# hw_blend / the hw_weights split
 # ----------------------------------------------------------------------------
 
 def test_hw_blend_direct():
@@ -97,23 +97,30 @@ def test_hw_blend_zero_home():
     assert hw_blend(0.0, 1.0, HW_WEIGHTS) == 0.206
 
 
-def test_hw_weights_default_sums_to_one(tmp_path):
-    # a configuration without hw_weights gets the paper's split
+def split_config(tmp_path, **keys) -> str:
+    """A surface-only config over empty input files, with ``keys`` added."""
     for name in ("grid_2011.asc", "tracts.geojson"):
         (tmp_path / name).touch()
     (tmp_path / "config.json").write_text(json.dumps({
         "years": [2011], "grid": "grid_{year}.asc", "tracts": "tracts.geojson",
-        "stages": ["surface"]}))
-    weights = pipeline.load_config(str(tmp_path / "config.json")).hw_weights
-    assert (weights.home_fraction, weights.work_fraction) == (0.794, 0.206)
-    assert weights.home_fraction + weights.work_fraction == 1.0
+        "stages": ["surface"], **keys}))
+    return str(tmp_path / "config.json")
 
 
-def test_hw_weights_validation():
-    with pytest.raises(ValueError):
-        HWWeights(home_fraction=0.7, work_fraction=0.2)
-    with pytest.raises(ValueError):
-        HWWeights(home_fraction=1.2, work_fraction=-0.2)
+def test_hw_weights_default_sums_to_one(tmp_path):
+    # a configuration without hw_weights gets the paper's split, of which
+    # the run keeps the work share
+    assert pipeline.load_config(split_config(tmp_path)).work_fraction == 0.206
+    given = split_config(tmp_path, hw_weights={"home": 0.75, "work": 0.25})
+    assert pipeline.load_config(given).work_fraction == 0.25
+
+
+def test_hw_weights_validation(tmp_path):
+    for home, work, reason in ((0.7, 0.2, "fractions must sum to 1 exactly"),
+                               (1.2, -0.2, "fractions must lie strictly between 0 and 1")):
+        with pytest.raises(ConfigError) as info:
+            pipeline.load_config(split_config(tmp_path, hw_weights={"home": home, "work": work}))
+        assert str(info.value) == f"invalid hw_weights: {reason}"
 
 
 @given(st.floats(0.0, 50.0, allow_nan=False))
@@ -126,9 +133,8 @@ def test_hw_blend_arrays_match_scalar():
     rng = random.Random(5)
     h = [rng.uniform(0.0, 40.0) for _ in range(200)]
     w = [rng.uniform(0.0, 40.0) for _ in range(200)]
-    weights = HWWeights(home_fraction=0.75, work_fraction=0.25)
-    blended = hw_blend(np.array(h), np.array(w), weights)
-    assert blended.tolist() == [hw_blend(a, b, weights) for a, b in zip(h, w)]
+    blended = hw_blend(np.array(h), np.array(w), 0.25)
+    assert blended.tolist() == [hw_blend(a, b, 0.25) for a, b in zip(h, w)]
 
 
 # ----------------------------------------------------------------------------

@@ -19,12 +19,13 @@ from typing import Sequence
 
 import numpy as np
 import pytest
-from helpers import reference_csv, write_xyz_grid
+from helpers import oracle_hw_exposures, reference_csv, write_xyz_grid
 
 import hwexposure
-from hwexposure import cli, pipeline, synth, zonal
+from hwexposure import cli, exposure, ingest, pipeline, synth, zonal
 from hwexposure.config import _CONFIG_RULES, _REQUIRED
 from hwexposure.errors import ConfigError
+from hwexposure.geometry import geoid_text
 
 
 def read_out_files(out_dir: Path) -> dict[str, bytes]:
@@ -135,11 +136,25 @@ def test_synth_tables_satisfy_ingest_invariants(tmp_path):
     assert int(od.totals.sum()) == int(table.totals.sum())  # RAC derives from OD home marginals
 
 
-def test_synth_rejects_bad_args(tmp_path):
+def test_synth_rejects_bad_args(tmp_path, caplog):
     with pytest.raises(ConfigError):
         synth.synth(str(tmp_path / "x"), n_tracts=1)
     with pytest.raises(ConfigError):
         synth.GradientSpec(kind="volcano")
+    # a base or amplitude that is not finite, or a pair whose peak in
+    # quarter units, 4 * (base + amplitude), is not
+    for kind, base, amplitude in (("work_hotspot", math.nan, 8.0), ("work_hotspot", 6.0, math.inf),
+                                  ("uniform", math.inf, 8.0), ("linear_x", 1e308, 1e308),
+                                  ("uniform", 1e308, 0.0)):
+        with pytest.raises(ConfigError, match="must be finite"):
+            synth.GradientSpec(kind=kind, base=base, amplitude=amplitude)
+    # the command line ends in a configuration error, not a traceback
+    for args in (["--base", "nan"], ["--amplitude", "inf"],
+                 ["--gradient", "uniform", "--base", "inf"]):
+        caplog.clear()
+        assert cli.main(["synth", "--out", str(tmp_path / "y"), *args]) == 2
+        assert "configuration error: gradient base and amplitude must be finite" in caplog.text
+    assert not (tmp_path / "y").exists()
 
 
 # ----------------------------------------------------------------------------
@@ -164,6 +179,54 @@ def test_run_byte_identical_across_threads(tmp_path):
                 assert strip_timings(got[name]) == strip_timings(base[name])
             else:
                 assert got[name] == base[name], f"{name} differs at threads={threads}"
+
+
+def test_second_hw_split_changes_only_the_hw_reports(tmp_path):
+    # C3's identity at a second split, end to end: at 0.75/0.25 every report
+    # that reads no HW is byte-identical to the default split's, and each
+    # error.csv row is 0.25 * (H - W) of its OD slice
+    world = make_world(tmp_path, seed=7, n_tracts=25, n_groups=3)
+    outputs = {}
+    for work in (0.206, 0.25):
+        doc = json.loads((world / "config.json").read_text())
+        doc["hw_weights"] = {"home": round(1.0 - work, 3), "work": work}
+        (world / "config.json").write_text(json.dumps(doc))
+        config = pipeline.load_config(str(world / "config.json"), out_dir=str(tmp_path / str(work)))
+        assert config.work_fraction == work
+        pipeline.run(config)
+        outputs[work] = read_out_files(config.out_dir)
+    base, other = outputs[0.206], outputs[0.25]
+    for name in ("surface_2011.csv", "urban.csv", "gaps.csv", "bins.csv", "atkinson.csv",
+                 "state_disparity.csv", "threshold.csv"):
+        assert other[name] == base[name], name
+    for name in ("error.csv", "bias.csv"):
+        assert other[name] != base[name], name
+
+    def by_locus(text: bytes) -> dict[str, list[str]]:
+        rows: dict[str, list[str]] = {}
+        for line in text.decode().splitlines()[1:]:
+            rows.setdefault(line.split(",")[2], []).append(line)
+        return rows
+
+    base_rows, other_rows = by_locus(base["exposure.csv"]), by_locus(other["exposure.csv"])
+    assert other_rows["H"] == base_rows["H"] and other_rows["W"] == base_rows["W"]
+    assert other_rows["HW"] != base_rows["HW"]
+
+    # the OD population's H and W means, from the per-group oracle
+    state, data = pipeline.RunState(config=config), pipeline.YearData(year=2011)
+    pipeline._stage_surface(state, data)
+    surface = data.surface
+    pairs = exposure.resolve_pairs(
+        surface, ingest.aggregate_od(ingest.read_od_csv(str(world / "od_2011.csv"))))
+    classification = dict(zip(geoid_text(surface.ids), (zonal.STRATA[c] for c in surface.strata)))
+    records, _ = oracle_hw_exposures(pairs, ingest.OD_SCHEMAS, 0.25, classification,
+                                     exposure.reported_strata(surface))
+    means = {(r.group_key, r.stratum, r.locus): r.mean for r in records}
+    errors = csv_rows(tmp_path / "0.25" / "error.csv")
+    assert len(errors) == len(records) // 3 > 0
+    for row in errors:
+        h, w = (means[(row["group"], row["stratum"], locus)] for locus in ("H", "W"))
+        assert abs(float(row["error"]) - 0.25 * (h - w)) <= 1e-9, (row["group"], row["stratum"])
 
 
 def test_run_rerun_byte_identical(tmp_path):
