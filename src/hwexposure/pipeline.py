@@ -7,21 +7,23 @@ working set; a requested stage always gets its prerequisites computed in
 memory, but only the requested stages write files. What outlives a year is
 small: the tracts (their ascending int64 ids are the run's one tract index)
 and their stratum codes, the coverage of the last grid lattice (reused by
-every following year on that lattice), the report blocks, the skip counts and
-the manifest. ``surface_<year>.csv`` is written as each year finishes and
-every other report after the last year, in deterministic order with
-full-precision floats, so identical inputs produce byte-identical reports.
+every following year on that lattice), the open reports, the skip counts and
+the manifest. Every report the run writes is opened, with its header, before
+the first stage, and each stage appends its rows as it makes them, in
+deterministic order with full-precision floats, so identical inputs produce
+byte-identical reports.
 The ``threads`` setting is checked but not kept: nothing runs in parallel.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
 import logging
 import time
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -61,10 +63,11 @@ class YearData:
 
 
 class RunState:
-    """What outlives a year. ``blocks`` holds each report's blocks so far, by
-    file name; ``skips`` the degenerate-slice skips per stage and kind."""
+    """What outlives a year. ``reports`` holds each written report's open
+    file, header and row count so far, by file name (none until ``run`` opens
+    them); ``skips`` the degenerate-slice skips per stage and kind."""
 
-    __slots__ = ("config", "tracts", "classification", "coverage", "blocks", "skips",
+    __slots__ = ("config", "tracts", "classification", "coverage", "reports", "skips",
                  "manifest_stages", "dropped_weight", "timings")
 
     def __init__(self, config: RunConfig) -> None:
@@ -72,16 +75,19 @@ class RunState:
         self.tracts: PolygonSet | None = None
         self.classification: np.ndarray | None = None  # int8 zonal.STRATA code per tract
         self.coverage: zonal.TractCoverage | None = None
-        self.blocks: dict[str, list] = {}
+        self.reports: dict[str, list] = {}
         self.skips: dict[str, dict[str, int]] = {}
         self.manifest_stages: dict[str, dict] = {}
         self.dropped_weight = 0
         self.timings: dict[str, float] = {}
 
-    def reports(self, *names: str) -> list[list]:
-        """The block lists of these reports; a report listed here is written
-        (if its stage is) even when it gets no rows."""
-        return [self.blocks.setdefault(name, []) for name in names]
+    def write(self, name: str, *blocks: Sequence) -> None:
+        """Append these blocks to report ``name`` and count their rows; a
+        report of a stage the run does not write is not open, and skipped."""
+        report = self.reports.get(name)
+        if report is not None:
+            _write_csv(report[0], report[1], blocks)
+            report[2] += sum(map(_n_rows, blocks))
 
 
 # A text cell holding one of these would need quoting, which _write_csv does
@@ -94,7 +100,7 @@ def _n_rows(block: Sequence) -> int:
     return next(len(column) for column in block if not isinstance(column, (str, int)))
 
 
-def _cells(path: Path, name: str, column, n_rows: int) -> Iterable[str]:
+def _cells(path: str, name: str, column, n_rows: int) -> Iterable[str]:
     """One column of a block as text cells. A float array gives repr texts and
     an int array str texts; a str or int repeats on every row; any other
     sequence holds text cells, checked once per distinct value."""
@@ -111,7 +117,7 @@ def _cells(path: Path, name: str, column, n_rows: int) -> Iterable[str]:
     return column
 
 
-def _csv_lines(path: Path, header: Sequence[str], block: Sequence) -> str:
+def _csv_lines(path: str, header: Sequence[str], block: Sequence) -> str:
     """The rows of one block, one column per header field, as CSV lines."""
     if len(block) != len(header):
         raise ValueError(f"{path}: {len(block)} columns for a {len(header)}-field header")
@@ -121,17 +127,13 @@ def _csv_lines(path: Path, header: Sequence[str], block: Sequence) -> str:
     return lines + "\n" if lines else ""
 
 
-def _write_csv(path: Path, header: Sequence[str], blocks: Iterable[Sequence]) -> None:
-    """Write the header, then each block's rows with one write per block."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for block in blocks:
-            fh.write(_csv_lines(path, header, block))
+def _write_csv(fh: IO[str], header: Sequence[str], blocks: Iterable[Sequence]) -> None:
+    """Append each block's rows to the open report ``fh``, one write per block."""
+    for block in blocks:
+        fh.write(_csv_lines(fh.name, header, block))
 
 
 # Every report: file name -> (stage, header, manifest row count of the stage).
-# surface_<year>.csv is written as each year finishes; the others after the
-# last year, from the blocks the years appended to RunState.blocks.
 _REPORTS = {
     "surface_{year}.csv": ("surface", ("geoid", "year", "pm25"), None),
     "urban.csv": ("surface", ("geoid", "stratum"), None),
@@ -157,18 +159,30 @@ _REPORTS = {
 }
 
 
-def _check_report_paths(config: RunConfig, to_write: set[str], full_run: bool) -> None:
-    """Before the first stage, the first file the run will write that is an
-    existing directory (the manifest, each year's surface, then the other
-    reports in table order) is a configuration error."""
+def _open_reports(config: RunConfig, to_write: set[str], full_run: bool,
+                  stack: contextlib.ExitStack) -> dict[str, list]:
+    """Before the first stage: the first file the run writes that is a directory
+    (a full run's manifest, each year's surface, then table order) is a config
+    error; then a full run removes its manifest, and each report is opened with
+    its header, as [file, header, rows] by name, or is a config error."""
     optional = {"urban.csv": config.urban_mask, "error.csv": config.od}
-    names = ["manifest.json"] if full_run else []
-    for name, (stage, _, _) in _REPORTS.items():
-        if stage in to_write and optional.get(name, True):
-            names += dict.fromkeys(name.format(year=year) for year in config.years)
-    for path in (config.out_dir / name for name in names):
-        if path.is_dir():
-            raise ConfigError(f"{path}: cannot write output file: Is a directory")
+    headers = {name.format(year=y): header for name, (stage, header, _) in _REPORTS.items()
+               if stage in to_write and optional.get(name, True) for y in config.years}
+    for name in ["manifest.json"] * full_run + [*headers]:
+        if (config.out_dir / name).is_dir():
+            raise ConfigError(f"{config.out_dir / name}: cannot write output file: Is a directory")
+    if full_run:
+        (config.out_dir / "manifest.json").unlink(missing_ok=True)
+    reports = {}
+    for name, header in headers.items():
+        try:
+            fh = stack.enter_context(open(config.out_dir / name, "w", encoding="utf-8", newline=""))
+        except OSError as exc:  # a dangling link, a missing or read-only directory
+            raise ConfigError(f"{config.out_dir / name}: cannot write output file: "
+                              f"{exc.strerror or exc}") from exc
+        fh.write(",".join(header) + "\n")
+        reports[name] = [fh, header, 0]
+    return reports
 
 
 def _sha256_file(path: Path) -> str:
@@ -177,13 +191,6 @@ def _sha256_file(path: Path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-def _display_path(path: Path, base_dir: Path) -> str:
-    try:
-        return str(path.relative_to(base_dir))
-    except ValueError:
-        return str(path)
 
 
 # ----------------------------------------------------------------------------
@@ -200,8 +207,8 @@ def _stage_surface(state: RunState, data: YearData) -> None:
             fraction = zonal.build_urban_mask(mask, tracts)
             codes = state.classification = (fraction >= zonal.URBAN_SHARE).astype(np.int8)
             manifest["urban"] = zonal.urban_counts(fraction)
-            state.reports("urban.csv")[0].append(
-                [geoid_text(tracts.ids), [zonal.STRATA[c] for c in codes.tolist()]])
+            state.write("urban.csv", [geoid_text(tracts.ids),
+                                      [zonal.STRATA[c] for c in codes.tolist()]])
     path = config.path(config.grid, data.year)  # .asc or .csv (XYZ), by the grid rule
     grid = (read_asc if path.suffix == ".asc" else read_xyz_csv)(str(path))
     if state.coverage is None or state.coverage.lattice != grid.lattice:
@@ -211,12 +218,14 @@ def _stage_surface(state: RunState, data: YearData) -> None:
             raise FormatError(f"{path}: {exc}") from exc
     data.surface = surface = zonal.build_tract_surface(
         grid, state.coverage, data.year, state.classification if config.strata else None)
-    excluded = surface.excluded
+    excluded, valued = surface.excluded, ~np.isnan(surface.values)
     state.manifest_stages["surface"]["years"][str(data.year)] = {
         "tracts_with_coverage": len(surface.ids) - len(excluded),
         "excluded": geoid_text(excluded),
         "completeness": surface.completeness,
     }
+    state.write(f"surface_{data.year}.csv",
+                [geoid_text(surface.ids[valued]), data.year, surface.values[valued]])
 
 
 def _join(config: RunConfig, surface: zonal.TractSurface,
@@ -263,9 +272,8 @@ def _stage_exposure(state: RunState, data: YearData) -> None:
         _skip_left_out(skips, data.pairs, od)
         frames = [*frames, od]
         drops["od"] = data.pairs.dropped_weight
-        state.reports("error.csv")[0].append(
-            [year, od.group_keys, od.stratum, od.error, od.percent_error])
-    state.reports("exposure.csv")[0].extend(map(_exposure_block, frames))
+        state.write("error.csv", [year, od.group_keys, od.stratum, od.error, od.percent_error])
+    state.write("exposure.csv", *map(_exposure_block, frames))
     _count_drops(state, year, drops)
     state.manifest_stages.setdefault("exposure", {"years": {}})["years"][str(year)] = {
         "rac_tracts": rac_tracts,
@@ -346,8 +354,6 @@ def _stage_disparity(state: RunState, data: YearData) -> None:
     config = state.config
     year = data.year
     skips = state.skips.setdefault("disparity", {})
-    gap_blocks, bin_blocks, atkinson_blocks, state_blocks, threshold_blocks = state.reports(
-        "gaps.csv", "bins.csv", "atkinson.csv", "state_disparity.csv", "threshold.csv")
     tables = (data.homes, data.works)
     # one group per row of aligned.counts, both in schema order
     table_groups = [[ingest.GROUPS[code] for code in aligned.codes] for aligned in tables]
@@ -356,15 +362,15 @@ def _stage_disparity(state: RunState, data: YearData) -> None:
              for stratum in exposure.reported_strata(data.surface)
              for characteristic in dict.fromkeys(c for c, _ in groups)]
     gaps, curves = _gap_and_atkinson_blocks(year, data.exposures, asked, config.epsilons, skips)
-    gap_blocks.append(gaps)
-    atkinson_blocks.append(curves)
+    state.write("gaps.csv", gaps)
+    state.write("atkinson.csv", curves)
 
     for aligned, groups in zip(tables, table_groups):
         counts = aligned.counts.astype(np.float64)
-        bin_blocks += _composition_blocks(config, aligned, groups, counts, skips)
-        threshold_blocks += _threshold_rows(config, aligned, groups, counts, skips)
+        state.write("bins.csv", *_composition_blocks(config, aligned, groups, counts, skips))
+        state.write("threshold.csv", *_threshold_rows(config, aligned, groups, counts, skips))
         try:
-            state_blocks.append(_state_rows(aligned, groups, counts))
+            state.write("state_disparity.csv", _state_rows(aligned, groups, counts))
         except DegenerateSliceError as exc:
             _skip(skips, "state-disparity", "%s %s: %s" % (year, aligned.locus, exc))
         del counts
@@ -520,7 +526,6 @@ def _stage_bias(state: RunState, data: YearData) -> None:
     config = state.config
     year = data.year
     skips = state.skips.setdefault("bias", {})
-    bias_blocks, wilcoxon_blocks = state.reports("bias.csv", "wilcoxon.csv")
     if data.pairs is None:  # the exposure stage did not run
         data.pairs, _ = _join(config, data.surface, ingest.ORIGIN_DESTINATION)
         _count_drops(state, year, {"od": data.pairs.dropped_weight})
@@ -551,10 +556,10 @@ def _stage_bias(state: RunState, data: YearData) -> None:
             test_keys.append(group_key)
             ns.append(n)
             tests.append(biasstats.wilcoxon_rank_sum_grouped(pooled, w, w))
-        bias_blocks.append([year, bias_keys, stratum, *_transpose(
+        state.write("bias.csv", [year, bias_keys, stratum, *_transpose(
             [(m.sigma2, m.phi, m.omega2, b) for m, b in zip(moment_list, biases)], 0, 4)])
-        wilcoxon_blocks.append([year, test_keys, stratum, np.array(ns), np.array(ns),
-                                *_transpose([(t.u, t.z, t.p_value) for t in tests], 0, 3)])
+        state.write("wilcoxon.csv", [year, test_keys, stratum, np.array(ns), np.array(ns),
+                                     *_transpose([(t.u, t.z, t.p_value) for t in tests], 0, 3)])
 
 
 _STAGE_FUNCS = {
@@ -579,7 +584,8 @@ def run(config: RunConfig, only_stage: str | None = None) -> dict:
     With ``only_stage`` (one of STAGES), prerequisites are still computed but
     only that stage's files are written (and no manifest). A full run first
     removes the output directory's ``manifest.json``, so a run that fails
-    leaves none. Returns the manifest dict.
+    leaves none; its reports keep the rows written before the failure.
+    Returns the manifest dict.
     """
     to_write = set(config.stages if only_stage is None else (only_stage,))
     to_run = [s for s in STAGES if s in to_write or any(s in _PREREQS[w] for w in to_write)]
@@ -590,32 +596,24 @@ def run(config: RunConfig, only_stage: str | None = None) -> dict:
     except OSError as exc:  # an existing file, a path through a file, a name too long
         raise ConfigError(
             f"{config.out_dir}: cannot create output directory: {exc.strerror or exc}") from exc
-    _check_report_paths(config, to_write, only_stage is None)
-    if only_stage is None:
-        (config.out_dir / "manifest.json").unlink(missing_ok=True)
-    state = RunState(config=config)
-    for year in config.years:
-        data = YearData(year=year)
-        for stage in to_run:
-            started = time.perf_counter()
-            try:
-                _STAGE_FUNCS[stage](state, data)
-            except EngineError as exc:
-                raise StageError(stage, exc) from exc
-            elapsed = time.perf_counter() - started
-            state.timings[stage] = state.timings.get(stage, 0.0) + elapsed
-            logger.info("stage %s done for %d in %.3fs", stage, year, elapsed)
-        if "surface" in to_write:
-            surface, valued = data.surface, ~np.isnan(data.surface.values)
-            _write_csv(config.out_dir / f"surface_{year}.csv", _REPORTS["surface_{year}.csv"][1],
-                       [[geoid_text(surface.ids[valued]), year, surface.values[valued]]])
+    state = RunState(config)
+    with contextlib.ExitStack() as stack:
+        state.reports = _open_reports(config, to_write, only_stage is None, stack)
+        for year in config.years:
+            data = YearData(year=year)
+            for stage in to_run:
+                started = time.perf_counter()
+                try:
+                    _STAGE_FUNCS[stage](state, data)
+                except EngineError as exc:
+                    raise StageError(stage, exc) from exc
+                elapsed = time.perf_counter() - started
+                state.timings[stage] = state.timings.get(stage, 0.0) + elapsed
+                logger.info("stage %s done for %d in %.3fs", stage, year, elapsed)
 
-    for name, blocks in state.blocks.items():
-        stage, header, count_key = _REPORTS[name]
-        if count_key:
-            state.manifest_stages.setdefault(stage, {})[count_key] = sum(map(_n_rows, blocks))
-        if stage in to_write:
-            _write_csv(config.out_dir / name, header, blocks)
+    for name, (stage, _, count_key) in _REPORTS.items():
+        if count_key and name in state.reports:
+            state.manifest_stages.setdefault(stage, {})[count_key] = state.reports[name][2]
     for stage, skips in state.skips.items():
         _warn_skips(stage, skips)
         state.manifest_stages.setdefault(stage, {})["skipped"] = dict(sorted(skips.items()))
@@ -624,8 +622,8 @@ def run(config: RunConfig, only_stage: str | None = None) -> dict:
             json.dumps(config.raw, sort_keys=True, separators=(",", ":")).encode()
         ).hexdigest(),
         "inputs": {
-            _display_path(p, config.base_dir): _sha256_file(p)
-            for p in sorted(set(config.input_paths()))
+            str(p.relative_to(config.base_dir) if p.is_relative_to(config.base_dir) else p):
+                _sha256_file(p) for p in sorted(set(config.input_paths()))
         },
         "stages": state.manifest_stages,
         "dropped_weight_total": state.dropped_weight,

@@ -80,8 +80,10 @@ def synth(
     Returns the config dictionary. Identical arguments produce byte-identical
     files.
     """
-    if n_tracts < 2:
-        raise ConfigError(f"need at least 2 tracts, got {n_tracts}")
+    if not 2 <= n_tracts <= 1_000_000:  # six-digit tract codes
+        raise ConfigError(f"need 2 to 1000000 tracts, got {n_tracts}")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     if n_groups < 1:
         raise ConfigError(f"need at least 1 group, got {n_groups}")
     out = Path(out_dir)

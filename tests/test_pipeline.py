@@ -154,6 +154,12 @@ def test_synth_rejects_bad_args(tmp_path, caplog):
         caplog.clear()
         assert cli.main(["synth", "--out", str(tmp_path / "y"), *args]) == 2
         assert "configuration error: gradient base and amplitude must be finite" in caplog.text
+    # a negative seed, and more tracts than six-digit tract codes can number
+    for args, message in ((["--seed", "-1"], "seed must be non-negative, got -1"),
+                          (["--tracts", "1000001"], "need 2 to 1000000 tracts, got 1000001")):
+        caplog.clear()
+        assert cli.main(["synth", "--out", str(tmp_path / "y"), *args]) == 2
+        assert f"configuration error: {message}" in caplog.text
     assert not (tmp_path / "y").exists()
 
 
@@ -393,11 +399,27 @@ def test_run_multi_year(tmp_path):
     assert (out_dir / "surface_2012.csv").exists()
 
 
+def run_peaks(world: Path, out_dir: Path, runs: Sequence[Sequence[int]]) -> list[int]:
+    """The tracemalloc peak of an in-process run of ``world`` over each list of years."""
+    peaks = []
+    for years in runs:
+        copy_years(world, years)
+        config = pipeline.load_config(str(world / "config.json"),
+                                      out_dir=str(out_dir / f"out_{len(years)}"))
+        tracemalloc.start()
+        try:
+            pipeline.run(config)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
 def test_run_peak_memory_bounded_by_one_year(tmp_path):
-    # each year's tables are dropped after its last stage, so four identical
-    # years peak near one year; only the report blocks, as large as the output,
-    # grow with the years. A dense OD table (every tract pair) makes the year's
-    # working set much larger than its output.
+    # each year's tables are dropped after its last stage and its report rows
+    # are written as its stages make them, so identical years peak near one
+    # year. A dense OD table (every tract pair) makes the year's working set
+    # much larger than its output.
     world = make_world(tmp_path, seed=14, n_tracts=150, n_groups=3)
     features = json.loads((world / "tracts.geojson").read_text())["features"]
     geoids = [feature["properties"]["GEOID"] for feature in features]
@@ -408,18 +430,16 @@ def test_run_peak_memory_bounded_by_one_year(tmp_path):
     od = world / "od_2011.csv"
     header = od.read_text().split("\n", 1)[0]
     od.write_text("\n".join([header, *rows]) + "\n")
-    peaks = []
-    for years in ([2011], [2011, 2012, 2013, 2014]):
-        copy_years(world, years)
-        config = pipeline.load_config(str(world / "config.json"),
-                                      out_dir=str(tmp_path / f"out_{len(years)}"))
-        tracemalloc.start()
-        try:
-            pipeline.run(config)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    peaks = run_peaks(world, tmp_path, ([2011], [2011, 2012, 2013, 2014]))
     assert peaks[1] <= 1.2 * peaks[0], [f"{peak / 1e6:.2f} MB" for peak in peaks]
+    # the default 100- and 10-bin curves make a year's output as large as its
+    # working set, so reports held until the last year would show here
+    world = make_world(tmp_path, "bins", seed=14, n_tracts=400, n_groups=3)
+    config_doc = json.loads((world / "config.json").read_text())
+    config_doc["bin_counts"] = [100, 10]
+    (world / "config.json").write_text(json.dumps(config_doc))
+    peaks = run_peaks(world, tmp_path / "bins", ([2011], list(range(2011, 2019))))
+    assert peaks[1] <= 1.1 * peaks[0], [f"{peak / 1e6:.2f} MB" for peak in peaks]
 
 
 def test_run_coverage_once_per_lattice(tmp_path, monkeypatch):
@@ -708,6 +728,42 @@ def test_failed_rerun_leaves_no_manifest(tmp_path):
     assert not (out_dir / "manifest.json").exists()
 
 
+def test_failed_run_keeps_the_rows_written_before_the_failure(tmp_path, caplog):
+    # 2012's RAC table is bad: every report holds 2011's rows, as a 2011-only
+    # run writes them, plus surface_2012.csv from the stage that ran before the
+    # failure; there is no manifest
+    world = make_world(tmp_path, seed=25, n_tracts=4, n_groups=2)
+    reference = tmp_path / "out_2011"
+    assert cli.main(["run", "--config", str(world / "config.json"), "--out", str(reference)]) == 0
+    copy_years(world, [2011, 2012])
+    (world / "rac_2012.csv").write_text("h_geocode,CA01\n060370000001001,1\n")
+    out_dir = tmp_path / "out"
+    caplog.clear()
+    assert cli.main(["run", "--config", str(world / "config.json"), "--out", str(out_dir)]) == 1
+    assert f"stage exposure: {world / 'rac_2012.csv'}: " in caplog.text
+    expected = read_out_files(reference)
+    del expected["manifest.json"]
+    expected["surface_2012.csv"] = expected["surface_2011.csv"].replace(b",2011,", b",2012,")
+    assert read_out_files(out_dir) == expected
+
+
+def test_report_that_cannot_be_opened_fails_before_the_first_stage(tmp_path, caplog,
+                                                                   monkeypatch):
+    # a report path that is a dangling link into a missing directory
+    world = make_world(tmp_path, seed=25, n_tracts=4, n_groups=2)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "exposure.csv").symlink_to(tmp_path / "missing" / "exposure.csv")
+    ran = []
+    for stage in pipeline.STAGES:
+        monkeypatch.setitem(pipeline._STAGE_FUNCS, stage,
+                            lambda state, data, stage=stage: ran.append(stage))
+    assert cli.main(["run", "--config", str(world / "config.json"), "--out", str(out_dir)]) == 2
+    assert (f"configuration error: {out_dir / 'exposure.csv'}: cannot write output file: "
+            "No such file or directory") in caplog.text
+    assert ran == []
+
+
 # ----------------------------------------------------------------------------
 # report writer
 # ----------------------------------------------------------------------------
@@ -728,20 +784,25 @@ def test_write_csv_matches_csv_module(tmp_path):
               [2014, "rural", np.array([]), np.array([], dtype=np.int64), []],
               [2014, "rural", np.array(EDGE_FLOATS[::-1]), counts, labels]]
     path = tmp_path / "table.csv"
-    pipeline._write_csv(path, rows[0], blocks)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(rows[0]) + "\n")
+        pipeline._write_csv(fh, rows[0], blocks[:1])
+        pipeline._write_csv(fh, rows[0], blocks[1:])
     assert path.read_bytes() == reference_csv(rows).encode("utf-8")
 
 
 @pytest.mark.parametrize("bad", [",", '"', "\r", "\n"])
 def test_write_csv_rejects_what_it_cannot_write(tmp_path, bad):
-    path = tmp_path / "table.csv"
     header = ["year", "stratum", "group", "value"]
-    with pytest.raises(ValueError, match=r"table\.csv: column 'group': .* would need CSV quoting"):
-        pipeline._write_csv(path, header, [[2013, "all", ["white", f"a{bad}b"], np.ones(2)]])
-    with pytest.raises(ValueError, match=r"table\.csv: column 'stratum'"):
-        pipeline._write_csv(path, header, [[2013, f"x{bad}", ["white"], np.ones(1)]])
-    with pytest.raises(ValueError, match="3 columns for a 4-field header"):
-        pipeline._write_csv(path, header, [[2013, "all", ["white"]]])
+    with open(tmp_path / "table.csv", "w", encoding="utf-8", newline="") as fh:
+        with pytest.raises(ValueError,
+                           match=r"table\.csv: column 'group': .* would need CSV quoting"):
+            pipeline._write_csv(fh, header, [[2013, "all", ["white", f"a{bad}b"], np.ones(2)]])
+        with pytest.raises(ValueError, match=r"table\.csv: column 'stratum'"):
+            pipeline._write_csv(fh, header, [[2013, f"x{bad}", ["white"], np.ones(1)]])
+        with pytest.raises(ValueError, match="3 columns for a 4-field header"):
+            pipeline._write_csv(fh, header, [[2013, "all", ["white"]]])
+    assert (tmp_path / "table.csv").read_text() == ""
 
 
 # ----------------------------------------------------------------------------
