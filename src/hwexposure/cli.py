@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run all configured stages and write the manifest")
     _add_config_options(p_run)
     p_run.add_argument("--stage", choices=STAGES,
-                       help="run a single stage (prerequisites are computed, not written)")
+                       help="run one stage: overrides the config's stages with [STAGE]")
 
     p_synth = sub.add_parser("synth", help="generate a synthetic input set")
     p_synth.add_argument("--out", required=True, help="directory for the generated files")
@@ -95,9 +95,9 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = load_config(args.config, args.out, args.threads)
+    config = load_config(args.config, args.out, args.threads, args.stage)
     from . import pipeline  # loaded once the configuration is known to be valid
-    pipeline.run(config, only_stage=args.stage)
+    pipeline.run(config)
     return 0
 
 

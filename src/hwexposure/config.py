@@ -102,15 +102,17 @@ _CONFIG_RULES = {
 }
 
 
-def load_config(path: str, out_dir: str | None = None,
-                threads: int | None = None) -> RunConfig:
+def load_config(path: str, out_dir: str | None = None, threads: int | None = None,
+                stage: str | None = None) -> RunConfig:
     """Parse and validate a JSON run configuration, in the check order that
     FORMATS.md "Run configuration" gives; the first failure is the ConfigError.
 
-    Optional ``out_dir`` and ``threads`` override the config's values, and
-    both must meet the key's rule; ``threads`` is checked but not kept. An
-    ``out_dir`` given here resolves against the current directory, the
-    config's relative paths against its directory.
+    Optional ``out_dir``, ``threads`` and ``stage`` override their keys, and
+    each must meet its key's rule (``stage`` X as ``stages`` [X]); ``threads``
+    is checked but not kept. An ``out_dir`` given here resolves against the
+    current directory, the config's relative paths against its directory.
+    The worker tables are checked for the stages the run writes, since no
+    prerequisite reads a table that its stage does not.
     """
     config_path = Path(path)
     try:
@@ -131,6 +133,8 @@ def load_config(path: str, out_dir: str | None = None,
 
     values = {key: _checked(key, raw) for key in _CONFIG_RULES}
     overrides = {} if threads is None else {"threads": threads}
+    if stage is not None:
+        overrides["stages"] = [stage]
     if out_dir is not None:  # resolved against the current directory
         overrides["out_dir"] = str(Path(out_dir).absolute())
     values.update((key, _checked(key, overrides)) for key in overrides)

@@ -28,7 +28,7 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from . import biasstats, disparity, exposure, ingest, zonal
-from .config import STAGES, RunConfig, _check_stage_inputs, load_config  # noqa: F401 (pipeline.load_config)
+from .config import STAGES, RunConfig, load_config  # noqa: F401 (pipeline.load_config)
 from .errors import ConfigError, DegenerateSliceError, EngineError, FormatError
 from .geometry import PolygonSet, geoid_text, read_mask_geojson, read_tracts_geojson
 from .grids import read_asc, read_xyz_csv
@@ -159,20 +159,18 @@ _REPORTS = {
 }
 
 
-def _open_reports(config: RunConfig, to_write: set[str], full_run: bool,
-                  stack: contextlib.ExitStack) -> dict[str, list]:
-    """Before the first stage: the first file the run writes that is a directory
-    (a full run's manifest, each year's surface, then table order) is a config
-    error; then a full run removes its manifest, and each report is opened with
-    its header, as [file, header, rows] by name, or is a config error."""
+def _open_reports(config: RunConfig, stack: contextlib.ExitStack) -> dict[str, list]:
+    """Before the first stage: of the manifest, each year's surface, then each
+    configured stage's report in table order, the first that is a directory is
+    a config error; the manifest is removed, then each report opened with its
+    header, as [file, header, rows] by name, or the failure is a config error."""
     optional = {"urban.csv": config.urban_mask, "error.csv": config.od}
     headers = {name.format(year=y): header for name, (stage, header, _) in _REPORTS.items()
-               if stage in to_write and optional.get(name, True) for y in config.years}
-    for name in ["manifest.json"] * full_run + [*headers]:
+               if stage in config.stages and optional.get(name, True) for y in config.years}
+    for name in ["manifest.json", *headers]:
         if (config.out_dir / name).is_dir():
             raise ConfigError(f"{config.out_dir / name}: cannot write output file: Is a directory")
-    if full_run:
-        (config.out_dir / "manifest.json").unlink(missing_ok=True)
+    (config.out_dir / "manifest.json").unlink(missing_ok=True)
     reports = {}
     for name, header in headers.items():
         try:
@@ -577,19 +575,17 @@ _PREREQS = {
 }
 
 
-def run(config: RunConfig, only_stage: str | None = None) -> dict:
+def run(config: RunConfig) -> dict:
     """Execute the configured stages year by year and emit reports plus a
     manifest.
 
-    With ``only_stage`` (one of STAGES), prerequisites are still computed but
-    only that stage's files are written (and no manifest). A full run first
-    removes the output directory's ``manifest.json``, so a run that fails
-    leaves none; its reports keep the rows written before the failure.
-    Returns the manifest dict.
+    A stage's prerequisites are computed too, but only the configured stages
+    write files (``run --stage X`` configures ``[X]``). Every run first removes
+    the output directory's ``manifest.json``, so a run that fails leaves none;
+    its reports keep the rows written before the failure. Returns the manifest
+    dict.
     """
-    to_write = set(config.stages if only_stage is None else (only_stage,))
-    to_run = [s for s in STAGES if s in to_write or any(s in _PREREQS[w] for w in to_write)]
-    _check_stage_inputs(to_run, config.rac, config.wac, config.od)
+    to_run = [s for s in STAGES if any(s == w or s in _PREREQS[w] for w in config.stages)]
 
     try:
         config.out_dir.mkdir(parents=True, exist_ok=True)
@@ -598,7 +594,7 @@ def run(config: RunConfig, only_stage: str | None = None) -> dict:
             f"{config.out_dir}: cannot create output directory: {exc.strerror or exc}") from exc
     state = RunState(config)
     with contextlib.ExitStack() as stack:
-        state.reports = _open_reports(config, to_write, only_stage is None, stack)
+        state.reports = _open_reports(config, stack)
         for year in config.years:
             data = YearData(year=year)
             for stage in to_run:
@@ -629,8 +625,7 @@ def run(config: RunConfig, only_stage: str | None = None) -> dict:
         "dropped_weight_total": state.dropped_weight,
         "timings_seconds": {k: round(v, 6) for k, v in state.timings.items()},
     }
-    if only_stage is None:
-        with open(config.out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    with open(config.out_dir / "manifest.json", "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     return manifest

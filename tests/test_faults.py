@@ -157,6 +157,24 @@ def test_invalid_utf8(tmp_path, caplog):
     assert f"{wac}: cannot read: " in caplog.text
 
 
+def test_invalid_utf8_past_the_header_read(tmp_path, caplog):
+    # a bad byte past the first 8 KB is decoded by the table read, not the
+    # header read; it is named the same way
+    world = make_world(tmp_path)
+    wac = world / "wac_2011.csv"
+    header, rows = wac.read_bytes().split(b"\n", 1)
+    wac.write_bytes(header + b"\n" + rows * (8192 // len(rows) + 1) + b"\xff\n")
+    assert run(world, tmp_path / "out") == 1
+    assert f"{wac}: cannot read: 'utf-8' codec can't decode byte 0xff" in caplog.text
+
+
+def test_empty_table_names_the_file(tmp_path, caplog):
+    world = make_world(tmp_path)
+    (world / "rac_2011.csv").write_text("")
+    assert run(world, tmp_path / "out") == 1
+    assert f"stage exposure: {world / 'rac_2011.csv'}: empty file" in caplog.text
+
+
 def use_xyz_grid(world: Path) -> Path:
     """Point the world's config at an XYZ copy of its grid; returns its path."""
     path = world / "grid_2011.csv"
@@ -507,6 +525,29 @@ def test_wrong_geojson_structure_names_the_file(tmp_path, caplog, name, edit, me
     assert f"stage surface: {path}: {message.format(last=last)}" in caplog.text
 
 
+@pytest.mark.parametrize("name", ["tracts.geojson", "urban.geojson"])
+def test_geojson_that_is_not_json_names_the_file(tmp_path, caplog, name):
+    world = make_world(tmp_path)
+    (world / name).write_text("{not json")
+    assert run(world, tmp_path / "out") == 1
+    assert f"stage surface: {world / name}: not valid JSON: " in caplog.text
+
+
+def test_geojson_positions_keep_their_first_two_numbers(tmp_path):
+    # a position's third number (an elevation) is dropped
+    world = make_world(tmp_path)
+    assert run(world, tmp_path / "flat") == 0
+    for name in ("tracts.geojson", "urban.geojson"):
+        collection = json.loads((world / name).read_text())
+        for feature in collection["features"]:  # synth writes Polygons
+            for ring in feature["geometry"]["coordinates"]:
+                for position in ring:
+                    position.append(100.0)
+        (world / name).write_text(json.dumps(collection))
+    assert run(world, tmp_path / "raised") == 0
+    assert report_bytes(tmp_path / "raised") == report_bytes(tmp_path / "flat")
+
+
 def test_repeated_year_is_a_config_error(tmp_path, caplog):
     # a repeated year would run that year twice and repeat every report row
     world = make_world(tmp_path)
@@ -567,6 +608,16 @@ def test_malformed_config_value_names_the_key(tmp_path, caplog, key, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key", ["years", "grid", "tracts"])
+def test_missing_required_key_is_a_config_error(tmp_path, caplog, key):
+    world = make_world(tmp_path)
+    config = json.loads((world / "config.json").read_text())
+    del config[key]
+    (world / "config.json").write_text(json.dumps(config))
+    assert cli.main(["validate", "--config", str(world / "config.json")]) == 2
+    assert f"configuration error: config key {key!r} is required" in caplog.text
+
+
 def test_repeated_entry_names_the_smallest_repeat(tmp_path, caplog):
     world = make_world(tmp_path)
     point_config(world, "thresholds", [12.0, 10.0, 12, 5.0, 10.0])
@@ -604,6 +655,21 @@ def test_stage_flag_without_its_table_is_a_config_error(tmp_path, caplog):
     assert not out.exists()
 
 
+def test_stage_flag_checks_only_the_tables_of_its_stage(tmp_path):
+    # --stage overrides stages: the bias stage the config lists needs od, but
+    # run --stage surface reads no worker table
+    world = make_world(tmp_path)
+    config = json.loads((world / "config.json").read_text())
+    del config["od"]
+    (world / "config.json").write_text(json.dumps(config))
+    assert cli.main(["validate", "--config", str(world / "config.json")]) == 2
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(world / "config.json"), "--out", str(out),
+                     "--stage", "surface"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "surface_2011.csv",
+                                                     "urban.csv"]
+
+
 @pytest.mark.parametrize("value, reason", [
     ({"home": 0.794, "work": 0.206, "school": 0.5},
      "keys must be 'home' and 'work', got ['home', 'school', 'work']"),
@@ -635,7 +701,9 @@ def _unreadable(config: Path, monkeypatch) -> None:
     ("w/config.json", _unreadable, "cannot read config file: Permission denied"),
     ("deep.json", lambda path, _: path.write_text("[" * 100_000),
      "invalid JSON: maximum recursion depth exceeded"),
-], ids=["directory", "path_through_a_file", "not_utf8", "unreadable", "nested_too_deep"])
+    ("list.json", lambda path, _: path.write_text("[1]"), "config must be a JSON object"),
+], ids=["directory", "path_through_a_file", "not_utf8", "unreadable", "nested_too_deep",
+        "not_an_object"])
 def test_unreadable_config_file_is_a_config_error(tmp_path, caplog, monkeypatch,
                                                   name, make, reason):
     make_world(tmp_path)
@@ -675,8 +743,9 @@ def test_unusable_output_directory_is_a_config_error(tmp_path, caplog, name, rea
     (["run", "--stage", "surface"], "urban.csv"),
     (["run", "--stage", "exposure"], "error.csv"),
     (["disparity"], "bins.csv"),
+    (["run", "--stage", "bias"], "manifest.json"),
 ], ids=["manifest", "surface", "exposure", "last_report", "stage_surface", "stage_exposure",
-        "stage_disparity"])
+        "stage_disparity", "stage_manifest"])
 def test_report_path_that_is_a_directory_is_a_config_error(tmp_path, caplog, command, name):
     # found before the first stage, so the run writes nothing
     world = make_world(tmp_path)
@@ -690,11 +759,11 @@ def test_report_path_that_is_a_directory_is_a_config_error(tmp_path, caplog, com
 
 
 def test_report_path_check_skips_files_the_run_does_not_write(tmp_path):
-    # a stage run writes no manifest; only the named stage's reports count
+    # a stage run writes the manifest and the named stage's reports, not those
+    # of its prerequisites
     world = make_world(tmp_path)
     out = tmp_path / "out"
-    for name in ("manifest.json", "exposure.csv"):
-        (out / name).mkdir(parents=True)
+    (out / "exposure.csv").mkdir(parents=True)
     argv = ["run", "--stage", "bias", "--config", str(world / "config.json"), "--out", str(out)]
     assert cli.main(argv) == 0
     assert sorted(p.name for p in out.iterdir()) == ["bias.csv", "exposure.csv", "manifest.json",

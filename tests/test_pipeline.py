@@ -141,6 +141,11 @@ def test_synth_rejects_bad_args(tmp_path, caplog):
         synth.synth(str(tmp_path / "x"), n_tracts=1)
     with pytest.raises(ConfigError):
         synth.GradientSpec(kind="volcano")
+    with pytest.raises(ConfigError, match="^gradient base and amplitude must be non-negative$"):
+        synth.GradientSpec(base=-1.0)
+    with pytest.raises(ConfigError, match="^need at least 1 group, got 0$"):
+        synth.synth(str(tmp_path / "x"), n_groups=0)
+    assert not (tmp_path / "x").exists()
     # a base or amplitude that is not finite, or a pair whose peak in
     # quarter units, 4 * (base + amplitude), is not
     for kind, base, amplitude in (("work_hotspot", math.nan, 8.0), ("work_hotspot", 6.0, math.inf),
@@ -305,17 +310,45 @@ STAGE_FILES = {
 @pytest.mark.parametrize("stage", pipeline.STAGES)
 def test_run_stage_matches_full_run(tmp_path, stage):
     # run --stage X computes X's prerequisites but writes only X's files, with
-    # the full run's bytes; run --stage bias joins the OD table itself, where
-    # the full run's exposure stage built the same frame
+    # the full run's bytes, and the manifest of a config whose stages are [X];
+    # run --stage bias joins the OD table itself, where the full run's
+    # exposure stage built the same frame
     world = make_distinct_years_world(tmp_path, (2011, 2012))
-    full, alone = tmp_path / "full", tmp_path / "alone"
+    full, alone, listed = tmp_path / "full", tmp_path / "alone", tmp_path / "listed"
     pipeline.run(pipeline.load_config(str(world / "config.json"), out_dir=str(full)))
-    pipeline.run(pipeline.load_config(str(world / "config.json"), out_dir=str(alone)),
-                 only_stage=stage)
-    assert set(read_out_files(alone)) == STAGE_FILES[stage]
+    pipeline.run(pipeline.load_config(str(world / "config.json"), out_dir=str(alone),
+                                      stage=stage))
+    assert set(read_out_files(alone)) == STAGE_FILES[stage] | {"manifest.json"}
     for name in STAGE_FILES[stage]:
         assert (alone / name).read_bytes() == (full / name).read_bytes(), name
         assert len(csv_rows(full / name)) > 0, name
+    config_doc = json.loads((world / "config.json").read_text())
+    (world / "listed.json").write_text(json.dumps({**config_doc, "stages": [stage]}))
+    pipeline.run(pipeline.load_config(str(world / "listed.json"), out_dir=str(listed)))
+    manifests = [strip_timings((out / "manifest.json").read_bytes()) for out in (alone, listed)]
+    for manifest in manifests:
+        del manifest["config_hash"]
+    assert manifests[0] == manifests[1]
+    assert set(manifests[0]["stages"]) == {stage, *pipeline._PREREQS[stage]}
+
+
+@pytest.mark.parametrize("stage", pipeline.STAGES)
+def test_run_stage_replaces_the_manifest(tmp_path, stage):
+    # a stage run into a full run's directory leaves its own manifest, whose
+    # row counts are those of the reports it wrote, not the full run's
+    world = make_world(tmp_path, seed=8, n_tracts=9, n_groups=2)
+    out_dir = tmp_path / "out"
+    argv = ["run", "--config", str(world / "config.json"), "--out", str(out_dir)]
+    assert cli.main(argv) == 0
+    config_doc = json.loads((world / "config.json").read_text())
+    config_doc.update(bin_counts=[10], thresholds=[5.0])
+    (world / "config.json").write_text(json.dumps(config_doc))
+    assert cli.main([*argv, "--stage", stage]) == 0
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert set(manifest["stages"]) == {stage, *pipeline._PREREQS[stage]}
+    for name, (owner, _, count_key) in pipeline._REPORTS.items():
+        if owner == stage and count_key:
+            assert manifest["stages"][stage][count_key] == len(csv_rows(out_dir / name)), name
 
 
 def test_run_years_are_independent(tmp_path):
@@ -380,10 +413,12 @@ def test_run_single_group_degrades_gracefully(tmp_path):
 def test_run_single_stage_writes_only_that_stage(tmp_path):
     world = make_world(tmp_path, seed=8, n_tracts=9, n_groups=2)
     out_dir = tmp_path / "out"
-    config = pipeline.load_config(str(world / "config.json"), out_dir=str(out_dir))
-    pipeline.run(config, only_stage="surface")
+    config = pipeline.load_config(str(world / "config.json"), out_dir=str(out_dir),
+                                  stage="surface")
+    assert config.stages == ("surface",)
+    pipeline.run(config)
     names = set(read_out_files(out_dir))
-    assert names == {"surface_2011.csv", "urban.csv"}
+    assert names == {"surface_2011.csv", "urban.csv", "manifest.json"}
 
 
 def test_run_multi_year(tmp_path):
@@ -415,12 +450,10 @@ def run_peaks(world: Path, out_dir: Path, runs: Sequence[Sequence[int]]) -> list
     return peaks
 
 
-def test_run_peak_memory_bounded_by_one_year(tmp_path):
-    # each year's tables are dropped after its last stage and its report rows
-    # are written as its stages make them, so identical years peak near one
-    # year. A dense OD table (every tract pair) makes the year's working set
-    # much larger than its output.
-    world = make_world(tmp_path, seed=14, n_tracts=150, n_groups=3)
+def dense_od_world(tmp_path: Path) -> Path:
+    """A 150-tract world whose OD table holds every tract pair, so a year's
+    working set is much larger than its output."""
+    world = make_world(tmp_path, "dense", seed=14, n_tracts=150, n_groups=3)
     features = json.loads((world / "tracts.geojson").read_text())["features"]
     geoids = [feature["properties"]["GEOID"] for feature in features]
     totals = np.random.default_rng(14).integers(3, 30, size=len(geoids) ** 2).tolist()
@@ -430,16 +463,53 @@ def test_run_peak_memory_bounded_by_one_year(tmp_path):
     od = world / "od_2011.csv"
     header = od.read_text().split("\n", 1)[0]
     od.write_text("\n".join([header, *rows]) + "\n")
-    peaks = run_peaks(world, tmp_path, ([2011], [2011, 2012, 2013, 2014]))
-    assert peaks[1] <= 1.2 * peaks[0], [f"{peak / 1e6:.2f} MB" for peak in peaks]
-    # the default 100- and 10-bin curves make a year's output as large as its
-    # working set, so reports held until the last year would show here
+    return world
+
+
+def bins_world(tmp_path: Path) -> Path:
+    """A 400-tract world whose default 100- and 10-bin curves make a year's
+    output as large as its working set."""
     world = make_world(tmp_path, "bins", seed=14, n_tracts=400, n_groups=3)
     config_doc = json.loads((world / "config.json").read_text())
     config_doc["bin_counts"] = [100, 10]
     (world / "config.json").write_text(json.dumps(config_doc))
-    peaks = run_peaks(world, tmp_path / "bins", ([2011], list(range(2011, 2019))))
+    return world
+
+
+def test_run_peak_memory_bounded_by_one_year(tmp_path):
+    # each year's tables are dropped after its last stage and its report rows
+    # are written as its stages make them, so identical years peak near one
+    # year, whether the working set or the output is the larger
+    peaks = run_peaks(dense_od_world(tmp_path), tmp_path, ([2011], [2011, 2012, 2013, 2014]))
+    assert peaks[1] <= 1.2 * peaks[0], [f"{peak / 1e6:.2f} MB" for peak in peaks]
+    peaks = run_peaks(bins_world(tmp_path), tmp_path / "bins", ([2011], list(range(2011, 2019))))
     assert peaks[1] <= 1.1 * peaks[0], [f"{peak / 1e6:.2f} MB" for peak in peaks]
+
+
+# A run in a fresh interpreter that prints its own peak resident set in kB.
+_PEAK_RSS = """
+import sys
+from hwexposure import cli
+assert cli.main(sys.argv[1:]) == 0
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc/self/status")
+def test_process_peak_rss_bounded_by_one_year(tmp_path):
+    # tracemalloc cannot see freed heap that stays resident, the process's
+    # high-water mark can
+    for world, years in ((dense_od_world(tmp_path), [2011, 2012, 2013, 2014]),
+                         (bins_world(tmp_path), list(range(2011, 2019)))):
+        peaks = []
+        for run_years in ([2011], years):
+            copy_years(world, run_years)
+            result = run_process("-c", _PEAK_RSS, "run", "--config", str(world / "config.json"),
+                                 "--out", str(world / f"out_{len(run_years)}"))
+            assert result.returncode == 0, result.stderr
+            peaks.append(int(result.stdout))
+        assert peaks[1] <= 1.1 * peaks[0], (world.name, [f"{kb / 1e3:.1f} MB" for kb in peaks])
 
 
 def test_run_coverage_once_per_lattice(tmp_path, monkeypatch):
@@ -728,6 +798,24 @@ def test_failed_rerun_leaves_no_manifest(tmp_path):
     assert not (out_dir / "manifest.json").exists()
 
 
+def test_failed_stage_run_leaves_no_manifest(tmp_path):
+    # a stage run truncates its reports to their headers before the first
+    # stage, so the full run's manifest no longer describes them: a stage
+    # run that fails leaves none
+    world = make_world(tmp_path, seed=25, n_tracts=4, n_groups=2)
+    out_dir = tmp_path / "out"
+    argv = ["run", "--config", str(world / "config.json"), "--out", str(out_dir)]
+    assert cli.main(argv) == 0
+    assert csv_rows(out_dir / "bins.csv")
+    rac = world / "rac_2011.csv"
+    lines = rac.read_text().splitlines()
+    lines[1] = ",".join(["x" if i == 1 else cell for i, cell in enumerate(lines[1].split(","))])
+    rac.write_text("\n".join(lines) + "\n")
+    assert cli.main([*argv, "--stage", "disparity"]) == 1
+    assert not (out_dir / "manifest.json").exists()
+    assert csv_rows(out_dir / "bins.csv") == []
+
+
 def test_failed_run_keeps_the_rows_written_before_the_failure(tmp_path, caplog):
     # 2012's RAC table is bad: every report holds 2011's rows, as a 2011-only
     # run writes them, plus surface_2012.csv from the stage that ran before the
@@ -890,6 +978,17 @@ def test_cli_validate_and_ingest(tmp_path):
     assert cli.main(["ingest", "--config", str(world / "config.json")]) == 0
 
 
+def test_cli_ingest_reads_only_the_configured_tables(tmp_path, caplog):
+    caplog.set_level(logging.INFO)
+    world = make_world(tmp_path, seed=3, n_tracts=4)
+    config_doc = json.loads((world / "config.json").read_text())
+    config_doc.update(od=None, stages=["surface", "exposure", "disparity"])
+    (world / "config.json").write_text(json.dumps(config_doc))
+    assert cli.main(["ingest", "--config", str(world / "config.json")]) == 0
+    read = [r.getMessage().split(":")[0] for r in caplog.records if r.name == "hwexposure"]
+    assert read == ["residence 2011", "workplace 2011"]
+
+
 def test_cli_ingest_rejects_bad_block(tmp_path, caplog):
     world = tmp_path / "w"
     cli.main(["synth", "--out", str(world), "--seed", "3", "--tracts", "4"])
@@ -925,7 +1024,8 @@ def test_cli_run_stage_flag(tmp_path):
     assert rc == 0
     assert (out / "exposure.csv").exists()
     assert not (out / "gaps.csv").exists()
-    assert not (out / "manifest.json").exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(manifest["stages"]) == ["exposure", "surface"]
 
 
 # A run imports only what it uses: a lazily imported module adds set-up cost

@@ -112,6 +112,7 @@ def test_read_asc_wrong_cell_count(tmp_path):
     ("nrows 2", "nrows 2.5", r"2: nrows must be a positive integer, got '2\.5'"),
     ("nrows 2", "nrows -2", r"2: nrows must be a positive integer, got '-2'"),
     ("cellsize 2.0", "cellsize x", r"5: non-numeric cellsize 'x'"),
+    ("ncols 3", "ncols 2 3", r"1: malformed header line 'ncols 2 3\\n'"),
 ])
 def test_read_asc_rejects_bad_header_value(tmp_path, old, new, message):
     path = tmp_path / "bad.asc"
@@ -125,6 +126,13 @@ def test_read_asc_rejects_non_finite(tmp_path, token):
     path = tmp_path / "bad.asc"
     path.write_text(ASC_TEXT.replace("5.0", token))
     with pytest.raises(FormatError, match=rf"bad\.asc:8: non-finite cell value"):
+        read_asc(str(path))
+
+
+def test_read_asc_non_numeric_cell_names_its_line(tmp_path):
+    path = tmp_path / "bad.asc"
+    path.write_text(ASC_TEXT.replace("1.5", "abc"))
+    with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}:7: non-numeric cell value$"):
         read_asc(str(path))
 
 
@@ -209,6 +217,17 @@ def test_read_xyz_csv_rejects_non_finite_coordinate(tmp_path, row, message):
         line = 2 if rows.startswith(row) else 3
         with pytest.raises(FormatError, match=rf"bad\.csv:{line}: {message}"):
             read_xyz_csv(str(path))
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("", "no data rows"),
+    ("0.5,0.5,1.0\n1.5,0.5,2.0\n4.0,0.5,3.0\n", "x coordinates are not on a regular lattice"),
+], ids=["no_rows", "irregular_x"])
+def test_read_xyz_csv_rejects_bad_point_set(tmp_path, rows, message):
+    path = tmp_path / "bad.csv"
+    path.write_text("x,y,value\n" + rows)
+    with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}: {message}$"):
+        read_xyz_csv(str(path))
 
 
 def test_read_xyz_csv_padded_header(tmp_path):
@@ -1071,8 +1090,9 @@ def test_surface_csv_roundtrip(tmp_path):
     lines[6:] = [" ".join(map(repr, rng.uniform(0.1, 40.0, len(line.split())).tolist()))
                  for line in lines[6:]]
     grid_path.write_text("\n".join(lines) + "\n")
-    config = pipeline.load_config(str(world / "config.json"), out_dir=str(tmp_path / "out"))
-    pipeline.run(config, only_stage="surface")
+    config = pipeline.load_config(str(world / "config.json"), out_dir=str(tmp_path / "out"),
+                                  stage="surface")
+    pipeline.run(config)
     back = read_surface_csv(str(tmp_path / "out" / "surface_2011.csv"))
     tracts = read_tracts_geojson(str(world / "tracts.geojson"))
     grid = read_asc(str(grid_path))
