@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import FormatError
-from .ingest import open_input
+from .ingest import first_bad_row, open_input, read_columns
 
 _ASC_KEYWORDS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
 
@@ -151,55 +151,56 @@ def read_xyz_csv(path: str) -> ConcentrationGrid:
     and of two points at one position the later one wins. Coordinates and
     values must be finite.
     """
-    xs: list[float] = []
-    ys: list[float] = []
-    vs: list[float] = []
-    with open_input(path) as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is not None:  # the cells are looked up by the stripped names
-            reader.fieldnames = [f.strip() for f in reader.fieldnames]
-        if reader.fieldnames != ["x", "y", "value"]:
-            raise FormatError(f"{path}: expected header 'x,y,value'")
-        for row in reader:
-            try:
-                x, y, value = float(row["x"]), float(row["y"]), float(row["value"])
-            except (TypeError, ValueError) as exc:
-                raise FormatError(f"{path}:{reader.line_num}: non-numeric x, y or value") from exc
-            for name, number in (("x", x), ("y", y), ("value", value)):
-                if not math.isfinite(number):
-                    raise FormatError(f"{path}:{reader.line_num}: non-finite {name} {row[name]!r}")
-            xs.append(x)
-            ys.append(y)
-            vs.append(value)
-    if not xs:
-        raise FormatError(f"{path}: no data rows")
-    ux, uy = _distinct(xs), _distinct(ys)
-    cell_w = _uniform_spacing(ux, path, "x")
-    cell_h = _uniform_spacing(uy, path, "y")
-    n_cols = int(round((ux[-1] - ux[0]) / cell_w)) + 1
-    n_rows = int(round((uy[-1] - uy[0]) / cell_h)) + 1
-    values = np.zeros((n_rows, n_cols), dtype=np.float64)
-    nodata = np.ones((n_rows, n_cols), dtype=bool)
-    for x, y, v in zip(xs, ys, vs):
-        col = int(round((x - ux[0]) / cell_w))
-        row = int(round((y - uy[0]) / cell_h))
-        values[row, col] = v
-        nodata[row, col] = False
-    return _grid(path, ux[0] - cell_w / 2.0, uy[0] - cell_h / 2.0, cell_w, cell_h,
-                 values, nodata)
+    try:
+        with open_input(path) as fh:
+            if [name.strip() for name in next(csv.reader(fh), [])] != ["x", "y", "value"]:
+                raise FormatError(f"{path}: expected header 'x,y,value'")
+            points = read_columns(path, fh, "f8,f8,f8", (0, 1, 2), _bad_point)
+    except ValueError as exc:  # no bad point: a token only Python's float() takes
+        raise FormatError(f"{path}: {exc}") from exc
+    xs, ys, vs = points = points.view(np.float64).reshape(-1, 3).T
+    if not np.isfinite(points).all():  # float() reads such a cell alike, so a row is named
+        raise first_bad_row(path, (0, 1, 2), _bad_point)
+    (x0, cell_w, n_cols), (y0, cell_h, n_rows) = _axis(xs, path, "x"), _axis(ys, path, "y")
+    try:
+        values = np.zeros((n_rows, n_cols), dtype=np.float64)
+        nodata = np.ones((n_rows, n_cols), dtype=bool)
+    except (MemoryError, ValueError) as exc:  # ValueError: past numpy's largest array
+        raise FormatError(
+            f"{path}: a lattice of {n_rows} x {n_cols} cells cannot be allocated") from exc
+    cells = (np.rint((ys - y0) / cell_h).astype(np.int64) * n_cols
+             + np.rint((xs - x0) / cell_w).astype(np.int64))
+    order = np.argsort(cells)  # each position's points together, in no set order
+    starts = np.flatnonzero(np.append(True, np.diff(cells[order]) != 0))
+    won = np.maximum.reduceat(order, starts)  # the later point at a position wins
+    values.ravel()[cells[won]] = vs[won]
+    nodata.ravel()[cells[won]] = False
+    return _grid(path, x0 - cell_w / 2.0, y0 - cell_h / 2.0, cell_w, cell_h, values, nodata)
 
 
-def _distinct(values: list[float]) -> np.ndarray:
-    """Distinct values, ascending (np.unique would import numpy.ma)."""
-    v = np.sort(np.array(values))
-    return v[np.concatenate(([True], v[1:] != v[:-1]))]
+def _bad_point(cells: list[str | None]) -> str | None:
+    """The fault of a point whose x, y or value is not a finite number."""
+    try:
+        bad = [(name, cell) for name, cell in zip(("x", "y", "value"), cells)
+               if not math.isfinite(float(cell))]
+    except (TypeError, ValueError):
+        return "non-numeric x, y or value"
+    return f"non-finite {bad[0][0]} {bad[0][1]!r}" if bad else None
 
 
-def _uniform_spacing(coords: np.ndarray, path: str, axis: str) -> float:
-    if coords.size == 1:
-        return 1.0  # single row/column: spacing is arbitrary, use unit cells
-    diffs = np.diff(coords)
-    step = diffs.min()
-    if step <= 0 or not np.allclose(np.round(diffs / step), diffs / step, atol=1e-6):
+def _axis(coords: np.ndarray, path: str, axis: str) -> tuple[float, float, int]:
+    """The least of the points' ``coords``, their lattice spacing (the least
+    step between distinct ones; np.unique would import numpy.ma) and the
+    number of cells they span. A span past float64 is no lattice."""
+    coords = np.sort(coords)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diffs = np.diff(coords)
+        diffs = diffs[diffs != 0]
+        if not diffs.size:
+            return coords[0], 1.0, 1  # single row/column: spacing is arbitrary, use unit cells
+        step = diffs.min()
+        span = (coords[-1] - coords[0]) / step
+        regular = np.allclose(np.round(diffs / step), diffs / step, atol=1e-6)
+    if not regular or not np.isfinite(span):
         raise FormatError(f"{path}: {axis} coordinates are not on a regular lattice")
-    return float(step)
+    return coords[0], float(step), int(np.rint(span)) + 1

@@ -14,7 +14,7 @@ import gzip
 import logging
 import warnings
 import zlib
-from typing import Iterator, NamedTuple, Sequence, TextIO
+from typing import Callable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -27,7 +27,7 @@ WORKPLACE = "workplace"
 ORIGIN_DESTINATION = "od"
 
 
-class GroupSchema:
+class GroupSchema(NamedTuple):
     """One demographic characteristic and its ordered (column_code, label)
     categories.
 
@@ -38,13 +38,9 @@ class GroupSchema:
     is named once.
     """
 
-    __slots__ = ("characteristic", "categories", "partitions_total")
-
-    def __init__(self, characteristic: str, categories: tuple[tuple[str, str], ...],
-                 partitions_total: bool = True) -> None:
-        self.characteristic = characteristic
-        self.categories = categories
-        self.partitions_total = partitions_total
+    characteristic: str
+    categories: tuple[tuple[str, str], ...]
+    partitions_total: bool = True
 
     @property
     def codes(self) -> tuple[str, ...]:
@@ -246,14 +242,11 @@ def aggregate_od(rows: WorkerTable) -> WorkerTable:
 def read_tracts(path: str, role: str) -> tuple[int, WorkerTable]:
     """Read one RAC, WAC or OD table (role RESIDENCE, WORKPLACE or
     ORIGIN_DESTINATION) and roll it up to tracts; also returns its block row
-    count. A table without data rows is an error. Every error names the
-    file."""
+    count. Every error names the file."""
     if role == ORIGIN_DESTINATION:
         rows, rollup = read_od_csv(path), aggregate_od
     else:
         rows, rollup = read_block_csv(path, role), aggregate_to_tracts
-    if len(rows.totals) == 0:
-        raise FormatError(f"{path}: no data rows")
     try:
         return len(rows.totals), rollup(rows)
     except FormatError as exc:
@@ -299,21 +292,47 @@ def _resolve_columns(fieldnames: Sequence[str], required: Sequence[str],
     return category_cols
 
 
-def _first_bad_count(path: str, header: list[str],
-                     columns: Sequence[str]) -> FormatError | None:
-    """The first count cell, in file order, that is not an integer, named by
-    its file line (blank lines count, unlike in np.loadtxt's row numbers)."""
+def first_bad_row(path: str, usecols: Sequence[int],
+                  fault: Callable[[list[str | None]], str | None]) -> FormatError | None:
+    """The fault that ``fault`` words for the ``usecols`` cells (None past the
+    row's end) of the first data row it finds one in, named by its file line:
+    blank lines are skipped but counted, unlike in np.loadtxt's row numbers."""
     with open_input(path) as fh:
-        reader = csv.DictReader(fh, fieldnames=header)
-        next(reader)  # the header line
-        for rec in reader:
-            for column in columns:
-                raw = rec[column]
-                try:
-                    int(raw)
-                except (TypeError, ValueError):
-                    return FormatError(
-                        f"{path}:{reader.line_num}: column {column!r}: bad count {raw!r}")
+        reader = csv.reader(fh)
+        next(reader, None)  # the header line
+        for row in filter(None, reader):
+            message = fault([row[i] if i < len(row) else None for i in usecols])
+            if message:
+                return FormatError(f"{path}:{reader.line_num}: {message}")
+    return None
+
+
+def read_columns(path: str, fh: TextIO, dtype: np.dtype | str, usecols: Sequence[int],
+                 fault: Callable[[list[str | None]], str | None]) -> np.ndarray:
+    """The ``usecols`` cells of the rest of the CSV ``fh`` (``path`` past its
+    header): one or more ``dtype`` records, parsed by one np.loadtxt call. Where
+    it fails, the first_bad_row fault, or numpy's ValueError if none is found."""
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, quotechar='"',
+                              usecols=usecols, ndmin=1)
+    except UnicodeDecodeError:  # a ValueError, but not a bad cell: open_input names it
+        raise
+    except ValueError as exc:
+        raise first_bad_row(path, usecols, fault) or exc
+    if not data.size:
+        raise FormatError(f"{path}: no data rows")
+    return data
+
+
+def _bad_count(columns: Sequence[str], cells: list[str | None]) -> str | None:
+    """The fault of the first of these count cells that is not an integer."""
+    for column, raw in zip(columns, cells):
+        try:
+            int(raw)
+        except (TypeError, ValueError):
+            return f"column {column!r}: bad count {raw!r}"
     return None
 
 
@@ -322,28 +341,22 @@ def _read_table(path: str, required: Sequence[str], keys: Sequence[str],
     """Parse a worker table's key, total (the last required column) and
     category columns, whole columns at a time."""
     total = required[-1]
-    with open_input(path) as fh:
-        header = next(csv.reader(fh), None)
-        if header is None:
-            raise FormatError(f"{path}: empty file")
-        codes = _resolve_columns(header, required, schemas, path)
-        position = {name: i for i, name in enumerate(header)}  # last of a repeated name
-        dtype = np.dtype([*((key, key_dtype) for key in keys),
-                          ("counts", np.int64, (len(codes) + 1,))])
-        try:
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                data = np.loadtxt(
-                    fh, dtype=dtype, delimiter=",", comments=None, quotechar='"',
-                    usecols=[position[c] for c in (*keys, total, *codes)], ndmin=1,
-                )
-        except UnicodeDecodeError:  # a ValueError, but not a bad cell: open_input names it
-            raise
-        except ValueError as exc:
-            error = _first_bad_count(path, header, [total, *codes])
-            if error is None and key_dtype == "S16":  # a key with no Latin-1 form
-                return _read_table(path, required, keys, schemas, "U16")
-            raise (error or FormatError(f"{path}: {exc}")) from exc
+    try:
+        with open_input(path) as fh:
+            header = next(csv.reader(fh), None)
+            if header is None:
+                raise FormatError(f"{path}: empty file")
+            codes = _resolve_columns(header, required, schemas, path)
+            position = {name: i for i, name in enumerate(header)}  # last of a repeated name
+            dtype = np.dtype([*((key, key_dtype) for key in keys),
+                              ("counts", np.int64, (len(codes) + 1,))])
+            data = read_columns(
+                path, fh, dtype, [position[c] for c in (*keys, total, *codes)],
+                lambda cells: _bad_count((total, *codes), cells[len(keys):]))
+    except ValueError as exc:  # no bad count
+        if key_dtype == "S16":  # a key with no Latin-1 form
+            return _read_table(path, required, keys, schemas, "U16")
+        raise FormatError(f"{path}: {exc}") from exc
     counts = data["counts"]
     return WorkerTable(
         keys=tuple(data[key].copy() for key in keys),

@@ -99,8 +99,13 @@ def synth(
         geoids.append(f"{state}037{i:06d}")
 
     _write_grid(out / f"grid_{year}.asc", gradient, extent)
-    _write_tracts(out / "tracts.geojson", geoids, side)
-    _write_urban_mask(out / "urban.geojson", extent)
+    _write_rectangles(out / "tracts.geojson",
+                      [({"GEOID": geoid}, _tract_rect(i, side)) for i, geoid in enumerate(geoids)])
+    # a central square covering the middle of the world: the core tract(s)
+    # classify urban, the periphery rural
+    inset = extent / 4.0
+    _write_rectangles(out / "urban.geojson",
+                      [({"NAME": "core"}, (inset, inset, extent - inset, extent - inset))])
 
     center = _center_tract_index(n_tracts, side)
     od_rows = _generate_od_rows(rng, geoids, center, n_groups)
@@ -169,38 +174,15 @@ def _tract_rect(i: int, side: int) -> tuple[float, float, float, float]:
     return (x0, y0, x0 + _CELLS_PER_TRACT_SIDE, y0 + _CELLS_PER_TRACT_SIDE)
 
 
-def _write_tracts(path: Path, geoids: list[str], side: int) -> None:
-    features = []
-    for i, geoid in enumerate(geoids):
-        x0, y0, x1, y1 = _tract_rect(i, side)
-        features.append({
-            "type": "Feature",
-            "properties": {"GEOID": geoid},
-            "geometry": {
-                "type": "Polygon",
-                "coordinates": [[[x0, y0], [x1, y0], [x1, y1], [x0, y1], [x0, y0]]],
-            },
-        })
+def _write_rectangles(path: Path, features: list[tuple[dict, tuple]]) -> None:
+    """A GeoJSON FeatureCollection of one Polygon feature per (properties,
+    (x0, y0, x1, y1)) rectangle."""
+    doc = {"type": "FeatureCollection", "features": [
+        {"type": "Feature", "properties": properties, "geometry": {
+            "type": "Polygon", "coordinates": [[[x0, y0], [x1, y0], [x1, y1], [x0, y1], [x0, y0]]]}}
+        for properties, (x0, y0, x1, y1) in features]}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"type": "FeatureCollection", "features": features}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _write_urban_mask(path: Path, extent: int) -> None:
-    # central square covering the middle of the world: the core tract(s)
-    # classify urban, the periphery rural
-    inset = extent / 4.0
-    x0, x1 = inset, extent - inset
-    feature = {
-        "type": "Feature",
-        "properties": {"NAME": "core"},
-        "geometry": {
-            "type": "Polygon",
-            "coordinates": [[[x0, x0], [x1, x0], [x1, x1], [x0, x1], [x0, x0]]],
-        },
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"type": "FeatureCollection", "features": [feature]}, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

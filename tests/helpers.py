@@ -43,7 +43,9 @@ as they were, walking the group schemas and taking a classification array
 and a strata list, before a table's codes named its groups and its surface
 carried the stratum codes.
 write_xyz_grid writes an ASC grid's valued cells as shuffled x,y,value
-points.
+points; oracle_read_xyz_csv is the XYZ reader that went through one
+csv.DictReader row and three Python floats per point and placed them one at
+a time, before grids.read_xyz_csv read columns with np.loadtxt.
 oracle_weighted_mean, oracle_weighted_percentile, oracle_stratum_masks,
 oracle_group_exposures, oracle_hw_exposures and oracle_rank_sum_grouped are
 the per-group bodies that the one-sort-per-slice kernels
@@ -720,6 +722,60 @@ def write_xyz_grid(asc_path: str, xyz_path: str, seed: int = 0) -> None:
     np.random.default_rng(seed).shuffle(lines)
     with open(xyz_path, "w", encoding="utf-8") as fh:
         fh.write("x,y,value\n" + "".join(lines))
+
+
+def oracle_read_xyz_csv(path: str) -> grids.ConcentrationGrid:
+    """grids.read_xyz_csv as a row reader: one csv.DictReader row and three
+    Python floats per point, each placed in turn, so the later of two points
+    at one position wins."""
+    xs: list[float] = []
+    ys: list[float] = []
+    vs: list[float] = []
+    with ingest.open_input(path) as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is not None:  # the cells are looked up by the stripped names
+            reader.fieldnames = [f.strip() for f in reader.fieldnames]
+        if reader.fieldnames != ["x", "y", "value"]:
+            raise FormatError(f"{path}: expected header 'x,y,value'")
+        for row in reader:
+            try:
+                x, y, value = float(row["x"]), float(row["y"]), float(row["value"])
+            except (TypeError, ValueError) as exc:
+                raise FormatError(f"{path}:{reader.line_num}: non-numeric x, y or value") from exc
+            for name, number in (("x", x), ("y", y), ("value", value)):
+                if not math.isfinite(number):
+                    raise FormatError(f"{path}:{reader.line_num}: non-finite {name} {row[name]!r}")
+            xs.append(x)
+            ys.append(y)
+            vs.append(value)
+    if not xs:
+        raise FormatError(f"{path}: no data rows")
+    ux, uy = np.array(sorted(set(xs))), np.array(sorted(set(ys)))
+    cell_w = _oracle_uniform_spacing(ux, path, "x")
+    cell_h = _oracle_uniform_spacing(uy, path, "y")
+    n_cols = int(round((ux[-1] - ux[0]) / cell_w)) + 1
+    n_rows = int(round((uy[-1] - uy[0]) / cell_h)) + 1
+    values = np.zeros((n_rows, n_cols), dtype=np.float64)
+    nodata = np.ones((n_rows, n_cols), dtype=bool)
+    for x, y, v in zip(xs, ys, vs):
+        col = int(round((x - ux[0]) / cell_w))
+        row = int(round((y - uy[0]) / cell_h))
+        values[row, col] = v
+        nodata[row, col] = False
+    if (values[~nodata] < 0).any():
+        raise FormatError(f"{path}: concentrations must be non-negative")
+    return grids.ConcentrationGrid(ux[0] - cell_w / 2.0, uy[0] - cell_h / 2.0, cell_w, cell_h,
+                                   n_rows, n_cols, values, nodata)
+
+
+def _oracle_uniform_spacing(coords: np.ndarray, path: str, axis: str) -> float:
+    if coords.size == 1:
+        return 1.0
+    diffs = np.diff(coords)
+    step = diffs.min()
+    if step <= 0 or not np.allclose(np.round(diffs / step), diffs / step, atol=1e-6):
+        raise FormatError(f"{path}: {axis} coordinates are not on a regular lattice")
+    return float(step)
 
 
 def tract_surface(year: int, entries: dict[str, float],

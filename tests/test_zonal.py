@@ -1,8 +1,14 @@
 """Grid readers and zonal aggregation, checked against point-sampling oracles."""
 from __future__ import annotations
 
+import gzip
 import logging
+import os
 import re
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +21,7 @@ from helpers import (
     counter_clockwise,
     exact_area,
     mask_set,
+    oracle_read_xyz_csv,
     oracle_tract_coverage,
     oracle_zonal_mean,
     overlap_area,
@@ -28,6 +35,7 @@ from helpers import (
     zonal_weighted_mean,
 )
 
+import hwexposure
 from hwexposure import pipeline, synth, zonal
 from hwexposure.errors import FormatError
 from hwexposure.geometry import geoid_text, read_tracts_geojson
@@ -222,12 +230,112 @@ def test_read_xyz_csv_rejects_non_finite_coordinate(tmp_path, row, message):
 @pytest.mark.parametrize("rows, message", [
     ("", "no data rows"),
     ("0.5,0.5,1.0\n1.5,0.5,2.0\n4.0,0.5,3.0\n", "x coordinates are not on a regular lattice"),
-], ids=["no_rows", "irregular_x"])
+    # a span float64 cannot hold, with or without a point between its ends
+    ("-1e308,0,1\n1e308,0,1\n", "x coordinates are not on a regular lattice"),
+    ("-1e308,0,1\n0,0,1\n1e308,0,1\n", "x coordinates are not on a regular lattice"),
+    ("0,-1e308,1\n0,1e308,1\n", "y coordinates are not on a regular lattice"),
+    ("0,-1e308,1\n0,0,1\n0,1e308,1\n", "y coordinates are not on a regular lattice"),
+], ids=["no_rows", "irregular_x", "overflow_x", "overflow_x_mid", "overflow_y",
+        "overflow_y_mid"])
 def test_read_xyz_csv_rejects_bad_point_set(tmp_path, rows, message):
     path = tmp_path / "bad.csv"
     path.write_text("x,y,value\n" + rows)
-    with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}: {message}$"):
-        read_xyz_csv(str(path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warnings included
+        with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}: {message}$"):
+            read_xyz_csv(str(path))
+
+
+_ALLOCATE_CHECK = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))  # 2 GiB, this process alone
+from hwexposure.errors import FormatError
+from hwexposure.grids import read_xyz_csv
+try:
+    read_xyz_csv(sys.argv[1])
+except FormatError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("rows, shape", [
+    ("0,0,1\n0.001,0,1\n1e9,0,1\n", "1 x 1000000000001"),  # 7.28 TiB
+    ("0,0,1\n1,0,1\n1e18,0,1\n", "1 x 1000000000000000001"),  # past numpy's largest array
+], ids=["memory", "size"])
+def test_read_xyz_csv_lattice_that_cannot_be_allocated(tmp_path, rows, shape):
+    # a few points far apart at a fine spacing span a lattice no memory
+    # holds; the child caps its own address space, so the host's overcommit
+    # policy cannot let the allocation through
+    path = tmp_path / "far.csv"
+    path.write_text("x,y,value\n" + rows)
+    env = dict(os.environ, PYTHONPATH=str(Path(hwexposure.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", _ALLOCATE_CHECK, str(path)],
+                            capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == f"{path}: a lattice of {shape} cells cannot be allocated\n"
+
+
+def xyz_outcome(read, path: str) -> tuple:
+    """What a reader makes of an XYZ file: the grid's lattice, values and
+    nodata mask, bit for bit, or its fault's message."""
+    try:
+        grid = read(path)
+    except FormatError as exc:
+        return ("fault", str(exc))
+    return ("grid", [float(v).hex() for v in grid.lattice[:4]], grid.lattice[4:],
+            grid.values.tobytes(), grid.nodata.tobytes())
+
+
+@st.composite
+def xyz_text(draw, fault: bool) -> tuple[str, str]:
+    """An XYZ grid file's name and text: a random lattice's points with some
+    missing and some repeated, shuffled, in random cell spellings, line ends,
+    blank lines, extra cells, a BOM and gzip; with ``fault``, bad cells or
+    short rows at random rows."""
+    n_cols, n_rows = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    x0, y0 = draw(st.floats(-1e6, 1e6)), draw(st.floats(-1e6, 1e6))
+    w, h = draw(st.floats(1e-3, 1e3)), draw(st.floats(1e-3, 1e3))
+    value = st.floats(0, 1e3) | st.sampled_from([0.0, -0.0, 1.5])
+    points = [(x0 + c * w, y0 + r * h, draw(value))
+              for r in range(n_rows) for c in range(n_cols) if draw(st.booleans())]
+    if points:  # repeated positions, each with its own value
+        points += [(x, y, draw(value))
+                   for x, y, _ in draw(st.lists(st.sampled_from(points), max_size=3))]
+    exact = ["{!r}", " {!r} ", '"{!r}"', "{:.17e}", "{:.17g}"]  # a coordinate's one value
+    coordinate, cell = st.sampled_from(exact), st.sampled_from([*exact, "{:.6g}", "{:.3e}"])
+    rows = [f"{draw(coordinate).format(x)},{draw(coordinate).format(y)},{draw(cell).format(v)}"
+            for x, y, v in draw(st.permutations(points))]
+    rows = [row + draw(st.sampled_from(["", ",", ",extra", ',"a,b"', ",1,2"])) for row in rows]
+    if fault:
+        bad = st.sampled_from(["abc", "", "nan", "inf", "-inf", "1e999", "NaN"])
+        for _ in range(draw(st.integers(1, 2))):
+            at = draw(st.integers(0, len(rows)))
+            cells = [repr(x0), repr(y0), "1.0"]
+            if draw(st.booleans()):
+                for i in draw(st.sets(st.integers(0, 2), min_size=1)):
+                    cells[i] = draw(bad)
+            else:
+                cells = cells[:draw(st.integers(1, 2))]
+            rows.insert(at, ",".join(cells))
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), "")
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    header = draw(st.sampled_from(["x,y,value", " x , y ,value", '"x","y","value"']))
+    text = (draw(st.sampled_from(["", "\ufeff"])) + header + end + end.join(rows)
+            + draw(st.sampled_from(["", end])))
+    return draw(st.sampled_from(["grid.csv", "grid.csv.gz"])), text
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_read_xyz_csv_matches_row_reader(tmp_path_factory, data):
+    # the column reader and the per-point row reader it replaced make the same
+    # grid of every file, bit for bit, and the same fault of every bad one
+    name, text = data.draw(xyz_text(fault=data.draw(st.booleans())))
+    path = tmp_path_factory.mktemp("xyz") / name
+    raw = text.encode("utf-8")
+    path.write_bytes(gzip.compress(raw) if name.endswith(".gz") else raw)
+    assert xyz_outcome(read_xyz_csv, str(path)) == xyz_outcome(oracle_read_xyz_csv, str(path))
 
 
 def test_read_xyz_csv_padded_header(tmp_path):
