@@ -215,7 +215,7 @@ def threshold_share(values: np.ndarray, weights: np.ndarray, threshold: float) -
     # each row of a C-contiguous matrix is summed pairwise, as a 1-D sum would be
     wts = np.ascontiguousarray(weights, dtype=np.float64)
     total = wts.sum(axis=1)
-    if values.size == 0 or (total <= 0.0).any():
+    if (total <= 0.0).any():
         raise DegenerateSliceError("total weight is zero")
     return 100.0 * wts.compress(values > threshold, axis=1).sum(axis=1) / total
 

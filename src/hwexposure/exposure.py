@@ -227,10 +227,11 @@ def iter_groups(table: AlignedTable):
 class GroupExposures(NamedTuple):
     """The exposures of one table's groups at its ``locus``: a row per
     (stratum, group) with positive weight, in stratum then schema order, the
-    total population first. ``mean``, ``p10`` and ``p90`` are float64 columns;
-    ``weight`` is each row's worker count. Tables of tract pairs (locus HW)
-    also carry ``error``, the H-minus-HW mean, and ``percent_error``, NaN
-    where the H mean is zero."""
+    total population first. ``mean``, ``p10`` and ``p90`` are float64 columns,
+    p10 <= p90 as both are picked from one ascending order; ``weight`` is each
+    row's worker count, a sum of the reader's non-negative counts. Tables of
+    tract pairs (locus HW) also carry ``error``, the H-minus-HW mean, and
+    ``percent_error``, NaN where the H mean is zero."""
 
     year: int
     characteristic: list[str]
@@ -247,17 +248,6 @@ class GroupExposures(NamedTuple):
     @property
     def group_keys(self) -> list[str]:
         return list(map(format_group, self.characteristic, self.label))
-
-    def checked(self) -> GroupExposures:
-        """This frame, once every row has p10 <= p90 and a non-negative
-        weight; the first failing row is named."""
-        bad = (self.p10 > self.p90) | (self.weight < 0)
-        if bad.any():
-            row = np.flatnonzero(bad)[0]
-            if self.p10[row] > self.p90[row]:
-                raise ValueError(f"p10 {float(self.p10[row])} > p90 {float(self.p90[row])}")
-            raise ValueError(f"negative weight {float(self.weight[row])}")
-        return self
 
 
 def _group_exposures(table: AlignedTable, locus: str, values: np.ndarray,
@@ -288,7 +278,7 @@ def _group_exposures(table: AlignedTable, locus: str, values: np.ndarray,
         strata_column += [stratum] * kept.size
     means, picks = map(np.hstack, zip(*slices))  # (groups,) means, (2, groups) picks
     frame = GroupExposures(table.year, characteristics, labels, strata_column, locus, means,
-                           *picks, np.concatenate(weights)).checked()
+                           *picks, np.concatenate(weights))
     if home is None:
         return frame
     h_mean = np.concatenate(h_means)

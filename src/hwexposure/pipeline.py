@@ -63,9 +63,9 @@ class YearData:
 
 
 class RunState:
-    """What outlives a year. ``reports`` holds each written report's open
-    file, header and row count so far, by file name (none until ``run`` opens
-    them); ``skips`` the degenerate-slice skips per stage and kind."""
+    """What outlives a year. ``reports`` holds each written report as [open
+    file, rows so far] by file name (none until ``run`` opens them);
+    ``skips`` the degenerate-slice skips per stage and kind."""
 
     __slots__ = ("config", "tracts", "classification", "coverage", "reports", "skips",
                  "manifest_stages", "dropped_weight", "timings")
@@ -86,13 +86,8 @@ class RunState:
         report of a stage the run does not write is not open, and skipped."""
         report = self.reports.get(name)
         if report is not None:
-            _write_csv(report[0], report[1], blocks)
-            report[2] += sum(map(_n_rows, blocks))
-
-
-# A text cell holding one of these would need quoting, which _write_csv does
-# not do: geoids are ASCII digits and labels and strata are schema constants.
-_QUOTED = (",", '"', "\r", "\n")
+            _write_csv(report[0], blocks)
+            report[1] += sum(map(_n_rows, blocks))
 
 
 def _n_rows(block: Sequence) -> int:
@@ -100,37 +95,29 @@ def _n_rows(block: Sequence) -> int:
     return next(len(column) for column in block if not isinstance(column, (str, int)))
 
 
-def _cells(path: str, name: str, column, n_rows: int) -> Iterable[str]:
+def _cells(column, n_rows: int) -> Iterable[str]:
     """One column of a block as text cells. A float array gives repr texts and
     an int array str texts; a str or int repeats on every row; any other
-    sequence holds text cells, checked once per distinct value."""
+    sequence holds text cells: constants, state codes and geoids, never quoted."""
     if isinstance(column, np.ndarray):
         return map(repr if column.dtype.kind == "f" else str, column.tolist())
     if isinstance(column, (str, int)):
-        distinct, column = {str(column)}, itertools.repeat(str(column), n_rows)
-    else:
-        distinct = set(column)
-    text = "".join(distinct)
-    if any(c in text for c in _QUOTED):
-        bad = min(v for v in distinct if any(c in v for c in _QUOTED))
-        raise ValueError(f"{path}: column {name!r}: {bad!r} would need CSV quoting")
+        return itertools.repeat(str(column), n_rows)
     return column
 
 
-def _csv_lines(path: str, header: Sequence[str], block: Sequence) -> str:
+def _csv_lines(block: Sequence) -> str:
     """The rows of one block, one column per header field, as CSV lines."""
-    if len(block) != len(header):
-        raise ValueError(f"{path}: {len(block)} columns for a {len(header)}-field header")
     n_rows = _n_rows(block)
-    columns = [_cells(path, name, column, n_rows) for name, column in zip(header, block)]
+    columns = [_cells(column, n_rows) for column in block]
     lines = "\n".join(map(",".join, zip(*columns)))
     return lines + "\n" if lines else ""
 
 
-def _write_csv(fh: IO[str], header: Sequence[str], blocks: Iterable[Sequence]) -> None:
+def _write_csv(fh: IO[str], blocks: Iterable[Sequence]) -> None:
     """Append each block's rows to the open report ``fh``, one write per block."""
     for block in blocks:
-        fh.write(_csv_lines(fh.name, header, block))
+        fh.write(_csv_lines(block))
 
 
 # Every report: file name -> (stage, header, manifest row count of the stage).
@@ -162,8 +149,8 @@ _REPORTS = {
 def _open_reports(config: RunConfig, stack: contextlib.ExitStack) -> dict[str, list]:
     """Before the first stage: of the manifest, each year's surface, then each
     configured stage's report in table order, the first that is a directory is
-    a config error; the manifest is removed, then each report opened with its
-    header, as [file, header, rows] by name, or the failure is a config error."""
+    a config error; the manifest is removed, then each report opened and its
+    header written, as [file, rows] by name, or the failure is a config error."""
     optional = {"urban.csv": config.urban_mask, "error.csv": config.od}
     headers = {name.format(year=y): header for name, (stage, header, _) in _REPORTS.items()
                if stage in config.stages and optional.get(name, True) for y in config.years}
@@ -179,7 +166,7 @@ def _open_reports(config: RunConfig, stack: contextlib.ExitStack) -> dict[str, l
             raise ConfigError(f"{config.out_dir / name}: cannot write output file: "
                               f"{exc.strerror or exc}") from exc
         fh.write(",".join(header) + "\n")
-        reports[name] = [fh, header, 0]
+        reports[name] = [fh, 0]
     return reports
 
 
@@ -609,7 +596,7 @@ def run(config: RunConfig) -> dict:
 
     for name, (stage, _, count_key) in _REPORTS.items():
         if count_key and name in state.reports:
-            state.manifest_stages.setdefault(stage, {})[count_key] = state.reports[name][2]
+            state.manifest_stages.setdefault(stage, {})[count_key] = state.reports[name][1]
     for stage, skips in state.skips.items():
         _warn_skips(stage, skips)
         state.manifest_stages.setdefault(stage, {})["skipped"] = dict(sorted(skips.items()))

@@ -64,27 +64,24 @@ _ON_LINE = 64 * np.finfo(np.float64).eps
 _MIN_FRACTION = 1e-12
 
 
-class TractSurface:
+class TractSurface(NamedTuple):
     """Per-tract zonal concentrations for one year over every tract of the
     run: the float64 ``values`` of the tracts ``ids`` (int64, ascending), NaN
-    where a tract is ``excluded`` for want of valid coverage. ``strata`` is
-    each tract's int8 code (an index into ``STRATA``), None in a run that
-    reports only ``all``.
+    where a tract is ``excluded`` for want of valid coverage. No value is
+    negative: the grid reader rejects negative cells, and each mean lies
+    within its valid cells' range. ``strata`` is each tract's int8 code (an
+    index into ``STRATA``), None in a run that reports only ``all``.
 
     ``completeness`` summarizes valued tracts by valid covered area over
     polygon area: how many are under 0.99 and under 0.5, and the worst five
     of those under 0.99 as [geoid, ratio], lowest first.
     """
 
-    __slots__ = ("year", "ids", "values", "completeness", "strata")
-
-    def __init__(self, year: int, ids: np.ndarray, values: np.ndarray,
-                 completeness: dict, strata: np.ndarray | None) -> None:
-        bad = ids[values < 0]
-        if len(bad):
-            raise ValueError(f"negative concentrations for {geoid_text(bad[:5])}")
-        self.year, self.ids, self.values = year, ids, values
-        self.completeness, self.strata = completeness, strata
+    year: int
+    ids: np.ndarray     # int64
+    values: np.ndarray  # float64
+    completeness: dict
+    strata: np.ndarray | None
 
     @property
     def excluded(self) -> np.ndarray:

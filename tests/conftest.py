@@ -1,7 +1,7 @@
 """A recorded run shared by the tests of the argument guarantees: each engine
 function that relies on its caller or an input boundary for its arguments
 is wrapped through one run, so a test can show that no run passes it what it
-no longer checks."""
+no longer checks. Its reports stand in for the writer's checks likewise."""
 from __future__ import annotations
 
 import contextlib
@@ -35,13 +35,13 @@ RECORDED = (
 
 
 @pytest.fixture(scope="session")
-def recorded_run(tmp_path_factory):
-    """The manifest and, per wrapped function name, the arguments of every
-    call, of one run of a stratified 25-tract synth world over two years
-    with bin counts [100, 10, 3]. 2012 has the 2011 tables on a grid shifted
-    half a cell (a second lattice), and the OD age group SA02 has no workers
-    (they are moved to SA01); the synth RAC and WAC tables already hold
-    groups without workers."""
+def recorded_world(tmp_path_factory):
+    """The output directory, the manifest and, per wrapped function name, the
+    arguments of every call, of one run of a stratified 25-tract synth world
+    over two years with bin counts [100, 10, 3]. 2012 has the 2011 tables on
+    a grid shifted half a cell (a second lattice), and the OD age group SA02
+    has no workers (they are moved to SA01); the synth RAC and WAC tables
+    already hold groups without workers."""
     world = tmp_path_factory.mktemp("recorded")
     synth.synth(str(world), seed=7, n_tracts=25, n_groups=3)
     with open(world / "od_2011.csv", newline="") as fh:
@@ -67,4 +67,18 @@ def recorded_run(tmp_path_factory):
                                                      out_dir=str(world / "out")))
     calls = {name: [c.args for c in m.call_args_list] for name, m in mocks.items()}
     assert all(calls.values()), [name for name, args in calls.items() if not args]
-    return manifest, calls
+    return world / "out", manifest, calls
+
+
+@pytest.fixture(scope="session")
+def recorded_run(recorded_world):
+    """The manifest and the recorded calls of the recorded run."""
+    return recorded_world[1:]
+
+
+@pytest.fixture(scope="session")
+def recorded_reports(recorded_world) -> dict[str, str]:
+    """The text of each report CSV of the recorded run, by file name, with
+    its line ends as written."""
+    return {path.name: path.read_bytes().decode("utf-8")
+            for path in sorted(recorded_world[0].glob("*.csv"))}

@@ -1,7 +1,8 @@
 """src/ holds only what a run executes: every top-level function and method
 of the package is named somewhere in the package itself, every parameter is
 read by its function, every record field is read somewhere in the package,
-and every error class is raised there and told apart by a handler."""
+every error class is raised there and told apart by a handler, and every
+raise names one of those classes."""
 from __future__ import annotations
 
 import ast
@@ -17,6 +18,8 @@ ALLOWED: dict[str, str] = {}
 ALLOWED_UNREAD_PARAMETERS: dict[str, str] = {}
 # module.Class.field -> why no attribute read in src/ names it
 ALLOWED_UNREAD_FIELDS: dict[str, str] = {}
+# exception class -> why src/ raises it, though no handler tells it apart
+ALLOWED_RAISES: dict[str, str] = {}
 
 
 def parsed_sources():
@@ -140,3 +143,34 @@ def test_every_error_class_is_told_apart_by_a_handler():
         <= handlers["DegenerateSliceError"]  # a skipped, counted slice
     assert {"ingest.read_tracts", "pipeline._stage_surface"} \
         <= handlers["FormatError"]  # the file named
+
+
+def test_every_raise_in_src_names_an_engine_error():
+    # a run ends in a named bad input or a counted degenerate slice; a raise
+    # of any other class (an internal-invariant ValueError, say) must state
+    # its reason in ALLOWED_RAISES. A raised function call, such as
+    # ingest.first_bad_row's fault, counts by the calls its returns make.
+    functions = {node.name: node for _, tree in parsed_sources() for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)}
+
+    def callees(exc):  # the Name(...) calls that make an exception: `raise f(...) or exc`
+        values = exc.values if isinstance(exc, ast.BoolOp) else [exc]
+        return [v.func.id for v in values
+                if isinstance(v, ast.Call) and isinstance(v.func, ast.Name)]
+
+    def made(name):  # the classes that a raised Name(...) call makes
+        if name not in functions:
+            return [name]
+        return [callee for node in ast.walk(functions[name])
+                if isinstance(node, ast.Return) and node.value is not None
+                for callee in callees(node.value)]
+
+    raised = [(cls, f"{path.stem}:{node.lineno}") for path, tree in parsed_sources()
+              for node in ast.walk(tree) if isinstance(node, ast.Raise) and node.exc is not None
+              for name in callees(node.exc) for cls in made(name)]
+    errors = ast.parse(Path(hwexposure.__file__).with_name("errors.py").read_text("utf-8"))
+    allowed = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    allowed.add("StageError")  # pipeline's wrapper of a stage's EngineError
+    assert sorted(f"{where}: {cls}" for cls, where in raised
+                  if cls not in allowed and cls not in ALLOWED_RAISES) == []
+    assert set(ALLOWED_RAISES) <= {cls for cls, _ in raised}  # no stale entry

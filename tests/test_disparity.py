@@ -557,6 +557,12 @@ def aligned_table(geoids, totals, conc, category_counts):
 HEADERS = {name: header for name, (_, header, _) in pipeline._REPORTS.items()}
 
 
+def report_lines(name: str, block) -> str:
+    """The CSV lines of a block of report ``name``, one column per header field."""
+    assert len(block) == len(HEADERS[name])
+    return pipeline._csv_lines(block)
+
+
 def csv_cells(text: str) -> list[list[str]]:
     return [line.split(",") for line in text.splitlines()]
 
@@ -566,8 +572,7 @@ def state_rows(aligned):
     groups = [(characteristic, label) for characteristic, label, _ in
               iter_groups(aligned)][1:]
     block = pipeline._state_rows(aligned, groups, aligned.counts.astype(np.float64))
-    return csv_cells(pipeline._csv_lines("state_disparity.csv",
-                                         HEADERS["state_disparity.csv"], block))
+    return csv_cells(report_lines("state_disparity.csv", block))
 
 
 def oracle_state_cells(aligned):
@@ -656,7 +661,7 @@ def test_bin_block_matches_oracle(seed, n_groups, kept, with_shares):
             shares = DecileShares(means=means, difference=means[:, -1] - means[:, 0])
         block = pipeline._bin_block(2013, "W", "urban", groups, curves, shares)
         oracle = oracle_composition_rows(2013, "W", "urban", groups, curves, shares)
-    lines = pipeline._csv_lines("bins.csv", HEADERS["bins.csv"], block).splitlines()
+    lines = report_lines("bins.csv", block).splitlines()
     assert lines == reference_csv(oracle).splitlines()
     assert pipeline._n_rows(block) == len(oracle)
 
@@ -832,8 +837,8 @@ def test_composition_blocks_match_per_stratum_oracle(seed, n_tracts, bin_counts,
     skips, oracle_skips = {}, {}
     blocks = pipeline._composition_blocks(config, aligned, groups, counts, skips)
     oracle = oracle_composition_blocks(config, aligned, groups, counts, oracle_skips)
-    assert ([pipeline._csv_lines("bins.csv", HEADERS["bins.csv"], b) for b in blocks]
-            == [pipeline._csv_lines("bins.csv", HEADERS["bins.csv"], b) for b in oracle])
+    assert ([report_lines("bins.csv", b) for b in blocks]
+            == [report_lines("bins.csv", b) for b in oracle])
     assert skips == oracle_skips
 
 
@@ -843,7 +848,7 @@ def threshold_outcome(compute):
         blocks = compute(skips)
     except DegenerateSliceError as exc:
         return f"DegenerateSliceError({exc})"
-    lines = [pipeline._csv_lines("threshold.csv", HEADERS["threshold.csv"], b) for b in blocks]
+    lines = [report_lines("threshold.csv", b) for b in blocks]
     return lines, skips
 
 
@@ -873,7 +878,7 @@ def test_threshold_rows_skip_degenerate_cov():
     assert blocks[0][3:5] == [["all", "sex", "age", "age"], ["all", "male", "29_or_less",
                                                              "30_54"]]
     assert threshold_outcome(lambda s: oracle_threshold_rows([12.0], aligned, s)) == (
-        [pipeline._csv_lines("threshold.csv", HEADERS["threshold.csv"], blocks[0])], skips)
+        [report_lines("threshold.csv", blocks[0])], skips)
 
 
 @given(seed=st.integers(0, 2**32 - 1), n_tracts=st.integers(0, 30), epsilons=ATKINSON_EPSILONS)
@@ -897,8 +902,7 @@ def test_gap_and_atkinson_blocks_match_record_oracle(seed, n_tracts, epsilons):
     oracle = oracle_gap_and_atkinson_blocks(
         2011, [r for frame in frames for r in exposure_records(frame)], epsilons, oracle_skips)
     for name, block, oracle_block in zip(("gaps.csv", "atkinson.csv"), got, oracle):
-        assert (pipeline._csv_lines(name, HEADERS[name], block)
-                == pipeline._csv_lines(name, HEADERS[name], oracle_block))
+        assert report_lines(name, block) == report_lines(name, oracle_block)
     # the oracle sees only the slices with rows; each asked slice without
     # rows is one more gap and Atkinson skip
     present = {(frame.locus, stratum, characteristic) for frame in frames

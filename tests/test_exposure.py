@@ -16,7 +16,6 @@ from hypothesis.extra import numpy as hnp
 from hwexposure import exposure, pipeline, synth, zonal
 from hwexposure.exposure import (
     AlignedTable,
-    GroupExposures,
     ValueSlice,
     align_table,
     compute_group_exposures,
@@ -575,27 +574,6 @@ def test_hw_stratum_assigned_by_home_tract():
     })
     records, _ = compute_hw_exposures(resolve_pairs(surface, od), HW_WEIGHTS)
     assert {r.stratum for r in records} - {"all"} == {"urban"}
-
-
-def one_row_frame(p10, p90, weight):
-    return GroupExposures(2011, ["all"], ["all"], ["all"], "H", np.array([5.0]),
-                          np.array([p10]), np.array([p90]), np.array([weight]))
-
-
-def test_exposure_record_validates():
-    with pytest.raises(ValueError, match=r"^p10 6\.0 > p90 5\.0$"):
-        one_row_frame(6.0, 5.0, 1.0).checked()
-    with pytest.raises(ValueError, match=r"^negative weight -1\.0$"):
-        one_row_frame(5.0, 5.0, -1.0).checked()
-    frame = one_row_frame(5.0, 5.0, 1.0)
-    assert frame.checked() is frame
-    # the first failing row is named, whichever check it fails
-    frame = GroupExposures(2011, ["all"] * 3, ["all"] * 3, ["all", "urban", "rural"], "H",
-                           np.zeros(3), np.array([0.0, 2.0, 3.0]), np.ones(3), np.ones(3))
-    with pytest.raises(ValueError, match=r"^p10 2\.0 > p90 1\.0$"):
-        frame.checked()
-    with pytest.raises(ValueError, match=r"^negative weight -1\.0$"):
-        frame._replace(weight=np.array([1.0, -1.0, 1.0]), p10=np.array([0.0, 0.0, 3.0])).checked()
 
 
 # ----------------------------------------------------------------------------

@@ -874,23 +874,49 @@ def test_write_csv_matches_csv_module(tmp_path):
     path = tmp_path / "table.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(rows[0]) + "\n")
-        pipeline._write_csv(fh, rows[0], blocks[:1])
-        pipeline._write_csv(fh, rows[0], blocks[1:])
+        pipeline._write_csv(fh, blocks[:1])
+        pipeline._write_csv(fh, blocks[1:])
     assert path.read_bytes() == reference_csv(rows).encode("utf-8")
 
 
-@pytest.mark.parametrize("bad", [",", '"', "\r", "\n"])
-def test_write_csv_rejects_what_it_cannot_write(tmp_path, bad):
-    header = ["year", "stratum", "group", "value"]
-    with open(tmp_path / "table.csv", "w", encoding="utf-8", newline="") as fh:
-        with pytest.raises(ValueError,
-                           match=r"table\.csv: column 'group': .* would need CSV quoting"):
-            pipeline._write_csv(fh, header, [[2013, "all", ["white", f"a{bad}b"], np.ones(2)]])
-        with pytest.raises(ValueError, match=r"table\.csv: column 'stratum'"):
-            pipeline._write_csv(fh, header, [[2013, f"x{bad}", ["white"], np.ones(1)]])
-        with pytest.raises(ValueError, match="3 columns for a 4-field header"):
-            pipeline._write_csv(fh, header, [[2013, "all", ["white"]]])
-    assert (tmp_path / "table.csv").read_text() == ""
+# The writer neither counts nor quotes cells: every block is built beside its
+# header, and every text cell is a constant below, a state code or a geoid.
+# These tests hold on real output what it no longer checks as it writes.
+
+def test_recorded_reports_have_a_cell_per_header_field(recorded_reports):
+    names = {name.format(year=year) for name in pipeline._REPORTS for year in (2011, 2012)}
+    assert set(recorded_reports) == names
+    for name, text in recorded_reports.items():
+        header, *rows, end = text.split("\n")
+        _, fields, _ = pipeline._REPORTS[re.sub(r"_\d{4}\.", "_{year}.", name)]
+        assert header.split(",") == list(fields)
+        assert rows and end == ""
+        assert [row for row in rows if row.count(",") != header.count(",")] == [], name
+
+
+def test_recorded_reports_need_no_quoting(recorded_reports):
+    assert [name for name, text in recorded_reports.items() if '"' in text or "\r" in text] == []
+
+
+def test_recorded_surfaces_and_exposures_hold_their_invariants(recorded_reports):
+    # the grid reader rejects negative cells and a zonal mean lies within
+    # its cells' range; p10 and p90 come from one ascending order, and a
+    # weight sums non-negative counts
+    for name in ("surface_2011.csv", "surface_2012.csv"):
+        pm25 = [float(row["pm25"]) for row in csv.DictReader(recorded_reports[name].split("\n"))]
+        assert pm25 and min(pm25) >= 0.0
+    rows = list(csv.DictReader(recorded_reports["exposure.csv"].split("\n")))
+    assert rows and all(float(row["p10"]) <= float(row["p90"]) and float(row["weight"]) >= 0.0
+                        for row in rows)
+
+
+def test_report_text_constants_need_no_quoting():
+    texts = [text for pair in ingest.GROUPS.values() for text in pair]
+    texts += [*zonal.STRATA, exposure.ALL_STRATUM, *exposure.ALL_GROUP, exposure.LOCUS_HOME,
+              exposure.LOCUS_WORK, exposure.LOCUS_BLEND]
+    texts += ["composition", "concentration"]  # the bins.csv kinds of pipeline._bin_block
+    texts += [field for _, header, _ in pipeline._REPORTS.values() for field in header]
+    assert [text for text in texts if any(c in text for c in ',"\r\n')] == []
 
 
 # ----------------------------------------------------------------------------

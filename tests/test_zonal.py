@@ -1209,10 +1209,8 @@ def test_surface_csv_roundtrip(tmp_path):
     assert surface_entries(back) == surface_entries(surface)
 
 
-def test_surface_rejects_negative_tracts_and_derives_excluded():
+def test_surface_derives_excluded():
     # a surface spans every tract of the run; NaN marks an excluded tract
     ids = np.array([6037000100, 6037000200, 6037000300])
-    with pytest.raises(ValueError, match=r"negative concentrations for \['06037000200'\]"):
-        zonal.TractSurface(2011, ids, np.array([1.0, -2.0, np.nan]), {}, None)
     surface = zonal.TractSurface(2011, ids, np.array([np.nan, 2.0, np.nan]), {}, None)
     assert geoid_text(surface.excluded) == ["06037000100", "06037000300"]
