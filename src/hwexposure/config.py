@@ -116,7 +116,8 @@ def load_config(path: str, out_dir: str | None = None, threads: int | None = Non
     """
     config_path = Path(path)
     try:
-        raw = json.loads(config_path.read_text(encoding="utf-8-sig"))
+        raw = json.loads(config_path.read_text(encoding="utf-8-sig"),
+                         object_pairs_hook=lambda pairs: _object(path, pairs))
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except OSError as exc:  # a directory, a path through a file, no read permission
@@ -156,6 +157,16 @@ def load_config(path: str, out_dir: str | None = None, threads: int | None = Non
     if directory is not None:
         raise ConfigError(f"{directory}: cannot read input file: Is a directory")
     return config
+
+
+def _object(path: str, pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object of the config file ``path``, once no key repeats in it
+    (a dict would keep the last)."""
+    keys = [key for key, _ in pairs]
+    repeated = sorted({key for key in keys if keys.count(key) > 1})
+    if repeated:
+        raise ConfigError(f"{path}: repeated config key(s) {repeated}")
+    return dict(pairs)
 
 
 def _checked(key: str, given: dict):

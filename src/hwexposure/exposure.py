@@ -2,7 +2,7 @@
 time-weighted home-work blend (HW), plus the H-minus-HW misclassification
 error, for the total population and demographic subgroups.
 
-Each (table, stratum) slice is one kernel call (``ValueSlice.stats``): every
+Each (table, stratum) slice is one kernel call (``slice_stats``): every
 group's weights are a row of one C-contiguous (groups x values) matrix, the
 values are argsorted once for the percentiles, and each row is summed pairwise
 and accumulated in order, exactly as a 1-D reduction of that group alone. An
@@ -69,60 +69,50 @@ def stable_argsort(values: np.ndarray) -> np.ndarray:
     return order
 
 
-class ValueSlice:
-    """The values of one (locus, stratum) slice, shared by every group's
-    weighted mean and percentiles over it.
-
-    The groups' float64 weights over the whole slice, zeros included, are the
-    rows of one (groups x values) matrix. Percentiles argsort the values once
-    for all groups (stable, so ties keep the caller's geoid-ascending order).
-    """
-
-    def __init__(self, values: np.ndarray):
-        self.values = values
-
-    def stats(self, weights: np.ndarray, ps: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-        """Per row of ``weights`` (each with a positive total, as
-        ``_group_exposures`` keeps only groups with workers), sum(value *
-        weight) / sum(weight), and per p in [0, 1] the smallest value with
-        positive weight whose cumulative weight reaches p times the row's
-        total, with no interpolation: the means and a (len(ps) x groups)
-        matrix of picks, empty when ``ps`` is."""
-        # every row of a C-contiguous matrix is summed pairwise, as a 1-D
-        # np.sum of that row alone would be, and accumulated in order
-        weights = np.ascontiguousarray(weights, dtype=np.float64)
-        totals = weights.sum(axis=1)
-        # one scratch matrix holds the products, then the ranked cumsum: each
-        # large fresh array costs a page fault per 4 kB
-        scratch = np.multiply(weights, self.values, out=np.empty_like(weights))
-        means = scratch.sum(axis=1) / totals
-        # Mathematically a mean lies in [min, max]; clamp away float drift,
-        # as Python's max and min would (np.maximum may return -0.0 for 0.0)
-        low, high = self.values.min(), self.values.max()
-        means = np.where(low > means, low, means)
-        means = np.where(high < means, high, means)
-        picks = np.empty((len(ps), len(totals)))
-        if not ps:
-            return means, picks
-        order = stable_argsort(self.values)
-        # mode="clip" writes straight into out; "raise" would buffer it
-        ranked = weights.take(order, axis=1, out=scratch, mode="clip")
-        cum = np.cumsum(ranked, axis=1, out=scratch)
-        for k, p in enumerate(ps):
-            target = (p * totals)[:, None]
-            # cum never decreases, so the count of entries below the target is
-            # searchsorted(side="left"); a zero target counts those at or
-            # below it (side="right"), stepping over zero weights ranked first
-            hit = cum < target
-            zero = target[:, 0] <= 0.0
-            if zero.any():
-                hit[zero] = cum[zero] <= target[zero]
-            idx = np.count_nonzero(hit, axis=1)
-            for row in np.flatnonzero(idx == cum.shape[1]):
-                # float drift: the largest value with weight
-                idx[row] = np.flatnonzero(weights[row].take(order))[-1]
-            picks[k] = self.values.take(order.take(idx))
+def slice_stats(values: np.ndarray, weights: np.ndarray,
+                ps: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """The statistics of one (locus, stratum) slice's ``values`` for every
+    row of ``weights``, a (groups x values) matrix of worker counts over the
+    whole slice, zeros included, each row with a positive total (as
+    ``_group_exposures`` keeps only groups with workers): per row,
+    sum(value * weight) / sum(weight), and per p in [0, 1] the smallest value
+    with positive weight whose cumulative weight reaches p times the row's
+    total, with no interpolation. Returns the means and a (len(ps) x groups)
+    matrix of picks, empty when ``ps`` is. The values are argsorted once for
+    all groups (stable, so ties keep the caller's geoid-ascending order)."""
+    # every row of a C-contiguous matrix is summed pairwise, as a 1-D
+    # np.sum of that row alone would be, and accumulated in order
+    weights = np.ascontiguousarray(weights, dtype=np.float64)
+    totals = weights.sum(axis=1)
+    # one scratch matrix holds the products, then the ranked cumsum: each
+    # large fresh array costs a page fault per 4 kB
+    scratch = np.multiply(weights, values, out=np.empty_like(weights))
+    means = scratch.sum(axis=1) / totals
+    # Mathematically a mean lies in [min, max]; clamp away float drift,
+    # as Python's max and min would (np.maximum may return -0.0 for 0.0)
+    low, high = values.min(), values.max()
+    means = np.where(low > means, low, means)
+    means = np.where(high < means, high, means)
+    picks = np.empty((len(ps), len(totals)))
+    if not ps:
         return means, picks
+    order = stable_argsort(values)
+    # mode="clip" writes straight into out; "raise" would buffer it
+    ranked = weights.take(order, axis=1, out=scratch, mode="clip")
+    # counts sum exactly in float64, so each row's cumsum ends at its total
+    # and p * total, at most the total, is reached within the row
+    cum = np.cumsum(ranked, axis=1, out=scratch)
+    for k, p in enumerate(ps):
+        target = (p * totals)[:, None]
+        # cum never decreases, so the count of entries below the target is
+        # searchsorted(side="left"); a zero target counts those at or
+        # below it (side="right"), stepping over zero weights ranked first
+        hit = cum < target
+        zero = target[:, 0] <= 0.0
+        if zero.any():
+            hit[zero] = cum[zero] <= target[zero]
+        picks[k] = values.take(order.take(np.count_nonzero(hit, axis=1)))
+    return means, picks
 
 
 class AlignedTable(NamedTuple):
@@ -269,9 +259,9 @@ def _group_exposures(table: AlignedTable, locus: str, values: np.ndarray,
             continue
         if kept.size < len(w):
             w = w.take(kept, axis=0)
-        slices.append(ValueSlice(values.compress(mask)).stats(w, (0.10, 0.90)))
+        slices.append(slice_stats(values.compress(mask), w, (0.10, 0.90)))
         if home is not None:
-            h_means.append(ValueSlice(home.compress(mask)).stats(w, ())[0])
+            h_means.append(slice_stats(home.compress(mask), w, ())[0])
         weights.append(weight.take(kept))
         characteristics += [groups[g][0] for g in kept]
         labels += [groups[g][1] for g in kept]

@@ -164,21 +164,28 @@ def polygon_set(source: str, features: Sequence[Sequence],
     xy = xy[ring_start[ring_of] + np.where(index < open_len[ring_of], index, 0)]
     ring_ptr = np.concatenate(([0], np.cumsum(closed_len))).astype(np.int64)
 
-    # >= 3 distinct vertices per ring
+    # shoelace area per ring, about its first vertex so the terms stay small
     x, y = xy[:, 0], xy[:, 1]
-    order = np.lexsort((y, x, ring_of))
+    with np.errstate(over="ignore", invalid="ignore"):  # past float64: inf or NaN
+        u, v = x - x[ring_ptr[ring_of]], y - y[ring_ptr[ring_of]]
+        cross = u[:-1] * v[1:] - u[1:] * v[:-1]
+        cross[ring_ptr[1:-1] - 1] = 0.0  # from one ring's last vertex to the next ring's first
+        ring_area = 0.5 * np.add.reduceat(cross, ring_ptr[:-1]) if len(cross) else np.zeros(0)
+
+    # >= 3 distinct vertices per ring. A ring with fewer has an area of
+    # exactly 0 (each cross term holds the first vertex's zero offsets or
+    # subtracts two equal products), or NaN or inf past float64, so only the
+    # rings with such an area need their vertices counted.
+    counted = (ring_area == 0.0) | ~np.isfinite(ring_area)
+    vertex = np.flatnonzero(counted[ring_of])
+    order = vertex[np.lexsort((y[vertex], x[vertex], ring_of[vertex]))]
     sx, sy, sr = x[order], y[order], ring_of[order]
     new = np.ones(len(sr), dtype=bool)
     new[1:] = (sr[1:] != sr[:-1]) | (sx[1:] != sx[:-1]) | (sy[1:] != sy[:-1])
     distinct = np.bincount(sr[new], minlength=len(ring_len))
-    fail(distinct < 3, ring_feature,
+    fail(counted & (distinct < 3), ring_feature,
          lambda r: f"ring needs >= 3 distinct vertices, got {distinct[r]}")
 
-    # nonzero shoelace area per ring, about its first vertex so the terms stay small
-    u, v = x - x[ring_ptr[ring_of]], y - y[ring_ptr[ring_of]]
-    cross = u[:-1] * v[1:] - u[1:] * v[:-1]
-    cross[ring_ptr[1:-1] - 1] = 0.0  # from one ring's last vertex to the next ring's first
-    ring_area = 0.5 * np.add.reduceat(cross, ring_ptr[:-1]) if len(cross) else np.zeros(0)
     fail((ring_area == 0.0) & ~ring_hole, ring_feature, lambda r: "exterior ring has zero area")
     fail((ring_area == 0.0) & ring_hole, ring_feature, lambda r: "hole ring has zero area")
     polygon_area = np.maximum(np.bincount(

@@ -101,6 +101,8 @@ def _read_asc(path: str, fast: bool) -> tuple[dict[str, float], np.ndarray | Non
                 continue
             key = tokens[0].lower()
             if not data and key in _ASC_KEYWORDS:
+                if key in header:
+                    raise FormatError(f"{path}:{lineno}: repeated header keyword {key!r}")
                 if len(tokens) != 2:
                     raise FormatError(f"{path}:{lineno}: malformed header line {line!r}")
                 try:

@@ -347,7 +347,10 @@ def _read_table(path: str, required: Sequence[str], keys: Sequence[str],
             if header is None:
                 raise FormatError(f"{path}: empty file")
             codes = _resolve_columns(header, required, schemas, path)
-            position = {name: i for i, name in enumerate(header)}  # last of a repeated name
+            repeated = [c for c in (*keys, total, *codes) if header.count(c) > 1]
+            if repeated:
+                raise FormatError(f"{path}: repeated column(s) {repeated}")
+            position = {name: i for i, name in enumerate(header)}
             dtype = np.dtype([*((key, key_dtype) for key in keys),
                               ("counts", np.int64, (len(codes) + 1,))])
             data = read_columns(

@@ -28,7 +28,7 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from . import biasstats, disparity, exposure, ingest, zonal
-from .config import STAGES, RunConfig, load_config  # noqa: F401 (pipeline.load_config)
+from .config import STAGES, RunConfig
 from .errors import ConfigError, DegenerateSliceError, EngineError, FormatError
 from .geometry import PolygonSet, geoid_text, read_mask_geojson, read_tracts_geojson
 from .grids import read_asc, read_xyz_csv

@@ -20,10 +20,11 @@ sys.dont_write_bytecode = True
 os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
 
 from hwexposure import biasstats, disparity, exposure, ingest, pipeline, synth, zonal
+from hwexposure.config import load_config
 
 # (owner, function name) of each wrapped function
 RECORDED = (
-    (exposure.ValueSlice, "stats"),
+    (exposure, "slice_stats"),
     (biasstats, "error_moments"),
     (biasstats, "wilcoxon_rank_sum_grouped"),
     (disparity, "percentile_bin_curve"),
@@ -63,8 +64,8 @@ def recorded_world(tmp_path_factory):
         mocks = {name: stack.enter_context(mock.patch.object(
             owner, name, autospec=True, side_effect=getattr(owner, name)))
             for owner, name in RECORDED}
-        manifest = pipeline.run(pipeline.load_config(str(world / "config.json"),
-                                                     out_dir=str(world / "out")))
+        manifest = pipeline.run(load_config(str(world / "config.json"),
+                                            out_dir=str(world / "out")))
     calls = {name: [c.args for c in m.call_args_list] for name, m in mocks.items()}
     assert all(calls.values()), [name for name, args in calls.items() if not args]
     return world / "out", manifest, calls

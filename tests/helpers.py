@@ -49,7 +49,7 @@ a time, before grids.read_xyz_csv read columns with np.loadtxt.
 oracle_weighted_mean, oracle_weighted_percentile, oracle_stratum_masks,
 oracle_group_exposures, oracle_hw_exposures and oracle_rank_sum_grouped are
 the per-group bodies that the one-sort-per-slice kernels
-(exposure.ValueSlice, biasstats.PooledSamples, per-tract stratum codes)
+(exposure.slice_stats, biasstats.PooledSamples, per-tract stratum codes)
 replaced: one argsort per group and percentile, a per-row dict lookup per
 stratum mask, and a Python dict tally per rank-sum test. with_layout gives a
 count matrix C-ordered, Fortran-ordered or strided.
@@ -1231,7 +1231,7 @@ def oracle_loci_group_exposures(table: exposure.AlignedTable,
             continue
         if kept.size < len(w):
             w = w.take(kept, axis=0)
-        slices = [exposure.ValueSlice(values.compress(mask)).stats(w, (0.10, 0.90))
+        slices = [exposure.slice_stats(values.compress(mask), w, (0.10, 0.90))
                   for values in loci.values()]
         means.append(np.array([m for m, _ in slices]))
         picks.append(np.array([p for _, p in slices]))

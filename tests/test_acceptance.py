@@ -39,8 +39,9 @@ from hwexposure.biasstats import (
     error_moments,
     wilcoxon_rank_sum_grouped,
 )
+from hwexposure.config import load_config
 from hwexposure.disparity import _atkinson_curve
-from hwexposure.exposure import ValueSlice, hw_blend, reported_strata, resolve_pairs
+from hwexposure.exposure import hw_blend, reported_strata, resolve_pairs, slice_stats
 from hwexposure.geometry import geoid_text
 from hwexposure.grids import ConcentrationGrid
 from hwexposure.ingest import (
@@ -140,7 +141,7 @@ def test_c2_exposure_expansion_oracles():
         vals = np.array([values[g] for g in sorted(values)])
         wts = np.array([weights[g] for g in sorted(values)], dtype=np.float64)
         ps = (0.0, 0.1, 0.25, 0.5, 0.9, 1.0, rng.random())
-        means, picks = ValueSlice(vals).stats(wts.reshape(1, -1), ps)
+        means, picks = slice_stats(vals, wts.reshape(1, -1), ps)
         assert float(means[0]) == pytest.approx(oracle_mean, rel=1e-9)
         for p, got in zip(ps, picks[:, 0].tolist()):
             n = len(expanded)
@@ -167,7 +168,7 @@ def test_c3_blend_and_error_identity(tmp_path):
 
     world = tmp_path / "world"
     synth.synth(str(world), seed=303, n_tracts=9, n_groups=3)
-    config = pipeline.load_config(str(world / "config.json"), out_dir=str(tmp_path / "out"))
+    config = load_config(str(world / "config.json"), out_dir=str(tmp_path / "out"))
     state, data = pipeline.RunState(config=config), pipeline.YearData(year=2011)
     pipeline._stage_surface(state, data)
     surface = data.surface
@@ -326,8 +327,8 @@ def workbook_world(tmp_path_factory):
     outputs = {}
     for threads in (1, 4, 8):
         out_dir = tmp / f"out_{threads}"
-        config = pipeline.load_config(str(world / "config.json"),
-                                      out_dir=str(out_dir), threads=threads)
+        config = load_config(str(world / "config.json"),
+                             out_dir=str(out_dir), threads=threads)
         pipeline.run(config)
         outputs[threads] = out_dir
     return world, outputs
@@ -559,7 +560,7 @@ def test_c8_hotspot_shape(tmp_path):
     world = tmp_path / "world"
     synth.synth(str(world), seed=808, n_tracts=25, n_groups=3)
     out_dir = tmp_path / "out"
-    config = pipeline.load_config(str(world / "config.json"), out_dir=str(out_dir))
+    config = load_config(str(world / "config.json"), out_dir=str(out_dir))
     pipeline.run(config)
 
     rows = load_csv(out_dir / "exposure.csv")

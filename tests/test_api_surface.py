@@ -1,16 +1,20 @@
 """src/ holds only what a run executes: every top-level function and method
 of the package is named somewhere in the package itself, every parameter is
-read by its function, every record field is read somewhere in the package,
-every error class is raised there and told apart by a handler, and every
-raise names one of those classes."""
+read by its function, every name imported from another package module is
+used where it is imported, every record field is read somewhere in the
+package, every error class is raised there and told apart by a handler, and
+every raise names one of those classes. Every function the outside tracer
+(perfbench/traced_run.py) wraps still exists."""
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import hwexposure
 
 SOURCES = sorted(Path(hwexposure.__file__).parent.glob("*.py"))
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "traced_run.py"
 
 # name -> why it stays without a caller in src/
 ALLOWED: dict[str, str] = {}
@@ -20,6 +24,11 @@ ALLOWED_UNREAD_PARAMETERS: dict[str, str] = {}
 ALLOWED_UNREAD_FIELDS: dict[str, str] = {}
 # exception class -> why src/ raises it, though no handler tells it apart
 ALLOWED_RAISES: dict[str, str] = {}
+# module.function in the tracer's TRACED table -> why src/ need not have it
+ALLOWED_UNTRACED: dict[str, str] = {
+    "zonal.write_surface_csv": "gone since the surface report became one of pipeline's "
+                               "reports; ROADMAP open item 3 deletes the outside tracer",
+}
 
 
 def parsed_sources():
@@ -67,6 +76,19 @@ def test_every_parameter_in_src_is_read():
                        if name not in loaded]
     assert sorted(set(unread) - set(ALLOWED_UNREAD_PARAMETERS)) == []
     assert set(ALLOWED_UNREAD_PARAMETERS) <= set(unread)  # no stale entry
+
+
+def test_every_name_imported_from_the_package_is_used():
+    # a name that a module imports from another package module and never
+    # uses is a re-export or a leftover: a caller imports it from its home
+    unused = []
+    for path, tree in parsed_sources():
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}:{node.lineno}: {alias.asname or alias.name}"
+                   for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                   and (node.level or (node.module or "").split(".")[0] == "hwexposure")
+                   for alias in node.names if (alias.asname or alias.name) not in used]
+    assert unused == []
 
 
 def test_every_record_field_in_src_is_read():
@@ -174,3 +196,17 @@ def test_every_raise_in_src_names_an_engine_error():
     assert sorted(f"{where}: {cls}" for cls, where in raised
                   if cls not in allowed and cls not in ALLOWED_RAISES) == []
     assert set(ALLOWED_RAISES) <= {cls for cls, _ in raised}  # no stale entry
+
+
+def test_every_function_the_tracer_wraps_exists():
+    # the tracer counts a function it cannot find as absent and times
+    # nothing for it, so a rename in src/ would silently zero its metric
+    table = next(node.value for node in ast.parse(TRACER.read_text(encoding="utf-8")).body
+                 if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TRACED"])
+    absent = {f"{module}.{name}" for _, module, names in ast.literal_eval(table)
+              for name in names
+              if not callable(getattr(importlib.import_module(f"hwexposure.{module}"),
+                                      name, None))}
+    assert sorted(absent - set(ALLOWED_UNTRACED)) == []
+    assert set(ALLOWED_UNTRACED) <= absent  # no stale entry

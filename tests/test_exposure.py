@@ -16,12 +16,12 @@ from hypothesis.extra import numpy as hnp
 from hwexposure import exposure, pipeline, synth, zonal
 from hwexposure.exposure import (
     AlignedTable,
-    ValueSlice,
     align_table,
     compute_group_exposures,
     hw_blend,
     iter_groups,
     resolve_pairs,
+    slice_stats,
     stable_argsort,
     stratum_masks,
 )
@@ -34,6 +34,7 @@ from hwexposure.ingest import (
     WorkerTable,
     read_tracts,
 )
+from hwexposure.config import load_config
 from hwexposure.errors import ConfigError
 from hwexposure.geometry import geoid_text
 
@@ -109,16 +110,16 @@ def split_config(tmp_path, **keys) -> str:
 def test_hw_weights_default_sums_to_one(tmp_path):
     # a configuration without hw_weights gets the paper's split, of which
     # the run keeps the work share
-    assert pipeline.load_config(split_config(tmp_path)).work_fraction == 0.206
+    assert load_config(split_config(tmp_path)).work_fraction == 0.206
     given = split_config(tmp_path, hw_weights={"home": 0.75, "work": 0.25})
-    assert pipeline.load_config(given).work_fraction == 0.25
+    assert load_config(given).work_fraction == 0.25
 
 
 def test_hw_weights_validation(tmp_path):
     for home, work, reason in ((0.7, 0.2, "fractions must sum to 1 exactly"),
                                (1.2, -0.2, "fractions must lie strictly between 0 and 1")):
         with pytest.raises(ConfigError) as info:
-            pipeline.load_config(split_config(tmp_path, hw_weights={"home": home, "work": work}))
+            load_config(split_config(tmp_path, hw_weights={"home": home, "work": work}))
         assert str(info.value) == f"invalid hw_weights: {reason}"
 
 
@@ -137,19 +138,19 @@ def test_hw_blend_arrays_match_scalar():
 
 
 # ----------------------------------------------------------------------------
-# ValueSlice.stats, one group: the weighted mean and the percentile picks
+# slice_stats, one group: the weighted mean and the percentile picks
 # ----------------------------------------------------------------------------
 
 def mean_of(values, weights) -> float:
     """One group's weighted mean from the slice kernel."""
-    return float(ValueSlice(np.asarray(values, dtype=np.float64)).stats(
-        np.asarray(weights, dtype=np.float64).reshape(1, -1), ())[0][0])
+    return float(slice_stats(np.asarray(values, dtype=np.float64),
+                             np.asarray(weights, dtype=np.float64).reshape(1, -1), ())[0][0])
 
 
 def percentile_of(values, weights, p: float) -> float:
     """One group's percentile pick at ``p`` from the slice kernel."""
-    return float(ValueSlice(np.asarray(values, dtype=np.float64)).stats(
-        np.asarray(weights, dtype=np.float64).reshape(1, -1), (p,))[1][0, 0])
+    return float(slice_stats(np.asarray(values, dtype=np.float64),
+                             np.asarray(weights, dtype=np.float64).reshape(1, -1), (p,))[1][0, 0])
 
 
 def test_pwm_symmetry():
@@ -174,8 +175,8 @@ def test_pwm_empty_population(recorded_run):
     # a stratum, so every row the kernel gets has workers
     manifest, calls = recorded_run
     assert manifest["stages"]["exposure"]["skipped"]["zero-weight-group"] > 0
-    for value_slice, weights, _ in calls["stats"]:
-        assert len(value_slice.values) == weights.shape[1]
+    for values, weights, _ in calls["slice_stats"]:
+        assert len(values) == weights.shape[1]
         assert (weights.sum(axis=1) > 0.0).all()
 
 
@@ -215,8 +216,8 @@ def test_percentile_empty(recorded_run):
     # a run asks the kernel for p10 and p90 (and the OD H means for none),
     # over slices whose groups have workers
     _, calls = recorded_run
-    assert {tuple(ps) for *_, ps in calls["stats"]} == {(0.10, 0.90), ()}
-    assert all(len(value_slice.values) for value_slice, *_ in calls["stats"])
+    assert {tuple(ps) for *_, ps in calls["slice_stats"]} == {(0.10, 0.90), ()}
+    assert all(len(values) for values, *_ in calls["slice_stats"])
 
 
 def expansion_percentile(values, weights, p):
@@ -337,8 +338,8 @@ def test_joined_frames_hold_tract_indices_not_values(tmp_path):
     # each frame keeps positions into the year's surface and gathers values on
     # demand; the OD frame's budget is the one the compact pair frame lowers
     synth.synth(str(tmp_path / "w"), seed=5, n_tracts=25, n_groups=3)
-    config = pipeline.load_config(str(tmp_path / "w" / "config.json"),
-                                  out_dir=str(tmp_path / "out"))
+    config = load_config(str(tmp_path / "w" / "config.json"),
+                         out_dir=str(tmp_path / "out"))
     state, data = pipeline.RunState(config=config), pipeline.YearData(year=2011)
     pipeline._stage_surface(state, data)
     surface = data.surface
@@ -612,7 +613,7 @@ def test_stable_argsort_orders_ties_and_nans_by_index():
 
 
 # ----------------------------------------------------------------------------
-# ValueSlice: one sort per (locus, stratum) slice, against per-group oracles
+# slice_stats: one sort per (locus, stratum) slice, against per-group oracles
 # ----------------------------------------------------------------------------
 
 SLICE_VALUES = (0.0, 0.25, 3.5, 7.75, 12.0)
@@ -722,28 +723,16 @@ def test_value_slice_percentiles_match_oracle_at_every_p(case):
     surface_values, home, _, counts, _ = case
     values = surface_values.take(home)
     ps = (0.0, 0.1, 0.5, 0.9, 1.0)
-    value_slice = ValueSlice(values)
     for row in counts:
         weights = row.astype(np.float64)
         if int(row.sum()) == 0:
             continue  # the stages leave out a group without workers
-        got = value_slice.stats(weights.reshape(1, -1), ps)[1][:, 0].tolist()
+        got = slice_stats(values, weights.reshape(1, -1), ps)[1][:, 0].tolist()
         assert repr(got) == repr([oracle_weighted_percentile(values, row, p) for p in ps])
 
 
-def test_value_slice_percentile_past_float_drift():
-    # ten weights of 0.1 cumsum to 0.9999999999999999 but sum pairwise to
-    # 1.0, so p = 1 runs past the end: the answer is the largest value with
-    # weight, not the zero-weight value ranked last
-    values = np.array([float(v) for v in range(10)] + [100.0])
-    weights = np.array([0.1] * 10 + [0.0])
-    assert np.cumsum(weights)[-1] < np.sum(weights)
-    assert ValueSlice(values).stats(weights.reshape(1, -1), (1.0,))[1].tolist() == [[9.0]]
-    assert oracle_weighted_percentile(values, weights, 1.0) == 9.0
-
-
 # ----------------------------------------------------------------------------
-# ValueSlice.stats: every group of a slice in one matrix kernel call
+# slice_stats: every group of a slice in one matrix kernel call
 # ----------------------------------------------------------------------------
 
 STATS_PS = (0.0, 0.1, 0.5, 0.9, 1.0)
@@ -752,25 +741,21 @@ STATS_PS = (0.0, 0.1, 0.5, 0.9, 1.0)
 @st.composite
 def weight_matrices(draw, n):
     """(rows x n) float64 weights, each row with a positive total: counts
-    with zeros between them, one-tract rows, all weight on one tract, and
-    rows of 0.1s whose cumsum falls short of p * total by drift. The 0.1
-    rows hold no zeros: the kernel sums a row with its zeros, the oracle
-    without, and only integer weights (all the pipeline has) sum alike in
-    every grouping."""
+    with zeros between them, one-tract rows and all weight on one tract.
+    They are integers, as all the pipeline has, so every grouping of a row
+    sums alike, and its cumsum ends at its total."""
     rows = []
     for _ in range(draw(st.integers(1, 6))):
-        kind = draw(st.sampled_from(["counts", "single", "heavy", "drift"]))
+        kind = draw(st.sampled_from(["counts", "single", "heavy"]))
         row = [0.0] * n
         if kind == "counts":
             row = [float(v) for v in draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))]
             if not any(row):
                 row[draw(st.integers(0, n - 1))] = 1.0
-        elif kind in ("single", "heavy"):
+        else:
             row[draw(st.integers(0, n - 1))] = 1.0 if kind == "single" else 1e6
             if kind == "heavy":
                 row = [w + (1.0 if draw(st.booleans()) and w == 0.0 else 0.0) for w in row]
-        else:
-            row = [0.1] * n
         rows.append(row)
     return np.array(rows, dtype=np.float64)
 
@@ -789,19 +774,9 @@ def test_value_slice_stats_match_oracle_row_by_row(data, n, p, layout):
         wide[:, ::2] = weights
         weights = wide[:, ::2]
     ps = STATS_PS + (p,)
-    means, picks = ValueSlice(values).stats(weights, ps)
+    means, picks = slice_stats(values, weights, ps)
     assert picks.shape == (len(ps), len(weights))
     for r, row in enumerate(weights):
         assert repr(float(means[r])) == repr(oracle_weighted_mean(values, row))
         assert [float(picks[k, r]) for k in range(len(ps))] == [
             oracle_weighted_percentile(values, row, q) for q in ps]
-
-
-def test_value_slice_stats_drift_row_among_others():
-    # the drift row's cumsum ends below its total: its pick at p = 1 is the
-    # largest value with weight, while the other rows search normally
-    values = np.array([float(v) for v in range(10)] + [100.0])
-    weights = np.array([[0.1] * 10 + [0.0], [1.0] * 11, [0.0] * 10 + [2.0]])
-    means, picks = ValueSlice(values).stats(weights, (1.0,))
-    assert picks.tolist() == [[9.0, 100.0, 100.0]]
-    assert means.tolist() == [oracle_weighted_mean(values, row) for row in weights]

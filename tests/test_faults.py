@@ -231,6 +231,22 @@ def test_non_finite_grid_header_names_the_line(tmp_path, caplog, key, value):
     assert f"stage surface: {grid}:{line}: {key} must be finite, got '{value}'" in caplog.text
 
 
+@pytest.mark.parametrize("key, line", [
+    ("ncols", "NCOLS 3"), ("cellsize", "cellsize 2"), ("nodata_value", "nodata_value -1"),
+])
+def test_repeated_grid_header_keyword_names_the_line(tmp_path, caplog, key, line):
+    # read last-wins, a second ncols reshaped the cells and a second
+    # cellsize scaled every cell; keywords match in any case
+    world = make_world(tmp_path)
+    grid = world / "grid_2011.asc"
+    lines = grid.read_text(encoding="utf-8").splitlines()
+    first = next(n for n, text in enumerate(lines, start=1) if text.split()[0].lower() == key)
+    edit_lines(grid, lambda lines: lines.insert(first, line))
+    assert run(world, tmp_path / "out") == 1
+    assert (f"stage surface: {grid}:{first + 1}: repeated header keyword {key!r}"
+            in caplog.text)
+
+
 def set_header(grid: Path, key: str, value: str) -> None:
     edit_lines(grid, lambda lines: lines.__setitem__(
         next(n for n, text in enumerate(lines) if text.split()[0] == key), f"{key} {value}"))
@@ -374,6 +390,28 @@ def test_partition_mismatch(tmp_path, caplog):
     assert run(world, tmp_path / "out") == 1
     assert (f"stage exposure: {od}: row {cells[1]}->{cells[0]}: od_age: "
             f"category sum {total} != total {total + 1}") in caplog.text
+
+
+@pytest.mark.parametrize("name, columns, repeated", [
+    ("od_2011.csv", ["SA01"], ["SA01"]),
+    ("rac_2011.csv", ["C000", "h_geocode"], ["h_geocode", "C000"]),
+])
+def test_repeated_table_column_is_named(tmp_path, caplog, name, columns, repeated):
+    # read last-wins, a second SA01 (here holding SA02's counts) was read in
+    # place of the first, and the run ended on a category sum naming neither
+    world = make_world(tmp_path)
+    path = world / name
+    header = path.read_text(encoding="utf-8").splitlines()[0].split(",")
+    source = "SA02" if name.startswith("od") else None
+
+    def edit(lines):
+        lines[0] = ",".join(header + columns)
+        for i, line in enumerate(lines[1:], start=1):
+            cells = line.split(",")
+            lines[i] = ",".join(cells + [cells[header.index(source or c)] for c in columns])
+    edit_lines(path, edit)
+    assert run(world, tmp_path / "out") == 1
+    assert f"stage exposure: {path}: repeated column(s) {repeated}" in caplog.text
 
 
 def _set_ring(ring):
@@ -554,6 +592,25 @@ def test_repeated_year_is_a_config_error(tmp_path, caplog):
     point_config(world, "years", [2011, 2011])
     assert run(world, tmp_path / "out") == 2
     assert "years must not repeat, got 2011 more than once" in caplog.text
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("old, new, repeated", [
+    ('"years": [2011]', '"years": [2012], "years": [2011, 2012]', ["years"]),
+    ('"work": 0.206', '"work": 0.206, "home": 0.5, "work": 0.5', ["home", "work"]),
+], ids=["years", "hw_weights"])
+def test_repeated_config_key_is_a_config_error(tmp_path, caplog, old, new, repeated):
+    # a JSON reader keeps the last of a repeated key: the years above would
+    # run both years
+    world = make_world(tmp_path)
+    config = world / "config.json"
+    text = json.dumps(json.loads(config.read_text()))
+    assert old in text
+    config.write_text(text.replace(old, new))
+    assert cli.main(["validate", "--config", str(config)]) == 2
+    assert run(world, tmp_path / "out") == 2
+    message = f"configuration error: {config}: repeated config key(s) {repeated}"
+    assert caplog.text.count(message) == 2
     assert not (tmp_path / "out").exists()
 
 

@@ -3,6 +3,7 @@ and the columnar GeoJSON reader against the tuple reader it replaced."""
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -282,6 +283,60 @@ def test_geometry_checks_run_kind_by_kind():
     geoids = ["06037000300", "06037000200", "06037000100"]
     with pytest.raises(FormatError, match="feature 1: exterior ring has zero"):
         polygon_set("t.json", [[good], [flat], [flat]], geoids)
+
+
+def full_distinct_count_fault(features) -> str | None:
+    """The distinct-vertex fault as a count of every ring's distinct (x, y)
+    gives it: the first ring, in file order, with fewer than 3."""
+    for f, polygons in enumerate(features):
+        for polygon in polygons:
+            for ring in polygon:
+                distinct = len({(float(p[0]), float(p[1])) for p in ring})
+                if distinct < 3:
+                    return f"m.json: feature {f}: ring needs >= 3 distinct vertices, got {distinct}"
+    return None
+
+
+# near float64's end, so that offsets and products overflow to inf or NaN
+COORDINATES = st.sampled_from([0.0, -0.0, 1.0, 2, -3.5, 1e300, -1e300, 1.7e308, -1.7e308])
+
+
+@st.composite
+def degenerate_rings(draw):
+    """A ring of 1 to 6 vertices: drawn from a pool of 1 to 4 points (two-vertex
+    rings and repeated vertices), or collinear, or a triangle."""
+    kind = draw(st.sampled_from(["pool", "collinear", "triangle"]))
+    point = st.lists(COORDINATES | st.floats(-10, 10), min_size=2, max_size=2)
+    if kind == "pool":
+        pool = draw(st.lists(point, min_size=1, max_size=4))
+        return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+    if kind == "collinear":
+        (x, y), (dx, dy) = draw(point), draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (2, -1)]))
+        return [[x + t * dx, y + t * dy] for t in draw(st.lists(st.integers(0, 4), min_size=1,
+                                                                  max_size=6))]
+    return draw(st.lists(point, min_size=3, max_size=3))
+
+
+@given(st.lists(st.lists(st.lists(degenerate_rings(), min_size=1, max_size=2),
+                         min_size=1, max_size=2), min_size=1, max_size=4),
+       st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_distinct_vertex_check_matches_the_full_count(features, tracts):
+    # polygon_set counts the distinct vertices of only the rings whose area
+    # is 0 or not finite; every message stays what a count of all gives
+    geoids = [f"06037{k:06d}" for k in range(len(features))][::-1] if tracts else None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow in the areas warns nothing
+        try:
+            polygon_set("m.json", features, geoids)
+            got = None
+        except FormatError as exc:
+            got = str(exc)
+    want = full_distinct_count_fault(features)
+    if want is not None:
+        assert got == want
+    else:
+        assert got is None or "distinct" not in got
 
 
 def test_parts_bbox():

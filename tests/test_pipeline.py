@@ -23,7 +23,7 @@ from helpers import oracle_hw_exposures, reference_csv, write_xyz_grid
 
 import hwexposure
 from hwexposure import cli, exposure, ingest, pipeline, synth, zonal
-from hwexposure.config import _CONFIG_RULES, _REQUIRED
+from hwexposure.config import _CONFIG_RULES, _REQUIRED, load_config
 from hwexposure.errors import ConfigError
 from hwexposure.geometry import geoid_text
 
@@ -177,8 +177,8 @@ def test_run_byte_identical_across_threads(tmp_path):
     outputs = {}
     for threads in (1, 4, 8):
         out_dir = tmp_path / f"out_{threads}"
-        config = pipeline.load_config(str(world / "config.json"), out_dir=str(out_dir),
-                                      threads=threads)
+        config = load_config(str(world / "config.json"), out_dir=str(out_dir),
+                             threads=threads)
         pipeline.run(config)
         outputs[threads] = read_out_files(out_dir)
     base = outputs[1]
@@ -202,7 +202,7 @@ def test_second_hw_split_changes_only_the_hw_reports(tmp_path):
         doc = json.loads((world / "config.json").read_text())
         doc["hw_weights"] = {"home": round(1.0 - work, 3), "work": work}
         (world / "config.json").write_text(json.dumps(doc))
-        config = pipeline.load_config(str(world / "config.json"), out_dir=str(tmp_path / str(work)))
+        config = load_config(str(world / "config.json"), out_dir=str(tmp_path / str(work)))
         assert config.work_fraction == work
         pipeline.run(config)
         outputs[work] = read_out_files(config.out_dir)
@@ -243,8 +243,8 @@ def test_second_hw_split_changes_only_the_hw_reports(tmp_path):
 def test_run_rerun_byte_identical(tmp_path):
     world = make_world(tmp_path, seed=13, n_tracts=9, n_groups=2)
     out_a, out_b = tmp_path / "oa", tmp_path / "ob"
-    pipeline.run(pipeline.load_config(str(world / "config.json"), out_dir=str(out_a)))
-    pipeline.run(pipeline.load_config(str(world / "config.json"), out_dir=str(out_b)))
+    pipeline.run(load_config(str(world / "config.json"), out_dir=str(out_a)))
+    pipeline.run(load_config(str(world / "config.json"), out_dir=str(out_b)))
     files_a, files_b = read_out_files(out_a), read_out_files(out_b)
     for name in files_a:
         if name == "manifest.json":
@@ -256,7 +256,7 @@ def test_run_rerun_byte_identical(tmp_path):
 def test_run_work_hotspot_signs(tmp_path):
     world = make_world(tmp_path, seed=2, n_tracts=25, n_groups=3)
     out_dir = tmp_path / "out"
-    config = pipeline.load_config(str(world / "config.json"), out_dir=str(out_dir))
+    config = load_config(str(world / "config.json"), out_dir=str(out_dir))
     pipeline.run(config)
     rows = csv_rows(out_dir / "exposure.csv")
     means = {(r["group"], r["locus"], r["stratum"]): float(r["mean"]) for r in rows}
@@ -278,7 +278,7 @@ def test_run_stage_gating_without_od(tmp_path):
     config_doc["stages"] = ["surface", "exposure", "disparity"]
     (world / "config.json").write_text(json.dumps(config_doc))
     out_dir = tmp_path / "out"
-    config = pipeline.load_config(str(world / "config.json"), out_dir=str(out_dir))
+    config = load_config(str(world / "config.json"), out_dir=str(out_dir))
     pipeline.run(config)
     names = set(read_out_files(out_dir))
     assert "bias.csv" not in names
@@ -295,7 +295,7 @@ def test_run_bias_stage_requires_od(tmp_path):
     config_doc["od"] = None
     (world / "config.json").write_text(json.dumps(config_doc))
     with pytest.raises(ConfigError):
-        pipeline.load_config(str(world / "config.json"))
+        load_config(str(world / "config.json"))
 
 
 STAGE_FILES = {
@@ -315,16 +315,16 @@ def test_run_stage_matches_full_run(tmp_path, stage):
     # exposure stage built the same frame
     world = make_distinct_years_world(tmp_path, (2011, 2012))
     full, alone, listed = tmp_path / "full", tmp_path / "alone", tmp_path / "listed"
-    pipeline.run(pipeline.load_config(str(world / "config.json"), out_dir=str(full)))
-    pipeline.run(pipeline.load_config(str(world / "config.json"), out_dir=str(alone),
-                                      stage=stage))
+    pipeline.run(load_config(str(world / "config.json"), out_dir=str(full)))
+    pipeline.run(load_config(str(world / "config.json"), out_dir=str(alone),
+                             stage=stage))
     assert set(read_out_files(alone)) == STAGE_FILES[stage] | {"manifest.json"}
     for name in STAGE_FILES[stage]:
         assert (alone / name).read_bytes() == (full / name).read_bytes(), name
         assert len(csv_rows(full / name)) > 0, name
     config_doc = json.loads((world / "config.json").read_text())
     (world / "listed.json").write_text(json.dumps({**config_doc, "stages": [stage]}))
-    pipeline.run(pipeline.load_config(str(world / "listed.json"), out_dir=str(listed)))
+    pipeline.run(load_config(str(world / "listed.json"), out_dir=str(listed)))
     manifests = [strip_timings((out / "manifest.json").read_bytes()) for out in (alone, listed)]
     for manifest in manifests:
         del manifest["config_hash"]
@@ -361,11 +361,11 @@ def test_run_years_are_independent(tmp_path):
     for year in years:
         (world / f"config_{year}.json").write_text(json.dumps({**config_doc, "years": [year]}))
         out_dir = tmp_path / f"out_{year}"
-        singles.append((pipeline.run(pipeline.load_config(str(world / f"config_{year}.json"),
-                                                          out_dir=str(out_dir))),
+        singles.append((pipeline.run(load_config(str(world / f"config_{year}.json"),
+                                                 out_dir=str(out_dir))),
                         read_out_files(out_dir)))
     out_dir = tmp_path / "out"
-    manifest = pipeline.run(pipeline.load_config(str(world / "config.json"), out_dir=str(out_dir)))
+    manifest = pipeline.run(load_config(str(world / "config.json"), out_dir=str(out_dir)))
     files = read_out_files(out_dir)
 
     assert set(files) == {name for _, one in singles for name in one}
@@ -403,7 +403,7 @@ def test_run_years_are_independent(tmp_path):
 def test_run_single_group_degrades_gracefully(tmp_path):
     world = make_world(tmp_path, seed=9, n_tracts=9, n_groups=1)
     out_dir = tmp_path / "out"
-    config = pipeline.load_config(str(world / "config.json"), out_dir=str(out_dir))
+    config = load_config(str(world / "config.json"), out_dir=str(out_dir))
     pipeline.run(config)
     # single populated group per characteristic: no gaps, but the run succeeds
     assert csv_rows(out_dir / "gaps.csv") == []
@@ -413,8 +413,8 @@ def test_run_single_group_degrades_gracefully(tmp_path):
 def test_run_single_stage_writes_only_that_stage(tmp_path):
     world = make_world(tmp_path, seed=8, n_tracts=9, n_groups=2)
     out_dir = tmp_path / "out"
-    config = pipeline.load_config(str(world / "config.json"), out_dir=str(out_dir),
-                                  stage="surface")
+    config = load_config(str(world / "config.json"), out_dir=str(out_dir),
+                         stage="surface")
     assert config.stages == ("surface",)
     pipeline.run(config)
     names = set(read_out_files(out_dir))
@@ -425,7 +425,7 @@ def test_run_multi_year(tmp_path):
     world = make_world(tmp_path, seed=14, n_tracts=9, n_groups=3)
     copy_years(world, [2012, 2011])
     out_dir = tmp_path / "out"
-    config = pipeline.load_config(str(world / "config.json"), out_dir=str(out_dir))
+    config = load_config(str(world / "config.json"), out_dir=str(out_dir))
     assert config.years == (2011, 2012)
     pipeline.run(config)
     years = {r["year"] for r in csv_rows(out_dir / "exposure.csv")}
@@ -439,8 +439,8 @@ def run_peaks(world: Path, out_dir: Path, runs: Sequence[Sequence[int]]) -> list
     peaks = []
     for years in runs:
         copy_years(world, years)
-        config = pipeline.load_config(str(world / "config.json"),
-                                      out_dir=str(out_dir / f"out_{len(years)}"))
+        config = load_config(str(world / "config.json"),
+                             out_dir=str(out_dir / f"out_{len(years)}"))
         tracemalloc.start()
         try:
             pipeline.run(config)
@@ -530,7 +530,7 @@ def test_run_coverage_once_per_lattice(tmp_path, monkeypatch):
     monkeypatch.setattr(zonal, "tract_coverage",
                         lambda tracts, grid: built.append(grid.lattice) or real(tracts, grid))
     out_dir = tmp_path / "out"
-    manifest = pipeline.run(pipeline.load_config(str(world / "config.json"), out_dir=str(out_dir)))
+    manifest = pipeline.run(load_config(str(world / "config.json"), out_dir=str(out_dir)))
     assert [lattice[:2] for lattice in built] == [(0.0, 0.0), (0.5, 0.0)]
     surface_2011 = (out_dir / "surface_2011.csv").read_text()
     assert (out_dir / "surface_2012.csv").read_text() == surface_2011.replace(",2011,", ",2012,")
@@ -544,7 +544,7 @@ def test_run_coverage_once_per_lattice(tmp_path, monkeypatch):
 def test_manifest_contents(tmp_path):
     world = make_world(tmp_path, seed=21, n_tracts=9, n_groups=3)
     out_dir = tmp_path / "out"
-    config = pipeline.load_config(str(world / "config.json"), out_dir=str(out_dir))
+    config = load_config(str(world / "config.json"), out_dir=str(out_dir))
     manifest = pipeline.run(config)
     on_disk = json.loads((out_dir / "manifest.json").read_text())
     assert strip_timings((out_dir / "manifest.json").read_bytes()) == {
@@ -559,16 +559,16 @@ def test_manifest_contents(tmp_path):
 def test_manifest_reports_skip_counts(tmp_path, caplog):
     # 9 tracts: too few for 10- and 100-bin composition curves and deciles
     world = make_world(tmp_path, seed=7, n_tracts=9, n_groups=3)
-    manifest = pipeline.run(pipeline.load_config(str(world / "config.json"),
-                                                 out_dir=str(tmp_path / "out")))
+    manifest = pipeline.run(load_config(str(world / "config.json"),
+                                        out_dir=str(tmp_path / "out")))
     assert manifest["stages"]["disparity"]["skipped"] == {
         "composition-curve": 80, "decile-share": 240,
     }
     assert manifest["stages"]["bias"]["skipped"] == {"bias-factor": 10}
     assert "skipped 80 composition-curve computation(s)" in caplog.text
     world = make_world(tmp_path, "w25", seed=7, n_tracts=25, n_groups=3)
-    manifest = pipeline.run(pipeline.load_config(str(world / "config.json"),
-                                                 out_dir=str(tmp_path / "out25")))
+    manifest = pipeline.run(load_config(str(world / "config.json"),
+                                        out_dir=str(tmp_path / "out25")))
     assert manifest["stages"]["disparity"]["skipped"] == {"decile-share": 80}
     assert manifest["stages"]["bias"]["skipped"] == {}
 
@@ -647,7 +647,7 @@ def test_run_survives_a_table_without_workers(tmp_path, table, locus):
         return
     assert stages["exposure"]["skipped"]["zero-weight-group"] >= 3 * 41
     skipped = stages["disparity"]["skipped"]
-    thresholds = pipeline.load_config(str(config)).thresholds
+    thresholds = load_config(str(config)).thresholds
     assert skipped["threshold-share"] == len(thresholds) > 0
     assert skipped["state-disparity"] == 1
     other = {"H": "W", "W": "H"}[locus]
@@ -743,7 +743,7 @@ def test_manifest_dropped_weight_accounting(tmp_path, stages):
     grid_path.write_text("\n".join(lines) + "\n")
 
     out_dir = tmp_path / "out"
-    config = pipeline.load_config(str(world / "config.json"), out_dir=str(out_dir))
+    config = load_config(str(world / "config.json"), out_dir=str(out_dir))
     manifest = pipeline.run(config)
     excluded = manifest["stages"]["surface"]["years"]["2011"]["excluded"]
     assert len(excluded) == 1
@@ -775,7 +775,7 @@ def test_manifest_dropped_weight_accounting(tmp_path, stages):
 
 def test_stage_error_names_stage(tmp_path):
     world = make_world(tmp_path, seed=25, n_tracts=4, n_groups=2)
-    config = pipeline.load_config(str(world / "config.json"), out_dir=str(tmp_path / "out"))
+    config = load_config(str(world / "config.json"), out_dir=str(tmp_path / "out"))
     # corrupt the RAC table after config validation: the exposure stage must
     # fail with its name in the message
     (world / "rac_2011.csv").write_text("h_geocode,CA01\n060370000001001,1\n")
@@ -945,7 +945,7 @@ def test_config_empty_years(tmp_path):
     doc["years"] = []
     (world / "config.json").write_text(json.dumps(doc))
     with pytest.raises(ConfigError):
-        pipeline.load_config(str(world / "config.json"))
+        load_config(str(world / "config.json"))
 
 
 def test_config_unknown_key(tmp_path):
@@ -954,14 +954,14 @@ def test_config_unknown_key(tmp_path):
     doc["fuzz"] = 1
     (world / "config.json").write_text(json.dumps(doc))
     with pytest.raises(ConfigError):
-        pipeline.load_config(str(world / "config.json"))
+        load_config(str(world / "config.json"))
 
 
 def test_config_missing_input_file(tmp_path):
     world = make_world(tmp_path, seed=1, n_tracts=4, n_groups=2)
     (world / "grid_2011.asc").unlink()
     with pytest.raises(ConfigError):
-        pipeline.load_config(str(world / "config.json"))
+        load_config(str(world / "config.json"))
 
 
 def test_config_bad_threshold(tmp_path):
@@ -970,7 +970,7 @@ def test_config_bad_threshold(tmp_path):
     doc["thresholds"] = [12.0, 0.0]
     (world / "config.json").write_text(json.dumps(doc))
     with pytest.raises(ConfigError):
-        pipeline.load_config(str(world / "config.json"))
+        load_config(str(world / "config.json"))
 
 
 def test_config_bad_hw_weights(tmp_path):
@@ -979,7 +979,7 @@ def test_config_bad_hw_weights(tmp_path):
     doc["hw_weights"] = {"home": 0.9, "work": 0.2}
     (world / "config.json").write_text(json.dumps(doc))
     with pytest.raises(ConfigError):
-        pipeline.load_config(str(world / "config.json"))
+        load_config(str(world / "config.json"))
 
 
 # ----------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from helpers import (
 
 import hwexposure
 from hwexposure import pipeline, synth, zonal
+from hwexposure.config import load_config
 from hwexposure.errors import FormatError
 from hwexposure.geometry import geoid_text, read_tracts_geojson
 from hwexposure.grids import ConcentrationGrid, read_asc, read_xyz_csv
@@ -1198,8 +1199,8 @@ def test_surface_csv_roundtrip(tmp_path):
     lines[6:] = [" ".join(map(repr, rng.uniform(0.1, 40.0, len(line.split())).tolist()))
                  for line in lines[6:]]
     grid_path.write_text("\n".join(lines) + "\n")
-    config = pipeline.load_config(str(world / "config.json"), out_dir=str(tmp_path / "out"),
-                                  stage="surface")
+    config = load_config(str(world / "config.json"), out_dir=str(tmp_path / "out"),
+                         stage="surface")
     pipeline.run(config)
     back = read_surface_csv(str(tmp_path / "out" / "surface_2011.csv"))
     tracts = read_tracts_geojson(str(world / "tracts.geojson"))
