@@ -55,7 +55,7 @@ def error_moments(surrogate: Sequence[float], reference: Sequence[float],
     phi = float(np.sum(w * dx * de)) / total
     if sigma2 == 0.0:
         raise DegenerateSliceError("reference exposure has zero variance")
-    return ErrorMoments(sigma2=sigma2, phi=phi, omega2=max(omega2, 0.0))
+    return ErrorMoments(sigma2=sigma2, phi=phi, omega2=omega2)
 
 
 def bias_factor(moments: ErrorMoments) -> float:

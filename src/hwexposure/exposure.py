@@ -2,13 +2,14 @@
 time-weighted home-work blend (HW), plus the H-minus-HW misclassification
 error, for the total population and demographic subgroups.
 
-Each (table, stratum) slice is one kernel call (``slice_stats``): every
-group's weights are a row of one C-contiguous (groups x values) matrix, the
-values are argsorted once for the percentiles, and each row is summed pairwise
-and accumulated in order, exactly as a 1-D reduction of that group alone. An
-OD frame holds HW alone; its error's H means come from a second, sort-free
-call on the same weights. A table's results are one columnar
-``GroupExposures`` frame, deterministic for any thread count upstream.
+Each (table, stratum) slice's values are argsorted once, and each group
+with workers in it is one call of the 1-D kernel ``slice_stats``: the
+group's counts times the values, summed pairwise in row order, and one
+cumsum of its counts in value order for the percentiles. No (groups x rows)
+matrix is built. An OD frame holds HW alone; its error's H means are the
+same weighted sums over the home values, which need no sort. A table's
+results are one columnar ``GroupExposures`` frame, deterministic for any
+thread count upstream.
 An ``AlignedTable``'s ``index`` points into the run's tract index, which
 every year's ``TractSurface`` spans; a row's stratum is the surface's code of
 its first tract, and its groups are named by the table's category codes.
@@ -69,50 +70,28 @@ def stable_argsort(values: np.ndarray) -> np.ndarray:
     return order
 
 
-def slice_stats(values: np.ndarray, weights: np.ndarray,
-                ps: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """The statistics of one (locus, stratum) slice's ``values`` for every
-    row of ``weights``, a (groups x values) matrix of worker counts over the
-    whole slice, zeros included, each row with a positive total (as
-    ``_group_exposures`` keeps only groups with workers): per row,
-    sum(value * weight) / sum(weight), and per p in [0, 1] the smallest value
-    with positive weight whose cumulative weight reaches p times the row's
-    total, with no interpolation. Returns the means and a (len(ps) x groups)
-    matrix of picks, empty when ``ps`` is. The values are argsorted once for
-    all groups (stable, so ties keep the caller's geoid-ascending order)."""
-    # every row of a C-contiguous matrix is summed pairwise, as a 1-D
-    # np.sum of that row alone would be, and accumulated in order
-    weights = np.ascontiguousarray(weights, dtype=np.float64)
-    totals = weights.sum(axis=1)
-    # one scratch matrix holds the products, then the ranked cumsum: each
-    # large fresh array costs a page fault per 4 kB
-    scratch = np.multiply(weights, values, out=np.empty_like(weights))
-    means = scratch.sum(axis=1) / totals
-    # Mathematically a mean lies in [min, max]; clamp away float drift,
-    # as Python's max and min would (np.maximum may return -0.0 for 0.0)
-    low, high = values.min(), values.max()
-    means = np.where(low > means, low, means)
-    means = np.where(high < means, high, means)
-    picks = np.empty((len(ps), len(totals)))
-    if not ps:
-        return means, picks
-    order = stable_argsort(values)
-    # mode="clip" writes straight into out; "raise" would buffer it
-    ranked = weights.take(order, axis=1, out=scratch, mode="clip")
-    # counts sum exactly in float64, so each row's cumsum ends at its total
-    # and p * total, at most the total, is reached within the row
-    cum = np.cumsum(ranked, axis=1, out=scratch)
-    for k, p in enumerate(ps):
-        target = (p * totals)[:, None]
-        # cum never decreases, so the count of entries below the target is
-        # searchsorted(side="left"); a zero target counts those at or
-        # below it (side="right"), stepping over zero weights ranked first
-        hit = cum < target
-        zero = target[:, 0] <= 0.0
-        if zero.any():
-            hit[zero] = cum[zero] <= target[zero]
-        picks[k] = values.take(order.take(np.count_nonzero(hit, axis=1)))
-    return means, picks
+def _clamp(mean, low, high):
+    """Mathematically a mean lies in [low, high]; clamp away float drift,
+    as Python's max and min would (np.maximum may return -0.0 for 0.0)."""
+    return low if low > mean else high if high < mean else mean
+
+
+def slice_stats(values: np.ndarray, order: np.ndarray, weights: np.ndarray, total,
+                ps: Sequence[float]) -> tuple[float, list[float]]:
+    """One group's statistics over one (locus, stratum) slice: ``values``,
+    their stable ascending ``order`` and the group's float64 worker counts
+    ``weights`` over the whole slice, zeros included, whose sum ``total`` is
+    positive. Returns sum(value * weight) / total, clamped to the values'
+    range, and per p in [0, 1] the smallest value with positive weight whose
+    cumulative weight reaches p * total, with no interpolation."""
+    # a 1-D float64 product is summed pairwise, in the slice's row order
+    mean = _clamp(np.multiply(weights, values).sum() / total,
+                  values[order[0]], values[order[-1]])
+    # counts sum exactly, so the cumsum ends at the total, which p * total never passes
+    cum = np.cumsum(weights.take(order))
+    # a zero target (p = 0) steps over the zero weights ranked first
+    return mean, [values[order[cum.searchsorted(p * total, "left" if p > 0 else "right")]]
+                  for p in ps]
 
 
 class AlignedTable(NamedTuple):
@@ -243,35 +222,36 @@ class GroupExposures(NamedTuple):
 def _group_exposures(table: AlignedTable, locus: str, values: np.ndarray,
                      home: np.ndarray | None = None) -> GroupExposures:
     """Every group's weight and its mean, p10 and p90 of the rows' ``values``
-    at ``locus``: one weight matrix and one kernel call per stratum. Groups
-    with zero weight in a stratum are left out. Given each row's ``home``
-    value, it also holds the error (H mean minus mean) and its percent."""
-    groups = list(iter_groups(table))
-    # float64 sums of worker counts are exact below 2**53
-    counts = np.vstack([group_counts for *_, group_counts in groups], dtype=np.float64)
-    characteristics, labels, strata_column = [], [], []
-    weights, h_means, slices = [np.empty(0)], [np.empty(0)], [(np.empty(0), np.empty((2, 0)))]
+    at ``locus``: one kernel call per (stratum, group) with workers, over the
+    stratum's values sorted once. Given each row's ``home`` value, it also
+    holds the error (H mean minus mean) and its percent."""
+    keys, stats, h_means = [], [], []  # keys: (characteristic, label, stratum)
     for stratum, mask in stratum_masks(table).items():
-        w = counts.compress(mask, axis=1)
-        weight = w.sum(axis=1)
-        kept = np.flatnonzero(weight)
-        if not kept.size:
-            continue
-        if kept.size < len(w):
-            w = w.take(kept, axis=0)
-        slices.append(slice_stats(values.compress(mask), w, (0.10, 0.90)))
-        if home is not None:
-            h_means.append(slice_stats(home.compress(mask), w, ())[0])
-        weights.append(weight.take(kept))
-        characteristics += [groups[g][0] for g in kept]
-        labels += [groups[g][1] for g in kept]
-        strata_column += [stratum] * kept.size
-    means, picks = map(np.hstack, zip(*slices))  # (groups,) means, (2, groups) picks
-    frame = GroupExposures(table.year, characteristics, labels, strata_column, locus, means,
-                           *picks, np.concatenate(weights))
+        v = values.compress(mask)
+        order = None
+        for characteristic, label, group_counts in iter_groups(table):
+            # float64 sums of worker counts are exact below 2**53
+            weights = group_counts.compress(mask).astype(np.float64)
+            total = weights.sum()
+            if not total:
+                continue
+            if order is None:  # a stratum without workers is never sorted
+                order = stable_argsort(v)
+                if home is not None:
+                    h = home.compress(mask)
+                    h_low, h_high = h.min(), h.max()
+            mean, picks = slice_stats(v, order, weights, total, (0.10, 0.90))
+            stats.append((mean, *picks, total))
+            if home is not None:
+                h_means.append(_clamp(np.multiply(weights, h).sum() / total, h_low, h_high))
+            keys.append((characteristic, label, stratum))
+    characteristics, labels, strata_column = ([key[k] for key in keys] for k in range(3))
+    # (mean, p10, p90, weight) columns, each C-contiguous
+    columns = np.array(stats, dtype=np.float64).reshape(-1, 4).T.copy()
+    frame = GroupExposures(table.year, characteristics, labels, strata_column, locus, *columns)
     if home is None:
         return frame
-    h_mean = np.concatenate(h_means)
+    h_mean = np.array(h_means, dtype=np.float64)
     error = h_mean - frame.mean
     undefined = np.flatnonzero(h_mean == 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):

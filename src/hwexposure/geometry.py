@@ -7,7 +7,8 @@ back to back, with its owner (a tract, or a mask polygon) and hole flag. A
 tract set's ``ids``, its GEOIDs as int64 ascending, are the run's one tract
 index; ``geoid_text`` gives their text for reports and messages. Every
 ring is checked here, so the kernels in ``zonal`` can rely on >= 3 distinct
-vertices and a nonzero shoelace area per ring, and on a nonzero area per tract.
+vertices and a finite, nonzero shoelace area per ring, and on a nonzero area
+per tract.
 """
 from __future__ import annotations
 
@@ -185,7 +186,7 @@ def polygon_set(source: str, features: Sequence[Sequence],
     distinct = np.bincount(sr[new], minlength=len(ring_len))
     fail(counted & (distinct < 3), ring_feature,
          lambda r: f"ring needs >= 3 distinct vertices, got {distinct[r]}")
-
+    fail(~np.isfinite(ring_area), ring_feature, lambda r: "ring area overflows float64")
     fail((ring_area == 0.0) & ~ring_hole, ring_feature, lambda r: "exterior ring has zero area")
     fail((ring_area == 0.0) & ring_hole, ring_feature, lambda r: "hole ring has zero area")
     polygon_area = np.maximum(np.bincount(

@@ -49,10 +49,14 @@ a time, before grids.read_xyz_csv read columns with np.loadtxt.
 oracle_weighted_mean, oracle_weighted_percentile, oracle_stratum_masks,
 oracle_group_exposures, oracle_hw_exposures and oracle_rank_sum_grouped are
 the per-group bodies that the one-sort-per-slice kernels
-(exposure.slice_stats, biasstats.PooledSamples, per-tract stratum codes)
+(a slice kernel, biasstats.PooledSamples, per-tract stratum codes)
 replaced: one argsort per group and percentile, a per-row dict lookup per
 stratum mask, and a Python dict tally per rank-sum test. with_layout gives a
-count matrix C-ordered, Fortran-ordered or strided.
+count matrix C-ordered, Fortran-ordered or strided. oracle_slice_stats and
+oracle_matrix_group_exposures (with oracle_matrix_hw_exposures) are the
+matrix kernel and exposure._group_exposures as they were, when every group's
+counts of a stratum were one float64 (groups x rows) matrix and one kernel
+call, before exposure.slice_stats took one group at a time.
 ExposureRecord, ErrorRecord, GapResult and AtkinsonResult are the per-record
 dataclasses that the columnar exposure.GroupExposures frame replaced;
 exposure_records and error_records turn a frame into them, frame_of turns
@@ -1213,6 +1217,81 @@ class OracleLociExposures(NamedTuple):
     percent_error: np.ndarray | None = None
 
 
+def oracle_slice_stats(values: np.ndarray, weights: np.ndarray,
+                       ps: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """exposure.slice_stats as it was: every row of ``weights``, a (groups x
+    values) matrix of worker counts over the whole slice with positive row
+    totals, in one call. Returns the means and a (len(ps) x groups) matrix of
+    picks: one stable argsort of the values for all rows, and each C-contiguous
+    row summed pairwise and accumulated in order, in one reused scratch."""
+    weights = np.ascontiguousarray(weights, dtype=np.float64)
+    totals = weights.sum(axis=1)
+    scratch = np.multiply(weights, values, out=np.empty_like(weights))
+    means = scratch.sum(axis=1) / totals
+    low, high = values.min(), values.max()
+    means = np.where(low > means, low, means)
+    means = np.where(high < means, high, means)
+    picks = np.empty((len(ps), len(totals)))
+    if not ps:
+        return means, picks
+    order = exposure.stable_argsort(values)
+    ranked = weights.take(order, axis=1, out=scratch, mode="clip")
+    cum = np.cumsum(ranked, axis=1, out=scratch)
+    for k, p in enumerate(ps):
+        target = (p * totals)[:, None]
+        hit = cum < target
+        zero = target[:, 0] <= 0.0
+        if zero.any():
+            hit[zero] = cum[zero] <= target[zero]
+        picks[k] = values.take(order.take(np.count_nonzero(hit, axis=1)))
+    return means, picks
+
+
+def oracle_matrix_group_exposures(table: exposure.AlignedTable, locus: str, values: np.ndarray,
+                                  home: np.ndarray | None = None) -> exposure.GroupExposures:
+    """exposure._group_exposures as it was: every group's counts stacked into
+    one float64 (groups x rows) matrix, compressed per stratum to the groups
+    with workers there, and one oracle_slice_stats call per stratum (and a
+    second, sort-free one for the H means of ``home``)."""
+    groups = list(exposure.iter_groups(table))
+    counts = np.vstack([group_counts for *_, group_counts in groups], dtype=np.float64)
+    characteristics, labels, strata_column = [], [], []
+    weights, h_means, slices = [np.empty(0)], [np.empty(0)], [(np.empty(0), np.empty((2, 0)))]
+    for stratum, mask in exposure.stratum_masks(table).items():
+        w = counts.compress(mask, axis=1)
+        weight = w.sum(axis=1)
+        kept = np.flatnonzero(weight)
+        if not kept.size:
+            continue
+        if kept.size < len(w):
+            w = w.take(kept, axis=0)
+        slices.append(oracle_slice_stats(values.compress(mask), w, (0.10, 0.90)))
+        if home is not None:
+            h_means.append(oracle_slice_stats(home.compress(mask), w, ())[0])
+        weights.append(weight.take(kept))
+        characteristics += [groups[g][0] for g in kept]
+        labels += [groups[g][1] for g in kept]
+        strata_column += [stratum] * kept.size
+    means, picks = map(np.hstack, zip(*slices))
+    frame = exposure.GroupExposures(table.year, characteristics, labels, strata_column, locus,
+                                    means, *picks, np.concatenate(weights))
+    if home is None:
+        return frame
+    h_mean = np.concatenate(h_means)
+    error = h_mean - frame.mean
+    with np.errstate(divide="ignore", invalid="ignore"):
+        percent = np.where(h_mean != 0.0, 100.0 * error / h_mean, math.nan)
+    return frame._replace(error=error, percent_error=percent)
+
+
+def oracle_matrix_hw_exposures(pairs: exposure.AlignedTable,
+                               work_fraction: float) -> exposure.GroupExposures:
+    """exposure.compute_hw_exposures over oracle_matrix_group_exposures."""
+    home = pairs.values("H")
+    return oracle_matrix_group_exposures(
+        pairs, "HW", exposure.hw_blend(home, pairs.values("W"), work_fraction), home)
+
+
 def oracle_loci_group_exposures(table: exposure.AlignedTable,
                                 loci: dict[str, np.ndarray]) -> OracleLociExposures:
     """exposure._group_exposures as it was: every group's weight and, per
@@ -1231,7 +1310,7 @@ def oracle_loci_group_exposures(table: exposure.AlignedTable,
             continue
         if kept.size < len(w):
             w = w.take(kept, axis=0)
-        slices = [exposure.slice_stats(values.compress(mask), w, (0.10, 0.90))
+        slices = [oracle_slice_stats(values.compress(mask), w, (0.10, 0.90))
                   for values in loci.values()]
         means.append(np.array([m for m, _ in slices]))
         picks.append(np.array([p for _, p in slices]))

@@ -41,7 +41,8 @@ from hwexposure.biasstats import (
 )
 from hwexposure.config import load_config
 from hwexposure.disparity import _atkinson_curve
-from hwexposure.exposure import hw_blend, reported_strata, resolve_pairs, slice_stats
+from hwexposure.exposure import (hw_blend, reported_strata, resolve_pairs, slice_stats,
+                                 stable_argsort)
 from hwexposure.geometry import geoid_text
 from hwexposure.grids import ConcentrationGrid
 from hwexposure.ingest import (
@@ -141,9 +142,9 @@ def test_c2_exposure_expansion_oracles():
         vals = np.array([values[g] for g in sorted(values)])
         wts = np.array([weights[g] for g in sorted(values)], dtype=np.float64)
         ps = (0.0, 0.1, 0.25, 0.5, 0.9, 1.0, rng.random())
-        means, picks = slice_stats(vals, wts.reshape(1, -1), ps)
-        assert float(means[0]) == pytest.approx(oracle_mean, rel=1e-9)
-        for p, got in zip(ps, picks[:, 0].tolist()):
+        mean, picks = slice_stats(vals, stable_argsort(vals), wts, wts.sum(), ps)
+        assert float(mean) == pytest.approx(oracle_mean, rel=1e-9)
+        for p, got in zip(ps, map(float, picks)):
             n = len(expanded)
             k = max(1, math.ceil(p * n)) if p * n > 0 else 1
             while k < n and k < p * n:  # guard ceil float edge cases

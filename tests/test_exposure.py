@@ -5,6 +5,7 @@ import json
 import logging
 import math
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -45,6 +46,8 @@ from helpers import (
     oracle_group_exposures,
     oracle_classified_masks,
     oracle_hw_exposures,
+    oracle_matrix_group_exposures,
+    oracle_matrix_hw_exposures,
     oracle_schema_groups,
     oracle_searched_stratum_masks,
     oracle_three_locus_hw_exposures,
@@ -141,16 +144,21 @@ def test_hw_blend_arrays_match_scalar():
 # slice_stats, one group: the weighted mean and the percentile picks
 # ----------------------------------------------------------------------------
 
+def one_group_stats(values, weights, ps):
+    """The slice kernel's mean and picks of one group over ``values``."""
+    values = np.asarray(values, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    return slice_stats(values, stable_argsort(values), weights, weights.sum(), ps)
+
+
 def mean_of(values, weights) -> float:
     """One group's weighted mean from the slice kernel."""
-    return float(slice_stats(np.asarray(values, dtype=np.float64),
-                             np.asarray(weights, dtype=np.float64).reshape(1, -1), ())[0][0])
+    return float(one_group_stats(values, weights, ())[0])
 
 
 def percentile_of(values, weights, p: float) -> float:
     """One group's percentile pick at ``p`` from the slice kernel."""
-    return float(slice_stats(np.asarray(values, dtype=np.float64),
-                             np.asarray(weights, dtype=np.float64).reshape(1, -1), (p,))[1][0, 0])
+    return float(one_group_stats(values, weights, (p,))[1][0])
 
 
 def test_pwm_symmetry():
@@ -172,12 +180,14 @@ def test_pwm_drops_excluded_tract_weight():
 
 def test_pwm_empty_population(recorded_run):
     # the exposure stage leaves out and counts each group without workers in
-    # a stratum, so every row the kernel gets has workers
+    # a stratum, so every group the kernel gets has workers, its total is
+    # their sum, and its order is the slice's stable ascending order
     manifest, calls = recorded_run
     assert manifest["stages"]["exposure"]["skipped"]["zero-weight-group"] > 0
-    for values, weights, _ in calls["slice_stats"]:
-        assert len(values) == weights.shape[1]
-        assert (weights.sum(axis=1) > 0.0).all()
+    for values, order, weights, total, _ in calls["slice_stats"]:
+        assert len(values) == len(weights)
+        assert total == weights.sum() > 0.0
+        assert np.array_equal(order, np.argsort(values, kind="stable"))
 
 
 def test_pwm_expansion_oracle():
@@ -213,10 +223,10 @@ def test_percentile_bounds():
 
 
 def test_percentile_empty(recorded_run):
-    # a run asks the kernel for p10 and p90 (and the OD H means for none),
-    # over slices whose groups have workers
+    # a run asks the kernel for p10 and p90 alone (the OD H means are taken
+    # without it), over slices whose groups have workers
     _, calls = recorded_run
-    assert {tuple(ps) for *_, ps in calls["slice_stats"]} == {(0.10, 0.90), ()}
+    assert {tuple(ps) for *_, ps in calls["slice_stats"]} == {(0.10, 0.90)}
     assert all(len(values) for values, *_ in calls["slice_stats"])
 
 
@@ -727,12 +737,13 @@ def test_value_slice_percentiles_match_oracle_at_every_p(case):
         weights = row.astype(np.float64)
         if int(row.sum()) == 0:
             continue  # the stages leave out a group without workers
-        got = slice_stats(values, weights.reshape(1, -1), ps)[1][:, 0].tolist()
-        assert repr(got) == repr([oracle_weighted_percentile(values, row, p) for p in ps])
+        got = slice_stats(values, stable_argsort(values), weights, weights.sum(), ps)[1]
+        assert repr(list(map(float, got))) == repr(
+            [oracle_weighted_percentile(values, row, p) for p in ps])
 
 
 # ----------------------------------------------------------------------------
-# slice_stats: every group of a slice in one matrix kernel call
+# slice_stats: one group of a slice per call, row by row against the oracles
 # ----------------------------------------------------------------------------
 
 STATS_PS = (0.0, 0.1, 0.5, 0.9, 1.0)
@@ -760,23 +771,95 @@ def weight_matrices(draw, n):
     return np.array(rows, dtype=np.float64)
 
 
-@given(data=st.data(), n=st.integers(1, 20), p=st.floats(0.0, 1.0, allow_nan=False),
-       layout=st.sampled_from(["C", "F", "strided"]))
+@given(data=st.data(), n=st.integers(1, 20), p=st.floats(0.0, 1.0, allow_nan=False))
 @settings(max_examples=300, deadline=None)
-def test_value_slice_stats_match_oracle_row_by_row(data, n, p, layout):
+def test_value_slice_stats_match_oracle_row_by_row(data, n, p):
     values = np.array(data.draw(st.lists(st.sampled_from((-0.0, 0.0) + SLICE_VALUES),
                                          min_size=n, max_size=n)))
     weights = data.draw(weight_matrices(n))
-    if layout == "F":
-        weights = np.asfortranarray(weights)
-    elif layout == "strided":
-        wide = np.zeros((len(weights), 2 * n))
-        wide[:, ::2] = weights
-        weights = wide[:, ::2]
     ps = STATS_PS + (p,)
-    means, picks = slice_stats(values, weights, ps)
-    assert picks.shape == (len(ps), len(weights))
-    for r, row in enumerate(weights):
-        assert repr(float(means[r])) == repr(oracle_weighted_mean(values, row))
-        assert [float(picks[k, r]) for k in range(len(ps))] == [
-            oracle_weighted_percentile(values, row, q) for q in ps]
+    order = stable_argsort(values)
+    for row in weights:
+        mean, picks = slice_stats(values, order, row, row.sum(), ps)
+        assert repr(float(mean)) == repr(oracle_weighted_mean(values, row))
+        assert list(map(float, picks)) == [oracle_weighted_percentile(values, row, q) for q in ps]
+
+
+# ----------------------------------------------------------------------------
+# the one-group kernel against the (groups x rows) matrix kernel it replaced
+# ----------------------------------------------------------------------------
+
+@st.composite
+def exposure_tables(draw):
+    """An OD-shaped table over 13 surface tracts: tied values, +-0.0 and
+    inexact ones; up to 300 rows (past the 128-value blocks of numpy's
+    pairwise sum), or none, as when no row resolved (no codes then); groups
+    of small counts, counts up to 1e6, one worker or none; and a
+    classification that may leave a stratum without rows or without
+    workers, or no strata."""
+    surface_values = np.array(draw(st.lists(
+        st.sampled_from((-0.0, 0.0) + SLICE_VALUES) | st.integers(1, 150).map(lambda k: k / 3),
+        min_size=13, max_size=13)))
+    n = draw(st.sampled_from([0, 1, 2, 9, 40, 129, 300]))
+    home = np.sort(draw(hnp.arrays(np.int64, n, elements=st.integers(0, 12))))
+    work = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 12)))
+    rows = []
+    for _ in range(draw(st.integers(0, 4)) if n else 0):
+        kind = draw(st.sampled_from(["small", "large", "zero", "single"]))
+        row = np.zeros(n, dtype=np.int64)
+        if kind == "single":
+            row[draw(st.integers(0, n - 1))] = 1
+        elif kind != "zero":
+            row = draw(hnp.arrays(np.int64, n, elements=st.integers(
+                0, 6 if kind == "small" else 10**6)))
+        rows.append(row)
+    counts = np.array(rows, dtype=np.int64).reshape(len(rows), n)
+    totals = counts.sum(axis=0) + draw(hnp.arrays(np.int64, n, elements=st.integers(0, 3)))
+    surface = tract_surface(2011, dict(zip(map(geoid, range(13)), surface_values)))
+    if draw(st.booleans()):
+        labels = draw(st.lists(st.sampled_from(["urban", "rural", None]), min_size=13,
+                               max_size=13))
+        surface = with_strata(surface, {geoid(i): s for i, s in enumerate(labels)
+                                        if s is not None})
+    return surface, home, work, totals, counts
+
+
+def frame_text(frame: exposure.GroupExposures) -> str:
+    return repr([c.tolist() if isinstance(c, np.ndarray) else c for c in frame])
+
+
+@given(exposure_tables())
+@settings(max_examples=300, deadline=None)
+def test_group_and_hw_exposures_match_matrix_oracle(case):
+    surface, home, work, totals, counts = case
+    aligned = AlignedTable(surface, ("H",), (home,), totals,
+                           ("CA01", "CA02", "CA03", "CE01")[:len(counts)], counts, 0)
+    assert frame_text(compute_group_exposures(aligned)) == frame_text(
+        oracle_matrix_group_exposures(aligned, "H", aligned.values("H")))
+    pairs = AlignedTable(surface, ("H", "W"), (home, work), totals,
+                         ("SA01", "SA02", "SA03", "SE01")[:len(counts)], counts, 0)
+    assert frame_text(exposure.compute_hw_exposures(pairs, HW_WEIGHTS)) == frame_text(
+        oracle_matrix_hw_exposures(pairs, HW_WEIGHTS))
+
+
+def test_hw_exposures_peak_memory_per_pair():
+    # a float64 (groups x pairs) matrix alone costs 80 B per pair with the
+    # total and 9 groups; the one-group kernel holds a few 1-D arrays
+    rng = np.random.default_rng(11)
+    n_tracts, n = 2_000, 200_000
+    surface = with_strata(tract_surface(2011, dict(zip(
+        map(geoid, range(n_tracts)), rng.choice([1.0, 2.5, 4.0, 7.75], n_tracts) + 0.1))),
+        {geoid(i): ("urban", "rural")[i % 2] for i in range(n_tracts)})
+    counts = rng.integers(0, 5, (9, n), dtype=np.int64)
+    pairs = AlignedTable(surface, ("H", "W"), (np.sort(rng.integers(0, n_tracts, n)),
+                                               rng.integers(0, n_tracts, n)),
+                         counts.sum(axis=0), ("SA01", "SA02", "SA03", "SE01", "SE02", "SE03",
+                                              "SI01", "SI02", "SI03"), counts, 0)
+    tracemalloc.start()
+    try:
+        frame = exposure.compute_hw_exposures(pairs, HW_WEIGHTS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(frame.mean) == 30
+    assert peak / n < 100, f"{peak / n:.0f} B per pair"

@@ -482,6 +482,23 @@ def test_bad_geometry_names_the_file_and_feature(tmp_path, caplog, name, edit, m
         in caplog.text
 
 
+def test_ring_area_past_float64_names_the_file(tmp_path, caplog):
+    # a mask rectangle with finite corners whose shoelace area overflows to
+    # NaN used to read as a ring, and the winding test then overflowed
+    # silently and classified every tract rural; it is a fault of the mask
+    # file, reported before anything warns
+    world = make_world(tmp_path)
+    path = world / "urban.geojson"
+    rectangle = [[-1.7e308, -1.0], [1.7e308, -1.0], [1.7e308, 1.5], [-1.7e308, 1.5]]
+    path.write_text(json.dumps({"type": "FeatureCollection", "features": [
+        {"type": "Feature", "properties": {},
+         "geometry": {"type": "Polygon", "coordinates": [rectangle]}}]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(world, tmp_path / "out") == 1
+    assert f"stage surface: {path}: feature 0: ring area overflows float64" in caplog.text
+
+
 def test_duplicate_tract_geoid_names_the_file(tmp_path, caplog):
     world = make_world(tmp_path)
     path = world / "tracts.geojson"
