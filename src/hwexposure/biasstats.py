@@ -13,7 +13,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DegenerateSliceError
-from .exposure import stable_argsort
 
 
 class ErrorMoments(NamedTuple):
@@ -83,22 +82,20 @@ _INT64_LIMIT = 2 ** 63
 
 class PooledSamples:
     """Two value arrays pooled and sorted once, so that every weighting of
-    them by a pair of count rows is a rank-sum test over vectorized tallies
-    (``wilcoxon_rank_sum_grouped``). Equal values form one tie run (0.0 and
-    -0.0 included): ``starts`` holds each run's first position in ``order``,
-    and ``from_a`` marks the positions that hold a first-sample value.
+    them by a pair of count rows is a rank-sum test over per-run tallies
+    (``wilcoxon_rank_sum_grouped``). ``run_a`` and ``run_b`` number each
+    value's tie run of ``n_runs`` in ascending order (0.0 and -0.0 tie); the
+    order within a run never matters, so the sort need not be stable.
     """
 
     def __init__(self, values_a: Sequence[float], values_b: Sequence[float]):
-        a = np.asarray(values_a, dtype=np.float64)
-        b = np.asarray(values_b, dtype=np.float64)
-        pooled = np.concatenate((a, b))
-        self.order = stable_argsort(pooled)
-        ordered = pooled.take(self.order)
-        run_start = np.ones(len(ordered), dtype=bool)
-        np.not_equal(ordered[1:], ordered[:-1], out=run_start[1:])
-        self.starts = np.flatnonzero(run_start)
-        self.from_a = self.order < len(a)
+        pooled = np.concatenate((values_a, values_b), dtype=np.float64)
+        order = np.argsort(pooled)
+        ordered = pooled.take(order)
+        runs = np.empty_like(order)
+        runs[order] = np.cumsum(np.r_[0, ordered[1:] != ordered[:-1]])
+        self.run_a, self.run_b = runs[:len(values_a)], runs[len(values_a):]
+        self.n_runs = int(runs.max(initial=-1)) + 1
 
 
 def wilcoxon_rank_sum_grouped(pooled: PooledSamples, counts_a: Sequence[int],
@@ -111,24 +108,23 @@ def wilcoxon_rank_sum_grouped(pooled: PooledSamples, counts_a: Sequence[int],
     is exact for untied samples with at most ``_EXACT_MAX_N`` pooled values
     and the normal tail otherwise.
 
-    Each run's count on either side comes from one ``np.add.reduceat`` in the
-    pooled order, and the rank sum and tie term from int64 sums when their
-    bounds allow it, Python ints otherwise, so every count stays exact and
+    Each run's workers on either side come from one ``np.add.at`` scatter,
+    and the totals, rank sum and tie term are int64 sums when their bounds
+    allow it, Python ints otherwise, so every count stays exact and
     U_a + U_b = n_a * n_b holds exactly.
     """
     ca = np.asarray(counts_a, dtype=np.int64)
     cb = np.asarray(counts_b, dtype=np.int64)
-    counts = np.concatenate((ca, cb))
-    if int(counts.max(initial=0)) * len(counts) >= _INT64_LIMIT:
-        counts = counts.astype(object)
-    n_a = int(counts[:len(ca)].sum())
-    n_b = int(counts[len(ca):].sum())
+    if max(int(ca.max(initial=0)), int(cb.max(initial=0))) * (ca.size + cb.size) >= _INT64_LIMIT:
+        ca, cb = ca.astype(object), cb.astype(object)
+    n_a, n_b = int(ca.sum()), int(cb.sum())
     n = n_a + n_b
-    ordered = counts.take(pooled.order)
     if n * (2 * n + 1) >= _INT64_LIMIT:  # bounds 2 * rank sum of a
-        ordered = ordered.astype(object)
-    t = np.add.reduceat(ordered, pooled.starts)
-    t_a = np.add.reduceat(np.where(pooled.from_a, ordered, 0), pooled.starts)
+        ca, cb = ca.astype(object), cb.astype(object)
+    t_a = np.zeros(pooled.n_runs, dtype=ca.dtype)
+    np.add.at(t_a, pooled.run_a, ca)
+    t = t_a.copy()
+    np.add.at(t, pooled.run_b, cb)
     below = np.cumsum(t) - t  # workers ranked below each run
     two_rank_sum_a = int((t_a * (2 * below + t + 1)).sum())
     max_t = int(t.max())

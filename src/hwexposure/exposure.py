@@ -254,7 +254,7 @@ def _group_exposures(table: AlignedTable, locus: str, values: np.ndarray,
     h_mean = np.array(h_means, dtype=np.float64)
     error = h_mean - frame.mean
     undefined = np.flatnonzero(h_mean == 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         percent = np.where(h_mean != 0.0, 100.0 * error / h_mean, math.nan)
     for row in undefined:
         logger.debug("H mean is zero for OD group %s (%s); percent error undefined",

@@ -520,7 +520,9 @@ def _stage_bias(state: RunState, data: YearData) -> None:
     for stratum, mask in exposure.stratum_masks(pairs).items():
         vh = home[mask]
         vb = blended[mask]
-        pooled = biasstats.PooledSamples(vh, vb)
+        # pairs are in (home, work) order, so each home tract is pooled once
+        first = np.flatnonzero(np.diff(pairs.index[0][mask], prepend=-1))
+        pooled = biasstats.PooledSamples(vh.take(first), vb)
         bias_keys, moment_list, biases, test_keys, ns, tests = [], [], [], [], [], []
         for characteristic, label, counts in exposure.iter_groups(pairs):
             group_key = exposure.format_group(characteristic, label)
@@ -540,7 +542,7 @@ def _stage_bias(state: RunState, data: YearData) -> None:
                 biases.append(bias)
             test_keys.append(group_key)
             ns.append(n)
-            tests.append(biasstats.wilcoxon_rank_sum_grouped(pooled, w, w))
+            tests.append(biasstats.wilcoxon_rank_sum_grouped(pooled, np.add.reduceat(w, first), w))
         state.write("bias.csv", [year, bias_keys, stratum, *_transpose(
             [(m.sigma2, m.phi, m.omega2, b) for m, b in zip(moment_list, biases)], 0, 4)])
         state.write("wilcoxon.csv", [year, test_keys, stratum, np.array(ns), np.array(ns),

@@ -473,25 +473,26 @@ def _chunk_overlap(tract_edges: _Edges, tract_bbox: np.ndarray, tract_area: np.n
     i, j = mask.by_x.pairs(te_boxes)
     px0, py0, px1, py1 = te.x0[i], te.y0[i], te.x1[i], te.y1[i]
     qx0, qy0, qx1, qy1 = me.x0[j], me.y0[j], me.x1[j], me.y1[j]
-    # each end point's side of the other edge's line: one expression per
-    # (edge, vertex), so edges sharing a vertex agree on where it lies
-    oq0, zq0 = _side(px0, py0, px1, py1, qx0, qy0)
-    oq1, zq1 = _side(px0, py0, px1, py1, qx1, qy1)
-    op0, zp0 = _side(qx0, qy0, qx1, qy1, px0, py0)
-    op1, zp1 = _side(qx0, qy0, qx1, qy1, px1, py1)
-    # parameters of the other edge's end points projected on each edge
-    dx, dy, ex, ey = px1 - px0, py1 - py0, qx1 - qx0, qy1 - qy0
-    dd, ee = dx * dx + dy * dy, ex * ex + ey * ey
-    sq0 = ((qx0 - px0) * dx + (qy0 - py0) * dy) / dd
-    sq1 = ((qx1 - px0) * dx + (qy1 - py0) * dy) / dd
-    rp0 = ((px0 - qx0) * ex + (py0 - qy0) * ey) / ee
-    rp1 = ((px1 - qx0) * ex + (py1 - qy0) * ey) / ee
+    # products of coordinates far from 0 may overflow to inf, or NaN after inf / inf
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        # each end point's side of the other edge's line: one expression per
+        # (edge, vertex), so edges sharing a vertex agree on where it lies
+        oq0, zq0 = _side(px0, py0, px1, py1, qx0, qy0)
+        oq1, zq1 = _side(px0, py0, px1, py1, qx1, qy1)
+        op0, zp0 = _side(qx0, qy0, qx1, qy1, px0, py0)
+        op1, zp1 = _side(qx0, qy0, qx1, qy1, px1, py1)
+        # parameters of the other edge's end points projected on each edge
+        dx, dy, ex, ey = px1 - px0, py1 - py0, qx1 - qx0, qy1 - qy0
+        dd, ee = dx * dx + dy * dy, ex * ex + ey * ey
+        sq0 = ((qx0 - px0) * dx + (qy0 - py0) * dy) / dd
+        sq1 = ((qx1 - px0) * dx + (qy1 - py0) * dy) / dd
+        rp0 = ((px0 - qx0) * ex + (py0 - qy0) * ey) / ee
+        rp1 = ((px1 - qx0) * ex + (py1 - qy0) * ey) / ee
+        t = op0 / (op0 - op1)
+        u = oq0 / (oq0 - oq1)
     collinear = (zq0 & zq1) | (zp0 & zp1)
     proper = ((oq0 < 0.0) != (oq1 < 0.0)) & ((op0 < 0.0) != (op1 < 0.0)) & \
         ~(zq0 | zq1 | zp0 | zp1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        t = op0 / (op0 - op1)
-        u = oq0 / (oq0 - oq1)
 
     def inside(s):
         return (s > 0.0) & (s < 1.0)

@@ -57,6 +57,11 @@ oracle_matrix_group_exposures (with oracle_matrix_hw_exposures) are the
 matrix kernel and exposure._group_exposures as they were, when every group's
 counts of a stratum were one float64 (groups x rows) matrix and one kernel
 call, before exposure.slice_stats took one group at a time.
+OraclePooledSamples and oracle_wilcoxon_rank_sum_grouped are
+biasstats.PooledSamples and wilcoxon_rank_sum_grouped as they were, when
+the pooled values were stably sorted and each test gathered its counts into
+that order and summed every tie run with np.add.reduceat, before each value
+carried its tie run's number and a test scattered its counts onto the runs.
 ExposureRecord, ErrorRecord, GapResult and AtkinsonResult are the per-record
 dataclasses that the columnar exposure.GroupExposures frame replaced;
 exposure_records and error_records turn a frame into them, frame_of turns
@@ -1640,6 +1645,67 @@ def oracle_rank_sum_grouped(values_a, counts_a, values_b, counts_b, method="auto
     if method == "exact" or (method == "auto" and untied and n <= biasstats._EXACT_MAX_N):
         if not untied:
             raise ValueError("exact method requires untied samples")
+        p = biasstats._exact_two_sided_p(n_a, n_b, u)
+    else:
+        p = min(math.erfc(abs(z) / math.sqrt(2.0)), 1.0)
+    return biasstats.RankSumResult(u=u, z=z, p_value=p)
+
+
+class OraclePooledSamples:
+    """Two value arrays pooled and stably sorted once: ``starts`` holds each
+    tie run's first position in ``order``, and ``from_a`` marks the
+    positions that hold a first-sample value."""
+
+    def __init__(self, values_a, values_b):
+        a = np.asarray(values_a, dtype=np.float64)
+        b = np.asarray(values_b, dtype=np.float64)
+        pooled = np.concatenate((a, b))
+        self.order = exposure.stable_argsort(pooled)
+        ordered = pooled.take(self.order)
+        run_start = np.ones(len(ordered), dtype=bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=run_start[1:])
+        self.starts = np.flatnonzero(run_start)
+        self.from_a = self.order < len(a)
+
+
+def oracle_wilcoxon_rank_sum_grouped(pooled: OraclePooledSamples, counts_a, counts_b):
+    """The rank-sum test over an OraclePooledSamples: each run's count on
+    either side from one np.add.reduceat of the counts gathered into the
+    pooled order, int64 where the bounds allow it and Python ints otherwise."""
+    limit = 2 ** 63
+    ca = np.asarray(counts_a, dtype=np.int64)
+    cb = np.asarray(counts_b, dtype=np.int64)
+    counts = np.concatenate((ca, cb))
+    if int(counts.max(initial=0)) * len(counts) >= limit:
+        counts = counts.astype(object)
+    n_a = int(counts[:len(ca)].sum())
+    n_b = int(counts[len(ca):].sum())
+    n = n_a + n_b
+    ordered = counts.take(pooled.order)
+    if n * (2 * n + 1) >= limit:
+        ordered = ordered.astype(object)
+    t = np.add.reduceat(ordered, pooled.starts)
+    t_a = np.add.reduceat(np.where(pooled.from_a, ordered, 0), pooled.starts)
+    below = np.cumsum(t) - t
+    two_rank_sum_a = int((t_a * (2 * below + t + 1)).sum())
+    max_t = int(t.max())
+    tied = t.compress(t > 1)
+    if max_t * max_t * n >= limit:
+        tied = tied.astype(object)
+    tie_cubes = int((tied * tied * tied - tied).sum())
+    u = (two_rank_sum_a - n_a * (n_a + 1)) / 2.0
+    mean_u = n_a * n_b / 2.0
+    var_u = (n_a * n_b / 12.0) * ((n + 1) - tie_cubes / (n * (n - 1)))
+    if var_u <= 0.0:
+        return biasstats.RankSumResult(u=u, z=0.0, p_value=1.0)
+    deviation = u - mean_u
+    if deviation > 0.0:
+        z = (deviation - 0.5) / math.sqrt(var_u)
+    elif deviation < 0.0:
+        z = (deviation + 0.5) / math.sqrt(var_u)
+    else:
+        z = 0.0
+    if max_t == 1 and n <= biasstats._EXACT_MAX_N:
         p = biasstats._exact_two_sided_p(n_a, n_b, u)
     else:
         p = min(math.erfc(abs(z) / math.sqrt(2.0)), 1.0)

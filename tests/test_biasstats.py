@@ -5,12 +5,15 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hwexposure import biasstats, exposure, pipeline
 from hwexposure.biasstats import (
     ErrorMoments,
     PooledSamples,
@@ -20,7 +23,16 @@ from hwexposure.biasstats import (
 )
 from hwexposure.errors import DegenerateSliceError
 
-from helpers import oracle_rank_sum_grouped, with_layout
+from helpers import (
+    HW_WEIGHTS,
+    OraclePooledSamples,
+    oracle_rank_sum_grouped,
+    oracle_wilcoxon_rank_sum_grouped,
+    tract_surface,
+    with_layout,
+    with_strata,
+    worker_table,
+)
 
 
 # ----------------------------------------------------------------------------
@@ -228,8 +240,8 @@ def test_wilcoxon_empty_sample(recorded_run):
     # empty; its counts are one non-negative count per pooled value
     _, calls = recorded_run
     for pooled, counts_a, counts_b in calls["wilcoxon_rank_sum_grouped"]:
-        assert len(counts_a) + len(counts_b) == len(pooled.order)
-        assert len(counts_a) == int(pooled.from_a.sum())
+        assert len(counts_a) == len(pooled.run_a)
+        assert len(counts_b) == len(pooled.run_b)
         assert (counts_a >= 0).all() and (counts_b >= 0).all()
         assert counts_a.sum() > 0 and counts_b.sum() > 0
 
@@ -403,3 +415,106 @@ def test_pooled_rank_sum_past_int64_matches_python_ints(counts_a, counts_b):
     want = oracle_rank_sum_grouped(values_a, counts_a, values_b, counts_b)
     got = wilcoxon_rank_sum_grouped(PooledSamples(values_a, values_b), counts_a, counts_b)
     assert (got.u, got.z, got.p_value) == (want.u, want.z, want.p_value)
+
+
+# ----------------------------------------------------------------------------
+# Tie-run tallies against the stably sorted pooled order they replaced
+# ----------------------------------------------------------------------------
+
+def result_or_error(test, pooled, counts_a, counts_b):
+    """A rank-sum result, or the class of what the test raised (a pooled
+    slice without runs, or with fewer than two workers, has no variance)."""
+    try:
+        return test(pooled, counts_a, counts_b)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+@st.composite
+def rank_sum_calls(draw):
+    """Two value arrays of their own lengths, as C6 pools them, and count
+    rows for each: values tied within and across the samples, 0.0 and -0.0
+    among them, counts 0-3 times a scale. At 2**20 a run of two or more
+    workers' units puts the tie term past int64, at 2**30 n(2n + 1) passes
+    it from about three units on, and at 2**61 the largest count times the
+    pooled length does."""
+    value = st.sampled_from(TIED_VALUES) | st.floats(-100.0, 100.0)
+    values_a, values_b = (draw(st.lists(value, max_size=12)) for _ in range(2))
+    scale = draw(st.sampled_from([1, 1, 2 ** 20, 2 ** 30, 2 ** 61]))
+    rows = draw(st.integers(1, 3))
+
+    def counts(n):
+        return [[scale * c for c in draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))]
+                for _ in range(rows)]
+
+    return values_a, values_b, counts(len(values_a)), counts(len(values_b))
+
+
+@given(rank_sum_calls())
+@settings(max_examples=400, deadline=None)
+def test_run_tallies_match_the_pooled_order_oracle(case):
+    values_a, values_b, counts_a, counts_b = case
+    pooled = PooledSamples(values_a, values_b)
+    oracle = OraclePooledSamples(values_a, values_b)
+    for row_a, row_b in zip(counts_a, counts_b):
+        assert result_or_error(wilcoxon_rank_sum_grouped, pooled, row_a, row_b) \
+            == result_or_error(oracle_wilcoxon_rank_sum_grouped, oracle, row_a, row_b)
+
+
+def od_geoid(i: int) -> str:
+    return f"06037{i:06d}"
+
+
+@st.composite
+def stratified_od_worlds(draw):
+    """Tract values (shared by several tracts), OD pairs ((home, work),
+    (SA01, SA02, SA03) counts), zero counts and whole home tracts without
+    workers among them, and each tract's stratum."""
+    n = draw(st.integers(1, 6))
+    values = draw(st.lists(st.sampled_from([0.0, 1.5, 2.5, 4.0]), min_size=n, max_size=n))
+    keys = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                        min_size=1, max_size=14))
+    rows = [(key, draw(st.tuples(*[st.integers(0, 3)] * 3))) for key in sorted(keys)]
+    strata = draw(st.lists(st.sampled_from(["urban", "rural"]), min_size=n, max_size=n))
+    return values, rows, strata
+
+
+@given(stratified_od_worlds())
+@example(([2.5, 2.5, 1.0],  # tracts 0 and 1 share an H value, tract 2 has no workers
+          [((0, 1), (1, 0, 2)), ((0, 2), (0, 0, 0)), ((1, 0), (2, 1, 0)),
+           ((1, 1), (0, 3, 1)), ((2, 2), (0, 0, 0))],
+          ["urban", "rural", "rural"]))  # the urban stratum has one home tract
+@settings(max_examples=150, deadline=None)
+def test_bias_stage_rank_sums_pool_each_home_tract_once(world):
+    # a stratum's pairs are in (home, work) order, so the bias stage pools
+    # each home tract's H value once with its pairs' workers summed; every
+    # test must equal the pair-level pooling, call for call
+    values, rows, strata = world
+    surface = with_strata(tract_surface(2011, {od_geoid(i): v for i, v in enumerate(values)}),
+                          {od_geoid(i): s for i, s in enumerate(strata)})
+    table = worker_table([(od_geoid(h), od_geoid(w), sum(c), dict(zip(("SA01", "SA02", "SA03"), c)))
+                          for (h, w), c in rows], n_keys=2)
+    pairs = exposure.resolve_pairs(
+        surface, table._replace(keys=tuple(k.astype(np.int64) for k in table.keys)))
+    calls = []
+
+    def recorded(pooled, counts_a, counts_b):
+        calls.append((pooled, wilcoxon_rank_sum_grouped(pooled, counts_a, counts_b)))
+        return calls[-1][1]
+
+    state, data = pipeline.RunState(SimpleNamespace(work_fraction=HW_WEIGHTS)), \
+        pipeline.YearData(2011)
+    data.pairs = pairs
+    with mock.patch.object(pipeline.RunState, "write"), \
+            mock.patch.object(biasstats, "wilcoxon_rank_sum_grouped", recorded):
+        pipeline._stage_bias(state, data)
+    home = pairs.values(exposure.LOCUS_HOME)
+    blended = exposure.hw_blend(home, pairs.values(exposure.LOCUS_WORK), HW_WEIGHTS)
+    want = []
+    for mask in exposure.stratum_masks(pairs).values():
+        oracle = OraclePooledSamples(home[mask], blended[mask])
+        for _, _, counts in exposure.iter_groups(pairs):
+            if counts[mask].sum():
+                want.append((len(np.unique(pairs.index[0][mask])),
+                             oracle_wilcoxon_rank_sum_grouped(oracle, counts[mask], counts[mask])))
+    assert [(len(pooled.run_a), result) for pooled, result in calls] == want

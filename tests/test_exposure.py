@@ -6,6 +6,7 @@ import logging
 import math
 import random
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -502,6 +503,18 @@ def test_hw_single_pair_arithmetic():
     assert by[("all", "HW")].mean == pytest.approx(12.06, abs=1e-12)
     assert errors[0].error == pytest.approx(-2.06, abs=1e-9)
     assert errors[0].percent_error == pytest.approx(-20.6, abs=1e-9)
+
+
+def test_hw_percent_error_past_float64_is_infinite_without_a_warning():
+    # a subnormal H mean puts 100 * error / H mean past float64: the percent
+    # error reads -inf, as it did when the division warned
+    surface = tract_surface(2011, {geoid(0): 1e-310, geoid(1): 40.0})
+    od = od_matrix({(geoid(0), geoid(1)): (1, {})})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        frame = exposure.compute_hw_exposures(resolve_pairs(surface, od), HW_WEIGHTS)
+    assert frame.error.tolist() == [1e-310 - exposure.hw_blend(1e-310, 40.0, HW_WEIGHTS)]
+    assert frame.percent_error.tolist() == [-math.inf]
 
 
 def test_hw_empty_od():

@@ -21,6 +21,7 @@ from helpers import (
     counter_clockwise,
     exact_area,
     mask_set,
+    oracle_read_tracts_geojson,
     oracle_read_xyz_csv,
     oracle_tract_coverage,
     oracle_zonal_mean,
@@ -1167,6 +1168,21 @@ def test_overlap_ignores_ring_orientation():
     assert build_urban_mask(mask_set([ccw]), tract).tolist() == [0.375]
     assert build_urban_mask(mask_set([cw]), tract).tolist() == [0.375]
     assert overlap_area(rect_tract("06037000100", 0.0, 0.0, 4.0, 2.0).parts, [cw]) == 0.0
+
+
+def test_overlap_of_a_mask_far_past_the_tracts_does_not_warn(tmp_path):
+    # a rectangle from x -1e200 to 1e200 has a finite area, but its edge
+    # terms overflow float64: the shares stand, and nothing warns
+    synth.synth(str(tmp_path), seed=7, n_tracts=9, n_groups=3)
+    path = str(tmp_path / "tracts.geojson")
+    rectangle = PolygonPart(((-1e200, -1.0), (1e200, -1.0), (1e200, 1.5), (-1e200, 1.5)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = build_urban_mask(mask_set([rectangle]), read_tracts_geojson(path))
+    assert got.tolist() == [0.75] * 3 + [0.0] * 6
+    want = [overlap_area(t.parts, [rectangle]) / t.area()
+            for t in sorted(oracle_read_tracts_geojson(path), key=lambda t: t.geoid)]
+    assert got.tolist() == pytest.approx(want, rel=0.0, abs=1e-12)
 
 
 def test_overlap_chunks_match_one_pass(monkeypatch):
