@@ -156,8 +156,7 @@ def wilcoxon_rank_sum_grouped(pooled: PooledSamples, counts_a: Sequence[int],
 def _exact_two_sided_p(n_a: int, n_b: int, u: float) -> float:
     """Permutation p for untied samples: P(|U - mean| >= |u - mean|).
 
-    ``counts[v]`` enumerates rank subsets of size n_a with statistic v, built
-    by pooling one rank at a time (largest rank goes to a: adds n_b wins).
+    ``counts[v]`` enumerates rank subsets of size n_a with statistic v.
     """
     counts = _u_counts(n_a, n_b)
     # work with 2U as integers: |2u - n_a*n_b| is exact
@@ -167,17 +166,13 @@ def _exact_two_sided_p(n_a: int, n_b: int, u: float) -> float:
 
 
 def _u_counts(n_a: int, n_b: int) -> list[int]:
-    counts = {(0, 0): [1]}  # (m, n) -> count of subsets by U value
-    for m in range(n_a + 1):
-        for n in range(n_b + 1):
-            if (m, n) in counts:
-                continue
-            table = [0] * (m * n + 1)
-            if m > 0:
-                for v, c in enumerate(counts[(m - 1, n)]):
-                    table[v + n] += c
-            if n > 0:
-                for v, c in enumerate(counts[(m, n - 1)]):
-                    table[v] += c
-            counts[(m, n)] = table
-    return counts[(n_a, n_b)]
+    """The rank subsets of size n_a by U value: the coefficients of the
+    Gaussian binomial, the product over i = 1..n_a of (1 - q^(n_b + i)) /
+    (1 - q^i), one factor at a time in Python ints."""
+    counts = [1] + [0] * (n_a * n_b)
+    for i in range(1, n_a + 1):
+        for v in range(n_a * n_b, n_b + i - 1, -1):
+            counts[v] -= counts[v - n_b - i]
+        for v in range(i, n_a * n_b + 1):
+            counts[v] += counts[v - i]
+    return counts

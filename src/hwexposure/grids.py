@@ -10,6 +10,7 @@ import bisect
 import csv
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,32 +20,24 @@ from .ingest import first_bad_row, open_input, read_columns
 _ASC_KEYWORDS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
 
 
-class ConcentrationGrid:
-    """A regular raster of annual-average concentrations (ug/m3) with a nodata
-    mask: ``values`` (float64, shape (n_rows, n_cols), row 0 at the bottom) and
-    ``nodata`` (bool, same shape; True where the cell has no data), both made
-    read-only. The readers give both that shape, with at least one cell, a
-    positive cell size and non-negative valid cells."""
+class ConcentrationGrid(NamedTuple):
+    """A regular raster of annual-average concentrations (ug/m3): ``values``
+    is float64 of shape (n_rows, n_cols), row 0 at the bottom, NaN where the
+    cell has no data. The readers make ``values`` read-only and give it at
+    least one cell, a positive cell size and non-negative valid cells."""
 
-    __slots__ = ("origin_x", "origin_y", "cell_width", "cell_height", "n_rows", "n_cols",
-                 "values", "nodata")
-
-    def __init__(self, origin_x: float, origin_y: float, cell_width: float,
-                 cell_height: float, n_rows: int, n_cols: int, values: np.ndarray,
-                 nodata: np.ndarray) -> None:
-        values.setflags(write=False)
-        nodata.setflags(write=False)
-        self.origin_x, self.origin_y = origin_x, origin_y
-        self.cell_width, self.cell_height = cell_width, cell_height
-        self.n_rows, self.n_cols = n_rows, n_cols
-        self.values, self.nodata = values, nodata
+    origin_x: float
+    origin_y: float
+    cell_width: float
+    cell_height: float
+    values: np.ndarray
 
     @property
     def lattice(self) -> tuple[float, float, float, float, int, int]:
         """(origin_x, origin_y, cell_width, cell_height, n_rows, n_cols): what
         tract coverage depends on, as opposed to the cell values."""
         return (self.origin_x, self.origin_y, self.cell_width, self.cell_height,
-                self.n_rows, self.n_cols)
+                *self.values.shape)
 
 
 def read_asc(path: str) -> ConcentrationGrid:
@@ -58,33 +51,25 @@ def read_asc(path: str) -> ConcentrationGrid:
     header, values = _read_asc(path, fast=True)
     if values is None:
         header, values = _read_asc(path, fast=False)
-    values = values[::-1].copy()  # file is top-down; store bottom-up
-    nodata = _is_nodata(values, header)
-    values = np.where(nodata, 0.0, values)
     return _grid(path, header["xllcorner"], header["yllcorner"], header["cellsize"],
-                 header["cellsize"], values, nodata)
-
-
-def _is_nodata(values: np.ndarray, header: dict[str, float]) -> np.ndarray:
-    """Where the cells hold the header's nodata marker (a NaN marker marks NaN cells)."""
-    marker = header.get("nodata_value", -9999.0)
-    return np.isnan(values) if math.isnan(marker) else values == marker
+                 header["cellsize"], values)
 
 
 def _grid(path: str, origin_x: float, origin_y: float, cell_width: float,
-          cell_height: float, values: np.ndarray, nodata: np.ndarray) -> ConcentrationGrid:
+          cell_height: float, values: np.ndarray) -> ConcentrationGrid:
     """The grid read from ``path``, once its cells have a positive size and
     its valid cells are non-negative."""
     if cell_width <= 0 or cell_height <= 0:
         raise FormatError(f"{path}: cell dimensions must be positive")
-    if (values[~nodata] < 0).any():
+    if (values < 0).any():  # NaN, a cell without data, compares false
         raise FormatError(f"{path}: concentrations must be non-negative")
-    return ConcentrationGrid(origin_x, origin_y, cell_width, cell_height,
-                             *values.shape, values, nodata)
+    values.setflags(write=False)
+    return ConcentrationGrid(origin_x, origin_y, cell_width, cell_height, values)
 
 
 def _read_asc(path: str, fast: bool) -> tuple[dict[str, float], np.ndarray | None]:
-    """The header and the top-down (nrows x ncols) cells of an ESRI ASCII Grid.
+    """The header and the bottom-up (nrows x ncols) cells of an ESRI ASCII
+    Grid, NaN where a cell holds the header's nodata marker.
 
     The fast pass reads every data line with one ``np.loadtxt`` and gives no
     cells where that fails or a cell is bad; the token pass reads one Python
@@ -135,14 +120,17 @@ def _read_asc(path: str, fast: bool) -> tuple[dict[str, float], np.ndarray | Non
     flat = np.asarray(data, dtype=np.float64)
     if flat.size != n_rows * n_cols:
         raise FormatError(f"{path}: expected {n_rows * n_cols} cell values, got {flat.size}")
-    bad = ~np.isfinite(flat) & ~_is_nodata(flat, header)
-    if bad.any():
+    marker = header.get("nodata_value", -9999.0)
+    nodata = np.isnan(flat) if math.isnan(marker) else flat == marker
+    if not (np.isfinite(flat) | nodata).all():  # unbound: no mask is held beside the output
         if fast:
             return header, None
-        first = int(np.argmax(bad))
+        first = int(np.argmin(np.isfinite(flat) | nodata))
         lineno = line_numbers[bisect.bisect_right(line_starts, first) - 1]
         raise FormatError(f"{path}:{lineno}: non-finite cell value {float(flat[first])!r}")
-    return header, flat.reshape(n_rows, n_cols)
+    # the file lists the top row first
+    return header, np.where(nodata.reshape(n_rows, n_cols)[::-1], np.nan,
+                            flat.reshape(n_rows, n_cols)[::-1])
 
 
 def read_xyz_csv(path: str) -> ConcentrationGrid:
@@ -165,8 +153,7 @@ def read_xyz_csv(path: str) -> ConcentrationGrid:
         raise first_bad_row(path, (0, 1, 2), _bad_point)
     (x0, cell_w, n_cols), (y0, cell_h, n_rows) = _axis(xs, path, "x"), _axis(ys, path, "y")
     try:
-        values = np.zeros((n_rows, n_cols), dtype=np.float64)
-        nodata = np.ones((n_rows, n_cols), dtype=bool)
+        values = np.full((n_rows, n_cols), np.nan)
     except (MemoryError, ValueError) as exc:  # ValueError: past numpy's largest array
         raise FormatError(
             f"{path}: a lattice of {n_rows} x {n_cols} cells cannot be allocated") from exc
@@ -176,8 +163,7 @@ def read_xyz_csv(path: str) -> ConcentrationGrid:
     starts = np.flatnonzero(np.append(True, np.diff(cells[order]) != 0))
     won = np.maximum.reduceat(order, starts)  # the later point at a position wins
     values.ravel()[cells[won]] = vs[won]
-    nodata.ravel()[cells[won]] = False
-    return _grid(path, x0 - cell_w / 2.0, y0 - cell_h / 2.0, cell_w, cell_h, values, nodata)
+    return _grid(path, x0 - cell_w / 2.0, y0 - cell_h / 2.0, cell_w, cell_h, values)
 
 
 def _bad_point(cells: list[str | None]) -> str | None:

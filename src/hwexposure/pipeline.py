@@ -366,13 +366,6 @@ def _skip(skips: dict[str, int], kind: str, detail: str, count: int = 1) -> None
     logger.debug("%s skipped: %s", kind, detail)
 
 
-def _skip_groups(skips: dict[str, int], kind: str, groups: Sequence[tuple[str, str]],
-                 where: str, exc: Exception) -> None:
-    """One skip per group, for a computation that covers every group at once."""
-    for characteristic, label in groups:
-        _skip(skips, kind, "%s/%s:%s: %s" % (where, characteristic, label, exc))
-
-
 def _warn_skips(stage: str, skips: dict[str, int]) -> None:
     for kind, count in sorted(skips.items()):
         logger.warning("%s: skipped %d %s computation(s) on degenerate slices "
@@ -403,14 +396,14 @@ def _composition_blocks(config: RunConfig, aligned: exposure.AlignedTable,
             try:
                 curves.append((n_bins, disparity.percentile_bin_curve(ranking, n_bins)))
             except DegenerateSliceError as exc:
-                _skip_groups(skips, "composition-curve", groups,
-                             "%s %s/%s" % (year, locus, stratum), exc)
+                _skip(skips, "composition-curve", "%s %s/%s: %s" % (year, locus, stratum, exc),
+                      len(groups))
         try:
             shares = disparity.population_share_by_concentration_decile(
                 fractions, by_conc.compress(inside.take(by_conc)))
         except DegenerateSliceError as exc:
-            _skip_groups(skips, "decile-share", groups,
-                         "%s %s/%s" % (year, locus, stratum), exc)
+            _skip(skips, "decile-share", "%s %s/%s: %s" % (year, locus, stratum, exc),
+                  len(groups))
             shares = None
         blocks.append(_bin_block(year, locus, stratum, groups, curves, shares))
     return blocks

@@ -14,7 +14,7 @@ height to the next cell, a piece left of the box adds all its height to the
 box's first column, and a prefix sum along each row turns those into the
 covered fraction of every cell. ``build_tract_surface`` then reduces one
 year's grid over that coverage: the zonal value is
-sum(value * covered_area) / sum(covered_area) over non-nodata cells, and its
+sum(value * covered_area) / sum(covered_area) over the cells with data, and its
 completeness is the valid covered area over the tract's ``PolygonSet.area``. A
 ``TractSurface`` covers every tract of the run, with NaN where a tract has no
 valid coverage that year: it is excluded rather than failing the run.
@@ -259,8 +259,8 @@ def tract_coverage(tracts: PolygonSet, grid: ConcentrationGrid) -> TractCoverage
                           "tracts outside the exact cell range: their cell coordinates must "
                           "be finite, within 2**53 of 0 and span a cell each")
     # clipped to the grid; a box that misses it has no cells
-    shape = (grid.n_cols, grid.n_rows)
-    lo, hi = np.clip(lo, 0, shape), np.clip(hi, 0, shape)
+    n_rows, n_cols = grid.values.shape
+    lo, hi = np.clip(lo, 0, (n_cols, n_rows)), np.clip(hi, 0, (n_cols, n_rows))
     col0, row0 = lo.T
     width, height = np.where((hi > lo).all(axis=1, keepdims=True), hi - lo, 0).astype(np.int64).T
 
@@ -273,7 +273,7 @@ def tract_coverage(tracts: PolygonSet, grid: ConcentrationGrid) -> TractCoverage
             width[ta:tb], height[ta:tb])
         tract += ta
         out_tract.append(tract)
-        out_cell.append((row0[tract].astype(np.int64) + r) * grid.n_cols
+        out_cell.append((row0[tract].astype(np.int64) + r) * n_cols
                         + col0[tract].astype(np.int64) + c)
         out_frac.append(frac)
     counts = np.bincount(np.concatenate(out_tract), minlength=len(tracts.ids))
@@ -292,19 +292,17 @@ def _zonal_means(grid: ConcentrationGrid,
     """Per tract: the coverage-weighted mean over valid cells (NaN where there
     is none) and the valid covered area."""
     values = grid.values.ravel()[coverage.cell_idx]
-    valid = ~grid.nodata.ravel()[coverage.cell_idx]
+    valid = ~np.isnan(values)
     weight = np.where(valid, coverage.area, 0.0)
-    n = len(coverage.ids)
-    num, den = np.zeros(n), np.zeros(n)
-    vmin, vmax = np.full(n, np.inf), np.full(n, -np.inf)
+    num, den, vmin, vmax = np.zeros((4, len(coverage.ids)))  # vmin, vmax read where den > 0
     starts = coverage.tract_ptr[:-1]
     some = coverage.tract_ptr[1:] > starts
     if some.any():  # reduceat needs non-empty segments
         first = starts[some]
-        num[some] = np.add.reduceat(weight * values, first)
+        num[some] = np.add.reduceat(np.where(valid, weight * values, 0.0), first)
         den[some] = np.add.reduceat(weight, first)
-        vmin[some] = np.minimum.reduceat(np.where(valid, values, np.inf), first)
-        vmax[some] = np.maximum.reduceat(np.where(valid, values, -np.inf), first)
+        vmin[some] = np.fmin.reduceat(values, first)  # fmin and fmax skip NaN
+        vmax[some] = np.fmax.reduceat(values, first)
     with np.errstate(invalid="ignore", divide="ignore"):
         # The weighted mean lies in [vmin, vmax] mathematically; clamp float drift.
         mean = np.minimum(np.maximum(num / den, vmin), vmax)

@@ -46,6 +46,9 @@ write_xyz_grid writes an ASC grid's valued cells as shuffled x,y,value
 points; oracle_read_xyz_csv is the XYZ reader that went through one
 csv.DictReader row and three Python floats per point and placed them one at
 a time, before grids.read_xyz_csv read columns with np.loadtxt.
+MaskedGrid, masked_read_asc and masked_read_xyz_csv are the grid record and
+readers that kept the shape and a bool nodata mask beside zero-filled values,
+before a grid marked a cell without data by NaN.
 oracle_weighted_mean, oracle_weighted_percentile, oracle_stratum_masks,
 oracle_group_exposures, oracle_hw_exposures and oracle_rank_sum_grouped are
 the per-group bodies that the one-sort-per-slice kernels
@@ -62,6 +65,8 @@ biasstats.PooledSamples and wilcoxon_rank_sum_grouped as they were, when
 the pooled values were stably sorted and each test gathered its counts into
 that order and summed every tie run with np.add.reduceat, before each value
 carried its tie run's number and a test scattered its counts onto the runs.
+oracle_u_counts is the exact p's table of U counts built from the table of
+every smaller (m, n), before the Gaussian-binomial recurrence.
 ExposureRecord, ErrorRecord, GapResult and AtkinsonResult are the per-record
 dataclasses that the columnar exposure.GroupExposures frame replaced;
 exposure_records and error_records turn a frame into them, frame_of turns
@@ -84,8 +89,10 @@ pipeline's one ranking per table, shared by its strata, is held to it.
 """
 from __future__ import annotations
 
+import bisect
 import csv
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -441,9 +448,9 @@ def oracle_zonal_mean(grid, tract, exact=False):
     """
     minx, miny, maxx, maxy = parts_bbox(tract.parts)
     col0 = max(int(math.floor((minx - grid.origin_x) / grid.cell_width)), 0)
-    col1 = min(int(math.ceil((maxx - grid.origin_x) / grid.cell_width)), grid.n_cols)
+    col1 = min(int(math.ceil((maxx - grid.origin_x) / grid.cell_width)), grid.values.shape[1])
     row0 = max(int(math.floor((miny - grid.origin_y) / grid.cell_height)), 0)
-    row1 = min(int(math.ceil((maxy - grid.origin_y) / grid.cell_height)), grid.n_rows)
+    row1 = min(int(math.ceil((maxy - grid.origin_y) / grid.cell_height)), grid.values.shape[0])
     cell_area = grid.cell_width * grid.cell_height
     if exact:
         rings = [(_exact_ring(p.exterior), [_exact_ring(h) for h in p.holes]) for p in tract.parts]
@@ -455,7 +462,7 @@ def oracle_zonal_mean(grid, tract, exact=False):
     vmax = -math.inf
     for row in range(row0, row1):
         for col in range(col0, col1):
-            if grid.nodata[row, col]:
+            if np.isnan(grid.values[row, col]):
                 continue
             if exact:
                 hps = tuple((Fraction(a), Fraction(b), c) for a, b, c in _rect_halfplanes(
@@ -581,9 +588,10 @@ def oracle_tract_coverage(tracts: geometry.PolygonSet, grid) -> zonal.TractCover
         tract += ta
         row = row0[tract].astype(np.int64) + r
         col = col0[tract].astype(np.int64) + c
-        on_grid = (row >= 0) & (row < grid.n_rows) & (col >= 0) & (col < grid.n_cols)
+        n_rows, n_cols = grid.values.shape
+        on_grid = (row >= 0) & (row < n_rows) & (col >= 0) & (col < n_cols)
         out_tract.append(tract[on_grid])
-        out_cell.append(row[on_grid] * grid.n_cols + col[on_grid])
+        out_cell.append(row[on_grid] * n_cols + col[on_grid])
         out_frac.append(frac[on_grid])
     counts = np.bincount(np.concatenate(out_tract), minlength=n_tracts)
     return zonal.TractCoverage(
@@ -724,7 +732,7 @@ def write_xyz_grid(asc_path: str, xyz_path: str, seed: int = 0) -> None:
     """Write the valued cells of an ESRI ASCII grid as cell-centre
     ``x,y,value`` points in a shuffled order, leaving its nodata cells out."""
     grid = grids.read_asc(asc_path)
-    rows, cols = np.nonzero(~grid.nodata)
+    rows, cols = np.nonzero(~np.isnan(grid.values))
     lines = [f"{grid.origin_x + (c + 0.5) * grid.cell_width!r},"
              f"{grid.origin_y + (r + 0.5) * grid.cell_height!r},{v!r}\n"
              for r, c, v in zip(rows.tolist(), cols.tolist(), grid.values[rows, cols].tolist())]
@@ -764,17 +772,15 @@ def oracle_read_xyz_csv(path: str) -> grids.ConcentrationGrid:
     cell_h = _oracle_uniform_spacing(uy, path, "y")
     n_cols = int(round((ux[-1] - ux[0]) / cell_w)) + 1
     n_rows = int(round((uy[-1] - uy[0]) / cell_h)) + 1
-    values = np.zeros((n_rows, n_cols), dtype=np.float64)
-    nodata = np.ones((n_rows, n_cols), dtype=bool)
+    values = np.full((n_rows, n_cols), np.nan)
     for x, y, v in zip(xs, ys, vs):
         col = int(round((x - ux[0]) / cell_w))
         row = int(round((y - uy[0]) / cell_h))
         values[row, col] = v
-        nodata[row, col] = False
-    if (values[~nodata] < 0).any():
+    if (values[~np.isnan(values)] < 0).any():
         raise FormatError(f"{path}: concentrations must be non-negative")
     return grids.ConcentrationGrid(ux[0] - cell_w / 2.0, uy[0] - cell_h / 2.0, cell_w, cell_h,
-                                   n_rows, n_cols, values, nodata)
+                                   values)
 
 
 def _oracle_uniform_spacing(coords: np.ndarray, path: str, axis: str) -> float:
@@ -785,6 +791,144 @@ def _oracle_uniform_spacing(coords: np.ndarray, path: str, axis: str) -> float:
     if step <= 0 or not np.allclose(np.round(diffs / step), diffs / step, atol=1e-6):
         raise FormatError(f"{path}: {axis} coordinates are not on a regular lattice")
     return float(step)
+
+
+class MaskedGrid(NamedTuple):
+    """grids.ConcentrationGrid as it was: its shape stored beside zero-filled
+    ``values`` and a bool ``nodata`` mask, True where a cell has no data."""
+
+    origin_x: float
+    origin_y: float
+    cell_width: float
+    cell_height: float
+    n_rows: int
+    n_cols: int
+    values: np.ndarray
+    nodata: np.ndarray
+
+    @property
+    def lattice(self) -> tuple[float, float, float, float, int, int]:
+        return (self.origin_x, self.origin_y, self.cell_width, self.cell_height,
+                self.n_rows, self.n_cols)
+
+
+def masked_read_asc(path: str) -> MaskedGrid:
+    """grids.read_asc as it was, when it flipped a copy of the cells, took
+    their nodata mask a second time and zero-filled them."""
+    header, values = _masked_read_asc(path, fast=True)
+    if values is None:
+        header, values = _masked_read_asc(path, fast=False)
+    values = values[::-1].copy()  # file is top-down; store bottom-up
+    nodata = _masked_is_nodata(values, header)
+    values = np.where(nodata, 0.0, values)
+    return _masked_grid(path, header["xllcorner"], header["yllcorner"], header["cellsize"],
+                        header["cellsize"], values, nodata)
+
+
+def _masked_is_nodata(values: np.ndarray, header: dict[str, float]) -> np.ndarray:
+    marker = header.get("nodata_value", -9999.0)
+    return np.isnan(values) if math.isnan(marker) else values == marker
+
+
+def _masked_grid(path: str, origin_x: float, origin_y: float, cell_width: float,
+                 cell_height: float, values: np.ndarray, nodata: np.ndarray) -> MaskedGrid:
+    if cell_width <= 0 or cell_height <= 0:
+        raise FormatError(f"{path}: cell dimensions must be positive")
+    if (values[~nodata] < 0).any():
+        raise FormatError(f"{path}: concentrations must be non-negative")
+    values.setflags(write=False)
+    nodata.setflags(write=False)
+    return MaskedGrid(origin_x, origin_y, cell_width, cell_height, *values.shape, values, nodata)
+
+
+def _masked_read_asc(path: str, fast: bool) -> tuple[dict[str, float], np.ndarray | None]:
+    """The header and the top-down cells, as grids._read_asc read them before
+    it marked nodata cells itself."""
+    header: dict[str, float] = {}
+    data: list[float] | np.ndarray = []
+    line_starts: list[int] = []
+    line_numbers: list[int] = []
+    with ingest.open_input(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            tokens = line.split()
+            if not tokens:
+                continue
+            key = tokens[0].lower()
+            if not data and key in grids._ASC_KEYWORDS:
+                if key in header:
+                    raise FormatError(f"{path}:{lineno}: repeated header keyword {key!r}")
+                if len(tokens) != 2:
+                    raise FormatError(f"{path}:{lineno}: malformed header line {line!r}")
+                try:
+                    header[key] = float(tokens[1])
+                except ValueError as exc:
+                    raise FormatError(f"{path}:{lineno}: non-numeric {key} {tokens[1]!r}") from exc
+                if key in ("ncols", "nrows") and not (header[key].is_integer() and header[key] > 0):
+                    raise FormatError(
+                        f"{path}:{lineno}: {key} must be a positive integer, got {tokens[1]!r}")
+                if key in ("xllcorner", "yllcorner", "cellsize") and not math.isfinite(header[key]):
+                    raise FormatError(f"{path}:{lineno}: {key} must be finite, got {tokens[1]!r}")
+            elif fast:
+                try:
+                    data = np.loadtxt(itertools.chain([line], fh), dtype=np.float64,
+                                      comments=None, ndmin=2)
+                except ValueError:
+                    return header, None
+                break
+            else:
+                line_starts.append(len(data))
+                line_numbers.append(lineno)
+                try:
+                    data.extend(float(t) for t in tokens)
+                except ValueError as exc:
+                    raise FormatError(f"{path}:{lineno}: non-numeric cell value") from exc
+    for key in ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize"):
+        if key not in header:
+            raise FormatError(f"{path}: missing required header keyword {key!r}")
+    n_cols, n_rows = int(header["ncols"]), int(header["nrows"])
+    flat = np.asarray(data, dtype=np.float64)
+    if flat.size != n_rows * n_cols:
+        raise FormatError(f"{path}: expected {n_rows * n_cols} cell values, got {flat.size}")
+    bad = ~np.isfinite(flat) & ~_masked_is_nodata(flat, header)
+    if bad.any():
+        if fast:
+            return header, None
+        first = int(np.argmax(bad))
+        lineno = line_numbers[bisect.bisect_right(line_starts, first) - 1]
+        raise FormatError(f"{path}:{lineno}: non-finite cell value {float(flat[first])!r}")
+    return header, flat.reshape(n_rows, n_cols)
+
+
+def masked_read_xyz_csv(path: str) -> MaskedGrid:
+    """grids.read_xyz_csv as it was, when it filled a zero array and cleared an
+    all-True nodata mask at each point's cell."""
+    try:
+        with ingest.open_input(path) as fh:
+            if [name.strip() for name in next(csv.reader(fh), [])] != ["x", "y", "value"]:
+                raise FormatError(f"{path}: expected header 'x,y,value'")
+            points = ingest.read_columns(path, fh, "f8,f8,f8", (0, 1, 2), grids._bad_point)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    xs, ys, vs = points = points.view(np.float64).reshape(-1, 3).T
+    if not np.isfinite(points).all():
+        raise ingest.first_bad_row(path, (0, 1, 2), grids._bad_point)
+    (x0, cell_w, n_cols), (y0, cell_h, n_rows) = (grids._axis(xs, path, "x"),
+                                                  grids._axis(ys, path, "y"))
+    try:
+        values = np.zeros((n_rows, n_cols), dtype=np.float64)
+        nodata = np.ones((n_rows, n_cols), dtype=bool)
+    except (MemoryError, ValueError) as exc:
+        raise FormatError(
+            f"{path}: a lattice of {n_rows} x {n_cols} cells cannot be allocated") from exc
+    cells = (np.rint((ys - y0) / cell_h).astype(np.int64) * n_cols
+             + np.rint((xs - x0) / cell_w).astype(np.int64))
+    order = np.argsort(cells)
+    starts = np.flatnonzero(np.append(True, np.diff(cells[order]) != 0))
+    won = np.maximum.reduceat(order, starts)
+    values.ravel()[cells[won]] = vs[won]
+    nodata.ravel()[cells[won]] = False
+    return _masked_grid(path, x0 - cell_w / 2.0, y0 - cell_h / 2.0, cell_w, cell_h, values,
+                        nodata)
 
 
 def tract_surface(year: int, entries: dict[str, float],
@@ -1712,6 +1856,25 @@ def oracle_wilcoxon_rank_sum_grouped(pooled: OraclePooledSamples, counts_a, coun
     return biasstats.RankSumResult(u=u, z=z, p_value=p)
 
 
+def oracle_u_counts(n_a: int, n_b: int) -> list[int]:
+    """biasstats._u_counts as it was: the U table of every (m, n) up to
+    (n_a, n_b), each pooling one more rank into a or b."""
+    counts = {(0, 0): [1]}  # (m, n) -> count of subsets by U value
+    for m in range(n_a + 1):
+        for n in range(n_b + 1):
+            if (m, n) in counts:
+                continue
+            table = [0] * (m * n + 1)
+            if m > 0:
+                for v, c in enumerate(counts[(m - 1, n)]):
+                    table[v + n] += c
+            if n > 0:
+                for v, c in enumerate(counts[(m, n - 1)]):
+                    table[v] += c
+            counts[(m, n)] = table
+    return counts[(n_a, n_b)]
+
+
 def with_layout(matrix: np.ndarray, layout: str) -> np.ndarray:
     """The same int64 matrix C-ordered ("C"), Fortran-ordered ("F") or as a
     view of every other column of a wider matrix ("strided")."""
@@ -1755,7 +1918,7 @@ def oracle_composition_blocks(config, aligned: exposure.AlignedTable,
         curves = []
         for n_bins in config.bin_counts:
             if len(cols) < n_bins:
-                pipeline._skip_groups(skips, "composition-curve", groups, where, "few tracts")
+                pipeline._skip(skips, "composition-curve", where + ": few tracts", len(groups))
                 continue
             totals = _oracle_bin_means(ranked, n_bins, mean=False)
             sums = _oracle_bin_means(weighted, n_bins, mean=False)
@@ -1765,7 +1928,7 @@ def oracle_composition_blocks(config, aligned: exposure.AlignedTable,
                 tuple(disparity._bin_sizes(len(cols), n_bins)), curve)))
         shares = None
         if len(cols) < 10:
-            pipeline._skip_groups(skips, "decile-share", groups, where, "few tracts")
+            pipeline._skip(skips, "decile-share", where + ": few tracts", len(groups))
         else:
             by_conc = np.argsort(conc, kind="stable")
             means = _oracle_bin_means(np.ascontiguousarray(fractions[:, by_conc]), 10, mean=True)

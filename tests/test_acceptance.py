@@ -90,9 +90,10 @@ def sample_zonal(grid, parts, rng, n_points):
         px, py = px[keep][:need], py[keep][:need]
         cols = np.floor((px - grid.origin_x) / grid.cell_width).astype(int)
         rows = np.floor((py - grid.origin_y) / grid.cell_height).astype(int)
-        inb = (cols >= 0) & (cols < grid.n_cols) & (rows >= 0) & (rows < grid.n_rows)
+        inb = ((cols >= 0) & (cols < grid.values.shape[1])
+               & (rows >= 0) & (rows < grid.values.shape[0]))
         cols, rows = cols[inb], rows[inb]
-        valid = ~grid.nodata[rows, cols]
+        valid = ~np.isnan(grid.values[rows, cols])
         total += float(grid.values[rows[valid], cols[valid]].sum())
         count += int(valid.sum())
         need -= len(px)
@@ -104,8 +105,7 @@ def test_c1_zonal_monte_carlo_oracle():
     rng = np.random.default_rng(101)
     values = rng.uniform(8.0, 12.0, size=(50, 50))
     grid = ConcentrationGrid(
-        origin_x=0.0, origin_y=0.0, cell_width=1.0, cell_height=1.0,
-        n_rows=50, n_cols=50, values=values, nodata=np.zeros((50, 50), dtype=bool),
+        origin_x=0.0, origin_y=0.0, cell_width=1.0, cell_height=1.0, values=values,
     )
     worst = 0.0
     for k in range(20):

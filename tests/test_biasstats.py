@@ -27,6 +27,7 @@ from helpers import (
     HW_WEIGHTS,
     OraclePooledSamples,
     oracle_rank_sum_grouped,
+    oracle_u_counts,
     oracle_wilcoxon_rank_sum_grouped,
     tract_surface,
     with_layout,
@@ -294,6 +295,14 @@ def test_wilcoxon_exact_p_only_for_small_untied_samples():
     assert rank_sum(a, b) == oracle(a, b, "exact") != oracle(a, b, "normal")
     assert rank_sum([*a, 40.0], b) == oracle([*a, 40.0], b, "normal")
     assert rank_sum([1.0, 2.0], [2.0, 3.0]) == oracle([1.0, 2.0], [2.0, 3.0], "normal")
+
+
+def test_u_counts_match_the_table_of_every_smaller_size():
+    # the Gaussian-binomial recurrence gives the U table the (m, n) table
+    # walk gave, for every size the exact path admits, zero sizes included
+    for n_a in range(biasstats._EXACT_MAX_N + 1):
+        for n_b in range(biasstats._EXACT_MAX_N + 1 - n_a):
+            assert biasstats._u_counts(n_a, n_b) == oracle_u_counts(n_a, n_b), (n_a, n_b)
 
 
 def test_wilcoxon_u_matches_pair_counting():

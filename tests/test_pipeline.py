@@ -1066,8 +1066,8 @@ if sys.argv[3] == "csv":  # the same grid as cell-center points
     grid = read_asc(world + "/grid_2011.asc")
     with open(world + "/grid_2011.csv", "w") as fh:
         fh.write("x,y,value\\n")
-        for row in range(grid.n_rows):
-            for col in range(grid.n_cols):
+        for row in range(grid.values.shape[0]):
+            for col in range(grid.values.shape[1]):
                 fh.write(f"{col + 0.5},{row + 0.5},{float(grid.values[row, col])!r}\\n")
     with open(world + "/config.json") as fh:
         config = json.load(fh)

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -21,6 +22,8 @@ from helpers import (
     counter_clockwise,
     exact_area,
     mask_set,
+    masked_read_asc,
+    masked_read_xyz_csv,
     oracle_read_tracts_geojson,
     oracle_read_xyz_csv,
     oracle_tract_coverage,
@@ -47,16 +50,12 @@ from hwexposure.zonal import build_tract_surface, build_urban_mask
 
 def make_grid(values, origin=(0.0, 0.0), cell=1.0, nodata=None, cell_height=None):
     arr = np.asarray(values, dtype=np.float64)
-    mask = np.zeros(arr.shape, dtype=bool) if nodata is None else np.asarray(nodata, dtype=bool)
     return ConcentrationGrid(
         origin_x=origin[0],
         origin_y=origin[1],
         cell_width=cell,
         cell_height=cell if cell_height is None else cell_height,
-        n_rows=arr.shape[0],
-        n_cols=arr.shape[1],
-        values=np.where(mask, 0.0, arr),
-        nodata=mask,
+        values=arr if nodata is None else np.where(nodata, np.nan, arr),
     )
 
 
@@ -98,8 +97,8 @@ def test_read_asc(tmp_path):
     assert grid.lattice == (10.0, 20.0, 2.0, 2.0, 2, 3)
     # file is top-down; bottom row (row 0) holds the last data line
     assert grid.values[0].tolist() == [4.0, 5.0, 6.0]
-    assert grid.values[1].tolist() == [1.5, 2.5, 0.0]
-    assert grid.nodata[1].tolist() == [False, False, True]
+    assert grid.values[1, :2].tolist() == [1.5, 2.5]
+    assert np.isnan(grid.values[1]).tolist() == [False, False, True]
 
 
 def test_read_asc_missing_header(tmp_path):
@@ -152,7 +151,8 @@ def asc_with_data(rows: list[str]) -> str:
 
 def assert_same_grid(a, b):
     assert a.lattice == b.lattice
-    assert np.array_equal(a.values, b.values) and np.array_equal(a.nodata, b.nodata)
+    assert np.array_equal(a.values, b.values, equal_nan=True)
+    assert np.array_equal(np.isnan(a.values), np.isnan(b.values))
 
 
 def test_read_asc_wrapped_data_equals_rectangular(tmp_path):
@@ -191,7 +191,7 @@ def test_read_xyz_csv(tmp_path):
     grid = read_xyz_csv(str(path))
     assert grid.lattice == (0.0, 0.0, 1.0, 1.0, 2, 2)
     assert grid.values[0].tolist() == [1.0, 2.0]
-    assert grid.nodata[1].tolist() == [False, True]
+    assert np.isnan(grid.values[1]).tolist() == [False, True]
 
 
 def test_read_xyz_csv_bad_header(tmp_path):
@@ -285,7 +285,7 @@ def xyz_outcome(read, path: str) -> tuple:
     except FormatError as exc:
         return ("fault", str(exc))
     return ("grid", [float(v).hex() for v in grid.lattice[:4]], grid.lattice[4:],
-            grid.values.tobytes(), grid.nodata.tobytes())
+            grid.values.tobytes(), np.isnan(grid.values).tobytes())
 
 
 @st.composite
@@ -338,6 +338,86 @@ def test_read_xyz_csv_matches_row_reader(tmp_path_factory, data):
     raw = text.encode("utf-8")
     path.write_bytes(gzip.compress(raw) if name.endswith(".gz") else raw)
     assert xyz_outcome(read_xyz_csv, str(path)) == xyz_outcome(oracle_read_xyz_csv, str(path))
+
+
+@st.composite
+def asc_text(draw, fault: bool) -> str:
+    """An ESRI ASCII grid's text: a random lattice whose cells are values or
+    its nodata marker (finite, NaN, infinite or the default), one row a line
+    or wrapped at random cells, with blank lines; with ``fault``, one cell
+    that is non-finite or negative."""
+    n_cols, n_rows = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    marker = draw(st.sampled_from([None, "-9999", "0", "2.5", "nan", "NaN", "inf", "-inf"]))
+    value = st.floats(0, 1e3).map(repr) | st.sampled_from(["0", "-0.0", "2.5", "1e-300"])
+    cells = [draw(st.just(marker or "-9999") | value) for _ in range(n_rows * n_cols)]
+    if fault:
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(["nan", "inf", "-1.5"]))
+    if draw(st.booleans()):
+        lines = [" ".join(cells[r * n_cols:(r + 1) * n_cols]) for r in range(n_rows)]
+    else:
+        cuts = sorted(draw(st.sets(st.integers(1, max(len(cells) - 1, 1)))))
+        lines = [" ".join(cells[a:b]) for a, b in zip([0, *cuts], [*cuts, len(cells)]) if a < b]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  "])))
+    header = [f"ncols {n_cols}", f"nrows {n_rows}",
+              f"xllcorner {draw(st.floats(-1e6, 1e6))!r}",
+              f"yllcorner {draw(st.floats(-1e6, 1e6))!r}",
+              f"cellsize {draw(st.floats(1e-3, 1e3))!r}"]
+    if marker is not None:
+        header.append(f"NODATA_value {marker}")
+    return "\n".join(header + lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_readers_mark_by_nan_the_cells_the_masked_readers_left_out(tmp_path_factory, data):
+    # against the readers that kept zero-filled values and a nodata mask: NaN
+    # stands exactly where the mask was set, every other cell is bit-equal,
+    # the lattice is the same and so is every fault
+    fault = data.draw(st.booleans())
+    if data.draw(st.booleans()):
+        name, text = "grid.asc", data.draw(asc_text(fault))
+        read, masked_read = read_asc, masked_read_asc
+    else:
+        name, text = data.draw(xyz_text(fault))
+        read, masked_read = read_xyz_csv, masked_read_xyz_csv
+    path = tmp_path_factory.mktemp("grid") / name
+    raw = text.encode("utf-8")
+    path.write_bytes(gzip.compress(raw) if name.endswith(".gz") else raw)
+    try:
+        masked = masked_read(str(path))
+    except FormatError as exc:
+        with pytest.raises(FormatError) as caught:
+            read(str(path))
+        assert str(caught.value) == str(exc)
+        return
+    grid = read(str(path))
+    assert [float(v).hex() for v in grid.lattice[:4]] == [v.hex() for v in masked.lattice[:4]]
+    assert grid.lattice[4:] == masked.lattice[4:]
+    assert np.array_equal(np.isnan(grid.values), masked.nodata)
+    assert grid.values[~masked.nodata].tobytes() == masked.values[~masked.nodata].tobytes()
+    assert not grid.values.flags.writeable
+
+
+def test_read_asc_holds_eight_bytes_per_cell(tmp_path):
+    # the grid a read returns is its float64 cells alone: no nodata mask
+    # beside them (9.0 bytes a cell with one)
+    rng = np.random.default_rng(5)
+    cells = rng.integers(0, 400, size=(1000, 1000))
+    cells[rng.random(cells.shape) < 0.05] = -9999
+    path = tmp_path / "grid.asc"
+    path.write_text("ncols 1000\nnrows 1000\nxllcorner 0\nyllcorner 0\ncellsize 1\n"
+                    "NODATA_value -9999\n"
+                    + "".join(" ".join(map(str, row)) + "\n" for row in cells.tolist()))
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        grid = read_asc(str(path))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert np.isnan(grid.values).sum() == (cells == -9999).sum()
+    assert held / cells.size <= 8.5
 
 
 def test_read_xyz_csv_padded_header(tmp_path):
@@ -487,9 +567,10 @@ def monte_carlo_zonal(grid, parts, rng, n_points=200_000):
         px, py = px[keep][:need], py[keep][:need]
         cols = np.floor((px - grid.origin_x) / grid.cell_width).astype(int)
         rows = np.floor((py - grid.origin_y) / grid.cell_height).astype(int)
-        inb = (cols >= 0) & (cols < grid.n_cols) & (rows >= 0) & (rows < grid.n_rows)
+        inb = ((cols >= 0) & (cols < grid.values.shape[1])
+               & (rows >= 0) & (rows < grid.values.shape[0]))
         cols, rows = cols[inb], rows[inb]
-        valid = ~grid.nodata[rows, cols]
+        valid = ~np.isnan(grid.values[rows, cols])
         total += grid.values[rows[valid], cols[valid]].sum()
         count += int(valid.sum())
         need -= len(px)
@@ -691,7 +772,7 @@ def _tracts(parts):
 
 def _dense(coverage, grid):
     """Each tract's covered fraction of every grid cell, as a dense matrix."""
-    dense = np.zeros((len(coverage.ids), grid.n_rows * grid.n_cols))
+    dense = np.zeros((len(coverage.ids), grid.values.size))
     tract = np.repeat(np.arange(len(coverage.ids)), np.diff(coverage.tract_ptr))
     dense[tract, coverage.cell_idx] = coverage.area / (grid.cell_width * grid.cell_height)
     return dense
@@ -702,7 +783,7 @@ def _box_on_grid(tracts, grid):
     origin, cell = (grid.origin_x, grid.origin_y), (grid.cell_width, grid.cell_height)
     lo = np.floor((tracts.bbox[:, :2] - origin) / cell)
     hi = np.ceil((tracts.bbox[:, 2:] - origin) / cell)
-    return (lo >= 0).all(axis=1) & (hi <= (grid.n_cols, grid.n_rows)).all(axis=1)
+    return (lo >= 0).all(axis=1) & (hi <= grid.values.shape[::-1]).all(axis=1)
 
 
 def assert_coverage_matches_oracle(tracts, grid, exact_on_grid=True):
