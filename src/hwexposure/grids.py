@@ -6,11 +6,10 @@ ESRI ASCII files list the top row first, so the reader flips them.
 """
 from __future__ import annotations
 
-import bisect
 import csv
 import itertools
 import math
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -46,13 +45,62 @@ def read_asc(path: str) -> ConcentrationGrid:
     Recognized header keywords: ncols, nrows, xllcorner, yllcorner, cellsize,
     NODATA_value (optional, default -9999). Data rows follow, top row first,
     and may wrap across lines. The corners, the cell size and cell values
-    other than NODATA_value (which may be NaN or infinite) must be finite.
+    other than NODATA_value (which may be NaN or infinite) must be finite,
+    and numpy's C float parser reads them: a token only Python's float()
+    takes, such as 1_0, is a non-numeric cell.
     """
-    header, values = _read_asc(path, fast=True)
-    if values is None:
-        header, values = _read_asc(path, fast=False)
+    header: dict[str, float] = {}
+    cells, start = np.empty(0), 0  # start: the first data line
+    with open_input(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            tokens = line.split()
+            if not tokens:
+                continue
+            key = tokens[0].lower()
+            if key not in _ASC_KEYWORDS:
+                # a first data line of ncols cells starts a file of one row a line
+                start = lineno
+                cells = _read_cells(path, itertools.chain([line], fh), start,
+                                    len(tokens) == header.get("ncols"))
+                break
+            if key in header:
+                raise FormatError(f"{path}:{lineno}: repeated header keyword {key!r}")
+            if len(tokens) != 2:
+                raise FormatError(f"{path}:{lineno}: malformed header line {line!r}")
+            try:
+                header[key] = float(tokens[1])
+            except ValueError as exc:
+                raise FormatError(f"{path}:{lineno}: non-numeric {key} {tokens[1]!r}") from exc
+            if key in ("ncols", "nrows") and not (header[key].is_integer() and header[key] > 0):
+                raise FormatError(
+                    f"{path}:{lineno}: {key} must be a positive integer, got {tokens[1]!r}")
+            if key in ("xllcorner", "yllcorner", "cellsize") and not math.isfinite(header[key]):
+                raise FormatError(f"{path}:{lineno}: {key} must be finite, got {tokens[1]!r}")
+    for key in ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize"):
+        if key not in header:
+            raise FormatError(f"{path}: missing required header keyword {key!r}")
+    n_cols, n_rows = int(header["ncols"]), int(header["nrows"])
+    if cells.size != n_rows * n_cols:
+        raise FormatError(f"{path}: expected {n_rows * n_cols} cell values, got {cells.size}")
+    cells = cells.reshape(n_rows, n_cols)
+    marker = header.get("nodata_value", -9999.0)
+    nodata = np.isnan(cells) if math.isnan(marker) else cells == marker
+    valid = np.isfinite(cells)
+    valid |= nodata
+    if not valid.all():
+        first = int(np.argmin(valid))
+        raise FormatError(f"{path}:{_cell_line(path, start, first)}: "
+                          f"non-finite cell value {float(cells.flat[first])!r}")
+    cells[nodata] = np.nan
+    del valid, nodata  # one grid-sized array from here on
+    # the file lists the top row first: swap rows in place, ~64k cells at a time
+    half, step = n_rows // 2, max(1, 65536 // n_cols)
+    for top in range(0, half, step):
+        end = min(top + step, half)
+        upper, lower = cells[top:end], cells[n_rows - end:n_rows - top][::-1]
+        upper[...], lower[...] = lower.copy(), upper.copy()
     return _grid(path, header["xllcorner"], header["yllcorner"], header["cellsize"],
-                 header["cellsize"], values)
+                 header["cellsize"], cells)
 
 
 def _grid(path: str, origin_x: float, origin_y: float, cell_width: float,
@@ -67,70 +115,45 @@ def _grid(path: str, origin_x: float, origin_y: float, cell_width: float,
     return ConcentrationGrid(origin_x, origin_y, cell_width, cell_height, values)
 
 
-def _read_asc(path: str, fast: bool) -> tuple[dict[str, float], np.ndarray | None]:
-    """The header and the bottom-up (nrows x ncols) cells of an ESRI ASCII
-    Grid, NaN where a cell holds the header's nodata marker.
-
-    The fast pass reads every data line with one ``np.loadtxt`` and gives no
-    cells where that fails or a cell is bad; the token pass reads one Python
-    float per token and names the line of a bad cell.
-    """
-    header: dict[str, float] = {}
-    data: list[float] | np.ndarray = []
-    line_starts: list[int] = []  # index in ``data`` of each data line's first value
-    line_numbers: list[int] = []
+def _read_cells(path: str, lines: Iterable[str], start: int, matrix: bool) -> np.ndarray:
+    """The cells of ``lines``, the data lines of ``path`` from line ``start``
+    on, in file order: with ``matrix``, by one np.loadtxt of them as a matrix;
+    else, or where that fails (wrapped rows, or a bad token), by one of their
+    tokens, read again."""
+    if matrix:
+        try:
+            return np.loadtxt(lines, comments=None, ndmin=1)
+        except UnicodeDecodeError:  # a ValueError, but not a bad cell: open_input names it
+            raise
+        except ValueError:
+            pass
     with open_input(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
+        try:
+            return np.loadtxt(itertools.chain.from_iterable(
+                map(str.split, itertools.islice(fh, start - 1, None))), comments=None, ndmin=1)
+        except UnicodeDecodeError:
+            raise
+        except ValueError as exc:
+            raise FormatError(
+                f"{path}:{_cell_line(path, start, None)}: non-numeric cell value") from exc
+
+
+def _cell_line(path: str, start: int, cell: int | None) -> int:
+    """The line of ``path`` that holds cell number ``cell`` of the data lines
+    from line ``start`` on or, where ``cell`` is None, the first of them that
+    np.loadtxt cannot read: one rescan, as ingest.first_bad_row makes of a CSV."""
+    seen = 0
+    with open_input(path) as fh:
+        for lineno, line in enumerate(itertools.islice(fh, start - 1, None), start):
             tokens = line.split()
-            if not tokens:
-                continue
-            key = tokens[0].lower()
-            if not data and key in _ASC_KEYWORDS:
-                if key in header:
-                    raise FormatError(f"{path}:{lineno}: repeated header keyword {key!r}")
-                if len(tokens) != 2:
-                    raise FormatError(f"{path}:{lineno}: malformed header line {line!r}")
+            seen += len(tokens)
+            if cell is None and tokens:
                 try:
-                    header[key] = float(tokens[1])
-                except ValueError as exc:
-                    raise FormatError(f"{path}:{lineno}: non-numeric {key} {tokens[1]!r}") from exc
-                if key in ("ncols", "nrows") and not (header[key].is_integer() and header[key] > 0):
-                    raise FormatError(
-                        f"{path}:{lineno}: {key} must be a positive integer, got {tokens[1]!r}")
-                if key in ("xllcorner", "yllcorner", "cellsize") and not math.isfinite(header[key]):
-                    raise FormatError(f"{path}:{lineno}: {key} must be finite, got {tokens[1]!r}")
-            elif fast:
-                try:  # ragged lines, or a token only Python's float() takes
-                    data = np.loadtxt(itertools.chain([line], fh), dtype=np.float64,
-                                      comments=None, ndmin=2)
+                    np.loadtxt(tokens, comments=None)
                 except ValueError:
-                    return header, None
-                break
-            else:
-                line_starts.append(len(data))
-                line_numbers.append(lineno)
-                try:
-                    data.extend(float(t) for t in tokens)
-                except ValueError as exc:
-                    raise FormatError(f"{path}:{lineno}: non-numeric cell value") from exc
-    for key in ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize"):
-        if key not in header:
-            raise FormatError(f"{path}: missing required header keyword {key!r}")
-    n_cols, n_rows = int(header["ncols"]), int(header["nrows"])
-    flat = np.asarray(data, dtype=np.float64)
-    if flat.size != n_rows * n_cols:
-        raise FormatError(f"{path}: expected {n_rows * n_cols} cell values, got {flat.size}")
-    marker = header.get("nodata_value", -9999.0)
-    nodata = np.isnan(flat) if math.isnan(marker) else flat == marker
-    if not (np.isfinite(flat) | nodata).all():  # unbound: no mask is held beside the output
-        if fast:
-            return header, None
-        first = int(np.argmin(np.isfinite(flat) | nodata))
-        lineno = line_numbers[bisect.bisect_right(line_starts, first) - 1]
-        raise FormatError(f"{path}:{lineno}: non-finite cell value {float(flat[first])!r}")
-    # the file lists the top row first
-    return header, np.where(nodata.reshape(n_rows, n_cols)[::-1], np.nan,
-                            flat.reshape(n_rows, n_cols)[::-1])
+                    return lineno
+            elif cell is not None and seen > cell:
+                return lineno
 
 
 def read_xyz_csv(path: str) -> ConcentrationGrid:

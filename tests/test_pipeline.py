@@ -3,10 +3,12 @@ from __future__ import annotations
 
 import csv
 import functools
+import gzip
 import json
 import logging
 import math
 import os
+import random
 import re
 import resource
 import shutil
@@ -109,6 +111,101 @@ def test_xyz_grids_give_the_asc_grids_reports(tmp_path):
             assert xyz[name] == asc[name], name
     assert strip_timings(xyz["manifest.json"])["stages"] == \
         strip_timings(asc["manifest.json"])["stages"]
+
+
+def _worker_tables(world: Path) -> list[Path]:
+    return [world / f"{name}_2011.csv" for name in ("rac", "wac", "od")]
+
+
+def _shuffle_rows(world: Path) -> None:
+    rng = random.Random(11)
+    for path in _worker_tables(world):
+        header, *rows = path.read_text().splitlines(keepends=True)
+        rng.shuffle(rows)
+        path.write_text(header + "".join(rows))
+
+
+def _split_a_row(world: Path) -> None:
+    # the first row of each table with a total of 2 or more becomes two rows
+    # of its key whose counts sum to its own: the first takes half the total,
+    # from each characteristic's categories in column order, so both rows
+    # keep every category sum
+    for path in _worker_tables(world):
+        schemas = ingest.OD_SCHEMAS if path.name.startswith("od") else ingest.RAC_WAC_SCHEMAS
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        n_keys = sum(name.endswith("_geocode") for name in header)
+        i = next(i for i, row in enumerate(rows) if int(row[n_keys]) >= 2)
+        row = dict(zip(header, rows[i]))
+        first = {**row, header[n_keys]: str(int(row[header[n_keys]]) // 2)}
+        for schema in schemas:
+            left = int(first[header[n_keys]])
+            for code in schema.codes:
+                first[code] = str(min(left, int(row[code])))
+                left -= int(first[code])
+        assert all(name in ingest.GROUPS for name in header[n_keys + 1:])
+        rows[i:i + 1] = [[first[name] for name in header],
+                         [row[name] if name in header[:n_keys]
+                          else str(int(row[name]) - int(first[name])) for name in header]]
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows([header, *rows])
+
+
+def _gzip_tables(world: Path) -> None:
+    for path in _worker_tables(world):
+        path.with_suffix(".csv.gz").write_bytes(gzip.compress(path.read_bytes()))
+        path.unlink()
+    config_doc = json.loads((world / "config.json").read_text())
+    config_doc.update({name: f"{name}_{{year}}.csv.gz" for name in ("rac", "wac", "od")})
+    (world / "config.json").write_text(json.dumps(config_doc))
+
+
+def _wrap_grid(world: Path) -> None:
+    path = world / "grid_2011.asc"
+    lines = path.read_text().splitlines()
+    assert lines[5].startswith("NODATA_value")  # the last header line
+    cells = " ".join(lines[6:]).split()
+    path.write_text("\n".join(lines[:6] + [" ".join(cells[i:i + 7])
+                                          for i in range(0, len(cells), 7)]) + "\n")
+
+
+@pytest.fixture(scope="module")
+def invariance_world(tmp_path_factory) -> tuple[Path, dict[str, bytes]]:
+    """A 25-tract synth world whose grid has two nodata cells, and the files
+    its run writes."""
+    root = tmp_path_factory.mktemp("invariance")
+    world = make_world(root, seed=7, n_tracts=25, n_groups=3)
+    grid = world / "grid_2011.asc"
+    lines = grid.read_text().splitlines()
+    lines[-1] = " ".join(["-9999", "-9999", *lines[-1].split()[2:]])
+    grid.write_text("\n".join(lines) + "\n")
+    assert cli.main(["run", "--config", str(world / "config.json"),
+                     "--out", str(root / "out")]) == 0
+    return world, read_out_files(root / "out")
+
+
+@pytest.mark.parametrize("relation", [_shuffle_rows, _split_a_row, _gzip_tables, _wrap_grid],
+                         ids=["shuffled_rows", "split_row", "gzipped_tables", "wrapped_grid"])
+def test_reports_hold_under_input_rewrites_that_keep_the_data(tmp_path, invariance_world,
+                                                              relation):
+    # worker sums are exact integers and a grid is its cells, so no report
+    # may move when the inputs say the same thing in other bytes; the
+    # manifest differs only in what names the inputs and the config
+    world, expected = invariance_world
+    shutil.copytree(world, tmp_path / "world")
+    relation(tmp_path / "world")
+    assert cli.main(["run", "--config", str(tmp_path / "world" / "config.json"),
+                     "--out", str(tmp_path / "out")]) == 0
+    got = read_out_files(tmp_path / "out")
+    assert sorted(got) == sorted(expected)
+    for name in expected:
+        if name != "manifest.json":
+            assert got[name] == expected[name], name
+    manifests = [strip_timings(files["manifest.json"]) for files in (got, expected)]
+    assert manifests[0]["inputs"] != manifests[1]["inputs"]  # the rewrite changed a file
+    for doc in manifests:
+        del doc["inputs"], doc["config_hash"]
+    assert manifests[0] == manifests[1]
 
 
 # ----------------------------------------------------------------------------

@@ -184,6 +184,35 @@ def test_read_asc_names_the_line_of_a_late_non_finite_cell(tmp_path):
         read_asc(str(path))
 
 
+@pytest.mark.parametrize("token", ["1_0", "\u0663"])
+@pytest.mark.parametrize("rows, line", [
+    (["1.5 2.5 -9999\n", "4.0 {} 6.0\n"], 8),
+    (["1.5 2.5\n", "-9999 4.0\n", "\n", "{} 6.0\n"], 10),
+], ids=["rectangular", "wrapped"])
+def test_read_asc_cells_are_read_by_the_c_float_parser(tmp_path, token, rows, line):
+    # as in an XYZ grid, a token that only Python's float() reads (digit-group
+    # underscores, non-ASCII digits) is not a number, in either layout; the
+    # rescan that names its line passes blank lines without a warning
+    path = tmp_path / "bad.asc"
+    path.write_text(asc_with_data([row.format(token) for row in rows]), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FormatError,
+                           match=rf"^{re.escape(str(path))}:{line}: non-numeric cell value$"):
+            read_asc(str(path))
+
+
+def test_read_asc_without_data_lines_has_no_cells(tmp_path):
+    # a header alone (and a blank line) is a file of no cells, not a warning
+    path = tmp_path / "bad.asc"
+    path.write_text(asc_with_data(["\n"]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FormatError,
+                           match=rf"^{re.escape(str(path))}: expected 6 cell values, got 0$"):
+            read_asc(str(path))
+
+
 def test_read_xyz_csv(tmp_path):
     path = tmp_path / "grid.csv"
     # centers of a 2x2 unit grid, one cell missing -> nodata
@@ -397,27 +426,34 @@ def test_readers_mark_by_nan_the_cells_the_masked_readers_left_out(tmp_path_fact
     assert np.array_equal(np.isnan(grid.values), masked.nodata)
     assert grid.values[~masked.nodata].tobytes() == masked.values[~masked.nodata].tobytes()
     assert not grid.values.flags.writeable
+    assert grid.values.flags.c_contiguous  # zonal ravels it: a view would copy the grid
 
 
 def test_read_asc_holds_eight_bytes_per_cell(tmp_path):
     # the grid a read returns is its float64 cells alone: no nodata mask
-    # beside them (9.0 bytes a cell with one)
+    # beside them (9.0 bytes a cell with one); and while it reads, no second
+    # grid-sized array (17 bytes a cell with one) or per-token list (60 bytes
+    # a cell wrapped), whether rows are lines or wrap at 7 values a line
     rng = np.random.default_rng(5)
     cells = rng.integers(0, 400, size=(1000, 1000))
     cells[rng.random(cells.shape) < 0.05] = -9999
+    tokens = [str(v) for v in cells.ravel().tolist()]
     path = tmp_path / "grid.asc"
-    path.write_text("ncols 1000\nnrows 1000\nxllcorner 0\nyllcorner 0\ncellsize 1\n"
-                    "NODATA_value -9999\n"
-                    + "".join(" ".join(map(str, row)) + "\n" for row in cells.tolist()))
-    tracemalloc.start()
-    try:
-        before, _ = tracemalloc.get_traced_memory()
-        grid = read_asc(str(path))
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert np.isnan(grid.values).sum() == (cells == -9999).sum()
-    assert held / cells.size <= 8.5
+    for per_line in (1000, 7):
+        path.write_text("ncols 1000\nnrows 1000\nxllcorner 0\nyllcorner 0\ncellsize 1\n"
+                        "NODATA_value -9999\n"
+                        + "".join(" ".join(tokens[i:i + per_line]) + "\n"
+                                  for i in range(0, len(tokens), per_line)))
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            grid = read_asc(str(path))
+            held, peak = (size - before for size in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert np.isnan(grid.values).sum() == (cells == -9999).sum()
+        assert held / cells.size <= 8.5, per_line
+        assert peak / cells.size <= 12, per_line
 
 
 def test_read_xyz_csv_padded_header(tmp_path):
