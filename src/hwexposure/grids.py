@@ -9,12 +9,12 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import FormatError
-from .ingest import first_bad_row, open_input, read_columns
+from .ingest import open_input, parsed, read_columns
 
 _ASC_KEYWORDS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
 
@@ -60,8 +60,8 @@ def read_asc(path: str) -> ConcentrationGrid:
             if key not in _ASC_KEYWORDS:
                 # a first data line of ncols cells starts a file of one row a line
                 start = lineno
-                cells = _read_cells(path, itertools.chain([line], fh), start,
-                                    len(tokens) == header.get("ncols"))
+                cells = (parsed(itertools.chain([line], fh))
+                         if len(tokens) == header.get("ncols") else None)
                 break
             if key in header:
                 raise FormatError(f"{path}:{lineno}: repeated header keyword {key!r}")
@@ -76,6 +76,12 @@ def read_asc(path: str) -> ConcentrationGrid:
                     f"{path}:{lineno}: {key} must be a positive integer, got {tokens[1]!r}")
             if key in ("xllcorner", "yllcorner", "cellsize") and not math.isfinite(header[key]):
                 raise FormatError(f"{path}:{lineno}: {key} must be finite, got {tokens[1]!r}")
+    if cells is None:  # wrapped rows, or a bad token: the data lines' tokens, read again
+        with open_input(path) as fh:
+            cells = parsed(itertools.chain.from_iterable(
+                map(str.split, itertools.islice(fh, start - 1, None))))
+    if cells is None:
+        raise FormatError(f"{path}:{_cell_line(path, start, None)}: non-numeric cell value")
     for key in ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize"):
         if key not in header:
             raise FormatError(f"{path}: missing required header keyword {key!r}")
@@ -115,44 +121,16 @@ def _grid(path: str, origin_x: float, origin_y: float, cell_width: float,
     return ConcentrationGrid(origin_x, origin_y, cell_width, cell_height, values)
 
 
-def _read_cells(path: str, lines: Iterable[str], start: int, matrix: bool) -> np.ndarray:
-    """The cells of ``lines``, the data lines of ``path`` from line ``start``
-    on, in file order: with ``matrix``, by one np.loadtxt of them as a matrix;
-    else, or where that fails (wrapped rows, or a bad token), by one of their
-    tokens, read again."""
-    if matrix:
-        try:
-            return np.loadtxt(lines, comments=None, ndmin=1)
-        except UnicodeDecodeError:  # a ValueError, but not a bad cell: open_input names it
-            raise
-        except ValueError:
-            pass
-    with open_input(path) as fh:
-        try:
-            return np.loadtxt(itertools.chain.from_iterable(
-                map(str.split, itertools.islice(fh, start - 1, None))), comments=None, ndmin=1)
-        except UnicodeDecodeError:
-            raise
-        except ValueError as exc:
-            raise FormatError(
-                f"{path}:{_cell_line(path, start, None)}: non-numeric cell value") from exc
-
-
 def _cell_line(path: str, start: int, cell: int | None) -> int:
     """The line of ``path`` that holds cell number ``cell`` of the data lines
     from line ``start`` on or, where ``cell`` is None, the first of them that
-    np.loadtxt cannot read: one rescan, as ingest.first_bad_row makes of a CSV."""
+    np.loadtxt cannot read: one rescan."""
     seen = 0
     with open_input(path) as fh:
         for lineno, line in enumerate(itertools.islice(fh, start - 1, None), start):
             tokens = line.split()
             seen += len(tokens)
-            if cell is None and tokens:
-                try:
-                    np.loadtxt(tokens, comments=None)
-                except ValueError:
-                    return lineno
-            elif cell is not None and seen > cell:
+            if tokens and (parsed(tokens) is None if cell is None else seen > cell):
                 return lineno
 
 
@@ -164,16 +142,12 @@ def read_xyz_csv(path: str) -> ConcentrationGrid:
     and of two points at one position the later one wins. Coordinates and
     values must be finite.
     """
-    try:
-        with open_input(path) as fh:
-            if [name.strip() for name in next(csv.reader(fh), [])] != ["x", "y", "value"]:
-                raise FormatError(f"{path}: expected header 'x,y,value'")
-            points = read_columns(path, fh, "f8,f8,f8", (0, 1, 2), _bad_point)
-    except ValueError as exc:  # no bad point: a token only Python's float() takes
-        raise FormatError(f"{path}: {exc}") from exc
-    xs, ys, vs = points = points.view(np.float64).reshape(-1, 3).T
-    if not np.isfinite(points).all():  # float() reads such a cell alike, so a row is named
-        raise first_bad_row(path, (0, 1, 2), _bad_point)
+    with open_input(path) as fh:
+        if [name.strip() for name in next(csv.reader(fh), [])] != ["x", "y", "value"]:
+            raise FormatError(f"{path}: expected header 'x,y,value'")
+        points = read_columns(path, fh, np.dtype("f8,f8,f8"), (0, 1, 2), _point_fault,
+                              lambda points: np.isfinite(points.view(np.float64)).all())
+    xs, ys, vs = points.view(np.float64).reshape(-1, 3).T
     (x0, cell_w, n_cols), (y0, cell_h, n_rows) = _axis(xs, path, "x"), _axis(ys, path, "y")
     try:
         values = np.full((n_rows, n_cols), np.nan)
@@ -189,14 +163,14 @@ def read_xyz_csv(path: str) -> ConcentrationGrid:
     return _grid(path, x0 - cell_w / 2.0, y0 - cell_h / 2.0, cell_w, cell_h, values)
 
 
-def _bad_point(cells: list[str | None]) -> str | None:
-    """The fault of a point whose x, y or value is not a finite number."""
-    try:
-        bad = [(name, cell) for name, cell in zip(("x", "y", "value"), cells)
-               if not math.isfinite(float(cell))]
-    except (TypeError, ValueError):
+def _point_fault(cells: list[str | None], values: list) -> str | None:
+    """The fault of a point whose x, y or value numpy rejects or reads as non-finite."""
+    if any(value is None for value in values):
         return "non-numeric x, y or value"
-    return f"non-finite {bad[0][0]} {bad[0][1]!r}" if bad else None
+    for name, cell, value in zip(("x", "y", "value"), cells, values):
+        if not np.isfinite(value).all():
+            return f"non-finite {name} {cell!r}"
+    return None
 
 
 def _axis(coords: np.ndarray, path: str, axis: str) -> tuple[float, float, int]:

@@ -11,10 +11,12 @@ from __future__ import annotations
 import contextlib
 import csv
 import gzip
+import itertools
 import logging
+import math
 import warnings
 import zlib
-from typing import Callable, Iterator, NamedTuple, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -292,74 +294,97 @@ def _resolve_columns(fieldnames: Sequence[str], required: Sequence[str],
     return category_cols
 
 
-def first_bad_row(path: str, usecols: Sequence[int],
-                  fault: Callable[[list[str | None]], str | None]) -> FormatError | None:
-    """The fault that ``fault`` words for the ``usecols`` cells (None past the
-    row's end) of the first data row it finds one in, named by its file line:
-    blank lines are skipped but counted, unlike in np.loadtxt's row numbers."""
-    with open_input(path) as fh:
-        reader = csv.reader(fh)
-        next(reader, None)  # the header line
-        for row in filter(None, reader):
-            message = fault([row[i] if i < len(row) else None for i in usecols])
-            if message:
-                return FormatError(f"{path}:{reader.line_num}: {message}")
-    return None
+BLOCK = 4096  # records judged at a time while a fault is looked for
 
 
-def read_columns(path: str, fh: TextIO, dtype: np.dtype | str, usecols: Sequence[int],
-                 fault: Callable[[list[str | None]], str | None]) -> np.ndarray:
-    """The ``usecols`` cells of the rest of the CSV ``fh`` (``path`` past its
-    header): one or more ``dtype`` records, parsed by one np.loadtxt call. Where
-    it fails, the first_bad_row fault, or numpy's ValueError if none is found."""
+def parsed(lines: Iterable[str], **options) -> np.ndarray | None:
+    """``lines`` as np.loadtxt parses them with ``options`` (no comments, at
+    least 1-D), or None where it rejects a cell: it judges every table cell."""
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            data = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, quotechar='"',
-                              usecols=usecols, ndmin=1)
+            return np.loadtxt(lines, comments=None, ndmin=1, **options)
     except UnicodeDecodeError:  # a ValueError, but not a bad cell: open_input names it
         raise
-    except ValueError as exc:
-        raise first_bad_row(path, usecols, fault) or exc
-    if not data.size:
-        raise FormatError(f"{path}: no data rows")
-    return data
+    except ValueError:
+        return None
 
 
-def _bad_count(columns: Sequence[str], cells: list[str | None]) -> str | None:
-    """The fault of the first of these count cells that is not an integer."""
-    for column, raw in zip(columns, cells):
-        try:
-            int(raw)
-        except (TypeError, ValueError):
-            return f"column {column!r}: bad count {raw!r}"
+def _blocks(lines: Iterable[str], size: int, line: int) -> Iterator[tuple[int, list[str]]]:
+    """``lines``, a CSV file's lines past line ``line``, in blocks of ``size``
+    records, each with the file line it ends on (blank lines count, unlike in
+    np.loadtxt's row numbers): csv splits records where np.loadtxt does."""
+    block: list[str] = []
+    reader = csv.reader(block.append(text) or text for text in lines)
+    while list(itertools.islice(reader, size)):
+        yield line + reader.line_num, block.copy()
+        block.clear()
+
+
+def read_columns(path: str, fh: TextIO, dtype: np.dtype, usecols: Sequence[int],
+                 fault: Callable[[list[str | None], list], str | None],
+                 valid: Callable[[np.ndarray], bool] = lambda records: True) -> np.ndarray | None:
+    """The ``usecols`` cells of the rest of the CSV ``fh`` (``path`` past its
+    header) as ``dtype`` records, parsed by one np.loadtxt call. Where it fails
+    or ``valid`` rejects them, the fault that ``fault`` words for the first
+    record that the same call or ``valid`` rejects, named by its file line,
+    from its ``usecols`` cells as csv reads them (None past its end) and as
+    the same call parses each alone (None where it rejects it); or None."""
+    def parse(lines: Iterable[str], dtype: np.dtype = dtype, usecols=usecols, valid=valid):
+        records = parsed(lines, dtype=dtype, delimiter=",", quotechar='"', usecols=usecols)
+        return records if records is None or valid(records) else None
+
+    data = parse(fh)
+    if data is not None:
+        if not data.size:
+            raise FormatError(f"{path}: no data rows")
+        return data
+    with open_input(path) as fh:  # blocks of records, then those of the first rejected
+        reader = csv.reader(fh)
+        next(reader, None)  # the header record
+        end, lines = next((block for block in _blocks(fh, BLOCK, reader.line_num)
+                           if parse(block[1]) is None), (0, []))
+    bases = [dtype[name].base for name in dtype.names for _ in range(math.prod(dtype[name].shape))]
+    for line, record in _blocks(lines, 1, end - len(lines)):
+        if parse(record) is None:
+            row = next(csv.reader(record))
+            message = fault([row[i] if i < len(row) else None for i in usecols],
+                            [parse(record, base, [i], lambda cell: True)
+                             for base, i in zip(bases, usecols)])
+            if message:
+                raise FormatError(f"{path}:{line}: {message}")
+            break
     return None
 
 
 def _read_table(path: str, required: Sequence[str], keys: Sequence[str],
                 schemas: Sequence[GroupSchema], key_dtype: str = "S16") -> WorkerTable:
     """Parse a worker table's key, total (the last required column) and
-    category columns, whole columns at a time."""
+    category columns, whole columns at a time. Where numpy rejects a key as
+    S16 (one with no Latin-1 form) in a row whose counts it reads, the table
+    is read again with U16 keys."""
     total = required[-1]
-    try:
-        with open_input(path) as fh:
-            header = next(csv.reader(fh), None)
-            if header is None:
-                raise FormatError(f"{path}: empty file")
-            codes = _resolve_columns(header, required, schemas, path)
-            repeated = [c for c in (*keys, total, *codes) if header.count(c) > 1]
-            if repeated:
-                raise FormatError(f"{path}: repeated column(s) {repeated}")
-            position = {name: i for i, name in enumerate(header)}
-            dtype = np.dtype([*((key, key_dtype) for key in keys),
-                              ("counts", np.int64, (len(codes) + 1,))])
-            data = read_columns(
-                path, fh, dtype, [position[c] for c in (*keys, total, *codes)],
-                lambda cells: _bad_count((total, *codes), cells[len(keys):]))
-    except ValueError as exc:  # no bad count
-        if key_dtype == "S16":  # a key with no Latin-1 form
-            return _read_table(path, required, keys, schemas, "U16")
-        raise FormatError(f"{path}: {exc}") from exc
+
+    def fault(cells: list[str | None], values: list) -> str | None:
+        for i, (name, cell, value) in enumerate(zip((*keys, total, *codes), cells, values)):
+            if value is None and (i >= len(keys) or key_dtype != "S16"):
+                return f"column {name!r}: bad {'geocode' if name in keys else 'count'} {cell!r}"
+        return None
+
+    with open_input(path) as fh:
+        header = next(csv.reader(fh), None)
+        if header is None:
+            raise FormatError(f"{path}: empty file")
+        codes = _resolve_columns(header, required, schemas, path)
+        repeated = [c for c in (*keys, total, *codes) if header.count(c) > 1]
+        if repeated:
+            raise FormatError(f"{path}: repeated column(s) {repeated}")
+        position = {name: i for i, name in enumerate(header)}
+        dtype = np.dtype([*((key, key_dtype) for key in keys),
+                          ("counts", np.int64, (len(codes) + 1,))])
+        data = read_columns(path, fh, dtype, [position[c] for c in (*keys, total, *codes)], fault)
+    if data is None and key_dtype == "S16":
+        return _read_table(path, required, keys, schemas, "U16")
     counts = data["counts"]
     return WorkerTable(
         keys=tuple(data[key].copy() for key in keys),

@@ -44,8 +44,9 @@ and a strata list, before a table's codes named its groups and its surface
 carried the stratum codes.
 write_xyz_grid writes an ASC grid's valued cells as shuffled x,y,value
 points; oracle_read_xyz_csv is the XYZ reader that went through one
-csv.DictReader row and three Python floats per point and placed them one at
-a time, before grids.read_xyz_csv read columns with np.loadtxt.
+csv.DictReader row and three Python floats per point (oracle_xyz_points) and
+placed them one at a time, before grids.read_xyz_csv read columns with
+np.loadtxt.
 MaskedGrid, masked_read_asc and masked_read_xyz_csv are the grid record and
 readers that kept the shape and a bool nodata mask beside zero-filled values,
 before a grid marked a cell without data by NaN.
@@ -741,10 +742,9 @@ def write_xyz_grid(asc_path: str, xyz_path: str, seed: int = 0) -> None:
         fh.write("x,y,value\n" + "".join(lines))
 
 
-def oracle_read_xyz_csv(path: str) -> grids.ConcentrationGrid:
-    """grids.read_xyz_csv as a row reader: one csv.DictReader row and three
-    Python floats per point, each placed in turn, so the later of two points
-    at one position wins."""
+def oracle_xyz_points(path: str) -> tuple[list[float], list[float], list[float]]:
+    """The x, y and value lists of an XYZ file's points, read as a row reader:
+    one csv.DictReader row and three Python floats per point."""
     xs: list[float] = []
     ys: list[float] = []
     vs: list[float] = []
@@ -767,6 +767,13 @@ def oracle_read_xyz_csv(path: str) -> grids.ConcentrationGrid:
             vs.append(value)
     if not xs:
         raise FormatError(f"{path}: no data rows")
+    return xs, ys, vs
+
+
+def oracle_read_xyz_csv(path: str) -> grids.ConcentrationGrid:
+    """grids.read_xyz_csv as a row reader: oracle_xyz_points, each point
+    placed in turn, so the later of two points at one position wins."""
+    xs, ys, vs = oracle_xyz_points(path)
     ux, uy = np.array(sorted(set(xs))), np.array(sorted(set(ys)))
     cell_w = _oracle_uniform_spacing(ux, path, "x")
     cell_h = _oracle_uniform_spacing(uy, path, "y")
@@ -901,17 +908,9 @@ def _masked_read_asc(path: str, fast: bool) -> tuple[dict[str, float], np.ndarra
 
 def masked_read_xyz_csv(path: str) -> MaskedGrid:
     """grids.read_xyz_csv as it was, when it filled a zero array and cleared an
-    all-True nodata mask at each point's cell."""
-    try:
-        with ingest.open_input(path) as fh:
-            if [name.strip() for name in next(csv.reader(fh), [])] != ["x", "y", "value"]:
-                raise FormatError(f"{path}: expected header 'x,y,value'")
-            points = ingest.read_columns(path, fh, "f8,f8,f8", (0, 1, 2), grids._bad_point)
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
-    xs, ys, vs = points = points.view(np.float64).reshape(-1, 3).T
-    if not np.isfinite(points).all():
-        raise ingest.first_bad_row(path, (0, 1, 2), grids._bad_point)
+    all-True nodata mask at each point's cell; its points are those of the row
+    reader oracle_xyz_points, so its faults do not come from grids."""
+    xs, ys, vs = map(np.array, oracle_xyz_points(path))
     (x0, cell_w, n_cols), (y0, cell_h, n_rows) = (grids._axis(xs, path, "x"),
                                                   grids._axis(ys, path, "y"))
     try:

@@ -170,8 +170,8 @@ def test_every_error_class_is_told_apart_by_a_handler():
 def test_every_raise_in_src_names_an_engine_error():
     # a run ends in a named bad input or a counted degenerate slice; a raise
     # of any other class (an internal-invariant ValueError, say) must state
-    # its reason in ALLOWED_RAISES. A raised function call, such as
-    # ingest.first_bad_row's fault, counts by the calls its returns make.
+    # its reason in ALLOWED_RAISES. A raised function call (`raise f(...)`)
+    # counts by the calls its returns make.
     functions = {node.name: node for _, tree in parsed_sources() for node in ast.walk(tree)
                  if isinstance(node, ast.FunctionDef)}
 

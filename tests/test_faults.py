@@ -81,7 +81,7 @@ def test_ragged_row(tmp_path, caplog):
     assert "rac_2011.csv:3: column 'CNS20': bad count None" in caplog.text
 
 
-@pytest.mark.parametrize("value", ["nan", "1.0", "x"])
+@pytest.mark.parametrize("value", ["nan", "1.0", "x", "7_3", "٣", "9223372036854775808"])
 def test_non_integer_count(tmp_path, caplog, value):
     world = make_world(tmp_path)
     set_cell(world / "wac_2011.csv", 4, "CA02", value)
@@ -89,13 +89,14 @@ def test_non_integer_count(tmp_path, caplog, value):
     assert f"wac_2011.csv:4: column 'CA02': bad count '{value}'" in caplog.text
 
 
-def test_blank_line_before_a_bad_row(tmp_path, caplog):
+@pytest.mark.parametrize("value", ["y", "7_3"])
+def test_blank_line_before_a_bad_row(tmp_path, caplog, value):
     world = make_world(tmp_path)
     od = world / "od_2011.csv"
-    set_cell(od, 3, "S000", "y")
+    set_cell(od, 3, "S000", value)
     edit_lines(od, lambda lines: lines.insert(2, ""))
     assert run(world, tmp_path / "out") == 1
-    assert "od_2011.csv:4: column 'S000': bad count 'y'" in caplog.text
+    assert f"od_2011.csv:4: column 'S000': bad count '{value}'" in caplog.text
 
 
 @pytest.mark.parametrize("change", [lambda g: g[1:], lambda g: g + "7"],

@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import functools
 import gzip
+import importlib.util
 import json
 import logging
 import math
@@ -160,6 +161,15 @@ def _gzip_tables(world: Path) -> None:
     (world / "config.json").write_text(json.dumps(config_doc))
 
 
+def _shuffle_features(world: Path) -> None:
+    # every synth tract is one polygon, so no tract's own parts are reordered
+    rng = random.Random(13)
+    for name in ("tracts.geojson", "urban.geojson"):
+        doc = json.loads((world / name).read_text())
+        rng.shuffle(doc["features"])
+        (world / name).write_text(json.dumps(doc))
+
+
 def _wrap_grid(world: Path) -> None:
     path = world / "grid_2011.asc"
     lines = path.read_text().splitlines()
@@ -171,21 +181,33 @@ def _wrap_grid(world: Path) -> None:
 
 @pytest.fixture(scope="module")
 def invariance_world(tmp_path_factory) -> tuple[Path, dict[str, bytes]]:
-    """A 25-tract synth world whose grid has two nodata cells, and the files
-    its run writes."""
+    """A 25-tract synth world whose grid has two nodata cells and whose urban
+    mask is its square's four quadrants, and the files its run writes."""
     root = tmp_path_factory.mktemp("invariance")
     world = make_world(root, seed=7, n_tracts=25, n_groups=3)
     grid = world / "grid_2011.asc"
     lines = grid.read_text().splitlines()
     lines[-1] = " ".join(["-9999", "-9999", *lines[-1].split()[2:]])
     grid.write_text("\n".join(lines) + "\n")
+    doc = json.loads((world / "urban.geojson").read_text())
+    [[(x0, y0), _, (x1, y1), *_]] = doc["features"][0]["geometry"]["coordinates"]
+    xs, ys = (x0, (x0 + x1) / 2, x1), (y0, (y0 + y1) / 2, y1)
+    doc["features"] = [
+        {"type": "Feature", "properties": {"NAME": f"core{i}{j}"}, "geometry": {
+            "type": "Polygon", "coordinates": [[[xs[i], ys[j]], [xs[i + 1], ys[j]],
+                                                [xs[i + 1], ys[j + 1]], [xs[i], ys[j + 1]],
+                                                [xs[i], ys[j]]]]}}
+        for i in (0, 1) for j in (0, 1)]
+    (world / "urban.geojson").write_text(json.dumps(doc))
     assert cli.main(["run", "--config", str(world / "config.json"),
                      "--out", str(root / "out")]) == 0
     return world, read_out_files(root / "out")
 
 
-@pytest.mark.parametrize("relation", [_shuffle_rows, _split_a_row, _gzip_tables, _wrap_grid],
-                         ids=["shuffled_rows", "split_row", "gzipped_tables", "wrapped_grid"])
+@pytest.mark.parametrize("relation", [_shuffle_rows, _split_a_row, _gzip_tables, _wrap_grid,
+                                      _shuffle_features],
+                         ids=["shuffled_rows", "split_row", "gzipped_tables", "wrapped_grid",
+                              "shuffled_features"])
 def test_reports_hold_under_input_rewrites_that_keep_the_data(tmp_path, invariance_world,
                                                               relation):
     # worker sums are exact integers and a grid is its cells, so no report
@@ -581,6 +603,52 @@ def test_run_peak_memory_bounded_by_one_year(tmp_path):
     assert peaks[1] <= 1.2 * peaks[0], [f"{peak / 1e6:.2f} MB" for peak in peaks]
     peaks = run_peaks(bins_world(tmp_path), tmp_path / "bins", ([2011], list(range(2011, 2019))))
     assert peaks[1] <= 1.1 * peaks[0], [f"{peak / 1e6:.2f} MB" for peak in peaks]
+
+
+# Each stage's tracemalloc peak above the memory traced at its start, per
+# unit, on the world below (numpy 2.4.6, Python 3.11): the exposure stage
+# 227.6 B per OD row, the surface stage 598.6 B per tract and mask vertex over
+# 8 B per grid cell, the bias stage 116.2 B per tract pair. Each bound is that
+# figure plus ~15%; a change that lowers a peak lowers its bound with it.
+STAGE_BUDGETS = {"exposure": 260, "surface": 690, "bias": 135}
+
+
+def test_stage_peaks_within_their_memory_budgets(tmp_path, monkeypatch):
+    # the benchmark generator's star tracts and OD-heavy tables: 50 tracts
+    # and ~16k OD rows, the smallest such world whose per-unit peaks are
+    # within 10% of those of a ~190k-row one (400 tracts)
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", Path(__file__).resolve().parents[1] / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, gen)  # its dataclasses look the module up
+    spec.loader.exec_module(gen)
+    world = gen.generate(gen.Workload(
+        name="budget", tract_shape="star", tracts=50, years=1, states=2, blocks_per_tract=4,
+        od_rows=37_500, threads=1, strata=False, bin_counts=(10,)), 101, tmp_path / "world")
+    peaks = {}
+
+    def traced(stage, func):
+        def run(state, data):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            func(state, data)
+            peaks[stage] = tracemalloc.get_traced_memory()[1] - start
+        return run
+
+    for stage, func in list(pipeline._STAGE_FUNCS.items()):
+        monkeypatch.setitem(pipeline._STAGE_FUNCS, stage, traced(stage, func))
+    tracemalloc.start()
+    try:
+        manifest = pipeline.run(load_config(str(world.config_path), out_dir=str(tmp_path / "out")))
+    finally:
+        tracemalloc.stop()
+    per_unit = {
+        "exposure": peaks["exposure"] / len(world.od[0].totals),
+        "surface": (peaks["surface"] - 8 * world.grids[0].size)
+        / (world.tract_vertices + world.mask_vertices),
+        "bias": peaks["bias"] / manifest["stages"]["exposure"]["years"]["2011"]["od_pairs"],
+    }
+    assert all(per_unit[stage] <= bound for stage, bound in STAGE_BUDGETS.items()), per_unit
 
 
 # A run in a fresh interpreter that prints its own peak resident set in kB.

@@ -235,6 +235,8 @@ def test_read_xyz_csv_bad_header(tmp_path):
     ("inf", "non-finite value"),
     ("-inf", "non-finite value"),
     ("abc", "non-numeric"),
+    ("1_0", "non-numeric"),  # Python's float() reads both; numpy's parser does not
+    ("٣", "non-numeric"),
 ])
 def test_read_xyz_csv_rejects_bad_value(tmp_path, token, message):
     path = tmp_path / "bad.csv"
