@@ -1,10 +1,11 @@
 """Block-level worker-table ingestion: CSV parsing, schema validation, and
 block-to-tract rollup for residence, workplace, and origin-destination tables.
 
-Every table, as read and after its rollup, is one WorkerTable of column
-arrays. Counts stay 64-bit integers end to end, so every rollup identity is
-exact. Rows with a zero total are retained; they legitimately encode empty
-blocks.
+Every table is one WorkerTable of column arrays: as read, views of the one
+record array numpy parsed; after its rollup, new arrays with C-contiguous
+(codes x tracts) counts. Counts stay 64-bit integers end to end, so every
+rollup identity is exact. Rows with a zero total are retained; they
+legitimately encode empty blocks.
 """
 from __future__ import annotations
 
@@ -137,8 +138,9 @@ class WorkerTable(NamedTuple):
     ``U`` text; an over-long geocode is kept over-long), int64 tract ids
     (block // 10_000) after a rollup, which also leaves the rows key-ascending
     and unique. ``codes`` are the category columns in schema order, ``counts``
-    their C-contiguous int64 (codes x rows) matrix, and ``totals`` the int64
-    total column.
+    their int64 (codes x rows) matrix, and ``totals`` the int64 total column.
+    A table as read holds views of the one record array numpy parsed (its
+    ``counts`` strided); a rolled-up table's ``counts`` are C-contiguous.
     """
 
     keys: tuple[np.ndarray, ...]
@@ -151,6 +153,7 @@ def _tract_ids(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Whether each geocode of an ``S`` or ``U`` array is 15 ASCII digits,
     read from its code points, and the int64 value of its first 11 digits:
     the tract id of a valid one."""
+    keys = np.ascontiguousarray(keys)  # a strided field of the parsed records: view needs a copy
     unit = np.dtype(np.uint32 if keys.dtype.kind == "U" else np.uint8)
     chars = keys.view(unit).reshape(len(keys), keys.dtype.itemsize // unit.itemsize)
     ok = (chars[:, 15:] == 0).all(axis=1) & (chars.shape[1] >= 15)
@@ -177,12 +180,11 @@ def _validate(rows: WorkerTable, schemas: Sequence[GroupSchema], well_formed: Se
         for s in schemas
         if s.partitions_total and all(code in index for code in s.codes)
     ]
-    subtotals = [sum(rows.counts[i] for i in codes) for _, codes in plan]
-    bad = (rows.totals < 0) | (rows.counts < 0).any(axis=0)
+    bad = (rows.totals < 0) | (rows.counts.min(axis=0, initial=0) < 0)
     for ok in well_formed:
         bad |= ~ok
-    for sums in subtotals:
-        bad |= sums != rows.totals
+    for _, codes in plan:  # one characteristic's sums at a time
+        bad |= sum(rows.counts[i] for i in codes) != rows.totals
     if not bad.any():
         return
     r = int(np.argmax(bad))
@@ -197,11 +199,11 @@ def _validate(rows: WorkerTable, schemas: Sequence[GroupSchema], well_formed: Se
     for count in rows.counts[:, r].tolist():
         if count < 0:
             raise FormatError(f"row {label}: negative count {count}")
-    for (characteristic, _), sums in zip(plan, subtotals):
-        if sums[r] != total:
+    for characteristic, codes in plan:
+        subtotal = sum(rows.counts[codes, r].tolist())  # Python ints: exact past int64
+        if subtotal != total:
             raise FormatError(
-                f"row {label}: {characteristic}: category sum {int(sums[r])} != total {total}"
-            )
+                f"row {label}: {characteristic}: category sum {subtotal} != total {total}")
 
 
 def _rollup(rows: WorkerTable, schemas: Sequence[GroupSchema]) -> WorkerTable:
@@ -260,12 +262,13 @@ def open_input(path: str) -> Iterator[TextIO]:
     """Open an input file as UTF-8 text, a leading byte-order mark dropped,
     through gzip when the path ends in ``.gz``. A failure to read it while the
     block runs (an OS error, a truncated or corrupt gzip stream, a byte that is
-    not UTF-8) is ``FormatError("<path>: cannot read: <reason>")``."""
+    not UTF-8, a CSV field past csv's size limit) is
+    ``FormatError("<path>: cannot read: <reason>")``."""
     try:
         with (gzip.open if path.endswith(".gz") else open)(
                 path, "rt", encoding="utf-8-sig", newline="") as fh:
             yield fh
-    except (OSError, EOFError, zlib.error, UnicodeDecodeError) as exc:
+    except (OSError, EOFError, zlib.error, UnicodeDecodeError, csv.Error) as exc:
         reason = getattr(exc, "strerror", None) or exc
         raise FormatError(f"{path}: cannot read: {reason}") from exc
 
@@ -310,15 +313,26 @@ def parsed(lines: Iterable[str], **options) -> np.ndarray | None:
         return None
 
 
-def _blocks(lines: Iterable[str], size: int, line: int) -> Iterator[tuple[int, list[str]]]:
-    """``lines``, a CSV file's lines past line ``line``, in blocks of ``size``
-    records, each with the file line it ends on (blank lines count, unlike in
-    np.loadtxt's row numbers): csv splits records where np.loadtxt does."""
+def _blocks(path: str, lines: Iterable[str], size: int,
+            line: int) -> Iterator[tuple[int, list[str]]]:
+    """``lines``, the CSV ``path``'s lines past line ``line``, in blocks of
+    ``size`` records, each with the file line it ends on (blank lines count,
+    unlike in np.loadtxt's row numbers): csv splits records where np.loadtxt
+    does. A quote never closed, which np.loadtxt reads to the end of the file,
+    is named by its line once its field passes csv's size limit."""
     block: list[str] = []
     reader = csv.reader(block.append(text) or text for text in lines)
-    while list(itertools.islice(reader, size)):
-        yield line + reader.line_num, block.copy()
-        block.clear()
+    try:
+        while list(itertools.islice(reader, size)):
+            yield line + reader.line_num, block.copy()
+            block.clear()
+    except csv.Error:  # the block holds whole records, then the failing one's lines
+        odd = [*itertools.accumulate((text.count('"') % 2 for text in block), int.__xor__,
+                                     initial=0)]  # quote parity after each line
+        if not odd[-1]:
+            raise  # not inside a quote: open_input names the file
+        opened = line + reader.line_num + 1 - odd[::-1].index(0)
+        raise FormatError(f"{path}:{opened}: quoted field is never closed") from None
 
 
 def read_columns(path: str, fh: TextIO, dtype: np.dtype, usecols: Sequence[int],
@@ -342,10 +356,10 @@ def read_columns(path: str, fh: TextIO, dtype: np.dtype, usecols: Sequence[int],
     with open_input(path) as fh:  # blocks of records, then those of the first rejected
         reader = csv.reader(fh)
         next(reader, None)  # the header record
-        end, lines = next((block for block in _blocks(fh, BLOCK, reader.line_num)
+        end, lines = next((block for block in _blocks(path, fh, BLOCK, reader.line_num)
                            if parse(block[1]) is None), (0, []))
     bases = [dtype[name].base for name in dtype.names for _ in range(math.prod(dtype[name].shape))]
-    for line, record in _blocks(lines, 1, end - len(lines)):
+    for line, record in _blocks(path, lines, 1, end - len(lines)):
         if parse(record) is None:
             row = next(csv.reader(record))
             message = fault([row[i] if i < len(row) else None for i in usecols],
@@ -386,12 +400,8 @@ def _read_table(path: str, required: Sequence[str], keys: Sequence[str],
     if data is None and key_dtype == "S16":
         return _read_table(path, required, keys, schemas, "U16")
     counts = data["counts"]
-    return WorkerTable(
-        keys=tuple(data[key].copy() for key in keys),
-        totals=counts[:, 0].copy(),
-        codes=tuple(codes),
-        counts=np.ascontiguousarray(counts[:, 1:].T),
-    )
+    return WorkerTable(keys=tuple(data[key] for key in keys), totals=counts[:, 0],
+                       codes=tuple(codes), counts=counts[:, 1:].T)
 
 
 def read_block_csv(path: str, role: str) -> WorkerTable:

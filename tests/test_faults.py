@@ -216,6 +216,33 @@ def test_unreadable_input_names_the_file(tmp_path, caplog, kind, fault, reason):
         assert f"stage {stage}: {path}: cannot read: {reason}" in caplog.text
 
 
+@pytest.mark.parametrize("kind, column", [("rac", "C000"), ("xyz", "value")])
+def test_quote_never_closed_names_its_line(tmp_path, caplog, kind, column):
+    # np.loadtxt reads the quoted field to the end of the file; csv's field
+    # size limit (128 KiB) ends it on the fault path, which names the line
+    # where the quote opens
+    world = make_world(tmp_path)
+    stage, locate = INPUTS[kind]
+    path = locate(world)
+    header, row = path.read_text().splitlines()[:2]
+    rows = f"{row}\n" * 20_000
+    set_cell(path, 3, column, '"7')
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(rows)
+    assert len(rows) > 2**17
+    assert run(world, tmp_path / "out") == 1
+    assert f"stage {stage}: {path}:3: quoted field is never closed" in caplog.text
+    # in the header, or in a cell outside any quote, csv's own reason names
+    # the file
+    for text in (header.replace(column, f'"{column}') + "\n" + rows,
+                 f"{header}\n{row}{'x' * 2**17}\n{rows}"):
+        caplog.clear()
+        path.write_text(text, encoding="utf-8")
+        assert run(world, tmp_path / "out") == 1
+        assert (f"stage {stage}: {path}: cannot read: field larger than field limit (131072)"
+                in caplog.text)
+
+
 @pytest.mark.parametrize("key, value", [
     ("xllcorner", "nan"), ("xllcorner", "inf"), ("cellsize", "nan"), ("cellsize", "inf"),
 ])

@@ -204,16 +204,11 @@ def invariance_world(tmp_path_factory) -> tuple[Path, dict[str, bytes]]:
     return world, read_out_files(root / "out")
 
 
-@pytest.mark.parametrize("relation", [_shuffle_rows, _split_a_row, _gzip_tables, _wrap_grid,
-                                      _shuffle_features],
-                         ids=["shuffled_rows", "split_row", "gzipped_tables", "wrapped_grid",
-                              "shuffled_features"])
-def test_reports_hold_under_input_rewrites_that_keep_the_data(tmp_path, invariance_world,
-                                                              relation):
-    # worker sums are exact integers and a grid is its cells, so no report
-    # may move when the inputs say the same thing in other bytes; the
-    # manifest differs only in what names the inputs and the config
-    world, expected = invariance_world
+def assert_rewrite_keeps_the_reports(tmp_path: Path, world: Path, expected: dict[str, bytes],
+                                     relation) -> None:
+    """Run a copy of ``world`` rewritten by ``relation``: every report is
+    byte-identical to ``expected``, and the manifest differs only in what
+    names the inputs and the config."""
     shutil.copytree(world, tmp_path / "world")
     relation(tmp_path / "world")
     assert cli.main(["run", "--config", str(tmp_path / "world" / "config.json"),
@@ -228,6 +223,51 @@ def test_reports_hold_under_input_rewrites_that_keep_the_data(tmp_path, invarian
     for doc in manifests:
         del doc["inputs"], doc["config_hash"]
     assert manifests[0] == manifests[1]
+
+
+@pytest.mark.parametrize("relation", [_shuffle_rows, _split_a_row, _gzip_tables, _wrap_grid,
+                                      _shuffle_features],
+                         ids=["shuffled_rows", "split_row", "gzipped_tables", "wrapped_grid",
+                              "shuffled_features"])
+def test_reports_hold_under_input_rewrites_that_keep_the_data(tmp_path, invariance_world,
+                                                              relation):
+    # worker sums are exact integers and a grid is its cells, so no report
+    # may move when the inputs say the same thing in other bytes
+    assert_rewrite_keeps_the_reports(tmp_path, *invariance_world, relation)
+
+
+def load_perfbench_gen(monkeypatch: pytest.MonkeyPatch):
+    """The benchmark's input generator, ``perfbench/gen.py``, as a module."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", Path(__file__).resolve().parents[1] / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, gen)  # its dataclasses look the module up
+    spec.loader.exec_module(gen)
+    return gen
+
+
+@pytest.fixture(scope="module")
+def gen_invariance_world(tmp_path_factory) -> tuple[Path, dict[str, bytes]]:
+    """A benchmark generator world of 20 star tracts of 4 blocks each and
+    ~1.8k OD block pairs, several to each tract pair, and the files its run
+    writes."""
+    root = tmp_path_factory.mktemp("gen_invariance")
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        gen = load_perfbench_gen(monkeypatch)
+        world = gen.generate(gen.Workload(
+            name="invariance", tract_shape="star", tracts=20, years=1, states=2,
+            blocks_per_tract=4, od_rows=3_000, threads=1, strata=False, bin_counts=(10,)),
+            101, root / "world")
+    assert cli.main(["run", "--config", str(world.config_path), "--out", str(root / "out")]) == 0
+    return root / "world", read_out_files(root / "out")
+
+
+@pytest.mark.parametrize("relation", [_shuffle_rows, _split_a_row],
+                         ids=["shuffled_rows", "split_row"])
+def test_gen_world_reports_hold_under_row_rewrites(tmp_path, gen_invariance_world, relation):
+    # the benchmark's star tracts and OD-heavy tables, whose rollup sums
+    # many block rows into each tract and tract pair
+    assert_rewrite_keeps_the_reports(tmp_path, *gen_invariance_world, relation)
 
 
 # ----------------------------------------------------------------------------
@@ -607,21 +647,17 @@ def test_run_peak_memory_bounded_by_one_year(tmp_path):
 
 # Each stage's tracemalloc peak above the memory traced at its start, per
 # unit, on the world below (numpy 2.4.6, Python 3.11): the exposure stage
-# 227.6 B per OD row, the surface stage 598.6 B per tract and mask vertex over
+# 171.4 B per OD row, the surface stage 598.6 B per tract and mask vertex over
 # 8 B per grid cell, the bias stage 116.2 B per tract pair. Each bound is that
-# figure plus ~15%; a change that lowers a peak lowers its bound with it.
-STAGE_BUDGETS = {"exposure": 260, "surface": 690, "bias": 135}
+# figure plus 10-15%; a change that lowers a peak lowers its bound with it.
+STAGE_BUDGETS = {"exposure": 188, "surface": 690, "bias": 135}
 
 
 def test_stage_peaks_within_their_memory_budgets(tmp_path, monkeypatch):
     # the benchmark generator's star tracts and OD-heavy tables: 50 tracts
     # and ~16k OD rows, the smallest such world whose per-unit peaks are
     # within 10% of those of a ~190k-row one (400 tracts)
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_gen", Path(__file__).resolve().parents[1] / "perfbench" / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, gen)  # its dataclasses look the module up
-    spec.loader.exec_module(gen)
+    gen = load_perfbench_gen(monkeypatch)
     world = gen.generate(gen.Workload(
         name="budget", tract_shape="star", tracts=50, years=1, states=2, blocks_per_tract=4,
         od_rows=37_500, threads=1, strata=False, bin_counts=(10,)), 101, tmp_path / "world")
