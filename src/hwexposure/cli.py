@@ -128,7 +128,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         logger.error("configuration error: %s", exc)
         return 2
-    except EngineError as exc:  # a StageError names its stage
+    except EngineError as exc:
         logger.error("%s", exc)
         return 1
 

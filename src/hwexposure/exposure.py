@@ -2,14 +2,14 @@
 time-weighted home-work blend (HW), plus the H-minus-HW misclassification
 error, for the total population and demographic subgroups.
 
-Each (table, stratum) slice's values are argsorted once, and each group
-with workers in it is one call of the 1-D kernel ``slice_stats``: the
-group's counts times the values, summed pairwise in row order, and one
-cumsum of its counts in value order for the percentiles. No (groups x rows)
-matrix is built. An OD frame holds HW alone; its error's H means are the
-same weighted sums over the home values, which need no sort. A table's
-results are one columnar ``GroupExposures`` frame, deterministic for any
-thread count upstream.
+Each (table, stratum) slice's values are argsorted once, ties in any order,
+and each group with workers in it is one call of the 1-D kernel
+``slice_stats``: the group's counts times the values, summed pairwise in row
+order, and one cumsum of its counts in value order for the percentiles. No
+(groups x rows) matrix is built. An OD frame holds HW alone; its error's H
+means are the same weighted sums over the home values, which need no sort.
+A table's results are one columnar ``GroupExposures`` frame, deterministic
+for any thread count upstream.
 An ``AlignedTable``'s ``index`` points into the run's tract index, which
 every year's ``TractSurface`` spans; a row's stratum is the surface's code of
 its first tract, and its groups are named by the table's category codes.
@@ -79,11 +79,13 @@ def _clamp(mean, low, high):
 def slice_stats(values: np.ndarray, order: np.ndarray, weights: np.ndarray, total,
                 ps: Sequence[float]) -> tuple[float, list[float]]:
     """One group's statistics over one (locus, stratum) slice: ``values``,
-    their stable ascending ``order`` and the group's float64 worker counts
+    an ascending ``order`` of them and the group's float64 worker counts
     ``weights`` over the whole slice, zeros included, whose sum ``total`` is
     positive. Returns sum(value * weight) / total, clamped to the values'
     range, and per p in [0, 1] the smallest value with positive weight whose
-    cumulative weight reaches p * total, with no interpolation."""
+    cumulative weight reaches p * total, with no interpolation. Ties may be in
+    any order, as a tie run's exact cumulative weight ends on one integer,
+    provided no value is -0.0 (it ties with 0.0 but prints apart)."""
     # a 1-D float64 product is summed pairwise, in the slice's row order
     mean = _clamp(np.multiply(weights, values).sum() / total,
                   values[order[0]], values[order[-1]])
@@ -228,18 +230,17 @@ def _group_exposures(table: AlignedTable, locus: str, values: np.ndarray,
     keys, stats, h_means = [], [], []  # keys: (characteristic, label, stratum)
     for stratum, mask in stratum_masks(table).items():
         v = values.compress(mask)
-        order = None
+        v += 0.0  # -0.0 reads as 0.0: the two tie in the sort but print apart
+        order = np.argsort(v)
+        if home is not None:
+            h = home.compress(mask)
+            h_low, h_high = h.min(initial=np.inf), h.max(initial=-np.inf)
         for characteristic, label, group_counts in iter_groups(table):
             # float64 sums of worker counts are exact below 2**53
             weights = group_counts.compress(mask).astype(np.float64)
             total = weights.sum()
             if not total:
                 continue
-            if order is None:  # a stratum without workers is never sorted
-                order = stable_argsort(v)
-                if home is not None:
-                    h = home.compress(mask)
-                    h_low, h_high = h.min(), h.max()
             mean, picks = slice_stats(v, order, weights, total, (0.10, 0.90))
             stats.append((mean, *picks, total))
             if home is not None:

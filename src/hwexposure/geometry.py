@@ -100,7 +100,7 @@ def polygon_set(source: str, features: Sequence[Sequence],
                               f"digits, got {geoids[i]!r}")
         # 11 digits each, so the int64 order is the text order
         ids = np.fromiter(map(int, geoids), dtype=np.int64, count=n)
-        order = np.argsort(ids, kind="stable")
+        order = np.argsort(ids)
         ids = ids[order]
         dupes = ids[1:][ids[1:] == ids[:-1]]
         if len(dupes):

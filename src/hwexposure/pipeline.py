@@ -35,13 +35,6 @@ from .grids import read_asc, read_xyz_csv
 
 logger = logging.getLogger(__name__)
 
-class StageError(EngineError):
-    """A stage failed; carries the stage name for diagnostics."""
-
-    def __init__(self, stage: str, cause: Exception):
-        super().__init__(f"stage {stage}: {cause}")
-        self.stage = stage
-
 
 class YearData:
     """Everything computed for one year, passed between its stages.
@@ -584,7 +577,7 @@ def run(config: RunConfig) -> dict:
                 try:
                     _STAGE_FUNCS[stage](state, data)
                 except EngineError as exc:
-                    raise StageError(stage, exc) from exc
+                    raise EngineError(f"stage {stage}: {exc}") from exc
                 elapsed = time.perf_counter() - started
                 state.timings[stage] = state.timings.get(stage, 0.0) + elapsed
                 logger.info("stage %s done for %d in %.3fs", stage, year, elapsed)

@@ -454,7 +454,7 @@ def _chunk_overlap(tract_edges: _Edges, tract_bbox: np.ndarray, tract_area: np.n
     n_tracts = len(tract_bbox)
     # each mask edge meeting a tract's box
     tt, jm = mask.by_x.pairs(tract_bbox)
-    order = np.argsort(jm * n_tracts + tt, kind="stable")
+    order = np.argsort(jm * n_tracts + tt)
     tt, jm = tt[order], jm[order]
     # The mask's boundary misses the box of any other tract, so such a tract
     # lies wholly inside or outside each mask polygon, as any vertex of it does.

@@ -136,15 +136,12 @@ def _open(ring: Ring) -> list[Vertex]:
 
 
 def signed_ring_area(ring: Ring) -> float:
-    """Signed shoelace area; positive for counter-clockwise rings."""
-    pts = _open(ring)
-    acc = 0.0
-    n = len(pts)
-    for i in range(n):
-        x0, y0 = pts[i]
-        x1, y1 = pts[(i + 1) % n]
-        acc += x0 * y1 - x1 * y0
-    return 0.5 * acc
+    """Signed shoelace area in rational arithmetic, rounded to float once;
+    positive for counter-clockwise rings. A float shoelace about (0, 0) loses
+    digits to cancellation in a ring far from the origin."""
+    pts = _exact_ring(_open(ring))
+    return float(sum(x0 * y1 - x1 * y0
+                     for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1])) / 2)
 
 
 def polygon_area(exterior: Iterable[Sequence[float]],
@@ -432,8 +429,8 @@ def exact_area(parts) -> float:
     """Polygon area from the shoelace formula in rational arithmetic, each
     ring's area rounded to float once; parts add, holes subtract."""
     return float(sum(
-        abs(Fraction(signed_ring_area(_exact_ring(p.exterior))))
-        - sum(abs(Fraction(signed_ring_area(_exact_ring(h)))) for h in p.holes)
+        abs(Fraction(signed_ring_area(p.exterior)))
+        - sum(abs(Fraction(signed_ring_area(h))) for h in p.holes)
         for p in parts
     ))
 
@@ -1399,8 +1396,9 @@ def oracle_matrix_group_exposures(table: exposure.AlignedTable, locus: str, valu
                                   home: np.ndarray | None = None) -> exposure.GroupExposures:
     """exposure._group_exposures as it was: every group's counts stacked into
     one float64 (groups x rows) matrix, compressed per stratum to the groups
-    with workers there, and one oracle_slice_stats call per stratum (and a
-    second, sort-free one for the H means of ``home``)."""
+    with workers there, and one oracle_slice_stats call per stratum over its
+    values, -0.0 read as 0.0 (and a second, sort-free one for the H means of
+    ``home``)."""
     groups = list(exposure.iter_groups(table))
     counts = np.vstack([group_counts for *_, group_counts in groups], dtype=np.float64)
     characteristics, labels, strata_column = [], [], []
@@ -1413,7 +1411,7 @@ def oracle_matrix_group_exposures(table: exposure.AlignedTable, locus: str, valu
             continue
         if kept.size < len(w):
             w = w.take(kept, axis=0)
-        slices.append(oracle_slice_stats(values.compress(mask), w, (0.10, 0.90)))
+        slices.append(oracle_slice_stats(values.compress(mask) + 0.0, w, (0.10, 0.90)))
         if home is not None:
             h_means.append(oracle_slice_stats(home.compress(mask), w, ())[0])
         weights.append(weight.take(kept))

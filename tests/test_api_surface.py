@@ -192,7 +192,6 @@ def test_every_raise_in_src_names_an_engine_error():
               for name in callees(node.exc) for cls in made(name)]
     errors = ast.parse(Path(hwexposure.__file__).with_name("errors.py").read_text("utf-8"))
     allowed = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
-    allowed.add("StageError")  # pipeline's wrapper of a stage's EngineError
     assert sorted(f"{where}: {cls}" for cls, where in raised
                   if cls not in allowed and cls not in ALLOWED_RAISES) == []
     assert set(ALLOWED_RAISES) <= {cls for cls, _ in raised}  # no stale entry

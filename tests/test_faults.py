@@ -218,20 +218,32 @@ def test_unreadable_input_names_the_file(tmp_path, caplog, kind, fault, reason):
 
 @pytest.mark.parametrize("kind, column", [("rac", "C000"), ("xyz", "value")])
 def test_quote_never_closed_names_its_line(tmp_path, caplog, kind, column):
-    # np.loadtxt reads the quoted field to the end of the file; csv's field
-    # size limit (128 KiB) ends it on the fault path, which names the line
-    # where the quote opens
+    # np.loadtxt reads the quoted field to the end of the file; on the fault
+    # path, csv's field size limit (128 KiB) ends it, or the end of the file
+    # where less follows; either way the fault names the line where the quote
+    # opens, not the last line with the rest of the file inside the message
     world = make_world(tmp_path)
     stage, locate = INPUTS[kind]
     path = locate(world)
-    header, row = path.read_text().splitlines()[:2]
+    text = path.read_text()
+    header, row = text.splitlines()[:2]
     rows = f"{row}\n" * 20_000
-    set_cell(path, 3, column, '"7')
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(rows)
-    assert len(rows) > 2**17
+    assert len(rows) > 2**17 > len(text)
+    for line, tail in ((3, rows), (4, "")):
+        caplog.clear()
+        path.write_text(text, encoding="utf-8")
+        set_cell(path, line, column, '"7')
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(tail)
+        assert run(world, tmp_path / "out") == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert errors == [f"stage {stage}: {path}:{line}: quoted field is never closed"]
+    # a quote inside an unquoted cell opens no field: the cell is bad
+    caplog.clear()
+    set_cell(path, 4, column, '7"')
     assert run(world, tmp_path / "out") == 1
-    assert f"stage {stage}: {path}:3: quoted field is never closed" in caplog.text
+    assert f"stage {stage}: {path}:4: " in caplog.text
+    assert "never closed" not in caplog.text
     # in the header, or in a cell outside any quote, csv's own reason names
     # the file
     for text in (header.replace(column, f'"{column}') + "\n" + rows,

@@ -228,6 +228,18 @@ def test_validate_table_flags_age_mismatch():
     assert str(err.value).startswith("row 060372653012022: age: ")
 
 
+def test_validate_sums_each_characteristic_over_its_own_columns():
+    # the readers keep a characteristic's columns adjacent; in a table built
+    # with them interleaved, each sum still reads that characteristic's codes
+    # (the first three columns, and the three after the first, sum to the
+    # total too: read as runs, the income mismatch below would go unseen)
+    counts = {"CA01": 1, "CE01": 3, "CA02": 2, "CE02": 1, "CA03": 3, "CE03": 2}
+    table = rollup([("060372653011011", 6, counts)])
+    assert table_rows(table) == [("06037265301", 6, counts)]
+    with pytest.raises(FormatError, match="^row 060372653011011: income: category sum 9 "):
+        rollup([("060372653011011", 6, {**counts, "CE03": 5})])
+
+
 def test_rollup_rejects_negative_count():
     rows = [age_row("060372653011011", 1, 1, 1), age_row("060372653012022", -1, 2, 2)]
     with pytest.raises(FormatError) as err:

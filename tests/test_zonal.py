@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -846,6 +846,7 @@ def assert_coverage_matches_oracle(tracts, grid, exact_on_grid=True):
     origin=st.tuples(st.floats(-60.0, 60.0), st.floats(-60.0, 60.0)),
     cell=st.tuples(st.floats(0.3, 3.0), st.floats(0.3, 3.0)),
 )
+@example(seed=1, origin=(58.0, 57.0), cell=(3.0, 0.3125))  # a float shoelace's 1.03e-12
 @settings(max_examples=40, deadline=None)
 def test_coverage_matches_the_per_ring_sign_kernel(seed, origin, cell):
     # The kernel that signed each ring by its own shoelace sum in cell units,
