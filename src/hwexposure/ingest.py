@@ -134,8 +134,9 @@ class WorkerTable(NamedTuple):
     """Worker counts of one LODES table, one row per block, tract or pair.
 
     ``keys`` holds one geocode array for RAC/WAC tables and the (home, work)
-    arrays for OD tables: block geocodes as read (``S16`` Latin-1 bytes, or
-    ``U`` text; an over-long geocode is kept over-long), int64 tract ids
+    arrays for OD tables: block geocodes as read (``S16`` Latin-1 bytes, which
+    a rollup also takes as ``U`` text; an over-long geocode is kept
+    over-long), int64 tract ids
     (block // 10_000) after a rollup, which also leaves the rows key-ascending
     and unique. ``codes`` are the category columns in schema order, ``counts``
     their int64 (codes x rows) matrix, and ``totals`` the int64 total column.
@@ -311,84 +312,84 @@ def parsed(lines: Iterable[str], **options) -> np.ndarray | None:
         return None
 
 
-def _never_closed(path: str, lines: list[str], last: int) -> FormatError | None:
-    """The fault of a quote left open in ``lines``, which end on file line
-    ``last``: it opens after the last line end with even quote parity."""
-    odd = [*itertools.accumulate((t.count('"') % 2 for t in lines), int.__xor__, initial=0)]
-    opened = last + 1 - odd[::-1].index(0)
-    return FormatError(f"{path}:{opened}: quoted field is never closed") if odd[-1] else None
+def _never_closed(lines: list[str]) -> bool:
+    """Whether ``lines`` end inside a quoted field: csv, given a line end
+    after them, still reads one record, the line end joined to the field.
+    Lines that csv cannot read (a field past its size limit) do not."""
+    try:
+        return len([*csv.reader([*lines, "\n"])]) == 1
+    except csv.Error:
+        return False
 
 
-def _blocks(path: str, lines: Iterable[str], size: int,
-            line: int) -> Iterator[tuple[int, list[str]]]:
-    """``lines``, the CSV ``path``'s lines past line ``line``, in blocks of
-    ``size`` records, each with the file line it ends on (blank lines count,
-    unlike in np.loadtxt's row numbers): csv splits records where np.loadtxt
-    does. A quote never closed, read to the end of the file, is named by its
-    line once its field passes csv's size limit."""
+def _blocks(lines: Iterable[str], size: int,
+            line: int) -> Iterator[tuple[int, list[str], csv.Error | None]]:
+    """``lines``, a CSV file's lines past line ``line``, in blocks of ``size``
+    records, each with the file line it ends on (blank lines count, unlike in
+    np.loadtxt's row numbers) and the csv.Error that stopped it, if any: csv
+    splits records where np.loadtxt does. A block that csv stops (a field past
+    its 128 KiB size limit) is the last: whole records, then the lines csv
+    read of the record it stopped in."""
     block: list[str] = []
     reader = csv.reader(block.append(text) or text for text in lines)
     try:
         while list(itertools.islice(reader, size)):
-            yield line + reader.line_num, block.copy()
+            yield line + reader.line_num, block.copy(), None
             block.clear()
-    except csv.Error as exc:  # the block holds whole records, then the failing one's lines
-        # outside a quote, open_input names the file with csv's reason
-        raise _never_closed(path, block, line + reader.line_num) or exc from None
+    except csv.Error as exc:
+        yield line + reader.line_num, block, exc
 
 
 def read_columns(path: str, fh: TextIO, dtype: np.dtype, usecols: Sequence[int],
-                 fault: Callable[[list[str | None], list], str | None],
-                 valid: Callable[[np.ndarray], bool] = lambda records: True) -> np.ndarray | None:
+                 fault: Callable[[list[str | None], list], str],
+                 valid: Callable[[np.ndarray], bool] = lambda records: True) -> np.ndarray:
     """The ``usecols`` cells of the rest of the CSV ``fh`` (``path`` past its
     header) as ``dtype`` records, parsed by one np.loadtxt call. Where it fails
-    or ``valid`` rejects them, the fault that ``fault`` words for the first
-    record that the same call or ``valid`` rejects, named by its file line,
-    from its ``usecols`` cells as csv reads them (None past its end) and as
-    the same call parses each alone (None where it rejects it); or None."""
+    or ``valid`` rejects them, the fault of the first record that the same
+    call or ``valid`` rejects, or that csv stops in: a quote it leaves open,
+    named by the line where the record starts; outside a quote, csv's reason;
+    else the fault that ``fault`` words from its ``usecols`` cells as csv
+    reads them (None past its end) and as the same call parses each alone
+    (None where it rejects it), named by its file line."""
     def parse(lines: Iterable[str], dtype: np.dtype = dtype, usecols=usecols, valid=valid):
         records = parsed(lines, dtype=dtype, delimiter=",", quotechar='"', usecols=usecols)
         return records if records is None or valid(records) else None
+
+    def rejected(block: tuple[int, list[str], csv.Error | None]) -> bool:
+        return block[2] is not None or parse(block[1]) is None
 
     data = parse(fh)
     if data is not None:
         if not data.size:
             raise FormatError(f"{path}: no data rows")
         return data
-    with open_input(path) as fh:  # blocks of records, then those of the first rejected
+    with open_input(path) as fh:  # blocks of records, then the records of the first rejected
         reader = csv.reader(fh)
         next(reader, None)  # the header record
-        end, lines = next((block for block in _blocks(path, fh, BLOCK, reader.line_num)
-                           if parse(block[1]) is None), (0, []))
+        end, lines, _ = next(filter(rejected, _blocks(fh, BLOCK, reader.line_num)))
+    line, record, stop = next(filter(rejected, _blocks(lines, 1, end - len(lines))))
+    if _never_closed(record[:1] if stop else record):  # csv cannot re-read a field past its limit
+        raise FormatError(f"{path}:{line + 1 - len(record)}: quoted field is never closed")
+    if stop:
+        raise FormatError(f"{path}: cannot read: {stop}") from stop
+    row = next(csv.reader(record))
     bases = [dtype[name].base for name in dtype.names for _ in range(math.prod(dtype[name].shape))]
-    for line, record in _blocks(path, lines, 1, end - len(lines)):
-        if parse(record) is None:
-            if len([*csv.reader([*record, "\n"])]) == 1 and (  # a line end joins an open quote
-                    opened := _never_closed(path, record, line)):
-                raise opened
-            row = next(csv.reader(record))
-            message = fault([row[i] if i < len(row) else None for i in usecols],
-                            [parse(record, base, [i], lambda cell: True)
-                             for base, i in zip(bases, usecols)])
-            if message:
-                raise FormatError(f"{path}:{line}: {message}")
-            break
-    return None
+    message = fault([row[i] if i < len(row) else None for i in usecols],
+                    [parse(record, base, [i], lambda cell: True) for base, i in zip(bases, usecols)])
+    raise FormatError(f"{path}:{line}: {message}")
 
 
 def _read_table(path: str, required: Sequence[str], keys: Sequence[str],
-                schemas: Sequence[GroupSchema], key_dtype: str = "S16") -> WorkerTable:
-    """Parse a worker table's key, total (the last required column) and
-    category columns, whole columns at a time. Where numpy rejects a key as
-    S16 (one with no Latin-1 form) in a row whose counts it reads, the table
-    is read again with U16 keys."""
+                schemas: Sequence[GroupSchema]) -> WorkerTable:
+    """Parse a worker table's key (``S16``), total (the last required column)
+    and category columns, whole columns at a time. A cell that numpy rejects
+    is a bad count or, where the row's counts are read, a bad geocode."""
     total = required[-1]
 
-    def fault(cells: list[str | None], values: list) -> str | None:
-        for i, (name, cell, value) in enumerate(zip((*keys, total, *codes), cells, values)):
-            if value is None and (i >= len(keys) or key_dtype != "S16"):
-                return f"column {name!r}: bad {'geocode' if name in keys else 'count'} {cell!r}"
-        return None
+    def fault(cells: list[str | None], values: list) -> str:
+        named = [*zip((*keys, total, *codes), cells, values)]  # counts judged before keys
+        name, cell, _ = next(c for c in named[len(keys):] + named[:len(keys)] if c[2] is None)
+        return f"column {name!r}: bad {'geocode' if name in keys else 'count'} {cell!r}"
 
     with open_input(path) as fh:
         header = next(csv.reader(fh), None)
@@ -399,11 +400,9 @@ def _read_table(path: str, required: Sequence[str], keys: Sequence[str],
         if repeated:
             raise FormatError(f"{path}: repeated column(s) {repeated}")
         position = {name: i for i, name in enumerate(header)}
-        dtype = np.dtype([*((key, key_dtype) for key in keys),
+        dtype = np.dtype([*((key, "S16") for key in keys),
                           ("counts", np.int64, (len(codes) + 1,))])
         data = read_columns(path, fh, dtype, [position[c] for c in (*keys, total, *codes)], fault)
-    if data is None and key_dtype == "S16":
-        return _read_table(path, required, keys, schemas, "U16")
     counts = data["counts"]
     return WorkerTable(keys=tuple(data[key] for key in keys), totals=counts[:, 0],
                        codes=tuple(codes), counts=counts[:, 1:].T)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import errno
 import gzip
+import itertools
 import json
 import logging
 import os
@@ -115,15 +116,18 @@ def test_bad_geocode_names_the_file(tmp_path, caplog, change):
                                           ("od_2011.csv", "w_geocode")], ids=["rac", "od"])
 @pytest.mark.parametrize("letter", ["é", "０"], ids=["latin1_letter", "fullwidth_digit"])
 def test_non_ascii_geocode_names_the_file(tmp_path, caplog, name, column, letter):
-    # "é" is one Latin-1 byte; the full-width zero has no Latin-1 byte at all
+    # "é" is one Latin-1 byte, read into the key and judged as a geocode; the
+    # full-width zero has no Latin-1 byte at all, so numpy rejects its cell
     world = make_world(tmp_path)
     path = world / name
     header = path.read_text().splitlines()[0].split(",")
     geocode = path.read_text().splitlines()[3].split(",")[header.index(column)]
     set_cell(path, 4, column, geocode[:-1] + letter)
     assert run(world, tmp_path / "out") == 1
-    assert (f"stage exposure: {path}: block geocode must be 15 digits, "
-            f"got {geocode[:-1] + letter!r}") in caplog.text
+    bad = geocode[:-1] + letter
+    assert (f"stage exposure: {path}: block geocode must be 15 digits, got {bad!r}"
+            if letter == "é" else
+            f"stage exposure: {path}:4: column {column!r}: bad geocode {bad!r}") in caplog.text
 
 
 def test_truncated_gzip(tmp_path, caplog):
@@ -220,8 +224,10 @@ def test_unreadable_input_names_the_file(tmp_path, caplog, kind, fault, reason):
 def test_quote_never_closed_names_its_line(tmp_path, caplog, kind, column):
     # np.loadtxt reads the quoted field to the end of the file; on the fault
     # path, csv's field size limit (128 KiB) ends it, or the end of the file
-    # where less follows; either way the fault names the line where the quote
-    # opens, not the last line with the rest of the file inside the message
+    # where less follows; either way the fault names the line where the
+    # record starts, not the last line with the rest of the file inside the
+    # message, also where a literal quote in the record's first cell comes
+    # before the open one
     world = make_world(tmp_path)
     stage, locate = INPUTS[kind]
     path = locate(world)
@@ -229,10 +235,12 @@ def test_quote_never_closed_names_its_line(tmp_path, caplog, kind, column):
     header, row = text.splitlines()[:2]
     rows = f"{row}\n" * 20_000
     assert len(rows) > 2**17 > len(text)
-    for line, tail in ((3, rows), (4, "")):
+    for (line, tail), literal in itertools.product(((3, rows), (4, "")), (False, True)):
         caplog.clear()
         path.write_text(text, encoding="utf-8")
-        set_cell(path, line, column, '"7')
+        first = set_cell(path, line, column, '"7')
+        if literal:
+            set_cell(path, line, header.split(",")[0], f'{first[:1]}"{first[1:]}')
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(tail)
         assert run(world, tmp_path / "out") == 1

@@ -548,6 +548,30 @@ def test_od_read_holds_one_parsed_array(tmp_path):
     assert (peak - before) / n <= 145
 
 
+def test_geocode_without_latin1_byte_is_a_bad_cell_read_once(tmp_path):
+    # numpy rejects a full-width digit as an S16 key: the fault path names its
+    # cell within the bound of the read above, which a second read of the
+    # table with U16 keys (208 B a row) would pass
+    n = 20_000
+    path = tmp_path / "od.csv"
+    write_od(path, n)
+    lines = path.read_text().splitlines()
+    geocode, rest = lines[-1].split(",", 1)
+    lines[-1] = f"{geocode[:-1]}０,{rest}"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(FormatError) as raised:
+            ingest.read_tracts(str(path), ingest.ORIGIN_DESTINATION)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(raised.value) == (
+        f"{path}:{n + 1}: column 'w_geocode': bad geocode '{geocode[:-1]}０'")
+    assert (peak - before) / n <= 145
+
+
 def test_od_read_memory_per_row(tmp_path):
     n = 200_000
     path = tmp_path / "od.csv"
