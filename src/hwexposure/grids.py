@@ -6,7 +6,6 @@ ESRI ASCII files list the top row first, so the reader flips them.
 """
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from typing import NamedTuple
@@ -143,7 +142,7 @@ def read_xyz_csv(path: str) -> ConcentrationGrid:
     values must be finite.
     """
     with open_input(path) as fh:
-        if [name.strip() for name in next(csv.reader(fh), [])] != ["x", "y", "value"]:
+        if [name.strip() for name in next(fh, "").split(",")] != ["x", "y", "value"]:
             raise FormatError(f"{path}: expected header 'x,y,value'")
         points = read_columns(path, fh, np.dtype("f8,f8,f8"), (0, 1, 2), _point_fault,
                               lambda points: np.isfinite(points.view(np.float64)).all())

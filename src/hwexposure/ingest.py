@@ -10,7 +10,6 @@ legitimately encode empty blocks.
 from __future__ import annotations
 
 import contextlib
-import csv
 import gzip
 import itertools
 import logging
@@ -261,13 +260,12 @@ def open_input(path: str) -> Iterator[TextIO]:
     """Open an input file as UTF-8 text, a leading byte-order mark dropped,
     through gzip when the path ends in ``.gz``. A failure to read it while the
     block runs (an OS error, a truncated or corrupt gzip stream, a byte that is
-    not UTF-8, a CSV field past csv's size limit) is
-    ``FormatError("<path>: cannot read: <reason>")``."""
+    not UTF-8) is ``FormatError("<path>: cannot read: <reason>")``."""
     try:
         with (gzip.open if path.endswith(".gz") else open)(
                 path, "rt", encoding="utf-8-sig", newline="") as fh:
             yield fh
-    except (OSError, EOFError, zlib.error, UnicodeDecodeError, csv.Error) as exc:
+    except (OSError, EOFError, zlib.error, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
         raise FormatError(f"{path}: cannot read: {reason}") from exc
 
@@ -296,7 +294,7 @@ def _resolve_columns(fieldnames: Sequence[str], required: Sequence[str],
     return category_cols
 
 
-BLOCK = 4096  # records judged at a time while a fault is looked for
+BLOCK = 4096  # lines judged at a time while a fault is looked for
 
 
 def parsed(lines: Iterable[str], **options) -> np.ndarray | None:
@@ -312,78 +310,54 @@ def parsed(lines: Iterable[str], **options) -> np.ndarray | None:
         return None
 
 
-def _never_closed(lines: list[str]) -> bool:
-    """Whether ``lines`` end inside a quoted field: csv, given a line end
-    after them, still reads one record, the line end joined to the field.
-    Lines that csv cannot read (a field past its size limit) do not."""
-    try:
-        return len([*csv.reader([*lines, "\n"])]) == 1
-    except csv.Error:
-        return False
-
-
-def _blocks(lines: Iterable[str], size: int,
-            line: int) -> Iterator[tuple[int, list[str], csv.Error | None]]:
-    """``lines``, a CSV file's lines past line ``line``, in blocks of ``size``
-    records, each with the file line it ends on (blank lines count, unlike in
-    np.loadtxt's row numbers) and the csv.Error that stopped it, if any: csv
-    splits records where np.loadtxt does. A block that csv stops (a field past
-    its 128 KiB size limit) is the last: whole records, then the lines csv
-    read of the record it stopped in."""
-    block: list[str] = []
-    reader = csv.reader(block.append(text) or text for text in lines)
-    try:
-        while list(itertools.islice(reader, size)):
-            yield line + reader.line_num, block.copy(), None
-            block.clear()
-    except csv.Error as exc:
-        yield line + reader.line_num, block, exc
-
-
 def read_columns(path: str, fh: TextIO, dtype: np.dtype, usecols: Sequence[int],
                  fault: Callable[[list[str | None], list], str],
                  valid: Callable[[np.ndarray], bool] = lambda records: True) -> np.ndarray:
     """The ``usecols`` cells of the rest of the CSV ``fh`` (``path`` past its
-    header) as ``dtype`` records, parsed by one np.loadtxt call. Where it fails
-    or ``valid`` rejects them, the fault of the first record that the same
-    call or ``valid`` rejects, or that csv stops in: a quote it leaves open,
-    named by the line where the record starts; outside a quote, csv's reason;
-    else the fault that ``fault`` words from its ``usecols`` cells as csv
-    reads them (None past its end) and as the same call parses each alone
-    (None where it rejects it), named by its file line."""
+    one header line) as ``dtype`` records, parsed by one np.loadtxt call: a
+    record is a line, its cells split at every ``,`` (a ``"`` is an ordinary
+    character). Where it fails or ``valid`` rejects them, the fault that
+    ``fault`` words from the first rejected line's ``usecols`` cells (None
+    past its end) and from the same call's parse of each alone (None where it
+    rejects it), named by its file line."""
     def parse(lines: Iterable[str], dtype: np.dtype = dtype, usecols=usecols, valid=valid):
-        records = parsed(lines, dtype=dtype, delimiter=",", quotechar='"', usecols=usecols)
+        records = parsed(lines, dtype=dtype, delimiter=",", usecols=usecols)
         return records if records is None or valid(records) else None
-
-    def rejected(block: tuple[int, list[str], csv.Error | None]) -> bool:
-        return block[2] is not None or parse(block[1]) is None
 
     data = parse(fh)
     if data is not None:
         if not data.size:
             raise FormatError(f"{path}: no data rows")
         return data
-    with open_input(path) as fh:  # blocks of records, then the records of the first rejected
-        reader = csv.reader(fh)
-        next(reader, None)  # the header record
-        end, lines, _ = next(filter(rejected, _blocks(fh, BLOCK, reader.line_num)))
-    line, record, stop = next(filter(rejected, _blocks(lines, 1, end - len(lines))))
-    if _never_closed(record[:1] if stop else record):  # csv cannot re-read a field past its limit
-        raise FormatError(f"{path}:{line + 1 - len(record)}: quoted field is never closed")
-    if stop:
-        raise FormatError(f"{path}: cannot read: {stop}") from stop
-    row = next(csv.reader(record))
+    # usecols is given and valid judges each record alone, so a set of lines
+    # is rejected exactly when one of them is: the first rejected block of
+    # lines holds the fault, and so does its first half unless that is accepted
+    with open_input(path) as fh:
+        next(fh)  # the header line
+        line = 2  # the file line of lines[0]
+        for lines in iter(lambda: [*itertools.islice(fh, BLOCK)], []):
+            if parse(lines) is None:
+                break
+            line += len(lines)
+    while len(lines) > 1:
+        head, tail = lines[:len(lines) // 2], lines[len(lines) // 2:]
+        if parse(head) is None:
+            lines = head
+        else:
+            line, lines = line + len(head), tail
+    row = lines[0].rstrip("\r\n").split(",")
     bases = [dtype[name].base for name in dtype.names for _ in range(math.prod(dtype[name].shape))]
     message = fault([row[i] if i < len(row) else None for i in usecols],
-                    [parse(record, base, [i], lambda cell: True) for base, i in zip(bases, usecols)])
+                    [parse(lines, base, [i], lambda cell: True) for base, i in zip(bases, usecols)])
     raise FormatError(f"{path}:{line}: {message}")
 
 
 def _read_table(path: str, required: Sequence[str], keys: Sequence[str],
                 schemas: Sequence[GroupSchema]) -> WorkerTable:
     """Parse a worker table's key (``S16``), total (the last required column)
-    and category columns, whole columns at a time. A cell that numpy rejects
-    is a bad count or, where the row's counts are read, a bad geocode."""
+    and category columns, whole columns at a time. The header is the first
+    line, its names split at every ``,``. A cell that numpy rejects is a bad
+    count or, where the row's counts are read, a bad geocode."""
     total = required[-1]
 
     def fault(cells: list[str | None], values: list) -> str:
@@ -392,9 +366,10 @@ def _read_table(path: str, required: Sequence[str], keys: Sequence[str],
         return f"column {name!r}: bad {'geocode' if name in keys else 'count'} {cell!r}"
 
     with open_input(path) as fh:
-        header = next(csv.reader(fh), None)
+        header = next(fh, None)
         if header is None:
             raise FormatError(f"{path}: empty file")
+        header = header.rstrip("\r\n").split(",")
         codes = _resolve_columns(header, required, schemas, path)
         repeated = [c for c in (*keys, total, *codes) if header.count(c) > 1]
         if repeated:

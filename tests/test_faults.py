@@ -220,14 +220,19 @@ def test_unreadable_input_names_the_file(tmp_path, caplog, kind, fault, reason):
         assert f"stage {stage}: {path}: cannot read: {reason}" in caplog.text
 
 
+# the fault of one bad cell of each kind of table, given its column and text
+BAD_CELL = {
+    "rac": lambda column, cell: f"column {column!r}: bad count {cell!r}",
+    "xyz": lambda column, cell: "non-numeric x, y or value",
+}
+
+
 @pytest.mark.parametrize("kind, column", [("rac", "C000"), ("xyz", "value")])
 def test_quote_never_closed_names_its_line(tmp_path, caplog, kind, column):
-    # np.loadtxt reads the quoted field to the end of the file; on the fault
-    # path, csv's field size limit (128 KiB) ends it, or the end of the file
-    # where less follows; either way the fault names the line where the
-    # record starts, not the last line with the rest of the file inside the
-    # message, also where a literal quote in the record's first cell comes
-    # before the open one
+    # a record is one line and a quote is an ordinary character: a quote
+    # that csv would leave open is part of a bad cell at its own line, with
+    # 20,000 rows after it or none, and after a literal quote in the row's
+    # first cell too
     world = make_world(tmp_path)
     stage, locate = INPUTS[kind]
     path = locate(world)
@@ -235,32 +240,56 @@ def test_quote_never_closed_names_its_line(tmp_path, caplog, kind, column):
     header, row = text.splitlines()[:2]
     rows = f"{row}\n" * 20_000
     assert len(rows) > 2**17 > len(text)
+
+    def errors() -> list[str]:
+        return [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+
+    quoted = '"7'
     for (line, tail), literal in itertools.product(((3, rows), (4, "")), (False, True)):
         caplog.clear()
         path.write_text(text, encoding="utf-8")
-        first = set_cell(path, line, column, '"7')
+        first = set_cell(path, line, column, quoted)
         if literal:
             set_cell(path, line, header.split(",")[0], f'{first[:1]}"{first[1:]}')
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(tail)
         assert run(world, tmp_path / "out") == 1
-        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
-        assert errors == [f"stage {stage}: {path}:{line}: quoted field is never closed"]
-    # a quote inside an unquoted cell opens no field: the cell is bad
+        assert errors() == [f"stage {stage}: {path}:{line}: {BAD_CELL[kind](column, quoted)}"]
+    # so is a quote at a cell's end
     caplog.clear()
-    set_cell(path, 4, column, '7"')
+    closed = '7"'
+    set_cell(path, 4, column, closed)
     assert run(world, tmp_path / "out") == 1
-    assert f"stage {stage}: {path}:4: " in caplog.text
-    assert "never closed" not in caplog.text
-    # in the header, or in a cell outside any quote, csv's own reason names
-    # the file
-    for text in (header.replace(column, f'"{column}') + "\n" + rows,
-                 f"{header}\n{row}{'x' * 2**17}\n{rows}"):
+    assert errors() == [f"stage {stage}: {path}:4: {BAD_CELL[kind](column, closed)}"]
+    # a quoted header name is not the name; an unquoted cell past csv's
+    # 128 KiB field limit is one more bad cell
+    header_fault = {"rac": f"missing required column(s) [{column!r}]",
+                    "xyz": "expected header 'x,y,value'"}[kind]
+    long_cell = row.split(",")[-1] + "x" * 2**17
+    for text, fault in (
+            (header.replace(column, f'"{column}') + "\n" + rows, f": {header_fault}"),
+            (f"{header}\n{row}{'x' * 2**17}\n{rows}",
+             f":2: {BAD_CELL[kind](header.split(',')[-1], long_cell)}")):
         caplog.clear()
         path.write_text(text, encoding="utf-8")
         assert run(world, tmp_path / "out") == 1
-        assert (f"stage {stage}: {path}: cannot read: field larger than field limit (131072)"
-                in caplog.text)
+        assert errors() == [f"stage {stage}: {path}{fault}"]
+
+
+@pytest.mark.parametrize("end", ["\n", ""])
+def test_quote_in_the_last_cell_is_a_bad_count(tmp_path, caplog, end):
+    # a quote csv would leave open in the last line's last cell was once read
+    # as that cell, the open field's rest of the file
+    world = make_world(tmp_path)
+    path = world / "rac_2011.csv"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    column = lines[0].split(",")[-1]
+    lines[-1] = lines[-1].rsplit(",", 1)[0] + ',"7'
+    path.write_text("\n".join(lines) + end, encoding="utf-8")
+    assert run(world, tmp_path / "out") == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+    assert errors == [f"stage exposure: {path}:{len(lines)}: column {column!r}: bad count "
+                      + repr('"7')]
 
 
 @pytest.mark.parametrize("key, value", [

@@ -435,7 +435,7 @@ def test_read_block_csv_bad_count(tmp_path):
 
 
 def test_read_csv_line_numbers_count_blank_lines(tmp_path):
-    # csv.DictReader skips the blank line 3; the bad count is on line 4
+    # np.loadtxt skips the blank line 3; the bad count is on file line 4
     block = tmp_path / "r.csv"
     block.write_text("h_geocode,C000\n060372653011011,5\n\n060372653011012,x\n")
     with pytest.raises(FormatError, match=r"r\.csv:4: column 'C000': bad count 'x'"):
@@ -445,6 +445,19 @@ def test_read_csv_line_numbers_count_blank_lines(tmp_path):
                   "060372653021011,060372653012022,y\n")
     with pytest.raises(FormatError, match=r"od\.csv:4: column 'S000': bad count 'y'"):
         read_od_csv(str(od))
+
+
+def test_quoted_cell_is_read_as_written(tmp_path):
+    # a record is one line and a quote an ordinary character: a quoted count
+    # is a bad count at its line, and a quoted geocode is too long to be one
+    path = tmp_path / "rac.csv"
+    path.write_text('h_geocode,C000\n060372653011011,5\n060372653011012,"7"\n')
+    with pytest.raises(FormatError, match=r"""^.*rac\.csv:3: column 'C000': bad count '"7"'$"""):
+        read_block_csv(str(path), "residence")
+    path.write_text('h_geocode,C000\n060372653011011,5\n"060372653011012",7\n')
+    with pytest.raises(FormatError, match=r"""rac\.csv: block geocode must be 15 digits, """
+                                          r"""got '"060372653011012'$"""):
+        ingest.read_tracts(str(path), ingest.RESIDENCE)
 
 
 def test_group_schema_rejects_duplicates():
@@ -466,8 +479,8 @@ OD_CODES = [code for s in OD_SCHEMAS for code in s.codes]
 @st.composite
 def lodes_text(draw, od):
     """A RAC (age and income columns) or OD table: a few tracts with leading
-    zeros, repeated blocks and OD pairs sharing tracts, cells quoted at
-    random, and an optional byte-order mark and CRLF line ends."""
+    zeros, repeated blocks and OD pairs sharing tracts, and an optional
+    byte-order mark and CRLF line ends."""
     tracts = draw(st.lists(st.builds("{}{:03d}{:06d}".format, st.sampled_from(["01", "06", "72"]),
                                      st.integers(0, 3), st.integers(0, 120)),
                            min_size=1, max_size=5))
@@ -482,9 +495,6 @@ def lodes_text(draw, od):
         counts = first + [c for _ in schemas[1:] for c in draw(st.permutations(first))]
         keys = [draw(block) for _ in range(1 + od)]
         lines.append([*keys, str(sum(first)), *map(str, counts)])
-    quote = draw(st.sampled_from(["none", "some", "all"]))
-    lines = [[f'"{cell}"' if quote == "all" or (quote == "some" and draw(st.booleans()))
-              else cell for cell in line] if k else line for k, line in enumerate(lines)]
     text = draw(st.sampled_from(["\n", "\r\n"])).join(map(",".join, lines)) + "\n"
     return draw(st.sampled_from(["", "\ufeff"])) + text
 
@@ -570,6 +580,33 @@ def test_geocode_without_latin1_byte_is_a_bad_cell_read_once(tmp_path):
     assert str(raised.value) == (
         f"{path}:{n + 1}: column 'w_geocode': bad geocode '{geocode[:-1]}０'")
     assert (peak - before) / n <= 145
+
+
+def test_fault_search_halves_the_rejected_block(tmp_path, monkeypatch):
+    # the first rejected block of 4,096 lines is halved down to its bad line:
+    # a parse of the table, one of the block, 12 of halves and one of each
+    # of its 12 cells, where a parse of each line before the bad one made
+    # over 4,000
+    n = 20_000
+    path = tmp_path / "od.csv"
+    write_od(path, n)
+    lines = path.read_text().splitlines()
+    cells = lines[3_999].split(",")
+    cells[2] = "7_3"
+    lines[3_999] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    calls = []
+    parsed = ingest.parsed
+
+    def counted(*args, **options):
+        calls.append(1)
+        return parsed(*args, **options)
+
+    monkeypatch.setattr(ingest, "parsed", counted)
+    with pytest.raises(FormatError) as raised:
+        read_od_csv(str(path))
+    assert str(raised.value) == f"{path}:4000: column 'S000': bad count '7_3'"
+    assert len(calls) <= 32
 
 
 def test_od_read_memory_per_row(tmp_path):
